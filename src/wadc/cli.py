@@ -30,10 +30,10 @@ from .config import (
 )
 from .dncs import (
     DelaySchedule,
+    DistributedController,
     LocalGains,
     design_mode,
     modal_objectives,
-    modal_subsystem,
     symmetric_modes,
 )
 from .errors import WadcError
@@ -169,10 +169,7 @@ def cmd_linearize(cfg, args, report):
     print(f"eig(A): {_eig_string(pipe.plant.A)}")
     for measure in ("lqr", "hinf"):
         gains, _ = pipe.gains(measure)
-        eigs = np.linalg.eigvals(gains.A_bar)
         print(f"eig(A + B_u K[{measure}]): {_eig_string(gains.A_bar)}")
-        if eigs.real.max() >= 0:
-            raise WadcError("local loop not Hurwitz")  # unreachable; LocalGains checks
     report.stage("write")
     return 0
 
@@ -192,12 +189,10 @@ def cmd_design(cfg, args, report):
     gamma_tol = cfg["tolerances"]["gamma_rel"]
     summary = {}
     for i in _mode_list(dec, args.mode):
-        sub = modal_subsystem(pipe.plant, gains, dec, i)
-        obj = pipe.objectives(args.measure, i)
-        md = design_mode(sub, obj, cfg["sampling"]["h_s"],
-                         float(sched.d_hat[i]),
-                         method=args.measure, gamma_tol=gamma_tol,
-                         mode=i, label=dec.labels[i])
+        md = design_mode(pipe.plant, gains, dec, i,
+                         pipe.objectives(args.measure, i),
+                         cfg["sampling"]["h_s"], float(sched.d_hat[i]),
+                         method=args.measure, gamma_tol=gamma_tol)
         path = f"{args.out}/F_{dec.labels[i]}.txt"
         report.output(path, write_matrix(path, md.F))
         entry = {"lifted_dim": md.disc.n_z, "q": md.disc.q, "r": md.disc.r,
@@ -255,15 +250,12 @@ def cmd_simulate(cfg, args, report):
     d = args.delay * (np.ones((m, m)) - np.eye(m))
     sched = DelaySchedule.from_links(dec, d, h)
     gamma_tol = cfg["tolerances"]["gamma_rel"]
-    designs = []
-    for i in range(dec.n_modes):
-        sub = modal_subsystem(pipe.plant, gains, dec, i)
-        obj = pipe.objectives(args.measure, i)
-        designs.append(design_mode(sub, obj, h, float(sched.d_hat[i]),
-                                   method=args.measure, gamma_tol=gamma_tol,
-                                   mode=i, label=dec.labels[i]))
-    from .dncs import assemble_controller
-    ctrl = assemble_controller(gains, dec, sched, designs)
+    designs = [design_mode(pipe.plant, gains, dec, i,
+                           pipe.objectives(args.measure, i), h,
+                           float(sched.d_hat[i]), method=args.measure,
+                           gamma_tol=gamma_tol)
+               for i in range(dec.n_modes)]
+    ctrl = DistributedController(gains, dec, sched, designs)
     report.stage("design")
 
     scn_cfg = cfg["scenario"]
@@ -321,7 +313,8 @@ def cmd_simulate(cfg, args, report):
         summary["cost_certificate"] = cert
         summary["relative_gap"] = abs(out.J - cert) / max(cert, 1e-300)
     elif args.measure == "hinf":
-        summary["gamma"] = {md.label: md.result.gamma for md in designs}
+        summary["gamma"] = {label: md.result.gamma
+                            for label, md in zip(dec.labels, designs)}
     report.data["summary"] = summary
     print(json.dumps(summary, indent=2, sort_keys=True))
     return 0

@@ -9,7 +9,7 @@ environment variable ``WADC_<SECTION>__<KEY>`` (upper-cased).
 """
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -161,7 +161,6 @@ SCHEMA = {
     "tolerances": {
         "equilibrium": (_parse_positive, 1e-10, "scaled equilibrium residual tolerance [-]"),
         "gamma_rel": (_parse_positive, 1e-3, "relative bracket tolerance of the attenuation search [-]"),
-        "decomposition": (_parse_positive, 1e-8, "block-diagonalization residual tolerance [-]"),
     },
     "scenario": {
         "initial_mode": (_parse_choice("oscillation", "common"), "oscillation", "mode carrying the initial state [-]"),

@@ -9,7 +9,7 @@ by the per-machine waiting times.
 """
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,8 +21,8 @@ from .errors import (
     UnstableLocalLoop,
 )
 from .grid_model import LinearPlant
-from .sampled import CtsCost, CtsSystem, DiscretizedSystem, discretize, split_delay
-from .synthesis import HinfResult, LqrResult, gamma_min, lqr_design
+from .sampled import CtsCost, CtsSystem, DiscretizedSystem, discretize
+from .synthesis import gamma_min, lqr_design
 
 __all__ = [
     "LocalGains",
@@ -38,7 +38,6 @@ __all__ = [
     "modal_objectives",
     "delay_map",
     "design_mode",
-    "assemble_controller",
 ]
 
 _STRUCTURAL_ZERO = 1e-12
@@ -423,42 +422,29 @@ def delay_map(dec: ModalDecomposition, d):
 class ModeDesign:
     """Sampled feedback for one mode plus its certificate."""
 
-    mode: int
-    label: str
     method: str
     disc: DiscretizedSystem
     F: np.ndarray
-    result: object  # LqrResult or HinfResult
-
-    @property
-    def certificate(self):
-        if isinstance(self.result, HinfResult):
-            return self.result.gamma
-        return None  # LQR certificate is z0-dependent; use result.J_star
-
-    def lifted_dim(self):
-        return self.disc.n_z
+    result: object  # LqrResult (value z0' P z0) or HinfResult (gamma)
 
 
-def design_mode(subsys: ModeSubsystem, objectives: ModeObjectives, h,
-                d_hat_i, method="lqr", gamma_tol=1e-3, mode=0,
-                label=None) -> ModeDesign:
-    """Discretize one modal subsystem with its waiting time and design the
-    sampled gain by the requested method."""
+def design_mode(plant: LinearPlant, gains: LocalGains,
+                dec: ModalDecomposition, i, objectives: ModeObjectives, h,
+                d_hat_i, method="lqr", gamma_tol=1e-3) -> ModeDesign:
+    """Discretize mode i of the pre-stabilized plant with its waiting time
+    and design the sampled gain by the requested method."""
+    subsys = modal_subsystem(plant, gains, dec, i)
     sys_i = CtsSystem(A1=subsys.A, B1u=subsys.B_u, B1w=subsys.B_w,
                       C1=objectives.C, D1u=objectives.D_u, D1w=objectives.D_w)
     cost_i = CtsCost(Q1=objectives.Q, N1=objectives.N, R1=objectives.R)
     disc = discretize(sys_i, cost_i, h, d_hat_i)
     if method == "lqr":
         result = lqr_design(disc)
-        F = result.F
     elif method == "hinf":
         _, result = gamma_min(disc, tol=gamma_tol)
-        F = result.F
     else:
         raise ValueError(f"unknown design method {method!r}")
-    return ModeDesign(mode=mode, label=label or f"mode{mode + 1}",
-                      method=method, disc=disc, F=F, result=result)
+    return ModeDesign(method=method, disc=disc, F=result.F, result=result)
 
 
 class DistributedController:
@@ -527,11 +513,3 @@ class DistributedController:
         v_hat = np.concatenate(v_hat_parts) if v_hat_parts else np.zeros(0)
         v = self.dec.M_u @ v_hat
         return v, v_hat
-
-
-def assemble_controller(gains: LocalGains, dec: ModalDecomposition,
-                        schedule: DelaySchedule,
-                        mode_designs) -> DistributedController:
-    """Bind local gains, decomposition, delay schedule and per-mode designs
-    into a steppable controller."""
-    return DistributedController(gains, dec, schedule, mode_designs)

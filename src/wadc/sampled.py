@@ -10,7 +10,7 @@ lifted discrete state stacks the plant state with the q+1 input samples
 still "in flight".
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -28,7 +28,6 @@ __all__ = [
     "psi_blocks",
     "split_delay",
     "discretize",
-    "quadrature_cost_oracle",
 ]
 
 
@@ -189,17 +188,6 @@ class DiscretizedSystem:
             if hist:
                 mem = np.concatenate(hist)
         return np.concatenate([x0, mem])
-
-    def cost_of_sequence(self, z0, u_seq):
-        """Accumulate the summed cost (and final state) along an input sequence."""
-        z = np.asarray(z0, dtype=float).copy()
-        total = 0.0
-        for u in u_seq:
-            u = np.asarray(u, dtype=float).reshape(self.n_u)
-            total += (z @ self.Q2 @ z + 2.0 * (z @ self.N2 @ u)
-                      + u @ self.R2 @ u)
-            z = self.A2 @ z + self.B2u @ u
-        return total, z
 
 
 def phi_gamma(A1, alpha):
@@ -399,77 +387,3 @@ def discretize(sys: CtsSystem, cost: CtsCost, h, d=0.0) -> DiscretizedSystem:
         A2=A2, B2u=B2u, B2w=B2w, C2=C2, D2u=D2u, D2w=D2w,
         Q2=Q2, N2=N2, R2=R2,
         h=h, d=float(d), q=q, r=r, n_x=n_x, n_u=n_u, n_w=n_w)
-
-
-def _delayed_input_index(k, q, d, segment):
-    """Sample index feeding the plant during segment 0 ((kh, kh+r]) or
-    segment 1 ((kh+r, kh+h]) of interval k."""
-    if d == 0:
-        return k
-    return k - q - 1 if segment == 0 else k - q
-
-
-def quadrature_cost_oracle(sys: CtsSystem, cost: CtsCost, h, d, u_seq, x0,
-                           n_steps, substeps_per_h=1000):
-    """Independent evaluation of the continuous running cost.
-
-    Steps the exact trajectory with cached per-substep matrix exponentials
-    and integrates the cost integrand with composite Simpson quadrature; no
-    use of the assembled discrete cost blocks.  The input history before
-    t = 0 is zero and w = 0 throughout (the cost is defined for zero
-    disturbance).
-    """
-    h = float(h)
-    if h <= 0:
-        raise InvalidSampling(f"sampling period must be positive, got {h}")
-    q, r = split_delay(d, h)
-    x0 = np.asarray(x0, dtype=float).reshape(sys.n_x)
-    u_seq = [np.asarray(u, dtype=float).reshape(sys.n_u) for u in u_seq]
-    if len(u_seq) < n_steps:
-        raise ValueError("input sequence shorter than the horizon")
-
-    segments = [(r, 0), (h - r, 1)] if d > 0 else [(h, 1)]
-    stack = np.block([[cost.Q1, cost.N1], [cost.N1.T, cost.R1]])
-
-    prop_cache = {}
-
-    def propagators(length, n_sub):
-        key = (length, n_sub)
-        if key not in prop_cache:
-            dt = length / n_sub
-            aug = np.zeros((2 * sys.n_x, 2 * sys.n_x))
-            aug[:sys.n_x, :sys.n_x] = sys.A1
-            aug[:sys.n_x, sys.n_x:] = np.eye(sys.n_x)
-            E = expm(dt * aug)
-            prop_cache[key] = (E[:sys.n_x, :sys.n_x],
-                               E[:sys.n_x, sys.n_x:] @ sys.B1u, dt)
-        return prop_cache[key]
-
-    def u_at(idx):
-        if 0 <= idx < len(u_seq):
-            return u_seq[idx]
-        return np.zeros(sys.n_u)
-
-    x = x0.copy()
-    total = 0.0
-    for k in range(n_steps):
-        for length, seg in segments:
-            if length == 0.0:
-                continue
-            u = u_at(_delayed_input_index(k, q, d, seg))
-            n_sub = max(2, int(np.ceil(substeps_per_h * length / h)))
-            if n_sub % 2:
-                n_sub += 1
-            Phi_s, GammaB_s, dt = propagators(length, n_sub)
-            xs = np.empty((n_sub + 1, sys.n_x))
-            xs[0] = x
-            for j in range(n_sub):
-                xs[j + 1] = Phi_s @ xs[j] + GammaB_s @ u
-            zu = np.hstack([xs, np.tile(u, (n_sub + 1, 1))])
-            vals = np.einsum("ij,jk,ik->i", zu, stack, zu)
-            # composite Simpson on the even number of panels
-            total += dt / 3.0 * (vals[0] + vals[-1]
-                                 + 4.0 * vals[1:-1:2].sum()
-                                 + 2.0 * vals[2:-1:2].sum())
-            x = xs[-1]
-    return total

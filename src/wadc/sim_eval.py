@@ -9,7 +9,7 @@ exactly on the integer step grid by construction.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -17,17 +17,14 @@ import numpy as np
 from .dncs import (
     DelaySchedule,
     DistributedController,
-    LocalGains,
-    ModalDecomposition,
     ModeObjectives,
+    delay_map,
     design_mode,
-    modal_subsystem,
 )
 from .errors import EventGridMismatch, WadcError
 from .grid_model import LinearPlant
-from .sampled import discretize, CtsSystem, CtsCost
-from .synthesis import HinfResult, gamma_min, hinf_norm, lqr_design, stein_solve
 from .sampled import _nice_fraction
+from .synthesis import hinf_norm, stein_solve
 
 __all__ = [
     "Scenario",
@@ -36,7 +33,6 @@ __all__ = [
     "SweepResult",
     "refine_step",
     "simulate_closed_loop",
-    "attenuation_of_mode",
     "compute_bounds",
     "sweep_delays",
 ]
@@ -128,17 +124,6 @@ def _rk4_affine(A, dt):
          + dt ** 4 / 24 * A4)
     S = dt * (np.eye(n) + dt / 2 * A + dt ** 2 / 6 * A2 + dt ** 3 / 24 * A3)
     return R, S
-
-
-def _simpson(vals, dt):
-    n = len(vals) - 1
-    if n <= 0:
-        return 0.0
-    if n % 2:  # drop to an even panel count by trapezoid on the last slice
-        core = _simpson(vals[:-1], dt)
-        return core + 0.5 * dt * (vals[-2] + vals[-1])
-    return dt / 3.0 * (vals[0] + vals[-1] + 4.0 * vals[1:-1:2].sum()
-                       + 2.0 * vals[2:-1:2].sum())
 
 
 def simulate_closed_loop(plant: LinearPlant, controller: DistributedController,
@@ -330,21 +315,6 @@ def simulate_closed_loop(plant: LinearPlant, controller: DistributedController,
         y=y, J=float(J), step=dt, horizon=float(t[-1]))
 
 
-def attenuation_of_mode(plant, gains, dec, mode, objectives: ModeObjectives,
-                        h, d_hat_i, tol=1e-3):
-    """Certified optimal attenuation of one mode at one waiting time."""
-    i = dec.mode_index(mode)
-    sub = modal_subsystem(plant, gains, dec, i)
-    md = design_mode(sub, objectives, h, d_hat_i, method="hinf",
-                     gamma_tol=tol, mode=i, label=dec.labels[i])
-    res: HinfResult = md.result
-    cl_norm = hinf_norm(md.disc.A2 + md.disc.B2u @ res.F, md.disc.B2w,
-                        md.disc.C2 + md.disc.D2u @ res.F, md.disc.D2w)
-    if cl_norm >= res.gamma:
-        raise WadcError("certified norm regression in attenuation_of_mode")
-    return res.gamma, md
-
-
 def compute_bounds(plant, gains, dec, mode, objectives: ModeObjectives, h,
                    measure, z0=None, gamma_tol=1e-3):
     """Reference levels for one mode and measure.
@@ -354,25 +324,17 @@ def compute_bounds(plant, gains, dec, mode, objectives: ModeObjectives, h,
     zero delay; performance with any delay and information pattern lands
     between the two.
     """
-    i = dec.mode_index(mode)
-    sub = modal_subsystem(plant, gains, dec, i)
-    sys_i = CtsSystem(A1=sub.A, B1u=sub.B_u, B1w=sub.B_w,
-                      C1=objectives.C, D1u=objectives.D_u, D1w=objectives.D_w)
-    cost_i = CtsCost(Q1=objectives.Q, N1=objectives.N, R1=objectives.R)
-    disc0 = discretize(sys_i, cost_i, h, 0.0)
+    if measure == "lqr" and z0 is None:
+        raise ValueError("lqr bounds need an initial modal state")
+    md = design_mode(plant, gains, dec, mode, objectives, h, 0.0,
+                     method=measure, gamma_tol=gamma_tol)
+    disc0 = md.disc
     if measure == "lqr":
-        if z0 is None:
-            raise ValueError("lqr bounds need an initial modal state")
         z0 = np.asarray(z0, dtype=float).reshape(disc0.n_x)
         P_dec = stein_solve(disc0.A2, disc0.Q2)
-        upper = float(z0 @ P_dec @ z0)
-        lower = lqr_design(disc0).J_star(z0)
-    elif measure == "hinf":
-        upper = hinf_norm(disc0.A2, disc0.B2w, disc0.C2, disc0.D2w)
-        lower, _ = gamma_min(disc0, tol=gamma_tol)
-    else:
-        raise ValueError(f"unknown measure {measure!r}")
-    return upper, lower
+        return float(z0 @ P_dec @ z0), md.result.J_star(z0)
+    upper = hinf_norm(disc0.A2, disc0.B2w, disc0.C2, disc0.D2w)
+    return upper, md.result.gamma
 
 
 @dataclass(frozen=True)
@@ -398,19 +360,15 @@ class SweepResult:
 
 def _design_value(plant, gains, dec, i, objectives, h, tau, measure,
                   z0, gamma_tol):
-    from .dncs import delay_map
     m = len(dec.machine_x_dims)
     d = np.zeros((m, m))
     d[~np.eye(m, dtype=bool)] = tau
     d_hat, _ = delay_map(dec, d)
-    sub = modal_subsystem(plant, gains, dec, i)
-    md = design_mode(sub, objectives, h, float(d_hat[i]),
-                     method="lqr" if measure == "lqr" else "hinf",
-                     gamma_tol=gamma_tol, mode=i, label=dec.labels[i])
+    md = design_mode(plant, gains, dec, i, objectives, h, float(d_hat[i]),
+                     method=measure, gamma_tol=gamma_tol)
     if measure == "lqr":
-        z = md.disc.lift_state(z0)
-        return md.result.J_star(z), md
-    return md.result.gamma, md
+        return md.result.J_star(md.disc.lift_state(z0))
+    return md.result.gamma
 
 
 def sweep_delays(plant, gains, dec, mode, measure, delay_grid, h,
@@ -428,8 +386,6 @@ def sweep_delays(plant, gains, dec, mode, measure, delay_grid, h,
     delay_grid = [float(t) for t in delay_grid]
     if any(t < 0 for t in delay_grid) or sorted(delay_grid) != delay_grid:
         raise ValueError("delay grid must be nonnegative and ascending")
-    if measure not in ("lqr", "hinf"):
-        raise ValueError(f"unknown measure {measure!r}")
     if measure == "lqr" and z0 is None:
         z0 = np.zeros(dec.mode_x_dims[i])
         z0[0] = 1.0
@@ -438,8 +394,8 @@ def sweep_delays(plant, gains, dec, mode, measure, delay_grid, h,
 
     def one_row(tau):
         try:
-            value, _ = _design_value(plant, gains, dec, i, objectives, h,
-                                     tau, measure, z0, gamma_tol)
+            value = _design_value(plant, gains, dec, i, objectives, h,
+                                  tau, measure, z0, gamma_tol)
             ok = (value >= lower - _BOUND_SLACK * abs(lower)
                   and value <= upper + _BOUND_SLACK * abs(upper))
             status = "ok" if ok else "bound_violation"

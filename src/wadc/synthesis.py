@@ -1,16 +1,15 @@
 """Discrete-time gain synthesis on a lifted sampled system.
 
 LQR gains come from the algebraic Riccati equation solved by a
-structure-preserving doubling iteration, with policy/value iteration
-fallbacks for the singular input-weight case that arises whenever the
-delay reaches a full sampling period (the new input sample then carries no
+structure-preserving doubling iteration, with a policy-iteration fallback
+for the singular input-weight case that arises whenever the delay reaches
+a full sampling period (the new input sample then carries no
 within-interval cost).  H-infinity state feedback solves the indefinite
 game Riccati equation; every accepted design is certified independently by
 positivity pivots, closed-loop stability and a unit-circle norm sweep, so
 the Riccati backend cannot silently return a wrong answer.
 """
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,8 +35,6 @@ __all__ = [
     "gamma_min",
     "hinf_norm",
 ]
-
-log = logging.getLogger(__name__)
 
 _RESIDUAL_TOL = 1e-9
 
@@ -130,35 +127,14 @@ def _policy_iteration(A, B, Q, N, R, max_iters=200):
     raise NotStabilizable("policy iteration did not converge")
 
 
-def _value_iteration(A, B, Q, N, R, max_iters=200_000):
-    P = Q.copy()
-    scale = 1.0 + np.abs(Q).max()
-    check_every = 50
-    for it in range(max_iters):
-        H = R + B.T @ P @ B
-        G = A.T @ P @ B + N
-        P_new = A.T @ P @ A - G @ _pinv_solve(H, G.T) + Q
-        P_new = 0.5 * (P_new + P_new.T)
-        if not np.isfinite(P_new).all() or np.abs(P_new).max() > 1e14 * scale:
-            raise NotStabilizable("value iteration diverged")
-        step = np.abs(P_new - P).max()
-        P = P_new
-        if step <= 1e-13 * (1.0 + np.abs(P).max()) or (
-                it % check_every == check_every - 1
-                and dare_residual(A, B, Q, N, R, P) <= _RESIDUAL_TOL):
-            if dare_residual(A, B, Q, N, R, P) <= _RESIDUAL_TOL:
-                return P
-    raise NotStabilizable("value iteration did not converge")
-
-
 def dare_solve(A, B, Q, N=None, R=None):
     """Stabilizing solution of
     A'PA - P - (A'PB + N)(B'PB + R)^{-1}(B'PA + N') + Q = 0.
 
     Doubling on the cross-term-reduced form when R is positive definite;
-    otherwise policy iteration from the zero gain (valid because the lifted
-    plant here is always pre-stabilized), with plain value iteration as the
-    last resort.  Convergence is declared on the equation residual.
+    otherwise policy iteration from the zero gain, so a singular R needs a
+    Schur-stable A (the lifted plant here is always pre-stabilized).
+    Convergence is declared on the equation residual.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     B = np.atleast_2d(np.asarray(B, dtype=float))
@@ -198,7 +174,9 @@ def dare_solve(A, B, Q, N=None, R=None):
         except NotStabilizable:
             P = None
     if P is None:
-        P = _value_iteration(A, B, Q, N, R)
+        raise NotStabilizable(
+            "neither the doubling iteration (SDA) nor policy iteration "
+            "converged; a singular input weight needs a Schur-stable A")
 
     P = 0.5 * (P + P.T)
     H = R + B.T @ P @ B
@@ -315,7 +293,6 @@ class HinfResult:
     disturbance-to-output norm below gamma."""
 
     F: np.ndarray
-    P: np.ndarray
     gamma: float
     norm: float
 
@@ -408,9 +385,8 @@ def hinf_design(disc: DiscretizedSystem, gamma) -> HinfResult:
     Solves the game Riccati equation and checks, in order: equation
     residual, P positive semidefinite, disturbance pivot H3 positive
     definite, control pivot H1 positive definite, closed-loop Schur
-    stability, and the certified unit-circle norm.  The formula leaves the
-    feedback sign ambiguous; u = -F z is applied because the opposite sign
-    fails these checks (tried once and logged if it ever certifies).
+    stability, and the certified unit-circle norm.  The gain formula is
+    applied as u = -F z; a loop that fails these checks is infeasible.
     """
     gamma = float(gamma)
     if gamma <= 0.0:
@@ -427,14 +403,7 @@ def hinf_design(disc: DiscretizedSystem, gamma) -> HinfResult:
         norm, why = _certify(disc, F, gamma)
         if why:
             raise GammaInfeasible(why, "system has no control authority")
-        if spectral_radius(disc.A2) < 1.0 and np.abs(disc.B2w).max() > 0.0:
-            try:
-                P = next(iter(_game_riccati_candidates(disc, gamma)))
-            except GammaInfeasible:
-                P = stein_solve(disc.A2, disc.C2.T @ disc.C2)
-        else:
-            P = np.zeros((disc.n_z, disc.n_z))
-        return HinfResult(F=F, P=P, gamma=gamma, norm=norm)
+        return HinfResult(F=F, gamma=gamma, norm=norm)
 
     failure = GammaInfeasible("riccati_no_convergence")
     try:
@@ -470,14 +439,9 @@ def _design_from_solution(disc, gamma, P):
     F_formula = np.linalg.solve(0.5 * (H1 + H1.T), rhs)
 
     norm, why = _certify(disc, -F_formula, gamma)
-    if norm is not None:
-        return HinfResult(F=-F_formula, P=P, gamma=gamma, norm=norm)
-    norm_alt, _ = _certify(disc, F_formula, gamma)
-    if norm_alt is not None:
-        log.warning("attenuation design certified with the opposite "
-                    "feedback sign; check the model conventions")
-        return HinfResult(F=F_formula, P=P, gamma=gamma, norm=norm_alt)
-    raise GammaInfeasible(why)
+    if norm is None:
+        raise GammaInfeasible(why)
+    return HinfResult(F=-F_formula, gamma=gamma, norm=norm)
 
 
 def gamma_min(disc: DiscretizedSystem, tol=1e-3):

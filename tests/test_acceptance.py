@@ -9,6 +9,7 @@ import pytest
 
 from conftest import C_OUT, DU_OUT, DW_OUT, K1, Q_COST, R_COST
 from helpers import (
+    quadrature_cost_oracle,
     random_psd_cost,
     random_stable_system,
     rk4_delayed_zoh,
@@ -16,6 +17,7 @@ from helpers import (
 from test_dncs import _PatternStub, brute_force_delay_map
 from test_sim_eval import build_controller
 from wadc.dncs import (
+    DistributedController,
     LocalGains,
     delay_map,
     design_mode,
@@ -25,7 +27,7 @@ from wadc.dncs import (
 )
 from wadc.errors import GammaInfeasible, UnstableLocalLoop
 from wadc.grid_model import swap_symmetry_residuals
-from wadc.sampled import discretize, quadrature_cost_oracle
+from wadc.sampled import discretize
 from wadc.sim_eval import Scenario, simulate_closed_loop, sweep_delays
 from wadc.synthesis import gamma_min, hinf_design, hinf_norm
 
@@ -100,9 +102,8 @@ def test_criterion_2_lqr_certificate(bench_plant, gains_k1, dec_k1):
             F_pert = md.F.copy()
             F_pert[0, j] *= 1.01
             designs_p = [replace(md, F=F_pert), designs[1]]
-            from wadc.dncs import assemble_controller
-            ctrl_p = assemble_controller(gains_k1, dec_k1, ctrl.schedule,
-                                         designs_p)
+            ctrl_p = DistributedController(gains_k1, dec_k1, ctrl.schedule,
+                                           designs_p)
             out_p = simulate_closed_loop(bench_plant, ctrl_p, scn,
                                          Q_COST, R_COST)
             if not out_p.J > out.J:
@@ -118,11 +119,11 @@ def test_criterion_3_hinf_certificate(bench_plant, gains_k2, dec_k2):
     the bisection bracket is self-consistent within 2*tol."""
     obj = modal_objectives(Q_COST, R_COST, C_OUT, DU_OUT, DW_OUT, gains_k2,
                            dec_k2, 0)
-    sub = modal_subsystem(bench_plant, gains_k2, dec_k2, 0)
     tol = 1e-3
     certified, brackets = [], []
     for tau in (0.1, 0.3):
-        md = design_mode(sub, obj, 0.02, tau, method="hinf", gamma_tol=tol)
+        md = design_mode(bench_plant, gains_k2, dec_k2, 0, obj, 0.02, tau,
+                         method="hinf", gamma_tol=tol)
         res = md.result
         norm = hinf_norm(md.disc.A2 + md.disc.B2u @ res.F, md.disc.B2w,
                          md.disc.C2 + md.disc.D2u @ res.F, md.disc.D2w)

@@ -207,6 +207,26 @@ class TestDesignCommand:
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["designs"]["oscillation"]["q"] == 4
 
+    def test_hinf_all_modes(self, tmp_path):
+        assert run(tmp_path, "design", "--measure", "hinf", "--mode", "all",
+                   "--delay", "0.1") == 0
+        report = json.loads((tmp_path / "report.json").read_text())
+        for label in ("oscillation", "common"):
+            assert read_matrix(tmp_path / f"F_{label}.txt").shape == (1, 8)
+            entry = report["designs"][label]
+            assert entry["gamma"] > entry["certified_norm"]
+
+    def test_destabilizing_local_gains_exit_3(self, tmp_path, monkeypatch,
+                                              capsys):
+        # the sign-flipped gain row leaves A + B_u K with an eigenvalue of
+        # real part +3.07
+        monkeypatch.setenv("WADC_GAINS__LQR_LOCAL", "-169.6,-201,3.04")
+        assert run(tmp_path, "design", "--measure", "lqr") == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "real part" in err
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert any("real part" in w for w in report["warnings"])
+
 
 class TestSimulateCommand:
     def test_step_refinement_noted(self, tmp_path, monkeypatch):

@@ -5,10 +5,10 @@ from conftest import C_OUT, DU_OUT, DW_OUT, K1, Q_COST, R_COST
 from helpers import closed_loop_cost
 from wadc.dncs import (
     DelaySchedule,
+    DistributedController,
     LocalGains,
     ModalDecomposition,
     accept_decomposition,
-    assemble_controller,
     delay_map,
     design_mode,
     modal_objectives,
@@ -312,27 +312,27 @@ class TestDelayMap:
 
 class TestDesignMode:
     def test_zero_delay_gain_shape(self, bench_plant, gains_k1, dec_k1):
-        sub = modal_subsystem(bench_plant, gains_k1, dec_k1, 0)
         obj = modal_objectives(Q_COST, R_COST, C_OUT, DU_OUT, DW_OUT,
                                gains_k1, dec_k1, 0)
-        md = design_mode(sub, obj, 0.02, 0.0, method="lqr")
+        md = design_mode(bench_plant, gains_k1, dec_k1, 0, obj, 0.02, 0.0,
+                         method="lqr")
         assert md.F.shape == (1, 3)
         assert md.disc.n_z == 3
 
     def test_lifted_dimension(self, bench_plant, gains_k1, dec_k1):
-        sub = modal_subsystem(bench_plant, gains_k1, dec_k1, 0)
         obj = modal_objectives(Q_COST, R_COST, C_OUT, DU_OUT, DW_OUT,
                                gains_k1, dec_k1, 0)
-        md = design_mode(sub, obj, 0.02, 0.1, method="lqr")
+        md = design_mode(bench_plant, gains_k1, dec_k1, 0, obj, 0.02, 0.1,
+                         method="lqr")
         assert md.disc.q == 4
         assert md.disc.n_z == 3 + 5 * 1
 
     def test_certificate_against_simulation(self, bench_plant, gains_k1,
                                             dec_k1):
-        sub = modal_subsystem(bench_plant, gains_k1, dec_k1, 0)
         obj = modal_objectives(Q_COST, R_COST, C_OUT, DU_OUT, DW_OUT,
                                gains_k1, dec_k1, 0)
-        md = design_mode(sub, obj, 0.02, 0.06, method="lqr")
+        md = design_mode(bench_plant, gains_k1, dec_k1, 0, obj, 0.02, 0.06,
+                         method="lqr")
         z0 = md.disc.lift_state([1.0, 0.0, 0.0])
         J_sim = closed_loop_cost(md.disc, md.F, z0)
         assert abs(J_sim - md.result.J_star(z0)) <= 1e-5 * md.result.J_star(z0)
@@ -344,12 +344,10 @@ class TestAssembleController:
         sched = DelaySchedule.from_links(dec, d, 0.02)
         designs = []
         for i in range(2):
-            sub = modal_subsystem(plant, gains, dec, i)
             obj = modal_objectives(Q_COST, R_COST, C_OUT, DU_OUT, DW_OUT,
                                    gains, dec, i)
-            designs.append(design_mode(sub, obj, 0.02, float(sched.d_hat[i]),
-                                       method=method, mode=i,
-                                       label=dec.labels[i]))
+            designs.append(design_mode(plant, gains, dec, i, obj, 0.02,
+                                       float(sched.d_hat[i]), method=method))
         return sched, designs
 
     def test_zero_gain_controller_emits_zero(self, bench_plant, gains_k1,
@@ -357,7 +355,7 @@ class TestAssembleController:
         from dataclasses import replace
         sched, designs = self._designs(bench_plant, gains_k1, dec_k1, 0.04)
         designs = [replace(md, F=np.zeros_like(md.F)) for md in designs]
-        ctrl = assemble_controller(gains_k1, dec_k1, sched, designs)
+        ctrl = DistributedController(gains_k1, dec_k1, sched, designs)
         rng = np.random.default_rng(11)
         for _ in range(5):
             v, v_hat = ctrl.sample(rng.normal(size=6))
@@ -366,7 +364,7 @@ class TestAssembleController:
 
     def test_reconstruction_round_trip(self, bench_plant, gains_k1, dec_k1):
         sched, designs = self._designs(bench_plant, gains_k1, dec_k1, 0.04)
-        ctrl = assemble_controller(gains_k1, dec_k1, sched, designs)
+        ctrl = DistributedController(gains_k1, dec_k1, sched, designs)
         rng = np.random.default_rng(12)
         for _ in range(10):
             v, v_hat = ctrl.sample(rng.normal(size=6))
@@ -381,7 +379,7 @@ class TestAssembleController:
         from dataclasses import replace
         F0 = np.array([[0.25, -0.5, 1.0]])
         designs = [replace(md, F=F0) for md in designs]
-        ctrl = assemble_controller(gains_k1, dec_k1, sched, designs)
+        ctrl = DistributedController(gains_k1, dec_k1, sched, designs)
         x = np.array([0.5, 0.25, -0.125, 1.0, -0.5, 0.75])
         v, v_hat = ctrl.sample(x)
         np.testing.assert_array_equal(dec_k1.M_u_inv @ v, v_hat)
@@ -397,10 +395,9 @@ class TestAssembleController:
         obj = modal_objectives(np.eye(3), np.eye(1), np.eye(3),
                                np.zeros((3, 1)), np.zeros((3, 2)), gains,
                                dec, 0)
-        sub = modal_subsystem(plant, gains, dec, 0)
-        md = design_mode(sub, obj, 0.02, 0.0, method="lqr")
+        md = design_mode(plant, gains, dec, 0, obj, 0.02, 0.0, method="lqr")
         sched = DelaySchedule.from_links(dec, np.zeros((1, 1)), 0.02)
-        ctrl = assemble_controller(gains, dec, sched, [md])
+        ctrl = DistributedController(gains, dec, sched, [md])
         x = rng.normal(size=3)
         v, v_hat = ctrl.sample(x)
         np.testing.assert_array_equal(v, v_hat)
@@ -410,16 +407,16 @@ class TestAssembleController:
         wrong = DelaySchedule.from_links(
             dec_k1, 0.06 * (np.ones((2, 2)) - np.eye(2)), 0.02)
         with pytest.raises(ScheduleMismatch):
-            assemble_controller(gains_k1, dec_k1, wrong, designs)
+            DistributedController(gains_k1, dec_k1, wrong, designs)
         with pytest.raises(ScheduleMismatch):
-            assemble_controller(gains_k1, dec_k1, sched, designs[:1])
+            DistributedController(gains_k1, dec_k1, sched, designs[:1])
 
     def test_memory_evolution_matches_lifted_model(self, bench_plant,
                                                    gains_k1, dec_k1):
         # stepping the controller on a frozen state sequence reproduces the
         # lifted-state recursion of the designed mode
         sched, designs = self._designs(bench_plant, gains_k1, dec_k1, 0.04)
-        ctrl = assemble_controller(gains_k1, dec_k1, sched, designs)
+        ctrl = DistributedController(gains_k1, dec_k1, sched, designs)
         rng = np.random.default_rng(14)
         xs = rng.normal(size=(6, 6))
         md = designs[0]

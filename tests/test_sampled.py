@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wadc.errors import IllPosedLyapunov, InvalidSampling
-from helpers import random_psd_cost, random_stable_system, rk4_delayed_zoh, rk4_segment
+from helpers import (
+    quadrature_cost_oracle,
+    random_psd_cost,
+    random_stable_system,
+    rk4_delayed_zoh,
+    rk4_segment,
+)
 
 from wadc.sampled import (
     CtsCost,
@@ -13,7 +19,6 @@ from wadc.sampled import (
     discretize,
     phi_gamma,
     psi_blocks,
-    quadrature_cost_oracle,
     solve_pmu,
     split_delay,
 )

@@ -3,11 +3,12 @@ import pytest
 import scipy.linalg
 
 from conftest import C_OUT, DU_OUT, DW_OUT, Q_COST, R_COST
+from helpers import attenuation_of_mode
 from test_dncs import synthetic_symmetric_plant
 from wadc.dncs import (
     DelaySchedule,
+    DistributedController,
     LocalGains,
-    assemble_controller,
     design_mode,
     modal_objectives,
     modal_subsystem,
@@ -16,7 +17,6 @@ from wadc.dncs import (
 from wadc.errors import EventGridMismatch
 from wadc.sim_eval import (
     Scenario,
-    attenuation_of_mode,
     compute_bounds,
     refine_step,
     simulate_closed_loop,
@@ -31,16 +31,15 @@ def build_controller(plant, gains, dec, tau, h=0.02, method="lqr",
     sched = DelaySchedule.from_links(dec, d, h)
     designs = []
     for i in range(2):
-        sub = modal_subsystem(plant, gains, dec, i)
         obj = modal_objectives(Q_COST, R_COST, C_OUT, DU_OUT, DW_OUT,
                                gains, dec, i)
-        md = design_mode(sub, obj, h, float(sched.d_hat[i]), method=method,
-                         mode=i, label=dec.labels[i])
+        md = design_mode(plant, gains, dec, i, obj, h, float(sched.d_hat[i]),
+                         method=method)
         if zero_gains:
             from dataclasses import replace
             md = replace(md, F=np.zeros_like(md.F))
         designs.append(md)
-    return assemble_controller(gains, dec, sched, designs), designs
+    return DistributedController(gains, dec, sched, designs), designs
 
 
 class TestRefineStep:
@@ -204,8 +203,8 @@ class TestBounds:
         upper, lower = compute_bounds(bench_plant, gains_k1, dec_k1, 0, obj,
                                       0.02, "lqr", z0=z0)
         assert lower <= upper
-        sub = modal_subsystem(bench_plant, gains_k1, dec_k1, 0)
-        md = design_mode(sub, obj, 0.02, 0.0, method="lqr")
+        md = design_mode(bench_plant, gains_k1, dec_k1, 0, obj, 0.02, 0.0,
+                         method="lqr")
         value = md.result.J_star(md.disc.lift_state(z0))
         assert lower - 1e-9 * abs(lower) <= value <= upper * (1 + 1e-9)
 
@@ -215,8 +214,8 @@ class TestBounds:
                                gains_k2, dec_k2, 0)
         upper, lower = compute_bounds(bench_plant, gains_k2, dec_k2, 0, obj,
                                       0.02, "hinf")
-        sub = modal_subsystem(bench_plant, gains_k2, dec_k2, 0)
-        md = design_mode(sub, obj, 0.02, 0.0, method="lqr", mode=0)
+        md = design_mode(bench_plant, gains_k2, dec_k2, 0, obj, 0.02, 0.0,
+                         method="lqr")
         ref = hinf_norm(md.disc.A2, md.disc.B2w, md.disc.C2, md.disc.D2w)
         assert abs(upper - ref) <= 1e-9 * ref
         assert lower <= upper

@@ -3,7 +3,12 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
-from wadc.errors import GammaInfeasible, IndefiniteCost, UnstableSystem
+from wadc.errors import (
+    GammaInfeasible,
+    IndefiniteCost,
+    NotStabilizable,
+    UnstableSystem,
+)
 from wadc.sampled import CtsCost, CtsSystem, DiscretizedSystem, discretize
 from wadc.synthesis import (
     dare_residual,
@@ -82,6 +87,13 @@ class TestDare:
     def test_indefinite_r_rejected(self):
         with pytest.raises(IndefiniteCost):
             dare_solve([[0.5]], [[1.0]], [[1.0]], [[0.0]], [[-1.0]])
+
+    def test_singular_r_needs_stable_a(self):
+        # singular R rules out doubling and an unstable A rules out policy
+        # iteration from the zero gain: no solver applies, so it raises
+        with pytest.raises(NotStabilizable, match="policy iteration"):
+            dare_solve(np.diag([1.5, 0.5]), [[1.0], [0.0]], np.eye(2),
+                       None, [[0.0]])
 
 
 class TestLqr:
