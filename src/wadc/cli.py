@@ -33,7 +33,7 @@ from .dncs import (
     DistributedController,
     LocalGains,
     design_mode,
-    modal_objectives,
+    mode_system,
     symmetric_modes,
 )
 from .errors import WadcError
@@ -91,12 +91,15 @@ class RunReport:
             "notes": [],
             "outputs": {},
         }
-        self._t0 = time.time()
+        self._t0 = time.perf_counter()
         self._last = self._t0
 
     def stage(self, name):
-        now = time.time()
-        self.data["timings_s"][name] = round(now - self._last, 6)
+        """Charge the time since the last stage to ``name``; a stage entered
+        more than once accumulates."""
+        now = time.perf_counter()
+        timings = self.data["timings_s"]
+        timings[name] = round(timings.get(name, 0.0) + now - self._last, 6)
         self._last = now
 
     def warn(self, msg):
@@ -109,7 +112,8 @@ class RunReport:
         self.data["outputs"][str(path)] = {"sha256": _digest(payload)}
 
     def write(self, path):
-        self.data["timings_s"]["total"] = round(time.time() - self._t0, 6)
+        self.data["timings_s"]["total"] = round(
+            time.perf_counter() - self._t0, 6)
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             json.dump(self.data, fh, indent=2, sort_keys=True)
             fh.write("\n")
@@ -143,10 +147,12 @@ class Pipeline:
             self._gain_cache[measure] = (gains, dec)
         return self._gain_cache[measure]
 
-    def objectives(self, measure, mode):
+    def mode_model(self, measure, i):
+        """Continuous model (CtsSystem, CtsCost) of mode i under the local
+        gains of ``measure``; every design of the mode starts from it."""
         gains, dec = self.gains(measure)
-        return modal_objectives(self.Q, self.R, self.C, self.D_u, self.D_w,
-                                gains, dec, mode)
+        return mode_system(gains, dec, i, self.Q, self.R, self.C, self.D_u,
+                           self.D_w)
 
 
 def _eig_string(M):
@@ -182,17 +188,17 @@ def _mode_list(dec, mode_arg):
 
 def cmd_design(cfg, args, report):
     pipe = Pipeline(cfg, report)
-    gains, dec = pipe.gains(args.measure)
+    _, dec = pipe.gains(args.measure)
     m = pipe.plant.m
     d = args.delay * (np.ones((m, m)) - np.eye(m))
     sched = DelaySchedule.from_links(dec, d, cfg["sampling"]["h_s"])
     gamma_tol = cfg["tolerances"]["gamma_rel"]
     summary = {}
     for i in _mode_list(dec, args.mode):
-        md = design_mode(pipe.plant, gains, dec, i,
-                         pipe.objectives(args.measure, i),
+        md = design_mode(*pipe.mode_model(args.measure, i),
                          cfg["sampling"]["h_s"], float(sched.d_hat[i]),
                          method=args.measure, gamma_tol=gamma_tol)
+        report.stage("design")
         path = f"{args.out}/F_{dec.labels[i]}.txt"
         report.output(path, write_matrix(path, md.F))
         entry = {"lifted_dim": md.disc.n_z, "q": md.disc.q, "r": md.disc.r,
@@ -206,14 +212,14 @@ def cmd_design(cfg, args, report):
             entry["certified_norm"] = md.result.norm
         summary[dec.labels[i]] = entry
         print(f"{dec.labels[i]}: {entry}")
+        report.stage("write")
     report.data["designs"] = summary
-    report.stage("design")
     return 0
 
 
 def cmd_sweep(cfg, args, report):
     pipe = Pipeline(cfg, report)
-    gains, dec = pipe.gains(args.measure)
+    _, dec = pipe.gains(args.measure)
     grid = cfg["sampling"]["delay_grid_s"]
     h = cfg["sampling"]["h_s"]
     gamma_tol = cfg["tolerances"]["gamma_rel"]
@@ -221,9 +227,9 @@ def cmd_sweep(cfg, args, report):
     lines = ["delay_s,mode,measure,value,lower_bound,upper_bound,status"]
     ok = True
     for i in _mode_list(dec, args.mode):
-        obj = pipe.objectives(args.measure, i)
-        res = sweep_delays(pipe.plant, gains, dec, i, args.measure, grid, h,
-                           obj, z0=z0 if args.measure == "lqr" else None,
+        res = sweep_delays(*pipe.mode_model(args.measure, i), dec, i,
+                           args.measure, grid, h,
+                           z0=z0 if args.measure == "lqr" else None,
                            gamma_tol=gamma_tol, threads=args.threads)
         for w in res.warnings:
             report.warn(f"{dec.labels[i]}: {w}")
@@ -239,6 +245,7 @@ def cmd_sweep(cfg, args, report):
     report.output(args.out_file, payload)
     print(f"wrote {args.out_file} ({len(lines) - 1} rows); "
           f"bounds {'satisfied' if ok else 'VIOLATED'}")
+    report.stage("write")
     return 0 if ok else 1
 
 
@@ -250,8 +257,7 @@ def cmd_simulate(cfg, args, report):
     d = args.delay * (np.ones((m, m)) - np.eye(m))
     sched = DelaySchedule.from_links(dec, d, h)
     gamma_tol = cfg["tolerances"]["gamma_rel"]
-    designs = [design_mode(pipe.plant, gains, dec, i,
-                           pipe.objectives(args.measure, i), h,
+    designs = [design_mode(*pipe.mode_model(args.measure, i), h,
                            float(sched.d_hat[i]), method=args.measure,
                            gamma_tol=gamma_tol)
                for i in range(dec.n_modes)]
@@ -267,11 +273,6 @@ def cmd_simulate(cfg, args, report):
     if scn_cfg["disturbance"] == "impulse":
         disturbance = np.zeros((1, pipe.plant.n_w))
         disturbance[0, 0] = scn_cfg["impulse_amp_A"]
-    elif scn_cfg["disturbance"] == "random":
-        rng = np.random.default_rng(args.seed)
-        disturbance = scn_cfg["impulse_amp_A"] * rng.standard_normal(
-            (scn_cfg["random_samples"], pipe.plant.n_w))
-        report.note(f"random disturbance with seed {args.seed}")
 
     step_req = scn_cfg["integrator_step_s"]
     fastest = float(np.abs(np.linalg.eigvals(gains.A_bar)).max())
@@ -317,6 +318,7 @@ def cmd_simulate(cfg, args, report):
                             for label, md in zip(dec.labels, designs)}
     report.data["summary"] = summary
     print(json.dumps(summary, indent=2, sort_keys=True))
+    report.stage("write")
     return 0
 
 
@@ -327,8 +329,6 @@ def main(argv=None):
                     "two-machine grid: modeling, design and evaluation.")
     parser.add_argument("--config", required=True, help="configuration file")
     parser.add_argument("--out", default=".", help="output directory")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed for randomized scenarios only")
     parser.add_argument("--threads", type=int, default=1,
                         help="worker threads for independent sweep rows")
     sub = parser.add_subparsers(dest="command", required=True)

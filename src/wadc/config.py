@@ -165,9 +165,8 @@ SCHEMA = {
     "scenario": {
         "initial_mode": (_parse_choice("oscillation", "common"), "oscillation", "mode carrying the initial state [-]"),
         "initial_state": (_parse_vector, (1.0, 0.0, 0.0), "initial modal state (angle, speed, flux components) [rad, rad/s, Wb]"),
-        "disturbance": (_parse_choice("none", "impulse", "random"), "none", "disturbance profile [-]"),
+        "disturbance": (_parse_choice("none", "impulse"), "none", "disturbance profile [-]"),
         "impulse_amp_A": (_parse_float, 50.0, "held one-sample pulse amplitude at load bus 1 [A]"),
-        "random_samples": (_parse_positive_int, 50, "number of held random disturbance samples [-]"),
         "integrator_step_s": (_parse_positive, 1e-3, "requested integrator step, refined to hit events [s]"),
         "horizon_s": (_parse_horizon, None, "simulation horizon, or 'auto' to extend until the cost settles [s]"),
     },

@@ -28,14 +28,11 @@ __all__ = [
     "LocalGains",
     "ModalDecomposition",
     "DelaySchedule",
-    "ModeSubsystem",
-    "ModeObjectives",
     "ModeDesign",
     "DistributedController",
     "symmetric_modes",
     "accept_decomposition",
-    "modal_subsystem",
-    "modal_objectives",
+    "mode_system",
     "delay_map",
     "design_mode",
 ]
@@ -99,7 +96,8 @@ class ModalDecomposition:
     """Coordinate change block-diagonalizing the pre-stabilized plant.
 
     x = M_x x_hat, u_bar = M_u u_hat, w = M_w w_hat; the boolean block
-    patterns of M_u and M_x^{-1} drive the delay mapping.
+    patterns of M_u and M_x^{-1} drive the delay mapping.  A_hat, B_u_hat
+    and B_w_hat are the pre-stabilized plant in modal coordinates.
     """
 
     M_x: np.ndarray
@@ -108,6 +106,9 @@ class ModalDecomposition:
     M_x_inv: np.ndarray
     M_u_inv: np.ndarray
     M_w_inv: np.ndarray
+    A_hat: np.ndarray
+    B_u_hat: np.ndarray
+    B_w_hat: np.ndarray
     mode_x_dims: tuple
     mode_u_dims: tuple
     mode_w_dims: tuple
@@ -120,7 +121,8 @@ class ModalDecomposition:
 
     def __post_init__(self):
         for name in ("M_x", "M_u", "M_w", "M_x_inv", "M_u_inv", "M_w_inv",
-                     "pattern_Mu", "pattern_Mx_inv"):
+                     "A_hat", "B_u_hat", "B_w_hat", "pattern_Mu",
+                     "pattern_Mx_inv"):
             getattr(self, name).setflags(write=False)
 
     @property
@@ -257,6 +259,7 @@ def accept_decomposition(plant: LinearPlant, gains: LocalGains,
     dec = ModalDecomposition(
         M_x=M_x, M_u=M_u, M_w=M_w,
         M_x_inv=M_x_inv, M_u_inv=M_u_inv, M_w_inv=M_w_inv,
+        A_hat=T, B_u_hat=Bu_t, B_w_hat=Bw_t,
         mode_x_dims=x_dims, mode_u_dims=u_dims, mode_w_dims=w_dims,
         machine_x_dims=gains.machine_x_dims,
         machine_u_dims=gains.machine_u_dims,
@@ -306,44 +309,17 @@ def symmetric_modes(plant: LinearPlant, gains: LocalGains,
     return dec
 
 
-@dataclass(frozen=True)
-class ModeSubsystem:
-    A: np.ndarray
-    B_u: np.ndarray
-    B_w: np.ndarray
+def mode_system(gains: LocalGains, dec: ModalDecomposition, i,
+                Q, R, C, D_u, D_w):
+    """Continuous model of mode i: (CtsSystem, CtsCost).
 
-
-def modal_subsystem(plant: LinearPlant, gains: LocalGains,
-                    dec: ModalDecomposition, i) -> ModeSubsystem:
-    """Diagonal blocks of the transformed pre-stabilized plant for mode i."""
-    i = dec.mode_index(i)
-    xs, us, ws = dec.x_slice(i), dec.u_slice(i), dec.w_slice(i)
-    T = dec.M_x_inv @ gains.A_bar @ dec.M_x
-    Bu_t = dec.M_x_inv @ plant.B_u @ dec.M_u
-    Bw_t = dec.M_x_inv @ plant.B_w @ dec.M_w
-    return ModeSubsystem(A=T[xs, xs], B_u=Bu_t[xs, us], B_w=Bw_t[xs, ws])
-
-
-@dataclass(frozen=True)
-class ModeObjectives:
-    """Mode-i slice of the folded cost and of the output map."""
-
-    Q: np.ndarray
-    N: np.ndarray
-    R: np.ndarray
-    C: np.ndarray
-    D_u: np.ndarray
-    D_w: np.ndarray
-
-
-def modal_objectives(Q, R, C, D_u, D_w, gains: LocalGains,
-                     dec: ModalDecomposition, i) -> ModeObjectives:
-    """Cost and output matrices seen by mode i.
-
-    The quadratic cost prices the total input u = K x + u_bar, so closing
-    the local loops folds K into the state weight and creates a cross
-    term; the output map keeps its published form with the remote command
-    as its input argument.
+    The system is the mode's diagonal block of the transformed
+    pre-stabilized plant with its slice of the output map; the output map
+    keeps its published form with the remote command as its input
+    argument.  The quadratic cost prices the total input u = K x + u_bar,
+    so closing the local loops folds K into the state weight and creates a
+    cross term.  Neither depends on the delay: one model serves every
+    design of the mode.
     """
     i = dec.mode_index(i)
     n_x = dec.M_x.shape[0]
@@ -364,12 +340,11 @@ def modal_objectives(Q, R, C, D_u, D_w, gains: LocalGains,
     C = np.atleast_2d(np.asarray(C, dtype=float))
     D_u = np.atleast_2d(np.asarray(D_u, dtype=float))
     D_w = np.atleast_2d(np.asarray(D_w, dtype=float))
-    return ModeObjectives(
-        Q=U[xs, xs], N=U[xs, ug], R=U[ug, ug],
-        C=(C @ dec.M_x)[:, xs],
-        D_u=(D_u @ dec.M_u)[:, us],
-        D_w=(D_w @ dec.M_w)[:, ws],
-    )
+    sys = CtsSystem(A1=dec.A_hat[xs, xs], B1u=dec.B_u_hat[xs, us],
+                    B1w=dec.B_w_hat[xs, ws], C1=(C @ dec.M_x)[:, xs],
+                    D1u=(D_u @ dec.M_u)[:, us], D1w=(D_w @ dec.M_w)[:, ws])
+    cost = CtsCost(Q1=U[xs, xs], N1=U[xs, ug], R1=U[ug, ug])
+    return sys, cost
 
 
 @dataclass(frozen=True)
@@ -422,29 +397,23 @@ def delay_map(dec: ModalDecomposition, d):
 class ModeDesign:
     """Sampled feedback for one mode plus its certificate."""
 
-    method: str
     disc: DiscretizedSystem
     F: np.ndarray
     result: object  # LqrResult (value z0' P z0) or HinfResult (gamma)
 
 
-def design_mode(plant: LinearPlant, gains: LocalGains,
-                dec: ModalDecomposition, i, objectives: ModeObjectives, h,
-                d_hat_i, method="lqr", gamma_tol=1e-3) -> ModeDesign:
-    """Discretize mode i of the pre-stabilized plant with its waiting time
-    and design the sampled gain by the requested method."""
-    subsys = modal_subsystem(plant, gains, dec, i)
-    sys_i = CtsSystem(A1=subsys.A, B1u=subsys.B_u, B1w=subsys.B_w,
-                      C1=objectives.C, D1u=objectives.D_u, D1w=objectives.D_w)
-    cost_i = CtsCost(Q1=objectives.Q, N1=objectives.N, R1=objectives.R)
-    disc = discretize(sys_i, cost_i, h, d_hat_i)
+def design_mode(sys: CtsSystem, cost: CtsCost, h, d_hat_i, method="lqr",
+                gamma_tol=1e-3) -> ModeDesign:
+    """Discretize a mode's continuous model with its waiting time and
+    design the sampled gain by the requested method."""
+    disc = discretize(sys, cost, h, d_hat_i)
     if method == "lqr":
         result = lqr_design(disc)
     elif method == "hinf":
         _, result = gamma_min(disc, tol=gamma_tol)
     else:
         raise ValueError(f"unknown design method {method!r}")
-    return ModeDesign(method=method, disc=disc, F=result.F, result=result)
+    return ModeDesign(disc=disc, F=result.F, result=result)
 
 
 class DistributedController:

@@ -30,7 +30,6 @@ __all__ = [
     "LinearPlant",
     "build_two_area_network",
     "solve_algebraic",
-    "algebraic_residuals",
     "dynamics_rhs",
     "rhs_scale",
     "solve_equilibrium",
@@ -256,45 +255,6 @@ def solve_algebraic(gens, net: NetworkModel, x, w=None) -> AlgebraicSolution:
     return AlgebraicSolution(i_d=i_d.copy(), i_q=i_q.copy(), i_f=i_f.copy(),
                              psi_d=psi_d.copy(), psi_q=psi_q.copy(),
                              e_d=e_d.copy(), e_q=e_q.copy(), T_e=T_e.copy())
-
-
-def algebraic_residuals(gens, net, x, w, sol: AlgebraicSolution):
-    """Relative residuals of every algebraic equation, evaluated directly
-    from the model formulas (independent of the assembled solve)."""
-    m = len(gens)
-    delta, _, psi_f = _split_state(x, m)
-    w = np.zeros(2 * m) if w is None else np.asarray(w, dtype=float).reshape(2 * m)
-    om0 = net.omega0
-    out = []
-    e_ph = sol.e_d + 1j * sol.e_q
-    i_ph = sol.i_d + 1j * sol.i_q
-    w_ph = w[0::2] + 1j * w[1::2]
-    net_res = i_ph - net.Y @ e_ph - net.H @ w_ph
-    for i, g in enumerate(gens):
-        c, s = np.cos(delta[i]), np.sin(delta[i])
-        Ls = g.stator_inductance(delta[i])
-        iv = np.array([sol.i_d[i], sol.i_q[i]])
-        psi = np.array([sol.psi_d[i], sol.psi_q[i]])
-        r_field = (g.L_f * sol.i_f[i]
-                   - 1.5 * g.L_af * (c * sol.i_d[i] + s * sol.i_q[i])
-                   - psi_f[i])
-        s_field = (abs(g.L_f * sol.i_f[i])
-                   + 1.5 * g.L_af * np.abs(iv).max() + abs(psi_f[i]) + 1.0)
-        r_flux = -Ls @ iv + g.L_af * np.array([c, s]) * sol.i_f[i] - psi
-        s_flux = np.abs(Ls @ iv).max() + g.L_af * abs(sol.i_f[i]) + \
-            np.abs(psi).max() + 1.0
-        e_pred = om0 * np.array([-psi[1], psi[0]]) - g.R_a * iv
-        r_volt = e_pred - np.array([sol.e_d[i], sol.e_q[i]])
-        s_volt = om0 * np.abs(psi).max() + g.R_a * np.abs(iv).max() + 1.0
-        s_net = (np.abs(i_ph).max() + np.abs(net.Y).max() * np.abs(e_ph).max()
-                 + np.abs(net.H).max() * (np.abs(w_ph).max() if m else 0.0) + 1.0)
-        out.append({
-            "field_flux": abs(r_field) / s_field,
-            "stator_flux": np.abs(r_flux).max() / s_flux,
-            "stator_voltage": np.abs(r_volt).max() / s_volt,
-            "network": abs(net_res[i]) / s_net,
-        })
-    return out
 
 
 def dynamics_rhs(gens, net, x, u, w=None):

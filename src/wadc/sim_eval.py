@@ -17,7 +17,7 @@ import numpy as np
 from .dncs import (
     DelaySchedule,
     DistributedController,
-    ModeObjectives,
+    ModeDesign,
     delay_map,
     design_mode,
 )
@@ -315,26 +315,23 @@ def simulate_closed_loop(plant: LinearPlant, controller: DistributedController,
         y=y, J=float(J), step=dt, horizon=float(t[-1]))
 
 
-def compute_bounds(plant, gains, dec, mode, objectives: ModeObjectives, h,
-                   measure, z0=None, gamma_tol=1e-3):
-    """Reference levels for one mode and measure.
+def compute_bounds(md0: ModeDesign, measure, z0=None):
+    """Reference levels for one mode and measure from its zero-delay design.
 
-    Upper: remote commands disabled (local gains only).  Lower: remote
-    feedback redesigned jointly with full sampled state information at
-    zero delay; performance with any delay and information pattern lands
+    Upper: remote commands disabled (local gains only).  Lower: the
+    zero-delay design itself, remote feedback with full sampled state
+    information; performance with any delay and information pattern lands
     between the two.
     """
-    if measure == "lqr" and z0 is None:
-        raise ValueError("lqr bounds need an initial modal state")
-    md = design_mode(plant, gains, dec, mode, objectives, h, 0.0,
-                     method=measure, gamma_tol=gamma_tol)
-    disc0 = md.disc
+    disc0 = md0.disc
     if measure == "lqr":
-        z0 = np.asarray(z0, dtype=float).reshape(disc0.n_x)
+        if z0 is None:
+            raise ValueError("lqr bounds need an initial modal state")
+        z0 = disc0.lift_state(z0)
         P_dec = stein_solve(disc0.A2, disc0.Q2)
-        return float(z0 @ P_dec @ z0), md.result.J_star(z0)
+        return float(z0 @ P_dec @ z0), md0.result.J_star(z0)
     upper = hinf_norm(disc0.A2, disc0.B2w, disc0.C2, disc0.D2w)
-    return upper, md.result.gamma
+    return upper, md0.result.gamma
 
 
 @dataclass(frozen=True)
@@ -358,44 +355,41 @@ class SweepResult:
         return all(r.status == "ok" for r in self.rows)
 
 
-def _design_value(plant, gains, dec, i, objectives, h, tau, measure,
-                  z0, gamma_tol):
-    m = len(dec.machine_x_dims)
-    d = np.zeros((m, m))
-    d[~np.eye(m, dtype=bool)] = tau
-    d_hat, _ = delay_map(dec, d)
-    md = design_mode(plant, gains, dec, i, objectives, h, float(d_hat[i]),
-                     method=measure, gamma_tol=gamma_tol)
-    if measure == "lqr":
-        return md.result.J_star(md.disc.lift_state(z0))
-    return md.result.gamma
+def sweep_delays(sys, cost, dec, mode, measure, delay_grid, h, z0=None,
+                 gamma_tol=1e-3, threads=1):
+    """Evaluate the distributed design of one mode, whose continuous model
+    is (sys, cost), across link delays, with bounds.
 
-
-def sweep_delays(plant, gains, dec, mode, measure, delay_grid, h,
-                 objectives: ModeObjectives, z0=None, gamma_tol=1e-3,
-                 threads=1):
-    """Evaluate the distributed design across link delays, with bounds.
-
-    Per-row failures are recorded and the sweep continues; each surviving
-    row is checked against the bound sandwich, and a soft monotonicity
-    warning is emitted when the measure decreases along more than 10% of
-    consecutive delay pairs.  Rows are independent pure computations and
-    may be evaluated by a thread pool; the row order is preserved.
+    The zero-delay design is made once: it gives the lower bound and the
+    value of every row whose waiting time is zero.  Per-row failures are
+    recorded and the sweep continues; each surviving row is checked
+    against the bound sandwich, and a soft monotonicity warning is emitted
+    when the measure decreases along more than 10% of consecutive delay
+    pairs.  Rows are independent pure computations and may be evaluated by
+    a thread pool; the row order is preserved.
     """
     i = dec.mode_index(mode)
     delay_grid = [float(t) for t in delay_grid]
     if any(t < 0 for t in delay_grid) or sorted(delay_grid) != delay_grid:
         raise ValueError("delay grid must be nonnegative and ascending")
     if measure == "lqr" and z0 is None:
-        z0 = np.zeros(dec.mode_x_dims[i])
+        z0 = np.zeros(sys.n_x)
         z0[0] = 1.0
-    upper, lower = compute_bounds(plant, gains, dec, i, objectives, h,
-                                  measure, z0=z0, gamma_tol=gamma_tol)
+    md0 = design_mode(sys, cost, h, 0.0, method=measure, gamma_tol=gamma_tol)
+    upper, lower = compute_bounds(md0, measure, z0=z0)
+    m = len(dec.machine_x_dims)
+    links = ~np.eye(m, dtype=bool)
 
     def one_row(tau):
         try:
-            value = _design_value(plant, gains, dec, i, objectives, h,
-                                  tau, measure, z0, gamma_tol)
+            d_hat, _ = delay_map(dec, np.where(links, tau, 0.0))
+            md = md0 if d_hat[i] == 0 else design_mode(
+                sys, cost, h, float(d_hat[i]), method=measure,
+                gamma_tol=gamma_tol)
+            if measure == "lqr":
+                value = md.result.J_star(md.disc.lift_state(z0))
+            else:
+                value = md.result.gamma
             ok = (value >= lower - _BOUND_SLACK * abs(lower)
                   and value <= upper + _BOUND_SLACK * abs(upper))
             status = "ok" if ok else "bound_violation"

@@ -172,14 +172,53 @@ def quadrature_cost_oracle(sys, cost, h, d, u_seq, x0, n_steps,
     return total
 
 
-def attenuation_of_mode(plant, gains, dec, mode, objectives, h, d_hat_i,
-                        tol=1e-3):
-    """Certified optimal attenuation of one mode at one waiting time, with
-    the closed-loop norm re-evaluated outside the design."""
-    md = design_mode(plant, gains, dec, mode, objectives, h, d_hat_i,
-                     method="hinf", gamma_tol=tol)
+def attenuation_of_mode(sys, cost, h, d_hat_i, tol=1e-3):
+    """Certified optimal attenuation of one mode's continuous model at one
+    waiting time, with the closed-loop norm re-evaluated outside the
+    design."""
+    md = design_mode(sys, cost, h, d_hat_i, method="hinf", gamma_tol=tol)
     res = md.result
     cl_norm = hinf_norm(md.disc.A2 + md.disc.B2u @ res.F, md.disc.B2w,
                         md.disc.C2 + md.disc.D2u @ res.F, md.disc.D2w)
     assert cl_norm < res.gamma, "certified norm regression"
     return res.gamma, md
+
+
+def algebraic_residuals(gens, net, x, w, sol):
+    """Relative residuals of every algebraic equation, evaluated directly
+    from the model formulas (independent of the assembled solve)."""
+    m = len(gens)
+    x = np.asarray(x, dtype=float).reshape(3 * m)
+    delta, psi_f = x[0::3], x[2::3]
+    w = np.zeros(2 * m) if w is None else np.asarray(w, dtype=float).reshape(2 * m)
+    om0 = net.omega0
+    out = []
+    e_ph = sol.e_d + 1j * sol.e_q
+    i_ph = sol.i_d + 1j * sol.i_q
+    w_ph = w[0::2] + 1j * w[1::2]
+    net_res = i_ph - net.Y @ e_ph - net.H @ w_ph
+    for i, g in enumerate(gens):
+        c, s = np.cos(delta[i]), np.sin(delta[i])
+        Ls = g.stator_inductance(delta[i])
+        iv = np.array([sol.i_d[i], sol.i_q[i]])
+        psi = np.array([sol.psi_d[i], sol.psi_q[i]])
+        r_field = (g.L_f * sol.i_f[i]
+                   - 1.5 * g.L_af * (c * sol.i_d[i] + s * sol.i_q[i])
+                   - psi_f[i])
+        s_field = (abs(g.L_f * sol.i_f[i])
+                   + 1.5 * g.L_af * np.abs(iv).max() + abs(psi_f[i]) + 1.0)
+        r_flux = -Ls @ iv + g.L_af * np.array([c, s]) * sol.i_f[i] - psi
+        s_flux = np.abs(Ls @ iv).max() + g.L_af * abs(sol.i_f[i]) + \
+            np.abs(psi).max() + 1.0
+        e_pred = om0 * np.array([-psi[1], psi[0]]) - g.R_a * iv
+        r_volt = e_pred - np.array([sol.e_d[i], sol.e_q[i]])
+        s_volt = om0 * np.abs(psi).max() + g.R_a * np.abs(iv).max() + 1.0
+        s_net = (np.abs(i_ph).max() + np.abs(net.Y).max() * np.abs(e_ph).max()
+                 + np.abs(net.H).max() * (np.abs(w_ph).max() if m else 0.0) + 1.0)
+        out.append({
+            "field_flux": abs(r_field) / s_field,
+            "stator_flux": np.abs(r_flux).max() / s_flux,
+            "stator_voltage": np.abs(r_volt).max() / s_volt,
+            "network": abs(net_res[i]) / s_net,
+        })
+    return out

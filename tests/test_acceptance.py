@@ -7,22 +7,20 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import C_OUT, DU_OUT, DW_OUT, K1, Q_COST, R_COST
+from conftest import K1, Q_COST, R_COST
 from helpers import (
     quadrature_cost_oracle,
     random_psd_cost,
     random_stable_system,
     rk4_delayed_zoh,
 )
-from test_dncs import _PatternStub, brute_force_delay_map
+from test_dncs import _PatternStub, bench_mode_system, brute_force_delay_map
 from test_sim_eval import build_controller
 from wadc.dncs import (
     DistributedController,
     LocalGains,
     delay_map,
     design_mode,
-    modal_objectives,
-    modal_subsystem,
     symmetric_modes,
 )
 from wadc.errors import GammaInfeasible, UnstableLocalLoop
@@ -117,13 +115,11 @@ def test_criterion_2_lqr_certificate(bench_plant, gains_k1, dec_k1):
 def test_criterion_3_hinf_certificate(bench_plant, gains_k2, dec_k2):
     """Every accepted attenuation level is certified by the norm evaluator;
     the bisection bracket is self-consistent within 2*tol."""
-    obj = modal_objectives(Q_COST, R_COST, C_OUT, DU_OUT, DW_OUT, gains_k2,
-                           dec_k2, 0)
+    sys2, cost2 = bench_mode_system(gains_k2, dec_k2, 0)
     tol = 1e-3
     certified, brackets = [], []
     for tau in (0.1, 0.3):
-        md = design_mode(bench_plant, gains_k2, dec_k2, 0, obj, 0.02, tau,
-                         method="hinf", gamma_tol=tol)
+        md = design_mode(sys2, cost2, 0.02, tau, method="hinf", gamma_tol=tol)
         res = md.result
         norm = hinf_norm(md.disc.A2 + md.disc.B2u @ res.F, md.disc.B2w,
                          md.disc.C2 + md.disc.D2u @ res.F, md.disc.D2w)
@@ -154,14 +150,10 @@ def test_criterion_3_hinf_certificate(bench_plant, gains_k2, dec_k2):
 def benchmark_sweeps(bench_plant, gains_k1, gains_k2, dec_k1, dec_k2):
     grid = [round(0.02 * i, 10) for i in range(26)]
     t0 = time.time()
-    obj1 = modal_objectives(Q_COST, R_COST, C_OUT, DU_OUT, DW_OUT, gains_k1,
-                            dec_k1, 0)
-    lqr = sweep_delays(bench_plant, gains_k1, dec_k1, 0, "lqr", grid, 0.02,
-                       obj1, z0=np.array([1.0, 0, 0]))
-    obj2 = modal_objectives(Q_COST, R_COST, C_OUT, DU_OUT, DW_OUT, gains_k2,
-                            dec_k2, 0)
-    hinf = sweep_delays(bench_plant, gains_k2, dec_k2, 0, "hinf", grid,
-                        0.02, obj2, gamma_tol=1e-3)
+    lqr = sweep_delays(*bench_mode_system(gains_k1, dec_k1, 0), dec_k1, 0,
+                       "lqr", grid, 0.02, z0=np.array([1.0, 0, 0]))
+    hinf = sweep_delays(*bench_mode_system(gains_k2, dec_k2, 0), dec_k2, 0,
+                        "hinf", grid, 0.02, gamma_tol=1e-3)
     return lqr, hinf, time.time() - t0
 
 
@@ -214,7 +206,7 @@ def test_criterion_6_modal_decomposition(bench_plant, gains_k1, gains_k2,
         ok = ok and off <= 1e-8 * norm
         eig_all = np.sort_complex(np.linalg.eigvals(gains.A_bar))
         eig_modes = np.sort_complex(np.concatenate(
-            [np.linalg.eigvals(modal_subsystem(bench_plant, gains, dec, i).A)
+            [np.linalg.eigvals(bench_mode_system(gains, dec, i)[0].A1)
              for i in range(2)]))
         part = np.abs(eig_all - eig_modes).max() / np.abs(eig_all).max()
         ok = ok and part <= 1e-7

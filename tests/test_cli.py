@@ -17,6 +17,11 @@ def run(tmp_path, *argv):
     return main(["--config", CONFIG, "--out", str(tmp_path), *argv])
 
 
+def assert_write_timed(report):
+    """The file writes are timed as their own stage."""
+    assert "write" in report["timings_s"]
+
+
 class TestConfig:
     def test_benchmark_loads(self):
         cfg = load_config(CONFIG)
@@ -165,6 +170,8 @@ class TestSweepCommand:
             value, lo, hi = map(float, fields[3:6])
             assert lo <= value <= hi * (1 + 1e-9)
             assert fields[6] == "ok"
+        assert_write_timed(
+            json.loads((tmp_path / "report.json").read_text()))
 
     def test_sweep_deterministic_bytes(self, tmp_path, monkeypatch):
         monkeypatch.setenv("WADC_SAMPLING__DELAY_GRID_S", "0:0.1:0.1")
@@ -206,6 +213,7 @@ class TestDesignCommand:
         assert F_com.shape == (1, 8)
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["designs"]["oscillation"]["q"] == 4
+        assert_write_timed(report)
 
     def test_hinf_all_modes(self, tmp_path):
         assert run(tmp_path, "design", "--measure", "hinf", "--mode", "all",
@@ -237,6 +245,7 @@ class TestSimulateCommand:
         report = json.loads((tmp_path / "report.json").read_text())
         notes = " ".join(report["notes"])
         assert "refined from 0.002 to 0.0005" in notes
+        assert_write_timed(report)
 
     def test_zero_state_zero_cost(self, tmp_path, monkeypatch):
         monkeypatch.setenv("WADC_SCENARIO__INITIAL_STATE", "0, 0, 0")

@@ -11,8 +11,7 @@ from wadc.dncs import (
     accept_decomposition,
     delay_map,
     design_mode,
-    modal_objectives,
-    modal_subsystem,
+    mode_system,
     symmetric_modes,
 )
 from wadc.errors import (
@@ -40,6 +39,11 @@ def synthetic_symmetric_plant(rng, stable=True):
     B_u = np.block([[b, np.zeros((3, 1))], [np.zeros((3, 1)), b]])
     B_w = np.block([[bw, np.zeros((3, 2))], [np.zeros((3, 2)), bw]])
     return LinearPlant(A=A, B_u=B_u, B_w=B_w, m=2), X, Y
+
+
+def bench_mode_system(gains, dec, i):
+    """Continuous model of mode i under the benchmark cost and output."""
+    return mode_system(gains, dec, i, Q_COST, R_COST, C_OUT, DU_OUT, DW_OUT)
 
 
 class TestLocalGains:
@@ -143,19 +147,18 @@ class TestModalSubsystem:
     def test_spectrum_partition(self, bench_plant, gains_k1, dec_k1):
         eig_all = np.sort_complex(np.linalg.eigvals(gains_k1.A_bar))
         eig_modes = np.concatenate([
-            np.linalg.eigvals(modal_subsystem(bench_plant, gains_k1,
-                                              dec_k1, i).A)
+            np.linalg.eigvals(bench_mode_system(gains_k1, dec_k1, i)[0].A1)
             for i in range(2)])
         eig_modes = np.sort_complex(eig_modes)
         scale = np.abs(eig_all).max()
         assert np.abs(eig_all - eig_modes).max() <= 1e-7 * scale
 
     def test_oscillation_mode_shape(self, bench_plant, gains_k1, dec_k1):
-        sub = modal_subsystem(bench_plant, gains_k1, dec_k1, "oscillation")
-        assert sub.A.shape == (3, 3)
-        assert sub.B_u.shape == (3, 1)
-        assert sub.B_w.shape == (3, 2)
-        eigs = np.linalg.eigvals(sub.A)
+        sys, _ = bench_mode_system(gains_k1, dec_k1, "oscillation")
+        assert sys.A1.shape == (3, 3)
+        assert sys.B1u.shape == (3, 1)
+        assert sys.B1w.shape == (3, 2)
+        eigs = np.linalg.eigvals(sys.A1)
         # lightly damped inter-area pair survives the local loop
         pair = eigs[np.abs(eigs.imag) > 1.0]
         assert len(pair) == 2 and abs(pair[0].imag) > 3.0
@@ -173,8 +176,8 @@ class TestModalSubsystem:
         gains = LocalGains.from_blocks(plant, [np.zeros((1, 3))] * 2)
         dec = accept_decomposition(plant, gains, np.eye(6), np.eye(2),
                                    np.eye(4))
-        sub = modal_subsystem(plant, gains, dec, 0)
-        np.testing.assert_array_equal(sub.A, blocks[0])
+        sys, _ = bench_mode_system(gains, dec, 0)
+        np.testing.assert_array_equal(sys.A1, blocks[0])
 
 
 class TestModalObjectives:
@@ -190,9 +193,9 @@ class TestModalObjectives:
         dec = symmetric_modes(plant, gains)
         Q = np.diag(rng.uniform(0.5, 2.0, 6))
         R = np.diag(rng.uniform(0.5, 2.0, 2))
-        obj = modal_objectives(Q, R, C_OUT, DU_OUT, DW_OUT, gains, dec, 0)
+        _, cost = mode_system(gains, dec, 0, Q, R, C_OUT, DU_OUT, DW_OUT)
         # with K = 0 the folded cost has no cross term
-        np.testing.assert_allclose(obj.N, 0, atol=1e-14)
+        np.testing.assert_allclose(cost.N1, 0, atol=1e-14)
 
     def test_single_mode_identity(self):
         # one machine, identity transform: the objectives are returned
@@ -207,11 +210,11 @@ class TestModalObjectives:
         Q = np.diag([1.0, 2.0, 3.0])
         R = np.eye(1)
         C = np.eye(3)
-        obj = modal_objectives(Q, R, C, np.zeros((3, 1)), np.zeros((3, 2)),
-                               gains, dec, 0)
-        np.testing.assert_allclose(obj.Q, Q, atol=1e-14)
-        np.testing.assert_allclose(obj.R, R, atol=1e-14)
-        np.testing.assert_allclose(obj.C, C, atol=1e-14)
+        sys, cost = mode_system(gains, dec, 0, Q, R, C, np.zeros((3, 1)),
+                                np.zeros((3, 2)))
+        np.testing.assert_allclose(cost.Q1, Q, atol=1e-14)
+        np.testing.assert_allclose(cost.R1, R, atol=1e-14)
+        np.testing.assert_allclose(sys.C1, C, atol=1e-14)
 
     def test_benchmark_cross_blocks_vanish(self, bench_plant, gains_k1,
                                            dec_k1):
@@ -238,13 +241,12 @@ class TestModalObjectives:
         Mblk[6:, 6:] = dec_k1.M_u
         U = Mblk.T @ big @ Mblk
         for i in range(2):
-            obj = modal_objectives(Q_COST, R_COST, C_OUT, DU_OUT, DW_OUT,
-                                   gains_k1, dec_k1, i)
+            _, cost = bench_mode_system(gains_k1, dec_k1, i)
             xs = dec_k1.x_slice(i)
             us = dec_k1.u_slice(i)
-            np.testing.assert_allclose(obj.Q, U[xs, xs], atol=1e-12)
+            np.testing.assert_allclose(cost.Q1, U[xs, xs], atol=1e-12)
             np.testing.assert_allclose(
-                obj.R, U[6 + us.start:6 + us.stop, 6 + us.start:6 + us.stop],
+                cost.R1, U[6 + us.start:6 + us.stop, 6 + us.start:6 + us.stop],
                 atol=1e-12)
 
 
@@ -312,26 +314,20 @@ class TestDelayMap:
 
 class TestDesignMode:
     def test_zero_delay_gain_shape(self, bench_plant, gains_k1, dec_k1):
-        obj = modal_objectives(Q_COST, R_COST, C_OUT, DU_OUT, DW_OUT,
-                               gains_k1, dec_k1, 0)
-        md = design_mode(bench_plant, gains_k1, dec_k1, 0, obj, 0.02, 0.0,
+        md = design_mode(*bench_mode_system(gains_k1, dec_k1, 0), 0.02, 0.0,
                          method="lqr")
         assert md.F.shape == (1, 3)
         assert md.disc.n_z == 3
 
     def test_lifted_dimension(self, bench_plant, gains_k1, dec_k1):
-        obj = modal_objectives(Q_COST, R_COST, C_OUT, DU_OUT, DW_OUT,
-                               gains_k1, dec_k1, 0)
-        md = design_mode(bench_plant, gains_k1, dec_k1, 0, obj, 0.02, 0.1,
+        md = design_mode(*bench_mode_system(gains_k1, dec_k1, 0), 0.02, 0.1,
                          method="lqr")
         assert md.disc.q == 4
         assert md.disc.n_z == 3 + 5 * 1
 
     def test_certificate_against_simulation(self, bench_plant, gains_k1,
                                             dec_k1):
-        obj = modal_objectives(Q_COST, R_COST, C_OUT, DU_OUT, DW_OUT,
-                               gains_k1, dec_k1, 0)
-        md = design_mode(bench_plant, gains_k1, dec_k1, 0, obj, 0.02, 0.06,
+        md = design_mode(*bench_mode_system(gains_k1, dec_k1, 0), 0.02, 0.06,
                          method="lqr")
         z0 = md.disc.lift_state([1.0, 0.0, 0.0])
         J_sim = closed_loop_cost(md.disc, md.F, z0)
@@ -344,10 +340,9 @@ class TestAssembleController:
         sched = DelaySchedule.from_links(dec, d, 0.02)
         designs = []
         for i in range(2):
-            obj = modal_objectives(Q_COST, R_COST, C_OUT, DU_OUT, DW_OUT,
-                                   gains, dec, i)
-            designs.append(design_mode(plant, gains, dec, i, obj, 0.02,
-                                       float(sched.d_hat[i]), method=method))
+            designs.append(design_mode(*bench_mode_system(gains, dec, i),
+                                       0.02, float(sched.d_hat[i]),
+                                       method=method))
         return sched, designs
 
     def test_zero_gain_controller_emits_zero(self, bench_plant, gains_k1,
@@ -392,10 +387,9 @@ class TestAssembleController:
         gains = LocalGains.from_blocks(plant, [np.zeros((1, 3))])
         dec = accept_decomposition(plant, gains, np.eye(3), np.eye(1),
                                    np.eye(2), min_modes=1)
-        obj = modal_objectives(np.eye(3), np.eye(1), np.eye(3),
-                               np.zeros((3, 1)), np.zeros((3, 2)), gains,
-                               dec, 0)
-        md = design_mode(plant, gains, dec, 0, obj, 0.02, 0.0, method="lqr")
+        sys, cost = mode_system(gains, dec, 0, np.eye(3), np.eye(1),
+                                np.eye(3), np.zeros((3, 1)), np.zeros((3, 2)))
+        md = design_mode(sys, cost, 0.02, 0.0, method="lqr")
         sched = DelaySchedule.from_links(dec, np.zeros((1, 1)), 0.02)
         ctrl = DistributedController(gains, dec, sched, [md])
         x = rng.normal(size=3)

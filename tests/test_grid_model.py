@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 from conftest import BENCH_GEN, BENCH_NET
+from helpers import algebraic_residuals
 from wadc.errors import NoConvergence, SingularNetwork
 from wadc.grid_model import (
     OPEN_CIRCUIT,
     SHORT_CIRCUIT,
     GeneratorParams,
-    algebraic_residuals,
     build_two_area_network,
     dynamics_rhs,
     linearize,

@@ -1,20 +1,22 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.linalg
 
 from conftest import C_OUT, DU_OUT, DW_OUT, Q_COST, R_COST
 from helpers import attenuation_of_mode
-from test_dncs import synthetic_symmetric_plant
+from test_dncs import bench_mode_system, synthetic_symmetric_plant
 from wadc.dncs import (
     DelaySchedule,
     DistributedController,
     LocalGains,
     design_mode,
-    modal_objectives,
-    modal_subsystem,
+    mode_system,
     symmetric_modes,
 )
 from wadc.errors import EventGridMismatch
+from wadc.grid_model import LinearPlant
 from wadc.sim_eval import (
     Scenario,
     compute_bounds,
@@ -31,12 +33,9 @@ def build_controller(plant, gains, dec, tau, h=0.02, method="lqr",
     sched = DelaySchedule.from_links(dec, d, h)
     designs = []
     for i in range(2):
-        obj = modal_objectives(Q_COST, R_COST, C_OUT, DU_OUT, DW_OUT,
-                               gains, dec, i)
-        md = design_mode(plant, gains, dec, i, obj, h, float(sched.d_hat[i]),
-                         method=method)
+        sys, cost = bench_mode_system(gains, dec, i)
+        md = design_mode(sys, cost, h, float(sched.d_hat[i]), method=method)
         if zero_gains:
-            from dataclasses import replace
             md = replace(md, F=np.zeros_like(md.F))
         designs.append(md)
     return DistributedController(gains, dec, sched, designs), designs
@@ -82,10 +81,8 @@ class TestSimulate:
         scn = Scenario(initial_state=x_hat0, schedule=ctrl.schedule,
                        integrator_step=0.005, horizon=T_end)
         out = simulate_closed_loop(bench_plant, ctrl, scn, Q_COST, R_COST)
-        sub = modal_subsystem(bench_plant, gains_k1, dec_k1, 0)
-        obj = modal_objectives(Q_COST, R_COST, C_OUT, DU_OUT, DW_OUT,
-                               gains_k1, dec_k1, 0)
-        P = scipy.linalg.solve_continuous_lyapunov(sub.A.T, -obj.Q)
+        sys, cost = bench_mode_system(gains_k1, dec_k1, 0)
+        P = scipy.linalg.solve_continuous_lyapunov(sys.A1.T, -cost.Q1)
         x_hat_T = (dec_k1.M_x_inv @ out.x[-1])[:3]
         expected = x_hat0[:3] @ P @ x_hat0[:3] - x_hat_T @ P @ x_hat_T
         assert abs(out.J - expected) <= 1e-5 * abs(expected)
@@ -171,52 +168,86 @@ class TestSimulate:
         assert out.y.shape == (len(out.t), 2)
         assert np.isfinite(out.J)
 
+    def test_auto_horizon_extends_until_cost_settles(self):
+        # two uncoupled machines with triangular dynamics driven through
+        # their first state: the slowest time constant of A_bar is 1 s, so
+        # the first chunk is 20 s and each extension 5 s; the remote gain
+        # slows the sampled loop to a 10 s time constant, so the cost needs
+        # many extensions to settle
+        X = np.array([[-1.0, 0.5, 0.0], [0.0, -2.0, 0.5], [0.0, 0.0, -3.0]])
+        Z = np.zeros((3, 3))
+        B_u = np.zeros((6, 2))
+        B_u[0, 0] = B_u[3, 1] = 1.0
+        B_w = np.zeros((6, 4))
+        B_w[1:3, 0:2] = B_w[4:6, 2:4] = np.eye(2)
+        plant = LinearPlant(A=np.block([[X, Z], [Z, X]]), B_u=B_u, B_w=B_w,
+                            m=2)
+        gains = LocalGains.from_blocks(plant, [np.zeros((1, 3))] * 2)
+        dec = symmetric_modes(plant, gains)
+        h, dt, tail_rel = 0.02, 0.01, 1e-9
+        sched = DelaySchedule.from_links(dec, np.zeros((2, 2)), h)
+        designs = []
+        for i in range(2):
+            md = design_mode(*mode_system(gains, dec, i, np.eye(6), np.eye(2),
+                                          np.eye(6), np.zeros((6, 2)),
+                                          np.zeros((6, 4))), h, 0.0)
+            F = np.zeros((1, 3))
+            F[0, 0] = ((np.exp(-0.1 * h) - md.disc.A2[0, 0])
+                       / md.disc.B2u[0, 0])
+            designs.append(replace(md, F=F))
+        ctrl = DistributedController(gains, dec, sched, designs)
+
+        def cost(horizon):
+            scn = Scenario(initial_state=np.eye(6)[0], schedule=sched,
+                           integrator_step=dt, horizon=horizon)
+            return simulate_closed_loop(plant, ctrl, scn, np.eye(6),
+                                        np.eye(2), tail_rel=tail_rel)
+
+        out = cost(None)
+        T = out.horizon
+        assert (T - 20.0) / 5.0 == pytest.approx(round((T - 20.0) / 5.0))
+        assert T >= 20.0 + 2 * 5.0
+        # stopped at the first extension whose increment is below tail_rel
+        J_prev, J_prev2 = cost(T - 5.0).J, cost(T - 10.0).J
+        assert out.J - J_prev <= tail_rel * out.J
+        assert J_prev - J_prev2 > tail_rel * J_prev
+        # and what is left beyond the horizon is negligible
+        assert abs(cost(T + 20.0).J - out.J) <= 1e-8 * out.J
+
 
 class TestAttenuation:
-    def test_gamma_increases_with_delay(self, bench_plant, gains_k2, dec_k2):
-        obj = modal_objectives(Q_COST, R_COST, C_OUT, DU_OUT, DW_OUT,
-                               gains_k2, dec_k2, 0)
-        g0, _ = attenuation_of_mode(bench_plant, gains_k2, dec_k2, 0, obj,
-                                    0.02, 0.0)
-        g2, _ = attenuation_of_mode(bench_plant, gains_k2, dec_k2, 0, obj,
-                                    0.02, 0.2)
+    def test_gamma_increases_with_delay(self, gains_k2, dec_k2):
+        sys, cost = bench_mode_system(gains_k2, dec_k2, 0)
+        g0, _ = attenuation_of_mode(sys, cost, 0.02, 0.0)
+        g2, _ = attenuation_of_mode(sys, cost, 0.02, 0.2)
         assert g0 <= g2
 
-    def test_input_weight_raises_gamma(self, bench_plant, gains_k2, dec_k2):
-        from dataclasses import replace
-        obj = modal_objectives(Q_COST, R_COST, C_OUT, DU_OUT, DW_OUT,
-                               gains_k2, dec_k2, 0)
-        heavy = replace(obj, D_u=2.0 * obj.D_u)
-        g1, _ = attenuation_of_mode(bench_plant, gains_k2, dec_k2, 0, obj,
-                                    0.02, 0.06)
-        g2, _ = attenuation_of_mode(bench_plant, gains_k2, dec_k2, 0, heavy,
-                                    0.02, 0.06)
+    def test_input_weight_raises_gamma(self, gains_k2, dec_k2):
+        sys, cost = bench_mode_system(gains_k2, dec_k2, 0)
+        heavy = replace(sys, D1u=2.0 * sys.D1u)
+        g1, _ = attenuation_of_mode(sys, cost, 0.02, 0.06)
+        g2, _ = attenuation_of_mode(heavy, cost, 0.02, 0.06)
         assert g2 > g1
 
 
 class TestBounds:
-    def test_lqr_bounds_sandwich_zero_delay(self, bench_plant, gains_k1,
-                                            dec_k1):
-        obj = modal_objectives(Q_COST, R_COST, C_OUT, DU_OUT, DW_OUT,
-                               gains_k1, dec_k1, 0)
+    def test_lqr_bounds_sandwich_zero_delay(self, gains_k1, dec_k1):
+        sys, cost = bench_mode_system(gains_k1, dec_k1, 0)
         z0 = np.array([1.0, 0, 0])
-        upper, lower = compute_bounds(bench_plant, gains_k1, dec_k1, 0, obj,
-                                      0.02, "lqr", z0=z0)
+        md = design_mode(sys, cost, 0.02, 0.0, method="lqr")
+        upper, lower = compute_bounds(md, "lqr", z0=z0)
         assert lower <= upper
-        md = design_mode(bench_plant, gains_k1, dec_k1, 0, obj, 0.02, 0.0,
-                         method="lqr")
         value = md.result.J_star(md.disc.lift_state(z0))
         assert lower - 1e-9 * abs(lower) <= value <= upper * (1 + 1e-9)
 
-    def test_hinf_upper_is_open_loop_norm(self, bench_plant, gains_k2,
-                                          dec_k2):
-        obj = modal_objectives(Q_COST, R_COST, C_OUT, DU_OUT, DW_OUT,
-                               gains_k2, dec_k2, 0)
-        upper, lower = compute_bounds(bench_plant, gains_k2, dec_k2, 0, obj,
-                                      0.02, "hinf")
-        md = design_mode(bench_plant, gains_k2, dec_k2, 0, obj, 0.02, 0.0,
-                         method="lqr")
-        ref = hinf_norm(md.disc.A2, md.disc.B2w, md.disc.C2, md.disc.D2w)
+    def test_hinf_upper_is_open_loop_norm(self, gains_k2, dec_k2):
+        sys, cost = bench_mode_system(gains_k2, dec_k2, 0)
+        md = design_mode(sys, cost, 0.02, 0.0, method="hinf")
+        upper, lower = compute_bounds(md, "hinf")
+        # the reference norm comes from a second, separately made
+        # discretization of the same mode
+        ref_disc = design_mode(sys, cost, 0.02, 0.0, method="lqr").disc
+        ref = hinf_norm(ref_disc.A2, ref_disc.B2w, ref_disc.C2, ref_disc.D2w)
         assert abs(upper - ref) <= 1e-9 * ref
         assert lower <= upper
 
@@ -229,45 +260,42 @@ class TestBounds:
         dec = symmetric_modes(plant, gains)
         Q = np.eye(6)
         R_huge = 1e8 * np.eye(2)
-        obj = modal_objectives(Q, R_huge, C_OUT, DU_OUT, DW_OUT, gains,
-                               dec, 0)
+        sys, cost = mode_system(gains, dec, 0, Q, R_huge, C_OUT, DU_OUT,
+                                DW_OUT)
         z0 = np.array([1.0, 0.5, -0.2])
-        upper, lower = compute_bounds(plant, gains, dec, 0, obj, 0.02,
-                                      "lqr", z0=z0)
+        upper, lower = compute_bounds(
+            design_mode(sys, cost, 0.02, 0.0, method="lqr"), "lqr", z0=z0)
         assert abs(upper - lower) <= 1e-4 * upper
 
 
 class TestSweep:
-    def test_lqr_sweep_rows(self, bench_plant, gains_k1, dec_k1):
-        obj = modal_objectives(Q_COST, R_COST, C_OUT, DU_OUT, DW_OUT,
-                               gains_k1, dec_k1, 0)
+    def test_lqr_sweep_rows(self, gains_k1, dec_k1):
+        sys, cost = bench_mode_system(gains_k1, dec_k1, 0)
         grid = [0.0, 0.1, 0.3, 0.5]
-        res = sweep_delays(bench_plant, gains_k1, dec_k1, 0, "lqr", grid,
-                           0.02, obj)
+        res = sweep_delays(sys, cost, dec_k1, 0, "lqr", grid, 0.02)
         assert res.all_ok()
+        # the zero-delay design is the lower bound itself
+        assert res.rows[0].value == res.rows[0].lower
         vals = [r.value for r in res.rows]
         assert all(r.lower <= r.value <= r.upper * (1 + 1e-9)
                    for r in res.rows)
         assert vals == sorted(vals)  # nondecreasing on the benchmark
         assert not res.warnings
 
-    def test_common_mode_sweep(self, bench_plant, gains_k1, dec_k1):
-        obj = modal_objectives(Q_COST, R_COST, C_OUT, DU_OUT, DW_OUT,
-                               gains_k1, dec_k1, 1)
-        res = sweep_delays(bench_plant, gains_k1, dec_k1, "common", "lqr",
-                           [0.0, 0.2], 0.02, obj)
+    def test_common_mode_sweep(self, gains_k1, dec_k1):
+        sys, cost = bench_mode_system(gains_k1, dec_k1, 1)
+        res = sweep_delays(sys, cost, dec_k1, "common", "lqr", [0.0, 0.2],
+                           0.02)
         assert res.all_ok()
 
-    def test_hinf_sweep_rows(self, bench_plant, gains_k2, dec_k2):
-        obj = modal_objectives(Q_COST, R_COST, C_OUT, DU_OUT, DW_OUT,
-                               gains_k2, dec_k2, 0)
-        res = sweep_delays(bench_plant, gains_k2, dec_k2, 0, "hinf",
-                           [0.0, 0.2, 0.4], 0.02, obj)
+    def test_hinf_sweep_rows(self, gains_k2, dec_k2):
+        sys, cost = bench_mode_system(gains_k2, dec_k2, 0)
+        res = sweep_delays(sys, cost, dec_k2, 0, "hinf", [0.0, 0.2, 0.4],
+                           0.02)
         assert res.all_ok()
+        assert res.rows[0].value == res.rows[0].lower
 
-    def test_bad_grid_rejected(self, bench_plant, gains_k1, dec_k1):
-        obj = modal_objectives(Q_COST, R_COST, C_OUT, DU_OUT, DW_OUT,
-                               gains_k1, dec_k1, 0)
+    def test_bad_grid_rejected(self, gains_k1, dec_k1):
+        sys, cost = bench_mode_system(gains_k1, dec_k1, 0)
         with pytest.raises(ValueError):
-            sweep_delays(bench_plant, gains_k1, dec_k1, 0, "lqr",
-                         [0.2, 0.1], 0.02, obj)
+            sweep_delays(sys, cost, dec_k1, 0, "lqr", [0.2, 0.1], 0.02)
