@@ -71,10 +71,6 @@ class GammaInfeasible(WadcError):
         super().__init__(msg)
 
 
-class NoFeasibleGamma(WadcError):
-    """Upper-bracket search for the attenuation level failed."""
-
-
 class UnstableSystem(WadcError):
     """Operation requires a Schur-stable state matrix."""
 

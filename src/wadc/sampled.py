@@ -172,22 +172,10 @@ class DiscretizedSystem:
         """Number of stored past-input samples (q+1 for d > 0, else 0)."""
         return 0 if self.d == 0.0 else self.q + 1
 
-    def lift_state(self, x0, u_history=None):
-        """Assemble z_0 from a plant state and an optional input history.
-
-        ``u_history`` lists the stored samples oldest first
-        (u_{-q-1}, ..., u_{-1}); missing entries default to zero.
-        """
+    def lift_state(self, x0):
+        """Assemble z_0 from a plant state with an all-zero input memory."""
         x0 = np.asarray(x0, dtype=float).reshape(self.n_x)
-        mem = np.zeros(self.n_memory * self.n_u)
-        if u_history is not None:
-            hist = [np.asarray(u, dtype=float).reshape(self.n_u) for u in u_history]
-            if len(hist) != self.n_memory:
-                raise ValueError(
-                    f"expected {self.n_memory} history entries, got {len(hist)}")
-            if hist:
-                mem = np.concatenate(hist)
-        return np.concatenate([x0, mem])
+        return np.concatenate([x0, np.zeros(self.n_memory * self.n_u)])
 
 
 def phi_gamma(A1, alpha):

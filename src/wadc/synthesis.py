@@ -4,10 +4,13 @@ LQR gains come from the algebraic Riccati equation solved by a
 structure-preserving doubling iteration, with a policy-iteration fallback
 for the singular input-weight case that arises whenever the delay reaches
 a full sampling period (the new input sample then carries no
-within-interval cost).  H-infinity state feedback solves the indefinite
-game Riccati equation; every accepted design is certified independently by
-positivity pivots, closed-loop stability and a unit-circle norm sweep, so
-the Riccati backend cannot silently return a wrong answer.
+within-interval cost).  The smallest H-infinity level is found by
+bisection down from the decentralized level, the open-loop norm that the
+zero remote gain certifies.  Each level solves the indefinite game Riccati
+equation once, from SciPy's pencil with the disturbance scaled by
+1/gamma; every accepted design is certified independently by positivity
+pivots, closed-loop stability and a unit-circle norm sweep, so the
+Riccati backend cannot silently return a wrong answer.
 """
 
 from dataclasses import dataclass
@@ -18,7 +21,6 @@ import scipy.linalg
 from .errors import (
     GammaInfeasible,
     IndefiniteCost,
-    NoFeasibleGamma,
     NotStabilizable,
     UnstableSystem,
 )
@@ -229,13 +231,13 @@ def hinf_norm(A, B, C, D, n_grid=4096, refine_iters=60):
     n = A.shape[0]
     if n == 0 or B.size == 0 or C.size == 0:
         return float(np.linalg.svd(D, compute_uv=False).max()) if D.size else 0.0
-    eig_A = np.linalg.eigvals(A)
-    if np.abs(eig_A).max() >= 1.0:
-        raise UnstableSystem(f"spectral radius {np.abs(eig_A).max():.6f} >= 1")
-
     lam, V = np.linalg.eig(A)
-    use_eig = np.isfinite(np.linalg.cond(V)) and np.linalg.cond(V) < 1e9
-    if use_eig:
+    rho = np.abs(lam).max()
+    if rho >= 1.0:
+        raise UnstableSystem(f"spectral radius {rho:.6f} >= 1")
+
+    cond_V = np.linalg.cond(V)
+    if np.isfinite(cond_V) and cond_V < 1e9:
         CV = C.astype(complex) @ V
         VB = np.linalg.solve(V, B.astype(complex))
 
@@ -255,7 +257,7 @@ def hinf_norm(A, B, C, D, n_grid=4096, refine_iters=60):
 
     thetas = [np.linspace(0.0, np.pi, n_grid)]
     spacing = np.pi / (n_grid - 1)
-    for ev in eig_A:
+    for ev in lam:
         th0 = abs(np.angle(ev))
         width = max(1e-12, 1.0 - abs(ev))
         local = th0 + width * np.linspace(-4.0, 4.0, 33)
@@ -297,96 +299,44 @@ class HinfResult:
     norm: float
 
 
-def _game_h6_solve(disc, P, gamma, H3, rhs_u, rhs_w):
-    """Solve H6 [x; y] = [rhs_u; rhs_w] by block elimination through the
-    positive definite disturbance pivot H3.
+def _game_blocks(disc, P, gamma):
+    """One block elimination of the game Riccati map at P.
 
-    The two diagonal blocks of H6 differ by a factor of gamma^2, so a joint
-    factorization loses the control block; the Schur-complement route stays
-    well scaled at any gamma and reproduces the published gain formula.
+    Returns (P_next, X, H1, H3): the map's value at P, the control part X
+    of the solution of the stacked pivot system, the control pivot H1 (a
+    Schur complement through H3) and the disturbance pivot H3.  The two
+    diagonal blocks of the stacked pivot differ by a factor of gamma^2, so
+    a joint factorization loses the control block; eliminating through H3
+    stays well scaled at any gamma and gives the published gain formula,
+    u = -X z.
     """
-    H2 = disc.B2u.T @ P @ disc.B2w + disc.D2u.T @ disc.D2w
-    H1 = disc.B2u.T @ P @ disc.B2u + disc.D2u.T @ disc.D2u \
-        + H2 @ np.linalg.solve(H3, H2.T)
-    x = _pinv_solve(0.5 * (H1 + H1.T), rhs_u + H2 @ np.linalg.solve(H3, rhs_w))
-    y = np.linalg.solve(H3, H2.T @ x - rhs_w)
-    return x, y
-
-
-def _game_step(disc, P, gamma):
-    """One application of the game Riccati map, None if H3 loses positivity."""
-    Q = disc.C2.T @ disc.C2
+    PBu, PBw = P @ disc.B2u, P @ disc.B2w
+    H2 = disc.B2u.T @ PBw + disc.D2u.T @ disc.D2w
     H3 = gamma ** 2 * np.eye(disc.n_w) - disc.D2w.T @ disc.D2w \
-        - disc.B2w.T @ P @ disc.B2w
-    if np.linalg.eigvalsh(0.5 * (H3 + H3.T)).min() <= 0.0:
-        return None
-    H5u = disc.B2u.T @ P @ disc.A2 + disc.D2u.T @ disc.C2
-    H5w = disc.B2w.T @ P @ disc.A2 + disc.D2w.T @ disc.C2
-    x, y = _game_h6_solve(disc, P, gamma, H3, H5u, H5w)
-    P_new = disc.A2.T @ P @ disc.A2 + Q - H5u.T @ x - H5w.T @ y
-    return 0.5 * (P_new + P_new.T)
-
-
-def _game_residual(disc, P, gamma):
-    P_next = _game_step(disc, P, gamma)
-    if P_next is None:
-        return np.inf
-    return np.abs(P_next - P).max() / (1.0 + np.abs(P).max())
-
-
-def _game_riccati_value_iteration(disc, gamma, max_iters=30_000):
-    P = np.zeros((disc.n_z, disc.n_z))
-    scale = 1.0 + np.abs(disc.C2).max() ** 2
-    for _ in range(max_iters):
-        P_new = _game_step(disc, P, gamma)
-        if P_new is None:
-            raise GammaInfeasible("H3", "lost positivity along the iteration")
-        if not np.isfinite(P_new).all() or np.abs(P_new).max() > 1e13 * scale:
-            raise GammaInfeasible("riccati_diverged")
-        step = np.abs(P_new - P).max()
-        P = P_new
-        if step <= 1e-12 * (1.0 + np.abs(P).max()):
-            return P
-    raise GammaInfeasible("riccati_no_convergence")
-
-
-def _game_riccati_candidates(disc, gamma):
-    """Yield candidate solutions of the attenuation Riccati equation:
-    the direct pencil solve first, then the monotone value iteration."""
-    B2 = np.hstack([disc.B2u, disc.B2w])
-    D2 = np.hstack([disc.D2u, disc.D2w])
-    Q = disc.C2.T @ disc.C2
-    R = D2.T @ D2
-    R[disc.n_u:, disc.n_u:] -= gamma ** 2 * np.eye(disc.n_w)
-    S = disc.C2.T @ D2
-    try:
-        P = scipy.linalg.solve_discrete_are(disc.A2, B2, Q, R, s=S)
-        P = 0.5 * (P + P.T)
-        if np.isfinite(P).all() and _game_residual(disc, P, gamma) <= 1e-8:
-            yield P
-    except (np.linalg.LinAlgError, scipy.linalg.LinAlgError, ValueError):
-        pass
-    yield _game_riccati_value_iteration(disc, gamma)
-
-
-def _certify(disc, F_applied, gamma):
-    A_cl = disc.A2 + disc.B2u @ F_applied
-    if spectral_radius(A_cl) >= 1.0:
-        return None, "closed_loop_unstable"
-    norm = hinf_norm(A_cl, disc.B2w, disc.C2 + disc.D2u @ F_applied, disc.D2w)
-    if norm >= gamma:
-        return None, "norm_not_below_gamma"
-    return norm, None
+        - disc.B2w.T @ PBw
+    H3 = 0.5 * (H3 + H3.T)
+    H1 = disc.B2u.T @ PBu + disc.D2u.T @ disc.D2u \
+        + H2 @ np.linalg.solve(H3, H2.T)
+    H1 = 0.5 * (H1 + H1.T)
+    H5u = PBu.T @ disc.A2 + disc.D2u.T @ disc.C2
+    H5w = PBw.T @ disc.A2 + disc.D2w.T @ disc.C2
+    X = np.linalg.solve(H1, H5u + H2 @ np.linalg.solve(H3, H5w))
+    Y = np.linalg.solve(H3, H2.T @ X - H5w)
+    P_next = disc.A2.T @ P @ disc.A2 + disc.C2.T @ disc.C2 \
+        - H5u.T @ X - H5w.T @ Y
+    return 0.5 * (P_next + P_next.T), X, H1, H3
 
 
 def hinf_design(disc: DiscretizedSystem, gamma) -> HinfResult:
     """State-feedback design guaranteeing closed-loop norm below gamma.
 
-    Solves the game Riccati equation and checks, in order: equation
+    Solves the game Riccati equation once, from SciPy's pencil with the
+    disturbance scaled by 1/gamma (the same solution as the unscaled game,
+    with both input blocks of one order), and checks, in order: equation
     residual, P positive semidefinite, disturbance pivot H3 positive
     definite, control pivot H1 positive definite, closed-loop Schur
-    stability, and the certified unit-circle norm.  The gain formula is
-    applied as u = -F z; a loop that fails these checks is infeasible.
+    stability, and the certified unit-circle norm.  A level that fails
+    any of these is infeasible.
     """
     gamma = float(gamma)
     if gamma <= 0.0:
@@ -396,82 +346,58 @@ def hinf_design(disc: DiscretizedSystem, gamma) -> HinfResult:
     if w0.min() <= 0.0:
         raise GammaInfeasible("H3", "gamma below the static gain of D2w")
 
-    no_control = (np.abs(disc.B2u).max() == 0.0 if disc.B2u.size else True) \
-        and (np.abs(disc.D2u).max() == 0.0 if disc.D2u.size else True)
-    if no_control:
-        F = np.zeros((disc.n_u, disc.n_z))
-        norm, why = _certify(disc, F, gamma)
-        if why:
-            raise GammaInfeasible(why, "system has no control authority")
-        return HinfResult(F=F, gamma=gamma, norm=norm)
-
-    failure = GammaInfeasible("riccati_no_convergence")
+    B2 = np.hstack([disc.B2u, disc.B2w / gamma])
+    D2 = np.hstack([disc.D2u, disc.D2w / gamma])
+    R = D2.T @ D2
+    R[disc.n_u:, disc.n_u:] -= np.eye(disc.n_w)
     try:
-        for P in _game_riccati_candidates(disc, gamma):
-            try:
-                return _design_from_solution(disc, gamma, P)
-            except GammaInfeasible as exc:
-                failure = exc
-    except GammaInfeasible as exc:
-        failure = exc
-    raise failure
-
-
-def _design_from_solution(disc, gamma, P):
-    """Build and certify the gain from a candidate Riccati solution."""
-    scale = max(1.0, np.abs(P).max())
-    if np.linalg.eigvalsh(P).min() < -1e-6 * scale:
+        P = scipy.linalg.solve_discrete_are(
+            disc.A2, B2, disc.C2.T @ disc.C2, R, s=disc.C2.T @ D2)
+        P = 0.5 * (P + P.T)
+        if not np.isfinite(P).all():
+            raise GammaInfeasible("riccati_nonfinite")
+        P_next, X, H1, H3 = _game_blocks(disc, P, gamma)
+    except (np.linalg.LinAlgError, ValueError) as exc:
+        raise GammaInfeasible("riccati_pencil", str(exc)) from None
+    residual = np.abs(P_next - P).max() / (1.0 + np.abs(P).max())
+    if not residual <= 1e-8:
+        raise GammaInfeasible("riccati_residual", f"{residual:.3e}")
+    if np.linalg.eigvalsh(P).min() < -1e-6 * max(1.0, np.abs(P).max()):
         raise GammaInfeasible("P_not_psd")
-    H2 = disc.B2u.T @ P @ disc.B2w + disc.D2u.T @ disc.D2w
-    H3 = gamma ** 2 * np.eye(disc.n_w) - disc.D2w.T @ disc.D2w \
-        - disc.B2w.T @ P @ disc.B2w
-    h3_eigs = np.linalg.eigvalsh(0.5 * (H3 + H3.T))
-    if h3_eigs.min() <= 0.0:
-        raise GammaInfeasible("H3", f"min eigenvalue {h3_eigs.min():.3e}")
-    H4 = disc.B2w.T @ P @ disc.A2 + disc.D2w.T @ disc.C2
-    H1 = disc.B2u.T @ P @ disc.B2u + disc.D2u.T @ disc.D2u \
-        + H2 @ np.linalg.solve(H3, H2.T)
-    h1_eigs = np.linalg.eigvalsh(0.5 * (H1 + H1.T))
-    if h1_eigs.min() <= 0.0:
-        raise GammaInfeasible("H1", f"min eigenvalue {h1_eigs.min():.3e}")
-    rhs = disc.B2u.T @ P @ disc.A2 + disc.D2u.T @ disc.C2 \
-        + H2 @ np.linalg.solve(H3, H4)
-    F_formula = np.linalg.solve(0.5 * (H1 + H1.T), rhs)
+    for name, H in (("H3", H3), ("H1", H1)):
+        h_min = np.linalg.eigvalsh(H).min()
+        if h_min <= 0.0:
+            raise GammaInfeasible(name, f"min eigenvalue {h_min:.3e}")
 
-    norm, why = _certify(disc, -F_formula, gamma)
-    if norm is None:
-        raise GammaInfeasible(why)
-    return HinfResult(F=-F_formula, gamma=gamma, norm=norm)
+    F = -X
+    A_cl = disc.A2 + disc.B2u @ F
+    if spectral_radius(A_cl) >= 1.0:
+        raise GammaInfeasible("closed_loop_unstable")
+    norm = hinf_norm(A_cl, disc.B2w, disc.C2 + disc.D2u @ F, disc.D2w)
+    if norm >= gamma:
+        raise GammaInfeasible("norm_not_below_gamma")
+    return HinfResult(F=F, gamma=gamma, norm=norm)
 
 
 def gamma_min(disc: DiscretizedSystem, tol=1e-3):
     """Smallest certifiable attenuation level by bisection.
 
-    Starts from twice the closed-loop norm of the cost-based design and
-    doubles until feasible; bisects down against the largest known
-    infeasible level until the bracket ratio falls below 1 + tol.  Returns
-    the last certified design.
+    The top of the bracket is the decentralized level: the open-loop norm
+    of the lifted mode, which the zero remote gain certifies, so that
+    no-control design is the first witness.  This needs a Schur-stable A2
+    (``hinf_norm`` raises ``UnstableSystem`` otherwise); every lifted mode
+    has one, since its local loop is Hurwitz and its input memory a
+    nilpotent shift.  Bisects down from there against the largest known
+    infeasible level until the bracket ratio falls below 1 + tol, or the
+    top reaches 1e-12 of where it started.  Returns the top of the bracket
+    and the last certified design.
     """
     tol = float(tol)
     if tol <= 0:
         raise ValueError("tol must be positive")
-    try:
-        lqr = lqr_design(disc)
-        base = hinf_norm(disc.A2 + disc.B2u @ lqr.F, disc.B2w,
-                         disc.C2 + disc.D2u @ lqr.F, disc.D2w)
-    except (NotStabilizable, IndefiniteCost):
-        base = hinf_norm(disc.A2, disc.B2w, disc.C2, disc.D2w)
-    hi = max(2.0 * base, 1e-12)
-    best = None
-    for _ in range(60):
-        try:
-            best = hinf_design(disc, hi)
-            break
-        except GammaInfeasible:
-            hi *= 2.0
-    if best is None:
-        raise NoFeasibleGamma(
-            "no feasible attenuation level within 60 doublings")
+    base = hinf_norm(disc.A2, disc.B2w, disc.C2, disc.D2w)
+    hi = max(base * (1.0 + tol), 1e-12)
+    best = HinfResult(F=np.zeros((disc.n_u, disc.n_z)), gamma=hi, norm=base)
     lo = 0.0
     floor = 1e-12 * hi
     for _ in range(200):

@@ -241,6 +241,23 @@ class TestGammaMin:
         assert abs(gstar - 2.0) <= 2.0 * 2e-3
         assert res.norm == pytest.approx(2.0)
 
+    def test_no_control_authority_keeps_open_loop_level(self):
+        # |1/(z - 0.5)| peaks at 2 on the unit circle; no gain can lower it,
+        # so the zero-gain witness at the top of the bracket is returned
+        disc = make_disc([[0.5]], [[0.0]], [[1.0]], [[1.0]], [[0.0]],
+                         [[0.0]], np.eye(1), np.zeros((1, 1)), np.eye(1))
+        tol = 1e-3
+        gstar, res = gamma_min(disc, tol=tol)
+        assert np.all(res.F == 0.0)
+        assert res.norm == hinf_norm(disc.A2, disc.B2w, disc.C2, disc.D2w)
+        assert 2.0 <= gstar <= 2.0 * (1 + tol)
+
+    def test_unstable_plant_rejected(self):
+        disc = make_disc([[1.5]], [[1.0]], [[1.0]], [[1.0]], [[0.0]],
+                         [[0.0]], np.eye(1), np.zeros((1, 1)), np.eye(1))
+        with pytest.raises(UnstableSystem):
+            gamma_min(disc, tol=1e-3)
+
     def test_bracketing_property(self):
         rng = np.random.default_rng(15)
         disc = random_disc(rng, n_x=2, n_w=1)
