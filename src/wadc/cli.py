@@ -230,7 +230,7 @@ def cmd_sweep(cfg, args, report):
         res = sweep_delays(*pipe.mode_model(args.measure, i), dec, i,
                            args.measure, grid, h,
                            z0=z0 if args.measure == "lqr" else None,
-                           gamma_tol=gamma_tol, threads=args.threads)
+                           gamma_tol=gamma_tol)
         for w in res.warnings:
             report.warn(f"{dec.labels[i]}: {w}")
         for r in res.rows:
@@ -329,8 +329,6 @@ def main(argv=None):
                     "two-machine grid: modeling, design and evaluation.")
     parser.add_argument("--config", required=True, help="configuration file")
     parser.add_argument("--out", default=".", help="output directory")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads for independent sweep rows")
     sub = parser.add_subparsers(dest="command", required=True)
 
     sub.add_parser("linearize", help="write A, B_u, B_w and the "

@@ -356,7 +356,7 @@ class SweepResult:
 
 
 def sweep_delays(sys, cost, dec, mode, measure, delay_grid, h, z0=None,
-                 gamma_tol=1e-3, threads=1):
+                 gamma_tol=1e-3):
     """Evaluate the distributed design of one mode, whose continuous model
     is (sys, cost), across link delays, with bounds.
 
@@ -365,8 +365,7 @@ def sweep_delays(sys, cost, dec, mode, measure, delay_grid, h, z0=None,
     recorded and the sweep continues; each surviving row is checked
     against the bound sandwich, and a soft monotonicity warning is emitted
     when the measure decreases along more than 10% of consecutive delay
-    pairs.  Rows are independent pure computations and may be evaluated by
-    a thread pool; the row order is preserved.
+    pairs.
     """
     i = dec.mode_index(mode)
     delay_grid = [float(t) for t in delay_grid]
@@ -398,12 +397,7 @@ def sweep_delays(sys, cost, dec, mode, measure, delay_grid, h, z0=None,
         return SweepRow(delay=tau, mode=dec.labels[i], measure=measure,
                         value=value, lower=lower, upper=upper, status=status)
 
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(one_row, delay_grid))
-    else:
-        rows = [one_row(tau) for tau in delay_grid]
+    rows = [one_row(tau) for tau in delay_grid]
     warnings = []
     good = [r for r in rows if r.status == "ok"]
     if len(good) >= 2:

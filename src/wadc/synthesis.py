@@ -4,13 +4,15 @@ LQR gains come from the algebraic Riccati equation solved by a
 structure-preserving doubling iteration, with a policy-iteration fallback
 for the singular input-weight case that arises whenever the delay reaches
 a full sampling period (the new input sample then carries no
-within-interval cost).  The smallest H-infinity level is found by
+within-interval cost).  The smallest H-infinity level is exactly 0 when a
+static gain cancels the output (zero wait); otherwise it is found by
 bisection down from the decentralized level, the open-loop norm that the
 zero remote gain certifies.  Each level solves the indefinite game Riccati
 equation once, from SciPy's pencil with the disturbance scaled by
 1/gamma; every accepted design is certified independently by positivity
-pivots, closed-loop stability and a unit-circle norm sweep, so the
-Riccati backend cannot silently return a wrong answer.
+pivots, closed-loop stability and the closed-loop norm, so the Riccati
+backend cannot silently return a wrong answer.  Norms come from one
+evaluator, the level-set iteration on the unit circle in ``hinf_norm``.
 """
 
 from dataclasses import dataclass
@@ -216,77 +218,66 @@ def lqr_design(disc: DiscretizedSystem) -> LqrResult:
     return LqrResult(F=F, P=P)
 
 
-def hinf_norm(A, B, C, D, n_grid=4096, refine_iters=60):
+def _sigma_max(A, B, C, D, thetas):
+    """sigma_max(C (e^{j theta} I - A)^{-1} B + D) at each angle."""
+    zs = np.exp(1j * np.asarray(thetas, dtype=float))
+    M = zs[:, None, None] * np.eye(A.shape[0]) - A
+    X = np.linalg.solve(M, np.broadcast_to(B, (len(zs), *B.shape)))
+    return np.linalg.svd(C @ X + D, compute_uv=False)[:, 0]
+
+
+def hinf_norm(A, B, C, D):
     """Peak of sigma_max(C (e^{j theta} I - A)^{-1} B + D) on the unit circle.
 
-    Dense grid on [0, pi] (real systems are conjugate-symmetric), augmented
-    with clusters around every eigenvalue frequency (lightly damped
-    resonances are far narrower than the grid spacing), then golden-section
-    refinement around the best candidates.
+    Level-set iteration (Boyd, Balakrishnan & Kabamba 1989; Bruinsma &
+    Steinbuch 1990) in discrete time.  The lower bound starts as the
+    largest sigma_max at the pole angles and at n + 2 equally spaced angles
+    in [0, pi], where a nonzero T cannot vanish everywhere.  At the level
+    g = (1 + 2e-10) times the bound, the unit-circle eigenvalues of the
+    level's symplectic pencil are the angles where g is a singular value;
+    sorted, they bracket every arc where sigma_max exceeds g, so the
+    largest sigma_max at their midpoints raises the bound past g.  When no
+    midpoint reaches g, the bound is the norm to that relative accuracy.
+    B and C are balanced by one scalar and the pencil is formed for T / g,
+    so loops whose norm is many orders below their data stay well scaled.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     B = np.atleast_2d(np.asarray(B, dtype=float))
     C = np.atleast_2d(np.asarray(C, dtype=float))
     D = np.atleast_2d(np.asarray(D, dtype=float))
-    n = A.shape[0]
-    if n == 0 or B.size == 0 or C.size == 0:
+    if not B.any() or not C.any():
         return float(np.linalg.svd(D, compute_uv=False).max()) if D.size else 0.0
-    lam, V = np.linalg.eig(A)
+    n, m = B.shape
+    lam = np.linalg.eigvals(A)
     rho = np.abs(lam).max()
     if rho >= 1.0:
         raise UnstableSystem(f"spectral radius {rho:.6f} >= 1")
-
-    cond_V = np.linalg.cond(V)
-    if np.isfinite(cond_V) and cond_V < 1e9:
-        CV = C.astype(complex) @ V
-        VB = np.linalg.solve(V, B.astype(complex))
-
-        def sigma_many(thetas):
-            zs = np.exp(1j * np.asarray(thetas, dtype=float))
-            W = 1.0 / (zs[:, None] - lam[None, :])        # (F, n)
-            T = np.einsum("ak,fk,kb->fab", CV, W, VB) + D
-            return np.linalg.svd(T, compute_uv=False)[..., 0].real
-    else:
-        def sigma_many(thetas):
-            zs = np.exp(1j * np.asarray(thetas, dtype=float))
-            M = zs[:, None, None] * np.eye(n) - A
-            X = np.linalg.solve(M, np.broadcast_to(
-                B.astype(complex), (len(zs), *B.shape)).copy())
-            T = C @ X + D
-            return np.linalg.svd(T, compute_uv=False)[..., 0].real
-
-    thetas = [np.linspace(0.0, np.pi, n_grid)]
-    spacing = np.pi / (n_grid - 1)
-    for ev in lam:
-        th0 = abs(np.angle(ev))
-        width = max(1e-12, 1.0 - abs(ev))
-        local = th0 + width * np.linspace(-4.0, 4.0, 33)
-        thetas.append(np.clip(local, 0.0, np.pi))
-    thetas = np.unique(np.concatenate(thetas))
-    vals = sigma_many(thetas)
-    i = int(vals.argmax())
-    lo = thetas[max(i - 1, 0)]
-    hi = thetas[min(i + 1, len(thetas) - 1)]
-    lo, hi = max(0.0, lo - 0.25 * spacing), min(np.pi, hi + 0.25 * spacing)
-
-    inv_phi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - inv_phi * (b - a)
-    d_ = a + inv_phi * (b - a)
-    fc = sigma_many([c])[0]
-    fd = sigma_many([d_])[0]
-    for _ in range(refine_iters):
-        if fc > fd:
-            b, d_, fd = d_, c, fc
-            c = b - inv_phi * (b - a)
-            fc = sigma_many([c])[0]
-        else:
-            a, c, fc = c, d_, fd
-            d_ = a + inv_phi * (b - a)
-            fd = sigma_many([d_])[0]
-        if b - a < 1e-12:
+    s = np.sqrt(np.linalg.norm(C) / np.linalg.norm(B))
+    B, C = B * s, C / s
+    thetas = np.concatenate([np.linspace(0.0, np.pi, n + 2),
+                             np.abs(np.angle(lam))])
+    lb = float(_sigma_max(A, B, C, D, thetas).max())
+    I, O, Onm = np.eye(n), np.zeros((n, n)), np.zeros((n, m))
+    while lb > 0.0:
+        g = (1.0 + 2e-10) * lb
+        b, d = B / g, D / g
+        # pencil M - z N in (x, p, u) for T / g with y = C x + d u:
+        # z x = A x + b u, p = z (A' p + C' y), 0 = b' p + d' y - u
+        M = np.block([[A, O, b], [O, -I, Onm],
+                      [d.T @ C, b.T, d.T @ d - np.eye(m)]])
+        N = np.block([[I, O, Onm], [-C.T @ C, -A.T, -C.T @ d],
+                      [np.zeros((m, 2 * n + m))]])
+        alpha, beta = scipy.linalg.eigvals(M, N, homogeneous_eigvals=True)
+        circle = np.abs(np.abs(alpha) - np.abs(beta)) < 1e-8 * np.abs(beta)
+        cross = np.unique(np.abs(np.angle(alpha[circle] / beta[circle])))
+        if len(cross) < 2:
             break
-    return float(max(vals[i], fc, fd))
+        top = float(_sigma_max(A, B, C, D,
+                               0.5 * (cross[1:] + cross[:-1])).max())
+        if top < g:
+            break
+        lb = top
+    return lb
 
 
 @dataclass(frozen=True)
@@ -382,9 +373,13 @@ def hinf_design(disc: DiscretizedSystem, gamma) -> HinfResult:
 def gamma_min(disc: DiscretizedSystem, tol=1e-3):
     """Smallest certifiable attenuation level by bisection.
 
-    The top of the bracket is the decentralized level: the open-loop norm
-    of the lifted mode, which the zero remote gain certifies, so that
-    no-control design is the first witness.  This needs a Schur-stable A2
+    When the output can be cancelled (D2w = 0 and F0 = -D2u^+ C2 leaves
+    C2 + D2u F0 at 1e-12 of C2 with a Schur-stable loop, as at zero wait),
+    the level is exactly 0 with F0 as its witness, whose ``norm`` is the
+    evaluator's rounding-level value on that loop.  Otherwise the top of
+    the bracket is the decentralized level: the open-loop norm of the
+    lifted mode, which the zero remote gain certifies, so that no-control
+    design is the first witness.  This needs a Schur-stable A2
     (``hinf_norm`` raises ``UnstableSystem`` otherwise); every lifted mode
     has one, since its local loop is Hurwitz and its input memory a
     nilpotent shift.  Bisects down from there against the largest known
@@ -395,6 +390,13 @@ def gamma_min(disc: DiscretizedSystem, tol=1e-3):
     tol = float(tol)
     if tol <= 0:
         raise ValueError("tol must be positive")
+    if not disc.D2w.any():
+        F0 = -np.linalg.pinv(disc.D2u) @ disc.C2
+        A0, C0 = disc.A2 + disc.B2u @ F0, disc.C2 + disc.D2u @ F0
+        if (np.linalg.norm(C0) <= 1e-12 * np.linalg.norm(disc.C2)
+                and spectral_radius(A0) < 1.0):
+            norm = hinf_norm(A0, disc.B2w, C0, disc.D2w)
+            return 0.0, HinfResult(F=F0, gamma=0.0, norm=norm)
     base = hinf_norm(disc.A2, disc.B2w, disc.C2, disc.D2w)
     hi = max(base * (1.0 + tol), 1e-12)
     best = HinfResult(F=np.zeros((disc.n_u, disc.n_z)), gamma=hi, norm=base)

@@ -1,5 +1,12 @@
 """Session-wide benchmark fixtures: the symmetric two-machine grid."""
 
+import os
+
+# One BLAS thread, set before numpy loads: on these few-dozen-row matrices
+# a second OpenBLAS thread only spins, doubling the CPU time of the suite.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 import numpy as np
 import pytest
 

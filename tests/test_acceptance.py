@@ -9,6 +9,7 @@ import pytest
 
 from conftest import K1, Q_COST, R_COST
 from helpers import (
+    grid_hinf_norm,
     quadrature_cost_oracle,
     random_psd_cost,
     random_stable_system,
@@ -27,7 +28,7 @@ from wadc.errors import GammaInfeasible, UnstableLocalLoop
 from wadc.grid_model import swap_symmetry_residuals
 from wadc.sampled import discretize
 from wadc.sim_eval import Scenario, simulate_closed_loop, sweep_delays
-from wadc.synthesis import gamma_min, hinf_design, hinf_norm
+from wadc.synthesis import gamma_min, hinf_design
 
 
 def _report(num, ok, detail):
@@ -116,16 +117,16 @@ def test_criterion_2_lqr_certificate(bench_plant, gains_k1, dec_k1):
 
 
 def test_criterion_3_hinf_certificate(bench_plant, gains_k2, dec_k2):
-    """Every accepted attenuation level is certified by the norm evaluator;
-    the bisection bracket is self-consistent within 2*tol."""
+    """Every accepted attenuation level is certified by the grid norm
+    oracle; the bisection bracket is self-consistent within 2*tol."""
     sys2, cost2 = bench_mode_system(gains_k2, dec_k2, 0)
     tol = 1e-3
     certified, brackets = [], []
     for tau in (0.1, 0.3):
         md = design_mode(sys2, cost2, 0.02, tau, method="hinf", gamma_tol=tol)
         res = md.result
-        norm = hinf_norm(md.disc.A2 + md.disc.B2u @ res.F, md.disc.B2w,
-                         md.disc.C2 + md.disc.D2u @ res.F, md.disc.D2w)
+        norm = grid_hinf_norm(md.disc.A2 + md.disc.B2u @ res.F, md.disc.B2w,
+                              md.disc.C2 + md.disc.D2u @ res.F, md.disc.D2w)
         certified.append(norm < res.gamma)
         hinf_design(md.disc, res.gamma * (1 + 2 * tol))  # must be feasible
         try:
@@ -140,8 +141,8 @@ def test_criterion_3_hinf_certificate(bench_plant, gains_k2, dec_k2):
         cost = random_psd_cost(rng, 3, 1)
         disc = discretize(sys, cost, 0.1, 0.13)
         gstar, res = gamma_min(disc, tol=tol)
-        norm = hinf_norm(disc.A2 + disc.B2u @ res.F, disc.B2w,
-                         disc.C2 + disc.D2u @ res.F, disc.D2w)
+        norm = grid_hinf_norm(disc.A2 + disc.B2u @ res.F, disc.B2w,
+                              disc.C2 + disc.D2u @ res.F, disc.D2w)
         certified.append(norm < gstar)
     ok = all(certified) and all(brackets)
     _report(3, ok, f"attenuation certificate: {sum(certified)}/"

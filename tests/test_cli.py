@@ -180,15 +180,6 @@ class TestSweepCommand:
         assert (tmp_path / "a" / "sweep.csv").read_bytes() == \
             (tmp_path / "b" / "sweep.csv").read_bytes()
 
-    def test_threaded_sweep_same_bytes(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("WADC_SAMPLING__DELAY_GRID_S", "0:0.1:0.3")
-        assert main(["--config", CONFIG, "--out", str(tmp_path / "a"),
-                     "sweep", "--measure", "lqr"]) == 0
-        assert main(["--config", CONFIG, "--out", str(tmp_path / "b"),
-                     "--threads", "3", "sweep", "--measure", "lqr"]) == 0
-        assert (tmp_path / "a" / "sweep.csv").read_bytes() == \
-            (tmp_path / "b" / "sweep.csv").read_bytes()
-
     def test_empty_grid_is_usage_error(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("WADC_SAMPLING__DELAY_GRID_S", "")
         assert run(tmp_path, "sweep", "--measure", "lqr") == 2

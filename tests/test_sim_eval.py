@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg
 
 from conftest import C_OUT, DU_OUT, DW_OUT, Q_COST, R_COST
-from helpers import attenuation_of_mode
+from helpers import attenuation_of_mode, grid_hinf_norm
 from test_dncs import bench_mode_system, synthetic_symmetric_plant
 from wadc.dncs import (
     DelaySchedule,
@@ -24,7 +24,6 @@ from wadc.sim_eval import (
     simulate_closed_loop,
     sweep_delays,
 )
-from wadc.synthesis import hinf_norm
 
 
 def build_controller(plant, gains, dec, tau, h=0.02, method="lqr",
@@ -252,7 +251,8 @@ class TestBounds:
         # the reference norm comes from a second, separately made
         # discretization of the same mode
         ref_disc = design_mode(sys, cost, 0.02, 0.0, method="lqr").disc
-        ref = hinf_norm(ref_disc.A2, ref_disc.B2w, ref_disc.C2, ref_disc.D2w)
+        ref = grid_hinf_norm(ref_disc.A2, ref_disc.B2w, ref_disc.C2,
+                             ref_disc.D2w)
         assert abs(upper - ref) <= 1e-9 * ref
         assert lower <= upper
 
@@ -299,6 +299,20 @@ class TestSweep:
                            0.02)
         assert res.all_ok()
         assert res.rows[0].value == res.rows[0].lower
+
+    def test_hinf_zero_wait_row_is_exact_zero(self, gains_k2, dec_k2):
+        # at zero wait F0 = -D2u^+ C2 cancels the summed output with a
+        # Schur-stable loop: the row and the lower bound are exactly 0
+        sys, cost = bench_mode_system(gains_k2, dec_k2, 0)
+        res = sweep_delays(sys, cost, dec_k2, 0, "hinf", [0.0, 0.02], 0.02)
+        assert res.all_ok()
+        assert res.rows[0].value == 0.0 and res.rows[0].lower == 0.0
+        assert res.rows[1].value > 0.0
+        md = design_mode(sys, cost, 0.02, 0.0, method="hinf")
+        F0 = -np.linalg.pinv(md.disc.D2u) @ md.disc.C2
+        np.testing.assert_array_equal(md.F, F0)
+        np.testing.assert_allclose(md.F, [[-100.0, 0.0, 0.0]], rtol=1e-14)
+        assert md.result.norm <= 1e-12 * res.rows[0].upper
 
     def test_bad_grid_rejected(self, gains_k1, dec_k1):
         sys, cost = bench_mode_system(gains_k1, dec_k1, 0)

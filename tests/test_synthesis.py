@@ -20,7 +20,13 @@ from wadc.synthesis import (
     stein_solve,
 )
 
-from helpers import closed_loop_cost, random_psd_cost, random_stable_system
+from helpers import (
+    closed_loop_cost,
+    grid_hinf_norm,
+    random_psd_cost,
+    random_stable_system,
+)
+from test_dncs import bench_mode_system
 
 
 def make_disc(A2, B2u, B2w, C2, D2u, D2w, Q2, N2, R2, h=0.1, d=0.0, q=0, r=0.0):
@@ -179,6 +185,50 @@ class TestHinfNorm:
         assert val >= peak - 1e-9
         assert val <= peak * 1.01  # coarse scan lower-bounds the true peak
 
+    @pytest.mark.parametrize("d", [0.1, 0.3])
+    def test_matches_grid_oracle_on_lifted_modes(self, gains_k2, dec_k2, d):
+        # the lifted A is defective: the in-flight input samples form a
+        # nilpotent shift; open loops and certified closed loops alike
+        for i in range(2):
+            sys, cost = bench_mode_system(gains_k2, dec_k2, i)
+            disc = discretize(sys, cost, 0.02, d)
+            _, res = gamma_min(disc, tol=1e-3)
+            for F in (np.zeros_like(res.F), res.F):
+                args = (disc.A2 + disc.B2u @ F, disc.B2w,
+                        disc.C2 + disc.D2u @ F, disc.D2w)
+                ref = grid_hinf_norm(*args)
+                assert abs(hinf_norm(*args) - ref) <= 1e-9 * ref
+
+    def test_matches_grid_oracle_with_feedthrough(self):
+        rng = np.random.default_rng(18)
+        for _ in range(20):
+            n, m, p = (int(v) for v in rng.integers(1, 6, size=3))
+            A = rng.normal(size=(n, n))
+            A *= rng.uniform(0.2, 0.99) / np.abs(np.linalg.eigvals(A)).max()
+            B, C = rng.normal(size=(n, m)), rng.normal(size=(p, n))
+            D = rng.normal(size=(p, m))
+            ref = grid_hinf_norm(A, B, C, D)
+            assert abs(hinf_norm(A, B, C, D) - ref) <= 1e-9 * ref
+
+    def test_peak_at_minus_one(self):
+        # |b/(z - a)| with a < 0 peaks at z = -1, the end of the angle range
+        for a in (-0.3, -0.9, -0.999):
+            val = hinf_norm([[a]], [[1.5]], [[1.0]], [[0.0]])
+            assert abs(val - 1.5 / (1.0 + a)) <= 1e-12 * val
+
+    def test_no_angle_exceeds_the_norm(self):
+        rng = np.random.default_rng(19)
+        for _ in range(5):
+            disc = random_disc(rng, n_x=4, n_w=2)
+            A, B, C, D = disc.A2, disc.B2w, disc.C2, disc.D2w
+            val = hinf_norm(A, B, C, D)
+            zs = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, 1000))
+            T = C @ np.linalg.solve(zs[:, None, None] * np.eye(4) - A,
+                                    np.broadcast_to(B, (1000, *B.shape))) + D
+            peak = np.linalg.svd(T, compute_uv=False)[:, 0].max()
+            # the norm is certified to a relative 2e-10 above the bound
+            assert peak <= val * (1 + 2e-10)
+
 
 class TestHinfDesign:
     def test_large_gamma_always_feasible(self):
@@ -251,6 +301,18 @@ class TestGammaMin:
         assert np.all(res.F == 0.0)
         assert res.norm == hinf_norm(disc.A2, disc.B2w, disc.C2, disc.D2w)
         assert 2.0 <= gstar <= 2.0 * (1 + tol)
+
+    def test_cancellable_output_gives_zero_level(self):
+        # y = C2 z + D2u u with D2w = 0: u = -D2u^+ C2 z cancels the output
+        # and leaves A2 + B2u F0 = 0.3 Schur stable, so gamma* is exactly 0
+        C2 = np.array([[2.0]])
+        D2u = np.array([[0.5]])
+        disc = make_disc([[0.9]], [[0.15]], [[1.0]], C2, D2u, [[0.0]],
+                         np.eye(1), np.zeros((1, 1)), np.eye(1))
+        gstar, res = gamma_min(disc, tol=1e-3)
+        assert gstar == 0.0 and res.gamma == 0.0
+        np.testing.assert_array_equal(res.F, -np.linalg.pinv(D2u) @ C2)
+        assert res.norm == 0.0
 
     def test_unstable_plant_rejected(self):
         disc = make_disc([[1.5]], [[1.0]], [[1.0]], [[1.0]], [[0.0]],
