@@ -296,17 +296,16 @@ def cmd_simulate(cfg, args, report):
               + [f"ubar_ef_{i + 1}" for i in range(m)]
               + [f"y_{j + 1}" for j in range(out.y.shape[1])])
     cols = np.column_stack([out.t, out.x, out.u, out.u_bar, out.y])
-    import io
-    buf = io.StringIO()
-    buf.write(",".join(header) + "\n")
-    np.savetxt(buf, cols, fmt=FMT, delimiter=",", newline="\n")
-    payload = buf.getvalue()
+    # one row per sampling instant; formatting Python floats is the bulk
+    # of the write
+    line = ",".join([FMT] * cols.shape[1]) + "\n"
+    payload = ",".join(header) + "\n" + "".join(
+        [line % row for row in map(tuple, cols.tolist())])
     with open(args.out_file, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(payload)
     report.output(args.out_file, payload)
 
-    summary = {"J_measured": out.J, "horizon_s": out.horizon,
-               "integrator_step_s": out.step}
+    summary = {"J_measured": out.J, "horizon_s": out.horizon}
     if args.measure == "lqr" and disturbance is None:
         md = designs[mode_i]
         z0 = md.disc.lift_state(init)
@@ -317,6 +316,13 @@ def cmd_simulate(cfg, args, report):
         summary["gamma"] = {label: md.result.gamma
                             for label, md in zip(dec.labels, designs)}
     report.data["summary"] = summary
+    report.data["diagnostics"] = {
+        "integrator_step_s": out.step,
+        "steps_per_period": out.steps_per_period,
+        "periods": len(out.t) - 1,
+        "trace_rows": len(out.t),
+        "trace_bytes": len(payload),   # ASCII
+    }
     print(json.dumps(summary, indent=2, sort_keys=True))
     report.stage("write")
     return 0

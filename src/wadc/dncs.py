@@ -8,7 +8,6 @@ per-machine remote commands that switch at the sampling instants shifted
 by the per-machine waiting times.
 """
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -417,14 +416,13 @@ def design_mode(sys: CtsSystem, cost: CtsCost, h, d_hat_i, method="lqr",
 
 
 class DistributedController:
-    """Steppable distributed controller.
+    """Distributed controller as a stateless linear map.
 
     At each sampling instant the modal states are reconstructed from the
-    sampled machine states, each mode advances its lifted state and emits
-    its command, and the per-machine remote commands are recombined; the
-    simulator applies machine rho's command after its waiting time.
-    Design-time data is immutable; the per-run history buffers make
-    stepping sequential per instance.
+    sampled machine states, each mode applies its gain to its lifted state
+    (the reconstructed modal state plus its past commands), and the
+    per-mode commands are recombined into per-machine remote commands,
+    which the simulator applies after each machine's waiting time.
     """
 
     def __init__(self, gains: LocalGains, dec: ModalDecomposition,
@@ -450,35 +448,29 @@ class DistributedController:
         self.dec = dec
         self.schedule = schedule
         self.mode_designs = mode_designs
-        self._histories = None
-        self.reset()
+        self.n_memory = max(md.disc.n_memory for md in mode_designs)
 
-    def reset(self):
-        """Clear the per-mode command histories (pre-run state)."""
-        self._histories = []
-        for md in self.mode_designs:
-            n_mem = md.disc.n_memory
-            n_u = md.disc.n_u
-            self._histories.append(deque(
-                [np.zeros(n_u) for _ in range(n_mem)], maxlen=max(n_mem, 1)))
+    def sample(self, x_phys, memory):
+        """Commands from the machine states sampled at one instant.
 
-    def sample(self, x_phys):
-        """Process the machine states sampled at one instant.
-
-        Returns (v, v_hat): the per-machine remote commands to apply after
-        each machine's waiting time, and the per-mode commands.
+        ``memory`` stacks the last L >= ``n_memory`` modal commands, newest
+        first, all zero before the first instant.  Both arguments may
+        carry columns, one instant each.  Returns (v, v_hat): the
+        per-machine remote commands and the per-mode commands; v_hat
+        pushed onto the front of ``memory`` is the next instant's memory.
         """
-        x_phys = np.asarray(x_phys, dtype=float).reshape(-1)
-        x_hat = self.dec.M_x_inv @ x_phys
-        v_hat_parts = []
+        x_hat = self.dec.M_x_inv @ np.asarray(x_phys, dtype=float)
+        memory = np.asarray(memory, dtype=float)
+        n_u = self.dec.M_u.shape[0]
+        if memory.shape[0] < self.n_memory * n_u:
+            raise ValueError(f"memory holds {memory.shape[0] // n_u} "
+                             f"commands, the modes need {self.n_memory}")
+        v_hat = np.empty((n_u,) + x_hat.shape[1:])
         for i, md in enumerate(self.mode_designs):
-            xs = self.dec.x_slice(i)
-            hist = self._histories[i]
-            z = np.concatenate([x_hat[xs], *hist]) if hist else x_hat[xs]
-            v_hat_i = md.F @ z
-            if md.disc.n_memory > 0:
-                hist.append(v_hat_i.copy())
-            v_hat_parts.append(v_hat_i)
-        v_hat = np.concatenate(v_hat_parts) if v_hat_parts else np.zeros(0)
-        v = self.dec.M_u @ v_hat
-        return v, v_hat
+            us = self.dec.u_slice(i)
+            # the lifted state stores the past commands oldest first
+            past = [memory[j * n_u:(j + 1) * n_u][us]
+                    for j in reversed(range(md.disc.n_memory))]
+            z = np.concatenate([x_hat[self.dec.x_slice(i)], *past])
+            v_hat[us] = md.F @ z
+        return self.dec.M_u @ v_hat, v_hat

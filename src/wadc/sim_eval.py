@@ -3,9 +3,10 @@ timing semantics, cost/attenuation evaluation, delay sweeps, and the
 decentralized/global reference bounds.
 
 Between events the closed loop is linear with constant inputs, so the
-fixed-step RK4 update is precomputed once as an affine map; events
-(state sampling at kh, remote-command switching at kh + d_rho) land
-exactly on the integer step grid by construction.
+fixed-step RK4 update is one affine map; events (state sampling at kh,
+remote-command switching at kh + d_rho) land exactly on the integer step
+grid by construction, and one sampling period of steps composes into one
+fixed linear map of the sampled state and the command memory.
 """
 
 import math
@@ -38,6 +39,7 @@ __all__ = [
 ]
 
 _BOUND_SLACK = 1e-9
+_BLOCK = 256   # sampling periods advanced by one batched product
 
 
 @dataclass(frozen=True)
@@ -63,13 +65,14 @@ class Scenario:
 
 @dataclass(frozen=True)
 class SimulationOutput:
-    t: np.ndarray
+    t: np.ndarray        # sampling instants kh, k = 0 ... N
     x: np.ndarray        # physical deviation states, (N+1, n_x)
     u: np.ndarray        # total input K x + u_bar, (N+1, n_u)
-    u_bar: np.ndarray    # remote commands as applied, (N+1, n_u)
+    u_bar: np.ndarray    # remote commands held up to t, (N+1, n_u)
     y: np.ndarray        # C x + D_u u_bar + D_w w, (N+1, n_y)
     J: float
-    step: float
+    step: float          # RK4 and quadrature step
+    steps_per_period: int
     horizon: float
 
 
@@ -129,12 +132,20 @@ def _rk4_affine(A, dt):
 def simulate_closed_loop(plant: LinearPlant, controller: DistributedController,
                          scn: Scenario, Q, R, C=None, D_u=None, D_w=None,
                          tail_rel=1e-9, max_extensions=48):
-    """Integrate the closed loop and accumulate the quadratic cost.
+    """Simulate the closed loop at the sampling instants and accumulate the
+    quadratic cost.
 
     Remote commands computed from the states sampled at kh switch exactly
-    at kh + d_rho and hold for one sampling period; the running cost prices
-    the state and the total input u = K x + u_bar by composite Simpson at
-    integrator resolution.
+    at kh + d_rho and hold for one sampling period.  The loop is linear, so
+    one period of RK4 steps is one fixed map M of the period state
+    xi_k = [x(kh); V_{k-1}; ...; V_{k-L}], V being the modal commands
+    (newest first; L covers the controller memory and the command delay
+    line), and the running cost, which prices the state and the total
+    input u = K x + u_bar by composite Simpson on the same steps, is one
+    quadratic form S of xi_k per period.  Held disturbance samples add an
+    affine term to the first periods.  The trace holds one row per
+    sampling instant; u and u_bar are the commands held on the step that
+    ends there.
     """
     dec = controller.dec
     sched = controller.schedule
@@ -167,18 +178,79 @@ def simulate_closed_loop(plant: LinearPlant, controller: DistributedController,
             f"stability region for the fastest closed-loop mode "
             f"(|lambda|_max = {fastest:.3g} 1/s); pick the step with "
             "refine_step(..., fastest_rate=...)")
-    S_u = Smap @ plant.B_u
-    S_w = Smap @ plant.B_w
+    n_x, n_u, n_w = plant.n_x, plant.n_u, plant.n_w
+    Q = np.asarray(Q, dtype=float).reshape(n_x, n_x)
+    R = np.asarray(R, dtype=float).reshape(n_u, n_u)
 
-    Q = np.asarray(Q, dtype=float).reshape(plant.n_x, plant.n_x)
-    R = np.asarray(R, dtype=float).reshape(plant.n_u, plant.n_u)
+    # machine rho applies the command sampled c periods earlier from step
+    # e of each period on, and the one before it until then
+    lags = [divmod(nd, n_h) for nd in n_rho]
+    L = max([controller.n_memory] + [c + (e > 0) for c, e in lags])
+    n = n_x + L * n_u
+    # maps below act on zeta_k = [xi_k; w_k]
+    eye = np.eye(n + n_w)
+    _, V = controller.sample(eye[:n_x], eye[n_x:n])
+
+    def past(a):
+        return V if a == 0 else eye[n_x + (a - 1) * n_u:n_x + a * n_u]
+
+    rows = np.cumsum((0,) + dec.machine_u_dims)
+
+    def command(s):
+        return np.vstack([dec.M_u[rows[i]:rows[i + 1]] @ past(c + (s < e))
+                          for i, (c, e) in enumerate(lags)])
+
+    def node_cost(X, U):
+        Y = K @ X + U
+        return X.T @ Q @ X + Y.T @ R @ Y
+
+    # step the node maps through one period; every Simpson pair holds one
+    # command, since switches fall on even steps
+    drive_u, drive_w = Smap @ plant.B_u, Smap @ plant.B_w @ eye[n:]
+    X = eye[:n_x]
+    S = np.zeros((n + n_w, n + n_w))
+    for s in range(0, n_h, 2):
+        U = command(s)
+        X1 = Rmap @ X + drive_u @ U + drive_w
+        X2 = Rmap @ X1 + drive_u @ U + drive_w
+        S += node_cost(X, U) + 4.0 * node_cost(X1, U) + node_cost(X2, U)
+        X = X2
+    S *= dt / 3.0
+    U_end = U[:, :n]
+    M = np.vstack([X, V, eye[n_x:n - n_u]]) if L else X
+    M_xi, S_xi = M[:, :n], S[:n, :n]
+    powers = np.empty((_BLOCK, n, n))
+    powers[0] = M_xi
+    for i in range(1, _BLOCK):
+        powers[i] = M_xi @ powers[i - 1]
+
+    w_seq = scn.disturbance
+    n_dist = 0 if w_seq is None else len(w_seq)
+
+    def advance(xi, k, count):
+        """States of periods k+1 ... k+count and the cost of k ... k+count-1."""
+        new, J = [], 0.0
+        for j in range(k, min(k + count, n_dist)):
+            zeta = np.concatenate([xi, w_seq[j]])
+            J += float(zeta @ S @ zeta)
+            xi = M @ zeta
+            new.append(xi[None])
+        left = count - len(new)
+        while left:
+            b = min(_BLOCK, left)
+            nxt = powers[:b] @ xi
+            starts = np.vstack([xi[None], nxt[:-1]])
+            J += float(np.sum((starts @ S_xi) * starts))
+            new.append(nxt)
+            xi = nxt[-1]
+            left -= b
+        return new, J
 
     x0 = scn.initial_state
     if scn.initial_coords == "modal":
         x0 = dec.M_x @ x0
-    x0 = x0.reshape(plant.n_x)
-
-    w_seq = scn.disturbance
+    xi = np.zeros(n)
+    xi[:n_x] = x0.reshape(n_x)
     if scn.horizon is not None:
         horizon = float(scn.horizon)
         auto = False
@@ -189,130 +261,41 @@ def simulate_closed_loop(plant: LinearPlant, controller: DistributedController,
         auto = True
     # whole sampling periods; extensions add quarter-chunks until the cost
     # increment dies out
-    first_chunk = max(n_h, int(round(horizon / dt / n_h)) * n_h)
-    ext_chunk = max(n_h, first_chunk // (4 * n_h) * n_h)
+    first = max(1, int(round(horizon / dt / n_h)))
+    chunk = max(1, first // 4)
 
-    controller.reset()
-    # run-batched stepping: between events the input is constant, so a run
-    # of L steps is two tensor contractions with precomputed propagator
-    # stacks (P_i = R^i, G_i = sum_{t<i} R^t S)
-    boundaries = sorted({0} | {nd % n_h for nd in n_rho})
-    run_lens = [b2 - b1 for b1, b2 in zip(boundaries, boundaries[1:])]
-    run_lens.append(n_h - boundaries[-1])
-    run_lens = [L for L in run_lens if L > 0]
-    max_L = max(run_lens)
-    P_stack = np.empty((max_L, plant.n_x, plant.n_x))
-    G_stack = np.empty_like(P_stack)
-    P_stack[0], G_stack[0] = Rmap, Smap
-    for i in range(1, max_L):
-        P_stack[i] = Rmap @ P_stack[i - 1]
-        G_stack[i] = Rmap @ G_stack[i - 1] + Smap
-    B_uw = np.hstack([plant.B_u, plant.B_w])
-
-    xs, ubar_runs = [x0[None, :].copy()], []
-    x = x0.copy()
-    u_bar = np.zeros(plant.n_u)
-    pending = {}  # step index -> list of (offset, value)
-    j = 0
-    chunk_costs = []
-    total_steps = 0
-
-    def cost_simpson(traj_x, traj_ubar):
-        """Composite Simpson with the command switches on pair boundaries.
-
-        traj_ubar[i] holds the command active on step i-1 -> i, so within
-        each Simpson pair (2i, 2i+1, 2i+2) the command traj_ubar[2i+1] is
-        constant; the shared boundary nodes are evaluated one-sidedly with
-        each pair's own command.
-        """
-        n = traj_x.shape[0] - 1
-        if n < 2:
-            return 0.0
-        qf = np.einsum("ij,jk,ik->i", traj_x, Q, traj_x)
-        u_pair = traj_ubar[1::2]                      # (n/2, n_u)
-        x0, x1, x2 = traj_x[0:-2:2], traj_x[1::2], traj_x[2::2]
-
-        def upart(xn):
-            u = xn @ K.T + u_pair
-            return np.einsum("ij,jk,ik->i", u, R, u)
-
-        total = (qf[0:-2:2] + upart(x0) + 4.0 * (qf[1::2] + upart(x1))
-                 + qf[2::2] + upart(x2))
-        return dt / 3.0 * float(total.sum())
-
-    zero_w = np.zeros(plant.n_w)
+    xis, k, J = [xi[None]], 0, 0.0
     for ext in range(max_extensions):
-        end = total_steps + (first_chunk if ext == 0 else ext_chunk)
-        while j < end:
-            if j % n_h == 0:
-                v, _ = controller.sample(x)
-                off = 0
-                for rho, nd in enumerate(n_rho):
-                    du = dec.machine_u_dims[rho]
-                    pending.setdefault(j + nd, []).append(
-                        (off, v[off:off + du].copy()))
-                    off += du
-            k_w = j // n_h
-            wk = (w_seq[k_w] if w_seq is not None and k_w < len(w_seq)
-                  else zero_w)
-            upto = (j // n_h + 1) * n_h
-            while j < upto:
-                if j in pending:
-                    for off, val in pending.pop(j):
-                        u_bar[off:off + val.size] = val
-                nxt = min((idx for idx in pending if j < idx < upto),
-                          default=upto)
-                L = nxt - j
-                c = B_uw @ np.concatenate([u_bar, wk])
-                block = P_stack[:L] @ x + G_stack[:L] @ c
-                xs.append(block)
-                ubar_runs.append((u_bar.copy(), L))
-                x = block[-1]
-                j += L
-        total_steps = end
-        # tail check on the accumulated cost
-        traj_x = np.concatenate(xs)
-        xs = [traj_x]
-        traj_ub = np.concatenate(
-            [np.broadcast_to(u, (L, plant.n_u)) for u, L in ubar_runs])
-        traj_ub = np.concatenate([np.zeros((1, plant.n_u)), traj_ub])
-        J_total = cost_simpson(traj_x, traj_ub)
-        chunk_costs.append(J_total)
-        if not auto:
+        count = first if ext == 0 else chunk
+        new, inc = advance(xis[-1][-1], k, count)
+        xis += new
+        k += count
+        J += inc
+        if not auto or (ext and abs(inc) <= tail_rel * max(abs(J), 1e-300)):
             break
-        if len(chunk_costs) >= 2:
-            inc = chunk_costs[-1] - chunk_costs[-2]
-            if abs(inc) <= tail_rel * max(abs(J_total), 1e-300):
-                break
 
-    traj_x = np.concatenate(xs) if len(xs) > 1 else xs[0]
-    traj_ub = np.concatenate(
-        [np.broadcast_to(u, (L, plant.n_u)) for u, L in ubar_runs])
-    traj_ub = np.concatenate([np.zeros((1, plant.n_u)), traj_ub])
-    J = cost_simpson(traj_x, traj_ub)
-
-    # assemble the reported trace
-    n_steps = traj_x.shape[0]
-    t = dt * np.arange(n_steps)
-    u_tot = traj_x @ K.T + traj_ub
-    w_full = np.zeros((n_steps, plant.n_w))
-    if w_seq is not None:
-        k_idx = np.arange(n_steps) // n_h
-        live = k_idx < len(w_seq)
-        w_full[live] = w_seq[k_idx[live]]
+    xi = np.concatenate(xis)
+    x = xi[:, :n_x]
+    t = dt * (n_h * np.arange(len(xi)))
+    u_bar = np.zeros((len(xi), n_u))
+    u_bar[1:] = xi[:-1] @ U_end.T
+    u_tot = x @ K.T + u_bar
     if C is not None:
         C = np.atleast_2d(np.asarray(C, dtype=float))
-        D_u = np.zeros((C.shape[0], plant.n_u)) if D_u is None \
+        D_u = np.zeros((C.shape[0], n_u)) if D_u is None \
             else np.atleast_2d(np.asarray(D_u, dtype=float))
-        D_w = np.zeros((C.shape[0], plant.n_w)) if D_w is None \
+        D_w = np.zeros((C.shape[0], n_w)) if D_w is None \
             else np.atleast_2d(np.asarray(D_w, dtype=float))
+        w = np.zeros((len(xi), n_w))
+        if n_dist:
+            w[:n_dist] = w_seq[:len(xi)]
         # output convention: the published output map takes the remote command
-        y = traj_x @ C.T + traj_ub @ D_u.T + w_full @ D_w.T
+        y = x @ C.T + u_bar @ D_u.T + w @ D_w.T
     else:
-        y = np.zeros((n_steps, 0))
+        y = np.zeros((len(xi), 0))
     return SimulationOutput(
-        t=t, x=traj_x, u=u_tot, u_bar=traj_ub,
-        y=y, J=float(J), step=dt, horizon=float(t[-1]))
+        t=t, x=x, u=u_tot, u_bar=u_bar, y=y, J=J, step=dt,
+        steps_per_period=n_h, horizon=float(t[-1]))
 
 
 def compute_bounds(md0: ModeDesign, measure, z0=None):

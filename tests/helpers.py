@@ -81,6 +81,78 @@ def rk4_delayed_zoh(sys, h, d, u_seq, x0, n_steps, subs=60, w_seq=None):
     return np.array(xs)
 
 
+def per_step_closed_loop(plant, gains, dec, sched, designs, x0, dt, periods,
+                         Q, R, C, D_u, D_w, w_seq=()):
+    """Step-by-step oracle of the distributed closed loop.
+
+    Stage-form RK4 on d/dt x = A_bar x + B_u u_bar + B_w w at step dt; at
+    each sampling instant every mode advances its own lifted state
+    z = [x_hat_i; past commands, oldest first] with its gain md.F, and the
+    per-machine commands enter an explicit queue keyed by the step at which
+    they switch.  The cost is composite Simpson over step pairs with each
+    pair's command.  Returns, at every sampling instant kh (k = 0 ...
+    periods), the arrays t, x, u, u_bar, y and the cost J accumulated up to
+    kh; u_bar is the command held on the step that ends at kh, and y takes
+    the disturbance sample of period k.  Independent of the library's
+    simulator.
+    """
+    A, K = gains.A_bar, gains.K
+    n_h = round(sched.h / dt)
+    n_rho = [round(float(d) / dt) for d in sched.d_rho]
+    rows = np.cumsum((0,) + dec.machine_u_dims)
+    memories = [np.zeros(md.disc.n_memory * md.disc.n_u) for md in designs]
+    x = np.asarray(x0, dtype=float).copy()
+    u_bar = np.zeros(plant.n_u)
+    queue = []                           # [switch step, machine, command]
+    J = 0.0
+    out = {key: [] for key in ("t", "x", "u", "u_bar", "y", "J")}
+
+    def running(xn, ub):
+        u = K @ xn + ub
+        return xn @ Q @ xn + u @ R @ u
+
+    for k in range(periods + 1):
+        j0 = k * n_h
+        w = (np.asarray(w_seq[k], dtype=float) if k < len(w_seq)
+             else np.zeros(plant.n_w))
+        for key, val in (("t", j0 * dt), ("x", x.copy()),
+                         ("u", K @ x + u_bar), ("u_bar", u_bar.copy()),
+                         ("y", C @ x + D_u @ u_bar + D_w @ w), ("J", J)):
+            out[key].append(val)
+        if k == periods:
+            break
+        x_hat = dec.M_x_inv @ x
+        v_hat = np.zeros(plant.n_u)
+        for i, md in enumerate(designs):
+            z = np.concatenate([x_hat[dec.x_slice(i)], memories[i]])
+            v_i = md.F @ z
+            v_hat[dec.u_slice(i)] = v_i
+            if memories[i].size:
+                memories[i] = np.concatenate([memories[i][v_i.size:], v_i])
+        v = dec.M_u @ v_hat
+        for rho, nd in enumerate(n_rho):
+            queue.append([j0 + nd, rho, v[rows[rho]:rows[rho + 1]]])
+        for s in range(n_h):
+            j = j0 + s
+            for item in [it for it in queue if it[0] == j]:
+                assert s % 2 == 0, "command switch inside a Simpson pair"
+                u_bar[rows[item[1]]:rows[item[1] + 1]] = item[2]
+                queue.remove(item)
+            if s % 2 == 0:
+                pair = running(x, u_bar)
+            else:
+                pair += 4.0 * running(x, u_bar)
+            c = plant.B_u @ u_bar + plant.B_w @ w
+            k1 = A @ x + c
+            k2 = A @ (x + 0.5 * dt * k1) + c
+            k3 = A @ (x + 0.5 * dt * k2) + c
+            k4 = A @ (x + dt * k3) + c
+            x = x + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+            if s % 2 == 1:
+                J += dt / 3.0 * (pair + running(x, u_bar))
+    return {key: np.array(val) for key, val in out.items()}
+
+
 def closed_loop_cost(disc, F, z0, tol=1e-12, max_steps=2_000_000):
     """Accumulate the summed quadratic cost under u = F z until increments
     die out; independent of the Riccati machinery."""

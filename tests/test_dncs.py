@@ -352,19 +352,39 @@ class TestAssembleController:
         designs = [replace(md, F=np.zeros_like(md.F)) for md in designs]
         ctrl = DistributedController(gains_k1, dec_k1, sched, designs)
         rng = np.random.default_rng(11)
+        memory = np.zeros(2 * ctrl.n_memory)
         for _ in range(5):
-            v, v_hat = ctrl.sample(rng.normal(size=6))
+            v, v_hat = ctrl.sample(rng.normal(size=6), memory)
             np.testing.assert_array_equal(v, 0.0)
             np.testing.assert_array_equal(v_hat, 0.0)
+            memory = np.concatenate([v_hat, memory[:-2]])
 
     def test_reconstruction_round_trip(self, bench_plant, gains_k1, dec_k1):
         sched, designs = self._designs(bench_plant, gains_k1, dec_k1, 0.04)
         ctrl = DistributedController(gains_k1, dec_k1, sched, designs)
         rng = np.random.default_rng(12)
+        memory = np.zeros(2 * ctrl.n_memory)
         for _ in range(10):
-            v, v_hat = ctrl.sample(rng.normal(size=6))
+            v, v_hat = ctrl.sample(rng.normal(size=6), memory)
             np.testing.assert_allclose(dec_k1.M_u_inv @ v, v_hat,
                                        rtol=1e-13, atol=1e-16)
+            memory = np.concatenate([v_hat, memory[:-2]])
+
+    def test_columns_are_independent_instants(self, bench_plant, gains_k1,
+                                              dec_k1):
+        sched, designs = self._designs(bench_plant, gains_k1, dec_k1, 0.04)
+        ctrl = DistributedController(gains_k1, dec_k1, sched, designs)
+        rng = np.random.default_rng(15)
+        X = rng.normal(size=(6, 4))
+        memory = rng.normal(size=(2 * ctrl.n_memory, 4))
+        v, v_hat = ctrl.sample(X, memory)
+        for j in range(4):
+            v_j, v_hat_j = ctrl.sample(X[:, j], memory[:, j])
+            np.testing.assert_allclose(v[:, j], v_j, rtol=1e-14, atol=1e-14)
+            np.testing.assert_allclose(v_hat[:, j], v_hat_j, rtol=1e-14,
+                                       atol=1e-14)
+        with pytest.raises(ValueError):
+            ctrl.sample(X, memory[:-2])
 
     def test_round_trip_exact_on_dyadic_states(self, bench_plant, gains_k1,
                                                dec_k1):
@@ -376,7 +396,7 @@ class TestAssembleController:
         designs = [replace(md, F=F0) for md in designs]
         ctrl = DistributedController(gains_k1, dec_k1, sched, designs)
         x = np.array([0.5, 0.25, -0.125, 1.0, -0.5, 0.75])
-        v, v_hat = ctrl.sample(x)
+        v, v_hat = ctrl.sample(x, np.zeros(0))
         np.testing.assert_array_equal(dec_k1.M_u_inv @ v, v_hat)
 
     def test_single_mode_identity_reconstruction(self):
@@ -393,7 +413,7 @@ class TestAssembleController:
         sched = DelaySchedule.from_links(dec, np.zeros((1, 1)), 0.02)
         ctrl = DistributedController(gains, dec, sched, [md])
         x = rng.normal(size=3)
-        v, v_hat = ctrl.sample(x)
+        v, v_hat = ctrl.sample(x, np.zeros(0))
         np.testing.assert_array_equal(v, v_hat)
 
     def test_schedule_mismatch(self, bench_plant, gains_k1, dec_k1):
@@ -415,11 +435,13 @@ class TestAssembleController:
         xs = rng.normal(size=(6, 6))
         md = designs[0]
         z = np.zeros(md.disc.n_z)
+        memory = np.zeros(2 * ctrl.n_memory)
         for x in xs:
             x_hat = dec_k1.M_x_inv @ x
             z[:3] = x_hat[:3]
             v_hat_expected = md.F @ z
-            v, v_hat = ctrl.sample(x)
+            v, v_hat = ctrl.sample(x, memory)
+            memory = np.concatenate([v_hat, memory[:-2]])
             assert abs(v_hat[0] - v_hat_expected[0]) <= 1e-12 * (
                 1 + abs(v_hat_expected[0]))
             # shift the memory the way the lifted model does

@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg
 
 from conftest import C_OUT, DU_OUT, DW_OUT, Q_COST, R_COST
-from helpers import attenuation_of_mode, grid_hinf_norm
+from helpers import attenuation_of_mode, grid_hinf_norm, per_step_closed_loop
 from test_dncs import bench_mode_system, synthetic_symmetric_plant
 from wadc.dncs import (
     DelaySchedule,
@@ -100,12 +100,14 @@ class TestSimulate:
         A = gains_k1.A_bar
         x = x0.copy()
         dt = 0.01
+        n_h = round(ctrl.schedule.h / dt)
         for k in range(1, len(out.t)):
-            k1 = A @ x
-            k2 = A @ (x + 0.5 * dt * k1)
-            k3 = A @ (x + 0.5 * dt * k2)
-            k4 = A @ (x + dt * k3)
-            x = x + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+            for _ in range(n_h):
+                k1 = A @ x
+                k2 = A @ (x + 0.5 * dt * k1)
+                k3 = A @ (x + 0.5 * dt * k2)
+                k4 = A @ (x + dt * k3)
+                x = x + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
             assert np.abs(out.x[k] - x).max() <= 1e-10 * max(
                 1.0, np.abs(x).max())
             np.testing.assert_array_equal(out.u_bar[k], 0.0)
@@ -121,16 +123,61 @@ class TestSimulate:
         scn = Scenario(initial_state=x_hat0, schedule=ctrl.schedule,
                        integrator_step=0.00125, horizon=4.0)
         out = simulate_closed_loop(bench_plant, ctrl, scn, Q_COST, R_COST)
-        n_h = round(h / scn.integrator_step)
         z = md.disc.lift_state(x_hat0[:3])
         A_cl = md.disc.A2 + md.disc.B2u @ md.F
         worst, scale = 0.0, 1.0
         for k in range(int(4.0 / h)):
-            x_hat_k = (dec_k1.M_x_inv @ out.x[k * n_h])[:3]
+            x_hat_k = (dec_k1.M_x_inv @ out.x[k])[:3]
             worst = max(worst, np.abs(x_hat_k - z[:3]).max())
             scale = max(scale, np.abs(z[:3]).max())
             z = A_cl @ z
         assert worst <= 1e-8 * scale
+
+    @pytest.mark.parametrize("gain_set, measure, tau, step, horizon, impulse", [
+        ("k1", "lqr", 0.013, 0.002, 2.0, False),   # switches off the h grid
+        ("k1", "lqr", 0.04, 0.01, 5.0, True),      # held disturbance sample
+        ("k2", "hinf", 0.1, 0.01, 2.0, False),     # refined to 0.00015625 s
+    ])
+    def test_matches_per_step_oracle(self, request, bench_plant, gain_set,
+                                     measure, tau, step, horizon, impulse):
+        gains = request.getfixturevalue(f"gains_{gain_set}")
+        dec = request.getfixturevalue(f"dec_{gain_set}")
+        ctrl, designs = build_controller(bench_plant, gains, dec, tau,
+                                         method=measure)
+        sched = ctrl.schedule
+        dt = refine_step(step, sched.h, [float(v) for v in sched.d_rho],
+                         fastest_rate=np.abs(np.linalg.eigvals(
+                             gains.A_bar)).max())
+        x_hat0 = np.zeros(6) if impulse else np.array([1.0, 0, 0, 0, 0, 0])
+        w = np.zeros((1, 4)) if impulse else None
+        if impulse:
+            w[0, 0] = 50.0
+        periods = round(horizon / sched.h)
+        ref = per_step_closed_loop(
+            bench_plant, gains, dec, sched, designs, dec.M_x @ x_hat0, dt,
+            periods, Q_COST, R_COST, C_OUT, DU_OUT, DW_OUT,
+            w_seq=() if w is None else w)
+
+        def run(T):
+            scn = Scenario(initial_state=x_hat0, schedule=sched,
+                           disturbance=w, integrator_step=dt, horizon=T)
+            return simulate_closed_loop(bench_plant, ctrl, scn, Q_COST,
+                                        R_COST, C=C_OUT, D_u=DU_OUT,
+                                        D_w=DW_OUT)
+
+        out = run(horizon)
+        np.testing.assert_array_equal(out.t, ref["t"])
+        # u = K x + u_bar cancels under the large H-infinity local gains,
+        # so its error is measured against its summands
+        scales = {"u": np.abs(ref["x"]) @ np.abs(gains.K.T)
+                  + np.abs(ref["u_bar"])}
+        for key in ("x", "u", "u_bar", "y"):
+            got, want = getattr(out, key), ref[key]
+            scale = scales.get(key, np.abs(want)).max(axis=1, keepdims=True)
+            assert (np.abs(got - want) <= 1e-10 * scale).all(), key
+        assert np.abs(ref["u_bar"]).max() > 0   # the commands do arrive
+        J = [run(k * sched.h).J for k in range(1, periods + 1)]
+        np.testing.assert_allclose(J, ref["J"][1:], rtol=1e-10, atol=0)
 
     def test_certificate_against_simulation(self, bench_plant, gains_k1,
                                             dec_k1):
