@@ -148,8 +148,8 @@ class Pipeline:
         return self._gain_cache[measure]
 
     def mode_model(self, measure, i):
-        """Continuous model (CtsSystem, CtsCost) of mode i under the local
-        gains of ``measure``; every design of the mode starts from it."""
+        """Continuous model (CtsModel) of mode i under the local gains of
+        ``measure``; every design of the mode starts from it."""
         gains, dec = self.gains(measure)
         return mode_system(gains, dec, i, self.Q, self.R, self.C, self.D_u,
                            self.D_w)
@@ -195,7 +195,7 @@ def cmd_design(cfg, args, report):
     gamma_tol = cfg["tolerances"]["gamma_rel"]
     summary = {}
     for i in _mode_list(dec, args.mode):
-        md = design_mode(*pipe.mode_model(args.measure, i),
+        md = design_mode(pipe.mode_model(args.measure, i),
                          cfg["sampling"]["h_s"], float(sched.d_hat[i]),
                          method=args.measure, gamma_tol=gamma_tol)
         report.stage("design")
@@ -227,7 +227,7 @@ def cmd_sweep(cfg, args, report):
     lines = ["delay_s,mode,measure,value,lower_bound,upper_bound,status"]
     ok = True
     for i in _mode_list(dec, args.mode):
-        res = sweep_delays(*pipe.mode_model(args.measure, i), dec, i,
+        res = sweep_delays(pipe.mode_model(args.measure, i), dec, i,
                            args.measure, grid, h,
                            z0=z0 if args.measure == "lqr" else None,
                            gamma_tol=gamma_tol)
@@ -257,7 +257,7 @@ def cmd_simulate(cfg, args, report):
     d = args.delay * (np.ones((m, m)) - np.eye(m))
     sched = DelaySchedule.from_links(dec, d, h)
     gamma_tol = cfg["tolerances"]["gamma_rel"]
-    designs = [design_mode(*pipe.mode_model(args.measure, i), h,
+    designs = [design_mode(pipe.mode_model(args.measure, i), h,
                            float(sched.d_hat[i]), method=args.measure,
                            gamma_tol=gamma_tol)
                for i in range(dec.n_modes)]
@@ -278,10 +278,10 @@ def cmd_simulate(cfg, args, report):
     fastest = float(np.abs(np.linalg.eigvals(gains.A_bar)).max())
     step = refine_step(step_req, h, [float(v) for v in sched.d_rho],
                        fastest_rate=fastest)
-    if step != step_req:
-        report.note(f"integrator step refined from {step_req} to {step} "
-                    "to hit every sampling/switching instant and stay "
-                    "inside the integrator's stability region")
+    if float(step) != step_req:
+        report.note(f"integrator step refined from {step_req} to "
+                    f"{float(step)} to hit every sampling/switching instant "
+                    "and stay inside the integrator's stability region")
     scn = Scenario(initial_state=x_hat0, schedule=sched,
                    disturbance=disturbance, integrator_step=step,
                    horizon=scn_cfg["horizon_s"])

@@ -20,7 +20,7 @@ from .errors import (
     UnstableLocalLoop,
 )
 from .grid_model import LinearPlant
-from .sampled import CtsCost, CtsSystem, DiscretizedSystem, discretize
+from .sampled import CtsCost, CtsModel, CtsSystem, DiscretizedSystem, discretize
 from .synthesis import gamma_min, lqr_design
 
 __all__ = [
@@ -310,7 +310,7 @@ def symmetric_modes(plant: LinearPlant, gains: LocalGains,
 
 def mode_system(gains: LocalGains, dec: ModalDecomposition, i,
                 Q, R, C, D_u, D_w):
-    """Continuous model of mode i: (CtsSystem, CtsCost).
+    """Continuous model of mode i: a CtsModel of its plant and cost.
 
     The system is the mode's diagonal block of the transformed
     pre-stabilized plant with its slice of the output map; the output map
@@ -343,7 +343,7 @@ def mode_system(gains: LocalGains, dec: ModalDecomposition, i,
                     B1w=dec.B_w_hat[xs, ws], C1=(C @ dec.M_x)[:, xs],
                     D1u=(D_u @ dec.M_u)[:, us], D1w=(D_w @ dec.M_w)[:, ws])
     cost = CtsCost(Q1=U[xs, xs], N1=U[xs, ug], R1=U[ug, ug])
-    return sys, cost
+    return CtsModel(sys, cost)
 
 
 @dataclass(frozen=True)
@@ -401,11 +401,11 @@ class ModeDesign:
     result: object  # LqrResult (value z0' P z0) or HinfResult (gamma)
 
 
-def design_mode(sys: CtsSystem, cost: CtsCost, h, d_hat_i, method="lqr",
+def design_mode(model: CtsModel, h, d_hat_i, method="lqr",
                 gamma_tol=1e-3) -> ModeDesign:
     """Discretize a mode's continuous model with its waiting time and
     design the sampled gain by the requested method."""
-    disc = discretize(sys, cost, h, d_hat_i)
+    disc = discretize(model, h, d_hat_i)
     if method == "lqr":
         result = lqr_design(disc)
     elif method == "hinf":

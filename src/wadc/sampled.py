@@ -8,6 +8,10 @@ switch at ``kh + r``, so both the state propagation and the running
 quadratic cost have closed forms built from the matrix exponential.  The
 lifted discrete state stacks the plant state with the q+1 input samples
 still "in flight".
+
+None of these closed forms depends on q.  A ``CtsModel`` computes the cost
+factorization (P, M, U) once per mode and Phi, Gamma and Psi once per
+interval length (h, each remainder r, h - r); ``discretize`` lifts them.
 """
 
 from dataclasses import dataclass
@@ -21,6 +25,7 @@ from .errors import IllPosedLyapunov, InvalidSampling
 __all__ = [
     "CtsSystem",
     "CtsCost",
+    "CtsModel",
     "PMU",
     "DiscretizedSystem",
     "phi_gamma",
@@ -235,15 +240,15 @@ def solve_pmu(sys: CtsSystem, cost: CtsCost) -> PMU:
     return PMU(P=P, M=M, U=U)
 
 
-def psi_blocks(pmu: PMU, sys: CtsSystem, b) -> np.ndarray:
+def psi_blocks(pmu: PMU, sys: CtsSystem, b, Phi, Gamma) -> np.ndarray:
     """Quadratic form Psi(b) giving the cost integral over a length-b interval
-    with held input: integral = [x(a); u]' Psi(b) [x(a); u]."""
+    with held input: integral = [x(a); u]' Psi(b) [x(a); u].  Phi and Gamma
+    are ``phi_gamma(sys.A1, b)``."""
     b = float(b)
     if b < 0:
         raise ValueError("interval length must be nonnegative")
     P, M, U = pmu.P, pmu.M, pmu.U
     B1u = sys.B1u
-    Phi, Gamma = phi_gamma(sys.A1, b)
     GB = Gamma @ B1u
     psi1 = Phi.T @ P @ Phi - P
     psi3 = Phi.T @ P @ GB + Phi.T @ M - M
@@ -252,12 +257,34 @@ def psi_blocks(pmu: PMU, sys: CtsSystem, b) -> np.ndarray:
     return 0.5 * (psi + psi.T)
 
 
+class CtsModel:
+    """One mode's plant and cost, and the delay-free pieces of its exact
+    discretization, each computed once and frozen; one model serves every
+    design of its mode."""
+
+    def __init__(self, sys: CtsSystem, cost: CtsCost):
+        self.sys, self.cost = sys, cost
+        self.pmu = solve_pmu(sys, cost)
+        self._intervals = {}
+
+    def interval(self, b):
+        """(Phi, Gamma, Psi) of a held-input interval of length b."""
+        if b not in self._intervals:
+            Phi, Gamma = phi_gamma(self.sys.A1, b)
+            self._intervals[b] = (
+                Phi, Gamma, psi_blocks(self.pmu, self.sys, b, Phi, Gamma))
+            _freeze(*self._intervals[b])
+        return self._intervals[b]
+
+
 def _nice_fraction(x, rel_tol=1e-9):
     """Snap a float to the fraction its shortest decimal form denotes.
 
     Sampling periods and delays are specified as short decimals; arithmetic
     like 5*0.02 must still classify d = 0.1 as an exact multiple of h.
     """
+    if isinstance(x, Fraction):
+        return x
     x = float(x)
     f = Fraction(x).limit_denominator(10 ** 6)
     if abs(float(f) - x) <= rel_tol * abs(x):
@@ -289,9 +316,9 @@ def split_delay(d, h):
     return q, r
 
 
-def discretize(sys: CtsSystem, cost: CtsCost, h, d=0.0) -> DiscretizedSystem:
-    """Discretize plant, output and cost exactly under sampling period h and
-    input delay d.
+def discretize(model: CtsModel, h, d=0.0) -> DiscretizedSystem:
+    """Discretize a mode's plant, output and cost exactly under sampling
+    period h and input delay d.
 
     With d > 0 the lifted state carries the q+1 input samples in flight; the
     per-interval cost is assembled by applying the held-input cost identity
@@ -304,12 +331,11 @@ def discretize(sys: CtsSystem, cost: CtsCost, h, d=0.0) -> DiscretizedSystem:
     if h <= 0:
         raise InvalidSampling(f"sampling period must be positive, got {h}")
     q, r = split_delay(d, h)
-    pmu = solve_pmu(sys, cost)
+    sys = model.sys
     n_x, n_u, n_w, n_y = sys.n_x, sys.n_u, sys.n_w, sys.n_y
-    Phi_h, Gamma_h = phi_gamma(sys.A1, h)
+    Phi_h, Gamma_h, psi = model.interval(h)
 
     if d == 0:
-        psi = psi_blocks(pmu, sys, h)
         return DiscretizedSystem(
             A2=Phi_h,
             B2u=Gamma_h @ sys.B1u,
@@ -324,8 +350,8 @@ def discretize(sys: CtsSystem, cost: CtsCost, h, d=0.0) -> DiscretizedSystem:
 
     n_mem = q + 1
     n_z = n_x + n_mem * n_u
-    Phi_r, Gamma_r = phi_gamma(sys.A1, r)
-    Phi_hr, Gamma_hr = phi_gamma(sys.A1, h - r)
+    Phi_r, Gamma_r, psi_r = model.interval(r)
+    Phi_hr, Gamma_hr, psi_hr = model.interval(h - r)
     Gamma1 = Phi_hr @ Gamma_r @ sys.B1u   # multiplies u_{k-q-1}
     Gamma0 = Gamma_hr @ sys.B1u           # multiplies u_{k-q}
 
@@ -354,8 +380,6 @@ def discretize(sys: CtsSystem, cost: CtsCost, h, d=0.0) -> DiscretizedSystem:
     D2w = sys.D1w.copy()
 
     # cost over one interval touches x_k, u_{k-q-1} and u_{k-q} only
-    psi_r = psi_blocks(pmu, sys, r)
-    psi_hr = psi_blocks(pmu, sys, h - r)
     phi1 = np.zeros((n_x + n_u, n_x + 2 * n_u))
     phi1[:n_x, :n_x] = Phi_r
     phi1[:n_x, n_x:n_x + n_u] = Gamma_r @ sys.B1u

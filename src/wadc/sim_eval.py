@@ -50,7 +50,7 @@ class Scenario:
     schedule: DelaySchedule
     initial_coords: str = "modal"          # "modal" or "physical"
     disturbance: np.ndarray = None         # (K, n_w) held samples, or None
-    integrator_step: float = 1e-3
+    integrator_step: float = 1e-3          # or refine_step's exact Fraction
     horizon: float = None                  # None: auto-extend on cost tail
 
     def __post_init__(self):
@@ -95,7 +95,7 @@ def refine_step(requested, h, offsets=(), fastest_rate=None):
     offsets puts every event on an even step index, so composite Simpson
     panels never straddle a command switch.  With ``fastest_rate`` (the
     largest closed-loop eigenvalue magnitude) the step is also kept inside
-    the explicit integrator's stability region.
+    the explicit integrator's stability region.  Returns an exact Fraction.
     """
     limit = float(requested)
     if fastest_rate is not None and fastest_rate > 0:
@@ -104,7 +104,7 @@ def refine_step(requested, h, offsets=(), fastest_rate=None):
     step = g / 2
     while float(step) > limit * (1 + 1e-12):
         step /= 2
-    return float(step)
+    return step
 
 
 def _exact_multiple(value, step):
@@ -151,13 +151,13 @@ def simulate_closed_loop(plant: LinearPlant, controller: DistributedController,
     sched = controller.schedule
     h = sched.h
     dt = float(scn.integrator_step)
-    n_h = _exact_multiple(h, dt)
+    n_h = _exact_multiple(h, scn.integrator_step)
     if n_h is None or n_h < 1:
         raise EventGridMismatch(
             f"integrator step {dt} does not divide the sampling period {h}")
     n_rho = []
     for d_rho in sched.d_rho:
-        k = _exact_multiple(float(d_rho), dt)
+        k = _exact_multiple(float(d_rho), scn.integrator_step)
         if k is None:
             raise EventGridMismatch(
                 f"integrator step {dt} misses the switching offset {d_rho}")
@@ -338,10 +338,10 @@ class SweepResult:
         return all(r.status == "ok" for r in self.rows)
 
 
-def sweep_delays(sys, cost, dec, mode, measure, delay_grid, h, z0=None,
+def sweep_delays(model, dec, mode, measure, delay_grid, h, z0=None,
                  gamma_tol=1e-3):
     """Evaluate the distributed design of one mode, whose continuous model
-    is (sys, cost), across link delays, with bounds.
+    is ``model``, across link delays, with bounds.
 
     The zero-delay design is made once: it gives the lower bound and the
     value of every row whose waiting time is zero.  Per-row failures are
@@ -355,9 +355,9 @@ def sweep_delays(sys, cost, dec, mode, measure, delay_grid, h, z0=None,
     if any(t < 0 for t in delay_grid) or sorted(delay_grid) != delay_grid:
         raise ValueError("delay grid must be nonnegative and ascending")
     if measure == "lqr" and z0 is None:
-        z0 = np.zeros(sys.n_x)
+        z0 = np.zeros(model.sys.n_x)
         z0[0] = 1.0
-    md0 = design_mode(sys, cost, h, 0.0, method=measure, gamma_tol=gamma_tol)
+    md0 = design_mode(model, h, 0.0, method=measure, gamma_tol=gamma_tol)
     upper, lower = compute_bounds(md0, measure, z0=z0)
     m = len(dec.machine_x_dims)
     links = ~np.eye(m, dtype=bool)
@@ -366,7 +366,7 @@ def sweep_delays(sys, cost, dec, mode, measure, delay_grid, h, z0=None,
         try:
             d_hat, _ = delay_map(dec, np.where(links, tau, 0.0))
             md = md0 if d_hat[i] == 0 else design_mode(
-                sys, cost, h, float(d_hat[i]), method=measure,
+                model, h, float(d_hat[i]), method=measure,
                 gamma_tol=gamma_tol)
             if measure == "lqr":
                 value = md.result.J_star(md.disc.lift_state(z0))

@@ -115,16 +115,17 @@ def _sda(A, G, H, max_iters=120):
 
 
 def _policy_iteration(A, B, Q, N, R, max_iters=200):
-    """Newton (policy) iteration from the zero gain; needs stable A."""
+    """Newton (policy) iteration from the zero gain; needs stable A.  Each
+    closed loop A + B F, A first, is checked once, by its ``stein_solve``."""
     n, m = A.shape[0], B.shape[1]
     F = np.zeros((m, n))
-    P = None
     for _ in range(max_iters):
         A_cl = A + B @ F
-        if spectral_radius(A_cl) >= 1.0:
-            raise NotStabilizable("policy iteration lost stability")
         Q_cl = Q + N @ F + F.T @ N.T + F.T @ R @ F
-        P = stein_solve(A_cl, Q_cl)
+        try:
+            P = stein_solve(A_cl, Q_cl)
+        except UnstableSystem:
+            raise NotStabilizable("policy iteration lost stability") from None
         if dare_residual(A, B, Q, N, R, P) <= _RESIDUAL_TOL:
             return P
         F = _gain_from(A, B, N, R, P)
@@ -138,7 +139,9 @@ def dare_solve(A, B, Q, N=None, R=None):
     Doubling on the cross-term-reduced form when R is positive definite;
     otherwise policy iteration from the zero gain, so a singular R needs a
     Schur-stable A (the lifted plant here is always pre-stabilized).
-    Convergence is declared on the equation residual.
+    Convergence is declared on the equation residual.  Each closed loop's
+    stability is checked once: policy iteration's by its ``stein_solve``,
+    the returned gain's here.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     B = np.atleast_2d(np.asarray(B, dtype=float))
@@ -172,15 +175,14 @@ def dare_solve(A, B, Q, N=None, R=None):
                 P = None
         except NotStabilizable:
             P = None
-    if P is None and spectral_radius(A) < 1.0:
+    if P is None:
         try:
             P = _policy_iteration(A, B, Q, N, R)
         except NotStabilizable:
-            P = None
-    if P is None:
-        raise NotStabilizable(
-            "neither the doubling iteration (SDA) nor policy iteration "
-            "converged; a singular input weight needs a Schur-stable A")
+            raise NotStabilizable(
+                "neither the doubling iteration (SDA) nor policy iteration "
+                "converged; a singular input weight needs a Schur-stable A"
+            ) from None
 
     P = 0.5 * (P + P.T)
     H = R + B.T @ P @ B
@@ -188,10 +190,8 @@ def dare_solve(A, B, Q, N=None, R=None):
     if piv.min() < -1e-9 * (1.0 + np.abs(piv).max()):
         raise IndefiniteCost("R + B'PB pivot is indefinite at the solution")
     F = _gain_from(A, B, N, R, P)
-    if m and spectral_radius(A + B @ F) >= 1.0:
+    if spectral_radius(A + B @ F) >= 1.0:
         raise NotStabilizable("closed loop is not Schur stable")
-    if not m and spectral_radius(A) >= 1.0:
-        raise NotStabilizable("no input and A is not Schur stable")
     return P
 
 

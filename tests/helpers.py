@@ -94,8 +94,9 @@ def per_step_closed_loop(plant, gains, dec, sched, designs, x0, dt, periods,
     periods), the arrays t, x, u, u_bar, y and the cost J accumulated up to
     kh; u_bar is the command held on the step that ends at kh, and y takes
     the disturbance sample of period k.  Independent of the library's
-    simulator.
+    simulator; an exact (Fraction) step is stepped as its float.
     """
+    dt = float(dt)
     A, K = gains.A_bar, gains.K
     n_h = round(sched.h / dt)
     n_rho = [round(float(d) / dt) for d in sched.d_rho]
@@ -300,12 +301,12 @@ def grid_hinf_norm(A, B, C, D, n_grid=4096, refine_iters=60):
     return float(max(vals[i], fc, fd))
 
 
-def attenuation_of_mode(sys, cost, h, d_hat_i, tol=1e-3):
+def attenuation_of_mode(model, h, d_hat_i, tol=1e-3):
     """Certified optimal attenuation of one mode's continuous model at one
     waiting time, with the closed-loop norm re-evaluated outside the
     design by the grid oracle.  A level of exactly 0 (cancellable output)
     is checked as a closed-loop norm at most 1e-12 of the open-loop one."""
-    md = design_mode(sys, cost, h, d_hat_i, method="hinf", gamma_tol=tol)
+    md = design_mode(model, h, d_hat_i, method="hinf", gamma_tol=tol)
     res, disc = md.result, md.disc
     cl_norm = grid_hinf_norm(disc.A2 + disc.B2u @ res.F, disc.B2w,
                              disc.C2 + disc.D2u @ res.F, disc.D2w)

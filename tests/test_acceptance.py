@@ -26,7 +26,7 @@ from wadc.dncs import (
 )
 from wadc.errors import GammaInfeasible, UnstableLocalLoop
 from wadc.grid_model import swap_symmetry_residuals
-from wadc.sampled import discretize
+from wadc.sampled import CtsModel, discretize
 from wadc.sim_eval import Scenario, simulate_closed_loop, sweep_delays
 from wadc.synthesis import gamma_min, hinf_design
 
@@ -56,7 +56,7 @@ def test_criterion_1_discretization_exactness():
         u_seq = rng.normal(size=(12, n_u))
         for ratio in ratios:
             d = ratio * h
-            disc = discretize(sys, cost, h, d)
+            disc = discretize(CtsModel(sys, cost), h, d)
             z = disc.lift_state(x0)
             total, traj = 0.0, [x0.copy()]
             for k in range(12):
@@ -119,11 +119,11 @@ def test_criterion_2_lqr_certificate(bench_plant, gains_k1, dec_k1):
 def test_criterion_3_hinf_certificate(bench_plant, gains_k2, dec_k2):
     """Every accepted attenuation level is certified by the grid norm
     oracle; the bisection bracket is self-consistent within 2*tol."""
-    sys2, cost2 = bench_mode_system(gains_k2, dec_k2, 0)
+    model2 = bench_mode_system(gains_k2, dec_k2, 0)
     tol = 1e-3
     certified, brackets = [], []
     for tau in (0.1, 0.3):
-        md = design_mode(sys2, cost2, 0.02, tau, method="hinf", gamma_tol=tol)
+        md = design_mode(model2, 0.02, tau, method="hinf", gamma_tol=tol)
         res = md.result
         norm = grid_hinf_norm(md.disc.A2 + md.disc.B2u @ res.F, md.disc.B2w,
                               md.disc.C2 + md.disc.D2u @ res.F, md.disc.D2w)
@@ -139,7 +139,7 @@ def test_criterion_3_hinf_certificate(bench_plant, gains_k2, dec_k2):
     for _ in range(5):
         sys = random_stable_system(rng, 3, 1, n_w=1, n_y=2)
         cost = random_psd_cost(rng, 3, 1)
-        disc = discretize(sys, cost, 0.1, 0.13)
+        disc = discretize(CtsModel(sys, cost), 0.1, 0.13)
         gstar, res = gamma_min(disc, tol=tol)
         norm = grid_hinf_norm(disc.A2 + disc.B2u @ res.F, disc.B2w,
                               disc.C2 + disc.D2u @ res.F, disc.D2w)
@@ -154,9 +154,9 @@ def test_criterion_3_hinf_certificate(bench_plant, gains_k2, dec_k2):
 def benchmark_sweeps(bench_plant, gains_k1, gains_k2, dec_k1, dec_k2):
     grid = [round(0.02 * i, 10) for i in range(26)]
     t0 = time.time()
-    lqr = sweep_delays(*bench_mode_system(gains_k1, dec_k1, 0), dec_k1, 0,
+    lqr = sweep_delays(bench_mode_system(gains_k1, dec_k1, 0), dec_k1, 0,
                        "lqr", grid, 0.02, z0=np.array([1.0, 0, 0]))
-    hinf = sweep_delays(*bench_mode_system(gains_k2, dec_k2, 0), dec_k2, 0,
+    hinf = sweep_delays(bench_mode_system(gains_k2, dec_k2, 0), dec_k2, 0,
                         "hinf", grid, 0.02, gamma_tol=1e-3)
     return lqr, hinf, time.time() - t0
 
@@ -210,7 +210,7 @@ def test_criterion_6_modal_decomposition(bench_plant, gains_k1, gains_k2,
         ok = ok and off <= 1e-8 * norm
         eig_all = np.sort_complex(np.linalg.eigvals(gains.A_bar))
         eig_modes = np.sort_complex(np.concatenate(
-            [np.linalg.eigvals(bench_mode_system(gains, dec, i)[0].A1)
+            [np.linalg.eigvals(bench_mode_system(gains, dec, i).sys.A1)
              for i in range(2)]))
         part = np.abs(eig_all - eig_modes).max() / np.abs(eig_all).max()
         ok = ok and part <= 1e-7

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import pathlib
 
@@ -186,6 +187,30 @@ class TestSweepCommand:
         assert not (tmp_path / "sweep.csv").exists()
         assert "delay_grid_s" in capsys.readouterr().err
 
+    def test_fine_lqr_sweep_golden_digest(self, tmp_path, monkeypatch):
+        # sha256 of the 52-row fine-grid sweep.csv as first recorded (numpy
+        # 2.4.6, scipy 1.17.1, one BLAS thread); a change to the numerical
+        # method of the LQR path must update it explicitly
+        monkeypatch.setenv("WADC_SAMPLING__DELAY_GRID_S", "0:0.002:0.05")
+        assert run(tmp_path, "sweep", "--measure", "lqr", "--mode",
+                   "all") == 0
+        digest = hashlib.sha256(
+            (tmp_path / "sweep.csv").read_bytes()).hexdigest()
+        assert digest == ("06d0f2af853b3fa0e6fa72cc8894f631"
+                          "b43434183f5aa039f2a08751b1d715f5")
+
+    def test_all_modes_match_single_mode_runs(self, tmp_path, monkeypatch):
+        # each mode's rows are the same whether or not the other mode was
+        # swept in the same process
+        monkeypatch.setenv("WADC_SAMPLING__DELAY_GRID_S", "0:0.002:0.05")
+        for mode in ("all", "oscillation", "common"):
+            assert run(tmp_path / mode, "sweep", "--measure", "lqr",
+                       "--mode", mode) == 0
+        lines = {mode: (tmp_path / mode / "sweep.csv").read_text()
+                 .splitlines() for mode in ("all", "oscillation", "common")}
+        assert lines["all"] == (lines["oscillation"]
+                                + lines["common"][1:])
+
     def test_hinf_zero_delay_beats_decentralized(self, tmp_path, monkeypatch):
         monkeypatch.setenv("WADC_SAMPLING__DELAY_GRID_S", "0")
         assert run(tmp_path, "sweep", "--measure", "hinf") == 0
@@ -237,6 +262,16 @@ class TestSimulateCommand:
         notes = " ".join(report["notes"])
         assert "refined from 0.002 to 0.0005" in notes
         assert_write_timed(report)
+
+    def test_small_step_divides_period(self, tmp_path, monkeypatch):
+        # 1e-6 s refines to 0.02 / 2**15; its denominator 1,638,400 must
+        # survive the check that the step divides the sampling period
+        monkeypatch.setenv("WADC_SCENARIO__INTEGRATOR_STEP_S", "1e-6")
+        monkeypatch.setenv("WADC_SCENARIO__HORIZON_S", "0.1")
+        assert run(tmp_path, "simulate", "--measure", "lqr",
+                   "--delay", "0.1") == 0
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["diagnostics"]["steps_per_period"] == 32768
 
     def test_zero_state_zero_cost(self, tmp_path, monkeypatch):
         monkeypatch.setenv("WADC_SCENARIO__INITIAL_STATE", "0, 0, 0")

@@ -147,14 +147,14 @@ class TestModalSubsystem:
     def test_spectrum_partition(self, bench_plant, gains_k1, dec_k1):
         eig_all = np.sort_complex(np.linalg.eigvals(gains_k1.A_bar))
         eig_modes = np.concatenate([
-            np.linalg.eigvals(bench_mode_system(gains_k1, dec_k1, i)[0].A1)
+            np.linalg.eigvals(bench_mode_system(gains_k1, dec_k1, i).sys.A1)
             for i in range(2)])
         eig_modes = np.sort_complex(eig_modes)
         scale = np.abs(eig_all).max()
         assert np.abs(eig_all - eig_modes).max() <= 1e-7 * scale
 
     def test_oscillation_mode_shape(self, bench_plant, gains_k1, dec_k1):
-        sys, _ = bench_mode_system(gains_k1, dec_k1, "oscillation")
+        sys = bench_mode_system(gains_k1, dec_k1, "oscillation").sys
         assert sys.A1.shape == (3, 3)
         assert sys.B1u.shape == (3, 1)
         assert sys.B1w.shape == (3, 2)
@@ -176,7 +176,7 @@ class TestModalSubsystem:
         gains = LocalGains.from_blocks(plant, [np.zeros((1, 3))] * 2)
         dec = accept_decomposition(plant, gains, np.eye(6), np.eye(2),
                                    np.eye(4))
-        sys, _ = bench_mode_system(gains, dec, 0)
+        sys = bench_mode_system(gains, dec, 0).sys
         np.testing.assert_array_equal(sys.A1, blocks[0])
 
 
@@ -193,7 +193,7 @@ class TestModalObjectives:
         dec = symmetric_modes(plant, gains)
         Q = np.diag(rng.uniform(0.5, 2.0, 6))
         R = np.diag(rng.uniform(0.5, 2.0, 2))
-        _, cost = mode_system(gains, dec, 0, Q, R, C_OUT, DU_OUT, DW_OUT)
+        cost = mode_system(gains, dec, 0, Q, R, C_OUT, DU_OUT, DW_OUT).cost
         # with K = 0 the folded cost has no cross term
         np.testing.assert_allclose(cost.N1, 0, atol=1e-14)
 
@@ -210,8 +210,9 @@ class TestModalObjectives:
         Q = np.diag([1.0, 2.0, 3.0])
         R = np.eye(1)
         C = np.eye(3)
-        sys, cost = mode_system(gains, dec, 0, Q, R, C, np.zeros((3, 1)),
-                                np.zeros((3, 2)))
+        model = mode_system(gains, dec, 0, Q, R, C, np.zeros((3, 1)),
+                            np.zeros((3, 2)))
+        sys, cost = model.sys, model.cost
         np.testing.assert_allclose(cost.Q1, Q, atol=1e-14)
         np.testing.assert_allclose(cost.R1, R, atol=1e-14)
         np.testing.assert_allclose(sys.C1, C, atol=1e-14)
@@ -241,7 +242,7 @@ class TestModalObjectives:
         Mblk[6:, 6:] = dec_k1.M_u
         U = Mblk.T @ big @ Mblk
         for i in range(2):
-            _, cost = bench_mode_system(gains_k1, dec_k1, i)
+            cost = bench_mode_system(gains_k1, dec_k1, i).cost
             xs = dec_k1.x_slice(i)
             us = dec_k1.u_slice(i)
             np.testing.assert_allclose(cost.Q1, U[xs, xs], atol=1e-12)
@@ -314,20 +315,20 @@ class TestDelayMap:
 
 class TestDesignMode:
     def test_zero_delay_gain_shape(self, bench_plant, gains_k1, dec_k1):
-        md = design_mode(*bench_mode_system(gains_k1, dec_k1, 0), 0.02, 0.0,
+        md = design_mode(bench_mode_system(gains_k1, dec_k1, 0), 0.02, 0.0,
                          method="lqr")
         assert md.F.shape == (1, 3)
         assert md.disc.n_z == 3
 
     def test_lifted_dimension(self, bench_plant, gains_k1, dec_k1):
-        md = design_mode(*bench_mode_system(gains_k1, dec_k1, 0), 0.02, 0.1,
+        md = design_mode(bench_mode_system(gains_k1, dec_k1, 0), 0.02, 0.1,
                          method="lqr")
         assert md.disc.q == 4
         assert md.disc.n_z == 3 + 5 * 1
 
     def test_certificate_against_simulation(self, bench_plant, gains_k1,
                                             dec_k1):
-        md = design_mode(*bench_mode_system(gains_k1, dec_k1, 0), 0.02, 0.06,
+        md = design_mode(bench_mode_system(gains_k1, dec_k1, 0), 0.02, 0.06,
                          method="lqr")
         z0 = md.disc.lift_state([1.0, 0.0, 0.0])
         J_sim = closed_loop_cost(md.disc, md.F, z0)
@@ -340,7 +341,7 @@ class TestAssembleController:
         sched = DelaySchedule.from_links(dec, d, 0.02)
         designs = []
         for i in range(2):
-            designs.append(design_mode(*bench_mode_system(gains, dec, i),
+            designs.append(design_mode(bench_mode_system(gains, dec, i),
                                        0.02, float(sched.d_hat[i]),
                                        method=method))
         return sched, designs
@@ -407,9 +408,9 @@ class TestAssembleController:
         gains = LocalGains.from_blocks(plant, [np.zeros((1, 3))])
         dec = accept_decomposition(plant, gains, np.eye(3), np.eye(1),
                                    np.eye(2), min_modes=1)
-        sys, cost = mode_system(gains, dec, 0, np.eye(3), np.eye(1),
-                                np.eye(3), np.zeros((3, 1)), np.zeros((3, 2)))
-        md = design_mode(sys, cost, 0.02, 0.0, method="lqr")
+        model = mode_system(gains, dec, 0, np.eye(3), np.eye(1), np.eye(3),
+                            np.zeros((3, 1)), np.zeros((3, 2)))
+        md = design_mode(model, 0.02, 0.0, method="lqr")
         sched = DelaySchedule.from_links(dec, np.zeros((1, 1)), 0.02)
         ctrl = DistributedController(gains, dec, sched, [md])
         x = rng.normal(size=3)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -15,6 +16,7 @@ from helpers import (
 
 from wadc.sampled import (
     CtsCost,
+    CtsModel,
     CtsSystem,
     discretize,
     phi_gamma,
@@ -22,6 +24,10 @@ from wadc.sampled import (
     solve_pmu,
     split_delay,
 )
+
+
+def psi_of(pmu, sys, b):
+    return psi_blocks(pmu, sys, b, *phi_gamma(sys.A1, b))
 
 
 class TestPhiGamma:
@@ -110,7 +116,7 @@ class TestPsiBlocks:
         rng = np.random.default_rng(3)
         sys = random_stable_system(rng, 2, 1)
         cost = random_psd_cost(rng, 2, 1)
-        psi = psi_blocks(solve_pmu(sys, cost), sys, 0.0)
+        psi = psi_of(solve_pmu(sys, cost), sys, 0.0)
         np.testing.assert_allclose(psi, 0, atol=1e-14)
 
     def test_matches_quadrature(self):
@@ -118,7 +124,7 @@ class TestPsiBlocks:
         sys = random_stable_system(rng, 2, 1)
         cost = random_psd_cost(rng, 2, 1)
         b = 0.1
-        psi = psi_blocks(solve_pmu(sys, cost), sys, b)
+        psi = psi_of(solve_pmu(sys, cost), sys, b)
         x0 = rng.normal(size=2)
         u = rng.normal(size=1)
         v = np.concatenate([x0, u])
@@ -151,8 +157,8 @@ class TestPsiBlocks:
         Phi1, Gamma1 = phi_gamma(sys.A1, b1)
         x1 = Phi1 @ x0 + Gamma1 @ sys.B1u @ u
         v1 = np.concatenate([x1, u])
-        whole = v0 @ psi_blocks(pmu, sys, b1 + b2) @ v0
-        split = v0 @ psi_blocks(pmu, sys, b1) @ v0 + v1 @ psi_blocks(pmu, sys, b2) @ v1
+        whole = v0 @ psi_of(pmu, sys, b1 + b2) @ v0
+        split = v0 @ psi_of(pmu, sys, b1) @ v0 + v1 @ psi_of(pmu, sys, b2) @ v1
         assert abs(whole - split) <= 1e-10 * max(1.0, abs(whole))
 
     @given(st.integers(0, 2 ** 32 - 1))
@@ -161,7 +167,7 @@ class TestPsiBlocks:
         rng = np.random.default_rng(seed)
         sys = random_stable_system(rng, 3, 1)
         cost = random_psd_cost(rng, 3, 1)
-        psi = psi_blocks(solve_pmu(sys, cost), sys, float(rng.uniform(0.01, 0.5)))
+        psi = psi_of(solve_pmu(sys, cost), sys, float(rng.uniform(0.01, 0.5)))
         w = np.linalg.eigvalsh(psi)
         assert w.min() >= -1e-10 * max(1.0, np.abs(psi).max())
 
@@ -197,7 +203,7 @@ class TestDiscretize:
         sys = random_stable_system(rng, 3, 2)
         cost = random_psd_cost(rng, 3, 2)
         h = 0.1
-        disc = discretize(sys, cost, h, 0.0)
+        disc = discretize(CtsModel(sys, cost), h, 0.0)
         Phi, Gamma = phi_gamma(sys.A1, h)
         np.testing.assert_allclose(disc.A2, Phi)
         np.testing.assert_allclose(disc.B2u, Gamma @ sys.B1u)
@@ -212,7 +218,7 @@ class TestDiscretize:
         sys = random_stable_system(rng, 3, 1)
         cost = random_psd_cost(rng, 3, 1)
         h = 0.1
-        disc = discretize(sys, cost, h, h)
+        disc = discretize(CtsModel(sys, cost), h, h)
         assert disc.q == 0 and abs(disc.r - h) < 1e-12
         # input acts with exactly one step of lag
         Phi, Gamma = phi_gamma(sys.A1, h)
@@ -223,7 +229,7 @@ class TestDiscretize:
         rng = np.random.default_rng(8)
         sys = random_stable_system(rng, 3, 1)
         cost = random_psd_cost(rng, 3, 1)
-        disc = discretize(sys, cost, 0.02, 0.1)
+        disc = discretize(CtsModel(sys, cost), 0.02, 0.1)
         assert disc.q == 4
         assert disc.n_z == 3 + 5 * 1
 
@@ -232,7 +238,8 @@ class TestDiscretize:
         rng = np.random.default_rng(9)
         sys = random_stable_system(rng, 2, 1)
         cost = random_psd_cost(rng, 2, 1)
-        disc = discretize(sys, cost, 0.1, 0.35)  # q = 3, slots u_{k-4..k-1}
+        # q = 3, slots u_{k-4..k-1}
+        disc = discretize(CtsModel(sys, cost), 0.1, 0.35)
         n_x, n_u, q = disc.n_x, disc.n_u, disc.q
         for slot in range(1, q + 1):
             z = np.zeros(disc.n_z)
@@ -248,7 +255,7 @@ class TestDiscretize:
         sys = random_stable_system(rng, 3, 1)
         cost = random_psd_cost(rng, 3, 1)
         h, d, n_steps = 0.1, 0.25, 50
-        disc = discretize(sys, cost, h, d)
+        disc = discretize(CtsModel(sys, cost), h, d)
         assert (disc.q, round(disc.r, 12)) == (2, 0.05)
         x0 = rng.normal(size=3)
         u_seq = rng.normal(size=(n_steps, 1))
@@ -273,7 +280,7 @@ class TestDiscretize:
             sys = random_stable_system(rng, 3, 2)
             cost = random_psd_cost(rng, 3, 2, cross=False)
             h = 0.1
-            disc = discretize(sys, cost, h, d_over_h * h)
+            disc = discretize(CtsModel(sys, cost), h, d_over_h * h)
             stack = np.block([[disc.Q2, disc.N2], [disc.N2.T, disc.R2]])
             w = np.linalg.eigvalsh(stack)
             assert w.min() >= -1e-10 * max(1.0, np.abs(stack).max())
@@ -285,8 +292,8 @@ class TestDiscretize:
         sys = random_stable_system(rng, 3, 1)
         cost = random_psd_cost(rng, 3, 1)
         h = 0.1
-        d0 = discretize(sys, cost, h, 0.0)
-        dd = discretize(sys, cost, h, 1e-9 * h)
+        d0 = discretize(CtsModel(sys, cost), h, 0.0)
+        dd = discretize(CtsModel(sys, cost), h, 1e-9 * h)
         assert dd.q == 0
         np.testing.assert_allclose(dd.A2[:3, :3], d0.A2, rtol=1e-6, atol=1e-9)
         np.testing.assert_allclose(dd.A2[:3, 3:], 0, atol=1e-6)  # Gamma1 -> 0
@@ -303,7 +310,36 @@ class TestDiscretize:
         sys = random_stable_system(rng, 2, 1)
         cost = random_psd_cost(rng, 2, 1)
         with pytest.raises(InvalidSampling):
-            discretize(sys, cost, 0.0, 0.0)
+            discretize(CtsModel(sys, cost), 0.0, 0.0)
+
+
+class TestCtsModel:
+    def test_cached_blocks_match_fresh(self):
+        # one model discretized at delays sharing the remainder 0.002 s, at
+        # r = h and at d = 0 gives the bits of a fresh model per delay
+        rng = np.random.default_rng(18)
+        sys = random_stable_system(rng, 3, 1, n_w=2)
+        cost = random_psd_cost(rng, 3, 1)
+        model, h = CtsModel(sys, cost), 0.02
+        for d in (0.002, 0.022, 0.042, 0.0, 0.02, 0.04, 0.022):
+            cached = discretize(model, h, d)
+            fresh = discretize(CtsModel(sys, cost), h, d)
+            for f in dataclasses.fields(cached):
+                a, b = getattr(cached, f.name), getattr(fresh, f.name)
+                if isinstance(a, np.ndarray):
+                    assert np.array_equal(a, b), (d, f.name)
+                else:
+                    assert a == b, (d, f.name)
+
+    def test_interval_computed_once_and_frozen(self):
+        rng = np.random.default_rng(19)
+        model = CtsModel(random_stable_system(rng, 2, 1),
+                         random_psd_cost(rng, 2, 1))
+        blocks = model.interval(0.002)
+        assert model.interval(0.002) is blocks
+        for a in (*blocks, model.pmu.P, model.pmu.M, model.pmu.U):
+            assert not a.flags.writeable
+        assert discretize(model, 0.02).A2 is discretize(model, 0.02).A2
 
 
 class TestQuadratureOracle:
@@ -320,7 +356,7 @@ class TestQuadratureOracle:
                         C1=[[1.0]], D1u=[[0.0]], D1w=[[0.0]])
         cost = CtsCost(Q1=[[1.0]], N1=[[0.2]], R1=[[0.5]])
         h = 0.2
-        psi = psi_blocks(solve_pmu(sys, cost), sys, h)
+        psi = psi_of(solve_pmu(sys, cost), sys, h)
         x0, u0 = np.array([0.8]), np.array([-0.3])
         v = np.concatenate([x0, u0])
         val = quadrature_cost_oracle(sys, cost, h, 0.0, [u0], x0, 1)
@@ -355,7 +391,7 @@ class TestExactnessSweep:
             u_seq = rng.normal(size=(15, n_u))
             for ratio in ratios:
                 d = ratio * h
-                disc = discretize(sys, cost, h, d)
+                disc = discretize(CtsModel(sys, cost), h, d)
                 z = disc.lift_state(x0)
                 total, traj = 0.0, [x0.copy()]
                 for k in range(15):
@@ -377,7 +413,7 @@ class TestExactnessSweep:
         sys = random_stable_system(rng, 3, 1, n_w=2)
         cost = random_psd_cost(rng, 3, 1)
         h, d = 0.1, 0.17
-        disc = discretize(sys, cost, h, d)
+        disc = discretize(CtsModel(sys, cost), h, d)
         w_seq = rng.normal(size=(12, 2))
         x0 = rng.normal(size=3)
         z = disc.lift_state(x0)

@@ -1,4 +1,5 @@
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from wadc.dncs import (
 )
 from wadc.errors import EventGridMismatch
 from wadc.grid_model import LinearPlant
+from wadc.sampled import CtsModel
 from wadc.sim_eval import (
     Scenario,
     compute_bounds,
@@ -32,8 +34,8 @@ def build_controller(plant, gains, dec, tau, h=0.02, method="lqr",
     sched = DelaySchedule.from_links(dec, d, h)
     designs = []
     for i in range(2):
-        sys, cost = bench_mode_system(gains, dec, i)
-        md = design_mode(sys, cost, h, float(sched.d_hat[i]), method=method)
+        md = design_mode(bench_mode_system(gains, dec, i), h,
+                         float(sched.d_hat[i]), method=method)
         if zero_gains:
             md = replace(md, F=np.zeros_like(md.F))
         designs.append(md)
@@ -43,13 +45,13 @@ def build_controller(plant, gains, dec, tau, h=0.02, method="lqr",
 class TestRefineStep:
     def test_halved_gcd(self):
         # 13 ms offset against a 20 ms period: events align on a 0.5 ms grid
-        assert refine_step(0.002, 0.02, [0.013]) == 0.0005
+        assert refine_step(0.002, 0.02, [0.013]) == Fraction(1, 2000)
 
     def test_simple_divisor(self):
-        assert refine_step(0.001, 0.02, [0.1]) == 0.000625
+        assert refine_step(0.001, 0.02, [0.1]) == Fraction(1, 1600)
 
     def test_no_offsets(self):
-        assert refine_step(0.01, 0.02, []) == 0.01
+        assert refine_step(0.01, 0.02, []) == Fraction(1, 100)
 
 
 class TestSimulate:
@@ -80,8 +82,9 @@ class TestSimulate:
         scn = Scenario(initial_state=x_hat0, schedule=ctrl.schedule,
                        integrator_step=0.005, horizon=T_end)
         out = simulate_closed_loop(bench_plant, ctrl, scn, Q_COST, R_COST)
-        sys, cost = bench_mode_system(gains_k1, dec_k1, 0)
-        P = scipy.linalg.solve_continuous_lyapunov(sys.A1.T, -cost.Q1)
+        model = bench_mode_system(gains_k1, dec_k1, 0)
+        P = scipy.linalg.solve_continuous_lyapunov(model.sys.A1.T,
+                                                   -model.cost.Q1)
         x_hat_T = (dec_k1.M_x_inv @ out.x[-1])[:3]
         expected = x_hat0[:3] @ P @ x_hat0[:3] - x_hat_T @ P @ x_hat_T
         assert abs(out.J - expected) <= 1e-5 * abs(expected)
@@ -234,9 +237,9 @@ class TestSimulate:
         sched = DelaySchedule.from_links(dec, np.zeros((2, 2)), h)
         designs = []
         for i in range(2):
-            md = design_mode(*mode_system(gains, dec, i, np.eye(6), np.eye(2),
-                                          np.eye(6), np.zeros((6, 2)),
-                                          np.zeros((6, 4))), h, 0.0)
+            md = design_mode(mode_system(gains, dec, i, np.eye(6), np.eye(2),
+                                         np.eye(6), np.zeros((6, 2)),
+                                         np.zeros((6, 4))), h, 0.0)
             F = np.zeros((1, 3))
             F[0, 0] = ((np.exp(-0.1 * h) - md.disc.A2[0, 0])
                        / md.disc.B2u[0, 0])
@@ -263,41 +266,43 @@ class TestSimulate:
 
 class TestAttenuation:
     def test_gamma_increases_with_delay(self, gains_k2, dec_k2):
-        sys, cost = bench_mode_system(gains_k2, dec_k2, 0)
-        g0, _ = attenuation_of_mode(sys, cost, 0.02, 0.0)
-        g2, _ = attenuation_of_mode(sys, cost, 0.02, 0.2)
+        model = bench_mode_system(gains_k2, dec_k2, 0)
+        g0, _ = attenuation_of_mode(model, 0.02, 0.0)
+        g2, _ = attenuation_of_mode(model, 0.02, 0.2)
         assert g0 <= g2
 
     def test_input_weight_keeps_gamma(self, gains_k2, dec_k2):
         # the output is summed, y = C x + D_u u, so a heavier input weight
         # need not raise the level: on this mode it stays inside the
         # bisection bracket
-        sys, cost = bench_mode_system(gains_k2, dec_k2, 0)
+        model = bench_mode_system(gains_k2, dec_k2, 0)
         tol = 1e-3
-        g1, _ = attenuation_of_mode(sys, cost, 0.02, 0.06, tol=tol)
+        g1, _ = attenuation_of_mode(model, 0.02, 0.06, tol=tol)
         for factor in (2.0, 100.0):
-            heavy = replace(sys, D1u=factor * sys.D1u)
-            g2, _ = attenuation_of_mode(heavy, cost, 0.02, 0.06, tol=tol)
+            heavy = CtsModel(replace(model.sys, D1u=factor * model.sys.D1u),
+                             model.cost)
+            g2, _ = attenuation_of_mode(heavy, 0.02, 0.06, tol=tol)
             assert abs(g2 - g1) <= 2 * tol * g1
 
 
 class TestBounds:
     def test_lqr_bounds_sandwich_zero_delay(self, gains_k1, dec_k1):
-        sys, cost = bench_mode_system(gains_k1, dec_k1, 0)
+        model = bench_mode_system(gains_k1, dec_k1, 0)
         z0 = np.array([1.0, 0, 0])
-        md = design_mode(sys, cost, 0.02, 0.0, method="lqr")
+        md = design_mode(model, 0.02, 0.0, method="lqr")
         upper, lower = compute_bounds(md, "lqr", z0=z0)
         assert lower <= upper
         value = md.result.J_star(md.disc.lift_state(z0))
         assert lower - 1e-9 * abs(lower) <= value <= upper * (1 + 1e-9)
 
     def test_hinf_upper_is_open_loop_norm(self, gains_k2, dec_k2):
-        sys, cost = bench_mode_system(gains_k2, dec_k2, 0)
-        md = design_mode(sys, cost, 0.02, 0.0, method="hinf")
+        model = bench_mode_system(gains_k2, dec_k2, 0)
+        md = design_mode(model, 0.02, 0.0, method="hinf")
         upper, lower = compute_bounds(md, "hinf")
         # the reference norm comes from a second, separately made
         # discretization of the same mode
-        ref_disc = design_mode(sys, cost, 0.02, 0.0, method="lqr").disc
+        ref_disc = design_mode(CtsModel(model.sys, model.cost), 0.02, 0.0,
+                               method="lqr").disc
         ref = grid_hinf_norm(ref_disc.A2, ref_disc.B2w, ref_disc.C2,
                              ref_disc.D2w)
         assert abs(upper - ref) <= 1e-9 * ref
@@ -312,19 +317,18 @@ class TestBounds:
         dec = symmetric_modes(plant, gains)
         Q = np.eye(6)
         R_huge = 1e8 * np.eye(2)
-        sys, cost = mode_system(gains, dec, 0, Q, R_huge, C_OUT, DU_OUT,
-                                DW_OUT)
+        model = mode_system(gains, dec, 0, Q, R_huge, C_OUT, DU_OUT, DW_OUT)
         z0 = np.array([1.0, 0.5, -0.2])
         upper, lower = compute_bounds(
-            design_mode(sys, cost, 0.02, 0.0, method="lqr"), "lqr", z0=z0)
+            design_mode(model, 0.02, 0.0, method="lqr"), "lqr", z0=z0)
         assert abs(upper - lower) <= 1e-4 * upper
 
 
 class TestSweep:
     def test_lqr_sweep_rows(self, gains_k1, dec_k1):
-        sys, cost = bench_mode_system(gains_k1, dec_k1, 0)
+        model = bench_mode_system(gains_k1, dec_k1, 0)
         grid = [0.0, 0.1, 0.3, 0.5]
-        res = sweep_delays(sys, cost, dec_k1, 0, "lqr", grid, 0.02)
+        res = sweep_delays(model, dec_k1, 0, "lqr", grid, 0.02)
         assert res.all_ok()
         # the zero-delay design is the lower bound itself
         assert res.rows[0].value == res.rows[0].lower
@@ -335,33 +339,31 @@ class TestSweep:
         assert not res.warnings
 
     def test_common_mode_sweep(self, gains_k1, dec_k1):
-        sys, cost = bench_mode_system(gains_k1, dec_k1, 1)
-        res = sweep_delays(sys, cost, dec_k1, "common", "lqr", [0.0, 0.2],
-                           0.02)
+        model = bench_mode_system(gains_k1, dec_k1, 1)
+        res = sweep_delays(model, dec_k1, "common", "lqr", [0.0, 0.2], 0.02)
         assert res.all_ok()
 
     def test_hinf_sweep_rows(self, gains_k2, dec_k2):
-        sys, cost = bench_mode_system(gains_k2, dec_k2, 0)
-        res = sweep_delays(sys, cost, dec_k2, 0, "hinf", [0.0, 0.2, 0.4],
-                           0.02)
+        model = bench_mode_system(gains_k2, dec_k2, 0)
+        res = sweep_delays(model, dec_k2, 0, "hinf", [0.0, 0.2, 0.4], 0.02)
         assert res.all_ok()
         assert res.rows[0].value == res.rows[0].lower
 
     def test_hinf_zero_wait_row_is_exact_zero(self, gains_k2, dec_k2):
         # at zero wait F0 = -D2u^+ C2 cancels the summed output with a
         # Schur-stable loop: the row and the lower bound are exactly 0
-        sys, cost = bench_mode_system(gains_k2, dec_k2, 0)
-        res = sweep_delays(sys, cost, dec_k2, 0, "hinf", [0.0, 0.02], 0.02)
+        model = bench_mode_system(gains_k2, dec_k2, 0)
+        res = sweep_delays(model, dec_k2, 0, "hinf", [0.0, 0.02], 0.02)
         assert res.all_ok()
         assert res.rows[0].value == 0.0 and res.rows[0].lower == 0.0
         assert res.rows[1].value > 0.0
-        md = design_mode(sys, cost, 0.02, 0.0, method="hinf")
+        md = design_mode(model, 0.02, 0.0, method="hinf")
         F0 = -np.linalg.pinv(md.disc.D2u) @ md.disc.C2
         np.testing.assert_array_equal(md.F, F0)
         np.testing.assert_allclose(md.F, [[-100.0, 0.0, 0.0]], rtol=1e-14)
         assert md.result.norm <= 1e-12 * res.rows[0].upper
 
     def test_bad_grid_rejected(self, gains_k1, dec_k1):
-        sys, cost = bench_mode_system(gains_k1, dec_k1, 0)
+        model = bench_mode_system(gains_k1, dec_k1, 0)
         with pytest.raises(ValueError):
-            sweep_delays(sys, cost, dec_k1, 0, "lqr", [0.2, 0.1], 0.02)
+            sweep_delays(model, dec_k1, 0, "lqr", [0.2, 0.1], 0.02)

@@ -9,7 +9,13 @@ from wadc.errors import (
     NotStabilizable,
     UnstableSystem,
 )
-from wadc.sampled import CtsCost, CtsSystem, DiscretizedSystem, discretize
+from wadc.sampled import (
+    CtsCost,
+    CtsModel,
+    CtsSystem,
+    DiscretizedSystem,
+    discretize,
+)
 from wadc.synthesis import (
     dare_residual,
     dare_solve,
@@ -49,7 +55,7 @@ def random_disc(rng, n_x=3, n_u=1, n_w=1, d_over_h=0.0):
     sys = random_stable_system(rng, n_x, n_u, n_w=n_w, n_y=2)
     cost = random_psd_cost(rng, n_x, n_u)
     h = 0.1
-    return discretize(sys, cost, h, d_over_h * h)
+    return discretize(CtsModel(sys, cost), h, d_over_h * h)
 
 
 class TestDare:
@@ -100,6 +106,30 @@ class TestDare:
         with pytest.raises(NotStabilizable, match="policy iteration"):
             dare_solve(np.diag([1.5, 0.5]), [[1.0], [0.0]], np.eye(2),
                        None, [[0.0]])
+
+    def test_singular_r_checks_each_loop_once(self, monkeypatch):
+        # policy iteration's only stability check is its stein_solve's, one
+        # per iterate (the first iterate is A itself); dare_solve adds one
+        # for the returned gain's loop
+        import wadc.synthesis as synthesis
+        disc = random_disc(np.random.default_rng(7), d_over_h=2.3)
+        assert not disc.R2.any()
+        calls = {"eigvals": 0, "stein": 0}
+        eigvals, stein = np.linalg.eigvals, synthesis.stein_solve
+
+        def counted_eigvals(*args, **kwargs):
+            calls["eigvals"] += 1
+            return eigvals(*args, **kwargs)
+
+        def counted_stein(*args, **kwargs):
+            calls["stein"] += 1
+            return stein(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvals", counted_eigvals)
+        monkeypatch.setattr(synthesis, "stein_solve", counted_stein)
+        dare_solve(disc.A2, disc.B2u, disc.Q2, disc.N2, disc.R2)
+        assert calls["stein"] >= 2
+        assert calls["eigvals"] == calls["stein"] + 1
 
 
 class TestLqr:
@@ -190,8 +220,8 @@ class TestHinfNorm:
         # the lifted A is defective: the in-flight input samples form a
         # nilpotent shift; open loops and certified closed loops alike
         for i in range(2):
-            sys, cost = bench_mode_system(gains_k2, dec_k2, i)
-            disc = discretize(sys, cost, 0.02, d)
+            disc = discretize(bench_mode_system(gains_k2, dec_k2, i), 0.02,
+                              d)
             _, res = gamma_min(disc, tol=1e-3)
             for F in (np.zeros_like(res.F), res.F):
                 args = (disc.A2 + disc.B2u @ F, disc.B2w,
