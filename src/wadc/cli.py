@@ -8,10 +8,18 @@ Subcommands
 
 All numeric file output uses 17 significant digits, so reruns of the same
 configuration are byte-identical (timings live only in the JSON report).
+
+Matrices and traces go through one row writer, ``write_table``, which
+streams blocks of rows to the file and an incremental sha256.  A block is
+formatted in numpy into exactly the bytes of ``"%.17g" % v``, from a long
+double candidate for the 17 digits wherever the error bound in
+``_candidates`` proves it correctly rounded, and with ``FMT % v`` itself
+for the rest (about 4 % of a trace's values, and 0, inf and nan).
 """
 
 import argparse
 import hashlib
+import itertools
 import json
 import sys
 import time
@@ -47,17 +55,119 @@ from .sim_eval import (
 
 FMT = "%.17g"
 
+_EPS = float(np.finfo(np.longdouble).eps)
+# twice the error bound of _candidates; at 1/2 every value goes to FMT
+_MARGIN = min(2 * (_EPS + _EPS ** 2 / 4) * 1e17, 0.5)
+_E_MIN, _E_END = -325, 310   # exponents of doubles, and one more each side
+_POW10 = np.array([np.longdouble(f"1e{16 - e}")
+                   for e in range(_E_MIN, _E_END)])
+# ASCII of 0000..9999 as little-endian words, and their trailing zeros
+_DIGITS4 = (48 + np.arange(10000)[:, None] // [1000, 100, 10, 1] % 10
+            ).astype(np.uint8).view("<u4").ravel().astype(np.uint64)
+_TZ4 = sum(np.arange(10000) % 10 ** k == 0 for k in range(1, 5))
+# _LOW[:, k]: masks of the first k bytes of a 3-word (24-byte) string
+_LOW = np.array([[(1 << 8 * min(max(k - 8 * w, 0), 8)) - 1 for k in range(25)]
+                 for w in range(3)], np.uint64)
+# slot word 0, sign and "0.000" prefix, by 5 * (x < 0) + (-E if E < 0 else 0)
+_PREFIX = np.array([int.from_bytes((sg + ("0." + "0" * (z - 1) if z else ""))
+                                   .encode().ljust(8, b"\0"), "little")
+                    for sg in ("", "-") for z in range(5)], np.uint64)
+# slot word 3, bytes 2..6: "e+dd" or "e-ddd" where %g uses exponent form
+_EXP = np.array([0 if -4 <= e < 17 else int.from_bytes(
+    (b"\0\0" + b"e%+03d" % e).ljust(8, b"\0"), "little")
+    for e in range(_E_MIN, _E_END)], np.uint64)
+_BLOCK = 1 << 12   # values formatted per block: 1.5 MB of temporaries
+
+
+def _candidates(x):
+    """(N, E, exact) for the float64 array x: FMT prints each value with
+    exact False from the 17 digits of the integer N and decimal exponent E.
+
+    With E = floor(log10 |x|), m = |x| 10^(16-E) is in [1e16, 1e17).  In
+    long double, from the correctly rounded power of ten in _POW10, it
+    carries two roundings of relative size eps/2 at most (eps: long
+    double's machine epsilon), so |m - |x| 10^(16-E)| <= (eps + eps^2/4)
+    * 1e17, which is 0.0108 in x87 extended precision.  N = round(m) is
+    then correctly rounded whenever the fraction of m is further than
+    _MARGIN from 1/2.  Values nearer a tie, with N outside (1e16, 1e17)
+    (where log10 rounded across an integer, or the exponent may differ),
+    or that are 0, -0, inf or nan are exact: FMT itself formats them.
+    """
+    a = np.abs(x)
+    exact = ~np.isfinite(a) | (a == 0)
+    a[exact] = 1.0
+    E = np.floor(np.log10(a)).astype(np.int64)
+    m = a * _POW10[E - _E_MIN]
+    N = m.astype(np.int64)
+    frac = (m - N).astype(float)   # m - N is exact
+    N += frac > 0.5
+    exact |= (np.abs(frac - 0.5) <= _MARGIN) | (N <= 10 ** 16) \
+        | (N >= 10 ** 17)
+    return N, E, exact
+
+
+def _format_block(X, sep):
+    """The bytes of the 2-D float block X as FMT values joined by sep, with
+    a newline after each row.  Each value fills a 32-byte slot: a word of
+    sign and "0.000" prefix, the 17 digits with the point inserted and the
+    trailing zeros cleared, exponent and separator; deleting the NUL bytes
+    left over gives the text."""
+    x = X.ravel()
+    N, E, exact = _candidates(x)
+    d1, rest = np.divmod(N, 10 ** 16)
+    g = [*np.divmod(rest // 10 ** 8, 10 ** 4), *np.divmod(rest % 10 ** 8,
+                                                          10 ** 4)]
+    tz = _TZ4[g[3]] + (g[3] == 0) * (_TZ4[g[2]] + (g[2] == 0) * (
+        _TZ4[g[1]] + (g[1] == 0) * _TZ4[g[0]]))
+    s = 17 - tz                                  # significant digits
+    lead = np.where((E >= -4) & (E < 17), E + 1, 1)   # digits before "."
+    p = np.where((lead > 0) & (s > lead), lead, 17)  # "." position, or none
+    keep = np.maximum(s, lead) + (p < 17)        # bytes of digits and "."
+    hi = _DIGITS4[g[0]] | _DIGITS4[g[1]] << 32
+    lo = _DIGITS4[g[2]] | _DIGITS4[g[3]] << 32
+    V = np.stack([(d1 + 48).astype(np.uint64) | hi << 8,
+                  hi >> 56 | lo << 8, lo >> 56])
+    W = V << 8                                   # the digits one byte on
+    W[1:] |= V[:-1] >> 56
+    # V below position p, "." at p, W above it: merges under byte masks
+    dot = W ^ ((0x2E2E2E2E2E2E2E2E ^ W) & _LOW.take(p + 1, axis=1))
+    below = _LOW.take(p, axis=1)
+    words = np.empty((4, x.size), np.uint64)
+    words[0] = _PREFIX[5 * np.signbit(x) + np.maximum(1 - lead, 0)]
+    words[1:] = (dot ^ ((V ^ dot) & below)) & _LOW.take(keep, axis=1)
+    words[3] |= _EXP[E - _E_MIN]
+    ends = np.array([ord(sep)] * (X.shape[1] - 1) + [10], np.uint64) << 56
+    words[3].reshape(X.shape)[:] |= ends
+    slots = words.T.astype("<u8", order="C")
+    raw, idx = slots.view(np.uint8), np.flatnonzero(exact)
+    # FMT, space-padded to 31 bytes; FMT prints no spaces: they become NUL
+    padded = FMT.replace("%", "%-31") * idx.size % tuple(x[idx].tolist())
+    pad = np.frombuffer(padded.encode(), np.uint8).reshape(-1, 31)
+    raw[idx, :31] = np.where(pad == 32, 0, pad)
+    return slots.tobytes().translate(None, b"\0")
+
+
+def write_table(path, header, X, sep):
+    """Write the line ``header``, then one line per row of the 2-D float
+    array X with its values as FMT joined by ``sep``.  Rows go to the file
+    in blocks; returns the file's sha256 hex digest and its size."""
+    X = np.asarray(X, dtype=float)
+    rows = max(1, _BLOCK // max(1, X.shape[1]))
+    blocks = (_format_block(X[i:i + rows], sep)
+              for i in range(0, len(X), rows))
+    digest = hashlib.sha256()
+    with open(path, "wb") as fh:
+        for chunk in itertools.chain([f"{header}\n".encode()], blocks):
+            fh.write(chunk)
+            digest.update(chunk)
+        return digest.hexdigest(), fh.tell()
+
 
 def write_matrix(path, M):
-    """Plain text: 'rows cols' then row-major values, 17 significant digits."""
+    """Plain text: 'rows cols' then row-major values, 17 significant
+    digits; returns the file's sha256 hex digest."""
     M = np.atleast_2d(np.asarray(M, dtype=float))
-    lines = [f"{M.shape[0]} {M.shape[1]}"]
-    for row in M:
-        lines.append(" ".join(FMT % v for v in row))
-    data = "\n".join(lines) + "\n"
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(data)
-    return data
+    return write_table(path, f"{M.shape[0]} {M.shape[1]}", M, " ")[0]
 
 
 def read_matrix(path):
@@ -69,10 +179,6 @@ def read_matrix(path):
     if out.shape != (rows, cols):
         raise ValueError(f"{path}: malformed matrix file")
     return out
-
-
-def _digest(text):
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 class RunReport:
@@ -108,8 +214,9 @@ class RunReport:
     def note(self, msg):
         self.data["notes"].append(msg)
 
-    def output(self, path, payload):
-        self.data["outputs"][str(path)] = {"sha256": _digest(payload)}
+    def output(self, path, sha256):
+        """Record an output file by the hex digest of its bytes."""
+        self.data["outputs"][str(path)] = {"sha256": sha256}
 
     def write(self, path):
         self.data["timings_s"]["total"] = round(
@@ -242,7 +349,8 @@ def cmd_sweep(cfg, args, report):
     payload = "\n".join(lines) + "\n"
     with open(args.out_file, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(payload)
-    report.output(args.out_file, payload)
+    report.output(args.out_file,
+                  hashlib.sha256(payload.encode("utf-8")).hexdigest())
     print(f"wrote {args.out_file} ({len(lines) - 1} rows); "
           f"bounds {'satisfied' if ok else 'VIOLATED'}")
     report.stage("write")
@@ -295,15 +403,11 @@ def cmd_simulate(cfg, args, report):
               + [f"u_ef_{i + 1}" for i in range(m)]
               + [f"ubar_ef_{i + 1}" for i in range(m)]
               + [f"y_{j + 1}" for j in range(out.y.shape[1])])
-    cols = np.column_stack([out.t, out.x, out.u, out.u_bar, out.y])
-    # one row per sampling instant; formatting Python floats is the bulk
-    # of the write
-    line = ",".join([FMT] * cols.shape[1]) + "\n"
-    payload = ",".join(header) + "\n" + "".join(
-        [line % row for row in map(tuple, cols.tolist())])
-    with open(args.out_file, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(payload)
-    report.output(args.out_file, payload)
+    # one row per sampling instant
+    sha256, trace_bytes = write_table(
+        args.out_file, ",".join(header),
+        np.column_stack([out.t, out.x, out.u, out.u_bar, out.y]), ",")
+    report.output(args.out_file, sha256)
 
     summary = {"J_measured": out.J, "horizon_s": out.horizon}
     if args.measure == "lqr" and disturbance is None:
@@ -321,7 +425,7 @@ def cmd_simulate(cfg, args, report):
         "steps_per_period": out.steps_per_period,
         "periods": len(out.t) - 1,
         "trace_rows": len(out.t),
-        "trace_bytes": len(payload),   # ASCII
+        "trace_bytes": trace_bytes,
     }
     print(json.dumps(summary, indent=2, sort_keys=True))
     report.stage("write")

@@ -80,14 +80,18 @@ def _pinv_solve(H, rhs):
 
 def dare_residual(A, B, Q, N, R, P):
     """Relative residual of the Riccati equation at P."""
-    H = R + B.T @ P @ B
+    return _residual(A, B, Q, N, P, R + B.T @ P @ B)
+
+
+def _residual(A, B, Q, N, P, H):
+    """``dare_residual`` given H = R + B'PB."""
     G = A.T @ P @ B + N
     res = A.T @ P @ A - P - G @ _pinv_solve(H, G.T) + Q
     return np.abs(res).max() / (1.0 + np.abs(P).max())
 
 
-def _gain_from(A, B, N, R, P):
-    H = R + B.T @ P @ B
+def _gain_from(A, B, N, P, H):
+    """Gain F = -H^{-1}(B'PA + N') given H = R + B'PB."""
     return -_pinv_solve(H, B.T @ P @ A + N.T)
 
 
@@ -126,9 +130,10 @@ def _policy_iteration(A, B, Q, N, R, max_iters=200):
             P = stein_solve(A_cl, Q_cl)
         except UnstableSystem:
             raise NotStabilizable("policy iteration lost stability") from None
-        if dare_residual(A, B, Q, N, R, P) <= _RESIDUAL_TOL:
+        H = R + B.T @ P @ B
+        if _residual(A, B, Q, N, P, H) <= _RESIDUAL_TOL:
             return P
-        F = _gain_from(A, B, N, R, P)
+        F = _gain_from(A, B, N, P, H)
     raise NotStabilizable("policy iteration did not converge")
 
 
@@ -189,7 +194,7 @@ def dare_solve(A, B, Q, N=None, R=None):
     piv = np.linalg.eigvalsh(0.5 * (H + H.T))
     if piv.min() < -1e-9 * (1.0 + np.abs(piv).max()):
         raise IndefiniteCost("R + B'PB pivot is indefinite at the solution")
-    F = _gain_from(A, B, N, R, P)
+    F = _gain_from(A, B, N, P, H)
     if spectral_radius(A + B @ F) >= 1.0:
         raise NotStabilizable("closed loop is not Schur stable")
     return P
@@ -214,7 +219,8 @@ def lqr_design(disc: DiscretizedSystem) -> LqrResult:
     if w.min() < -1e-9 * (1.0 + np.abs(w).max()):
         raise IndefiniteCost("lifted cost matrix is not positive semidefinite")
     P = dare_solve(disc.A2, disc.B2u, disc.Q2, disc.N2, disc.R2)
-    F = _gain_from(disc.A2, disc.B2u, disc.N2, disc.R2, P)
+    F = _gain_from(disc.A2, disc.B2u, disc.N2, P,
+                   disc.R2 + disc.B2u.T @ P @ disc.B2u)
     return LqrResult(F=F, P=P)
 
 

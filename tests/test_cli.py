@@ -18,6 +18,17 @@ def run(tmp_path, *argv):
     return main(["--config", CONFIG, "--out", str(tmp_path), *argv])
 
 
+def trace_digest(out_dir):
+    """sha256 of trace.csv, after checking the report's record of it."""
+    data = (out_dir / "trace.csv").read_bytes()
+    digest = hashlib.sha256(data).hexdigest()
+    report = json.loads((out_dir / "report.json").read_text())
+    assert report["outputs"][str(out_dir / "trace.csv")] == {
+        "sha256": digest}
+    assert report["diagnostics"]["trace_bytes"] == len(data)
+    return digest
+
+
 def assert_write_timed(report):
     """The file writes are timed as their own stage."""
     assert "write" in report["timings_s"]
@@ -289,6 +300,22 @@ class TestSimulateCommand:
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["summary"]["relative_gap"] <= 5e-3
 
+    @pytest.mark.parametrize("measure,horizon,digest", [
+        # 8,001 rows, three of them with a value in exponent form
+        ("lqr", "160", "59f345d5465285573a049f33977bb6ad"
+                       "bc8ad8c151167913ae913fdfb2b1ac3b"),
+        ("hinf", "2", "0aae3f9c4062603a45d74db7ffd6fb12"
+                      "c7707e2dac7ba952ea6eb3d4259386f3"),
+    ], ids=["lqr", "hinf"])
+    def test_trace_golden_digest(self, tmp_path, monkeypatch, measure,
+                                 horizon, digest):
+        # sha256 of trace.csv as first recorded (numpy 2.4.6, scipy 1.17.1,
+        # one BLAS thread); any change to a number or to the format shows
+        monkeypatch.setenv("WADC_SCENARIO__HORIZON_S", horizon)
+        assert run(tmp_path, "simulate", "--measure", measure,
+                   "--delay", "0.1") == 0
+        assert trace_digest(tmp_path) == digest
+
     def test_impulse_disturbance_trace(self, tmp_path, monkeypatch):
         monkeypatch.setenv("WADC_SCENARIO__DISTURBANCE", "impulse")
         monkeypatch.setenv("WADC_SCENARIO__INITIAL_STATE", "0, 0, 0")
@@ -298,6 +325,8 @@ class TestSimulateCommand:
         trace = (tmp_path / "trace.csv").read_text().splitlines()
         header = trace[0].split(",")
         assert header[0] == "t_s" and "y_1" in header
+        assert trace_digest(tmp_path) == ("73afc3a408ddb54bec34626e36f5936b"
+                                          "0e7fd73aeafd657adb5d819cb6fc9f5c")
         data = np.array([[float(v) for v in row.split(",")]
                          for row in trace[1:]])
         assert np.abs(data[:, 1:7]).max() > 0  # pulse excites the grid
