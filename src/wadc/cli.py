@@ -340,6 +340,8 @@ def cmd_sweep(cfg, args, report):
                            gamma_tol=gamma_tol)
         for w in res.warnings:
             report.warn(f"{dec.labels[i]}: {w}")
+        report.data.setdefault("diagnostics", {})[dec.labels[i]] = \
+            res.diagnostics
         for r in res.rows:
             lines.append(",".join([
                 FMT % r.delay, r.mode, r.measure, FMT % r.value,

@@ -404,15 +404,22 @@ class ModeDesign:
 def design_mode(model: CtsModel, h, d_hat_i, method="lqr",
                 gamma_tol=1e-3) -> ModeDesign:
     """Discretize a mode's continuous model with its waiting time and
-    design the sampled gain by the requested method."""
-    disc = discretize(model, h, d_hat_i)
+    design the sampled gain by the requested method.
+
+    ``d_hat_i`` may also be a sequence of waiting times whose lifted
+    systems have one size; LQR then designs them as one stack, and one
+    ``ModeDesign`` is returned per waiting time, in order.
+    """
+    discs = [discretize(model, h, float(d)) for d in np.atleast_1d(d_hat_i)]
     if method == "lqr":
-        result = lqr_design(disc)
+        results = lqr_design(discs)
     elif method == "hinf":
-        _, result = gamma_min(disc, tol=gamma_tol)
+        results = [gamma_min(disc, tol=gamma_tol)[1] for disc in discs]
     else:
         raise ValueError(f"unknown design method {method!r}")
-    return ModeDesign(disc=disc, F=result.F, result=result)
+    designs = [ModeDesign(disc=disc, F=result.F, result=result)
+               for disc, result in zip(discs, results)]
+    return designs if np.ndim(d_hat_i) else designs[0]
 
 
 class DistributedController:

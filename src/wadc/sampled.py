@@ -14,6 +14,7 @@ factorization (P, M, U) once per mode and Phi, Gamma and Psi once per
 interval length (h, each remainder r, h - r); ``discretize`` lifts them.
 """
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -277,11 +278,13 @@ class CtsModel:
         return self._intervals[b]
 
 
+@functools.lru_cache(maxsize=4096)
 def _nice_fraction(x, rel_tol=1e-9):
     """Snap a float to the fraction its shortest decimal form denotes.
 
     Sampling periods and delays are specified as short decimals; arithmetic
     like 5*0.02 must still classify d = 0.1 as an exact multiple of h.
+    Memoized: a sweep splits every delay against the same h more than once.
     """
     if isinstance(x, Fraction):
         return x

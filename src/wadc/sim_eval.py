@@ -9,6 +9,7 @@ grid by construction, and one sampling period of steps composes into one
 fixed linear map of the sampled state and the command memory.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -24,7 +25,7 @@ from .dncs import (
 )
 from .errors import EventGridMismatch, WadcError
 from .grid_model import LinearPlant
-from .sampled import _nice_fraction
+from .sampled import _nice_fraction, split_delay
 from .synthesis import hinf_norm, stein_solve
 
 __all__ = [
@@ -333,6 +334,7 @@ class SweepResult:
     rows: tuple
     warnings: tuple
     meta: dict
+    diagnostics: dict
 
     def all_ok(self):
         return all(r.status == "ok" for r in self.rows)
@@ -344,11 +346,16 @@ def sweep_delays(model, dec, mode, measure, delay_grid, h, z0=None,
     is ``model``, across link delays, with bounds.
 
     The zero-delay design is made once: it gives the lower bound and the
-    value of every row whose waiting time is zero.  Per-row failures are
-    recorded and the sweep continues; each surviving row is checked
-    against the bound sandwich, and a soft monotonicity warning is emitted
-    when the measure decreases along more than 10% of consecutive delay
-    pairs.
+    value of every row whose waiting time is zero.  LQR rows whose waiting
+    times fall in one sampling interval (qh, (q+1)h] have lifted systems
+    of one size; each run of them is designed as one stack, and again row
+    by row if the stack fails, so a failure stays with its row.  Per-row
+    failures are recorded and the sweep continues; each surviving row is
+    checked against the bound sandwich, and a soft monotonicity warning is
+    emitted when the measure decreases along more than 10% of consecutive
+    delay pairs.  ``diagnostics`` counts the rows designed, the stacks
+    they were designed in, the largest stack and the rows designed again
+    one at a time.
     """
     i = dec.mode_index(mode)
     delay_grid = [float(t) for t in delay_grid]
@@ -361,26 +368,61 @@ def sweep_delays(model, dec, mode, measure, delay_grid, h, z0=None,
     upper, lower = compute_bounds(md0, measure, z0=z0)
     m = len(dec.machine_x_dims)
     links = ~np.eye(m, dtype=bool)
+    diag = {"rows_designed": 0, "stacks": 0, "largest_stack": 0,
+            "rows_redesigned": 0}
 
-    def one_row(tau):
+    def row_value(md):
+        if measure == "lqr":
+            return md.result.J_star(md.disc.lift_state(z0))
+        return md.result.gamma
+
+    def design(delays):
+        """Values of the rows at these waiting times, or the WadcError of
+        each row that fails."""
+        diag["stacks"] += 1
+        diag["largest_stack"] = max(diag["largest_stack"], len(delays))
         try:
-            d_hat, _ = delay_map(dec, np.where(links, tau, 0.0))
-            md = md0 if d_hat[i] == 0 else design_mode(
-                model, h, float(d_hat[i]), method=measure,
-                gamma_tol=gamma_tol)
-            if measure == "lqr":
-                value = md.result.J_star(md.disc.lift_state(z0))
-            else:
-                value = md.result.gamma
+            return [row_value(md) for md in design_mode(
+                model, h, delays, method=measure, gamma_tol=gamma_tol)]
+        except WadcError as exc:
+            if len(delays) == 1:
+                return [exc]
+        diag["rows_redesigned"] += len(delays)
+        return [design(delays[j:j + 1])[0] for j in range(len(delays))]
+
+    def row(tau, outcome):
+        if isinstance(outcome, WadcError):
+            value, status = float("nan"), f"failed:{type(outcome).__name__}"
+        else:
+            value = outcome
             ok = (value >= lower - _BOUND_SLACK * abs(lower)
                   and value <= upper + _BOUND_SLACK * abs(upper))
             status = "ok" if ok else "bound_violation"
-        except WadcError as exc:
-            value, status = float("nan"), f"failed:{type(exc).__name__}"
         return SweepRow(delay=tau, mode=dec.labels[i], measure=measure,
                         value=value, lower=lower, upper=upper, status=status)
 
-    rows = [one_row(tau) for tau in delay_grid]
+    waits = [float(delay_map(dec, np.where(links, tau, 0.0))[0][i])
+             for tau in delay_grid]
+
+    def stack(j):
+        """Consecutive rows with one key are designed together: zero waits
+        take the zero-delay design, LQR waits in one sampling interval
+        share a stack, as their lifted systems have one size, and each
+        H-infinity row is designed alone."""
+        if waits[j] == 0.0:
+            return None
+        return split_delay(waits[j], h)[0] if measure == "lqr" else -1 - j
+
+    values = []
+    for key, group in itertools.groupby(range(len(waits)), key=stack):
+        delays = [waits[j] for j in group]
+        if key is None:
+            values += [row_value(md0)] * len(delays)
+        else:
+            diag["rows_designed"] += len(delays)
+            values += design(delays)
+    rows = [row(tau, value) for tau, value in zip(delay_grid, values)]
+
     warnings = []
     good = [r for r in rows if r.status == "ok"]
     if len(good) >= 2:
@@ -394,4 +436,5 @@ def sweep_delays(model, dec, mode, measure, delay_grid, h, z0=None,
     meta = {"mode": dec.labels[i], "measure": measure, "h": h,
             "gamma_tol": gamma_tol,
             "z0": None if z0 is None else list(np.asarray(z0, float))}
-    return SweepResult(rows=tuple(rows), warnings=tuple(warnings), meta=meta)
+    return SweepResult(rows=tuple(rows), warnings=tuple(warnings), meta=meta,
+                       diagnostics=diag)

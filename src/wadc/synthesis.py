@@ -4,15 +4,29 @@ LQR gains come from the algebraic Riccati equation solved by a
 structure-preserving doubling iteration, with a policy-iteration fallback
 for the singular input-weight case that arises whenever the delay reaches
 a full sampling period (the new input sample then carries no
-within-interval cost).  The smallest H-infinity level is exactly 0 when a
-static gain cancels the output (zero wait); otherwise it is found by
-bisection down from the decentralized level, the open-loop norm that the
-zero remote gain certifies.  Each level solves the indefinite game Riccati
-equation once, from SciPy's pencil with the disturbance scaled by
-1/gamma; every accepted design is certified independently by positivity
-pivots, closed-loop stability and the closed-loop norm, so the Riccati
-backend cannot silently return a wrong answer.  Norms come from one
-evaluator, the level-set iteration on the unit circle in ``hinf_norm``.
+within-interval cost).
+
+``stein_solve``, ``dare_solve`` and ``lqr_design`` take stacks of
+equal-size systems, (k, n, n) arrays as in ``np.linalg``; a 2-D call is
+the stack of one.  A sweep designs the delays of one sampling interval,
+whose lifted systems have one size, as one stack.  Each slice keeps its
+own branch and stop tests and leaves the iteration once they pass.
+numpy's ``matmul``, ``solve``, ``eigvals`` and ``eigvalsh`` make the same
+BLAS or LAPACK call on each slice of a stack as on the matrix alone, and
+the per-slice tests are the same float operations, so a stacked design is
+bit-identical to its slices designed one at a time: stacking saves only
+the per-call interpreter cost, which dominates on matrices this small.
+Stacks are never padded, as other shapes would change the BLAS calls.
+
+The smallest H-infinity level is exactly 0 when a static gain cancels the
+output (zero wait); otherwise it is found by bisection down from the
+decentralized level, the open-loop norm that the zero remote gain
+certifies.  Each level solves the indefinite game Riccati equation once,
+from SciPy's pencil with the disturbance scaled by 1/gamma; every
+accepted design is certified independently by positivity pivots,
+closed-loop stability and the closed-loop norm, so the Riccati backend
+cannot silently return a wrong answer.  Norms come from one evaluator,
+the level-set iteration on the unit circle in ``hinf_norm``.
 """
 
 from dataclasses import dataclass
@@ -41,98 +55,179 @@ __all__ = [
 ]
 
 _RESIDUAL_TOL = 1e-9
+_MAX_DOUBLINGS = 120   # Stein doublings per slice
+_MAX_SDA_ITERS = 120   # Riccati doublings per slice
+_MAX_NEWTON = 200      # policy-iteration steps per slice
 
 
 def spectral_radius(A):
-    A = np.asarray(A, dtype=float)
-    if A.size == 0:
-        return 0.0
-    return float(np.abs(np.linalg.eigvals(A)).max())
+    """Largest eigenvalue magnitude of A, or over all slices of a stack."""
+    return float(np.abs(np.linalg.eigvals(np.asarray(A, dtype=float))).max())
 
 
-def stein_solve(A, Q, max_doublings=120):
-    """Solve P = A' P A + Q for Schur-stable A by doubling."""
+# Per-slice scalars are Python floats: on stacks of a few slices, float
+# arithmetic costs less than numpy calls, and it rounds the same.
+def _max(X):
+    """Largest magnitude in each slice of a stack, as a list."""
+    return np.abs(X).max(axis=(-2, -1)).tolist()
+
+
+def _spread(w):
+    """(smallest, 1 + largest magnitude) of the eigenvalues w of each
+    slice."""
+    return list(zip(w.min(axis=-1).tolist(),
+                    (1.0 + np.abs(w).max(axis=-1)).tolist()))
+
+
+def _set_aside(parts, done, live, X, *rest):
+    """Take the slices flagged ``done`` out of the stack X, keeping them
+    with their indices in ``parts``; return what stays of live, X and
+    rest."""
+    done = np.array(done)
+    parts.append((live[done], X[done]))
+    return [Y[~done] for Y in (live, X, *rest)]
+
+
+def _gather(parts, live, X):
+    """The stack of the slices set aside in ``parts`` and the live X."""
+    if not parts:
+        return X
+    out = np.empty((len(live) + sum(len(i) for i, _ in parts),) + X.shape[1:])
+    for idx, Y in parts + [(live, X)]:
+        out[idx] = Y
+    return out
+
+
+def stein_solve(A, Q):
+    """Solve P = A' P A + Q for Schur-stable A by doubling.
+
+    A and Q may be (k, n, n) stacks; each slice stops on its own test.
+    """
     A = np.asarray(A, dtype=float)
     Q = np.asarray(Q, dtype=float)
     if spectral_radius(A) >= 1.0:
         raise UnstableSystem("Stein equation needs a Schur-stable matrix")
-    S = 0.5 * (Q + Q.T)
+    single = A.ndim == 2
+    if single:
+        A, Q = A[None], Q[None]
+    S = 0.5 * (Q + Q.mT)
     T = A.copy()
-    scale = 1.0 + np.abs(S).max()
-    for _ in range(max_doublings):
-        S = S + T.T @ S @ T
+    tol = [1e-18 * (1.0 + s) for s in _max(S)]
+    parts, live = [], np.arange(len(S))
+    for _ in range(_MAX_DOUBLINGS):
+        S = S + T.mT @ S @ T
         T = T @ T
-        if np.abs(T).max() ** 2 * np.abs(S).max() <= 1e-18 * scale:
+        # each slice's stop test, in floats as for one matrix; a lone
+        # slice takes the whole-array maxima, its own and cheaper
+        if len(live) == 1:
+            if np.abs(T).max() ** 2 * np.abs(S).max() <= tol[0]:
+                break
+            continue
+        done = [t ** 2 * s <= c for t, s, c in zip(_max(T), _max(S), tol)]
+        if all(done):
             break
-    return 0.5 * (S + S.T)
+        if any(done):
+            tol = [c for c, d in zip(tol, done) if not d]
+            live, S, T = _set_aside(parts, done, live, S, T)
+    P = _gather(parts, live, S)
+    P = 0.5 * (P + P.mT)
+    return P[0] if single else P
+
+
+def _solve(W, rhs):
+    """``np.linalg.solve`` on each slice of a stack; a slice whose W is
+    singular gets NaN instead of failing the whole stack."""
+    try:
+        return np.linalg.solve(W, rhs)
+    except np.linalg.LinAlgError:
+        x = np.full(rhs.shape, np.nan)
+        for j in range(len(W)):
+            try:
+                x[j] = np.linalg.solve(W[j], rhs[j])
+            except np.linalg.LinAlgError:
+                pass
+        return x
 
 
 def _pinv_solve(H, rhs):
-    """Solve H x = rhs, falling back to least squares when H is singular."""
-    try:
-        x = np.linalg.solve(H, rhs)
-        if np.isfinite(x).all():
-            return x
-    except np.linalg.LinAlgError:
-        pass
-    return np.linalg.lstsq(H, rhs, rcond=None)[0]
+    """Solve H x = rhs on each slice of a stack, by least squares on a
+    slice whose H is singular."""
+    x = _solve(H, rhs)
+    if not np.isfinite(x).all():
+        for j in np.flatnonzero(~np.isfinite(x).all(axis=(-2, -1))):
+            x[j] = np.linalg.lstsq(H[j], rhs[j], rcond=None)[0]
+    return x
 
 
 def dare_residual(A, B, Q, N, R, P):
     """Relative residual of the Riccati equation at P."""
-    return _residual(A, B, Q, N, P, R + B.T @ P @ B)
+    A, B, Q, N, R, P = (np.asarray(X, dtype=float)[None]
+                        for X in (A, B, Q, N, R, P))
+    return _residual(A, B, Q, N, P, R + B.mT @ P @ B)[0]
 
 
 def _residual(A, B, Q, N, P, H):
-    """``dare_residual`` given H = R + B'PB."""
-    G = A.T @ P @ B + N
-    res = A.T @ P @ A - P - G @ _pinv_solve(H, G.T) + Q
-    return np.abs(res).max() / (1.0 + np.abs(P).max())
+    """``dare_residual`` of each slice given H = R + B'PB."""
+    G = A.mT @ P @ B + N
+    res = A.mT @ P @ A - P - G @ _pinv_solve(H, G.mT) + Q
+    return [r / (1.0 + p) for r, p in zip(_max(res), _max(P))]
 
 
 def _gain_from(A, B, N, P, H):
     """Gain F = -H^{-1}(B'PA + N') given H = R + B'PB."""
-    return -_pinv_solve(H, B.T @ P @ A + N.T)
+    return -_pinv_solve(H, B.mT @ P @ A + N.mT)
 
 
-def _sda(A, G, H, max_iters=120):
-    """Doubling iteration for P = A' P (I + G P)^{-1} A + H."""
-    n = A.shape[0]
+def _sda(A, G, H):
+    """Doubling iteration for P = A' P (I + G P)^{-1} A + H on each slice.
+
+    Returns the last iterates and the list of slices that broke down (a
+    singular pivot, or a diverged iterate).
+    """
+    n = A.shape[-1]
+    parts, broke, live = [], [], np.arange(len(H))
     Ak, Gk, Hk = A.copy(), G.copy(), H.copy()
-    for _ in range(max_iters):
+    for _ in range(_MAX_SDA_ITERS):
         W = np.eye(n) + Gk @ Hk
-        try:
-            Wia = np.linalg.solve(W, Ak)
-            WiG = np.linalg.solve(W, Gk)
-        except np.linalg.LinAlgError:
-            raise NotStabilizable("doubling iteration pivot breakdown")
-        H_new = Hk + Ak.T @ Hk @ Wia
-        G_new = Gk + Ak @ WiG @ Ak.T
+        Wia = _solve(W, Ak)
+        WiG = _solve(W, Gk)
+        H_new = Hk + Ak.mT @ Hk @ Wia
+        G_new = Gk + Ak @ WiG @ Ak.mT
         A_new = Ak @ Wia
-        step = np.abs(H_new - Hk).max()
-        Ak, Gk, Hk = A_new, 0.5 * (G_new + G_new.T), 0.5 * (H_new + H_new.T)
-        if not np.isfinite(Hk).all():
-            raise NotStabilizable("doubling iteration diverged")
-        if step <= 1e-16 * (1.0 + np.abs(Hk).max()) and np.abs(Ak).max() < 1e-8:
+        step = _max(H_new - Hk)
+        Ak, Gk, Hk = A_new, 0.5 * (G_new + G_new.mT), 0.5 * (H_new + H_new.mT)
+        bad = (~np.isfinite(Hk).all(axis=(-2, -1))).tolist()
+        broke += [j for j, b in zip(live.tolist(), bad) if b]
+        done = [b or (s <= 1e-16 * (1.0 + h) and a < 1e-8) for b, s, h, a
+                in zip(bad, step, _max(Hk), _max(Ak))]
+        if all(done):
             break
-    return Hk
+        if any(done):
+            live, Hk, Ak, Gk = _set_aside(parts, done, live, Hk, Ak, Gk)
+    return _gather(parts, live, Hk), broke
 
 
-def _policy_iteration(A, B, Q, N, R, max_iters=200):
-    """Newton (policy) iteration from the zero gain; needs stable A.  Each
-    closed loop A + B F, A first, is checked once, by its ``stein_solve``."""
-    n, m = A.shape[0], B.shape[1]
-    F = np.zeros((m, n))
-    for _ in range(max_iters):
+def _policy_iteration(A, B, Q, N, R):
+    """Newton (policy) iteration from the zero gain on each slice; needs
+    stable A.  Each closed loop A + B F, A first, is checked once, by its
+    ``stein_solve``; a slice stops once its residual is small."""
+    k, n, m = B.shape
+    F = np.zeros((k, m, n))
+    parts, live = [], np.arange(k)
+    for _ in range(_MAX_NEWTON):
         A_cl = A + B @ F
-        Q_cl = Q + N @ F + F.T @ N.T + F.T @ R @ F
+        Q_cl = Q + N @ F + F.mT @ N.mT + F.mT @ R @ F
         try:
             P = stein_solve(A_cl, Q_cl)
         except UnstableSystem:
             raise NotStabilizable("policy iteration lost stability") from None
-        H = R + B.T @ P @ B
-        if _residual(A, B, Q, N, P, H) <= _RESIDUAL_TOL:
-            return P
+        H = R + B.mT @ P @ B
+        done = [r <= _RESIDUAL_TOL for r in _residual(A, B, Q, N, P, H)]
+        if all(done):
+            return _gather(parts, live, P)
+        if any(done):
+            live, P, A, B, Q, N, R, H = _set_aside(
+                parts, done, live, P, A, B, Q, N, R, H)
         F = _gain_from(A, B, N, P, H)
     raise NotStabilizable("policy iteration did not converge")
 
@@ -142,62 +237,73 @@ def dare_solve(A, B, Q, N=None, R=None):
     A'PA - P - (A'PB + N)(B'PB + R)^{-1}(B'PA + N') + Q = 0.
 
     Doubling on the cross-term-reduced form when R is positive definite;
-    otherwise policy iteration from the zero gain, so a singular R needs a
-    Schur-stable A (the lifted plant here is always pre-stabilized).
-    Convergence is declared on the equation residual.  Each closed loop's
-    stability is checked once: policy iteration's by its ``stein_solve``,
-    the returned gain's here.
+    otherwise, or when doubling fails, policy iteration from the zero gain,
+    so a singular R needs a Schur-stable A (the lifted plant here is always
+    pre-stabilized).  Convergence is declared on the equation residual.
+    Each closed loop's stability is checked once: policy iteration's by its
+    ``stein_solve``, the returned gain's here.  The arguments may be stacks
+    of k equations of one size, (k, n, n) and so on; each slice takes its
+    own branch, and a failure of any slice raises for the stack.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
-    B = np.atleast_2d(np.asarray(B, dtype=float))
-    if B.shape[0] != A.shape[0]:
-        B = B.reshape(A.shape[0], -1)
-    n, m = A.shape[0], B.shape[1]
-    Q = 0.5 * (np.asarray(Q, dtype=float).reshape(n, n)
-               + np.asarray(Q, dtype=float).reshape(n, n).T)
-    N = (np.zeros((n, m)) if N is None
-         else np.asarray(N, dtype=float).reshape(n, m))
-    R = (np.zeros((m, m)) if R is None
-         else np.asarray(R, dtype=float).reshape(m, m))
-    R = 0.5 * (R + R.T)
+    single = A.ndim == 2
+    if single:
+        A = A[None]
+    k, n = A.shape[:2]
+    B = np.asarray(B, dtype=float).reshape(k, n, -1)
+    m = B.shape[2]
+    Q = np.asarray(Q, dtype=float).reshape(k, n, n)
+    Q = 0.5 * (Q + Q.mT)
+    N = (np.zeros((k, n, m)) if N is None
+         else np.asarray(N, dtype=float).reshape(k, n, m))
+    R = (np.zeros((k, m, m)) if R is None
+         else np.asarray(R, dtype=float).reshape(k, m, m))
+    R = 0.5 * (R + R.mT)
 
-    r_eigs = np.linalg.eigvalsh(R)
-    r_scale = 1.0 + np.abs(r_eigs).max()
-    if r_eigs.min() < -1e-10 * r_scale:
+    r_spread = _spread(np.linalg.eigvalsh(R))
+    if any(lo < -1e-10 * top for lo, top in r_spread):
         raise IndefiniteCost("input-weight block has a negative eigenvalue")
 
-    P = None
-    if r_eigs.min() > 1e-12 * r_scale:
+    P = np.empty((k, n, n))
+    sda = [j for j, (lo, top) in enumerate(r_spread) if lo > 1e-12 * top]
+    newton = [j for j in range(k) if j not in sda]
+    if sda:
         # complete the square to remove the cross term, then double
-        Rinv_Nt = np.linalg.solve(R, N.T)
-        A_red = A - B @ Rinv_Nt
-        Q_red = Q - N @ Rinv_Nt
-        Q_red = 0.5 * (Q_red + Q_red.T)
-        G = B @ np.linalg.solve(R, B.T)
+        As, Bs, Qs, Ns, Rs = (X[sda] for X in (A, B, Q, N, R))
+        Rinv_Nt = np.linalg.solve(Rs, Ns.mT)
+        A_red = As - Bs @ Rinv_Nt
+        Q_red = Qs - Ns @ Rinv_Nt
+        Q_red = 0.5 * (Q_red + Q_red.mT)
+        G = Bs @ np.linalg.solve(Rs, Bs.mT)
+        Ps, broke = _sda(A_red, 0.5 * (G + G.mT), Q_red)
+        newton += [sda[i] for i in broke]
+        ok = [i for i in range(len(sda)) if i not in broke]
+        As, Bs, Qs, Ns, Rs, Ps = (X[ok] for X in (As, Bs, Qs, Ns, Rs, Ps))
+        res = _residual(As, Bs, Qs, Ns, Ps, Rs + Bs.mT @ Ps @ Bs)
+        for i, r, Pi in zip(ok, res, Ps):
+            if r <= _RESIDUAL_TOL:
+                P[sda[i]] = Pi
+            else:
+                newton.append(sda[i])
+    if newton:
         try:
-            P = _sda(A_red, 0.5 * (G + G.T), Q_red)
-            if dare_residual(A, B, Q, N, R, P) > _RESIDUAL_TOL:
-                P = None
-        except NotStabilizable:
-            P = None
-    if P is None:
-        try:
-            P = _policy_iteration(A, B, Q, N, R)
+            P[newton] = _policy_iteration(
+                *(X[newton] for X in (A, B, Q, N, R)))
         except NotStabilizable:
             raise NotStabilizable(
                 "neither the doubling iteration (SDA) nor policy iteration "
                 "converged; a singular input weight needs a Schur-stable A"
             ) from None
 
-    P = 0.5 * (P + P.T)
-    H = R + B.T @ P @ B
-    piv = np.linalg.eigvalsh(0.5 * (H + H.T))
-    if piv.min() < -1e-9 * (1.0 + np.abs(piv).max()):
+    P = 0.5 * (P + P.mT)
+    H = R + B.mT @ P @ B
+    if any(lo < -1e-9 * top
+           for lo, top in _spread(np.linalg.eigvalsh(0.5 * (H + H.mT)))):
         raise IndefiniteCost("R + B'PB pivot is indefinite at the solution")
     F = _gain_from(A, B, N, P, H)
     if spectral_radius(A + B @ F) >= 1.0:
         raise NotStabilizable("closed loop is not Schur stable")
-    return P
+    return P[0] if single else P
 
 
 @dataclass(frozen=True)
@@ -212,16 +318,25 @@ class LqrResult:
         return float(z0 @ self.P @ z0)
 
 
-def lqr_design(disc: DiscretizedSystem) -> LqrResult:
-    """Design the cost-minimizing feedback for the lifted discrete system."""
-    stacked = np.block([[disc.Q2, disc.N2], [disc.N2.T, disc.R2]])
-    w = np.linalg.eigvalsh(0.5 * (stacked + stacked.T))
-    if w.min() < -1e-9 * (1.0 + np.abs(w).max()):
+def lqr_design(disc):
+    """Design the cost-minimizing feedback for the lifted discrete system.
+
+    ``disc`` is one ``DiscretizedSystem`` or a sequence of them with one
+    lifted size, designed as one stack; the result is one ``LqrResult``
+    or a list of them, in order.
+    """
+    discs = [disc] if isinstance(disc, DiscretizedSystem) else list(disc)
+    A, B, Q, N, R = (np.array([getattr(d, name) for d in discs])
+                     for name in ("A2", "B2u", "Q2", "N2", "R2"))
+    stacked = np.concatenate([np.concatenate([Q, N], axis=-1),
+                              np.concatenate([N.mT, R], axis=-1)], axis=-2)
+    if any(lo < -1e-9 * top for lo, top in
+           _spread(np.linalg.eigvalsh(0.5 * (stacked + stacked.mT)))):
         raise IndefiniteCost("lifted cost matrix is not positive semidefinite")
-    P = dare_solve(disc.A2, disc.B2u, disc.Q2, disc.N2, disc.R2)
-    F = _gain_from(disc.A2, disc.B2u, disc.N2, P,
-                   disc.R2 + disc.B2u.T @ P @ disc.B2u)
-    return LqrResult(F=F, P=P)
+    P = dare_solve(A, B, Q, N, R)
+    F = _gain_from(A, B, N, P, R + B.mT @ P @ B)
+    results = [LqrResult(F=f, P=p) for f, p in zip(F, P)]
+    return results[0] if isinstance(disc, DiscretizedSystem) else results
 
 
 def _sigma_max(A, B, C, D, thetas):

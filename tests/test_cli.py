@@ -210,6 +210,26 @@ class TestSweepCommand:
         assert digest == ("06d0f2af853b3fa0e6fa72cc8894f631"
                           "b43434183f5aa039f2a08751b1d715f5")
 
+    def test_offset_fine_lqr_sweep_golden_digest(self, tmp_path,
+                                                 monkeypatch):
+        # the benchmark's offset fine grid over a short range: no delay is a
+        # multiple of h, so every interval's rows form one full stack of
+        # policy-iteration designs; sha256 as first recorded with one design
+        # per row (numpy 2.4.6, scipy 1.17.1, one BLAS thread)
+        monkeypatch.setenv("WADC_SAMPLING__DELAY_GRID_S",
+                           "0.0006:0.002:0.0506")
+        assert run(tmp_path, "sweep", "--measure", "lqr", "--mode",
+                   "all") == 0
+        digest = hashlib.sha256(
+            (tmp_path / "sweep.csv").read_bytes()).hexdigest()
+        assert digest == ("8c09a2b7c19f6dc2f43f454c4cd86344"
+                          "6cfbf7e4432d290a73dc9899a4d47cb8")
+        report = json.loads((tmp_path / "report.json").read_text())
+        for mode in ("oscillation", "common"):
+            assert report["diagnostics"][mode] == {
+                "rows_designed": 26, "stacks": 3, "largest_stack": 10,
+                "rows_redesigned": 0}
+
     def test_all_modes_match_single_mode_runs(self, tmp_path, monkeypatch):
         # each mode's rows are the same whether or not the other mode was
         # swept in the same process

@@ -16,7 +16,7 @@ from wadc.dncs import (
     mode_system,
     symmetric_modes,
 )
-from wadc.errors import EventGridMismatch
+from wadc.errors import EventGridMismatch, NotStabilizable
 from wadc.grid_model import LinearPlant
 from wadc.sampled import CtsModel
 from wadc.sim_eval import (
@@ -362,6 +362,46 @@ class TestSweep:
         np.testing.assert_array_equal(md.F, F0)
         np.testing.assert_allclose(md.F, [[-100.0, 0.0, 0.0]], rtol=1e-14)
         assert md.result.norm <= 1e-12 * res.rows[0].upper
+
+    def test_lqr_rows_of_one_interval_share_a_stack(self, gains_k1, dec_k1):
+        model = bench_mode_system(gains_k1, dec_k1, 0)
+        grid = [0.0, 0.024, 0.028, 0.032, 0.036, 0.04, 0.044]
+        res = sweep_delays(model, dec_k1, 0, "lqr", grid, 0.02)
+        assert res.all_ok()
+        # (0.02, 0.04] is one stack of five; 0.044 is a stack of its own
+        assert res.diagnostics == {"rows_designed": 6, "stacks": 2,
+                                   "largest_stack": 5, "rows_redesigned": 0}
+        for r in res.rows[1:]:
+            md = design_mode(model, 0.02, r.delay, method="lqr")
+            assert r.value == md.result.J_star(md.disc.lift_state(
+                [1.0, 0.0, 0.0]))
+
+    def test_failed_row_leaves_its_stack_intact(self, gains_k1, dec_k1,
+                                                monkeypatch):
+        # a design that fails whenever its stack holds d = 0.028: that row
+        # alone fails, and the rest of its stack, designed again one row at
+        # a time, keeps exactly the values of the stacked design
+        import wadc.dncs as dncs
+        model = bench_mode_system(gains_k1, dec_k1, 0)
+        grid = [0.0, 0.024, 0.028, 0.032, 0.036, 0.044]
+        ref = sweep_delays(model, dec_k1, 0, "lqr", grid, 0.02)
+        real, bad = dncs.lqr_design, 0.028
+
+        def failing(discs):
+            if any(d.d == bad for d in discs):
+                raise NotStabilizable("injected failure")
+            return real(discs)
+
+        monkeypatch.setattr(dncs, "lqr_design", failing)
+        res = sweep_delays(model, dec_k1, 0, "lqr", grid, 0.02)
+        for row, ref_row in zip(res.rows, ref.rows):
+            if row.delay == bad:
+                assert row.status == "failed:NotStabilizable"
+                assert np.isnan(row.value)
+            else:
+                assert row == ref_row
+        assert res.diagnostics["rows_redesigned"] == 4
+        assert ref.diagnostics["rows_redesigned"] == 0
 
     def test_bad_grid_rejected(self, gains_k1, dec_k1):
         model = bench_mode_system(gains_k1, dec_k1, 0)

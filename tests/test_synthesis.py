@@ -132,6 +132,114 @@ class TestDare:
         assert calls["eigvals"] == calls["stein"] + 1
 
 
+def stacked(discs):
+    """(A, B, Q, N, R) stacks of equal-size lifted systems."""
+    return tuple(np.stack([getattr(d, name) for d in discs])
+                 for name in ("A2", "B2u", "Q2", "N2", "R2"))
+
+
+def counting(monkeypatch, module, name):
+    """Patch module.name with a wrapper that counts its calls."""
+    calls = [0]
+    real = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+class TestStacks:
+    """A stack of k systems gives, slice by slice, exactly the arrays of k
+    single designs: each slice keeps its own branch and stop tests."""
+
+    def test_stein_stack_equals_singles(self):
+        # spectral radii 0.2, 0.6 and 0.95 stop after different numbers of
+        # doublings, so slices leave the stack at different steps
+        rng = np.random.default_rng(11)
+        As, Qs = [], []
+        for rho in (0.2, 0.95, 0.6):
+            A = rng.normal(size=(5, 5))
+            As.append(A * rho / np.abs(np.linalg.eigvals(A)).max())
+            Qm = rng.normal(size=(5, 5))
+            Qs.append(Qm @ Qm.T)
+        P = stein_solve(np.stack(As), np.stack(Qs))
+        assert P.shape == (3, 5, 5)
+        for j in range(3):
+            assert np.array_equal(P[j], stein_solve(As[j], Qs[j]))
+
+    def test_stein_stack_with_unstable_slice_raises(self):
+        A = np.stack([0.5 * np.eye(2), np.diag([1.5, 0.5])])
+        with pytest.raises(UnstableSystem):
+            stein_solve(A, np.stack([np.eye(2)] * 2))
+
+    def test_policy_iteration_stack_equals_singles(self, monkeypatch):
+        # singular R on all three; alone they take 6, 4 and 5 Newton steps
+        import wadc.synthesis as synthesis
+        discs = [random_disc(np.random.default_rng(seed), d_over_h=2.3)
+                 for seed in (0, 2, 4)]
+        assert not any(d.R2.any() for d in discs)
+        singles, steps = [], []
+        for d in discs:
+            calls = counting(monkeypatch, synthesis, "stein_solve")
+            singles.append(dare_solve(d.A2, d.B2u, d.Q2, d.N2, d.R2))
+            steps.append(calls[0])
+            monkeypatch.undo()
+        assert len(set(steps)) == 3
+        P = dare_solve(*stacked(discs))
+        for j in range(3):
+            assert np.array_equal(P[j], singles[j])
+
+    def test_dare_stack_mixes_doubling_and_policy_iteration(self):
+        # one system at d = 0.4 h (R positive definite: doubling) and at
+        # d = h (R = 0: policy iteration); both lift to the same size
+        discs = [random_disc(np.random.default_rng(0), d_over_h=doh)
+                 for doh in (0.4, 1.0)]
+        assert np.linalg.eigvalsh(discs[0].R2).min() > 0
+        assert not discs[1].R2.any()
+        P = dare_solve(*stacked(discs))
+        for j, d in enumerate(discs):
+            assert np.array_equal(
+                P[j], dare_solve(d.A2, d.B2u, d.Q2, d.N2, d.R2))
+
+    def test_lqr_design_stack_equals_singles(self):
+        discs = [random_disc(np.random.default_rng(0), d_over_h=doh)
+                 for doh in (0.4, 0.7, 1.0)]
+        results = lqr_design(discs)
+        assert len(results) == 3
+        for res, d in zip(results, discs):
+            alone = lqr_design(d)
+            assert np.array_equal(res.F, alone.F)
+            assert np.array_equal(res.P, alone.P)
+
+    def test_singular_pivot_slice_takes_least_squares(self, monkeypatch):
+        # the first slice has no input (B = 0, R = 0: H = 0), so the stacked
+        # solve fails and that slice alone goes to least squares
+        A = np.array([[[0.5]], [[0.5]]])
+        B = np.array([[[0.0]], [[1.0]]])
+        Q = np.ones((2, 1, 1))
+        zero = np.zeros((2, 1, 1))
+        singles = [dare_solve(A[j], B[j], Q[j], zero[j], zero[j])
+                   for j in range(2)]
+        calls = counting(monkeypatch, np.linalg, "lstsq")
+        P = dare_solve(A, B, Q, zero, zero)
+        assert calls[0] > 0
+        assert abs(P[0, 0, 0] - 4.0 / 3.0) < 1e-10
+        for j in range(2):
+            assert np.array_equal(P[j], singles[j])
+
+    def test_unstabilizable_slice_fails_the_stack(self):
+        # singular R with an unstable A: no solver applies to the second
+        # slice, alone or in a stack
+        A = np.stack([0.5 * np.eye(2), np.diag([1.5, 0.5])])
+        B = np.stack([[[1.0], [1.0]], [[1.0], [0.0]]])
+        with pytest.raises(NotStabilizable, match="policy iteration"):
+            dare_solve(A, B, np.stack([np.eye(2)] * 2), None,
+                       np.zeros((2, 1, 1)))
+
+
 class TestLqr:
     def test_zero_state_cost_gives_zero_gain(self):
         rng = np.random.default_rng(3)
