@@ -368,9 +368,7 @@ def discretize(model: CtsModel, h, d=0.0) -> DiscretizedSystem:
     else:
         A2[:n_x, n_x + n_u:n_x + 2 * n_u] = Gamma0
         # shift the memory registers one slot toward the plant
-        for j in range(q):
-            A2[n_x + j * n_u:n_x + (j + 1) * n_u,
-               n_x + (j + 1) * n_u:n_x + (j + 2) * n_u] = np.eye(n_u)
+        A2[n_x:n_x + q * n_u, n_x + n_u:] = np.eye(q * n_u)
         B2u[n_x + q * n_u:] = np.eye(n_u)
 
     B2w = np.zeros((n_z, n_w))

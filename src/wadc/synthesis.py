@@ -58,6 +58,7 @@ _RESIDUAL_TOL = 1e-9
 _MAX_DOUBLINGS = 120   # Stein doublings per slice
 _MAX_SDA_ITERS = 120   # Riccati doublings per slice
 _MAX_NEWTON = 200      # policy-iteration steps per slice
+_LARGE_POWER = 1e30    # max|A^(2^j)| that gets an eigenvalue check
 
 
 def spectral_radius(A):
@@ -99,36 +100,64 @@ def _gather(parts, live, X):
 
 
 def stein_solve(A, Q):
-    """Solve P = A' P A + Q for Schur-stable A by doubling.
+    """Solve P = A' P A + Q for Schur-stable A by Smith doubling.
+
+    The doubling forms S = sum_{i < 2^j} (A^i)' Q A^i and T = A^(2^j); a
+    slice stops once max|T|^2 max|S| <= 1e-18 (1 + max|Q|).  The same
+    powers certify its stability: rho(A)^(2^j) = rho(T) <= n max|T|
+    (Gelfand), so a slice that stops with n max|T| < 1/2 has rho(A) < 1,
+    usually by nine orders of magnitude, and needs no eigenvalue solve.
+    Only the slices that stop without that bound (Q = 0 stops at once) or
+    use up the doublings get ``spectral_radius``, after the loop; a slice
+    whose max|T| passes 1e30 gets it at once, so an unstable A raises
+    ``UnstableSystem`` before anything overflows, and a stable A with a
+    large transient doubles on to its stop.
 
     A and Q may be (k, n, n) stacks; each slice stops on its own test.
     """
     A = np.asarray(A, dtype=float)
     Q = np.asarray(Q, dtype=float)
-    if spectral_radius(A) >= 1.0:
-        raise UnstableSystem("Stein equation needs a Schur-stable matrix")
     single = A.ndim == 2
     if single:
         A, Q = A[None], Q[None]
+    bound = 0.5 / A.shape[-1]   # max|T| below this certifies the slice
     S = 0.5 * (Q + Q.mT)
     T = A.copy()
     tol = [1e-18 * (1.0 + s) for s in _max(S)]
     parts, live = [], np.arange(len(S))
+    t = _max(T)
+    sure = [False] * len(S)     # eigenvalues checked after a large power
+    unsure = []                 # slices that stopped without the bound
     for _ in range(_MAX_DOUBLINGS):
+        if max(t) > _LARGE_POWER:
+            big = [x > _LARGE_POWER and not ok for x, ok in zip(t, sure)]
+            if any(big):
+                if spectral_radius(A[live[big]]) >= 1.0:
+                    raise UnstableSystem(
+                        "Stein equation needs a Schur-stable matrix")
+                sure = [ok or b for ok, b in zip(sure, big)]
         S = S + T.mT @ S @ T
         T = T @ T
         # each slice's stop test, in floats as for one matrix; a lone
         # slice takes the whole-array maxima, its own and cheaper
         if len(live) == 1:
-            if np.abs(T).max() ** 2 * np.abs(S).max() <= tol[0]:
-                break
-            continue
-        done = [t ** 2 * s <= c for t, s, c in zip(_max(T), _max(S), tol)]
-        if all(done):
-            break
+            t = [np.abs(T).max()]
+            done = [t[0] ** 2 * np.abs(S).max() <= tol[0]]
+        else:
+            t = _max(T)
+            done = [x ** 2 * s <= c for x, s, c in zip(t, _max(S), tol)]
         if any(done):
-            tol = [c for c, d in zip(tol, done) if not d]
+            unsure += [j for j, x, ok, d in zip(live.tolist(), t, sure, done)
+                       if d and not (ok or x < bound)]
+            if all(done):
+                break
+            tol, t, sure = ([v for v, d in zip(L, done) if not d]
+                            for L in (tol, t, sure))
             live, S, T = _set_aside(parts, done, live, S, T)
+    else:
+        unsure += [j for j, ok in zip(live.tolist(), sure) if not ok]
+    if unsure and spectral_radius(A[unsure]) >= 1.0:
+        raise UnstableSystem("Stein equation needs a Schur-stable matrix")
     P = _gather(parts, live, S)
     P = 0.5 * (P + P.mT)
     return P[0] if single else P
@@ -209,8 +238,10 @@ def _sda(A, G, H):
 
 def _policy_iteration(A, B, Q, N, R):
     """Newton (policy) iteration from the zero gain on each slice; needs
-    stable A.  Each closed loop A + B F, A first, is checked once, by its
-    ``stein_solve``; a slice stops once its residual is small."""
+    stable A.  Each closed loop A + B F, A first, is checked by the
+    ``stein_solve`` that evaluates it: by its doubling's power bound, with
+    eigenvalues only as the fallback.  A slice stops once its residual is
+    small."""
     k, n, m = B.shape
     F = np.zeros((k, m, n))
     parts, live = [], np.arange(k)
@@ -240,8 +271,10 @@ def dare_solve(A, B, Q, N=None, R=None):
     otherwise, or when doubling fails, policy iteration from the zero gain,
     so a singular R needs a Schur-stable A (the lifted plant here is always
     pre-stabilized).  Convergence is declared on the equation residual.
-    Each closed loop's stability is checked once: policy iteration's by its
-    ``stein_solve``, the returned gain's here.  The arguments may be stacks
+    Policy iteration's closed loops are certified stable by their
+    ``stein_solve`` doubling, which computes eigenvalues only when its
+    power bound fails; the returned gain's loop gets an eigenvalue check
+    here, independent of the solver.  The arguments may be stacks
     of k equations of one size, (k, n, n) and so on; each slice takes its
     own branch, and a failure of any slice raises for the stack.
     """
@@ -366,13 +399,13 @@ def hinf_norm(A, B, C, D):
     B = np.atleast_2d(np.asarray(B, dtype=float))
     C = np.atleast_2d(np.asarray(C, dtype=float))
     D = np.atleast_2d(np.asarray(D, dtype=float))
-    if not B.any() or not C.any():
-        return float(np.linalg.svd(D, compute_uv=False).max()) if D.size else 0.0
-    n, m = B.shape
     lam = np.linalg.eigvals(A)
     rho = np.abs(lam).max()
     if rho >= 1.0:
         raise UnstableSystem(f"spectral radius {rho:.6f} >= 1")
+    if not B.any() or not C.any():
+        return float(np.linalg.svd(D, compute_uv=False).max()) if D.size else 0.0
+    n, m = B.shape
     s = np.sqrt(np.linalg.norm(C) / np.linalg.norm(B))
     B, C = B * s, C / s
     thetas = np.concatenate([np.linspace(0.0, np.pi, n + 2),
@@ -500,8 +533,10 @@ def gamma_min(disc: DiscretizedSystem, tol=1e-3):
     evaluator's rounding-level value on that loop.  Otherwise the top of
     the bracket is the decentralized level: the open-loop norm of the
     lifted mode, which the zero remote gain certifies, so that no-control
-    design is the first witness.  This needs a Schur-stable A2
-    (``hinf_norm`` raises ``UnstableSystem`` otherwise); every lifted mode
+    design is the first witness; when that norm is exactly 0 (no
+    disturbance reaches the output) the level is 0 with the zero gain.
+    This needs a Schur-stable A2 (``hinf_norm`` raises ``UnstableSystem``
+    otherwise, with or without a disturbance path); every lifted mode
     has one, since its local loop is Hurwitz and its input memory a
     nilpotent shift.  Bisects down from there against the largest known
     infeasible level until the bracket ratio falls below 1 + tol, or the
@@ -519,8 +554,11 @@ def gamma_min(disc: DiscretizedSystem, tol=1e-3):
             norm = hinf_norm(A0, disc.B2w, C0, disc.D2w)
             return 0.0, HinfResult(F=F0, gamma=0.0, norm=norm)
     base = hinf_norm(disc.A2, disc.B2w, disc.C2, disc.D2w)
+    F_zero = np.zeros((disc.n_u, disc.n_z))
+    if base == 0.0:
+        return 0.0, HinfResult(F=F_zero, gamma=0.0, norm=0.0)
     hi = max(base * (1.0 + tol), 1e-12)
-    best = HinfResult(F=np.zeros((disc.n_u, disc.n_z)), gamma=hi, norm=base)
+    best = HinfResult(F=F_zero, gamma=hi, norm=base)
     lo = 0.0
     floor = 1e-12 * hi
     for _ in range(200):

@@ -108,9 +108,10 @@ class TestDare:
                        None, [[0.0]])
 
     def test_singular_r_checks_each_loop_once(self, monkeypatch):
-        # policy iteration's only stability check is its stein_solve's, one
-        # per iterate (the first iterate is A itself); dare_solve adds one
-        # for the returned gain's loop
+        # policy iteration's closed loops (the first iterate is A itself)
+        # are certified by their stein_solve's doubling powers, with no
+        # eigenvalue solve; the only eigvals is dare_solve's, for the
+        # returned gain's loop
         import wadc.synthesis as synthesis
         disc = random_disc(np.random.default_rng(7), d_over_h=2.3)
         assert not disc.R2.any()
@@ -129,7 +130,7 @@ class TestDare:
         monkeypatch.setattr(synthesis, "stein_solve", counted_stein)
         dare_solve(disc.A2, disc.B2u, disc.Q2, disc.N2, disc.R2)
         assert calls["stein"] >= 2
-        assert calls["eigvals"] == calls["stein"] + 1
+        assert calls["eigvals"] == 1
 
 
 def stacked(discs):
@@ -310,6 +311,13 @@ class TestHinfNorm:
         with pytest.raises(UnstableSystem):
             hinf_norm([[1.0]], [[1.0]], [[1.0]], [[0.0]])
 
+    def test_unstable_rejected_without_disturbance_path(self):
+        # B = 0 or C = 0 makes the norm ||D||, but only for a stable A
+        with pytest.raises(UnstableSystem):
+            hinf_norm([[1.5]], [[0.0]], [[1.0]], [[0.0]])
+        with pytest.raises(UnstableSystem):
+            hinf_norm([[1.5]], [[1.0]], [[0.0]], [[0.0]])
+
     def test_matches_dense_scan(self):
         rng = np.random.default_rng(9)
         disc = random_disc(rng, n_x=3, n_w=2)
@@ -458,6 +466,24 @@ class TestGammaMin:
         with pytest.raises(UnstableSystem):
             gamma_min(disc, tol=1e-3)
 
+    def test_unstable_plant_without_disturbance_path_rejected(self):
+        disc = make_disc([[1.5]], [[1.0]], [[0.0]], [[1.0]], [[0.0]],
+                         [[0.0]], np.eye(1), np.zeros((1, 1)), np.eye(1))
+        with pytest.raises(UnstableSystem):
+            gamma_min(disc, tol=1e-3)
+
+    def test_no_disturbance_path_gives_zero_level(self, monkeypatch):
+        # B2w = 0: the open-loop norm is exactly 0, so is the level, with
+        # the zero gain as its witness and no bisection
+        import wadc.synthesis as synthesis
+        calls = counting(monkeypatch, synthesis, "hinf_design")
+        disc = make_disc([[0.5]], [[1.0]], [[0.0]], [[1.0]], [[0.0]],
+                         [[0.0]], np.eye(1), np.zeros((1, 1)), np.eye(1))
+        gstar, res = gamma_min(disc, tol=1e-3)
+        assert gstar == 0.0 and res.gamma == 0.0 and res.norm == 0.0
+        assert np.array_equal(res.F, np.zeros((1, 1)))
+        assert calls[0] == 0
+
     def test_bracketing_property(self):
         rng = np.random.default_rng(15)
         disc = random_disc(rng, n_x=2, n_w=1)
@@ -475,7 +501,26 @@ class TestGammaMin:
         assert abs(g2 - g3) <= 1e-2 * g2
 
 
+def recording(monkeypatch):
+    """Patch ``spectral_radius`` in the synthesis module with a wrapper
+    that keeps a copy of each stack it is given."""
+    import wadc.synthesis as synthesis
+    seen = []
+    real = synthesis.spectral_radius
+
+    def recorded(A):
+        seen.append(np.array(A))
+        return real(A)
+
+    monkeypatch.setattr(synthesis, "spectral_radius", recorded)
+    return seen
+
+
+@pytest.mark.filterwarnings("error")
 class TestStein:
+    """Each slice's stability is certified by its own doubling powers,
+    n max|A^(2^j)| < 1/2 at the stop, or else by its eigenvalues."""
+
     def test_matches_scipy(self):
         rng = np.random.default_rng(17)
         A = rng.normal(size=(4, 4))
@@ -489,3 +534,71 @@ class TestStein:
     def test_unstable_rejected(self):
         with pytest.raises(UnstableSystem):
             stein_solve(np.eye(2), np.eye(2))
+
+    def test_power_bound_certifies_without_eigenvalues(self, monkeypatch):
+        seen = recording(monkeypatch)
+        rng = np.random.default_rng(18)
+        A = rng.normal(size=(4, 4))
+        A *= 0.9 / np.abs(np.linalg.eigvals(A)).max()
+        stein_solve(A, np.eye(4))
+        assert seen == []
+
+    def test_zero_cost_stable_reaches_fallback(self, monkeypatch):
+        # Q = 0 passes the stop test at once, where n max|A^2| = 1.62
+        seen = recording(monkeypatch)
+        A = np.diag([0.9, 0.8])
+        P = stein_solve(A, np.zeros((2, 2)))
+        assert np.array_equal(P, np.zeros((2, 2)))
+        assert len(seen) == 1 and np.array_equal(seen[0], A[None])
+
+    def test_zero_cost_unstable_raises(self, monkeypatch):
+        seen = recording(monkeypatch)
+        with pytest.raises(UnstableSystem):
+            stein_solve(np.diag([1.5, 0.5]), np.zeros((2, 2)))
+        assert len(seen) == 1
+
+    def test_power_bound_counts_the_dimension(self):
+        # rho(A) = 1.2, yet max|A^2| = 0.36 < 1/2: only n max|A^2| = 1.44
+        # tells that A^2 does not prove stability
+        A = np.full((4, 4), 0.3)
+        with pytest.raises(UnstableSystem):
+            stein_solve(A, np.zeros((4, 4)))
+
+    def test_unstable_slice_raises_before_overflow(self, monkeypatch):
+        # the unstable slice's powers pass 1e30 after eight doublings; its
+        # eigenvalues are checked then, before 1.5^(2^j) overflows
+        seen = recording(monkeypatch)
+        rng = np.random.default_rng(19)
+        A = rng.normal(size=(3, 3, 3))
+        A *= 0.5 / np.abs(np.linalg.eigvals(A)).max(axis=-1)[:, None, None]
+        A[1] = np.array([[1.5, 1.0, 0.0], [0.0, 0.5, 0.0], [0.0, 0.0, 0.2]])
+        with pytest.raises(UnstableSystem):
+            stein_solve(A, np.stack([np.eye(3)] * 3))
+        assert len(seen) == 1 and np.array_equal(seen[0], A[1:2])
+
+    def test_large_transient_keeps_doubling(self, monkeypatch):
+        # max|A^(2^j)| passes 1e30 on the first doublings of this stable A;
+        # its eigenvalues are checked once and the doubling goes on to the
+        # same P as with an eigenvalue check of A up front
+        seen = recording(monkeypatch)
+        P = stein_solve(np.array([[0.5, 1e35], [0.0, 0.5]]), np.eye(2))
+        expected = [float.fromhex(x) for x in (
+            "0x1.5555555555555p+0", "0x1.11e8f827844e6p+116",
+            "0x1.11e8f827844e6p+116", "0x1.12c189f29055cp+234")]
+        assert P.ravel().tolist() == expected
+        assert P.max() == 2.962962962962963e+70
+        assert len(seen) == 1
+
+    def test_mixed_stack_checks_only_uncertified_slices(self, monkeypatch):
+        seen = recording(monkeypatch)
+        rng = np.random.default_rng(20)
+        A = rng.normal(size=(4, 3, 3))
+        A *= 0.7 / np.abs(np.linalg.eigvals(A)).max(axis=-1)[:, None, None]
+        A[2] = np.diag([0.9, 0.8, 0.1])
+        Q = np.stack([np.eye(3)] * 4)
+        Q[2] = 0.0
+        P = stein_solve(A, Q)
+        assert len(seen) == 1 and np.array_equal(seen[0], A[2:3])
+        assert not P[2].any()
+        for j in range(4):
+            assert np.array_equal(P[j], stein_solve(A[j], Q[j]))
