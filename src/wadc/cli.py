@@ -293,6 +293,17 @@ def _mode_list(dec, mode_arg):
     return [dec.mode_index(mode_arg)]
 
 
+def _search_diagnostics(md):
+    """Levels an H-infinity search tried and certified; at level 0, also
+    the witness's residual output gain ||C2 + D2u F|| (2-norm)."""
+    diag = {"levels_tried": md.result.levels,
+            "levels_accepted": md.result.accepted}
+    if md.result.gamma == 0.0:
+        diag["residual_gain"] = float(
+            np.linalg.norm(md.disc.C2 + md.disc.D2u @ md.F, 2))
+    return diag
+
+
 def cmd_design(cfg, args, report):
     pipe = Pipeline(cfg, report)
     _, dec = pipe.gains(args.measure)
@@ -317,6 +328,8 @@ def cmd_design(cfg, args, report):
         else:
             entry["gamma"] = md.result.gamma
             entry["certified_norm"] = md.result.norm
+            report.data.setdefault("diagnostics", {})[dec.labels[i]] = \
+                _search_diagnostics(md)
         summary[dec.labels[i]] = entry
         print(f"{dec.labels[i]}: {entry}")
         report.stage("write")
@@ -429,6 +442,10 @@ def cmd_simulate(cfg, args, report):
         "trace_rows": len(out.t),
         "trace_bytes": trace_bytes,
     }
+    if args.measure == "hinf":
+        report.data["diagnostics"]["designs"] = {
+            label: _search_diagnostics(md)
+            for label, md in zip(dec.labels, designs)}
     print(json.dumps(summary, indent=2, sort_keys=True))
     report.stage("write")
     return 0

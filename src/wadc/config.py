@@ -34,6 +34,14 @@ def _parse_positive(s):
     return v
 
 
+def _parse_gamma_rel(s):
+    v = _parse_float(s)
+    if not v >= 1e-9:
+        raise ConfigError(f"expected at least 1e-9, above the accuracy of "
+                          f"the certified norms, got {s!r}")
+    return v
+
+
 def _parse_nonnegative(s):
     v = _parse_float(s)
     if v < 0:
@@ -160,7 +168,7 @@ SCHEMA = {
     },
     "tolerances": {
         "equilibrium": (_parse_positive, 1e-10, "scaled equilibrium residual tolerance [-]"),
-        "gamma_rel": (_parse_positive, 1e-3, "relative bracket tolerance of the attenuation search [-]"),
+        "gamma_rel": (_parse_gamma_rel, 1e-3, "relative bracket tolerance of the attenuation search, at least 1e-9 [-]"),
     },
     "scenario": {
         "initial_mode": (_parse_choice("oscillation", "common"), "oscillation", "mode carrying the initial state [-]"),

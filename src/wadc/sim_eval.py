@@ -355,7 +355,8 @@ def sweep_delays(model, dec, mode, measure, delay_grid, h, z0=None,
     emitted when the measure decreases along more than 10% of consecutive
     delay pairs.  ``diagnostics`` counts the rows designed, the stacks
     they were designed in, the largest stack and the rows designed again
-    one at a time.
+    one at a time; for H-infinity also the levels the searches tried and
+    certified, the zero-delay design's included.
     """
     i = dec.mode_index(mode)
     delay_grid = [float(t) for t in delay_grid]
@@ -370,10 +371,14 @@ def sweep_delays(model, dec, mode, measure, delay_grid, h, z0=None,
     links = ~np.eye(m, dtype=bool)
     diag = {"rows_designed": 0, "stacks": 0, "largest_stack": 0,
             "rows_redesigned": 0}
+    if measure == "hinf":
+        diag.update(levels_tried=0, levels_accepted=0)
 
     def row_value(md):
         if measure == "lqr":
             return md.result.J_star(md.disc.lift_state(z0))
+        diag["levels_tried"] += md.result.levels
+        diag["levels_accepted"] += md.result.accepted
         return md.result.gamma
 
     def design(delays):
@@ -401,6 +406,7 @@ def sweep_delays(model, dec, mode, measure, delay_grid, h, z0=None,
         return SweepRow(delay=tau, mode=dec.labels[i], measure=measure,
                         value=value, lower=lower, upper=upper, status=status)
 
+    value0 = row_value(md0)
     waits = [float(delay_map(dec, np.where(links, tau, 0.0))[0][i])
              for tau in delay_grid]
 
@@ -417,7 +423,7 @@ def sweep_delays(model, dec, mode, measure, delay_grid, h, z0=None,
     for key, group in itertools.groupby(range(len(waits)), key=stack):
         delays = [waits[j] for j in group]
         if key is None:
-            values += [row_value(md0)] * len(delays)
+            values += [value0] * len(delays)
         else:
             diag["rows_designed"] += len(delays)
             values += design(delays)

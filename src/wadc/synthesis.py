@@ -19,14 +19,16 @@ the per-call interpreter cost, which dominates on matrices this small.
 Stacks are never padded, as other shapes would change the BLAS calls.
 
 The smallest H-infinity level is exactly 0 when a static gain cancels the
-output (zero wait); otherwise it is found by bisection down from the
-decentralized level, the open-loop norm that the zero remote gain
-certifies.  Each level solves the indefinite game Riccati equation once,
-from SciPy's pencil with the disturbance scaled by 1/gamma; every
-accepted design is certified independently by positivity pivots,
-closed-loop stability and the closed-loop norm, so the Riccati backend
-cannot silently return a wrong answer.  Norms come from one evaluator,
-the level-set iteration on the unit circle in ``hinf_norm``.
+output (zero wait); otherwise it is bracketed below the decentralized
+level, the open-loop norm that the zero remote gain certifies, and the
+top of the bracket is always a certified closed-loop norm, which secant
+steps on the norms of the accepted designs drive down.  Each level solves
+the indefinite game Riccati equation once, from SciPy's pencil with the
+disturbance scaled by 1/gamma; every accepted design is certified
+independently by positivity pivots, closed-loop stability and the
+closed-loop norm, so the Riccati backend cannot silently return a wrong
+answer.  Norms come from one evaluator, the level-set iteration on the
+unit circle in ``hinf_norm``, which also certifies stability.
 """
 
 from dataclasses import dataclass
@@ -59,6 +61,7 @@ _MAX_DOUBLINGS = 120   # Stein doublings per slice
 _MAX_SDA_ITERS = 120   # Riccati doublings per slice
 _MAX_NEWTON = 200      # policy-iteration steps per slice
 _LARGE_POWER = 1e30    # max|A^(2^j)| that gets an eigenvalue check
+_NORM_ACCURACY = 1.0 + 2e-10  # hinf_norm's relative certificate
 
 
 def spectral_radius(A):
@@ -413,7 +416,7 @@ def hinf_norm(A, B, C, D):
     lb = float(_sigma_max(A, B, C, D, thetas).max())
     I, O, Onm = np.eye(n), np.zeros((n, n)), np.zeros((n, m))
     while lb > 0.0:
-        g = (1.0 + 2e-10) * lb
+        g = _NORM_ACCURACY * lb
         b, d = B / g, D / g
         # pencil M - z N in (x, p, u) for T / g with y = C x + d u:
         # z x = A x + b u, p = z (A' p + C' y), 0 = b' p + d' y - u
@@ -442,6 +445,8 @@ class HinfResult:
     F: np.ndarray
     gamma: float
     norm: float
+    levels: int = 0     # levels tried by the search that found it
+    accepted: int = 0   # of which certified
 
 
 def _game_blocks(disc, P, gamma):
@@ -515,59 +520,91 @@ def hinf_design(disc: DiscretizedSystem, gamma) -> HinfResult:
             raise GammaInfeasible(name, f"min eigenvalue {h_min:.3e}")
 
     F = -X
-    A_cl = disc.A2 + disc.B2u @ F
-    if spectral_radius(A_cl) >= 1.0:
-        raise GammaInfeasible("closed_loop_unstable")
-    norm = hinf_norm(A_cl, disc.B2w, disc.C2 + disc.D2u @ F, disc.D2w)
+    try:
+        norm = hinf_norm(disc.A2 + disc.B2u @ F, disc.B2w,
+                         disc.C2 + disc.D2u @ F, disc.D2w)
+    except UnstableSystem as exc:
+        raise GammaInfeasible("closed_loop_unstable", str(exc)) from None
     if norm >= gamma:
         raise GammaInfeasible("norm_not_below_gamma")
-    return HinfResult(F=F, gamma=gamma, norm=norm)
+    return HinfResult(F=F, gamma=gamma, norm=norm, levels=1, accepted=1)
 
 
 def gamma_min(disc: DiscretizedSystem, tol=1e-3):
-    """Smallest certifiable attenuation level by bisection.
+    """Smallest certifiable attenuation level, by a safeguarded secant
+    search on certified norms.
 
     When the output can be cancelled (D2w = 0 and F0 = -D2u^+ C2 leaves
     C2 + D2u F0 at 1e-12 of C2 with a Schur-stable loop, as at zero wait),
-    the level is exactly 0 with F0 as its witness, whose ``norm`` is the
-    evaluator's rounding-level value on that loop.  Otherwise the top of
-    the bracket is the decentralized level: the open-loop norm of the
-    lifted mode, which the zero remote gain certifies, so that no-control
-    design is the first witness; when that norm is exactly 0 (no
-    disturbance reaches the output) the level is 0 with the zero gain.
-    This needs a Schur-stable A2 (``hinf_norm`` raises ``UnstableSystem``
-    otherwise, with or without a disturbance path); every lifted mode
-    has one, since its local loop is Hurwitz and its input memory a
-    nilpotent shift.  Bisects down from there against the largest known
-    infeasible level until the bracket ratio falls below 1 + tol, or the
-    top reaches 1e-12 of where it started.  Returns the top of the bracket
-    and the last certified design.
+    the level is exactly 0 with F0 as its witness, and so is the norm
+    reported: the rounding-level rest of C2 + D2u F0 is not evaluated.
+    Otherwise the bracket (lo, hi] starts from lo = 0 and the
+    decentralized level: the open-loop norm of the lifted mode, which the
+    zero remote gain certifies, so that no-control design is the first
+    witness.  This needs a Schur-stable A2 (``hinf_norm`` raises
+    ``UnstableSystem`` otherwise, with or without a disturbance path);
+    every lifted mode has one, since its local loop is Hurwitz and its
+    input memory a nilpotent shift.
+
+    The top is always the best certified norm times (1 + 2e-10), the
+    accuracy of ``hinf_norm``: an accepted level moves it to its design's
+    norm, not to the level tried, and a failed level becomes the bottom.
+    The next level is a secant step toward the fixed point
+    norm(gamma) = gamma through the last two accepted (level, norm)
+    pairs, aimed tol / 2 above the estimate, or at hi / (1 + tol), which
+    closes the bracket, when the estimate is above that (gamma-iteration,
+    Doyle, Glover, Khargonekar & Francis 1989, with the safeguard of
+    Brent 1973).  A pair whose norm is below half its level lies on the
+    flat far end of the norm curve, where a chord says nothing of the
+    slope near the fixed point, so it is not used.  The midpoint is taken
+    when there is no estimate inside the bracket, or after an accepted
+    secant step that lowered log(hi) by half or more of what the accepted
+    secant step before it did: converging steps shrink faster, creeping
+    ones do not.  Stops when hi / lo <= 1 + tol, which a certified norm
+    of exactly 0 meets at once, and returns hi, which is also the
+    result's ``gamma``.  Every level passes or fails ``hinf_design``'s
+    full certificate.
     """
     tol = float(tol)
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not tol >= 1e-9:
+        raise ValueError("tol must be at least 1e-9, above the accuracy "
+                         "of the certified norms")
     if not disc.D2w.any():
         F0 = -np.linalg.pinv(disc.D2u) @ disc.C2
-        A0, C0 = disc.A2 + disc.B2u @ F0, disc.C2 + disc.D2u @ F0
-        if (np.linalg.norm(C0) <= 1e-12 * np.linalg.norm(disc.C2)
-                and spectral_radius(A0) < 1.0):
-            norm = hinf_norm(A0, disc.B2w, C0, disc.D2w)
-            return 0.0, HinfResult(F=F0, gamma=0.0, norm=norm)
-    base = hinf_norm(disc.A2, disc.B2w, disc.C2, disc.D2w)
-    F_zero = np.zeros((disc.n_u, disc.n_z))
-    if base == 0.0:
-        return 0.0, HinfResult(F=F_zero, gamma=0.0, norm=0.0)
-    hi = max(base * (1.0 + tol), 1e-12)
-    best = HinfResult(F=F_zero, gamma=hi, norm=base)
-    lo = 0.0
-    floor = 1e-12 * hi
-    for _ in range(200):
-        if (lo > 0.0 and hi / lo <= 1.0 + tol) or hi <= floor:
-            break
-        mid = 0.5 * (lo + hi)
+        if (np.linalg.norm(disc.C2 + disc.D2u @ F0)
+                <= 1e-12 * np.linalg.norm(disc.C2)
+                and spectral_radius(disc.A2 + disc.B2u @ F0) < 1.0):
+            return 0.0, HinfResult(F=F0, gamma=0.0, norm=0.0)
+    best = HinfResult(F=np.zeros((disc.n_u, disc.n_z)), gamma=0.0,
+                      norm=hinf_norm(disc.A2, disc.B2w, disc.C2, disc.D2w))
+    lo, hi = 0.0, best.norm * _NORM_ACCURACY
+    pairs, levels, accepted = [], 0, 0
+    # hi_after / hi_before of the last accepted secant step; halving the
+    # fall of log(hi) means squaring this ratio
+    last_ratio, secant = 0.0, True
+    while hi / (1.0 + tol) > lo:
+        level = None
+        if secant and len(pairs) == 2:
+            (g1, n1), (g2, n2) = pairs
+            slope = (n2 - n1) / (g2 - g1)
+            if slope < 1.0:
+                level = min((n2 - slope * g2) / (1.0 - slope)
+                            * (1.0 + 0.5 * tol), hi / (1.0 + tol))
+        stepped = level is not None and level > lo
+        if not stepped:
+            level = 0.5 * (lo + hi)
+        levels += 1
         try:
-            best = hinf_design(disc, mid)
-            hi = mid
+            best = hinf_design(disc, level)
         except GammaInfeasible:
-            lo = mid
-    return hi, best
+            lo, secant = level, True
+            continue
+        accepted += 1
+        top, hi = hi, best.norm * _NORM_ACCURACY
+        secant = not stepped or (hi / top) ** 2 > last_ratio
+        if stepped:
+            last_ratio = hi / top
+        pairs = [(g, n) for g, n in pairs[-1:] + [(level, best.norm)]
+                 if 2.0 * n >= g]
+    return hi, HinfResult(F=best.F, gamma=hi, norm=best.norm, levels=levels,
+                          accepted=accepted)

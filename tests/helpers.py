@@ -4,7 +4,9 @@ import numpy as np
 from scipy.linalg import expm
 
 from wadc.dncs import design_mode
+from wadc.errors import GammaInfeasible
 from wadc.sampled import CtsCost, CtsSystem, split_delay
+from wadc.synthesis import hinf_design, hinf_norm
 
 
 def random_stable_system(rng, n_x, n_u, n_w=1, n_y=None):
@@ -299,6 +301,26 @@ def grid_hinf_norm(A, B, C, D, n_grid=4096, refine_iters=60):
         if b - a < 1e-12:
             break
     return float(max(vals[i], fc, fd))
+
+
+def bisection_gamma(disc, tol):
+    """Plain midpoint bisection of the attenuation level, an oracle for
+    the library's search: the bracket (lo, hi] starts from 0 and (1 + tol)
+    times the open-loop norm, each level that ``hinf_design`` certifies
+    becomes the top and each other level the bottom, until hi / lo <=
+    1 + tol.  Returns (hi, number of levels tried)."""
+    lo = 0.0
+    hi = (1.0 + tol) * hinf_norm(disc.A2, disc.B2w, disc.C2, disc.D2w)
+    levels = 0
+    while not (lo > 0.0 and hi / lo <= 1.0 + tol):
+        mid = 0.5 * (lo + hi)
+        levels += 1
+        try:
+            hinf_design(disc, mid)
+            hi = mid
+        except GammaInfeasible:
+            lo = mid
+    return hi, levels
 
 
 def attenuation_of_mode(model, h, d_hat_i, tol=1e-3):

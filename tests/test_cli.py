@@ -90,6 +90,12 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_config(CONFIG, environ={"WADC_SAMPLING__DELAY_GRID_S": ""})
 
+    def test_gamma_tolerance_below_norm_accuracy_rejected(self):
+        with pytest.raises(ConfigError) as exc:
+            load_config(CONFIG, environ={"WADC_TOLERANCES__GAMMA_REL":
+                                         "1e-12"})
+        assert "gamma_rel" in str(exc.value)
+
     def test_every_schema_key_documented(self):
         readme = README.read_text()
         for section, keys in SCHEMA.items():
@@ -242,6 +248,15 @@ class TestSweepCommand:
         assert lines["all"] == (lines["oscillation"]
                                 + lines["common"][1:])
 
+    def test_hinf_level_counts_per_mode(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("WADC_SAMPLING__DELAY_GRID_S", "0:0.1:0.2")
+        assert run(tmp_path, "sweep", "--measure", "hinf") == 0
+        report = json.loads((tmp_path / "report.json").read_text())
+        diag = report["diagnostics"]["oscillation"]
+        # the zero-wait row takes no level; the other two at least one each
+        assert diag["rows_designed"] == 2
+        assert 2 <= diag["levels_accepted"] <= diag["levels_tried"] <= 20
+
     def test_hinf_zero_delay_beats_decentralized(self, tmp_path, monkeypatch):
         monkeypatch.setenv("WADC_SAMPLING__DELAY_GRID_S", "0")
         assert run(tmp_path, "sweep", "--measure", "hinf") == 0
@@ -270,6 +285,23 @@ class TestDesignCommand:
             assert read_matrix(tmp_path / f"F_{label}.txt").shape == (1, 8)
             entry = report["designs"][label]
             assert entry["gamma"] > entry["certified_norm"]
+            diag = report["diagnostics"][label]
+            assert 1 <= diag["levels_accepted"] <= diag["levels_tried"] <= 10
+            assert "residual_gain" not in diag
+
+    def test_hinf_zero_wait_level_is_exact(self, tmp_path):
+        # the static gain F0 = -D_u^+ C cancels the output: level and norm
+        # are exactly 0, and the rounding-level rest of C + D_u F0 is
+        # reported as a diagnostic, not as a norm
+        assert run(tmp_path, "design", "--measure", "hinf", "--mode", "all",
+                   "--delay", "0") == 0
+        report = json.loads((tmp_path / "report.json").read_text())
+        for label in ("oscillation", "common"):
+            entry = report["designs"][label]
+            assert entry["gamma"] == 0.0 and entry["certified_norm"] == 0.0
+            diag = report["diagnostics"][label]
+            assert diag["levels_tried"] == diag["levels_accepted"] == 0
+            assert 0.0 <= diag["residual_gain"] <= 1e-12
 
     def test_destabilizing_local_gains_exit_3(self, tmp_path, monkeypatch,
                                               capsys):
@@ -324,13 +356,15 @@ class TestSimulateCommand:
         # 8,001 rows, three of them with a value in exponent form
         ("lqr", "160", "59f345d5465285573a049f33977bb6ad"
                        "bc8ad8c151167913ae913fdfb2b1ac3b"),
-        ("hinf", "2", "0aae3f9c4062603a45d74db7ffd6fb12"
-                      "c7707e2dac7ba952ea6eb3d4259386f3"),
+        ("hinf", "2", "1966eb523c08dea7a148007c65587697"
+                      "d631afcaea2fe718eea05b335cdd603a"),
     ], ids=["lqr", "hinf"])
     def test_trace_golden_digest(self, tmp_path, monkeypatch, measure,
                                  horizon, digest):
-        # sha256 of trace.csv as first recorded (numpy 2.4.6, scipy 1.17.1,
-        # one BLAS thread); any change to a number or to the format shows
+        # sha256 of trace.csv (numpy 2.4.6, scipy 1.17.1, one BLAS thread);
+        # lqr as first recorded, hinf since the level search returns the
+        # design of its lowest certified norm; any change to a number or
+        # to the format shows
         monkeypatch.setenv("WADC_SCENARIO__HORIZON_S", horizon)
         assert run(tmp_path, "simulate", "--measure", measure,
                    "--delay", "0.1") == 0
@@ -345,8 +379,11 @@ class TestSimulateCommand:
         trace = (tmp_path / "trace.csv").read_text().splitlines()
         header = trace[0].split(",")
         assert header[0] == "t_s" and "y_1" in header
-        assert trace_digest(tmp_path) == ("73afc3a408ddb54bec34626e36f5936b"
-                                          "0e7fd73aeafd657adb5d819cb6fc9f5c")
+        assert trace_digest(tmp_path) == ("f7350477b8b8c8adeb63ff187b8b9ada"
+                                          "47d6396c0589858a2c98316ecfbab28e")
+        report = json.loads((tmp_path / "report.json").read_text())
+        for diag in report["diagnostics"]["designs"].values():
+            assert 1 <= diag["levels_accepted"] <= diag["levels_tried"]
         data = np.array([[float(v) for v in row.split(",")]
                          for row in trace[1:]])
         assert np.abs(data[:, 1:7]).max() > 0  # pulse excites the grid

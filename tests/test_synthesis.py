@@ -17,6 +17,7 @@ from wadc.sampled import (
     discretize,
 )
 from wadc.synthesis import (
+    HinfResult,
     dare_residual,
     dare_solve,
     gamma_min,
@@ -27,6 +28,7 @@ from wadc.synthesis import (
 )
 
 from helpers import (
+    bisection_gamma,
     closed_loop_cost,
     grid_hinf_norm,
     random_psd_cost,
@@ -412,6 +414,38 @@ class TestHinfDesign:
                 res = hinf_design(disc, factor * gstar)
                 assert res.norm < factor * gstar
 
+    def test_accepted_level_solves_eigenvalues_once(self, monkeypatch):
+        # the loop's stability is certified inside hinf_norm, from the one
+        # eigenvalue solve that also seeds its angles
+        seen = []
+        real = np.linalg.eigvals
+
+        def recorded(A):
+            seen.append(np.array(A))
+            return real(A)
+
+        rng = np.random.default_rng(21)
+        disc = random_disc(rng, n_x=3, n_w=2)
+        gstar, _ = gamma_min(disc, tol=1e-3)
+        monkeypatch.setattr(np.linalg, "eigvals", recorded)
+        res = hinf_design(disc, 1.5 * gstar)
+        assert len(seen) == 1
+        assert np.array_equal(seen[0], disc.A2 + disc.B2u @ res.F)
+
+    def test_unstable_loop_is_infeasible(self, monkeypatch):
+        # with C2 = 0, P = 0 solves this game Riccati equation too and
+        # passes the residual, P >= 0 and pivot checks, but its gain F = 0
+        # leaves the unstable open loop; SciPy returns the stabilizing
+        # solution, so P = 0 is supplied to reach the stability check
+        disc = make_disc([[2.0]], [[1.0]], [[1.0]], [[0.0]], [[1.0]],
+                         [[0.0]], np.eye(1), np.zeros((1, 1)), np.eye(1))
+        monkeypatch.setattr(scipy.linalg, "solve_discrete_are",
+                            lambda A, B, Q, R, s: np.zeros_like(A))
+        with pytest.raises(GammaInfeasible) as exc:
+            hinf_design(disc, 1.0)
+        assert exc.value.which_condition == "closed_loop_unstable"
+        assert "spectral radius 2.000000" in str(exc.value)
+
     def test_large_gamma_approaches_lqr_of_output_cost(self):
         rng = np.random.default_rng(14)
         for d_over_h in (0.0, 1.4):
@@ -448,17 +482,20 @@ class TestGammaMin:
         assert res.norm == hinf_norm(disc.A2, disc.B2w, disc.C2, disc.D2w)
         assert 2.0 <= gstar <= 2.0 * (1 + tol)
 
-    def test_cancellable_output_gives_zero_level(self):
+    def test_cancellable_output_gives_zero_level(self, monkeypatch):
         # y = C2 z + D2u u with D2w = 0: u = -D2u^+ C2 z cancels the output
         # and leaves A2 + B2u F0 = 0.3 Schur stable, so gamma* is exactly 0
         C2 = np.array([[2.0]])
         D2u = np.array([[0.5]])
         disc = make_disc([[0.9]], [[0.15]], [[1.0]], C2, D2u, [[0.0]],
                          np.eye(1), np.zeros((1, 1)), np.eye(1))
+        import wadc.synthesis as synthesis
+        calls = counting(monkeypatch, synthesis, "hinf_norm")
         gstar, res = gamma_min(disc, tol=1e-3)
         assert gstar == 0.0 and res.gamma == 0.0
         np.testing.assert_array_equal(res.F, -np.linalg.pinv(D2u) @ C2)
-        assert res.norm == 0.0
+        assert res.norm == 0.0 and res.levels == 0
+        assert calls[0] == 0  # the exact level needs no evaluated norm
 
     def test_unstable_plant_rejected(self):
         disc = make_disc([[1.5]], [[1.0]], [[1.0]], [[1.0]], [[0.0]],
@@ -484,6 +521,28 @@ class TestGammaMin:
         assert np.array_equal(res.F, np.zeros((1, 1)))
         assert calls[0] == 0
 
+    def test_zero_norm_closes_the_bracket(self):
+        # D2u = 0, so no static gain cancels y = z2; the gain [-1, -0.8]
+        # does, one step later (z2+ = 0.8 z2 + z1 + u = 0), leaving the
+        # stable z1+ = -0.5 z1 + w.  The first level's design has norm
+        # exactly 0, which ends the search with gamma = 0
+        disc = make_disc([[0.5, 0.0], [1.0, 0.8]], [[1.0], [1.0]],
+                         [[1.0], [0.0]], [[0.0, 1.0]], [[0.0]], [[0.0]],
+                         np.eye(2), np.zeros((2, 1)), np.eye(1))
+        gstar, res = gamma_min(disc, tol=1e-3)
+        assert gstar == 0.0 and res.gamma == 0.0 and res.norm == 0.0
+        assert res.levels == res.accepted == 1
+        open_norm = grid_hinf_norm(disc.A2, disc.B2w, disc.C2, disc.D2w)
+        assert grid_hinf_norm(disc.A2 + disc.B2u @ res.F, disc.B2w,
+                              disc.C2 + disc.D2u @ res.F,
+                              disc.D2w) <= 1e-12 * open_norm
+
+    def test_tolerance_below_norm_accuracy_rejected(self):
+        rng = np.random.default_rng(15)
+        disc = random_disc(rng, n_x=2, n_w=1)
+        with pytest.raises(ValueError):
+            gamma_min(disc, tol=1e-10)
+
     def test_bracketing_property(self):
         rng = np.random.default_rng(15)
         disc = random_disc(rng, n_x=2, n_w=1)
@@ -499,6 +558,74 @@ class TestGammaMin:
         g2, _ = gamma_min(disc, tol=1e-2)
         g3, _ = gamma_min(disc, tol=1e-3)
         assert abs(g2 - g3) <= 1e-2 * g2
+
+
+def check_against_bisection(disc, tol=1e-3):
+    """gamma_min against the plain bisection oracle: the same level to tol,
+    a certified top, the bracket property and at most twice the levels."""
+    gstar, res = gamma_min(disc, tol=tol)
+    g_ref, levels_ref = bisection_gamma(disc, tol)
+    assert res.gamma == gstar == res.norm * (1 + 2e-10)
+    assert abs(gstar - g_ref) <= tol * g_ref
+    assert 1 <= res.accepted <= res.levels <= 2 * levels_ref
+    hinf_design(disc, gstar * (1 + 2 * tol))  # must not raise
+    with pytest.raises(GammaInfeasible):
+        hinf_design(disc, gstar * (1 - 2 * tol))
+    return res
+
+
+class TestGammaSearch:
+    """The secant search finds the bisection's level in fewer solves."""
+
+    @pytest.mark.parametrize("d", [0.1, 0.2, 0.3])
+    @pytest.mark.parametrize("i", [0, 1], ids=["oscillation", "common"])
+    def test_benchmark_modes(self, gains_k2, dec_k2, i, d):
+        disc = discretize(bench_mode_system(gains_k2, dec_k2, i), 0.02, d)
+        res = check_against_bisection(disc)
+        if d == 0.1:
+            assert res.levels <= 10
+
+    def test_oscillation_sweep_rows(self, gains_k2, dec_k2):
+        # the nonzero rows of the 0:0.1:0.3 oscillation-mode sweep took
+        # 58 levels by bisection
+        levels = 0
+        for d in (0.1, 0.2, 0.3):
+            disc = discretize(bench_mode_system(gains_k2, dec_k2, 0), 0.02,
+                              d)
+            levels += gamma_min(disc, tol=1e-3)[1].levels
+        assert levels <= 30
+
+    def test_safeguard_bounds_a_slow_secant(self, monkeypatch):
+        # norm(gamma) = gamma - 0.3 (gamma - 1)^6 above gamma* = 1 meets
+        # the diagonal to sixth order, so secant steps from above converge
+        # only linearly; the midpoints keep the search within twice the
+        # bisection's levels (secant steps alone take 43)
+        import helpers
+        import wadc.synthesis as synthesis
+
+        def design(disc, level):
+            if level <= 1.0:
+                raise GammaInfeasible("H1")
+            return HinfResult(F=np.zeros((1, 1)), gamma=level,
+                              norm=level - 0.3 * (level - 1.0) ** 6)
+
+        for module in (synthesis, helpers):
+            monkeypatch.setattr(module, "hinf_design", design)
+            monkeypatch.setattr(module, "hinf_norm", lambda *args: 3.0)
+        disc = make_disc([[0.5]], [[1.0]], [[1.0]], [[1.0]], [[0.0]],
+                         [[0.0]], np.eye(1), np.zeros((1, 1)), np.eye(1))
+        gstar, res = gamma_min(disc, tol=1e-3)
+        _, levels_ref = bisection_gamma(disc, 1e-3)
+        assert 1.0 < gstar <= 1.001
+        assert res.levels <= 2 * levels_ref
+
+    def test_random_systems(self):
+        rng = np.random.default_rng(22)
+        for _ in range(12):
+            disc = random_disc(rng, n_x=int(rng.integers(2, 5)),
+                               n_w=int(rng.integers(1, 3)),
+                               d_over_h=float(rng.uniform(0.0, 2.5)))
+            check_against_bisection(disc)
 
 
 def recording(monkeypatch):
