@@ -22,9 +22,12 @@ ENV_PREFIX = "WADC_"
 
 def _parse_float(s):
     try:
-        return float(s)
+        v = float(s)
     except ValueError:
-        raise ConfigError(f"expected a number, got {s!r}") from None
+        v = None
+    if v is None or not np.isfinite(v):
+        raise ConfigError(f"expected a finite number, got {s!r}")
+    return v
 
 
 def _parse_positive(s):
@@ -65,16 +68,20 @@ def _parse_positive_int(s):
 
 def _parse_complex(s):
     try:
-        return complex(s.replace(" ", ""))
+        v = complex(s.replace(" ", ""))
     except ValueError:
-        raise ConfigError(f"expected a complex impedance, got {s!r}") from None
+        v = None
+    if v is None or not np.isfinite(v):
+        raise ConfigError(f"expected a finite complex impedance, got {s!r}")
+    return v
 
 
 def _parse_vector(s):
     try:
-        return tuple(float(p) for p in s.split(","))
-    except ValueError:
-        raise ConfigError(f"expected comma-separated numbers, got {s!r}") from None
+        return tuple(_parse_float(p) for p in s.split(","))
+    except ConfigError:
+        raise ConfigError(f"expected comma-separated finite numbers, "
+                          f"got {s!r}") from None
 
 
 def _parse_grid(s):
@@ -91,6 +98,8 @@ def _parse_grid(s):
             raise ConfigError(f"bad grid numbers in {s!r}") from None
         if step <= 0 or stop < start:
             raise ConfigError(f"grid range is empty or reversed: {s!r}")
+        if max(abs(start), abs(stop)) > np.finfo(float).max:
+            raise ConfigError(f"grid bounds must be finite numbers, got {s!r}")
         out = []
         v = start
         while v <= stop + Fraction(1, 10 ** 12):
@@ -291,9 +300,10 @@ def load_config(path=None, text=None, environ=None) -> BenchmarkConfig:
                 values[sec][key] = default
     if values["generators"]["count"] != 2:
         raise ConfigError("only the two-machine benchmark is supported")
-    for name in ("lqr_local", "hinf_local"):
-        if len(values["gains"][name]) != 3:
-            raise ConfigError(f"[gains] {name} must have 3 entries "
+    for sec, name in (("gains", "lqr_local"), ("gains", "hinf_local"),
+                      ("scenario", "initial_state")):
+        if len(values[sec][name]) != 3:
+            raise ConfigError(f"[{sec}] {name} must have 3 entries "
                               "(angle, speed, flux)")
     if len(values["sampling"]["delay_grid_s"]) == 0:
         raise ConfigError("[sampling] delay_grid_s is empty")

@@ -19,7 +19,7 @@ from .errors import (
     ScheduleMismatch,
     UnstableLocalLoop,
 )
-from .grid_model import LinearPlant
+from .grid_model import LinearPlant, swap_symmetry_residuals
 from .sampled import CtsCost, CtsModel, CtsSystem, DiscretizedSystem, discretize
 from .synthesis import gamma_min, lqr_design
 
@@ -30,7 +30,6 @@ __all__ = [
     "ModeDesign",
     "DistributedController",
     "symmetric_modes",
-    "accept_decomposition",
     "mode_system",
     "delay_map",
     "design_mode",
@@ -113,7 +112,6 @@ class ModalDecomposition:
     mode_w_dims: tuple
     machine_x_dims: tuple
     machine_u_dims: tuple
-    machine_w_dims: tuple
     pattern_Mu: np.ndarray        # (machines, modes) structural nonzeros
     pattern_Mx_inv: np.ndarray    # (modes, machines)
     labels: tuple
@@ -159,153 +157,61 @@ def _block_pattern(M, row_dims, col_dims):
     return pat
 
 
-def _machine_w_dims(plant, gains):
-    m = plant.m
-    if plant.n_w % m:
-        raise ValueError("disturbance channels do not split evenly per machine")
-    return tuple([plant.n_w // m] * m)
-
-
-def _contiguous_blocks(T, tol_abs):
-    """Split indices into the finest contiguous diagonal blocks of T.
-    A boundary at p requires no coupling across p anywhere."""
-    n = T.shape[0]
-    dims, start = [], 0
-    for p in range(1, n):
-        if np.abs(T[:p, p:]).max() <= tol_abs and np.abs(T[p:, :p]).max() <= tol_abs:
-            dims.append(p - start)
-            start = p
-    dims.append(n - start)
-    return tuple(dims)
-
-
-def _group_columns(Bt, x_dims, tol_abs, what):
-    """Assign each column of the transformed input matrix to the x-block it
-    feeds; columns must group contiguously per block."""
-    xo = _offsets(x_dims)
-    n_modes = len(x_dims)
-    col_mode = []
-    for j in range(Bt.shape[1]):
-        touched = [i for i in range(n_modes)
-                   if np.abs(Bt[xo[i]:xo[i + 1], j]).max() > tol_abs]
-        if len(touched) > 1:
-            raise NotBlockDiagonalizable(
-                f"{what} column {j} couples modes {touched}",
-                float(np.abs(Bt[:, j]).max()))
-        col_mode.append(touched[0] if touched else None)
-    # fill zero columns from their neighbors, then check contiguity
-    for j in range(len(col_mode)):
-        if col_mode[j] is None:
-            prev = col_mode[j - 1] if j else None
-            nxt = next((c for c in col_mode[j + 1:] if c is not None), None)
-            col_mode[j] = prev if prev is not None else (nxt if nxt is not None else 0)
-    dims = [0] * n_modes
-    last = -1
-    for j, i in enumerate(col_mode):
-        if i < last:
-            raise NotBlockDiagonalizable(
-                f"{what} columns are not grouped by mode", 0.0)
-        dims[i] += 1
-        last = i
-    return tuple(dims)
-
-
-def accept_decomposition(plant: LinearPlant, gains: LocalGains,
-                         M_x, M_u, M_w, tol=1e-8,
-                         labels=None, min_modes=None) -> ModalDecomposition:
-    """Validate a user-supplied coordinate change and extract its block
-    structure (general constructions are out of scope; the symmetric
-    two-machine transform is built in).
-
-    ``min_modes`` defaults to 2 on multi-machine plants, so a transform
-    that leaves the dynamics coupled is rejected; pass 1 to accept a
-    deliberately centralized (single-mode) coordinate change.
-    """
-    M_x = np.atleast_2d(np.asarray(M_x, dtype=float))
-    M_u = np.atleast_2d(np.asarray(M_u, dtype=float))
-    M_w = np.atleast_2d(np.asarray(M_w, dtype=float))
-    for name, M, dim in (("M_x", M_x, plant.n_x), ("M_u", M_u, plant.n_u),
-                         ("M_w", M_w, plant.n_w)):
-        if M.shape != (dim, dim):
-            raise ValueError(f"{name} must be {dim}x{dim}")
-        if abs(np.linalg.det(M)) < 1e-12:
-            raise ValueError(f"{name} is singular")
-    M_x_inv = np.linalg.inv(M_x)
-    M_u_inv = np.linalg.inv(M_u)
-    M_w_inv = np.linalg.inv(M_w)
-
-    A_bar = gains.A_bar
-    T = M_x_inv @ A_bar @ M_x
-    tol_A = tol * max(1.0, np.abs(A_bar).max())
-    x_dims = _contiguous_blocks(T, tol_A)
-    if min_modes is None:
-        min_modes = 2 if plant.m > 1 else 1
-    if len(x_dims) < min_modes:
-        # report the least cross-coupling over all single split points
-        n = T.shape[0]
-        best = min(max(np.abs(T[:p, p:]).max(), np.abs(T[p:, :p]).max())
-                   for p in range(1, n))
-        raise NotBlockDiagonalizable(
-            "state transform (dynamics block-diagonalization)", float(best))
-    Bu_t = M_x_inv @ plant.B_u @ M_u
-    Bw_t = M_x_inv @ plant.B_w @ M_w
-    tol_Bu = tol * max(1.0, np.abs(plant.B_u).max())
-    tol_Bw = tol * max(1.0, np.abs(plant.B_w).max())
-    u_dims = _group_columns(Bu_t, x_dims, tol_Bu, "control transform")
-    w_dims = _group_columns(Bw_t, x_dims, tol_Bw, "disturbance transform")
-
-    w_mach = _machine_w_dims(plant, gains)
-    dec = ModalDecomposition(
-        M_x=M_x, M_u=M_u, M_w=M_w,
-        M_x_inv=M_x_inv, M_u_inv=M_u_inv, M_w_inv=M_w_inv,
-        A_hat=T, B_u_hat=Bu_t, B_w_hat=Bw_t,
-        mode_x_dims=x_dims, mode_u_dims=u_dims, mode_w_dims=w_dims,
-        machine_x_dims=gains.machine_x_dims,
-        machine_u_dims=gains.machine_u_dims,
-        machine_w_dims=w_mach,
-        pattern_Mu=_block_pattern(M_u, gains.machine_u_dims, u_dims),
-        pattern_Mx_inv=_block_pattern(M_x_inv, x_dims, gains.machine_x_dims),
-        labels=tuple(labels) if labels else
-        tuple(f"mode{i + 1}" for i in range(len(x_dims))),
-    )
-    return dec
-
-
 def symmetric_modes(plant: LinearPlant, gains: LocalGains,
                     tol=1e-7) -> ModalDecomposition:
     """Oscillation/common decomposition for two identical machines:
     x_hat_1 = x_1 - x_2 (oscillation), x_hat_2 = x_1 + x_2 (common), and
-    the same split for inputs and disturbances."""
+    the same split for inputs and disturbances.
+
+    The plant must commute with the machine swap to ``tol`` (relative) and
+    the two local gains must match; the transformed pre-stabilized plant
+    must then be block-diagonal at the half split to 1e-8 of each
+    matrix's largest entry (at least 1).
+    """
     if plant.m != 2:
         raise NotSymmetric("built-in decomposition needs exactly 2 machines")
-    from .grid_model import swap_symmetry_residuals
     res = swap_symmetry_residuals(plant)
-    worst = max(res.values())
-    if worst > tol:
+    name = max(res, key=res.get)
+    if res[name] > tol:
         raise NotSymmetric(
-            f"plant fails machine-swap symmetry (residual {worst:.3e}); "
-            "supply a custom decomposition instead")
+            f"plant fails machine-swap symmetry: {name} residual "
+            f"{res[name]:.3e} > {tol:g}; both machines' parameters and "
+            "local gains must match")
     K1, K2 = gains.K_blocks
     if K1.shape != K2.shape or np.abs(K1 - K2).max() > tol * (1 + np.abs(K1).max()):
-        raise NotSymmetric("local gains differ across machines")
+        raise NotSymmetric("local gain rows differ across machines; both "
+                           "machines must share one local gain row")
 
     def pair(n):
         I = np.eye(n)
-        M_inv = np.block([[I, -I], [I, I]])
         M = 0.5 * np.block([[I, I], [-I, I]])
-        return M, M_inv
+        return M, np.linalg.inv(M)
 
     nx, nu, nw = plant.n_x // 2, plant.n_u // 2, plant.n_w // 2
     M_x, M_x_inv = pair(nx)
     M_u, M_u_inv = pair(nu)
     M_w, M_w_inv = pair(nw)
-    dec = accept_decomposition(plant, gains, M_x, M_u, M_w, tol=1e-8,
-                               labels=("oscillation", "common"))
-    if dec.mode_x_dims != (nx, nx):
-        raise NotSymmetric(
-            f"unexpected block structure {dec.mode_x_dims} from the "
-            "symmetric transform")
-    return dec
+    A_hat = M_x_inv @ gains.A_bar @ M_x
+    B_u_hat = M_x_inv @ plant.B_u @ M_u
+    B_w_hat = M_x_inv @ plant.B_w @ M_w
+    for what, T, M, nc in (("A_hat", A_hat, gains.A_bar, nx),
+                           ("B_u_hat", B_u_hat, plant.B_u, nu),
+                           ("B_w_hat", B_w_hat, plant.B_w, nw)):
+        off = max(np.abs(T[:nx, nc:]).max(), np.abs(T[nx:, :nc]).max())
+        if off > 1e-8 * max(1.0, np.abs(M).max()):
+            raise NotBlockDiagonalizable(what, float(off))
+    return ModalDecomposition(
+        M_x=M_x, M_u=M_u, M_w=M_w,
+        M_x_inv=M_x_inv, M_u_inv=M_u_inv, M_w_inv=M_w_inv,
+        A_hat=A_hat, B_u_hat=B_u_hat, B_w_hat=B_w_hat,
+        mode_x_dims=(nx, nx), mode_u_dims=(nu, nu), mode_w_dims=(nw, nw),
+        machine_x_dims=gains.machine_x_dims,
+        machine_u_dims=gains.machine_u_dims,
+        pattern_Mu=_block_pattern(M_u, gains.machine_u_dims, (nu, nu)),
+        pattern_Mx_inv=_block_pattern(M_x_inv, (nx, nx),
+                                      gains.machine_x_dims),
+        labels=("oscillation", "common"),
+    )
 
 
 def mode_system(gains: LocalGains, dec: ModalDecomposition, i,

@@ -81,14 +81,15 @@ class NotSymmetric(WadcError):
 
 
 class NotBlockDiagonalizable(WadcError):
-    """Supplied coordinate change fails a block-diagonalization residual."""
+    """The built-in oscillation/common transform leaves a transformed plant
+    matrix (A_hat, B_u_hat or B_w_hat) coupled across the two modes."""
 
     def __init__(self, which_equation, residual):
         self.which_equation = which_equation
         self.residual = residual
         super().__init__(
-            f"{which_equation} off-block residual {residual:.3e} exceeds tolerance"
-        )
+            f"{which_equation} off-block residual {residual:.3e} exceeds "
+            "tolerance; both machines' parameters and local gains must match")
 
 
 class AsymmetricDelays(WadcError):

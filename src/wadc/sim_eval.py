@@ -47,9 +47,8 @@ _BLOCK = 256   # sampling periods advanced by one batched product
 class Scenario:
     """One closed-loop run: initial condition, disturbance and timing."""
 
-    initial_state: np.ndarray
+    initial_state: np.ndarray              # modal: x(0) = M_x x_hat(0)
     schedule: DelaySchedule
-    initial_coords: str = "modal"          # "modal" or "physical"
     disturbance: np.ndarray = None         # (K, n_w) held samples, or None
     integrator_step: float = 1e-3          # or refine_step's exact Fraction
     horizon: float = None                  # None: auto-extend on cost tail
@@ -57,8 +56,6 @@ class Scenario:
     def __post_init__(self):
         object.__setattr__(self, "initial_state",
                            np.asarray(self.initial_state, dtype=float).copy())
-        if self.initial_coords not in ("modal", "physical"):
-            raise ValueError("initial_coords must be 'modal' or 'physical'")
         if self.disturbance is not None:
             w = np.atleast_2d(np.asarray(self.disturbance, dtype=float))
             object.__setattr__(self, "disturbance", w)
@@ -247,9 +244,7 @@ def simulate_closed_loop(plant: LinearPlant, controller: DistributedController,
             left -= b
         return new, J
 
-    x0 = scn.initial_state
-    if scn.initial_coords == "modal":
-        x0 = dec.M_x @ x0
+    x0 = dec.M_x @ scn.initial_state
     xi = np.zeros(n)
     xi[:n_x] = x0.reshape(n_x)
     if scn.horizon is not None:

@@ -56,29 +56,42 @@ def rk4_delayed_zoh(sys, h, d, u_seq, x0, n_steps, subs=60, w_seq=None):
 
     Within interval k the delayed input equals u_{k-q-1} on (kh, kh+r] and
     u_{k-q} on (kh+r, kh+h]; samples with negative index are zero.  The
-    disturbance, if any, is held undelayed.
+    disturbance, if any, is held undelayed.  Each segment applies its RK4
+    step map, found once per segment length by stepping the augmented
+    system d/dt [x; u; w] = [A1 B1u B1w; 0] [x; u; w] from the identity;
+    RK4 is linear in its start state, so the map gives the stepped state
+    up to rounding.
     """
     q, r = split_delay(d, h)
+    n_x, n_u, n_w = sys.n_x, sys.n_u, sys.n_w
+    n = n_x + n_u + n_w
+    aug = np.zeros((n, n))
+    aug[:n_x] = np.hstack([sys.A1, sys.B1u, sys.B1w])
+    maps = {}
+
+    def step_map(length):
+        if length not in maps:
+            # the augmented flow carries no forcing term of its own
+            maps[length] = rk4_segment(aug, np.zeros((n, 0)), np.zeros(0),
+                                       np.eye(n), length, subs)[:n_x]
+        return maps[length]
 
     def u_at(idx):
         if 0 <= idx < len(u_seq):
             return np.asarray(u_seq[idx], dtype=float)
-        return np.zeros(sys.n_u)
+        return np.zeros(n_u)
 
     xs = [np.asarray(x0, dtype=float).copy()]
     x = xs[0]
     for k in range(n_steps):
+        wk = np.zeros(n_w)
+        if w_seq is not None and 0 <= k < len(w_seq):
+            wk = np.asarray(w_seq[k], dtype=float)
         segs = [(r, k - q - 1), (h - r, k - q)] if d > 0 else [(h, k)]
         for length, idx in segs:
             if length == 0.0:
                 continue
-            x = rk4_segment(sys.A1, sys.B1u, u_at(idx), x, length, subs)
-            if w_seq is not None:
-                wk = (np.asarray(w_seq[k], dtype=float)
-                      if 0 <= k < len(w_seq) else np.zeros(sys.n_w))
-                # superpose the (undelayed, held) disturbance response
-                x = x + rk4_segment(sys.A1, sys.B1w, wk,
-                                    np.zeros(sys.n_x), length, subs)
+            x = step_map(length) @ np.concatenate([x, u_at(idx), wk])
         xs.append(x)
     return np.array(xs)
 
@@ -188,7 +201,9 @@ def quadrature_cost_oracle(sys, cost, h, d, u_seq, x0, n_steps,
 
     Steps the exact trajectory with cached per-substep matrix exponentials
     and integrates the cost integrand with composite Simpson quadrature; no
-    use of the assembled discrete cost blocks.  The input history before
+    use of the assembled discrete cost blocks.  Both are linear in the
+    segment's start state and held input, so each held segment applies
+    its precomputed flow and Simpson weight.  The input history before
     t = 0 is zero and w = 0 throughout (the cost is defined for zero
     disturbance).
     """
@@ -200,21 +215,32 @@ def quadrature_cost_oracle(sys, cost, h, d, u_seq, x0, n_steps,
         raise ValueError("input sequence shorter than the horizon")
 
     segments = [(r, 0), (h - r, 1)] if d > 0 else [(h, 1)]
+    n = sys.n_x + sys.n_u
     stack = np.block([[cost.Q1, cost.N1], [cost.N1.T, cost.R1]])
+    aug = np.zeros((n, n))
+    aug[:sys.n_x] = np.hstack([sys.A1, sys.B1u])
+    maps = {}
 
-    prop_cache = {}
-
-    def propagators(length, n_sub):
+    def segment_map(length, n_sub):
+        """Flow and Simpson weight of one held segment: from v = [x; u] at
+        its start, x at its end is M v and the segment's cost is v' W v,
+        with W summing Simpson's weights times the running cost at each of
+        the n_sub + 1 nodes, stepped by the substep's exponential."""
         key = (length, n_sub)
-        if key not in prop_cache:
+        if key not in maps:
             dt = length / n_sub
-            aug = np.zeros((2 * sys.n_x, 2 * sys.n_x))
-            aug[:sys.n_x, :sys.n_x] = sys.A1
-            aug[:sys.n_x, sys.n_x:] = np.eye(sys.n_x)
-            E = expm(dt * aug)
-            prop_cache[key] = (E[:sys.n_x, :sys.n_x],
-                               E[:sys.n_x, sys.n_x:] @ sys.B1u, dt)
-        return prop_cache[key]
+            step = expm(dt * aug)
+            nodes = [np.eye(n)]
+            for _ in range(n_sub):
+                nodes.append(step @ nodes[-1])
+            nodes = np.array(nodes)
+            simpson = np.full(n_sub + 1, 2.0)
+            simpson[1::2] = 4.0
+            simpson[[0, -1]] = 1.0
+            vals = nodes.transpose(0, 2, 1) @ stack @ nodes
+            W = dt / 3.0 * np.einsum("j,jik->ik", simpson, vals)
+            maps[key] = (nodes[-1][:sys.n_x], W)
+        return maps[key]
 
     def u_at(idx):
         if 0 <= idx < len(u_seq):
@@ -227,22 +253,13 @@ def quadrature_cost_oracle(sys, cost, h, d, u_seq, x0, n_steps,
         for length, seg in segments:
             if length == 0.0:
                 continue
-            u = u_at(_delayed_input_index(k, q, d, seg))
             n_sub = max(2, int(np.ceil(substeps_per_h * length / h)))
             if n_sub % 2:
                 n_sub += 1
-            Phi_s, GammaB_s, dt = propagators(length, n_sub)
-            xs = np.empty((n_sub + 1, sys.n_x))
-            xs[0] = x
-            for j in range(n_sub):
-                xs[j + 1] = Phi_s @ xs[j] + GammaB_s @ u
-            zu = np.hstack([xs, np.tile(u, (n_sub + 1, 1))])
-            vals = np.einsum("ij,jk,ik->i", zu, stack, zu)
-            # composite Simpson on the even number of panels
-            total += dt / 3.0 * (vals[0] + vals[-1]
-                                 + 4.0 * vals[1:-1:2].sum()
-                                 + 2.0 * vals[2:-1:2].sum())
-            x = xs[-1]
+            M, W = segment_map(length, n_sub)
+            v = np.concatenate([x, u_at(_delayed_input_index(k, q, d, seg))])
+            total += v @ W @ v
+            x = M @ v
     return total
 
 

@@ -96,6 +96,36 @@ class TestConfig:
                                          "1e-12"})
         assert "gamma_rel" in str(exc.value)
 
+    @pytest.mark.parametrize("env, value", [
+        ("WADC_SCENARIO__IMPULSE_AMP_A", "nan"),
+        ("WADC_SAMPLING__H_S", "nan"),
+        ("WADC_COST__INPUT_WEIGHT", "nan"),
+        ("WADC_GAINS__HINF_LOCAL", "544750,inf,-9890"),
+        ("WADC_NETWORK__Z_T_OHM", "nan+0.106j"),
+        ("WADC_SAMPLING__DELAY_GRID_S", "0,inf"),
+        ("WADC_SAMPLING__DELAY_GRID_S", "0:1e400:1e400"),
+    ])
+    def test_non_finite_number_is_usage_error(self, tmp_path, monkeypatch,
+                                              capsys, env, value):
+        monkeypatch.setenv("WADC_SCENARIO__DISTURBANCE", "impulse")
+        monkeypatch.setenv(env, value)
+        assert run(tmp_path, "simulate", "--measure", "hinf",
+                   "--delay", "0.1") == 2
+        err = capsys.readouterr().err
+        key = env.split("__", 1)[1]
+        assert f"env:{env}" in err and key.lower() in err.lower()
+        assert "finite" in err
+        assert not (tmp_path / "trace.csv").exists()
+
+    @pytest.mark.parametrize("command", ["design", "simulate"])
+    def test_initial_state_needs_three_entries(self, tmp_path, monkeypatch,
+                                               capsys, command):
+        monkeypatch.setenv("WADC_SCENARIO__INITIAL_STATE", "1,0")
+        assert run(tmp_path, command, "--measure", "lqr",
+                   "--delay", "0.1") == 2
+        assert "[scenario] initial_state must have 3 entries" in \
+            capsys.readouterr().err
+
     def test_every_schema_key_documented(self):
         readme = README.read_text()
         for section, keys in SCHEMA.items():

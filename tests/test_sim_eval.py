@@ -95,7 +95,7 @@ class TestSimulate:
                                    zero_gains=True)
         rng = np.random.default_rng(0)
         x0 = rng.normal(size=6) * 0.1
-        scn = Scenario(initial_state=x0, initial_coords="physical",
+        scn = Scenario(initial_state=dec_k1.M_x_inv @ x0,
                        schedule=ctrl.schedule, integrator_step=0.01,
                        horizon=2.0)
         out = simulate_closed_loop(bench_plant, ctrl, scn, Q_COST, R_COST)
