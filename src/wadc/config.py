@@ -18,6 +18,7 @@ from .errors import ConfigError
 from .grid_model import GeneratorParams, build_two_area_network
 
 ENV_PREFIX = "WADC_"
+_MAX_GRID_POINTS = 10_001   # delays in one grid, bounding a sweep's work
 
 
 def _parse_float(s):
@@ -86,7 +87,7 @@ def _parse_vector(s):
 
 def _parse_grid(s):
     """Delay grid: 'start:step:stop' (inclusive, exact rationals) or a
-    comma-separated list."""
+    comma-separated list, of at most ``_MAX_GRID_POINTS`` delays."""
     s = s.strip()
     if ":" in s:
         parts = s.split(":")
@@ -100,12 +101,14 @@ def _parse_grid(s):
             raise ConfigError(f"grid range is empty or reversed: {s!r}")
         if max(abs(start), abs(stop)) > np.finfo(float).max:
             raise ConfigError(f"grid bounds must be finite numbers, got {s!r}")
-        out = []
-        v = start
-        while v <= stop + Fraction(1, 10 ** 12):
-            out.append(float(v))
-            v += step
-        return tuple(out)
+        count = (stop - start + Fraction(1, 10 ** 12)) // step + 1
+    else:
+        count = s.count(",") + 1
+    if count > _MAX_GRID_POINTS:
+        raise ConfigError(f"grid has {count} delays, more than the "
+                          f"{_MAX_GRID_POINTS} a sweep may design")
+    if ":" in s:
+        return tuple(float(start + i * step) for i in range(count))
     vals = _parse_vector(s)
     if any(b < a for a, b in zip(vals, vals[1:])) or any(v < 0 for v in vals):
         raise ConfigError("delay grid must be nonnegative and ascending")

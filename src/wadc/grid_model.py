@@ -330,8 +330,7 @@ def _equilibrium_residual(gens, net, theta, v_target):
     return res, sol
 
 
-def solve_equilibrium(gens, net, v_target=None, initial_guess=None,
-                      tol=1e-10, max_iters=100):
+def solve_equilibrium(gens, net, v_target=None, tol=1e-10, max_iters=100):
     """Damped Newton solve for the working point.
 
     Unknowns are the rotor angles and field fluxes.  With ``v_target`` the
@@ -341,21 +340,18 @@ def solve_equilibrium(gens, net, v_target=None, initial_guess=None,
 
     A uniform shift of every rotor angle leaves the model invariant (there
     is no absolute phase reference), so the Newton step is taken in the
-    minimum-norm sense; the returned angles keep the mean angle of the
-    initial guess.  Because of the same invariance the supplied torques
+    minimum-norm sense; the returned angles keep the zero mean of the
+    starting angles.  Because of the same invariance the supplied torques
     must be power-consistent with the excitations; otherwise no exact
     equilibrium exists and the iteration reports its best residual.
     """
     m = len(gens)
-    if initial_guess is None:
-        theta = np.zeros(2 * m)
-        for i, g in enumerate(gens):
-            if v_target is None:
-                theta[m + i] = g.L_f * g.e_f0 / g.R_f  # no-load relation
-            else:
-                theta[m + i] = g.L_f * v_target / (net.omega0 * g.L_af)
-    else:
-        theta = np.asarray(initial_guess, dtype=float).reshape(2 * m).copy()
+    theta = np.zeros(2 * m)
+    for i, g in enumerate(gens):
+        if v_target is None:
+            theta[m + i] = g.L_f * g.e_f0 / g.R_f  # no-load relation
+        else:
+            theta[m + i] = g.L_f * v_target / (net.omega0 * g.L_af)
     # Newton in scaled coordinates (angles O(1), fluxes O(1e3))
     unknown_scale = np.ones(2 * m)
     unknown_scale[m:] = np.maximum(1.0, np.abs(theta[m:]))

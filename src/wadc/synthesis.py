@@ -1,16 +1,17 @@
 """Discrete-time gain synthesis on a lifted sampled system.
 
-LQR gains come from the algebraic Riccati equation solved by a
-structure-preserving doubling iteration, with a policy-iteration fallback
-for the singular input-weight case that arises whenever the delay reaches
-a full sampling period (the new input sample then carries no
-within-interval cost).
+LQR gains come from the algebraic Riccati equation, solved by doubling
+when the input weight R is positive definite and by policy iteration when
+R is singular, as whenever the delay reaches a full sampling period (the
+new input sample then carries no within-interval cost).  These are
+branches, not fallbacks: a failed doubling fails its stack.
 
 ``stein_solve``, ``dare_solve`` and ``lqr_design`` take stacks of
 equal-size systems, (k, n, n) arrays as in ``np.linalg``; a 2-D call is
 the stack of one.  A sweep designs the delays of one sampling interval,
-whose lifted systems have one size, as one stack.  Each slice keeps its
-own branch and stop tests and leaves the iteration once they pass.
+whose lifted systems have one size, as one stack, and designs its rows
+again one at a time if the stack fails.  Each slice keeps its own branch
+and stop tests and leaves the iteration once they pass.
 numpy's ``matmul``, ``solve``, ``eigvals`` and ``eigvalsh`` make the same
 BLAS or LAPACK call on each slice of a stack as on the matrix alone, and
 the per-slice tests are the same float operations, so a stacked design is
@@ -24,11 +25,12 @@ level, the open-loop norm that the zero remote gain certifies, and the
 top of the bracket is always a certified closed-loop norm, which secant
 steps on the norms of the accepted designs drive down.  Each level solves
 the indefinite game Riccati equation once, from SciPy's pencil with the
-disturbance scaled by 1/gamma; every accepted design is certified
-independently by positivity pivots, closed-loop stability and the
-closed-loop norm, so the Riccati backend cannot silently return a wrong
-answer.  Norms come from one evaluator, the level-set iteration on the
-unit circle in ``hinf_norm``, which also certifies stability.
+disturbance scaled by 1/gamma, whose residual and gain the LQR code
+reads from its one pivot R + B'PB; every accepted design is certified by
+the inertia of that pivot, closed-loop stability and the closed-loop
+norm, so the Riccati backend cannot silently return a wrong answer.
+Norms come from one evaluator, the level-set iteration on the unit
+circle in ``hinf_norm``, which also certifies stability.
 """
 
 from dataclasses import dataclass
@@ -49,7 +51,6 @@ __all__ = [
     "HinfResult",
     "stein_solve",
     "dare_solve",
-    "dare_residual",
     "lqr_design",
     "hinf_design",
     "gamma_min",
@@ -62,6 +63,8 @@ _MAX_SDA_ITERS = 120   # Riccati doublings per slice
 _MAX_NEWTON = 200      # policy-iteration steps per slice
 _LARGE_POWER = 1e30    # max|A^(2^j)| that gets an eigenvalue check
 _NORM_ACCURACY = 1.0 + 2e-10  # hinf_norm's relative certificate
+_SDA_FAILED = ("doubling (SDA) ended with %s: (A, B) is not stabilizable "
+               "or Q hides an unstable mode")
 
 
 def spectral_radius(A):
@@ -141,14 +144,9 @@ def stein_solve(A, Q):
                 sure = [ok or b for ok, b in zip(sure, big)]
         S = S + T.mT @ S @ T
         T = T @ T
-        # each slice's stop test, in floats as for one matrix; a lone
-        # slice takes the whole-array maxima, its own and cheaper
-        if len(live) == 1:
-            t = [np.abs(T).max()]
-            done = [t[0] ** 2 * np.abs(S).max() <= tol[0]]
-        else:
-            t = _max(T)
-            done = [x ** 2 * s <= c for x, s, c in zip(t, _max(S), tol)]
+        # each slice's stop test, in floats as for one matrix
+        t = _max(T)
+        done = [x ** 2 * s <= c for x, s, c in zip(t, _max(S), tol)]
         if any(done):
             unsure += [j for j, x, ok, d in zip(live.tolist(), t, sure, done)
                        if d and not (ok or x < bound)]
@@ -166,40 +164,26 @@ def stein_solve(A, Q):
     return P[0] if single else P
 
 
-def _solve(W, rhs):
-    """``np.linalg.solve`` on each slice of a stack; a slice whose W is
-    singular gets NaN instead of failing the whole stack."""
-    try:
-        return np.linalg.solve(W, rhs)
-    except np.linalg.LinAlgError:
-        x = np.full(rhs.shape, np.nan)
-        for j in range(len(W)):
-            try:
-                x[j] = np.linalg.solve(W[j], rhs[j])
-            except np.linalg.LinAlgError:
-                pass
-        return x
-
-
 def _pinv_solve(H, rhs):
     """Solve H x = rhs on each slice of a stack, by least squares on a
-    slice whose H is singular."""
-    x = _solve(H, rhs)
-    if not np.isfinite(x).all():
-        for j in np.flatnonzero(~np.isfinite(x).all(axis=(-2, -1))):
-            x[j] = np.linalg.lstsq(H[j], rhs[j], rcond=None)[0]
+    slice whose H is singular or whose solution is not finite."""
+    try:
+        x = np.linalg.solve(H, rhs)
+    except np.linalg.LinAlgError:   # a singular slice fails the whole call
+        x = np.full(rhs.shape, np.nan)
+        for j in range(len(H)):
+            try:
+                x[j] = np.linalg.solve(H[j], rhs[j])
+            except np.linalg.LinAlgError:
+                pass
+    for j in np.flatnonzero(~np.isfinite(x).all(axis=(-2, -1))):
+        x[j] = np.linalg.lstsq(H[j], rhs[j], rcond=None)[0]
     return x
 
 
-def dare_residual(A, B, Q, N, R, P):
-    """Relative residual of the Riccati equation at P."""
-    A, B, Q, N, R, P = (np.asarray(X, dtype=float)[None]
-                        for X in (A, B, Q, N, R, P))
-    return _residual(A, B, Q, N, P, R + B.mT @ P @ B)[0]
-
-
 def _residual(A, B, Q, N, P, H):
-    """``dare_residual`` of each slice given H = R + B'PB."""
+    """Relative residual of the Riccati equation at P on each slice, given
+    H = R + B'PB."""
     G = A.mT @ P @ B + N
     res = A.mT @ P @ A - P - G @ _pinv_solve(H, G.mT) + Q
     return [r / (1.0 + p) for r, p in zip(_max(res), _max(P))]
@@ -211,32 +195,34 @@ def _gain_from(A, B, N, P, H):
 
 
 def _sda(A, G, H):
-    """Doubling iteration for P = A' P (I + G P)^{-1} A + H on each slice.
-
-    Returns the last iterates and the list of slices that broke down (a
-    singular pivot, or a diverged iterate).
-    """
+    """Doubling iteration for P = A' P (I + G P)^{-1} A + H on each slice;
+    a singular pivot, a diverged iterate or a slice still unconverged after
+    ``_MAX_SDA_ITERS`` doublings raises ``NotStabilizable``."""
     n = A.shape[-1]
-    parts, broke, live = [], [], np.arange(len(H))
+    parts, live = [], np.arange(len(H))
     Ak, Gk, Hk = A.copy(), G.copy(), H.copy()
     for _ in range(_MAX_SDA_ITERS):
         W = np.eye(n) + Gk @ Hk
-        Wia = _solve(W, Ak)
-        WiG = _solve(W, Gk)
+        try:
+            Wia = np.linalg.solve(W, Ak)
+            WiG = np.linalg.solve(W, Gk)
+        except np.linalg.LinAlgError:
+            raise NotStabilizable(_SDA_FAILED % "a singular pivot") from None
         H_new = Hk + Ak.mT @ Hk @ Wia
         G_new = Gk + Ak @ WiG @ Ak.mT
         A_new = Ak @ Wia
         step = _max(H_new - Hk)
         Ak, Gk, Hk = A_new, 0.5 * (G_new + G_new.mT), 0.5 * (H_new + H_new.mT)
-        bad = (~np.isfinite(Hk).all(axis=(-2, -1))).tolist()
-        broke += [j for j, b in zip(live.tolist(), bad) if b]
-        done = [b or (s <= 1e-16 * (1.0 + h) and a < 1e-8) for b, s, h, a
-                in zip(bad, step, _max(Hk), _max(Ak))]
+        if not np.isfinite(Hk).all():
+            raise NotStabilizable(_SDA_FAILED % "a diverged iterate")
+        done = [s <= 1e-16 * (1.0 + h) and a < 1e-8
+                for s, h, a in zip(step, _max(Hk), _max(Ak))]
         if all(done):
-            break
+            return _gather(parts, live, Hk)
         if any(done):
             live, Hk, Ak, Gk = _set_aside(parts, done, live, Hk, Ak, Gk)
-    return _gather(parts, live, Hk), broke
+    raise NotStabilizable(
+        _SDA_FAILED % f"no convergence in {_MAX_SDA_ITERS} doublings")
 
 
 def _policy_iteration(A, B, Q, N, R):
@@ -254,7 +240,9 @@ def _policy_iteration(A, B, Q, N, R):
         try:
             P = stein_solve(A_cl, Q_cl)
         except UnstableSystem:
-            raise NotStabilizable("policy iteration lost stability") from None
+            raise NotStabilizable(
+                "policy iteration lost stability; a singular input weight "
+                "needs a Schur-stable A") from None
         H = R + B.mT @ P @ B
         done = [r <= _RESIDUAL_TOL for r in _residual(A, B, Q, N, P, H)]
         if all(done):
@@ -263,23 +251,25 @@ def _policy_iteration(A, B, Q, N, R):
             live, P, A, B, Q, N, R, H = _set_aside(
                 parts, done, live, P, A, B, Q, N, R, H)
         F = _gain_from(A, B, N, P, H)
-    raise NotStabilizable("policy iteration did not converge")
+    raise NotStabilizable(f"policy iteration did not converge in "
+                          f"{_MAX_NEWTON} steps; make R positive definite")
 
 
 def dare_solve(A, B, Q, N=None, R=None):
     """Stabilizing solution of
     A'PA - P - (A'PB + N)(B'PB + R)^{-1}(B'PA + N') + Q = 0.
 
-    Doubling on the cross-term-reduced form when R is positive definite;
-    otherwise, or when doubling fails, policy iteration from the zero gain,
-    so a singular R needs a Schur-stable A (the lifted plant here is always
-    pre-stabilized).  Convergence is declared on the equation residual.
-    Policy iteration's closed loops are certified stable by their
-    ``stein_solve`` doubling, which computes eigenvalues only when its
-    power bound fails; the returned gain's loop gets an eigenvalue check
-    here, independent of the solver.  The arguments may be stacks
-    of k equations of one size, (k, n, n) and so on; each slice takes its
-    own branch, and a failure of any slice raises for the stack.
+    R picks each slice's solver; neither is a fallback for the other.  A
+    positive-definite R gets doubling on the cross-term-reduced form, which
+    must converge to a residual within ``_RESIDUAL_TOL``; a singular R gets
+    policy iteration from the zero gain, which stops on that residual and
+    needs a Schur-stable A (the lifted plant here is pre-stabilized).  Its
+    closed loops are certified stable by their ``stein_solve`` doubling,
+    which computes eigenvalues only when its power bound fails; the
+    returned gain's loop gets an eigenvalue check here, independent of the
+    solver.  The arguments may be stacks of k equations of one size,
+    (k, n, n) and so on; a failure of any slice raises ``NotStabilizable``
+    for the stack.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     single = A.ndim == 2
@@ -311,25 +301,13 @@ def dare_solve(A, B, Q, N=None, R=None):
         Q_red = Qs - Ns @ Rinv_Nt
         Q_red = 0.5 * (Q_red + Q_red.mT)
         G = Bs @ np.linalg.solve(Rs, Bs.mT)
-        Ps, broke = _sda(A_red, 0.5 * (G + G.mT), Q_red)
-        newton += [sda[i] for i in broke]
-        ok = [i for i in range(len(sda)) if i not in broke]
-        As, Bs, Qs, Ns, Rs, Ps = (X[ok] for X in (As, Bs, Qs, Ns, Rs, Ps))
-        res = _residual(As, Bs, Qs, Ns, Ps, Rs + Bs.mT @ Ps @ Bs)
-        for i, r, Pi in zip(ok, res, Ps):
-            if r <= _RESIDUAL_TOL:
-                P[sda[i]] = Pi
-            else:
-                newton.append(sda[i])
+        Ps = _sda(A_red, 0.5 * (G + G.mT), Q_red)
+        res = max(_residual(As, Bs, Qs, Ns, Ps, Rs + Bs.mT @ Ps @ Bs))
+        if not res <= _RESIDUAL_TOL:
+            raise NotStabilizable(_SDA_FAILED % f"a residual of {res:.3e}")
+        P[sda] = Ps
     if newton:
-        try:
-            P[newton] = _policy_iteration(
-                *(X[newton] for X in (A, B, Q, N, R)))
-        except NotStabilizable:
-            raise NotStabilizable(
-                "neither the doubling iteration (SDA) nor policy iteration "
-                "converged; a singular input weight needs a Schur-stable A"
-            ) from None
+        P[newton] = _policy_iteration(*(X[newton] for X in (A, B, Q, N, R)))
 
     P = 0.5 * (P + P.mT)
     H = R + B.mT @ P @ B
@@ -449,44 +427,18 @@ class HinfResult:
     accepted: int = 0   # of which certified
 
 
-def _game_blocks(disc, P, gamma):
-    """One block elimination of the game Riccati map at P.
-
-    Returns (P_next, X, H1, H3): the map's value at P, the control part X
-    of the solution of the stacked pivot system, the control pivot H1 (a
-    Schur complement through H3) and the disturbance pivot H3.  The two
-    diagonal blocks of the stacked pivot differ by a factor of gamma^2, so
-    a joint factorization loses the control block; eliminating through H3
-    stays well scaled at any gamma and gives the published gain formula,
-    u = -X z.
-    """
-    PBu, PBw = P @ disc.B2u, P @ disc.B2w
-    H2 = disc.B2u.T @ PBw + disc.D2u.T @ disc.D2w
-    H3 = gamma ** 2 * np.eye(disc.n_w) - disc.D2w.T @ disc.D2w \
-        - disc.B2w.T @ PBw
-    H3 = 0.5 * (H3 + H3.T)
-    H1 = disc.B2u.T @ PBu + disc.D2u.T @ disc.D2u \
-        + H2 @ np.linalg.solve(H3, H2.T)
-    H1 = 0.5 * (H1 + H1.T)
-    H5u = PBu.T @ disc.A2 + disc.D2u.T @ disc.C2
-    H5w = PBw.T @ disc.A2 + disc.D2w.T @ disc.C2
-    X = np.linalg.solve(H1, H5u + H2 @ np.linalg.solve(H3, H5w))
-    Y = np.linalg.solve(H3, H2.T @ X - H5w)
-    P_next = disc.A2.T @ P @ disc.A2 + disc.C2.T @ disc.C2 \
-        - H5u.T @ X - H5w.T @ Y
-    return 0.5 * (P_next + P_next.T), X, H1, H3
-
-
 def hinf_design(disc: DiscretizedSystem, gamma) -> HinfResult:
     """State-feedback design guaranteeing closed-loop norm below gamma.
 
     Solves the game Riccati equation once, from SciPy's pencil with the
-    disturbance scaled by 1/gamma (the same solution as the unscaled game,
-    with both input blocks of one order), and checks, in order: equation
-    residual, P positive semidefinite, disturbance pivot H3 positive
-    definite, control pivot H1 positive definite, closed-loop Schur
-    stability, and the certified unit-circle norm.  A level that fails
-    any of these is infeasible.
+    disturbance scaled by 1/gamma, whose solution is the unscaled game's
+    with both input blocks of one order.  The scaled game is an LQR problem
+    in (u, w / gamma), so the LQR code reads its residual and gain (the
+    first n_u rows) from its one pivot H = R + B'PB.  The checks, in order: the residual, P
+    positive semidefinite, the inertia of H (Stoorvogel & Weeren 1994):
+    H3 = -gamma^2 H_ww and H1 = H_uu + H_uw (-H_ww)^{-1} H_wu positive
+    definite, closed-loop Schur stability, and the certified unit-circle
+    norm.  A level that fails any of these is infeasible.
     """
     gamma = float(gamma)
     if gamma <= 0.0:
@@ -496,30 +448,38 @@ def hinf_design(disc: DiscretizedSystem, gamma) -> HinfResult:
     if w0.min() <= 0.0:
         raise GammaInfeasible("H3", "gamma below the static gain of D2w")
 
+    m = disc.n_u
     B2 = np.hstack([disc.B2u, disc.B2w / gamma])
     D2 = np.hstack([disc.D2u, disc.D2w / gamma])
     R = D2.T @ D2
-    R[disc.n_u:, disc.n_u:] -= np.eye(disc.n_w)
+    R[m:, m:] -= np.eye(disc.n_w)
+    Q, N = disc.C2.T @ disc.C2, disc.C2.T @ D2
     try:
-        P = scipy.linalg.solve_discrete_are(
-            disc.A2, B2, disc.C2.T @ disc.C2, R, s=disc.C2.T @ D2)
+        P = scipy.linalg.solve_discrete_are(disc.A2, B2, Q, R, s=N)
         P = 0.5 * (P + P.T)
         if not np.isfinite(P).all():
             raise GammaInfeasible("riccati_nonfinite")
-        P_next, X, H1, H3 = _game_blocks(disc, P, gamma)
+        H = R + B2.T @ P @ B2
+        H = 0.5 * (H + H.T)
+        game = [X[None] for X in (disc.A2, B2, Q, N, P, H)]
+        residual = _residual(*game)[0]
     except (np.linalg.LinAlgError, ValueError) as exc:
         raise GammaInfeasible("riccati_pencil", str(exc)) from None
-    residual = np.abs(P_next - P).max() / (1.0 + np.abs(P).max())
     if not residual <= 1e-8:
         raise GammaInfeasible("riccati_residual", f"{residual:.3e}")
     if np.linalg.eigvalsh(P).min() < -1e-6 * max(1.0, np.abs(P).max()):
         raise GammaInfeasible("P_not_psd")
-    for name, H in (("H3", H3), ("H1", H1)):
-        h_min = np.linalg.eigvalsh(H).min()
-        if h_min <= 0.0:
-            raise GammaInfeasible(name, f"min eigenvalue {h_min:.3e}")
+    H3_g = -H[m:, m:]   # H3 / gamma^2
+    h3 = np.linalg.eigvalsh(H3_g).min()
+    if h3 <= 0.0:
+        raise GammaInfeasible("H3", f"min eigenvalue {gamma ** 2 * h3:.3e}")
+    H1 = H[:m, :m] + H[:m, m:] @ np.linalg.solve(H3_g, H[m:, :m])
+    h1 = np.linalg.eigvalsh(0.5 * (H1 + H1.T)).min()
+    if h1 <= 0.0:
+        raise GammaInfeasible("H1", f"min eigenvalue {h1:.3e}")
 
-    F = -X
+    A, B, _, N, Ps, Hs = game
+    F = _gain_from(A, B, N, Ps, Hs)[0, :m]
     try:
         norm = hinf_norm(disc.A2 + disc.B2u @ F, disc.B2w,
                          disc.C2 + disc.D2u @ F, disc.D2w)

@@ -340,6 +340,25 @@ def bisection_gamma(disc, tol):
     return hi, levels
 
 
+def block_elimination_gain(disc, P, gamma):
+    """Gain of the H-infinity game at its Riccati solution P by the
+    published block elimination through the disturbance pivot
+    H3 = gamma^2 I - D2w'D2w - B2w'PB2w, an oracle for the joint-pivot
+    gain of ``hinf_design``: F = -H1^{-1}(H5u + H2 H3^{-1} H5w) with the
+    control pivot H1 = B2u'PB2u + D2u'D2u + H2 H3^{-1} H2'."""
+    PBu, PBw = P @ disc.B2u, P @ disc.B2w
+    H2 = disc.B2u.T @ PBw + disc.D2u.T @ disc.D2w
+    H3 = gamma ** 2 * np.eye(disc.n_w) - disc.D2w.T @ disc.D2w \
+        - disc.B2w.T @ PBw
+    H3 = 0.5 * (H3 + H3.T)
+    H1 = disc.B2u.T @ PBu + disc.D2u.T @ disc.D2u \
+        + H2 @ np.linalg.solve(H3, H2.T)
+    H1 = 0.5 * (H1 + H1.T)
+    H5u = PBu.T @ disc.A2 + disc.D2u.T @ disc.C2
+    H5w = PBw.T @ disc.A2 + disc.D2w.T @ disc.C2
+    return -np.linalg.solve(H1, H5u + H2 @ np.linalg.solve(H3, H5w))
+
+
 def attenuation_of_mode(model, h, d_hat_i, tol=1e-3):
     """Certified optimal attenuation of one mode's continuous model at one
     waiting time, with the closed-loop norm re-evaluated outside the

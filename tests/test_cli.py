@@ -1,6 +1,8 @@
 import hashlib
+import importlib.util
 import json
 import pathlib
+import time
 
 import numpy as np
 import pytest
@@ -85,6 +87,27 @@ class TestConfig:
             "WADC_SAMPLING__DELAY_GRID_S": "0:0.1:0.3"})
         np.testing.assert_allclose(cfg["sampling"]["delay_grid_s"],
                                    [0.0, 0.1, 0.2, 0.3])
+
+    @pytest.mark.parametrize("grid", ["0:1e-6:1",
+                                      ",".join(["0"] * 10_002)],
+                             ids=["range", "list"])
+    def test_oversized_grid_is_usage_error(self, tmp_path, monkeypatch,
+                                           capsys, grid):
+        # a million-delay range is counted, not built, and refused at once
+        monkeypatch.setenv("WADC_SAMPLING__DELAY_GRID_S", grid)
+        t0 = time.perf_counter()
+        assert run(tmp_path, "sweep", "--measure", "lqr") == 2
+        assert time.perf_counter() - t0 < 1.0
+        err = capsys.readouterr().err
+        assert "delay_grid_s" in err
+        assert ("1000001" if ":" in grid else "10002") in err
+        assert not (tmp_path / "sweep.csv").exists()
+
+    def test_fine_grid_loads(self):
+        cfg = load_config(CONFIG, environ={
+            "WADC_SAMPLING__DELAY_GRID_S": "0:0.002:0.5"})
+        grid = cfg["sampling"]["delay_grid_s"]
+        assert len(grid) == 251 and grid[-1] == 0.5
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ConfigError):
@@ -386,15 +409,15 @@ class TestSimulateCommand:
         # 8,001 rows, three of them with a value in exponent form
         ("lqr", "160", "59f345d5465285573a049f33977bb6ad"
                        "bc8ad8c151167913ae913fdfb2b1ac3b"),
-        ("hinf", "2", "1966eb523c08dea7a148007c65587697"
-                      "d631afcaea2fe718eea05b335cdd603a"),
+        ("hinf", "2", "a9f01e568dd7ea98a0703cfb168490fd"
+                      "9764b1a6c6f79fad533182de2c85054b"),
     ], ids=["lqr", "hinf"])
     def test_trace_golden_digest(self, tmp_path, monkeypatch, measure,
                                  horizon, digest):
         # sha256 of trace.csv (numpy 2.4.6, scipy 1.17.1, one BLAS thread);
-        # lqr as first recorded, hinf since the level search returns the
-        # design of its lowest certified norm; any change to a number or
-        # to the format shows
+        # lqr as first recorded, hinf since its gain is read from the one
+        # pivot of the gamma-scaled game; any change to a number or to the
+        # format shows
         monkeypatch.setenv("WADC_SCENARIO__HORIZON_S", horizon)
         assert run(tmp_path, "simulate", "--measure", measure,
                    "--delay", "0.1") == 0
@@ -409,11 +432,26 @@ class TestSimulateCommand:
         trace = (tmp_path / "trace.csv").read_text().splitlines()
         header = trace[0].split(",")
         assert header[0] == "t_s" and "y_1" in header
-        assert trace_digest(tmp_path) == ("f7350477b8b8c8adeb63ff187b8b9ada"
-                                          "47d6396c0589858a2c98316ecfbab28e")
+        assert trace_digest(tmp_path) == ("c5bd616fc795ea277be30a460f96aa8f"
+                                          "5236cd6909c0ff93aa4113e539d32370")
         report = json.loads((tmp_path / "report.json").read_text())
         for diag in report["diagnostics"]["designs"].values():
             assert 1 <= diag["levels_accepted"] <= diag["levels_tried"]
         data = np.array([[float(v) for v in row.split(",")]
                          for row in trace[1:]])
         assert np.abs(data[:, 1:7]).max() > 0  # pulse excites the grid
+
+
+class TestScripts:
+    def test_benchmark_sweep_script(self, tmp_path, monkeypatch, capsys):
+        path = README.parent / "scripts/run_benchmark_sweep.py"
+        spec = importlib.util.spec_from_file_location("sweep_script", path)
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+        assert script.main(["--help"]) == 0
+        assert "Usage:" in capsys.readouterr().out
+        monkeypatch.setenv("WADC_SAMPLING__DELAY_GRID_S", "0:0.1:0.2")
+        assert script.main([str(tmp_path)]) == 0
+        for measure in ("lqr", "hinf"):
+            lines = (tmp_path / measure / "sweep.csv").read_text().splitlines()
+            assert len(lines) == 1 + 3

@@ -18,7 +18,6 @@ from wadc.sampled import (
 )
 from wadc.synthesis import (
     HinfResult,
-    dare_residual,
     dare_solve,
     gamma_min,
     hinf_design,
@@ -29,6 +28,7 @@ from wadc.synthesis import (
 
 from helpers import (
     bisection_gamma,
+    block_elimination_gain,
     closed_loop_cost,
     grid_hinf_norm,
     random_psd_cost,
@@ -79,12 +79,16 @@ class TestDare:
         np.testing.assert_allclose(P, 0, atol=1e-12)
 
     def test_residual_and_stability_random(self):
+        # the relative residual is formed here, apart from the library's
         rng = np.random.default_rng(1)
         for _ in range(15):
             disc = random_disc(rng, d_over_h=float(rng.choice([0.0, 0.4, 1.0, 2.3])))
-            P = dare_solve(disc.A2, disc.B2u, disc.Q2, disc.N2, disc.R2)
-            assert dare_residual(disc.A2, disc.B2u, disc.Q2, disc.N2,
-                                 disc.R2, P) <= 1e-9
+            A, B, Q, N, R = disc.A2, disc.B2u, disc.Q2, disc.N2, disc.R2
+            P = dare_solve(A, B, Q, N, R)
+            G = A.T @ P @ B + N
+            res = (A.T @ P @ A - P + Q
+                   - G @ np.linalg.pinv(R + B.T @ P @ B) @ G.T)
+            assert np.abs(res).max() <= 1e-9 * (1.0 + np.abs(P).max())
             w = np.linalg.eigvalsh(P)
             assert w.min() >= -1e-9 * (1 + w.max())
 
@@ -108,6 +112,17 @@ class TestDare:
         with pytest.raises(NotStabilizable, match="policy iteration"):
             dare_solve(np.diag([1.5, 0.5]), [[1.0], [0.0]], np.eye(2),
                        None, [[0.0]])
+
+    def test_unconverged_doubling_fails(self, monkeypatch):
+        # a positive-definite R picks doubling, and a slice that has not
+        # converged when the doublings run out raises: no other solver
+        # takes it over
+        import wadc.synthesis as synthesis
+        disc = random_disc(np.random.default_rng(2), d_over_h=0.0)
+        assert np.linalg.eigvalsh(disc.R2).min() > 0
+        monkeypatch.setattr(synthesis, "_MAX_SDA_ITERS", 1)
+        with pytest.raises(NotStabilizable, match="doubling"):
+            dare_solve(disc.A2, disc.B2u, disc.Q2, disc.N2, disc.R2)
 
     def test_singular_r_checks_each_loop_once(self, monkeypatch):
         # policy iteration's closed loops (the first iterate is A itself)
@@ -431,6 +446,29 @@ class TestHinfDesign:
         res = hinf_design(disc, 1.5 * gstar)
         assert len(seen) == 1
         assert np.array_equal(seen[0], disc.A2 + disc.B2u @ res.F)
+
+    @pytest.mark.parametrize("d", [0.1, 0.3])
+    @pytest.mark.parametrize("i", [0, 1], ids=["oscillation", "common"])
+    def test_gain_matches_block_elimination(self, gains_k2, dec_k2, i, d,
+                                            monkeypatch):
+        # the first rows of the gamma-scaled game's joint-pivot gain are the
+        # gain of the block elimination through H3, from the same P, at
+        # levels from just above gamma* to far above it
+        disc = discretize(bench_mode_system(gains_k2, dec_k2, i), 0.02, d)
+        gstar, _ = gamma_min(disc, tol=1e-3)
+        solved = []
+        real = scipy.linalg.solve_discrete_are
+
+        def recorded(*args, **kwargs):
+            solved.append(real(*args, **kwargs))
+            return solved[-1]
+
+        monkeypatch.setattr(scipy.linalg, "solve_discrete_are", recorded)
+        for factor in (1.0005, 2.0, 100.0, 1e4):
+            F = hinf_design(disc, factor * gstar).F
+            P = 0.5 * (solved[-1] + solved[-1].T)
+            F_ref = block_elimination_gain(disc, P, factor * gstar)
+            assert np.abs(F - F_ref).max() <= 1e-12 * np.abs(F_ref).max()
 
     def test_unstable_loop_is_infeasible(self, monkeypatch):
         # with C2 = 0, P = 0 solves this game Riccati equation too and
