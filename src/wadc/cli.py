@@ -9,8 +9,10 @@ Subcommands
 All numeric file output uses 17 significant digits, so reruns of the same
 configuration are byte-identical (timings live only in the JSON report).
 
-Matrices and traces go through one row writer, ``write_table``, which
-streams blocks of rows to the file and an incremental sha256.  A block is
+Matrices and traces go through one row writer, ``TableWriter``, which
+streams blocks of rows to the file and an incremental sha256; ``simulate``
+hands it the trace a segment at a time as the simulation makes it, so no
+trace is ever held whole.  A block is
 formatted in numpy into exactly the bytes of ``"%.17g" % v``, from a long
 double candidate for the 17 digits wherever the error bound in
 ``_candidates`` proves it correctly rounded, and with ``FMT % v`` itself
@@ -18,8 +20,8 @@ for the rest (about 4 % of a trace's values, and 0, inf and nan).
 """
 
 import argparse
+import ctypes
 import hashlib
-import itertools
 import json
 import sys
 import time
@@ -77,6 +79,7 @@ _EXP = np.array([0 if -4 <= e < 17 else int.from_bytes(
     (b"\0\0" + b"e%+03d" % e).ljust(8, b"\0"), "little")
     for e in range(_E_MIN, _E_END)], np.uint64)
 _BLOCK = 1 << 12   # values formatted per block: 1.5 MB of temporaries
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3   # glibc's mallopt(3) names
 
 
 def _candidates(x):
@@ -147,20 +150,67 @@ def _format_block(X, sep):
     return slots.tobytes().translate(None, b"\0")
 
 
+class TableWriter:
+    """Writes the line ``header`` to ``path``, then one line per row of
+    each 2-D float array given to ``rows``, its values as FMT joined by
+    ``sep``.  Rows go to the file and to an incremental sha256 in blocks
+    of ``_BLOCK`` values; on leaving the ``with`` block, ``sha256`` holds
+    the file's hex digest and ``size`` its length in bytes."""
+
+    def __init__(self, path, header, sep):
+        self.sep = sep
+        self._fh = open(path, "wb")
+        self._digest = hashlib.sha256()
+        self._put(f"{header}\n".encode())
+
+    def __enter__(self):
+        return self
+
+    def _put(self, chunk):
+        self._fh.write(chunk)
+        self._digest.update(chunk)
+
+    def rows(self, X):
+        X = np.asarray(X, dtype=float)
+        step = max(1, _BLOCK // max(1, X.shape[1]))
+        for i in range(0, len(X), step):
+            self._put(_format_block(X[i:i + step], self.sep))
+
+    def __exit__(self, *exc):
+        self.sha256, self.size = self._digest.hexdigest(), self._fh.tell()
+        self._fh.close()
+
+
 def write_table(path, header, X, sep):
     """Write the line ``header``, then one line per row of the 2-D float
-    array X with its values as FMT joined by ``sep``.  Rows go to the file
-    in blocks; returns the file's sha256 hex digest and its size."""
-    X = np.asarray(X, dtype=float)
-    rows = max(1, _BLOCK // max(1, X.shape[1]))
-    blocks = (_format_block(X[i:i + rows], sep)
-              for i in range(0, len(X), rows))
-    digest = hashlib.sha256()
-    with open(path, "wb") as fh:
-        for chunk in itertools.chain([f"{header}\n".encode()], blocks):
-            fh.write(chunk)
-            digest.update(chunk)
-        return digest.hexdigest(), fh.tell()
+    array X with its values as FMT joined by ``sep``; returns the file's
+    sha256 hex digest and its size."""
+    with TableWriter(path, header, sep) as table:
+        table.rows(X)
+    return table.sha256, table.size
+
+
+def _hold_freed_heap():
+    """Keep freed heap memory mapped for the rest of the process.
+
+    A streamed trace formats each block of ``_BLOCK`` values in about
+    1.5 MB of numpy temporaries and frees them again.  glibc hands the free top of its
+    heap back to the kernel once it passes M_TRIM_THRESHOLD, and by default
+    raises that threshold, and M_MMAP_THRESHOLD, to the largest mmap-ed
+    block freed so far (mallopt(3)).  Whether every segment faulted its
+    temporaries in again thus hung on what the run had freed before.
+    Setting both thresholds ends that adjustment: blocks under 4 MB come
+    from the heap, up to 16 MB of free heap top stays mapped, and every
+    segment reuses the pages of the one before.  Without glibc's mallopt
+    this does nothing."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 4 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 16 << 20)
 
 
 def write_matrix(path, M):
@@ -197,6 +247,7 @@ class RunReport:
             "notes": [],
             "outputs": {},
         }
+        self._timings = {}
         self._t0 = time.perf_counter()
         self._last = self._t0
 
@@ -204,8 +255,7 @@ class RunReport:
         """Charge the time since the last stage to ``name``; a stage entered
         more than once accumulates."""
         now = time.perf_counter()
-        timings = self.data["timings_s"]
-        timings[name] = round(timings.get(name, 0.0) + now - self._last, 6)
+        self._timings[name] = self._timings.get(name, 0.0) + now - self._last
         self._last = now
 
     def warn(self, msg):
@@ -219,8 +269,8 @@ class RunReport:
         self.data["outputs"][str(path)] = {"sha256": sha256}
 
     def write(self, path):
-        self.data["timings_s"]["total"] = round(
-            time.perf_counter() - self._t0, 6)
+        timings = dict(self._timings, total=time.perf_counter() - self._t0)
+        self.data["timings_s"] = {k: round(v, 6) for k, v in timings.items()}
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             json.dump(self.data, fh, indent=2, sort_keys=True)
             fh.write("\n")
@@ -408,21 +458,27 @@ def cmd_simulate(cfg, args, report):
     scn = Scenario(initial_state=x_hat0, schedule=sched,
                    disturbance=disturbance, integrator_step=step,
                    horizon=scn_cfg["horizon_s"])
-    out = simulate_closed_loop(pipe.plant, ctrl, scn, pipe.Q, pipe.R,
-                               C=pipe.C, D_u=pipe.D_u, D_w=pipe.D_w)
-    report.stage("simulate")
-
     header = (["t_s"]
               + [f"{n}_{i + 1}" for i in range(m)
                  for n in ("d_delta", "d_omega", "d_psi_f")]
               + [f"u_ef_{i + 1}" for i in range(m)]
               + [f"ubar_ef_{i + 1}" for i in range(m)]
-              + [f"y_{j + 1}" for j in range(out.y.shape[1])])
-    # one row per sampling instant
-    sha256, trace_bytes = write_table(
-        args.out_file, ",".join(header),
-        np.column_stack([out.t, out.x, out.u, out.u_bar, out.y]), ",")
-    report.output(args.out_file, sha256)
+              + [f"y_{j + 1}" for j in range(pipe.C.shape[0])])
+
+    def segment(*columns):
+        """Write a segment of trace rows, one per sampling instant, as the
+        simulation hands it on; the stepping before it is charged to
+        ``simulate``, the formatting and writing to ``write``."""
+        report.stage("simulate")
+        table.rows(np.column_stack(columns))
+        report.stage("write")
+
+    _hold_freed_heap()
+    with TableWriter(args.out_file, ",".join(header), ",") as table:
+        out = simulate_closed_loop(pipe.plant, ctrl, scn, pipe.Q, pipe.R,
+                                   segment, C=pipe.C, D_u=pipe.D_u,
+                                   D_w=pipe.D_w)
+    report.output(args.out_file, table.sha256)
 
     summary = {"J_measured": out.J, "horizon_s": out.horizon}
     if args.measure == "lqr" and disturbance is None:
@@ -438,10 +494,17 @@ def cmd_simulate(cfg, args, report):
     report.data["diagnostics"] = {
         "integrator_step_s": out.step,
         "steps_per_period": out.steps_per_period,
-        "periods": len(out.t) - 1,
-        "trace_rows": len(out.t),
-        "trace_bytes": trace_bytes,
+        "periods": out.periods,
+        "trace_rows": out.periods + 1,
+        "trace_bytes": table.size,
+        "horizon_extensions": out.extensions,
+        "horizon_settled": out.settled,
     }
+    if out.settled is False:
+        report.warn(f"auto horizon did not settle: after {out.extensions} "
+                    f"extensions ({out.horizon:g} s) the last one still "
+                    "added more than the tail tolerance to the cost, so "
+                    "J_measured may fall short of the infinite-horizon cost")
     if args.measure == "hinf":
         report.data["diagnostics"]["designs"] = {
             label: _search_diagnostics(md)

@@ -14,8 +14,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, HorizonTooLong
 from .grid_model import GeneratorParams, build_two_area_network
+from .sim_eval import MAX_PERIODS
 
 ENV_PREFIX = "WADC_"
 _MAX_GRID_POINTS = 10_001   # delays in one grid, bounding a sweep's work
@@ -310,6 +311,11 @@ def load_config(path=None, text=None, environ=None) -> BenchmarkConfig:
                               "(angle, speed, flux)")
     if len(values["sampling"]["delay_grid_s"]) == 0:
         raise ConfigError("[sampling] delay_grid_s is empty")
+    horizon, h = values["scenario"]["horizon_s"], values["sampling"]["h_s"]
+    periods = 0 if horizon is None else round(horizon / h)
+    if periods > MAX_PERIODS:
+        raise HorizonTooLong(f"[scenario] horizon_s = {horizon:g} s",
+                             periods, h, MAX_PERIODS)
     return BenchmarkConfig(values=values, source=source)
 
 

@@ -102,3 +102,16 @@ class ScheduleMismatch(WadcError):
 
 class EventGridMismatch(WadcError):
     """Integrator step does not hit every sampling/actuation event."""
+
+
+class HorizonTooLong(ConfigError):
+    """Simulation horizon needs more sampling periods than a run may step."""
+
+    def __init__(self, asked, periods, h, cap):
+        self.periods = periods
+        super().__init__(
+            f"{asked} asks for {periods} sampling periods of {h:g} s, more "
+            f"than the {cap} a simulation may step: each period writes one "
+            "trace row (0.28 kB on the benchmark), so the cap keeps a trace "
+            "under about 0.3 GB and a run under about 10 s; shorten "
+            "horizon_s or lengthen h_s")

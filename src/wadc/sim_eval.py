@@ -23,12 +23,13 @@ from .dncs import (
     delay_map,
     design_mode,
 )
-from .errors import EventGridMismatch, WadcError
+from .errors import EventGridMismatch, HorizonTooLong, WadcError
 from .grid_model import LinearPlant
 from .sampled import _nice_fraction, split_delay
 from .synthesis import hinf_norm, stein_solve
 
 __all__ = [
+    "MAX_PERIODS",
     "Scenario",
     "SimulationOutput",
     "SweepRow",
@@ -41,6 +42,8 @@ __all__ = [
 
 _BOUND_SLACK = 1e-9
 _BLOCK = 256   # sampling periods advanced by one batched product
+_SEGMENT = 8 * _BLOCK   # trace rows handed on together, about 0.3 MB
+MAX_PERIODS = 1_000_000   # sampling periods one simulation may step
 
 
 @dataclass(frozen=True)
@@ -63,15 +66,19 @@ class Scenario:
 
 @dataclass(frozen=True)
 class SimulationOutput:
-    t: np.ndarray        # sampling instants kh, k = 0 ... N
-    x: np.ndarray        # physical deviation states, (N+1, n_x)
-    u: np.ndarray        # total input K x + u_bar, (N+1, n_u)
-    u_bar: np.ndarray    # remote commands held up to t, (N+1, n_u)
-    y: np.ndarray        # C x + D_u u_bar + D_w w, (N+1, n_y)
+    periods: int         # sampling periods stepped; the trace has one more row
     J: float
     step: float          # RK4 and quadrature step
     steps_per_period: int
     horizon: float
+    extensions: int      # chunks the auto horizon added to its first span
+    settled: bool        # auto horizon: its cost tail test passed; else None
+
+    @property
+    def t(self):
+        """The sampling instants kh, k = 0 ... periods, of the trace rows."""
+        return self.step * (self.steps_per_period
+                            * np.arange(self.periods + 1))
 
 
 def _rational_gcd(values):
@@ -128,8 +135,8 @@ def _rk4_affine(A, dt):
 
 
 def simulate_closed_loop(plant: LinearPlant, controller: DistributedController,
-                         scn: Scenario, Q, R, C=None, D_u=None, D_w=None,
-                         tail_rel=1e-9, max_extensions=48):
+                         scn: Scenario, Q, R, trace, C=None, D_u=None,
+                         D_w=None, tail_rel=1e-9, max_extensions=48):
     """Simulate the closed loop at the sampling instants and accumulate the
     quadratic cost.
 
@@ -141,9 +148,15 @@ def simulate_closed_loop(plant: LinearPlant, controller: DistributedController,
     line), and the running cost, which prices the state and the total
     input u = K x + u_bar by composite Simpson on the same steps, is one
     quadratic form S of xi_k per period.  Held disturbance samples add an
-    affine term to the first periods.  The trace holds one row per
-    sampling instant; u and u_bar are the commands held on the step that
-    ends there.
+    affine term to the first periods.
+
+    The trace has one row per sampling instant; u and u_bar are the
+    commands held on the step that ends there.  Its rows are handed to
+    ``trace(t, x, u, u_bar, y)`` in order, a segment of consecutive rows at
+    a time, as the recursion produces them; of the trajectory only the
+    segment being gathered is kept.  A run longer than
+    ``MAX_PERIODS`` sampling periods is refused before any stepping, and
+    the auto horizon stops extending at that cap.
     """
     dec = controller.dec
     sched = controller.schedule
@@ -168,6 +181,22 @@ def simulate_closed_loop(plant: LinearPlant, controller: DistributedController,
 
     A_bar = controller.gains.A_bar
     K = controller.gains.K
+    auto = scn.horizon is None
+    if auto:
+        slowest = 1.0 / max(1e-6, -np.linalg.eigvals(A_bar).real.max())
+        horizon = 20.0 * slowest
+        asked = (f"horizon_s = auto, 20 times the slowest time constant "
+                 f"{slowest:.4g} s of A + B_u K,")
+    else:
+        horizon = float(scn.horizon)
+        asked = f"horizon_s = {horizon:g} s"
+    # whole sampling periods; extensions add quarter-chunks until the cost
+    # increment dies out
+    first = max(1, int(round(horizon / dt / n_h)))
+    chunk = max(1, first // 4)
+    if first > MAX_PERIODS:
+        raise HorizonTooLong(asked, first, h, MAX_PERIODS)
+
     Rmap, Smap = _rk4_affine(A_bar, dt)
     if np.abs(np.linalg.eigvals(Rmap)).max() >= 1.0:
         fastest = np.abs(np.linalg.eigvals(A_bar)).max()
@@ -222,76 +251,95 @@ def simulate_closed_loop(plant: LinearPlant, controller: DistributedController,
     for i in range(1, _BLOCK):
         powers[i] = M_xi @ powers[i - 1]
 
-    w_seq = scn.disturbance
-    n_dist = 0 if w_seq is None else len(w_seq)
-
-    def advance(xi, k, count):
-        """States of periods k+1 ... k+count and the cost of k ... k+count-1."""
-        new, J = [], 0.0
-        for j in range(k, min(k + count, n_dist)):
-            zeta = np.concatenate([xi, w_seq[j]])
-            J += float(zeta @ S @ zeta)
-            xi = M @ zeta
-            new.append(xi[None])
-        left = count - len(new)
-        while left:
-            b = min(_BLOCK, left)
-            nxt = powers[:b] @ xi
-            starts = np.vstack([xi[None], nxt[:-1]])
-            J += float(np.sum((starts @ S_xi) * starts))
-            new.append(nxt)
-            xi = nxt[-1]
-            left -= b
-        return new, J
-
-    x0 = dec.M_x @ scn.initial_state
-    xi = np.zeros(n)
-    xi[:n_x] = x0.reshape(n_x)
-    if scn.horizon is not None:
-        horizon = float(scn.horizon)
-        auto = False
-    else:
-        eigs = np.linalg.eigvals(A_bar)
-        slowest = 1.0 / max(1e-6, -eigs.real.max())
-        horizon = 20.0 * slowest
-        auto = True
-    # whole sampling periods; extensions add quarter-chunks until the cost
-    # increment dies out
-    first = max(1, int(round(horizon / dt / n_h)))
-    chunk = max(1, first // 4)
-
-    xis, k, J = [xi[None]], 0, 0.0
-    for ext in range(max_extensions):
-        count = first if ext == 0 else chunk
-        new, inc = advance(xis[-1][-1], k, count)
-        xis += new
-        k += count
-        J += inc
-        if not auto or (ext and abs(inc) <= tail_rel * max(abs(J), 1e-300)):
-            break
-
-    xi = np.concatenate(xis)
-    x = xi[:, :n_x]
-    t = dt * (n_h * np.arange(len(xi)))
-    u_bar = np.zeros((len(xi), n_u))
-    u_bar[1:] = xi[:-1] @ U_end.T
-    u_tot = x @ K.T + u_bar
     if C is not None:
         C = np.atleast_2d(np.asarray(C, dtype=float))
         D_u = np.zeros((C.shape[0], n_u)) if D_u is None \
             else np.atleast_2d(np.asarray(D_u, dtype=float))
         D_w = np.zeros((C.shape[0], n_w)) if D_w is None \
             else np.atleast_2d(np.asarray(D_w, dtype=float))
-        w = np.zeros((len(xi), n_w))
-        if n_dist:
-            w[:n_dist] = w_seq[:len(xi)]
-        # output convention: the published output map takes the remote command
-        y = x @ C.T + u_bar @ D_u.T + w @ D_w.T
-    else:
-        y = np.zeros((len(xi), 0))
+    w_seq = scn.disturbance
+    n_dist = 0 if w_seq is None else len(w_seq)
+    xi0 = np.zeros(n)
+    xi0[:n_x] = (dec.M_x @ scn.initial_state).reshape(n_x)
+
+    # The trace rows are handed on in segments of about _SEGMENT rows.
+    # Each row's numbers are products over the rows of its segment: numpy
+    # sends a one-row product to gemv, which can round differently from
+    # the gemm that takes two rows or more, and gemm rounds a row the same
+    # whatever rows come with it.  So a block of one period (a disturbance
+    # period, or the last of a span) joins the segment before it, and the
+    # rows match those of one product over the whole run bit for bit.
+    held, handed = [], 0
+    last = xi0    # the state of the row before the held ones
+
+    def hand_on():
+        """Hand the held periods' rows on as one segment."""
+        nonlocal handed, last
+        Z = np.concatenate([last[None], *held])
+        held.clear()
+        last = Z[-1]
+        u_bar = Z[:-1] @ U_end.T
+        if handed == 0:   # row 0: the initial state, before any command
+            u_bar = np.vstack([np.zeros((1, n_u)), u_bar])
+        else:
+            Z = Z[1:]
+        k = np.arange(handed, handed + len(Z))
+        x = Z[:, :n_x]
+        if C is None:
+            y = np.zeros((len(k), 0))
+        else:
+            w = np.zeros((len(k), n_w))
+            if handed < n_dist:
+                w[:n_dist - handed] = w_seq[handed:handed + len(k)]
+            # output convention: the published output map takes the
+            # remote command
+            y = x @ C.T + u_bar @ D_u.T + w @ D_w.T
+        trace(dt * (n_h * k), x, x @ K.T + u_bar, u_bar, y)
+        handed += len(k)
+
+    def hold(states):
+        """Take the states of the next periods for the trace."""
+        if len(states) > 1 and sum(map(len, held)) >= _SEGMENT:
+            hand_on()
+        held.append(states)
+
+    def advance(xi, k, count):
+        """Step periods k ... k+count-1 from xi_k; returns xi_{k+count} and
+        the cost of those periods."""
+        J = 0.0
+        disturbed = range(k, min(k + count, n_dist))
+        for j in disturbed:
+            zeta = np.concatenate([xi, w_seq[j]])
+            J += float(zeta @ S @ zeta)
+            nxt = M @ zeta
+            hold(nxt[None])
+            xi = nxt
+        left = count - len(disturbed)
+        while left:
+            b = min(_BLOCK, left)
+            nxt = powers[:b] @ xi
+            starts = np.vstack([xi[None], nxt[:-1]])
+            J += float(np.sum((starts @ S_xi) * starts))
+            hold(nxt)
+            xi = nxt[-1]
+            left -= b
+        return xi, J
+
+    xi, J = advance(xi0, 0, first)
+    k, spans, settled = first, 1, False if auto else None
+    while auto and spans < max_extensions and k < MAX_PERIODS:
+        count = min(chunk, MAX_PERIODS - k)
+        xi, inc = advance(xi, k, count)
+        k += count
+        J += inc
+        spans += 1
+        if abs(inc) <= tail_rel * max(abs(J), 1e-300):
+            settled = True
+            break
+    hand_on()
     return SimulationOutput(
-        t=t, x=x, u=u_tot, u_bar=u_bar, y=y, J=J, step=dt,
-        steps_per_period=n_h, horizon=float(t[-1]))
+        periods=k, J=J, step=dt, steps_per_period=n_h,
+        horizon=float(dt * (n_h * k)), extensions=spans - 1, settled=settled)
 
 
 def compute_bounds(md0: ModeDesign, measure, z0=None):

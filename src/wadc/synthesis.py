@@ -267,9 +267,10 @@ def dare_solve(A, B, Q, N=None, R=None):
     closed loops are certified stable by their ``stein_solve`` doubling,
     which computes eigenvalues only when its power bound fails; the
     returned gain's loop gets an eigenvalue check here, independent of the
-    solver.  The arguments may be stacks of k equations of one size,
-    (k, n, n) and so on; a failure of any slice raises ``NotStabilizable``
-    for the stack.
+    solver.  Returns P and that gain F = -(R + B'PB)^{-1}(B'PA + N').
+    The arguments may be stacks of k equations of one size, (k, n, n) and
+    so on; a failure of any slice raises ``NotStabilizable`` for the
+    stack.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     single = A.ndim == 2
@@ -317,7 +318,7 @@ def dare_solve(A, B, Q, N=None, R=None):
     F = _gain_from(A, B, N, P, H)
     if spectral_radius(A + B @ F) >= 1.0:
         raise NotStabilizable("closed loop is not Schur stable")
-    return P[0] if single else P
+    return (P[0], F[0]) if single else (P, F)
 
 
 @dataclass(frozen=True)
@@ -347,8 +348,7 @@ def lqr_design(disc):
     if any(lo < -1e-9 * top for lo, top in
            _spread(np.linalg.eigvalsh(0.5 * (stacked + stacked.mT)))):
         raise IndefiniteCost("lifted cost matrix is not positive semidefinite")
-    P = dare_solve(A, B, Q, N, R)
-    F = _gain_from(A, B, N, P, R + B.mT @ P @ B)
+    P, F = dare_solve(A, B, Q, N, R)
     results = [LqrResult(F=f, P=p) for f, p in zip(F, P)]
     return results[0] if isinstance(disc, DiscretizedSystem) else results
 

@@ -1,12 +1,28 @@
 """Shared generators and independent oracles for the test suite."""
 
+from dataclasses import asdict
+from types import SimpleNamespace
+
 import numpy as np
 from scipy.linalg import expm
 
 from wadc.dncs import design_mode
 from wadc.errors import GammaInfeasible
 from wadc.sampled import CtsCost, CtsSystem, split_delay
+from wadc.sim_eval import simulate_closed_loop
 from wadc.synthesis import hinf_design, hinf_norm
+
+
+def simulate_collect(plant, controller, scn, Q, R, **kwargs):
+    """``simulate_closed_loop`` with the trace segments it hands on joined
+    into whole arrays: the output's fields plus t, x, u, u_bar and y, one
+    row per sampling instant."""
+    segments = []
+    out = simulate_closed_loop(plant, controller, scn, Q, R,
+                               lambda *rows: segments.append(rows), **kwargs)
+    t, x, u, u_bar, y = (np.concatenate(c) for c in zip(*segments))
+    np.testing.assert_array_equal(t, out.t)   # in order, none missing
+    return SimpleNamespace(**asdict(out), t=t, x=x, u=u, u_bar=u_bar, y=y)
 
 
 def random_stable_system(rng, n_x, n_u, n_w=1, n_y=None):

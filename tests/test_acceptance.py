@@ -14,6 +14,7 @@ from helpers import (
     random_psd_cost,
     random_stable_system,
     rk4_delayed_zoh,
+    simulate_collect,
 )
 from test_dncs import _PatternStub, bench_mode_system, brute_force_delay_map
 from test_sim_eval import build_controller
@@ -27,7 +28,7 @@ from wadc.dncs import (
 from wadc.errors import GammaInfeasible, UnstableLocalLoop
 from wadc.grid_model import swap_symmetry_residuals
 from wadc.sampled import CtsModel, discretize
-from wadc.sim_eval import Scenario, simulate_closed_loop, sweep_delays
+from wadc.sim_eval import Scenario, sweep_delays
 from wadc.synthesis import gamma_min, hinf_design
 
 
@@ -96,7 +97,7 @@ def test_criterion_2_lqr_certificate(bench_plant, gains_k1, dec_k1):
         # well below that
         scn = Scenario(initial_state=x_hat0, schedule=ctrl.schedule,
                        integrator_step=0.0025, horizon=1500.0)
-        out = simulate_closed_loop(bench_plant, ctrl, scn, Q_COST, R_COST)
+        out = simulate_collect(bench_plant, ctrl, scn, Q_COST, R_COST)
         cert = md.result.J_star(md.disc.lift_state(x_hat0[:3]))
         worst_gap = max(worst_gap, abs(out.J - cert) / cert)
         # entrywise +1% perturbations of the oscillation-mode gain
@@ -106,8 +107,8 @@ def test_criterion_2_lqr_certificate(bench_plant, gains_k1, dec_k1):
             designs_p = [replace(md, F=F_pert), designs[1]]
             ctrl_p = DistributedController(gains_k1, dec_k1, ctrl.schedule,
                                            designs_p)
-            out_p = simulate_closed_loop(bench_plant, ctrl_p, scn,
-                                         Q_COST, R_COST)
+            out_p = simulate_collect(bench_plant, ctrl_p, scn,
+                                     Q_COST, R_COST)
             if not out_p.J > out.J:
                 perturb_ok = False
     ok = worst_gap <= 5e-3 and perturb_ok

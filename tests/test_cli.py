@@ -1,15 +1,19 @@
+import functools
 import hashlib
 import importlib.util
 import json
 import pathlib
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from wadc import cli
 from wadc.cli import main, read_matrix, write_matrix
 from wadc.config import SCHEMA, load_config
 from wadc.errors import ConfigError
+from wadc.sim_eval import MAX_PERIODS
 
 CONFIG = str(pathlib.Path(__file__).resolve().parents[1]
              / "configs/benchmark.cfg")
@@ -102,6 +106,19 @@ class TestConfig:
         assert "delay_grid_s" in err
         assert ("1000001" if ":" in grid else "10002") in err
         assert not (tmp_path / "sweep.csv").exists()
+
+    def test_horizon_beyond_period_cap_is_usage_error(self, tmp_path,
+                                                      monkeypatch, capsys):
+        # 1e7 s is 5e8 periods of 0.02 s: refused when the config loads,
+        # before any design or stepping
+        monkeypatch.setenv("WADC_SCENARIO__HORIZON_S", "1e7")
+        t0 = time.perf_counter()
+        assert run(tmp_path, "simulate", "--measure", "lqr") == 2
+        assert time.perf_counter() - t0 < 1.0
+        err = capsys.readouterr().err
+        assert "horizon_s" in err and "500000000" in err
+        assert str(MAX_PERIODS) in err and "trace row" in err
+        assert not (tmp_path / "trace.csv").exists()
 
     def test_fine_grid_loads(self):
         cfg = load_config(CONFIG, environ={
@@ -405,23 +422,83 @@ class TestSimulateCommand:
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["summary"]["relative_gap"] <= 5e-3
 
-    @pytest.mark.parametrize("measure,horizon,digest", [
+    @pytest.mark.parametrize("measure,delay,horizon,digest", [
         # 8,001 rows, three of them with a value in exponent form
-        ("lqr", "160", "59f345d5465285573a049f33977bb6ad"
-                       "bc8ad8c151167913ae913fdfb2b1ac3b"),
-        ("hinf", "2", "a9f01e568dd7ea98a0703cfb168490fd"
-                      "9764b1a6c6f79fad533182de2c85054b"),
-    ], ids=["lqr", "hinf"])
+        ("lqr", "0.1", "160", "59f345d5465285573a049f33977bb6ad"
+                              "bc8ad8c151167913ae913fdfb2b1ac3b"),
+        ("hinf", "0.1", "2", "a9f01e568dd7ea98a0703cfb168490fd"
+                             "9764b1a6c6f79fad533182de2c85054b"),
+        # the benchmark's auto horizon: 121,354 rows
+        ("lqr", "0.1", "auto", "323f40a572c3ccbb8b11c963e5e307ed"
+                               "237267c495b6528246b86d8842dcc785"),
+        # 2,049 and 2,050 periods: a last period, and a last two, after
+        # the first 2,048-row segment; a one-row segment of its own would
+        # move bytes here
+        ("lqr", "0.04", "40.98", "de3eed5a4782910b72c9462488895df8"
+                                 "17ae389a65b441fc58087800a64a85fa"),
+        ("lqr", "0.04", "41.0", "8b0452b16b541bf61eed1ed2e2a74433"
+                                "80cb2858f5cb7c6469578cc944617f50"),
+        # one period: two rows
+        ("lqr", "0.1", "0.02", "853e025c1f114cf8a4921ed0fe312f55"
+                               "f44729acf047215f62f9fdd53f56fe89"),
+    ], ids=["lqr", "hinf", "lqr-auto", "lqr-last-1", "lqr-last-2",
+            "lqr-one-period"])
     def test_trace_golden_digest(self, tmp_path, monkeypatch, measure,
-                                 horizon, digest):
+                                 delay, horizon, digest):
         # sha256 of trace.csv (numpy 2.4.6, scipy 1.17.1, one BLAS thread);
         # lqr as first recorded, hinf since its gain is read from the one
-        # pivot of the gamma-scaled game; any change to a number or to the
+        # pivot of the gamma-scaled game, the rest as written in one piece
+        # before traces were streamed; any change to a number or to the
         # format shows
         monkeypatch.setenv("WADC_SCENARIO__HORIZON_S", horizon)
         assert run(tmp_path, "simulate", "--measure", measure,
-                   "--delay", "0.1") == 0
+                   "--delay", delay) == 0
         assert trace_digest(tmp_path) == digest
+
+    def test_streamed_memory_does_not_grow_with_horizon(self, tmp_path,
+                                                       monkeypatch):
+        # rows go to the file as the recursion makes them: the memory the
+        # simulation and the writing take is the same for 30,001 rows and
+        # for 121,354
+        peaks = {}
+        simulate = cli.simulate_closed_loop
+
+        def measured(*args, **kwargs):
+            tracemalloc.start()
+            try:
+                return simulate(*args, **kwargs)
+            finally:
+                peaks[len(peaks)] = tracemalloc.get_traced_memory()[1]
+                tracemalloc.stop()
+
+        monkeypatch.setattr(cli, "simulate_closed_loop", measured)
+        for horizon in ("600", "auto"):
+            monkeypatch.setenv("WADC_SCENARIO__HORIZON_S", horizon)
+            assert run(tmp_path / horizon, "simulate", "--measure", "lqr",
+                       "--delay", "0.1") == 0
+        assert abs(peaks[1] - peaks[0]) < 2e6, peaks
+
+    def test_unsettled_auto_horizon_warns(self, tmp_path, monkeypatch):
+        # the auto horizon's first span alone, no extension: the tail test
+        # never ran, and the report says so
+        monkeypatch.setattr(cli, "simulate_closed_loop", functools.partial(
+            cli.simulate_closed_loop, max_extensions=1))
+        assert run(tmp_path, "simulate", "--measure", "lqr",
+                   "--delay", "0.1") == 0
+        report = json.loads((tmp_path / "report.json").read_text())
+        diag = report["diagnostics"]
+        assert diag["horizon_extensions"] == 0
+        assert diag["horizon_settled"] is False
+        assert any("did not settle" in w for w in report["warnings"])
+
+    def test_settled_auto_horizon_reported(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("WADC_SCENARIO__HORIZON_S", "2.0")
+        assert run(tmp_path, "simulate", "--measure", "lqr",
+                   "--delay", "0.1") == 0
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["diagnostics"]["horizon_extensions"] == 0
+        assert report["diagnostics"]["horizon_settled"] is None
+        assert report["warnings"] == []
 
     def test_impulse_disturbance_trace(self, tmp_path, monkeypatch):
         monkeypatch.setenv("WADC_SCENARIO__DISTURBANCE", "impulse")

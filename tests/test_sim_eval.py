@@ -1,3 +1,4 @@
+import time
 from dataclasses import replace
 from fractions import Fraction
 
@@ -6,7 +7,12 @@ import pytest
 import scipy.linalg
 
 from conftest import C_OUT, DU_OUT, DW_OUT, Q_COST, R_COST
-from helpers import attenuation_of_mode, grid_hinf_norm, per_step_closed_loop
+from helpers import (
+    attenuation_of_mode,
+    grid_hinf_norm,
+    per_step_closed_loop,
+    simulate_collect,
+)
 from test_dncs import bench_mode_system, synthetic_symmetric_plant
 from wadc.dncs import (
     DelaySchedule,
@@ -16,10 +22,11 @@ from wadc.dncs import (
     mode_system,
     symmetric_modes,
 )
-from wadc.errors import EventGridMismatch, NotStabilizable
+from wadc.errors import EventGridMismatch, HorizonTooLong, NotStabilizable
 from wadc.grid_model import LinearPlant
 from wadc.sampled import CtsModel
 from wadc.sim_eval import (
+    MAX_PERIODS,
     Scenario,
     compute_bounds,
     refine_step,
@@ -59,7 +66,7 @@ class TestSimulate:
         ctrl, _ = build_controller(bench_plant, gains_k1, dec_k1, 0.04)
         scn = Scenario(initial_state=np.zeros(6), schedule=ctrl.schedule,
                        integrator_step=0.01, horizon=5.0)
-        out = simulate_closed_loop(bench_plant, ctrl, scn, Q_COST, R_COST)
+        out = simulate_collect(bench_plant, ctrl, scn, Q_COST, R_COST)
         assert out.J == 0.0
         np.testing.assert_array_equal(out.x, 0.0)
         np.testing.assert_array_equal(out.u, 0.0)
@@ -69,7 +76,7 @@ class TestSimulate:
         scn = Scenario(initial_state=np.zeros(6), schedule=ctrl.schedule,
                        integrator_step=0.02, horizon=1.0)
         with pytest.raises(EventGridMismatch):
-            simulate_closed_loop(bench_plant, ctrl, scn, Q_COST, R_COST)
+            simulate_collect(bench_plant, ctrl, scn, Q_COST, R_COST)
 
     def test_decentralized_lyapunov_oracle(self, bench_plant, gains_k1,
                                            dec_k1):
@@ -81,7 +88,7 @@ class TestSimulate:
         T_end = 50.0
         scn = Scenario(initial_state=x_hat0, schedule=ctrl.schedule,
                        integrator_step=0.005, horizon=T_end)
-        out = simulate_closed_loop(bench_plant, ctrl, scn, Q_COST, R_COST)
+        out = simulate_collect(bench_plant, ctrl, scn, Q_COST, R_COST)
         model = bench_mode_system(gains_k1, dec_k1, 0)
         P = scipy.linalg.solve_continuous_lyapunov(model.sys.A1.T,
                                                    -model.cost.Q1)
@@ -98,7 +105,7 @@ class TestSimulate:
         scn = Scenario(initial_state=dec_k1.M_x_inv @ x0,
                        schedule=ctrl.schedule, integrator_step=0.01,
                        horizon=2.0)
-        out = simulate_closed_loop(bench_plant, ctrl, scn, Q_COST, R_COST)
+        out = simulate_collect(bench_plant, ctrl, scn, Q_COST, R_COST)
         # independent stage-form RK4 on d/dt x = A_bar x
         A = gains_k1.A_bar
         x = x0.copy()
@@ -125,7 +132,7 @@ class TestSimulate:
         x_hat0 = np.array([0.7, 0.1, -0.2, 0, 0, 0])
         scn = Scenario(initial_state=x_hat0, schedule=ctrl.schedule,
                        integrator_step=0.00125, horizon=4.0)
-        out = simulate_closed_loop(bench_plant, ctrl, scn, Q_COST, R_COST)
+        out = simulate_collect(bench_plant, ctrl, scn, Q_COST, R_COST)
         z = md.disc.lift_state(x_hat0[:3])
         A_cl = md.disc.A2 + md.disc.B2u @ md.F
         worst, scale = 0.0, 1.0
@@ -164,9 +171,9 @@ class TestSimulate:
         def run(T):
             scn = Scenario(initial_state=x_hat0, schedule=sched,
                            disturbance=w, integrator_step=dt, horizon=T)
-            return simulate_closed_loop(bench_plant, ctrl, scn, Q_COST,
-                                        R_COST, C=C_OUT, D_u=DU_OUT,
-                                        D_w=DW_OUT)
+            return simulate_collect(bench_plant, ctrl, scn, Q_COST,
+                                    R_COST, C=C_OUT, D_u=DU_OUT,
+                                    D_w=DW_OUT)
 
         out = run(horizon)
         np.testing.assert_array_equal(out.t, ref["t"])
@@ -190,7 +197,7 @@ class TestSimulate:
         x_hat0 = np.array([1.0, 0, 0, 0, 0, 0])
         scn = Scenario(initial_state=x_hat0, schedule=ctrl.schedule,
                        integrator_step=0.01, horizon=800.0)
-        out = simulate_closed_loop(bench_plant, ctrl, scn, Q_COST, R_COST)
+        out = simulate_collect(bench_plant, ctrl, scn, Q_COST, R_COST)
         J_cert = md.result.J_star(md.disc.lift_state(x_hat0[:3]))
         assert abs(out.J - J_cert) <= 5e-3 * J_cert
 
@@ -201,7 +208,7 @@ class TestSimulate:
         for dt in (0.01, 0.005):
             scn = Scenario(initial_state=x_hat0, schedule=ctrl.schedule,
                            integrator_step=dt, horizon=100.0)
-            out = simulate_closed_loop(bench_plant, ctrl, scn, Q_COST, R_COST)
+            out = simulate_collect(bench_plant, ctrl, scn, Q_COST, R_COST)
             Js.append(out.J)
         assert abs(Js[0] - Js[1]) <= 1e-4 * abs(Js[1])
 
@@ -211,57 +218,111 @@ class TestSimulate:
         w[0, 0] = 50.0  # one-sample pulse at load bus 1
         scn = Scenario(initial_state=np.zeros(6), schedule=ctrl.schedule,
                        disturbance=w, integrator_step=0.01, horizon=20.0)
-        out = simulate_closed_loop(bench_plant, ctrl, scn, Q_COST, R_COST,
-                                   C=C_OUT, D_u=DU_OUT, D_w=DW_OUT)
+        out = simulate_collect(bench_plant, ctrl, scn, Q_COST, R_COST,
+                               C=C_OUT, D_u=DU_OUT, D_w=DW_OUT)
         assert np.abs(out.x).max() > 0  # the pulse excites the grid
         assert out.y.shape == (len(out.t), 2)
         assert np.isfinite(out.J)
 
     def test_auto_horizon_extends_until_cost_settles(self):
-        # two uncoupled machines with triangular dynamics driven through
-        # their first state: the slowest time constant of A_bar is 1 s, so
-        # the first chunk is 20 s and each extension 5 s; the remote gain
-        # slows the sampled loop to a 10 s time constant, so the cost needs
-        # many extensions to settle
-        X = np.array([[-1.0, 0.5, 0.0], [0.0, -2.0, 0.5], [0.0, 0.0, -3.0]])
-        Z = np.zeros((3, 3))
-        B_u = np.zeros((6, 2))
-        B_u[0, 0] = B_u[3, 1] = 1.0
-        B_w = np.zeros((6, 4))
-        B_w[1:3, 0:2] = B_w[4:6, 2:4] = np.eye(2)
-        plant = LinearPlant(A=np.block([[X, Z], [Z, X]]), B_u=B_u, B_w=B_w,
-                            m=2)
-        gains = LocalGains.from_blocks(plant, [np.zeros((1, 3))] * 2)
-        dec = symmetric_modes(plant, gains)
-        h, dt, tail_rel = 0.02, 0.01, 1e-9
-        sched = DelaySchedule.from_links(dec, np.zeros((2, 2)), h)
-        designs = []
-        for i in range(2):
-            md = design_mode(mode_system(gains, dec, i, np.eye(6), np.eye(2),
-                                         np.eye(6), np.zeros((6, 2)),
-                                         np.zeros((6, 4))), h, 0.0)
-            F = np.zeros((1, 3))
-            F[0, 0] = ((np.exp(-0.1 * h) - md.disc.A2[0, 0])
-                       / md.disc.B2u[0, 0])
-            designs.append(replace(md, F=F))
-        ctrl = DistributedController(gains, dec, sched, designs)
+        # the slowest time constant of A_bar is 1 s, so the first chunk is
+        # 20 s and each extension 5 s; the remote gain slows the sampled
+        # loop to a 10 s time constant, so the cost needs many extensions
+        # to settle
+        plant, ctrl = triangular_loop(1.0)
+        tail_rel = 1e-9
 
         def cost(horizon):
-            scn = Scenario(initial_state=np.eye(6)[0], schedule=sched,
-                           integrator_step=dt, horizon=horizon)
-            return simulate_closed_loop(plant, ctrl, scn, np.eye(6),
-                                        np.eye(2), tail_rel=tail_rel)
+            scn = Scenario(initial_state=np.eye(6)[0],
+                           schedule=ctrl.schedule, integrator_step=0.01,
+                           horizon=horizon)
+            return simulate_collect(plant, ctrl, scn, np.eye(6),
+                                    np.eye(2), tail_rel=tail_rel)
 
         out = cost(None)
         T = out.horizon
-        assert (T - 20.0) / 5.0 == pytest.approx(round((T - 20.0) / 5.0))
+        assert out.settled is True
+        assert (T - 20.0) / 5.0 == pytest.approx(out.extensions)
         assert T >= 20.0 + 2 * 5.0
         # stopped at the first extension whose increment is below tail_rel
         J_prev, J_prev2 = cost(T - 5.0).J, cost(T - 10.0).J
         assert out.J - J_prev <= tail_rel * out.J
         assert J_prev - J_prev2 > tail_rel * J_prev
         # and what is left beyond the horizon is negligible
-        assert abs(cost(T + 20.0).J - out.J) <= 1e-8 * out.J
+        fixed = cost(T + 20.0)
+        assert abs(fixed.J - out.J) <= 1e-8 * out.J
+        assert fixed.extensions == 0 and fixed.settled is None
+
+    def test_unsettled_auto_horizon_reported(self):
+        # with a zero tail tolerance the cost never settles: the extensions
+        # run out, and the output says so
+        plant, ctrl = triangular_loop(1.0)
+        scn = Scenario(initial_state=np.eye(6)[0], schedule=ctrl.schedule,
+                       integrator_step=0.01)
+        for max_extensions in (1, 3):
+            out = simulate_collect(plant, ctrl, scn, np.eye(6), np.eye(2),
+                                   max_extensions=max_extensions, tail_rel=0)
+            assert out.settled is False
+            assert out.extensions == max_extensions - 1
+            assert out.horizon == pytest.approx(20.0 + 5.0 * out.extensions)
+
+    def test_auto_horizon_extensions_stop_at_period_cap(self, monkeypatch):
+        # a cap of 1,100 periods leaves room for the 1,000-period first span
+        # and 100 periods of the first 250-period extension
+        import wadc.sim_eval as sim_eval
+        monkeypatch.setattr(sim_eval, "MAX_PERIODS", 1100)
+        plant, ctrl = triangular_loop(1.0)
+        scn = Scenario(initial_state=np.eye(6)[0], schedule=ctrl.schedule,
+                       integrator_step=0.01)
+        out = simulate_collect(plant, ctrl, scn, np.eye(6), np.eye(2))
+        assert out.periods == 1100 and len(out.t) == 1101
+        assert out.extensions == 1 and out.settled is False
+
+    @pytest.mark.parametrize("horizon, periods", [(None, 100_000_000),
+                                                  (1e7, 500_000_000)],
+                             ids=["auto", "fixed"])
+    def test_horizon_beyond_period_cap_refused(self, horizon, periods):
+        # a local mode decaying at 1e-5 1/s is stable, but its auto
+        # horizon of 20 time constants is 2e6 s; both are refused before
+        # any period is stepped
+        plant, ctrl = triangular_loop(1e-5)
+        scn = Scenario(initial_state=np.eye(6)[0], schedule=ctrl.schedule,
+                       integrator_step=0.01, horizon=horizon)
+        t0 = time.perf_counter()
+        with pytest.raises(HorizonTooLong, match="horizon_s") as exc:
+            simulate_closed_loop(plant, ctrl, scn, np.eye(6), np.eye(2),
+                                 lambda *rows: pytest.fail("stepped"))
+        assert time.perf_counter() - t0 < 1.0
+        assert exc.value.periods == periods
+        assert f"the {MAX_PERIODS} a simulation may step" in str(exc.value)
+
+
+def triangular_loop(rate):
+    """Two uncoupled machines with triangular dynamics driven through
+    their first state, whose slowest local mode decays at ``rate`` 1/s,
+    under a zero-wait remote gain that puts each machine's sampled first
+    state on a 10 s time constant; returns the plant and the controller."""
+    X = np.array([[-rate, 0.5, 0.0], [0.0, -2.0, 0.5], [0.0, 0.0, -3.0]])
+    Z = np.zeros((3, 3))
+    B_u = np.zeros((6, 2))
+    B_u[0, 0] = B_u[3, 1] = 1.0
+    B_w = np.zeros((6, 4))
+    B_w[1:3, 0:2] = B_w[4:6, 2:4] = np.eye(2)
+    plant = LinearPlant(A=np.block([[X, Z], [Z, X]]), B_u=B_u, B_w=B_w, m=2)
+    gains = LocalGains.from_blocks(plant, [np.zeros((1, 3))] * 2)
+    dec = symmetric_modes(plant, gains)
+    h = 0.02
+    sched = DelaySchedule.from_links(dec, np.zeros((2, 2)), h)
+    designs = []
+    for i in range(2):
+        md = design_mode(mode_system(gains, dec, i, np.eye(6), np.eye(2),
+                                     np.eye(6), np.zeros((6, 2)),
+                                     np.zeros((6, 4))), h, 0.0)
+        F = np.zeros((1, 3))
+        F[0, 0] = ((np.exp(-0.1 * h) - md.disc.A2[0, 0])
+                   / md.disc.B2u[0, 0])
+        designs.append(replace(md, F=F))
+    return plant, DistributedController(gains, dec, sched, designs)
 
 
 class TestAttenuation:

@@ -62,12 +62,12 @@ def random_disc(rng, n_x=3, n_u=1, n_w=1, d_over_h=0.0):
 
 class TestDare:
     def test_scalar_quadratic_root(self):
-        P = dare_solve([[0.5]], [[1.0]], [[1.0]], [[0.0]], [[1.0]])
+        P, _ = dare_solve([[0.5]], [[1.0]], [[1.0]], [[0.0]], [[1.0]])
         expected = (0.25 + np.sqrt(4.0625)) / 2.0
         assert abs(P[0, 0] - expected) < 1e-9
 
     def test_no_control_stein(self):
-        P = dare_solve([[0.5]], [[0.0]], [[1.0]], [[0.0]], [[0.0]])
+        P, _ = dare_solve([[0.5]], [[0.0]], [[1.0]], [[0.0]], [[0.0]])
         assert abs(P[0, 0] - 4.0 / 3.0) < 1e-10
 
     def test_zero_cost(self):
@@ -75,7 +75,8 @@ class TestDare:
         A = 0.5 * rng.normal(size=(3, 3))
         A *= 0.9 / max(1.0, np.abs(np.linalg.eigvals(A)).max())
         B = rng.normal(size=(3, 1))
-        P = dare_solve(A, B, np.zeros((3, 3)), np.zeros((3, 1)), np.eye(1))
+        P, _ = dare_solve(A, B, np.zeros((3, 3)), np.zeros((3, 1)),
+                          np.eye(1))
         np.testing.assert_allclose(P, 0, atol=1e-12)
 
     def test_residual_and_stability_random(self):
@@ -84,7 +85,7 @@ class TestDare:
         for _ in range(15):
             disc = random_disc(rng, d_over_h=float(rng.choice([0.0, 0.4, 1.0, 2.3])))
             A, B, Q, N, R = disc.A2, disc.B2u, disc.Q2, disc.N2, disc.R2
-            P = dare_solve(A, B, Q, N, R)
+            P, _ = dare_solve(A, B, Q, N, R)
             G = A.T @ P @ B + N
             res = (A.T @ P @ A - P + Q
                    - G @ np.linalg.pinv(R + B.T @ P @ B) @ G.T)
@@ -96,7 +97,7 @@ class TestDare:
         rng = np.random.default_rng(2)
         for _ in range(10):
             disc = random_disc(rng, d_over_h=0.0)  # d=0 keeps R2 PD
-            P = dare_solve(disc.A2, disc.B2u, disc.Q2, disc.N2, disc.R2)
+            P, _ = dare_solve(disc.A2, disc.B2u, disc.Q2, disc.N2, disc.R2)
             P_ref = scipy.linalg.solve_discrete_are(
                 disc.A2, disc.B2u, disc.Q2, disc.R2, s=disc.N2)
             np.testing.assert_allclose(P, P_ref, rtol=1e-7,
@@ -202,11 +203,11 @@ class TestStacks:
         singles, steps = [], []
         for d in discs:
             calls = counting(monkeypatch, synthesis, "stein_solve")
-            singles.append(dare_solve(d.A2, d.B2u, d.Q2, d.N2, d.R2))
+            singles.append(dare_solve(d.A2, d.B2u, d.Q2, d.N2, d.R2)[0])
             steps.append(calls[0])
             monkeypatch.undo()
         assert len(set(steps)) == 3
-        P = dare_solve(*stacked(discs))
+        P, _ = dare_solve(*stacked(discs))
         for j in range(3):
             assert np.array_equal(P[j], singles[j])
 
@@ -217,10 +218,20 @@ class TestStacks:
                  for doh in (0.4, 1.0)]
         assert np.linalg.eigvalsh(discs[0].R2).min() > 0
         assert not discs[1].R2.any()
-        P = dare_solve(*stacked(discs))
+        P, _ = dare_solve(*stacked(discs))
         for j, d in enumerate(discs):
             assert np.array_equal(
-                P[j], dare_solve(d.A2, d.B2u, d.Q2, d.N2, d.R2))
+                P[j], dare_solve(d.A2, d.B2u, d.Q2, d.N2, d.R2)[0])
+
+    def test_lqr_design_returns_the_checked_gain(self, monkeypatch):
+        # the gain is the one whose loop dare_solve checked, formed once
+        import wadc.synthesis as synthesis
+        disc = random_disc(np.random.default_rng(3), d_over_h=0.4)
+        P, F = dare_solve(disc.A2, disc.B2u, disc.Q2, disc.N2, disc.R2)
+        calls = counting(monkeypatch, synthesis, "_gain_from")
+        res = lqr_design(disc)
+        assert calls[0] == 1
+        assert np.array_equal(res.F, F) and np.array_equal(res.P, P)
 
     def test_lqr_design_stack_equals_singles(self):
         discs = [random_disc(np.random.default_rng(0), d_over_h=doh)
@@ -239,10 +250,10 @@ class TestStacks:
         B = np.array([[[0.0]], [[1.0]]])
         Q = np.ones((2, 1, 1))
         zero = np.zeros((2, 1, 1))
-        singles = [dare_solve(A[j], B[j], Q[j], zero[j], zero[j])
+        singles = [dare_solve(A[j], B[j], Q[j], zero[j], zero[j])[0]
                    for j in range(2)]
         calls = counting(monkeypatch, np.linalg, "lstsq")
-        P = dare_solve(A, B, Q, zero, zero)
+        P, _ = dare_solve(A, B, Q, zero, zero)
         assert calls[0] > 0
         assert abs(P[0, 0, 0] - 4.0 / 3.0) < 1e-10
         for j in range(2):
@@ -491,8 +502,8 @@ class TestHinfDesign:
             gstar, _ = gamma_min(disc, tol=1e-2)
             res = hinf_design(disc, 1e8 * gstar)
             # same cost structure: Q = C'C, N = C'Du, R = Du'Du
-            P = dare_solve(disc.A2, disc.B2u, disc.C2.T @ disc.C2,
-                           disc.C2.T @ disc.D2u, disc.D2u.T @ disc.D2u)
+            P, _ = dare_solve(disc.A2, disc.B2u, disc.C2.T @ disc.C2,
+                              disc.C2.T @ disc.D2u, disc.D2u.T @ disc.D2u)
             H = disc.D2u.T @ disc.D2u + disc.B2u.T @ P @ disc.B2u
             F_lqr = -np.linalg.lstsq(
                 H, disc.B2u.T @ P @ disc.A2 + disc.D2u.T @ disc.C2,
