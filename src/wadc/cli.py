@@ -48,12 +48,7 @@ from .dncs import (
 )
 from .errors import WadcError
 from .grid_model import linearize, solve_equilibrium
-from .sim_eval import (
-    Scenario,
-    refine_step,
-    simulate_closed_loop,
-    sweep_delays,
-)
+from .sim_eval import Scenario, simulate_closed_loop, sweep_delays
 
 FMT = "%.17g"
 
@@ -448,15 +443,8 @@ def cmd_simulate(cfg, args, report):
         disturbance[0, 0] = scn_cfg["impulse_amp_A"]
 
     step_req = scn_cfg["integrator_step_s"]
-    fastest = float(np.abs(np.linalg.eigvals(gains.A_bar)).max())
-    step = refine_step(step_req, h, [float(v) for v in sched.d_rho],
-                       fastest_rate=fastest)
-    if float(step) != step_req:
-        report.note(f"integrator step refined from {step_req} to "
-                    f"{float(step)} to hit every sampling/switching instant "
-                    "and stay inside the integrator's stability region")
     scn = Scenario(initial_state=x_hat0, schedule=sched,
-                   disturbance=disturbance, integrator_step=step,
+                   disturbance=disturbance, integrator_step=step_req,
                    horizon=scn_cfg["horizon_s"])
     header = (["t_s"]
               + [f"{n}_{i + 1}" for i in range(m)
@@ -476,9 +464,12 @@ def cmd_simulate(cfg, args, report):
     _hold_freed_heap()
     with TableWriter(args.out_file, ",".join(header), ",") as table:
         out = simulate_closed_loop(pipe.plant, ctrl, scn, pipe.Q, pipe.R,
-                                   segment, C=pipe.C, D_u=pipe.D_u,
-                                   D_w=pipe.D_w)
+                                   segment, pipe.C, pipe.D_u, pipe.D_w)
     report.output(args.out_file, table.sha256)
+    if out.step != step_req:
+        report.note(f"integrator step refined from {step_req} to "
+                    f"{out.step} to hit every sampling/switching instant "
+                    "and stay inside the integrator's stability region")
 
     summary = {"J_measured": out.J, "horizon_s": out.horizon}
     if args.measure == "lqr" and disturbance is None:

@@ -109,11 +109,12 @@ def _parse_grid(s):
         raise ConfigError(f"grid has {count} delays, more than the "
                           f"{_MAX_GRID_POINTS} a sweep may design")
     if ":" in s:
-        return tuple(float(start + i * step) for i in range(count))
-    vals = _parse_vector(s)
+        vals = tuple(float(start + i * step) for i in range(count))
+    else:
+        vals = _parse_vector(s)
     if any(b < a for a, b in zip(vals, vals[1:])) or any(v < 0 for v in vals):
         raise ConfigError("delay grid must be nonnegative and ascending")
-    return tuple(vals)
+    return vals
 
 
 def _parse_choice(*choices):
@@ -309,8 +310,6 @@ def load_config(path=None, text=None, environ=None) -> BenchmarkConfig:
         if len(values[sec][name]) != 3:
             raise ConfigError(f"[{sec}] {name} must have 3 entries "
                               "(angle, speed, flux)")
-    if len(values["sampling"]["delay_grid_s"]) == 0:
-        raise ConfigError("[sampling] delay_grid_s is empty")
     horizon, h = values["scenario"]["horizon_s"], values["sampling"]["h_s"]
     periods = 0 if horizon is None else round(horizon / h)
     if periods > MAX_PERIODS:

@@ -100,10 +100,6 @@ class ScheduleMismatch(WadcError):
     """Delay schedule disagrees with the modal designs it should drive."""
 
 
-class EventGridMismatch(WadcError):
-    """Integrator step does not hit every sampling/actuation event."""
-
-
 class HorizonTooLong(ConfigError):
     """Simulation horizon needs more sampling periods than a run may step."""
 

@@ -3,10 +3,11 @@ timing semantics, cost/attenuation evaluation, delay sweeps, and the
 decentralized/global reference bounds.
 
 Between events the closed loop is linear with constant inputs, so the
-fixed-step RK4 update is one affine map; events (state sampling at kh,
-remote-command switching at kh + d_rho) land exactly on the integer step
-grid by construction, and one sampling period of steps composes into one
-fixed linear map of the sampled state and the command memory.
+fixed-step RK4 update is one affine map; the simulator picks its step so
+that events (state sampling at kh, remote-command switching at
+kh + d_rho) fall on whole, even step counts by construction, and one
+sampling period of steps composes into one fixed linear map of the
+sampled state and the command memory.
 """
 
 import itertools
@@ -23,7 +24,7 @@ from .dncs import (
     delay_map,
     design_mode,
 )
-from .errors import EventGridMismatch, HorizonTooLong, WadcError
+from .errors import HorizonTooLong, WadcError
 from .grid_model import LinearPlant
 from .sampled import _nice_fraction, split_delay
 from .synthesis import hinf_norm, stein_solve
@@ -34,7 +35,6 @@ __all__ = [
     "SimulationOutput",
     "SweepRow",
     "SweepResult",
-    "refine_step",
     "simulate_closed_loop",
     "compute_bounds",
     "sweep_delays",
@@ -44,6 +44,8 @@ _BOUND_SLACK = 1e-9
 _BLOCK = 256   # sampling periods advanced by one batched product
 _SEGMENT = 8 * _BLOCK   # trace rows handed on together, about 0.3 MB
 MAX_PERIODS = 1_000_000   # sampling periods one simulation may step
+MAX_EXTENSIONS = 48   # spans of an auto horizon, its first one included
+TAIL_REL = 1e-9   # an auto horizon stops at a span adding this share of J
 
 
 @dataclass(frozen=True)
@@ -53,7 +55,7 @@ class Scenario:
     initial_state: np.ndarray              # modal: x(0) = M_x x_hat(0)
     schedule: DelaySchedule
     disturbance: np.ndarray = None         # (K, n_w) held samples, or None
-    integrator_step: float = 1e-3          # or refine_step's exact Fraction
+    integrator_step: float = 1e-3          # requested; simulate refines it
     horizon: float = None                  # None: auto-extend on cost tail
 
     def __post_init__(self):
@@ -81,44 +83,27 @@ class SimulationOutput:
                             * np.arange(self.periods + 1))
 
 
-def _rational_gcd(values):
-    fracs = [_nice_fraction(v) for v in values if v > 0]
-    if not fracs:
-        raise ValueError("no positive spacings to align")
-    g = fracs[0]
-    for f in fracs[1:]:
+def _step_grid(requested, h, offsets, fastest_rate):
+    """The RK4 and quadrature step as an exact Fraction, and the whole
+    numbers of steps in the sampling period h and in each switching offset.
+
+    The step is the largest g/2^k (k >= 1) not above the request or
+    2.5 / ``fastest_rate``, g being the rational gcd of h and the offsets.
+    Every event then falls on an even step index, so no composite Simpson
+    pair straddles a command switch; and |lambda| dt <= 2.5 keeps each mode
+    of a Hurwitz loop where RK4's amplification is below 1 in modulus.
+    """
+    limit = min(float(requested), 2.5 / float(fastest_rate))
+    lengths = [_nice_fraction(v) for v in (h, *offsets)]
+    g = lengths[0]
+    for f in lengths[1:]:
         g = Fraction(math.gcd(g.numerator * f.denominator,
                               f.numerator * g.denominator),
                      g.denominator * f.denominator)
-    return g
-
-
-def refine_step(requested, h, offsets=(), fastest_rate=None):
-    """Largest step of the form gcd/2^k (k >= 1) not exceeding the request.
-
-    Halving the rational gcd of the sampling period and all switching
-    offsets puts every event on an even step index, so composite Simpson
-    panels never straddle a command switch.  With ``fastest_rate`` (the
-    largest closed-loop eigenvalue magnitude) the step is also kept inside
-    the explicit integrator's stability region.  Returns an exact Fraction.
-    """
-    limit = float(requested)
-    if fastest_rate is not None and fastest_rate > 0:
-        limit = min(limit, 2.5 / float(fastest_rate))
-    g = _rational_gcd([h, *offsets])
     step = g / 2
     while float(step) > limit * (1 + 1e-12):
         step /= 2
-    return step
-
-
-def _exact_multiple(value, step):
-    if value == 0:
-        return 0
-    ratio = _nice_fraction(value) / _nice_fraction(step)
-    if ratio.denominator != 1:
-        return None
-    return int(ratio)
+    return step, [int(f / step) for f in lengths]
 
 
 def _rk4_affine(A, dt):
@@ -135,13 +120,14 @@ def _rk4_affine(A, dt):
 
 
 def simulate_closed_loop(plant: LinearPlant, controller: DistributedController,
-                         scn: Scenario, Q, R, trace, C=None, D_u=None,
-                         D_w=None, tail_rel=1e-9, max_extensions=48):
+                         scn: Scenario, Q, R, trace, C, D_u, D_w):
     """Simulate the closed loop at the sampling instants and accumulate the
     quadratic cost.
 
     Remote commands computed from the states sampled at kh switch exactly
-    at kh + d_rho and hold for one sampling period.  The loop is linear, so
+    at kh + d_rho and hold for one sampling period.  ``_step_grid`` refines
+    the requested ``scn.integrator_step`` so that every sampling and
+    switching instant falls on an even step index.  The loop is linear, so
     one period of RK4 steps is one fixed map M of the period state
     xi_k = [x(kh); V_{k-1}; ...; V_{k-L}], V being the modal commands
     (newest first; L covers the controller memory and the command delay
@@ -151,39 +137,28 @@ def simulate_closed_loop(plant: LinearPlant, controller: DistributedController,
     affine term to the first periods.
 
     The trace has one row per sampling instant; u and u_bar are the
-    commands held on the step that ends there.  Its rows are handed to
+    commands held on the step that ends there, and the output is
+    y = C x + D_u u_bar + D_w w.  Its rows are handed to
     ``trace(t, x, u, u_bar, y)`` in order, a segment of consecutive rows at
     a time, as the recursion produces them; of the trajectory only the
     segment being gathered is kept.  A run longer than
-    ``MAX_PERIODS`` sampling periods is refused before any stepping, and
-    the auto horizon stops extending at that cap.
+    ``MAX_PERIODS`` sampling periods is refused before any stepping.  The
+    auto horizon adds up to ``MAX_EXTENSIONS`` - 1 quarter-spans until one
+    adds at most ``TAIL_REL`` of the cost, and stops at that cap.
     """
     dec = controller.dec
     sched = controller.schedule
     h = sched.h
-    dt = float(scn.integrator_step)
-    n_h = _exact_multiple(h, scn.integrator_step)
-    if n_h is None or n_h < 1:
-        raise EventGridMismatch(
-            f"integrator step {dt} does not divide the sampling period {h}")
-    n_rho = []
-    for d_rho in sched.d_rho:
-        k = _exact_multiple(float(d_rho), scn.integrator_step)
-        if k is None:
-            raise EventGridMismatch(
-                f"integrator step {dt} misses the switching offset {d_rho}")
-        n_rho.append(k)
-    if n_h % 2 or any(k % 2 for k in n_rho):
-        # quadrature pairs must never straddle a command switch
-        raise EventGridMismatch(
-            "events fall on odd step indices; choose the step with "
-            "refine_step so every switching instant lands on a pair boundary")
-
     A_bar = controller.gains.A_bar
     K = controller.gains.K
+    lam = np.linalg.eigvals(A_bar)
+    step, (n_h, *n_rho) = _step_grid(
+        scn.integrator_step, h, [float(v) for v in sched.d_rho],
+        np.abs(lam).max())
+    dt = float(step)
     auto = scn.horizon is None
     if auto:
-        slowest = 1.0 / max(1e-6, -np.linalg.eigvals(A_bar).real.max())
+        slowest = 1.0 / max(1e-6, -lam.real.max())
         horizon = 20.0 * slowest
         asked = (f"horizon_s = auto, 20 times the slowest time constant "
                  f"{slowest:.4g} s of A + B_u K,")
@@ -198,13 +173,6 @@ def simulate_closed_loop(plant: LinearPlant, controller: DistributedController,
         raise HorizonTooLong(asked, first, h, MAX_PERIODS)
 
     Rmap, Smap = _rk4_affine(A_bar, dt)
-    if np.abs(np.linalg.eigvals(Rmap)).max() >= 1.0:
-        fastest = np.abs(np.linalg.eigvals(A_bar)).max()
-        raise EventGridMismatch(
-            f"integrator step {dt} is outside the explicit method's "
-            f"stability region for the fastest closed-loop mode "
-            f"(|lambda|_max = {fastest:.3g} 1/s); pick the step with "
-            "refine_step(..., fastest_rate=...)")
     n_x, n_u, n_w = plant.n_x, plant.n_u, plant.n_w
     Q = np.asarray(Q, dtype=float).reshape(n_x, n_x)
     R = np.asarray(R, dtype=float).reshape(n_u, n_u)
@@ -251,12 +219,8 @@ def simulate_closed_loop(plant: LinearPlant, controller: DistributedController,
     for i in range(1, _BLOCK):
         powers[i] = M_xi @ powers[i - 1]
 
-    if C is not None:
-        C = np.atleast_2d(np.asarray(C, dtype=float))
-        D_u = np.zeros((C.shape[0], n_u)) if D_u is None \
-            else np.atleast_2d(np.asarray(D_u, dtype=float))
-        D_w = np.zeros((C.shape[0], n_w)) if D_w is None \
-            else np.atleast_2d(np.asarray(D_w, dtype=float))
+    C, D_u, D_w = (np.atleast_2d(np.asarray(X, dtype=float))
+                   for X in (C, D_u, D_w))
     w_seq = scn.disturbance
     n_dist = 0 if w_seq is None else len(w_seq)
     xi0 = np.zeros(n)
@@ -285,15 +249,12 @@ def simulate_closed_loop(plant: LinearPlant, controller: DistributedController,
             Z = Z[1:]
         k = np.arange(handed, handed + len(Z))
         x = Z[:, :n_x]
-        if C is None:
-            y = np.zeros((len(k), 0))
-        else:
-            w = np.zeros((len(k), n_w))
-            if handed < n_dist:
-                w[:n_dist - handed] = w_seq[handed:handed + len(k)]
-            # output convention: the published output map takes the
-            # remote command
-            y = x @ C.T + u_bar @ D_u.T + w @ D_w.T
+        w = np.zeros((len(k), n_w))
+        if handed < n_dist:
+            w[:n_dist - handed] = w_seq[handed:handed + len(k)]
+        # output convention: the published output map takes the remote
+        # command
+        y = x @ C.T + u_bar @ D_u.T + w @ D_w.T
         trace(dt * (n_h * k), x, x @ K.T + u_bar, u_bar, y)
         handed += len(k)
 
@@ -327,13 +288,13 @@ def simulate_closed_loop(plant: LinearPlant, controller: DistributedController,
 
     xi, J = advance(xi0, 0, first)
     k, spans, settled = first, 1, False if auto else None
-    while auto and spans < max_extensions and k < MAX_PERIODS:
+    while auto and spans < MAX_EXTENSIONS and k < MAX_PERIODS:
         count = min(chunk, MAX_PERIODS - k)
         xi, inc = advance(xi, k, count)
         k += count
         J += inc
         spans += 1
-        if abs(inc) <= tail_rel * max(abs(J), 1e-300):
+        if abs(inc) <= TAIL_REL * max(abs(J), 1e-300):
             settled = True
             break
     hand_on()

@@ -13,13 +13,14 @@ from wadc.sim_eval import simulate_closed_loop
 from wadc.synthesis import hinf_design, hinf_norm
 
 
-def simulate_collect(plant, controller, scn, Q, R, **kwargs):
+def simulate_collect(plant, controller, scn, Q, R, C, D_u, D_w):
     """``simulate_closed_loop`` with the trace segments it hands on joined
     into whole arrays: the output's fields plus t, x, u, u_bar and y, one
     row per sampling instant."""
     segments = []
     out = simulate_closed_loop(plant, controller, scn, Q, R,
-                               lambda *rows: segments.append(rows), **kwargs)
+                               lambda *rows: segments.append(rows), C, D_u,
+                               D_w)
     t, x, u, u_bar, y = (np.concatenate(c) for c in zip(*segments))
     np.testing.assert_array_equal(t, out.t)   # in order, none missing
     return SimpleNamespace(**asdict(out), t=t, x=x, u=u, u_bar=u_bar, y=y)

@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import K1, Q_COST, R_COST
+from conftest import BENCH_WEIGHTS, K1
 from helpers import (
     grid_hinf_norm,
     quadrature_cost_oracle,
@@ -97,7 +97,7 @@ def test_criterion_2_lqr_certificate(bench_plant, gains_k1, dec_k1):
         # well below that
         scn = Scenario(initial_state=x_hat0, schedule=ctrl.schedule,
                        integrator_step=0.0025, horizon=1500.0)
-        out = simulate_collect(bench_plant, ctrl, scn, Q_COST, R_COST)
+        out = simulate_collect(bench_plant, ctrl, scn, *BENCH_WEIGHTS)
         cert = md.result.J_star(md.disc.lift_state(x_hat0[:3]))
         worst_gap = max(worst_gap, abs(out.J - cert) / cert)
         # entrywise +1% perturbations of the oscillation-mode gain
@@ -108,7 +108,7 @@ def test_criterion_2_lqr_certificate(bench_plant, gains_k1, dec_k1):
             ctrl_p = DistributedController(gains_k1, dec_k1, ctrl.schedule,
                                            designs_p)
             out_p = simulate_collect(bench_plant, ctrl_p, scn,
-                                     Q_COST, R_COST)
+                                     *BENCH_WEIGHTS)
             if not out_p.J > out.J:
                 perturb_ok = False
     ok = worst_gap <= 5e-3 and perturb_ok

@@ -1,4 +1,3 @@
-import functools
 import hashlib
 import importlib.util
 import json
@@ -9,10 +8,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from test_sim_eval import FALLING_WARNING, falling_designs
 from wadc import cli
 from wadc.cli import main, read_matrix, write_matrix
-from wadc.config import SCHEMA, load_config
+from wadc.config import _REQUIRED, SCHEMA, load_config
 from wadc.errors import ConfigError
+import wadc.sim_eval as sim_eval
 from wadc.sim_eval import MAX_PERIODS
 
 CONFIG = str(pathlib.Path(__file__).resolve().parents[1]
@@ -129,6 +130,36 @@ class TestConfig:
     def test_empty_grid_rejected(self):
         with pytest.raises(ConfigError):
             load_config(CONFIG, environ={"WADC_SAMPLING__DELAY_GRID_S": ""})
+
+    @pytest.mark.parametrize("grid", ["-0.02:0.02:0.04", "-0.02,0,0.02"],
+                             ids=["range", "list"])
+    def test_negative_grid_is_usage_error(self, tmp_path, monkeypatch,
+                                          capsys, grid):
+        monkeypatch.setenv("WADC_SAMPLING__DELAY_GRID_S", grid)
+        assert run(tmp_path, "sweep", "--measure", "lqr") == 2
+        err = capsys.readouterr().err
+        assert "delay_grid_s" in err and "nonnegative" in err
+        assert not (tmp_path / "sweep.csv").exists()
+
+    def test_omitted_keys_take_schema_defaults(self):
+        # the benchmark's required keys alone: every other key is filled
+        # in from SCHEMA
+        lines, section = [], None
+        for raw in pathlib.Path(CONFIG).read_text().splitlines():
+            line = raw.split("#", 1)[0].strip()
+            if line.startswith("["):
+                section = line[1:-1]
+                lines.append(line)
+            elif line and SCHEMA[section][line.split("=")[0].strip()][1] \
+                    is _REQUIRED:
+                lines.append(line)
+        cfg = load_config(text="\n".join(lines), environ={})
+        omitted = [(sec, key, spec[1]) for sec, keys in SCHEMA.items()
+                   for key, spec in keys.items() if spec[1] is not _REQUIRED]
+        assert len(omitted) == 18
+        for sec, key, default in omitted:
+            assert not any(line.startswith(f"{key} =") for line in lines)
+            assert cfg[sec][key] == default, (sec, key)
 
     def test_gamma_tolerance_below_norm_accuracy_rejected(self):
         with pytest.raises(ConfigError) as exc:
@@ -306,6 +337,13 @@ class TestSweepCommand:
                 "rows_designed": 26, "stacks": 3, "largest_stack": 10,
                 "rows_redesigned": 0}
 
+    def test_falling_measure_warns_in_report(self, tmp_path, monkeypatch):
+        falling_designs(monkeypatch)
+        monkeypatch.setenv("WADC_SAMPLING__DELAY_GRID_S", "0:0.1:0.3")
+        assert run(tmp_path, "sweep", "--measure", "lqr") == 0
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["warnings"] == [f"oscillation: {FALLING_WARNING}"]
+
     def test_all_modes_match_single_mode_runs(self, tmp_path, monkeypatch):
         # each mode's rows are the same whether or not the other mode was
         # swept in the same process
@@ -481,8 +519,7 @@ class TestSimulateCommand:
     def test_unsettled_auto_horizon_warns(self, tmp_path, monkeypatch):
         # the auto horizon's first span alone, no extension: the tail test
         # never ran, and the report says so
-        monkeypatch.setattr(cli, "simulate_closed_loop", functools.partial(
-            cli.simulate_closed_loop, max_extensions=1))
+        monkeypatch.setattr(sim_eval, "MAX_EXTENSIONS", 1)
         assert run(tmp_path, "simulate", "--measure", "lqr",
                    "--delay", "0.1") == 0
         report = json.loads((tmp_path / "report.json").read_text())

@@ -1,12 +1,13 @@
 import time
 from dataclasses import replace
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import scipy.linalg
 
-from conftest import C_OUT, DU_OUT, DW_OUT, Q_COST, R_COST
+from conftest import BENCH_WEIGHTS, C_OUT, DU_OUT, DW_OUT
 from helpers import (
     attenuation_of_mode,
     grid_hinf_norm,
@@ -22,14 +23,16 @@ from wadc.dncs import (
     mode_system,
     symmetric_modes,
 )
-from wadc.errors import EventGridMismatch, HorizonTooLong, NotStabilizable
+from wadc.errors import HorizonTooLong, NotStabilizable
 from wadc.grid_model import LinearPlant
 from wadc.sampled import CtsModel
+import wadc.sim_eval as sim_eval
 from wadc.sim_eval import (
     MAX_PERIODS,
     Scenario,
+    _rk4_affine,
+    _step_grid,
     compute_bounds,
-    refine_step,
     simulate_closed_loop,
     sweep_delays,
 )
@@ -52,13 +55,57 @@ def build_controller(plant, gains, dec, tau, h=0.02, method="lqr",
 class TestRefineStep:
     def test_halved_gcd(self):
         # 13 ms offset against a 20 ms period: events align on a 0.5 ms grid
-        assert refine_step(0.002, 0.02, [0.013]) == Fraction(1, 2000)
+        assert _step_grid(0.002, 0.02, [0.013], 1.0) == (Fraction(1, 2000),
+                                                         [40, 26])
 
     def test_simple_divisor(self):
-        assert refine_step(0.001, 0.02, [0.1]) == Fraction(1, 1600)
+        assert _step_grid(0.001, 0.02, [0.1], 1.0) == (Fraction(1, 1600),
+                                                       [32, 160])
 
     def test_no_offsets(self):
-        assert refine_step(0.01, 0.02, []) == Fraction(1, 100)
+        assert _step_grid(0.01, 0.02, [], 1.0) == (Fraction(1, 100), [2])
+
+    def test_stability_limit(self):
+        # |lambda| = 16,000 1/s caps the step at 2.5/16,000 = 1.5625e-4 s,
+        # which is 0.02 / 2^7 itself
+        assert _step_grid(0.01, 0.02, [0.1], 16_000.0) == (
+            Fraction(1, 6400), [128, 640])
+
+    def test_rk4_contracts_on_the_stability_half_disk(self):
+        # R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24 is RK4's amplification;
+        # on the boundary of {|z| <= 2.5, Re z <= 0} it is at most 1, and 1
+        # only at z = 0, so by the maximum principle |R| < 1 at every
+        # lambda dt of a Hurwitz loop with |lambda| dt <= 2.5
+        def amp(z):
+            return np.abs(1 + z + z ** 2 / 2 + z ** 3 / 6 + z ** 4 / 24)
+
+        arc = 2.5 * np.exp(1j * np.linspace(np.pi / 2, 3 * np.pi / 2,
+                                            100_001))
+        assert amp(arc).max() < 0.874
+        # on the imaginary axis (R(-iy) is the conjugate of R(iy)),
+        # |R(iy)|^2 = 1 - y^6 (8 - y^2) / 576, below 1 for 0 < y <= 2.5
+        y = np.linspace(0.0, 2.5, 100_001)
+        np.testing.assert_allclose(amp(1j * y) ** 2,
+                                   1 - y ** 6 * (8 - y ** 2) / 576,
+                                   rtol=1e-13, atol=0)
+        assert (y[1:] ** 6 * (8 - y[1:] ** 2) > 0).all()
+
+    @pytest.mark.parametrize("gain_set", ["k1", "k2"])
+    def test_benchmark_steps_stay_stable(self, request, bench_plant,
+                                         gain_set):
+        # the step simulate picks for each benchmark gain set keeps every
+        # lambda dt of A + B_u K on the half-disk, and the RK4 step map
+        # Schur stable
+        gains = request.getfixturevalue(f"gains_{gain_set}")
+        dec = request.getfixturevalue(f"dec_{gain_set}")
+        ctrl, _ = build_controller(bench_plant, gains, dec, 0.1)
+        scn = Scenario(initial_state=np.zeros(6), schedule=ctrl.schedule,
+                       integrator_step=0.01, horizon=0.02)
+        dt = simulate_collect(bench_plant, ctrl, scn, *BENCH_WEIGHTS).step
+        z = np.linalg.eigvals(gains.A_bar) * dt
+        assert np.abs(z).max() <= 2.5 and (z.real < 0).all()
+        rmap, _ = _rk4_affine(gains.A_bar, dt)
+        assert np.abs(np.linalg.eigvals(rmap)).max() < 1
 
 
 class TestSimulate:
@@ -66,17 +113,24 @@ class TestSimulate:
         ctrl, _ = build_controller(bench_plant, gains_k1, dec_k1, 0.04)
         scn = Scenario(initial_state=np.zeros(6), schedule=ctrl.schedule,
                        integrator_step=0.01, horizon=5.0)
-        out = simulate_collect(bench_plant, ctrl, scn, Q_COST, R_COST)
+        out = simulate_collect(bench_plant, ctrl, scn, *BENCH_WEIGHTS)
         assert out.J == 0.0
         np.testing.assert_array_equal(out.x, 0.0)
         np.testing.assert_array_equal(out.u, 0.0)
 
-    def test_event_grid_mismatch(self, bench_plant, gains_k1, dec_k1):
+    def test_off_grid_step_refined_onto_events(self, bench_plant, gains_k1,
+                                               dec_k1):
+        # a 20 ms request against 30 ms links: every sampling and
+        # switching instant lands on an even index of the step taken
         ctrl, _ = build_controller(bench_plant, gains_k1, dec_k1, 0.03)
-        scn = Scenario(initial_state=np.zeros(6), schedule=ctrl.schedule,
+        sched = ctrl.schedule
+        scn = Scenario(initial_state=np.zeros(6), schedule=sched,
                        integrator_step=0.02, horizon=1.0)
-        with pytest.raises(EventGridMismatch):
-            simulate_collect(bench_plant, ctrl, scn, Q_COST, R_COST)
+        out = simulate_collect(bench_plant, ctrl, scn, *BENCH_WEIGHTS)
+        assert out.step == 0.005 and out.steps_per_period == 4
+        for event in (sched.h, *sched.d_rho):
+            k = event / out.step
+            assert abs(k - round(k)) < 1e-9 and round(k) % 2 == 0
 
     def test_decentralized_lyapunov_oracle(self, bench_plant, gains_k1,
                                            dec_k1):
@@ -88,7 +142,7 @@ class TestSimulate:
         T_end = 50.0
         scn = Scenario(initial_state=x_hat0, schedule=ctrl.schedule,
                        integrator_step=0.005, horizon=T_end)
-        out = simulate_collect(bench_plant, ctrl, scn, Q_COST, R_COST)
+        out = simulate_collect(bench_plant, ctrl, scn, *BENCH_WEIGHTS)
         model = bench_mode_system(gains_k1, dec_k1, 0)
         P = scipy.linalg.solve_continuous_lyapunov(model.sys.A1.T,
                                                    -model.cost.Q1)
@@ -105,7 +159,7 @@ class TestSimulate:
         scn = Scenario(initial_state=dec_k1.M_x_inv @ x0,
                        schedule=ctrl.schedule, integrator_step=0.01,
                        horizon=2.0)
-        out = simulate_collect(bench_plant, ctrl, scn, Q_COST, R_COST)
+        out = simulate_collect(bench_plant, ctrl, scn, *BENCH_WEIGHTS)
         # independent stage-form RK4 on d/dt x = A_bar x
         A = gains_k1.A_bar
         x = x0.copy()
@@ -132,7 +186,7 @@ class TestSimulate:
         x_hat0 = np.array([0.7, 0.1, -0.2, 0, 0, 0])
         scn = Scenario(initial_state=x_hat0, schedule=ctrl.schedule,
                        integrator_step=0.00125, horizon=4.0)
-        out = simulate_collect(bench_plant, ctrl, scn, Q_COST, R_COST)
+        out = simulate_collect(bench_plant, ctrl, scn, *BENCH_WEIGHTS)
         z = md.disc.lift_state(x_hat0[:3])
         A_cl = md.disc.A2 + md.disc.B2u @ md.F
         worst, scale = 0.0, 1.0
@@ -155,27 +209,22 @@ class TestSimulate:
         ctrl, designs = build_controller(bench_plant, gains, dec, tau,
                                          method=measure)
         sched = ctrl.schedule
-        dt = refine_step(step, sched.h, [float(v) for v in sched.d_rho],
-                         fastest_rate=np.abs(np.linalg.eigvals(
-                             gains.A_bar)).max())
         x_hat0 = np.zeros(6) if impulse else np.array([1.0, 0, 0, 0, 0, 0])
         w = np.zeros((1, 4)) if impulse else None
         if impulse:
             w[0, 0] = 50.0
-        periods = round(horizon / sched.h)
-        ref = per_step_closed_loop(
-            bench_plant, gains, dec, sched, designs, dec.M_x @ x_hat0, dt,
-            periods, Q_COST, R_COST, C_OUT, DU_OUT, DW_OUT,
-            w_seq=() if w is None else w)
 
         def run(T):
             scn = Scenario(initial_state=x_hat0, schedule=sched,
-                           disturbance=w, integrator_step=dt, horizon=T)
-            return simulate_collect(bench_plant, ctrl, scn, Q_COST,
-                                    R_COST, C=C_OUT, D_u=DU_OUT,
-                                    D_w=DW_OUT)
+                           disturbance=w, integrator_step=step, horizon=T)
+            return simulate_collect(bench_plant, ctrl, scn, *BENCH_WEIGHTS)
 
         out = run(horizon)
+        # the oracle steps at the step the simulator picked
+        periods = round(horizon / sched.h)
+        ref = per_step_closed_loop(
+            bench_plant, gains, dec, sched, designs, dec.M_x @ x_hat0,
+            out.step, periods, *BENCH_WEIGHTS, w_seq=() if w is None else w)
         np.testing.assert_array_equal(out.t, ref["t"])
         # u = K x + u_bar cancels under the large H-infinity local gains,
         # so its error is measured against its summands
@@ -197,7 +246,7 @@ class TestSimulate:
         x_hat0 = np.array([1.0, 0, 0, 0, 0, 0])
         scn = Scenario(initial_state=x_hat0, schedule=ctrl.schedule,
                        integrator_step=0.01, horizon=800.0)
-        out = simulate_collect(bench_plant, ctrl, scn, Q_COST, R_COST)
+        out = simulate_collect(bench_plant, ctrl, scn, *BENCH_WEIGHTS)
         J_cert = md.result.J_star(md.disc.lift_state(x_hat0[:3]))
         assert abs(out.J - J_cert) <= 5e-3 * J_cert
 
@@ -208,7 +257,7 @@ class TestSimulate:
         for dt in (0.01, 0.005):
             scn = Scenario(initial_state=x_hat0, schedule=ctrl.schedule,
                            integrator_step=dt, horizon=100.0)
-            out = simulate_collect(bench_plant, ctrl, scn, Q_COST, R_COST)
+            out = simulate_collect(bench_plant, ctrl, scn, *BENCH_WEIGHTS)
             Js.append(out.J)
         assert abs(Js[0] - Js[1]) <= 1e-4 * abs(Js[1])
 
@@ -218,8 +267,7 @@ class TestSimulate:
         w[0, 0] = 50.0  # one-sample pulse at load bus 1
         scn = Scenario(initial_state=np.zeros(6), schedule=ctrl.schedule,
                        disturbance=w, integrator_step=0.01, horizon=20.0)
-        out = simulate_collect(bench_plant, ctrl, scn, Q_COST, R_COST,
-                               C=C_OUT, D_u=DU_OUT, D_w=DW_OUT)
+        out = simulate_collect(bench_plant, ctrl, scn, *BENCH_WEIGHTS)
         assert np.abs(out.x).max() > 0  # the pulse excites the grid
         assert out.y.shape == (len(out.t), 2)
         assert np.isfinite(out.J)
@@ -230,14 +278,13 @@ class TestSimulate:
         # loop to a 10 s time constant, so the cost needs many extensions
         # to settle
         plant, ctrl = triangular_loop(1.0)
-        tail_rel = 1e-9
+        tail_rel = sim_eval.TAIL_REL
 
         def cost(horizon):
             scn = Scenario(initial_state=np.eye(6)[0],
                            schedule=ctrl.schedule, integrator_step=0.01,
                            horizon=horizon)
-            return simulate_collect(plant, ctrl, scn, np.eye(6),
-                                    np.eye(2), tail_rel=tail_rel)
+            return simulate_collect(plant, ctrl, scn, *TRIANGULAR_WEIGHTS)
 
         out = cost(None)
         T = out.horizon
@@ -253,15 +300,16 @@ class TestSimulate:
         assert abs(fixed.J - out.J) <= 1e-8 * out.J
         assert fixed.extensions == 0 and fixed.settled is None
 
-    def test_unsettled_auto_horizon_reported(self):
+    def test_unsettled_auto_horizon_reported(self, monkeypatch):
         # with a zero tail tolerance the cost never settles: the extensions
         # run out, and the output says so
         plant, ctrl = triangular_loop(1.0)
         scn = Scenario(initial_state=np.eye(6)[0], schedule=ctrl.schedule,
                        integrator_step=0.01)
+        monkeypatch.setattr(sim_eval, "TAIL_REL", 0.0)
         for max_extensions in (1, 3):
-            out = simulate_collect(plant, ctrl, scn, np.eye(6), np.eye(2),
-                                   max_extensions=max_extensions, tail_rel=0)
+            monkeypatch.setattr(sim_eval, "MAX_EXTENSIONS", max_extensions)
+            out = simulate_collect(plant, ctrl, scn, *TRIANGULAR_WEIGHTS)
             assert out.settled is False
             assert out.extensions == max_extensions - 1
             assert out.horizon == pytest.approx(20.0 + 5.0 * out.extensions)
@@ -269,12 +317,11 @@ class TestSimulate:
     def test_auto_horizon_extensions_stop_at_period_cap(self, monkeypatch):
         # a cap of 1,100 periods leaves room for the 1,000-period first span
         # and 100 periods of the first 250-period extension
-        import wadc.sim_eval as sim_eval
         monkeypatch.setattr(sim_eval, "MAX_PERIODS", 1100)
         plant, ctrl = triangular_loop(1.0)
         scn = Scenario(initial_state=np.eye(6)[0], schedule=ctrl.schedule,
                        integrator_step=0.01)
-        out = simulate_collect(plant, ctrl, scn, np.eye(6), np.eye(2))
+        out = simulate_collect(plant, ctrl, scn, *TRIANGULAR_WEIGHTS)
         assert out.periods == 1100 and len(out.t) == 1101
         assert out.extensions == 1 and out.settled is False
 
@@ -290,11 +337,37 @@ class TestSimulate:
                        integrator_step=0.01, horizon=horizon)
         t0 = time.perf_counter()
         with pytest.raises(HorizonTooLong, match="horizon_s") as exc:
-            simulate_closed_loop(plant, ctrl, scn, np.eye(6), np.eye(2),
-                                 lambda *rows: pytest.fail("stepped"))
+            simulate_closed_loop(plant, ctrl, scn, *TRIANGULAR_WEIGHTS[:2],
+                                 lambda *rows: pytest.fail("stepped"),
+                                 *TRIANGULAR_WEIGHTS[2:])
         assert time.perf_counter() - t0 < 1.0
         assert exc.value.periods == periods
         assert f"the {MAX_PERIODS} a simulation may step" in str(exc.value)
+
+
+FALLING_WARNING = ("measure decreased along 67% of consecutive delay "
+                   "pairs; expected a nondecreasing trend")
+
+
+def falling_designs(monkeypatch):
+    """Make sweep_delays' LQR rows fall with the waiting time inside the
+    bounds [0, 10]: the value is 1 at zero wait and 5 - wait beyond."""
+    def design(model, h, waits, method, gamma_tol):
+        def one(wait):
+            value = 1.0 if wait == 0.0 else 5.0 - wait
+            return SimpleNamespace(
+                disc=SimpleNamespace(lift_state=lambda z: z),
+                result=SimpleNamespace(J_star=lambda z: value))
+        return one(waits) if np.isscalar(waits) else list(map(one, waits))
+
+    monkeypatch.setattr(sim_eval, "design_mode", design)
+    monkeypatch.setattr(sim_eval, "compute_bounds",
+                        lambda md0, measure, z0=None: (10.0, 0.0))
+
+
+# cost and output weights of triangular_loop, in simulate_closed_loop's order
+TRIANGULAR_WEIGHTS = (np.eye(6), np.eye(2), np.eye(6), np.zeros((6, 2)),
+                      np.zeros((6, 4)))
 
 
 def triangular_loop(rate):
@@ -315,9 +388,8 @@ def triangular_loop(rate):
     sched = DelaySchedule.from_links(dec, np.zeros((2, 2)), h)
     designs = []
     for i in range(2):
-        md = design_mode(mode_system(gains, dec, i, np.eye(6), np.eye(2),
-                                     np.eye(6), np.zeros((6, 2)),
-                                     np.zeros((6, 4))), h, 0.0)
+        md = design_mode(mode_system(gains, dec, i, *TRIANGULAR_WEIGHTS),
+                         h, 0.0)
         F = np.zeros((1, 3))
         F[0, 0] = ((np.exp(-0.1 * h) - md.disc.A2[0, 0])
                    / md.disc.B2u[0, 0])
@@ -463,6 +535,18 @@ class TestSweep:
                 assert row == ref_row
         assert res.diagnostics["rows_redesigned"] == 4
         assert ref.diagnostics["rows_redesigned"] == 0
+
+    def test_falling_measure_warns(self, gains_k1, dec_k1, monkeypatch):
+        # values inside their bounds that fall along two of three delay
+        # pairs: every row is ok, and the sweep warns
+        falling_designs(monkeypatch)
+        model = bench_mode_system(gains_k1, dec_k1, 0)
+        res = sweep_delays(model, dec_k1, 0, "lqr", [0.0, 0.1, 0.2, 0.3],
+                           0.02)
+        assert res.all_ok()
+        values = [r.value for r in res.rows]
+        assert values[0] < values[1] and values[1:] == sorted(values[1:])[::-1]
+        assert res.warnings == (FALLING_WARNING,)
 
     def test_bad_grid_rejected(self, gains_k1, dec_k1):
         model = bench_mode_system(gains_k1, dec_k1, 0)

@@ -211,6 +211,20 @@ class TestStacks:
         for j in range(3):
             assert np.array_equal(P[j], singles[j])
 
+    def test_doubling_stack_equals_singles(self, monkeypatch):
+        # two positive-definite R: the second slice's doubling converges
+        # first and is set aside while the first doubles on
+        import wadc.synthesis as synthesis
+        discs = [random_disc(np.random.default_rng(seed), d_over_h=0.4)
+                 for seed in (0, 1)]
+        assert all(np.linalg.eigvalsh(d.R2).min() > 0 for d in discs)
+        singles = [dare_solve(d.A2, d.B2u, d.Q2, d.N2, d.R2) for d in discs]
+        calls = counting(monkeypatch, synthesis, "_set_aside")
+        P, F = dare_solve(*stacked(discs))
+        assert calls[0] == 1
+        for j, (P1, F1) in enumerate(singles):
+            assert np.array_equal(P[j], P1) and np.array_equal(F[j], F1)
+
     def test_dare_stack_mixes_doubling_and_policy_iteration(self):
         # one system at d = 0.4 h (R positive definite: doubling) and at
         # d = h (R = 0: policy iteration); both lift to the same size
