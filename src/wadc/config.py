@@ -14,8 +14,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import ConfigError, HorizonTooLong
+from .errors import ConfigError, HorizonTooLong, InvalidSampling
 from .grid_model import GeneratorParams, build_two_area_network
+from .sampled import split_delay
 from .sim_eval import MAX_PERIODS
 
 ENV_PREFIX = "WADC_"
@@ -73,8 +74,9 @@ def _parse_complex(s):
         v = complex(s.replace(" ", ""))
     except ValueError:
         v = None
-    if v is None or not np.isfinite(v):
-        raise ConfigError(f"expected a finite complex impedance, got {s!r}")
+    if v is None or not np.isfinite(v) or v == 0:
+        raise ConfigError(f"expected a finite nonzero complex impedance, "
+                          f"got {s!r}")
     return v
 
 
@@ -190,7 +192,7 @@ SCHEMA = {
         "disturbance": (_parse_choice("none", "impulse"), "none", "disturbance profile [-]"),
         "impulse_amp_A": (_parse_float, 50.0, "held one-sample pulse amplitude at load bus 1 [A]"),
         "integrator_step_s": (_parse_positive, 1e-3, "requested integrator step, refined to hit events [s]"),
-        "horizon_s": (_parse_horizon, None, "simulation horizon, or 'auto' to extend until the cost settles [s]"),
+        "horizon_s": (_parse_horizon, None, "simulation horizon, or 'auto' for 20 time constants of the sampled closed loop [s]"),
     },
 }
 
@@ -311,6 +313,11 @@ def load_config(path=None, text=None, environ=None) -> BenchmarkConfig:
             raise ConfigError(f"[{sec}] {name} must have 3 entries "
                               "(angle, speed, flux)")
     horizon, h = values["scenario"]["horizon_s"], values["sampling"]["h_s"]
+    try:
+        split_delay(values["sampling"]["delay_grid_s"][-1], h)
+    except InvalidSampling as exc:
+        raise ConfigError(f"{source}: [sampling] delay_grid_s: {exc}") \
+            from None
     periods = 0 if horizon is None else round(horizon / h)
     if periods > MAX_PERIODS:
         raise HorizonTooLong(f"[scenario] horizon_s = {horizon:g} s",

@@ -21,8 +21,6 @@ from .errors import (
 )
 
 __all__ = [
-    "OPEN_CIRCUIT",
-    "SHORT_CIRCUIT",
     "GeneratorParams",
     "NetworkModel",
     "AlgebraicSolution",
@@ -37,19 +35,6 @@ __all__ = [
     "swap_symmetry_residuals",
 ]
 
-
-class _BranchSentinel:
-    """Explicit degenerate branch, used instead of huge/zero impedances."""
-
-    def __init__(self, label):
-        self.label = label
-
-    def __repr__(self):
-        return f"<branch:{self.label}>"
-
-
-OPEN_CIRCUIT = _BranchSentinel("open")
-SHORT_CIRCUIT = _BranchSentinel("short")
 
 # per-machine unknowns in the algebraic solve
 _IDX_ID, _IDX_IQ, _IDX_IF, _IDX_PSID, _IDX_PSIQ, _IDX_ED, _IDX_EQ = range(7)
@@ -117,37 +102,15 @@ class NetworkModel:
         return self.Y.shape[0]
 
 
-def _admittance(z):
-    return 0.0 if z is OPEN_CIRCUIT else 1.0 / complex(z)
-
-
 def build_two_area_network(Z_T, Z_L, Z_C, omega0=377.0) -> NetworkModel:
     """Two generators, each tied through Z_T to its own load bus (shunt
     load Z_L), load buses coupled by the tie impedance Z_C; disturbance
-    currents inject at the load buses.
-
-    Z_C may be OPEN_CIRCUIT (no tie); Z_L may be OPEN_CIRCUIT (load
-    removed) or SHORT_CIRCUIT (load bus grounded, leaving the pure series
-    branch Z_T per port).
-    """
-    if Z_T is OPEN_CIRCUIT or Z_T is SHORT_CIRCUIT:
-        raise ValueError("Z_T must be a finite nonzero impedance")
-    if complex(Z_T) == 0:
-        raise ValueError("Z_T must be nonzero")
-    for name, z in (("Z_L", Z_L), ("Z_C", Z_C)):
-        if not isinstance(z, _BranchSentinel) and complex(z) == 0:
-            raise ValueError(f"{name} must be nonzero (use the sentinels)")
-    if Z_C is SHORT_CIRCUIT:
-        raise ValueError("a shorted tie is not supported; merge the buses")
-
-    y_T = _admittance(Z_T)
-    if Z_L is SHORT_CIRCUIT:
-        Y = np.diag([y_T, y_T]).astype(complex)
-        H = np.zeros((2, 2), dtype=complex)  # injections sink into the short
-        return NetworkModel(Y=Y, H=H, omega0=omega0)
-
-    y_L = _admittance(Z_L)
-    y_C = _admittance(Z_C)
+    currents inject at the load buses.  Every impedance is finite and
+    nonzero."""
+    for name, z in (("Z_T", Z_T), ("Z_L", Z_L), ("Z_C", Z_C)):
+        if complex(z) == 0:
+            raise ValueError(f"{name} must be nonzero")
+    y_T, y_L, y_C = (1.0 / complex(z) for z in (Z_T, Z_L, Z_C))
     # nodes: [gen1, gen2 | load1, load2]
     Y_GG = np.diag([y_T, y_T]).astype(complex)
     Y_GL = np.diag([-y_T, -y_T]).astype(complex)

@@ -24,7 +24,7 @@ from .dncs import (
     delay_map,
     design_mode,
 )
-from .errors import HorizonTooLong, WadcError
+from .errors import HorizonTooLong, UnstableSystem, WadcError
 from .grid_model import LinearPlant
 from .sampled import _nice_fraction, split_delay
 from .synthesis import hinf_norm, stein_solve
@@ -44,8 +44,6 @@ _BOUND_SLACK = 1e-9
 _BLOCK = 256   # sampling periods advanced by one batched product
 _SEGMENT = 8 * _BLOCK   # trace rows handed on together, about 0.3 MB
 MAX_PERIODS = 1_000_000   # sampling periods one simulation may step
-MAX_EXTENSIONS = 48   # spans of an auto horizon, its first one included
-TAIL_REL = 1e-9   # an auto horizon stops at a span adding this share of J
 
 
 @dataclass(frozen=True)
@@ -56,7 +54,7 @@ class Scenario:
     schedule: DelaySchedule
     disturbance: np.ndarray = None         # (K, n_w) held samples, or None
     integrator_step: float = 1e-3          # requested; simulate refines it
-    horizon: float = None                  # None: auto-extend on cost tail
+    horizon: float = None                  # None: 20 sampled time constants
 
     def __post_init__(self):
         object.__setattr__(self, "initial_state",
@@ -73,8 +71,6 @@ class SimulationOutput:
     step: float          # RK4 and quadrature step
     steps_per_period: int
     horizon: float
-    extensions: int      # chunks the auto horizon added to its first span
-    settled: bool        # auto horizon: its cost tail test passed; else None
 
     @property
     def t(self):
@@ -141,37 +137,23 @@ def simulate_closed_loop(plant: LinearPlant, controller: DistributedController,
     y = C x + D_u u_bar + D_w w.  Its rows are handed to
     ``trace(t, x, u, u_bar, y)`` in order, a segment of consecutive rows at
     a time, as the recursion produces them; of the trajectory only the
-    segment being gathered is kept.  A run longer than
-    ``MAX_PERIODS`` sampling periods is refused before any stepping.  The
-    auto horizon adds up to ``MAX_EXTENSIONS`` - 1 quarter-spans until one
-    adds at most ``TAIL_REL`` of the cost, and stops at that cap.
+    segment being gathered is kept.
+
+    The auto horizon is 20 time constants -h / ln rho(M_xi) of the period
+    map itself, after which the cost left is below rounding; a loop with
+    rho(M_xi) >= 1 has no such horizon and is refused.  A run longer than
+    ``MAX_PERIODS`` sampling periods is refused.  Both refusals come before
+    any stepping.
     """
     dec = controller.dec
     sched = controller.schedule
     h = sched.h
     A_bar = controller.gains.A_bar
     K = controller.gains.K
-    lam = np.linalg.eigvals(A_bar)
     step, (n_h, *n_rho) = _step_grid(
         scn.integrator_step, h, [float(v) for v in sched.d_rho],
-        np.abs(lam).max())
+        np.abs(np.linalg.eigvals(A_bar)).max())
     dt = float(step)
-    auto = scn.horizon is None
-    if auto:
-        slowest = 1.0 / max(1e-6, -lam.real.max())
-        horizon = 20.0 * slowest
-        asked = (f"horizon_s = auto, 20 times the slowest time constant "
-                 f"{slowest:.4g} s of A + B_u K,")
-    else:
-        horizon = float(scn.horizon)
-        asked = f"horizon_s = {horizon:g} s"
-    # whole sampling periods; extensions add quarter-chunks until the cost
-    # increment dies out
-    first = max(1, int(round(horizon / dt / n_h)))
-    chunk = max(1, first // 4)
-    if first > MAX_PERIODS:
-        raise HorizonTooLong(asked, first, h, MAX_PERIODS)
-
     Rmap, Smap = _rk4_affine(A_bar, dt)
     n_x, n_u, n_w = plant.n_x, plant.n_u, plant.n_w
     Q = np.asarray(Q, dtype=float).reshape(n_x, n_x)
@@ -214,6 +196,23 @@ def simulate_closed_loop(plant: LinearPlant, controller: DistributedController,
     U_end = U[:, :n]
     M = np.vstack([X, V, eye[n_x:n - n_u]]) if L else X
     M_xi, S_xi = M[:, :n], S[:n, :n]
+    if scn.horizon is None:
+        rho = np.abs(np.linalg.eigvals(M_xi)).max()
+        if not rho < 1.0:
+            raise UnstableSystem(
+                f"horizon_s = auto needs a Schur-stable sampled closed loop, "
+                f"but its period map has spectral radius {rho:.8g}; set a "
+                "fixed horizon_s")
+        tau = -h / math.log(rho)
+        horizon = 20.0 * tau
+        asked = (f"horizon_s = auto, 20 times the slowest time constant "
+                 f"{tau:.4g} s of the sampled closed loop,")
+    else:
+        horizon = float(scn.horizon)
+        asked = f"horizon_s = {horizon:g} s"
+    periods = max(1, int(round(horizon / dt / n_h)))   # whole periods
+    if periods > MAX_PERIODS:
+        raise HorizonTooLong(asked, periods, h, MAX_PERIODS)
     powers = np.empty((_BLOCK, n, n))
     powers[0] = M_xi
     for i in range(1, _BLOCK):
@@ -231,7 +230,7 @@ def simulate_closed_loop(plant: LinearPlant, controller: DistributedController,
     # sends a one-row product to gemv, which can round differently from
     # the gemm that takes two rows or more, and gemm rounds a row the same
     # whatever rows come with it.  So a block of one period (a disturbance
-    # period, or the last of a span) joins the segment before it, and the
+    # period, or the last of the run) joins the segment before it, and the
     # rows match those of one product over the whole run bit for bit.
     held, handed = [], 0
     last = xi0    # the state of the row before the held ones
@@ -264,43 +263,25 @@ def simulate_closed_loop(plant: LinearPlant, controller: DistributedController,
             hand_on()
         held.append(states)
 
-    def advance(xi, k, count):
-        """Step periods k ... k+count-1 from xi_k; returns xi_{k+count} and
-        the cost of those periods."""
-        J = 0.0
-        disturbed = range(k, min(k + count, n_dist))
-        for j in disturbed:
-            zeta = np.concatenate([xi, w_seq[j]])
-            J += float(zeta @ S @ zeta)
-            nxt = M @ zeta
-            hold(nxt[None])
-            xi = nxt
-        left = count - len(disturbed)
-        while left:
-            b = min(_BLOCK, left)
-            nxt = powers[:b] @ xi
-            starts = np.vstack([xi[None], nxt[:-1]])
-            J += float(np.sum((starts @ S_xi) * starts))
-            hold(nxt)
-            xi = nxt[-1]
-            left -= b
-        return xi, J
-
-    xi, J = advance(xi0, 0, first)
-    k, spans, settled = first, 1, False if auto else None
-    while auto and spans < MAX_EXTENSIONS and k < MAX_PERIODS:
-        count = min(chunk, MAX_PERIODS - k)
-        xi, inc = advance(xi, k, count)
-        k += count
-        J += inc
-        spans += 1
-        if abs(inc) <= TAIL_REL * max(abs(J), 1e-300):
-            settled = True
-            break
+    xi, J = xi0, 0.0
+    for j in range(min(periods, n_dist)):
+        zeta = np.concatenate([xi, w_seq[j]])
+        J += float(zeta @ S @ zeta)
+        xi = M @ zeta
+        hold(xi[None])
+    left = periods - min(periods, n_dist)
+    while left:
+        b = min(_BLOCK, left)
+        nxt = powers[:b] @ xi
+        starts = np.vstack([xi[None], nxt[:-1]])
+        J += float(np.sum((starts @ S_xi) * starts))
+        hold(nxt)
+        xi = nxt[-1]
+        left -= b
     hand_on()
     return SimulationOutput(
-        periods=k, J=J, step=dt, steps_per_period=n_h,
-        horizon=float(dt * (n_h * k)), extensions=spans - 1, settled=settled)
+        periods=periods, J=J, step=dt, steps_per_period=n_h,
+        horizon=float(dt * (n_h * periods)))
 
 
 def compute_bounds(md0: ModeDesign, measure, z0=None):

@@ -13,7 +13,7 @@ from wadc import cli
 from wadc.cli import main, read_matrix, write_matrix
 from wadc.config import _REQUIRED, SCHEMA, load_config
 from wadc.errors import ConfigError
-import wadc.sim_eval as sim_eval
+from wadc.sampled import MAX_IN_FLIGHT
 from wadc.sim_eval import MAX_PERIODS
 
 CONFIG = str(pathlib.Path(__file__).resolve().parents[1]
@@ -120,6 +120,28 @@ class TestConfig:
         assert "horizon_s" in err and "500000000" in err
         assert str(MAX_PERIODS) in err and "trace row" in err
         assert not (tmp_path / "trace.csv").exists()
+
+    def test_grid_beyond_in_flight_cap_is_usage_error(self, tmp_path,
+                                                      monkeypatch, capsys):
+        # a 1e6 s delay would lift each mode to 50 million samples in
+        # flight: refused when the config loads, before any design
+        monkeypatch.setenv("WADC_SAMPLING__DELAY_GRID_S", "0,1e6")
+        t0 = time.perf_counter()
+        assert run(tmp_path, "sweep", "--measure", "lqr") == 2
+        assert time.perf_counter() - t0 < 1.0
+        err = capsys.readouterr().err
+        assert "delay_grid_s" in err and "50000000" in err
+        assert str(MAX_IN_FLIGHT) in err
+        assert not (tmp_path / "sweep.csv").exists()
+
+    @pytest.mark.parametrize("key", ["Z_T_OHM", "Z_L_OHM", "Z_C_OHM"])
+    def test_zero_impedance_is_usage_error(self, tmp_path, monkeypatch,
+                                           capsys, key):
+        monkeypatch.setenv(f"WADC_NETWORK__{key}", "0")
+        assert run(tmp_path, "linearize") == 2
+        err = capsys.readouterr().err
+        assert f"env:WADC_NETWORK__{key}" in err and "nonzero" in err
+        assert not (tmp_path / "A.txt").exists()
 
     def test_fine_grid_loads(self):
         cfg = load_config(CONFIG, environ={
@@ -373,7 +395,26 @@ class TestSweepCommand:
         assert value < upper  # remote feedback helps at zero delay
 
 
+@pytest.mark.parametrize("command, delay", [
+    ("design", "nan"), ("simulate", "inf"), ("design", "-0.1")])
+def test_delay_must_be_finite_and_nonnegative(tmp_path, capsys, command,
+                                              delay):
+    with pytest.raises(SystemExit) as exc:
+        run(tmp_path, command, "--delay", delay)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --delay: expected a" in err and repr(delay) in err
+    assert not (tmp_path / "report.json").exists()
+
+
 class TestDesignCommand:
+    def test_delay_beyond_in_flight_cap_refused(self, tmp_path, capsys):
+        # typed, and before the lifted system is built
+        t0 = time.perf_counter()
+        assert run(tmp_path, "design", "--delay", "1e6") == 3
+        assert time.perf_counter() - t0 < 1.0
+        assert "50000000 input samples in flight" in capsys.readouterr().err
+
     def test_writes_gains(self, tmp_path, capsys):
         assert run(tmp_path, "design", "--measure", "lqr",
                    "--delay", "0.1") == 0
@@ -466,9 +507,9 @@ class TestSimulateCommand:
                               "bc8ad8c151167913ae913fdfb2b1ac3b"),
         ("hinf", "0.1", "2", "a9f01e568dd7ea98a0703cfb168490fd"
                              "9764b1a6c6f79fad533182de2c85054b"),
-        # the benchmark's auto horizon: 121,354 rows
-        ("lqr", "0.1", "auto", "323f40a572c3ccbb8b11c963e5e307ed"
-                               "237267c495b6528246b86d8842dcc785"),
+        # the benchmark's auto horizon: 126,257 rows
+        ("lqr", "0.1", "auto", "9bb5747b36ea992abdc32da6e45d00f8"
+                               "cf0afbaca70ddbe1b26a23dbdcd49581"),
         # 2,049 and 2,050 periods: a last period, and a last two, after
         # the first 2,048-row segment; a one-row segment of its own would
         # move bytes here
@@ -497,7 +538,7 @@ class TestSimulateCommand:
                                                        monkeypatch):
         # rows go to the file as the recursion makes them: the memory the
         # simulation and the writing take is the same for 30,001 rows and
-        # for 121,354
+        # for 126,257
         peaks = {}
         simulate = cli.simulate_closed_loop
 
@@ -516,25 +557,17 @@ class TestSimulateCommand:
                        "--delay", "0.1") == 0
         assert abs(peaks[1] - peaks[0]) < 2e6, peaks
 
-    def test_unsettled_auto_horizon_warns(self, tmp_path, monkeypatch):
-        # the auto horizon's first span alone, no extension: the tail test
-        # never ran, and the report says so
-        monkeypatch.setattr(sim_eval, "MAX_EXTENSIONS", 1)
-        assert run(tmp_path, "simulate", "--measure", "lqr",
+    def test_settled_auto_horizon_reported(self, tmp_path, monkeypatch):
+        # the H-infinity loop at 0.1 s: 20 time constants of its sampled
+        # loop are 29,111 periods, one trace row each and one more
+        assert run(tmp_path, "simulate", "--measure", "hinf",
                    "--delay", "0.1") == 0
         report = json.loads((tmp_path / "report.json").read_text())
         diag = report["diagnostics"]
-        assert diag["horizon_extensions"] == 0
-        assert diag["horizon_settled"] is False
-        assert any("did not settle" in w for w in report["warnings"])
-
-    def test_settled_auto_horizon_reported(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("WADC_SCENARIO__HORIZON_S", "2.0")
-        assert run(tmp_path, "simulate", "--measure", "lqr",
-                   "--delay", "0.1") == 0
-        report = json.loads((tmp_path / "report.json").read_text())
-        assert report["diagnostics"]["horizon_extensions"] == 0
-        assert report["diagnostics"]["horizon_settled"] is None
+        assert report["summary"]["horizon_s"] == pytest.approx(582.22)
+        assert diag["periods"] == 29111 and diag["trace_rows"] == 29112
+        assert set(diag) == {"designs", "integrator_step_s", "periods",
+                             "steps_per_period", "trace_bytes", "trace_rows"}
         assert report["warnings"] == []
 
     def test_impulse_disturbance_trace(self, tmp_path, monkeypatch):

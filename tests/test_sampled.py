@@ -22,6 +22,7 @@ from wadc.sampled import (
     phi_gamma,
     psi_blocks,
     solve_pmu,
+    MAX_IN_FLIGHT,
     split_delay,
 )
 
@@ -195,6 +196,15 @@ class TestSplitDelay:
             split_delay(0.1, 0.0)
         with pytest.raises(InvalidSampling):
             split_delay(-0.1, 0.1)
+
+    def test_in_flight_cap(self):
+        # 2.56 s at 20 ms holds 128 samples in flight, the most allowed;
+        # one period more is refused, as is a delay whose lifted state
+        # would not fit in memory
+        assert split_delay(2.56, 0.02) == (MAX_IN_FLIGHT - 1, 0.02)
+        for d in (2.58, 1e6):
+            with pytest.raises(InvalidSampling, match="in flight"):
+                split_delay(d, 0.02)
 
 
 class TestDiscretize:

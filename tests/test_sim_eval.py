@@ -23,7 +23,7 @@ from wadc.dncs import (
     mode_system,
     symmetric_modes,
 )
-from wadc.errors import HorizonTooLong, NotStabilizable
+from wadc.errors import HorizonTooLong, NotStabilizable, UnstableSystem
 from wadc.grid_model import LinearPlant
 from wadc.sampled import CtsModel
 import wadc.sim_eval as sim_eval
@@ -272,67 +272,67 @@ class TestSimulate:
         assert out.y.shape == (len(out.t), 2)
         assert np.isfinite(out.J)
 
-    def test_auto_horizon_extends_until_cost_settles(self):
-        # the slowest time constant of A_bar is 1 s, so the first chunk is
-        # 20 s and each extension 5 s; the remote gain slows the sampled
-        # loop to a 10 s time constant, so the cost needs many extensions
-        # to settle
-        plant, ctrl = triangular_loop(1.0)
-        tail_rel = sim_eval.TAIL_REL
+    @pytest.mark.parametrize("loop", ["triangular", "lqr", "hinf"])
+    def test_auto_horizon_cost_is_converged(self, request, loop):
+        # 20 time constants of the sampled loop leave a cost tail below
+        # rounding: a fixed horizon twice as long adds nothing.  The
+        # triangular loop's local time constant is 1 s and its sampled one
+        # 10 s, so a horizon sized from the local loop would miss 1.8 % of J
+        if loop == "triangular":
+            plant, ctrl = triangular_loop(1.0)
+            weights = TRIANGULAR_WEIGHTS
+        else:
+            plant = request.getfixturevalue("bench_plant")
+            k = "k1" if loop == "lqr" else "k2"
+            ctrl, _ = build_controller(
+                plant, request.getfixturevalue(f"gains_{k}"),
+                request.getfixturevalue(f"dec_{k}"), 0.1, method=loop)
+            weights = BENCH_WEIGHTS
 
-        def cost(horizon):
-            scn = Scenario(initial_state=np.eye(6)[0],
-                           schedule=ctrl.schedule, integrator_step=0.01,
-                           horizon=horizon)
-            return simulate_collect(plant, ctrl, scn, *TRIANGULAR_WEIGHTS)
+        def run(horizon):
+            scn = Scenario(initial_state=np.eye(6)[0], schedule=ctrl.schedule,
+                           integrator_step=0.01, horizon=horizon)
+            return simulate_closed_loop(plant, ctrl, scn, *weights[:2],
+                                        lambda *rows: None, *weights[2:])
 
-        out = cost(None)
-        T = out.horizon
-        assert out.settled is True
-        assert (T - 20.0) / 5.0 == pytest.approx(out.extensions)
-        assert T >= 20.0 + 2 * 5.0
-        # stopped at the first extension whose increment is below tail_rel
-        J_prev, J_prev2 = cost(T - 5.0).J, cost(T - 10.0).J
-        assert out.J - J_prev <= tail_rel * out.J
-        assert J_prev - J_prev2 > tail_rel * J_prev
-        # and what is left beyond the horizon is negligible
-        fixed = cost(T + 20.0)
-        assert abs(fixed.J - out.J) <= 1e-8 * out.J
-        assert fixed.extensions == 0 and fixed.settled is None
+        auto = run(None)
+        twice = run(2 * auto.horizon)
+        assert twice.periods == 2 * auto.periods
+        assert abs(twice.J - auto.J) <= 1e-13 * auto.J
+        if loop == "triangular":
+            # the sampled first state decays by exp(-0.1 h) a period
+            assert auto.horizon == pytest.approx(200.0, rel=1e-9)
+            assert run(20.0).J < (1 - 0.018) * auto.J
 
-    def test_unsettled_auto_horizon_reported(self, monkeypatch):
-        # with a zero tail tolerance the cost never settles: the extensions
-        # run out, and the output says so
-        plant, ctrl = triangular_loop(1.0)
-        scn = Scenario(initial_state=np.eye(6)[0], schedule=ctrl.schedule,
-                       integrator_step=0.01)
-        monkeypatch.setattr(sim_eval, "TAIL_REL", 0.0)
-        for max_extensions in (1, 3):
-            monkeypatch.setattr(sim_eval, "MAX_EXTENSIONS", max_extensions)
-            out = simulate_collect(plant, ctrl, scn, *TRIANGULAR_WEIGHTS)
-            assert out.settled is False
-            assert out.extensions == max_extensions - 1
-            assert out.horizon == pytest.approx(20.0 + 5.0 * out.extensions)
+    def test_unstable_sampled_loop_has_no_auto_horizon(self):
+        # the remote gain pushes each sampled first state out by
+        # exp(0.1 h) a period: an auto run is refused before any row is
+        # handed on, and a fixed horizon still simulates the growth
+        plant, ctrl = triangular_loop(1.0, sampled_rate=-0.1)
 
-    def test_auto_horizon_extensions_stop_at_period_cap(self, monkeypatch):
-        # a cap of 1,100 periods leaves room for the 1,000-period first span
-        # and 100 periods of the first 250-period extension
-        monkeypatch.setattr(sim_eval, "MAX_PERIODS", 1100)
-        plant, ctrl = triangular_loop(1.0)
-        scn = Scenario(initial_state=np.eye(6)[0], schedule=ctrl.schedule,
-                       integrator_step=0.01)
-        out = simulate_collect(plant, ctrl, scn, *TRIANGULAR_WEIGHTS)
-        assert out.periods == 1100 and len(out.t) == 1101
-        assert out.extensions == 1 and out.settled is False
+        def run(horizon, trace):
+            scn = Scenario(initial_state=np.eye(6)[0], schedule=ctrl.schedule,
+                           integrator_step=0.01, horizon=horizon)
+            return simulate_closed_loop(plant, ctrl, scn,
+                                        *TRIANGULAR_WEIGHTS[:2], trace,
+                                        *TRIANGULAR_WEIGHTS[2:])
+
+        with pytest.raises(UnstableSystem, match="horizon_s = auto"):
+            run(None, lambda *rows: pytest.fail("handed on a row"))
+        rows = []
+        out = run(10.0, lambda t, x, *rest: rows.append(x))
+        x = np.concatenate(rows)
+        assert out.periods == 500 and len(x) == 501
+        assert abs(x[-1, 0]) > np.exp(0.9) * abs(x[0, 0])
 
     @pytest.mark.parametrize("horizon, periods", [(None, 100_000_000),
                                                   (1e7, 500_000_000)],
                              ids=["auto", "fixed"])
     def test_horizon_beyond_period_cap_refused(self, horizon, periods):
-        # a local mode decaying at 1e-5 1/s is stable, but its auto
+        # a sampled loop decaying at 1e-5 1/s is stable, but its auto
         # horizon of 20 time constants is 2e6 s; both are refused before
         # any period is stepped
-        plant, ctrl = triangular_loop(1e-5)
+        plant, ctrl = triangular_loop(1e-5, sampled_rate=1e-5)
         scn = Scenario(initial_state=np.eye(6)[0], schedule=ctrl.schedule,
                        integrator_step=0.01, horizon=horizon)
         t0 = time.perf_counter()
@@ -370,11 +370,12 @@ TRIANGULAR_WEIGHTS = (np.eye(6), np.eye(2), np.eye(6), np.zeros((6, 2)),
                       np.zeros((6, 4)))
 
 
-def triangular_loop(rate):
+def triangular_loop(rate, sampled_rate=0.1):
     """Two uncoupled machines with triangular dynamics driven through
     their first state, whose slowest local mode decays at ``rate`` 1/s,
-    under a zero-wait remote gain that puts each machine's sampled first
-    state on a 10 s time constant; returns the plant and the controller."""
+    under a zero-wait remote gain that makes each machine's sampled first
+    state decay at ``sampled_rate`` 1/s; returns the plant and the
+    controller."""
     X = np.array([[-rate, 0.5, 0.0], [0.0, -2.0, 0.5], [0.0, 0.0, -3.0]])
     Z = np.zeros((3, 3))
     B_u = np.zeros((6, 2))
@@ -391,7 +392,7 @@ def triangular_loop(rate):
         md = design_mode(mode_system(gains, dec, i, *TRIANGULAR_WEIGHTS),
                          h, 0.0)
         F = np.zeros((1, 3))
-        F[0, 0] = ((np.exp(-0.1 * h) - md.disc.A2[0, 0])
+        F[0, 0] = ((np.exp(-sampled_rate * h) - md.disc.A2[0, 0])
                    / md.disc.B2u[0, 0])
         designs.append(replace(md, F=F))
     return plant, DistributedController(gains, dec, sched, designs)

@@ -117,5 +117,5 @@ def test_fast_path_decides_most_of_benchmark_trace(tmp_path):
     assert main(["--config", CONFIG, "--out", str(tmp_path), "simulate",
                  "--measure", "lqr", "--delay", "0.1"]) == 0
     X = np.loadtxt(tmp_path / "trace.csv", delimiter=",", skiprows=1)
-    assert X.shape == (121354, 13)
+    assert X.shape == (126257, 13)
     assert cli._candidates(X.ravel())[2].mean() <= 0.1
