@@ -13,18 +13,21 @@ Matrices and traces go through one row writer, ``TableWriter``, which
 streams blocks of rows to the file and an incremental sha256; ``simulate``
 hands it the trace a segment at a time as the simulation makes it, so no
 trace is ever held whole.  A block is
-formatted in numpy into exactly the bytes of ``"%.17g" % v``, from a long
-double candidate for the 17 digits wherever the error bound in
-``_candidates`` proves it correctly rounded, and with ``FMT % v`` itself
-for the rest (about 4 % of a trace's values, and 0, inf and nan).
+formatted in numpy into exactly the bytes of ``"%.17g" % v``, from the 17
+digits that ``_candidates`` finds exactly in float64 with Dekker's
+error-free product, and with ``FMT % v`` itself for the values that are 0,
+inf or nan, exact decimal ties, or next to a power of ten (a few dozen of
+a trace's values).
 """
 
 import argparse
 import ctypes
+import functools
 import hashlib
 import json
 import sys
 import time
+import types
 
 import numpy as np
 
@@ -53,108 +56,178 @@ from .sim_eval import Scenario, simulate_closed_loop, sweep_delays
 
 FMT = "%.17g"
 
-_EPS = float(np.finfo(np.longdouble).eps)
-# twice the error bound of _candidates; at 1/2 every value goes to FMT
-_MARGIN = min(2 * (_EPS + _EPS ** 2 / 4) * 1e17, 0.5)
 _E_MIN, _E_END = -325, 310   # exponents of doubles, and one more each side
-_POW10 = np.array([np.longdouble(f"1e{16 - e}")
-                   for e in range(_E_MIN, _E_END)])
-# ASCII of 0000..9999 as little-endian words, and their trailing zeros
-_DIGITS4 = (48 + np.arange(10000)[:, None] // [1000, 100, 10, 1] % 10
-            ).astype(np.uint8).view("<u4").ravel().astype(np.uint64)
-_TZ4 = sum(np.arange(10000) % 10 ** k == 0 for k in range(1, 5))
-# _LOW[:, k]: masks of the first k bytes of a 3-word (24-byte) string
-_LOW = np.array([[(1 << 8 * min(max(k - 8 * w, 0), 8)) - 1 for k in range(25)]
-                 for w in range(3)], np.uint64)
-# slot word 0, sign and "0.000" prefix, by 5 * (x < 0) + (-E if E < 0 else 0)
-_PREFIX = np.array([int.from_bytes((sg + ("0." + "0" * (z - 1) if z else ""))
-                                   .encode().ljust(8, b"\0"), "little")
-                    for sg in ("", "-") for z in range(5)], np.uint64)
-# slot word 3, bytes 2..6: "e+dd" or "e-ddd" where %g uses exponent form
-_EXP = np.array([0 if -4 <= e < 17 else int.from_bytes(
-    (b"\0\0" + b"e%+03d" % e).ljust(8, b"\0"), "little")
-    for e in range(_E_MIN, _E_END)], np.uint64)
+_SPLIT = 2.0 ** 27 + 1       # Veltkamp's splitter: 53 bits as 26 + 26
+_HIGH26 = np.uint64(2 ** 64 - 2 ** 27)   # clears the last 27 mantissa bits
+_TIE = 0.5 - 2.0 ** -46      # |fraction| from here on may be a tie: FMT
 _BLOCK = 1 << 12   # values formatted per block: 1.5 MB of temporaries
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3   # glibc's mallopt(3) names
+
+
+@functools.cache
+def _tables():
+    """The writer's lookup tables, built on the first block formatted.
+
+    Per decimal exponent E in [_E_MIN, _E_END), at E - _E_MIN: T = 10^(16-E)
+    2^-P in [1, 2) as the double-double hi + lo (hi correctly rounded, lo
+    the rounded rest), hi's Veltkamp halves and P; ``lead``, the digits
+    %g puts before the point (1 in exponent form); ``point``, the point's
+    place among the digits (17: none, where lead < 1); ``zeros``, the
+    "0.000" prefix's length; and ``exp``, slot word 3's bytes 2..6, "e+dd"
+    or "e-ddd" where %g uses exponent form.  Then the ASCII of 0000..9999 as
+    little-endian words and their trailing zeros, and byte masks."""
+    hi, lo, P = [], [], []
+    for e in range(_E_MIN, _E_END):
+        k = 16 - e
+        if k >= 0:   # T = num / den exactly
+            p = (10 ** k).bit_length() - 1
+            num, den = 10 ** k, 1 << p
+        else:
+            p = -(10 ** -k).bit_length()
+            num, den = 1 << -p, 10 ** -k
+        h = num / den   # correctly rounded
+        hn, hd = h.as_integer_ratio()
+        hi.append(h)
+        lo.append((num * hd - hn * den) / (den * hd))
+        P.append(p)
+    hi = np.array(hi)
+    c = hi * _SPLIT
+    hh = c - (c - hi)
+    t = types.SimpleNamespace(pow10=np.stack([hi, hh, hi - hh, lo], axis=1),
+                              P=np.array(P, np.int32))
+    E = np.arange(_E_MIN, _E_END)
+    t.lead = np.where((E >= -4) & (E < 17), E + 1, 1).astype(np.int8)
+    t.point = np.where(t.lead > 0, t.lead, 17).astype(np.int8)
+    t.zeros = np.maximum(1 - t.lead, 0).astype(np.int8)
+    t.exp = np.array([0 if -4 <= e < 17 else int.from_bytes(
+        (b"\0\0" + b"e%+03d" % e).ljust(8, b"\0"), "little")
+        for e in range(_E_MIN, _E_END)], np.uint64)
+    # small dtypes: built amid a streamed trace, where the heap pages the
+    # temporaries touch stay mapped (_hold_freed_heap)
+    n = np.arange(10000, dtype=np.uint16)
+    digits = np.stack([n // 1000, n // 100 % 10, n // 10 % 10, n % 10],
+                      axis=1).astype(np.uint8)
+    t.digits4 = (digits + 48).view("<u4").ravel().astype(np.uint64)
+    t.tz4 = np.logical_and.accumulate(digits[:, ::-1] == 0, axis=1).sum(
+        axis=1, dtype=np.uint8)
+    # low[:, k]: masks of the first k bytes of a 3-word (24-byte) string
+    t.low = np.array([[(1 << 8 * min(max(k - 8 * w, 0), 8)) - 1
+                       for k in range(25)] for w in range(3)], np.uint64)
+    # slot word 0, sign and "0.000" prefix, by 5 * (x < 0) + zeros
+    t.prefix = np.array([int.from_bytes(
+        (sg + ("0." + "0" * (z - 1) if z else "")).encode().ljust(8, b"\0"),
+        "little") for sg in ("", "-") for z in range(5)], np.uint64)
+    for table in vars(t).values():   # shared by every caller
+        table.flags.writeable = False
+    return t
 
 
 def _candidates(x):
     """(N, E, exact) for the float64 array x: FMT prints each value with
     exact False from the 17 digits of the integer N and decimal exponent E.
 
-    With E = floor(log10 |x|), m = |x| 10^(16-E) is in [1e16, 1e17).  In
-    long double, from the correctly rounded power of ten in _POW10, it
-    carries two roundings of relative size eps/2 at most (eps: long
-    double's machine epsilon), so |m - |x| 10^(16-E)| <= (eps + eps^2/4)
-    * 1e17, which is 0.0108 in x87 extended precision.  N = round(m) is
-    then correctly rounded whenever the fraction of m is further than
-    _MARGIN from 1/2.  Values nearer a tie, with N outside (1e16, 1e17)
-    (where log10 rounded across an integer, or the exponent may differ),
-    or that are 0, -0, inf or nan are exact: FMT itself formats them.
+    With E = floor(log10 |x|), N rounds m = |x| 10^(16-E), in [1e16, 1e17),
+    to an integer.  m is found in plain float64: |x| = f 2^e with f in
+    [1/2, 1), and the table holds T = 10^(16-E) 2^-P in [1, 2) as hi + lo,
+    within 2^-106 of T.  Dekker's product splits f hi exactly into p + err,
+    and r = err + f lo takes at most 2^-107 + 2^-106 of rounding, so p + r
+    is within 2.5 * 2^-106 of f T and, scaled by 2^(e + P) < 2e17 to m =
+    f T 2^(e + P), within 6.2e-15 of m.  Scaled so, p is an integer and N =
+    p + rint(r) is correctly rounded whenever r - rint(r) is further than
+    0.5 - _TIE = 1.4e-14 from +-1/2.  Values nearer a tie (exact decimal
+    ties among them, which FMT rounds half to even), with N outside (1e16,
+    1e17) (log10 rounded across an integer, N carried into an 18th digit,
+    or x a power of ten), or that are 0, -0, inf or nan are exact: FMT
+    itself formats them.
     """
+    t = _tables()
     a = np.abs(x)
     exact = ~np.isfinite(a) | (a == 0)
     a[exact] = 1.0
-    E = np.floor(np.log10(a)).astype(np.int64)
-    m = a * _POW10[E - _E_MIN]
-    N = m.astype(np.int64)
-    frac = (m - N).astype(float)   # m - N is exact
-    N += frac > 0.5
-    exact |= (np.abs(frac - 0.5) <= _MARGIN) | (N <= 10 ** 16) \
-        | (N >= 10 ** 17)
+    E = np.floor(np.log10(a)).astype(np.int32)
+    i = E - _E_MIN
+    f, e = np.frexp(a)
+    hi, hh, hl, lo = t.pow10.take(i, axis=0).T
+    fh = (f.view(np.uint64) & _HIGH26).view(float)   # f's first 26 bits
+    fl = f - fh
+    p = f * hi
+    err = ((fh * hh - p) + fh * hl + fl * hh) + fl * hl   # f hi - p exactly
+    s = e + t.P.take(i)
+    r = np.ldexp(err + f * lo, s)
+    n = np.rint(r)
+    N = np.ldexp(p, s).astype(np.int64) + n.astype(np.int64)
+    exact |= (np.abs(r - n) >= _TIE) | (N <= 10 ** 16) | (N >= 10 ** 17)
     return N, E, exact
 
 
 def _format_block(X, sep):
     """The bytes of the 2-D float block X as FMT values joined by sep, with
-    a newline after each row.  Each value fills a 32-byte slot: a word of
-    sign and "0.000" prefix, the 17 digits with the point inserted and the
-    trailing zeros cleared, exponent and separator; deleting the NUL bytes
-    left over gives the text."""
+    a newline after each row, and how many of its values FMT formatted.
+    Each value fills a 32-byte slot: a word of sign and "0.000" prefix, the
+    17 digits with the point inserted and the trailing zeros cleared,
+    exponent and separator; deleting the NUL bytes left over gives the
+    text."""
+    t = _tables()
     x = X.ravel()
     N, E, exact = _candidates(x)
-    d1, rest = np.divmod(N, 10 ** 16)
-    g = [*np.divmod(rest // 10 ** 8, 10 ** 4), *np.divmod(rest % 10 ** 8,
-                                                          10 ** 4)]
-    tz = _TZ4[g[3]] + (g[3] == 0) * (_TZ4[g[2]] + (g[2] == 0) * (
-        _TZ4[g[1]] + (g[1] == 0) * _TZ4[g[0]]))
+    i = E - _E_MIN
+    top = N // 10 ** 8                           # the first 9 digits
+    low8 = (N - top * 10 ** 8).astype(np.uint32)  # and the last 8
+    top = top.astype(np.uint32)
+    d1 = top // 10 ** 8
+    g = []                                       # the last 16 in fours
+    for v in (top - d1 * 10 ** 8, low8):
+        q = v // 10 ** 4
+        g += [q, v - q * 10 ** 4]
+    # trailing zeros of the last group, then of each group before it where
+    # all groups after it are 0 (tz4[0] is 4)
+    tz = t.tz4.take(g[3])
+    for k in (2, 1, 0):
+        z = np.flatnonzero(tz == 4 * (3 - k))
+        if not z.size:
+            break
+        tz[z] += t.tz4.take(g[k][z])
     s = 17 - tz                                  # significant digits
-    lead = np.where((E >= -4) & (E < 17), E + 1, 1)   # digits before "."
-    p = np.where((lead > 0) & (s > lead), lead, 17)  # "." position, or none
+    lead = t.lead.take(i)                        # digits before "."
+    p = np.where(s > lead, t.point.take(i), 17)  # "." position, or none
     keep = np.maximum(s, lead) + (p < 17)        # bytes of digits and "."
-    hi = _DIGITS4[g[0]] | _DIGITS4[g[1]] << 32
-    lo = _DIGITS4[g[2]] | _DIGITS4[g[3]] << 32
+    digits4 = t.digits4.take
+    hi = digits4(g[0]) | digits4(g[1]) << 32
+    lo = digits4(g[2]) | digits4(g[3]) << 32
     V = np.stack([(d1 + 48).astype(np.uint64) | hi << 8,
                   hi >> 56 | lo << 8, lo >> 56])
     W = V << 8                                   # the digits one byte on
     W[1:] |= V[:-1] >> 56
     # V below position p, "." at p, W above it: merges under byte masks
-    dot = W ^ ((0x2E2E2E2E2E2E2E2E ^ W) & _LOW.take(p + 1, axis=1))
-    below = _LOW.take(p, axis=1)
+    dot = W ^ ((0x2E2E2E2E2E2E2E2E ^ W) & t.low.take(p + 1, axis=1))
+    below = t.low.take(p, axis=1)
     words = np.empty((4, x.size), np.uint64)
-    words[0] = _PREFIX[5 * np.signbit(x) + np.maximum(1 - lead, 0)]
-    words[1:] = (dot ^ ((V ^ dot) & below)) & _LOW.take(keep, axis=1)
-    words[3] |= _EXP[E - _E_MIN]
+    words[0] = t.prefix.take(5 * np.signbit(x) + t.zeros.take(i))
+    words[1:] = (dot ^ ((V ^ dot) & below)) & t.low.take(keep, axis=1)
+    words[3] |= t.exp.take(i)
     ends = np.array([ord(sep)] * (X.shape[1] - 1) + [10], np.uint64) << 56
     words[3].reshape(X.shape)[:] |= ends
     slots = words.T.astype("<u8", order="C")
-    raw, idx = slots.view(np.uint8), np.flatnonzero(exact)
-    # FMT, space-padded to 31 bytes; FMT prints no spaces: they become NUL
-    padded = FMT.replace("%", "%-31") * idx.size % tuple(x[idx].tolist())
-    pad = np.frombuffer(padded.encode(), np.uint8).reshape(-1, 31)
-    raw[idx, :31] = np.where(pad == 32, 0, pad)
-    return slots.tobytes().translate(None, b"\0")
+    idx = np.flatnonzero(exact)
+    if idx.size:
+        # FMT, space-padded to 31 bytes; FMT prints no spaces: they become NUL
+        padded = FMT.replace("%", "%-31") * idx.size % tuple(x[idx].tolist())
+        pad = np.frombuffer(padded.encode(), np.uint8).reshape(-1, 31)
+        slots.view(np.uint8)[idx, :31] = np.where(pad == 32, 0, pad)
+    return slots.tobytes().translate(None, b"\0"), idx.size
 
 
 class TableWriter:
     """Writes the line ``header`` to ``path``, then one line per row of
     each 2-D float array given to ``rows``, its values as FMT joined by
     ``sep``.  Rows go to the file and to an incremental sha256 in blocks
-    of ``_BLOCK`` values; on leaving the ``with`` block, ``sha256`` holds
-    the file's hex digest and ``size`` its length in bytes."""
+    of ``_BLOCK`` values; ``fmt_values`` counts the values that FMT
+    itself formatted.  On leaving the ``with`` block, ``sha256`` holds the
+    file's hex digest and ``size`` its length in bytes."""
 
     def __init__(self, path, header, sep):
         self.sep = sep
+        self.fmt_values = 0
         self._fh = open(path, "wb")
         self._digest = hashlib.sha256()
         self._put(f"{header}\n".encode())
@@ -170,7 +243,9 @@ class TableWriter:
         X = np.asarray(X, dtype=float)
         step = max(1, _BLOCK // max(1, X.shape[1]))
         for i in range(0, len(X), step):
-            self._put(_format_block(X[i:i + step], self.sep))
+            text, fmt_values = _format_block(X[i:i + step], self.sep)
+            self._put(text)
+            self.fmt_values += fmt_values
 
     def __exit__(self, *exc):
         self.sha256, self.size = self._digest.hexdigest(), self._fh.tell()
@@ -489,6 +564,7 @@ def cmd_simulate(cfg, args, report):
         "periods": out.periods,
         "trace_rows": out.periods + 1,
         "trace_bytes": table.size,
+        "trace_fmt_values": table.fmt_values,
     }
     if args.measure == "hinf":
         report.data["diagnostics"]["designs"] = {

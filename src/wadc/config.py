@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ConfigError, HorizonTooLong, InvalidSampling
 from .grid_model import GeneratorParams, build_two_area_network
-from .sampled import split_delay
+from .sampled import MAX_SWEEP_IN_FLIGHT, split_delay
 from .sim_eval import MAX_PERIODS
 
 ENV_PREFIX = "WADC_"
@@ -313,11 +313,20 @@ def load_config(path=None, text=None, environ=None) -> BenchmarkConfig:
             raise ConfigError(f"[{sec}] {name} must have 3 entries "
                               "(angle, speed, flux)")
     horizon, h = values["scenario"]["horizon_s"], values["sampling"]["h_s"]
+    grid = values["sampling"]["delay_grid_s"]
     try:
-        split_delay(values["sampling"]["delay_grid_s"][-1], h)
+        split_delay(grid[-1], h)
     except InvalidSampling as exc:
         raise ConfigError(f"{source}: [sampling] delay_grid_s: {exc}") \
             from None
+    # floor(d/h) + 1 bounds the q + 1 samples in flight at each delay
+    in_flight = int(np.sum(np.floor(np.asarray(grid) / h) + 1))
+    if in_flight > MAX_SWEEP_IN_FLIGHT:
+        raise ConfigError(
+            f"{source}: [sampling] delay_grid_s: the grid's designs carry "
+            f"up to {in_flight} input samples in flight in all at h = "
+            f"{h:g} s, more than the {MAX_SWEEP_IN_FLIGHT} a sweep may "
+            "design; use fewer or shorter delays")
     periods = 0 if horizon is None else round(horizon / h)
     if periods > MAX_PERIODS:
         raise HorizonTooLong(f"[scenario] horizon_s = {horizon:g} s",

@@ -28,9 +28,15 @@ from .errors import IllPosedLyapunov, InvalidSampling
 # hinf` at d = 2.56 s, h = 0.02 s spends 8.9 s designing both modes (one
 # BLAS thread, 2-core host); the time grows faster than q squared
 MAX_IN_FLIGHT = 128
+# in-flight samples summed over a sweep's delay grid: twice the full-range
+# grid 0:0.02:2.56 (8,385), whose LQR sweep of both modes took 6.7 s; at
+# the cap an H-infinity sweep of both modes is at most 128 designs at
+# MAX_IN_FLIGHT, about 20 minutes
+MAX_SWEEP_IN_FLIGHT = 1 << 14
 
 __all__ = [
     "MAX_IN_FLIGHT",
+    "MAX_SWEEP_IN_FLIGHT",
     "CtsSystem",
     "CtsCost",
     "CtsModel",

@@ -13,7 +13,7 @@ from wadc import cli
 from wadc.cli import main, read_matrix, write_matrix
 from wadc.config import _REQUIRED, SCHEMA, load_config
 from wadc.errors import ConfigError
-from wadc.sampled import MAX_IN_FLIGHT
+from wadc.sampled import MAX_IN_FLIGHT, MAX_SWEEP_IN_FLIGHT
 from wadc.sim_eval import MAX_PERIODS
 
 CONFIG = str(pathlib.Path(__file__).resolve().parents[1]
@@ -132,6 +132,20 @@ class TestConfig:
         err = capsys.readouterr().err
         assert "delay_grid_s" in err and "50000000" in err
         assert str(MAX_IN_FLIGHT) in err
+        assert not (tmp_path / "sweep.csv").exists()
+
+    def test_grid_beyond_sweep_in_flight_cap_is_usage_error(
+            self, tmp_path, monkeypatch, capsys):
+        # 10,001 delays up to 2.56 s: each within both caps above, but
+        # 645,057 samples in flight over the sweep (645,073 by the bound),
+        # designed one by one
+        monkeypatch.setenv("WADC_SAMPLING__DELAY_GRID_S", "0:0.000256:2.56")
+        t0 = time.perf_counter()
+        assert run(tmp_path, "sweep", "--measure", "hinf") == 2
+        assert time.perf_counter() - t0 < 1.0
+        err = capsys.readouterr().err
+        assert "delay_grid_s" in err and "645073" in err
+        assert str(MAX_SWEEP_IN_FLIGHT) in err
         assert not (tmp_path / "sweep.csv").exists()
 
     @pytest.mark.parametrize("key", ["Z_T_OHM", "Z_L_OHM", "Z_C_OHM"])
@@ -533,6 +547,14 @@ class TestSimulateCommand:
         assert run(tmp_path, "simulate", "--measure", measure,
                    "--delay", delay) == 0
         assert trace_digest(tmp_path) == digest
+        if horizon == "auto":
+            # the exact digit path decides all but a few dozen values (0
+            # among them); a silent fall back to formatting every value in
+            # Python would show here
+            diag = json.loads((tmp_path / "report.json").read_text())[
+                "diagnostics"]
+            assert diag["trace_rows"] == 126257
+            assert diag["trace_fmt_values"] <= 64
 
     def test_streamed_memory_does_not_grow_with_horizon(self, tmp_path,
                                                        monkeypatch):
@@ -567,7 +589,8 @@ class TestSimulateCommand:
         assert report["summary"]["horizon_s"] == pytest.approx(582.22)
         assert diag["periods"] == 29111 and diag["trace_rows"] == 29112
         assert set(diag) == {"designs", "integrator_step_s", "periods",
-                             "steps_per_period", "trace_bytes", "trace_rows"}
+                             "steps_per_period", "trace_bytes",
+                             "trace_fmt_values", "trace_rows"}
         assert report["warnings"] == []
 
     def test_impulse_disturbance_trace(self, tmp_path, monkeypatch):

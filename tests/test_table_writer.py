@@ -1,7 +1,6 @@
 """The vectorized row writer against "%.17g" itself."""
 
 import hashlib
-import pathlib
 from fractions import Fraction
 
 import numpy as np
@@ -9,10 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wadc import cli
-from wadc.cli import FMT, main, write_table
-
-CONFIG = str(pathlib.Path(__file__).resolve().parents[1]
-             / "configs/benchmark.cfg")
+from wadc.cli import FMT, write_table
 
 
 def reference(X, sep=","):
@@ -22,8 +18,30 @@ def reference(X, sep=","):
 
 
 def assert_formats(X, sep=","):
+    """X formats as FMT does; returns how many values FMT itself formatted."""
     X = np.asarray(X, dtype=float)
-    assert cli._format_block(X, sep) == reference(X, sep)
+    text, fmt_values = cli._format_block(X, sep)
+    assert text == reference(X, sep)
+    assert fmt_values == cli._candidates(X.ravel())[2].sum()
+    return fmt_values
+
+
+def exact_digits(v):
+    """(N, E) of the finite nonzero float v in exact arithmetic: E =
+    floor(log10 |v|) and N = |v| 10^(16 - E) rounded half to even."""
+    q = abs(Fraction(v))
+    E = int(np.floor(np.log10(abs(v))))
+    while Fraction(10) ** E > q:
+        E -= 1
+    while Fraction(10) ** (E + 1) <= q:
+        E += 1
+    return round(q * Fraction(10) ** (16 - E)), E
+
+
+def is_tie(v):
+    """Whether v's 17-digit rounding is an exact tie."""
+    E = exact_digits(v)[1]
+    return (abs(Fraction(v)) * Fraction(10) ** (16 - E)).denominator == 2
 
 
 def with_neighbours(x):
@@ -71,12 +89,39 @@ def test_block_shapes(shape):
     assert_formats(-np.zeros(shape), " ")
 
 
-def test_margin_of_one_half_formats_every_value_exactly(monkeypatch):
-    monkeypatch.setattr(cli, "_MARGIN", 0.5)
+def test_candidates_match_exact_digits():
+    # random bit patterns cover every binade; then subnormals and the
+    # extremes.  Every finite nonzero value but the exact decimal ties
+    # takes the exact path, with the digits and exponent of exact arithmetic
     rng = np.random.default_rng(2)
-    X = rng.standard_normal((40, 5)) * 10.0 ** rng.integers(-30, 30, (40, 5))
-    assert cli._candidates(X.ravel())[2].all()
-    assert_formats(X)
+    bits = np.concatenate([
+        rng.integers(0, 2 ** 64, 12000, dtype=np.uint64),
+        rng.integers(1, 2 ** 52, 1000, dtype=np.uint64),         # subnormal
+        np.array([1, 2 ** 52 - 1, 2 ** 52, 0x7FEFFFFFFFFFFFFF], np.uint64)])
+    x = bits.view(float)
+    x = x[np.isfinite(x) & (x != 0)]
+    N, E, exact = cli._candidates(x)
+    for v, n, e, fmt in zip(x.tolist(), N.tolist(), E.tolist(), exact):
+        if fmt:
+            assert is_tie(v)
+        else:
+            assert exact_digits(v) == (n, e)
+    assert_formats(x.reshape(1, -1))
+
+
+def test_exact_decimal_ties_go_to_fmt():
+    # doubles whose 18th significant digit is an exact 5: j/8 in [2^49,
+    # 1e15) for odd j has 15 integer digits and a fraction .x75 or .x25
+    # (x.5 when scaled to 17 digits); %.17g rounds them half to even
+    rng = np.random.default_rng(4)
+    j = 2 * rng.integers(2 ** 51, 4 * 10 ** 15, 600) + 1
+    # and j/4 in [1e15, 2^50), with one digit after the point
+    k = 2 * rng.integers(2 * 10 ** 15, 2 ** 51, 600) + 1
+    x = np.concatenate([[626281195060352.375], j / 8, -k / 4])
+    assert FMT % 626281195060352.375 == "626281195060352.38"
+    assert all(is_tie(v) for v in x[::50].tolist())
+    assert cli._candidates(x)[2].all()
+    assert assert_formats(x[:-1].reshape(-1, 8)) == x.size - 1
 
 
 @pytest.mark.parametrize("shift", [-1, 1])
@@ -90,13 +135,21 @@ def test_exponent_off_by_one_is_formatted_exactly(monkeypatch, shift):
     assert_formats(X)
 
 
-def test_powers_of_ten_table_is_correctly_rounded():
-    for k, p in zip(range(16 - cli._E_MIN, 16 - cli._E_END, -1), cli._POW10):
-        exact = Fraction(10) ** k
-        err = abs(Fraction(*p.as_integer_ratio()) - exact)
-        for q in (np.nextafter(p, np.longdouble(0)),
-                  np.nextafter(p, np.longdouble(np.inf))):
-            assert abs(Fraction(*q.as_integer_ratio()) - exact) >= err
+def test_powers_of_ten_table():
+    # per exponent E: T = 10^(16-E) 2^-P in [1, 2) as hi + lo, hi correctly
+    # rounded, and hi split into two halves of at most 26 bits
+    t = cli._tables()
+    for E, (hi, hh, hl, lo), P in zip(range(cli._E_MIN, cli._E_END),
+                                      t.pow10.tolist(), t.P.tolist()):
+        T = Fraction(10) ** (16 - E) / Fraction(2) ** P
+        assert 1 <= T < 2
+        err = abs(Fraction(hi) - T)
+        for q in (np.nextafter(hi, 0.0), np.nextafter(hi, 4.0)):
+            assert abs(Fraction(q) - T) >= err
+        assert abs(Fraction(hi) + Fraction(lo) - T) <= Fraction(1, 2 ** 104)
+        assert Fraction(hh) + Fraction(hl) == Fraction(hi)
+        for half in (hh, hl):
+            assert abs(half.as_integer_ratio()[0]).bit_length() <= 26
 
 
 def test_streams_blocks(tmp_path, monkeypatch):
@@ -109,13 +162,3 @@ def test_streams_blocks(tmp_path, monkeypatch):
     data = path.read_bytes()
     assert data == b"a,b,c\n" + reference(X)
     assert (digest, size) == (hashlib.sha256(data).hexdigest(), len(data))
-
-
-def test_fast_path_decides_most_of_benchmark_trace(tmp_path):
-    # the benchmark's LQR trace: a silent fall back to formatting every
-    # value in Python would fail here
-    assert main(["--config", CONFIG, "--out", str(tmp_path), "simulate",
-                 "--measure", "lqr", "--delay", "0.1"]) == 0
-    X = np.loadtxt(tmp_path / "trace.csv", delimiter=",", skiprows=1)
-    assert X.shape == (126257, 13)
-    assert cli._candidates(X.ravel())[2].mean() <= 0.1
