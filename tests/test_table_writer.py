@@ -1,6 +1,7 @@
 """The vectorized row writer against "%.17g" itself."""
 
 import hashlib
+import pathlib
 from fractions import Fraction
 
 import numpy as np
@@ -8,7 +9,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wadc import cli
-from wadc.cli import FMT, write_table
+from wadc.cli import FMT, main, write_table
+
+CONFIG = str(pathlib.Path(__file__).resolve().parents[1]
+             / "configs/benchmark.cfg")
 
 
 def reference(X, sep=","):
@@ -150,6 +154,16 @@ def test_powers_of_ten_table():
         assert Fraction(hh) + Fraction(hl) == Fraction(hi)
         for half in (hh, hl):
             assert abs(half.as_integer_ratio()[0]).bit_length() <= 26
+
+
+def test_fast_path_decides_most_of_benchmark_trace(tmp_path):
+    # the benchmark's LQR trace: a silent fall back to formatting every
+    # value in Python would fail here
+    assert main(["--config", CONFIG, "--out", str(tmp_path), "simulate",
+                 "--measure", "lqr", "--delay", "0.1"]) == 0
+    X = np.loadtxt(tmp_path / "trace.csv", delimiter=",", skiprows=1)
+    assert X.shape == (126257, 13)
+    assert cli._candidates(X.ravel())[2].mean() <= 0.1
 
 
 def test_streams_blocks(tmp_path, monkeypatch):
