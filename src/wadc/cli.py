@@ -25,6 +25,7 @@ import ctypes
 import functools
 import hashlib
 import json
+import os
 import sys
 import time
 import types
@@ -619,12 +620,11 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         cfg = load_config(args.config)
+        os.makedirs(args.out, exist_ok=True)
     except (WadcError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    import os
-    os.makedirs(args.out, exist_ok=True)
     if args.command in ("sweep", "simulate"):
         args.out_file = os.path.join(
             args.out, "sweep.csv" if args.command == "sweep" else "trace.csv")
@@ -640,7 +640,3 @@ def main(argv=None):
         return 3
     report.write(os.path.join(args.out, "report.json"))
     return code
-
-
-if __name__ == "__main__":
-    sys.exit(main())

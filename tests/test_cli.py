@@ -1,7 +1,11 @@
+import gc
 import hashlib
 import importlib.util
 import json
+import os
 import pathlib
+import subprocess
+import sys
 import time
 import tracemalloc
 
@@ -9,6 +13,7 @@ import numpy as np
 import pytest
 
 from test_sim_eval import FALLING_WARNING, falling_designs
+from wadc import __main__ as entry
 from wadc import cli
 from wadc.cli import main, read_matrix, write_matrix
 from wadc.config import _REQUIRED, SCHEMA, load_config
@@ -421,6 +426,20 @@ def test_delay_must_be_finite_and_nonnegative(tmp_path, capsys, command,
     assert not (tmp_path / "report.json").exists()
 
 
+@pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
+def test_unusable_out_is_usage_error(tmp_path, capsys, under):
+    # --out names a file (FileExistsError) or a path below one
+    # (NotADirectoryError): the message, not a traceback, and exit 2
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    out = blocker / "out" if under else blocker
+    assert main(["--config", CONFIG, "--out", str(out), "linearize"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(out) in err
+    assert "Traceback" not in err
+    assert blocker.read_text() == ""
+
+
 class TestDesignCommand:
     def test_delay_beyond_in_flight_cap_refused(self, tmp_path, capsys):
         # typed, and before the lifted system is built
@@ -559,8 +578,9 @@ class TestSimulateCommand:
     def test_streamed_memory_does_not_grow_with_horizon(self, tmp_path,
                                                        monkeypatch):
         # rows go to the file as the recursion makes them: the memory the
-        # simulation and the writing take is the same for 30,001 rows and
-        # for 126,257
+        # simulation and the writing take is the same for 5,001 rows and
+        # for 50,001, both past one 2,048-row segment.  A trace held whole
+        # would differ by 45,000 rows of 13 values, 4.7 MB
         peaks = {}
         simulate = cli.simulate_closed_loop
 
@@ -573,7 +593,7 @@ class TestSimulateCommand:
                 tracemalloc.stop()
 
         monkeypatch.setattr(cli, "simulate_closed_loop", measured)
-        for horizon in ("600", "auto"):
+        for horizon in ("100", "1000"):
             monkeypatch.setenv("WADC_SCENARIO__HORIZON_S", horizon)
             assert run(tmp_path / horizon, "simulate", "--measure", "lqr",
                        "--delay", "0.1") == 0
@@ -610,6 +630,58 @@ class TestSimulateCommand:
         data = np.array([[float(v) for v in row.split(",")]
                          for row in trace[1:]])
         assert np.abs(data[:, 1:7]).max() > 0  # pulse excites the grid
+
+
+class TestProcessEntry:
+    """``python -m wadc`` and the ``wadc`` script run ``wadc.__main__.run``,
+    which freezes the import heap before ``cli.main``."""
+
+    @staticmethod
+    def spawn(out_dir, *argv):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+                   MKL_NUM_THREADS="1")
+        src = str(README.parent / "src")
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, (src, env.get("PYTHONPATH"))))
+        return subprocess.run(
+            [sys.executable, "-m", "wadc", "--config", CONFIG,
+             "--out", str(out_dir), *argv],
+            cwd=README.parent, env=env, capture_output=True, text=True,
+            timeout=60)
+
+    @staticmethod
+    def digests(out_dir):
+        outputs = json.loads((out_dir / "report.json").read_text())["outputs"]
+        return {pathlib.Path(path).name: record["sha256"]
+                for path, record in outputs.items()}
+
+    def test_linearize_matches_in_process_run(self, tmp_path):
+        proc = self.spawn(tmp_path / "entry", "linearize")
+        assert proc.returncode == 0, proc.stderr
+        assert "eig(A):" in proc.stdout
+        assert run(tmp_path / "main", "linearize") == 0
+        digests = self.digests(tmp_path / "entry")
+        assert sorted(digests) == ["A.txt", "B_u.txt", "B_w.txt",
+                                   "operating_point.txt"]
+        assert digests == self.digests(tmp_path / "main")
+
+    def test_wadc_error_exits_3(self, tmp_path):
+        proc = self.spawn(tmp_path, "design", "--delay", "1e6")
+        assert proc.returncode == 3
+        assert proc.stderr.startswith("error: ")
+        assert "input samples in flight" in proc.stderr
+
+    def test_run_freezes_before_main(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
+        monkeypatch.setattr(entry, "main", lambda: calls.append("main") or 5)
+        assert entry.run() == 5
+        assert calls == ["freeze", "main"]
+
+    def test_main_leaves_collector_alone(self, tmp_path):
+        frozen, enabled = gc.get_freeze_count(), gc.isenabled()
+        assert run(tmp_path, "linearize") == 0
+        assert (gc.get_freeze_count(), gc.isenabled()) == (frozen, enabled)
 
 
 class TestScripts:
