@@ -253,15 +253,6 @@ class TableWriter:
         self._fh.close()
 
 
-def write_table(path, header, X, sep):
-    """Write the line ``header``, then one line per row of the 2-D float
-    array X with its values as FMT joined by ``sep``; returns the file's
-    sha256 hex digest and its size."""
-    with TableWriter(path, header, sep) as table:
-        table.rows(X)
-    return table.sha256, table.size
-
-
 def _hold_freed_heap():
     """Keep freed heap memory mapped for the rest of the process.
 
@@ -289,18 +280,9 @@ def write_matrix(path, M):
     """Plain text: 'rows cols' then row-major values, 17 significant
     digits; returns the file's sha256 hex digest."""
     M = np.atleast_2d(np.asarray(M, dtype=float))
-    return write_table(path, f"{M.shape[0]} {M.shape[1]}", M, " ")[0]
-
-
-def read_matrix(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().split()
-        rows, cols = int(header[0]), int(header[1])
-        out = np.array([[float(v) for v in fh.readline().split()]
-                        for _ in range(rows)])
-    if out.shape != (rows, cols):
-        raise ValueError(f"{path}: malformed matrix file")
-    return out
+    with TableWriter(path, f"{M.shape[0]} {M.shape[1]}", " ") as table:
+        table.rows(M)
+    return table.sha256
 
 
 class RunReport:
@@ -520,9 +502,8 @@ def cmd_simulate(cfg, args, report):
         disturbance[0, 0] = scn_cfg["impulse_amp_A"]
 
     step_req = scn_cfg["integrator_step_s"]
-    scn = Scenario(initial_state=x_hat0, schedule=sched,
-                   disturbance=disturbance, integrator_step=step_req,
-                   horizon=scn_cfg["horizon_s"])
+    scn = Scenario(initial_state=x_hat0, disturbance=disturbance,
+                   integrator_step=step_req, horizon=scn_cfg["horizon_s"])
     header = (["t_s"]
               + [f"{n}_{i + 1}" for i in range(m)
                  for n in ("d_delta", "d_omega", "d_psi_f")]
@@ -632,11 +613,14 @@ def main(argv=None):
     handlers = {"linearize": cmd_linearize, "design": cmd_design,
                 "sweep": cmd_sweep, "simulate": cmd_simulate}
     try:
-        code = handlers[args.command](cfg, args, report)
-    except WadcError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        report.warn(str(exc))
+        try:
+            code = handlers[args.command](cfg, args, report)
+        except WadcError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            report.warn(str(exc))
+            code = 3
         report.write(os.path.join(args.out, "report.json"))
-        return 3
-    report.write(os.path.join(args.out, "report.json"))
+    except OSError as exc:   # an output file that cannot be written
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     return code

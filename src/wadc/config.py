@@ -281,7 +281,10 @@ def load_config(path=None, text=None, environ=None) -> BenchmarkConfig:
         if path is None:
             raise ValueError("need a path or a literal text")
         with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+            try:
+                text = fh.read()
+            except UnicodeDecodeError as exc:
+                raise ConfigError(f"{path}: not UTF-8 text ({exc})") from None
         source = str(path)
     else:
         source = "<memory>"

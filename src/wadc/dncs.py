@@ -102,8 +102,6 @@ class ModalDecomposition:
     M_u: np.ndarray
     M_w: np.ndarray
     M_x_inv: np.ndarray
-    M_u_inv: np.ndarray
-    M_w_inv: np.ndarray
     A_hat: np.ndarray
     B_u_hat: np.ndarray
     B_w_hat: np.ndarray
@@ -117,9 +115,8 @@ class ModalDecomposition:
     labels: tuple
 
     def __post_init__(self):
-        for name in ("M_x", "M_u", "M_w", "M_x_inv", "M_u_inv", "M_w_inv",
-                     "A_hat", "B_u_hat", "B_w_hat", "pattern_Mu",
-                     "pattern_Mx_inv"):
+        for name in ("M_x", "M_u", "M_w", "M_x_inv", "A_hat", "B_u_hat",
+                     "B_w_hat", "pattern_Mu", "pattern_Mx_inv"):
             getattr(self, name).setflags(write=False)
 
     @property
@@ -182,15 +179,13 @@ def symmetric_modes(plant: LinearPlant, gains: LocalGains,
         raise NotSymmetric("local gain rows differ across machines; both "
                            "machines must share one local gain row")
 
-    def pair(n):
+    def split(n):
         I = np.eye(n)
-        M = 0.5 * np.block([[I, I], [-I, I]])
-        return M, np.linalg.inv(M)
+        return 0.5 * np.block([[I, I], [-I, I]])
 
     nx, nu, nw = plant.n_x // 2, plant.n_u // 2, plant.n_w // 2
-    M_x, M_x_inv = pair(nx)
-    M_u, M_u_inv = pair(nu)
-    M_w, M_w_inv = pair(nw)
+    M_x, M_u, M_w = split(nx), split(nu), split(nw)
+    M_x_inv = np.linalg.inv(M_x)
     A_hat = M_x_inv @ gains.A_bar @ M_x
     B_u_hat = M_x_inv @ plant.B_u @ M_u
     B_w_hat = M_x_inv @ plant.B_w @ M_w
@@ -201,8 +196,7 @@ def symmetric_modes(plant: LinearPlant, gains: LocalGains,
         if off > 1e-8 * max(1.0, np.abs(M).max()):
             raise NotBlockDiagonalizable(what, float(off))
     return ModalDecomposition(
-        M_x=M_x, M_u=M_u, M_w=M_w,
-        M_x_inv=M_x_inv, M_u_inv=M_u_inv, M_w_inv=M_w_inv,
+        M_x=M_x, M_u=M_u, M_w=M_w, M_x_inv=M_x_inv,
         A_hat=A_hat, B_u_hat=B_u_hat, B_w_hat=B_w_hat,
         mode_x_dims=(nx, nx), mode_u_dims=(nu, nu), mode_w_dims=(nw, nw),
         machine_x_dims=gains.machine_x_dims,

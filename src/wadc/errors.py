@@ -100,6 +100,11 @@ class ScheduleMismatch(WadcError):
     """Delay schedule disagrees with the modal designs it should drive."""
 
 
+class StepGridTooFine(WadcError):
+    """The integrator step that puts every event on its grid would take
+    more steps per sampling period than a run may."""
+
+
 class HorizonTooLong(ConfigError):
     """Simulation horizon needs more sampling periods than a run may step."""
 

@@ -97,10 +97,6 @@ class NetworkModel:
         Y.setflags(write=False)
         H.setflags(write=False)
 
-    @property
-    def m(self):
-        return self.Y.shape[0]
-
 
 def build_two_area_network(Z_T, Z_L, Z_C, omega0=377.0) -> NetworkModel:
     """Two generators, each tied through Z_T to its own load bus (shunt
@@ -258,18 +254,6 @@ class OperatingPoint:
         self.x.setflags(write=False)
         self.u.setflags(write=False)
 
-    @property
-    def delta0(self):
-        return self.x[0::3]
-
-    @property
-    def omega(self):
-        return self.x[1::3]
-
-    @property
-    def psi_f0(self):
-        return self.x[2::3]
-
 
 def _equilibrium_residual(gens, net, theta, v_target):
     """Scaled residual of the equilibrium conditions at unknowns
@@ -413,7 +397,7 @@ def _fd_jacobian(f, x0, scale_steps):
     return J
 
 
-def linearize(gens, net, op: OperatingPoint, check_tol=1e-8) -> LinearPlant:
+def linearize(gens, net, op: OperatingPoint) -> LinearPlant:
     """Central-difference Jacobians of the dynamics at the operating point.
 
     Steps are per-coordinate, proportional to the coordinate magnitude and
@@ -425,7 +409,7 @@ def linearize(gens, net, op: OperatingPoint, check_tol=1e-8) -> LinearPlant:
     m = len(gens)
     scaled = rhs_scale(gens, net)
     rhs0 = dynamics_rhs(gens, net, op.x, op.u, None) / scaled
-    if np.abs(rhs0).max() > check_tol:
+    if np.abs(rhs0).max() > 1e-8:
         raise ValueError("operating point does not satisfy the equilibrium "
                          f"tolerance (scaled residual {np.abs(rhs0).max():.2e})")
 

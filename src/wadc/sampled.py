@@ -131,9 +131,6 @@ class CtsCost:
         object.__setattr__(self, "R1", R1)
         _freeze(Q1, N1, R1)
 
-    def stacked(self):
-        return np.block([[self.Q1, self.N1], [self.N1.T, self.R1]])
-
 
 @dataclass(frozen=True)
 class PMU:
@@ -292,18 +289,16 @@ class CtsModel:
 
 
 @functools.lru_cache(maxsize=4096)
-def _nice_fraction(x, rel_tol=1e-9):
-    """Snap a float to the fraction its shortest decimal form denotes.
+def _nice_fraction(x):
+    """Snap a float to the fraction its shortest decimal form denotes: the
+    nearest with denominator at most 1e6, if within 1e-9 relative.
 
     Sampling periods and delays are specified as short decimals; arithmetic
     like 5*0.02 must still classify d = 0.1 as an exact multiple of h.
     Memoized: a sweep splits every delay against the same h more than once.
     """
-    if isinstance(x, Fraction):
-        return x
-    x = float(x)
     f = Fraction(x).limit_denominator(10 ** 6)
-    if abs(float(f) - x) <= rel_tol * abs(x):
+    if abs(float(f) - x) <= 1e-9 * abs(x):
         return f
     return Fraction(x)
 

@@ -17,20 +17,15 @@ from fractions import Fraction
 
 import numpy as np
 
-from .dncs import (
-    DelaySchedule,
-    DistributedController,
-    ModeDesign,
-    delay_map,
-    design_mode,
-)
-from .errors import HorizonTooLong, UnstableSystem, WadcError
+from .dncs import DistributedController, ModeDesign, delay_map, design_mode
+from .errors import HorizonTooLong, StepGridTooFine, UnstableSystem, WadcError
 from .grid_model import LinearPlant
 from .sampled import _nice_fraction, split_delay
 from .synthesis import hinf_norm, stein_solve
 
 __all__ = [
     "MAX_PERIODS",
+    "MAX_STEPS_PER_PERIOD",
     "Scenario",
     "SimulationOutput",
     "SweepRow",
@@ -44,14 +39,14 @@ _BOUND_SLACK = 1e-9
 _BLOCK = 256   # sampling periods advanced by one batched product
 _SEGMENT = 8 * _BLOCK   # trace rows handed on together, about 0.3 MB
 MAX_PERIODS = 1_000_000   # sampling periods one simulation may step
+MAX_STEPS_PER_PERIOD = 2 ** 16   # RK4 steps in one sampling period
 
 
 @dataclass(frozen=True)
 class Scenario:
-    """One closed-loop run: initial condition, disturbance and timing."""
+    """One closed-loop run; the controller's schedule sets its timing."""
 
     initial_state: np.ndarray              # modal: x(0) = M_x x_hat(0)
-    schedule: DelaySchedule
     disturbance: np.ndarray = None         # (K, n_w) held samples, or None
     integrator_step: float = 1e-3          # requested; simulate refines it
     horizon: float = None                  # None: 20 sampled time constants
@@ -88,6 +83,7 @@ def _step_grid(requested, h, offsets, fastest_rate):
     Every event then falls on an even step index, so no composite Simpson
     pair straddles a command switch; and |lambda| dt <= 2.5 keeps each mode
     of a Hurwitz loop where RK4's amplification is below 1 in modulus.
+    A period of more than ``MAX_STEPS_PER_PERIOD`` steps is refused.
     """
     limit = min(float(requested), 2.5 / float(fastest_rate))
     lengths = [_nice_fraction(v) for v in (h, *offsets)]
@@ -99,7 +95,16 @@ def _step_grid(requested, h, offsets, fastest_rate):
     step = g / 2
     while float(step) > limit * (1 + 1e-12):
         step /= 2
-    return step, [int(f / step) for f in lengths]
+    counts = [int(f / step) for f in lengths]
+    if counts[0] > MAX_STEPS_PER_PERIOD:
+        raise StepGridTooFine(
+            f"the sampling period h = {float(h):g} s needs {counts[0]} "
+            f"integrator steps of {float(step):.6g} s, more than the "
+            f"{MAX_STEPS_PER_PERIOD} a period may take: the step must put "
+            "every sampling and switching instant on its grid; give the "
+            "delay on a coarser decimal grid (such as 0.1 or 0.013 s) or a "
+            "larger integrator_step_s")
+    return step, counts
 
 
 def _rk4_affine(A, dt):
@@ -318,11 +323,7 @@ class SweepRow:
 class SweepResult:
     rows: tuple
     warnings: tuple
-    meta: dict
     diagnostics: dict
-
-    def all_ok(self):
-        return all(r.status == "ok" for r in self.rows)
 
 
 def sweep_delays(model, dec, mode, measure, delay_grid, h, z0=None,
@@ -424,8 +425,5 @@ def sweep_delays(model, dec, mode, measure, delay_grid, h, z0=None,
             warnings.append(
                 f"measure decreased along {1 - frac:.0%} of consecutive "
                 "delay pairs; expected a nondecreasing trend")
-    meta = {"mode": dec.labels[i], "measure": measure, "h": h,
-            "gamma_tol": gamma_tol,
-            "z0": None if z0 is None else list(np.asarray(z0, float))}
-    return SweepResult(rows=tuple(rows), warnings=tuple(warnings), meta=meta,
+    return SweepResult(rows=tuple(rows), warnings=tuple(warnings),
                        diagnostics=diag)

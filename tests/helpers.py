@@ -26,6 +26,19 @@ def simulate_collect(plant, controller, scn, Q, R, C, D_u, D_w):
     return SimpleNamespace(**asdict(out), t=t, x=x, u=u, u_bar=u_bar, y=y)
 
 
+def read_matrix(path):
+    """The matrix in a file ``write_matrix`` wrote: 'rows cols', then one
+    line of values per row."""
+    with open(path, "r", encoding="utf-8") as fh:
+        header = fh.readline().split()
+        rows, cols = int(header[0]), int(header[1])
+        out = np.array([[float(v) for v in fh.readline().split()]
+                        for _ in range(rows)])
+    if out.shape != (rows, cols):
+        raise ValueError(f"{path}: malformed matrix file")
+    return out
+
+
 def random_stable_system(rng, n_x, n_u, n_w=1, n_y=None):
     """Random Hurwitz system with eigenvalues in [-2, -0.1]."""
     if n_y is None:

@@ -95,8 +95,8 @@ def test_criterion_2_lqr_certificate(bench_plant, gains_k1, dec_k1):
         # the smallest true cost increase under a +1% gain perturbation is
         # ~1e-5 absolute, so integrator bias and truncated tail must sit
         # well below that
-        scn = Scenario(initial_state=x_hat0, schedule=ctrl.schedule,
-                       integrator_step=0.0025, horizon=1500.0)
+        scn = Scenario(initial_state=x_hat0, integrator_step=0.0025,
+                       horizon=1500.0)
         out = simulate_collect(bench_plant, ctrl, scn, *BENCH_WEIGHTS)
         cert = md.result.J_star(md.disc.lift_state(x_hat0[:3]))
         worst_gap = max(worst_gap, abs(out.J - cert) / cert)
@@ -248,7 +248,7 @@ def test_criterion_8_trend_report(benchmark_sweeps):
         vals = [r.value for r in res.rows if r.status == "ok"]
         pairs = sum(1 for a, b in zip(vals, vals[1:]) if b >= a)
         frac = pairs / (len(vals) - 1)
-        details.append(f"{res.meta['measure']}: {frac:.0%} nondecreasing")
+        details.append(f"{res.rows[0].measure}: {frac:.0%} nondecreasing")
         # the sweep must have warned exactly when the trend fell short
         if frac < 0.9:
             reporting_ok = reporting_ok and len(res.warnings) > 0

@@ -12,10 +12,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from helpers import read_matrix
 from test_sim_eval import FALLING_WARNING, falling_designs
 from wadc import __main__ as entry
-from wadc import cli
-from wadc.cli import main, read_matrix, write_matrix
+from wadc import cli, sim_eval
+from wadc.cli import main, write_matrix
 from wadc.config import _REQUIRED, SCHEMA, load_config
 from wadc.errors import ConfigError
 from wadc.sampled import MAX_IN_FLIGHT, MAX_SWEEP_IN_FLIGHT
@@ -59,6 +60,18 @@ class TestConfig:
             load_config(text=text)
         assert "mystery_key" in str(exc.value)
         assert ":3" in str(exc.value)
+
+    def test_config_not_utf8_rejected(self, tmp_path, capsys):
+        # a UTF-16 byte-order mark: named, typed and a usage error
+        path = tmp_path / "utf16.cfg"
+        path.write_bytes(b"\xff\xfe[\x00s\x00")
+        with pytest.raises(ConfigError, match="not UTF-8") as exc:
+            load_config(path)
+        assert str(path) in str(exc.value)
+        assert main(["--config", str(path), "--out", str(tmp_path),
+                     "linearize"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(path) in err
 
     def test_unknown_section_rejected(self):
         with pytest.raises(ConfigError) as exc:
@@ -440,6 +453,22 @@ def test_unusable_out_is_usage_error(tmp_path, capsys, under):
     assert blocker.read_text() == ""
 
 
+@pytest.mark.parametrize("command, blocked", [
+    (("simulate", "--measure", "lqr"), "trace.csv"),
+    (("linearize",), "report.json"),
+], ids=["simulate-trace", "linearize-report"])
+def test_unwritable_output_file_is_usage_error(tmp_path, monkeypatch, capsys,
+                                               command, blocked):
+    # an output file that is a directory: the message, not a traceback,
+    # and exit 2
+    monkeypatch.setenv("WADC_SCENARIO__HORIZON_S", "1.0")
+    (tmp_path / blocked).mkdir()
+    assert run(tmp_path, *command) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and blocked in err
+    assert "Traceback" not in err
+
+
 class TestDesignCommand:
     def test_delay_beyond_in_flight_cap_refused(self, tmp_path, capsys):
         # typed, and before the lifted system is built
@@ -517,6 +546,19 @@ class TestSimulateCommand:
                    "--delay", "0.1") == 0
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["diagnostics"]["steps_per_period"] == 32768
+
+    def test_fine_delay_grid_refused(self, tmp_path, monkeypatch, capsys):
+        # a 0.1 us delay digit needs 1,999,998 steps per period: refused,
+        # typed, before any step map is built
+        monkeypatch.setattr(sim_eval, "_rk4_affine",
+                            lambda *a: pytest.fail("built a step map"))
+        monkeypatch.setenv("WADC_SCENARIO__HORIZON_S", "1.0")
+        t0 = time.perf_counter()
+        assert run(tmp_path, "simulate", "--measure", "lqr",
+                   "--delay", "0.1000001") == 3
+        assert time.perf_counter() - t0 < 1.0
+        err = capsys.readouterr().err
+        assert "1999998 integrator steps" in err and "integrator_step_s" in err
 
     def test_zero_state_zero_cost(self, tmp_path, monkeypatch):
         monkeypatch.setenv("WADC_SCENARIO__INITIAL_STATE", "0, 0, 0")

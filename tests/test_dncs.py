@@ -71,8 +71,6 @@ class TestSymmetricModes:
 
     def test_transform_inverse_exact(self, dec_k1):
         np.testing.assert_array_equal(dec_k1.M_x @ dec_k1.M_x_inv, np.eye(6))
-        np.testing.assert_array_equal(dec_k1.M_u @ dec_k1.M_u_inv, np.eye(2))
-        np.testing.assert_array_equal(dec_k1.M_w @ dec_k1.M_w_inv, np.eye(4))
 
     def test_subspace_projection_oracle(self):
         # the transform splits a swap-symmetric matrix into difference and
@@ -343,7 +341,7 @@ class TestAssembleController:
         memory = np.zeros(2 * ctrl.n_memory)
         for _ in range(10):
             v, v_hat = ctrl.sample(rng.normal(size=6), memory)
-            np.testing.assert_allclose(dec_k1.M_u_inv @ v, v_hat,
+            np.testing.assert_allclose(np.linalg.inv(dec_k1.M_u) @ v, v_hat,
                                        rtol=1e-13, atol=1e-16)
             memory = np.concatenate([v_hat, memory[:-2]])
 
@@ -374,7 +372,7 @@ class TestAssembleController:
         ctrl = DistributedController(gains_k1, dec_k1, sched, designs)
         x = np.array([0.5, 0.25, -0.125, 1.0, -0.5, 0.75])
         v, v_hat = ctrl.sample(x, np.zeros(0))
-        np.testing.assert_array_equal(dec_k1.M_u_inv @ v, v_hat)
+        np.testing.assert_array_equal(np.linalg.inv(dec_k1.M_u) @ v, v_hat)
 
     def test_schedule_mismatch(self, bench_plant, gains_k1, dec_k1):
         sched, designs = self._designs(bench_plant, gains_k1, dec_k1, 0.04)

@@ -127,9 +127,9 @@ class TestDynamics:
 
 class TestEquilibrium:
     def test_benchmark_symmetric(self, bench_op):
-        assert abs(bench_op.delta0[0] - bench_op.delta0[1]) <= 1e-9
-        assert abs(bench_op.psi_f0[0] - bench_op.psi_f0[1]) <= 1e-6
-        np.testing.assert_array_equal(bench_op.omega, [377.0, 377.0])
+        assert abs(bench_op.x[0] - bench_op.x[3]) <= 1e-9
+        assert abs(bench_op.x[2] - bench_op.x[5]) <= 1e-6
+        np.testing.assert_array_equal(bench_op.x[1::3], [377.0, 377.0])
 
     def test_forward_construction(self, bench_net):
         # hand-pick zero-mean rotor angles and fluxes, derive the consistent
@@ -145,20 +145,20 @@ class TestEquilibrium:
                                    "e_f0": 0.0715 * sol.i_f[i]})
                 for i in range(2)]
         op = solve_equilibrium(gens, bench_net)
-        np.testing.assert_allclose(op.delta0, delta_star, atol=1e-6)
-        np.testing.assert_allclose(op.psi_f0, psi_star, rtol=1e-6)
+        np.testing.assert_allclose(op.x[0::3], delta_star, atol=1e-6)
+        np.testing.assert_allclose(op.x[2::3], psi_star, rtol=1e-6)
 
     def test_unexcited_machine(self, bench_net):
         gens = make_gens(e_f0=0.0, T_m=10.0 * 377.0)
         op = solve_equilibrium(gens, bench_net)
-        np.testing.assert_allclose(op.psi_f0, 0, atol=1e-8)
+        np.testing.assert_allclose(op.x[2::3], 0, atol=1e-8)
         np.testing.assert_allclose(op.sol.T_e, 0, atol=1e-8)
 
     def test_terminal_voltage_mode(self, bench_gens, bench_net, bench_op):
         v_star = float(np.hypot(bench_op.sol.e_d[0], bench_op.sol.e_q[0]))
         op = solve_equilibrium(bench_gens, bench_net, v_target=v_star)
         np.testing.assert_allclose(op.u, [500.0, 500.0], rtol=1e-6)
-        np.testing.assert_allclose(op.psi_f0, bench_op.psi_f0, rtol=1e-6)
+        np.testing.assert_allclose(op.x[2::3], bench_op.x[2::3], rtol=1e-6)
 
     def test_inconsistent_torque_fails(self, bench_net):
         gens = make_gens(T_m=2 * BENCH_GEN["T_m"])

@@ -133,7 +133,7 @@ class TestPsiBlocks:
         # quadrature oracle: fine trajectory + Simpson on the integrand
         n_sub = 2000
         dt = b / n_sub
-        stack = cost.stacked()
+        stack = np.block([[cost.Q1, cost.N1], [cost.N1.T, cost.R1]])
         xs = np.empty((n_sub + 1, 2))
         xs[0] = x0
         x = x0.copy()

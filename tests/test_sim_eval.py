@@ -23,12 +23,18 @@ from wadc.dncs import (
     mode_system,
     symmetric_modes,
 )
-from wadc.errors import HorizonTooLong, NotStabilizable, UnstableSystem
+from wadc.errors import (
+    HorizonTooLong,
+    NotStabilizable,
+    StepGridTooFine,
+    UnstableSystem,
+)
 from wadc.grid_model import LinearPlant
 from wadc.sampled import CtsModel
 import wadc.sim_eval as sim_eval
 from wadc.sim_eval import (
     MAX_PERIODS,
+    MAX_STEPS_PER_PERIOD,
     Scenario,
     _rk4_affine,
     _step_grid,
@@ -71,6 +77,22 @@ class TestRefineStep:
         assert _step_grid(0.01, 0.02, [0.1], 16_000.0) == (
             Fraction(1, 6400), [128, 640])
 
+    @pytest.mark.parametrize("requested, offset, steps", [
+        (0.001, 0.1000001, 1_999_998),
+        (0.001, 0.0123456789, 2 ** 58),
+        (1e-9, 0.1, 2 ** 25),
+    ], ids=["delay-7-decimals", "delay-10-decimals", "step-1ns"])
+    def test_steps_per_period_capped(self, requested, offset, steps):
+        # a switching offset on a fine decimal grid, or a tiny request,
+        # would need millions of steps per period: refused by count
+        t0 = time.perf_counter()
+        with pytest.raises(StepGridTooFine,
+                           match="integrator_step_s") as exc:
+            _step_grid(requested, 0.02, [offset], 1.0)
+        assert time.perf_counter() - t0 < 1.0
+        assert f"needs {steps} integrator steps" in str(exc.value)
+        assert f"the {MAX_STEPS_PER_PERIOD} a period" in str(exc.value)
+
     def test_rk4_contracts_on_the_stability_half_disk(self):
         # R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24 is RK4's amplification;
         # on the boundary of {|z| <= 2.5, Re z <= 0} it is at most 1, and 1
@@ -99,8 +121,8 @@ class TestRefineStep:
         gains = request.getfixturevalue(f"gains_{gain_set}")
         dec = request.getfixturevalue(f"dec_{gain_set}")
         ctrl, _ = build_controller(bench_plant, gains, dec, 0.1)
-        scn = Scenario(initial_state=np.zeros(6), schedule=ctrl.schedule,
-                       integrator_step=0.01, horizon=0.02)
+        scn = Scenario(initial_state=np.zeros(6), integrator_step=0.01,
+                       horizon=0.02)
         dt = simulate_collect(bench_plant, ctrl, scn, *BENCH_WEIGHTS).step
         z = np.linalg.eigvals(gains.A_bar) * dt
         assert np.abs(z).max() <= 2.5 and (z.real < 0).all()
@@ -111,8 +133,8 @@ class TestRefineStep:
 class TestSimulate:
     def test_zero_initial_state(self, bench_plant, gains_k1, dec_k1):
         ctrl, _ = build_controller(bench_plant, gains_k1, dec_k1, 0.04)
-        scn = Scenario(initial_state=np.zeros(6), schedule=ctrl.schedule,
-                       integrator_step=0.01, horizon=5.0)
+        scn = Scenario(initial_state=np.zeros(6), integrator_step=0.01,
+                       horizon=5.0)
         out = simulate_collect(bench_plant, ctrl, scn, *BENCH_WEIGHTS)
         assert out.J == 0.0
         np.testing.assert_array_equal(out.x, 0.0)
@@ -124,8 +146,8 @@ class TestSimulate:
         # switching instant lands on an even index of the step taken
         ctrl, _ = build_controller(bench_plant, gains_k1, dec_k1, 0.03)
         sched = ctrl.schedule
-        scn = Scenario(initial_state=np.zeros(6), schedule=sched,
-                       integrator_step=0.02, horizon=1.0)
+        scn = Scenario(initial_state=np.zeros(6), integrator_step=0.02,
+                       horizon=1.0)
         out = simulate_collect(bench_plant, ctrl, scn, *BENCH_WEIGHTS)
         assert out.step == 0.005 and out.steps_per_period == 4
         for event in (sched.h, *sched.d_rho):
@@ -140,8 +162,8 @@ class TestSimulate:
                                          zero_gains=True)
         x_hat0 = np.array([1.0, 0, 0, 0, 0, 0])
         T_end = 50.0
-        scn = Scenario(initial_state=x_hat0, schedule=ctrl.schedule,
-                       integrator_step=0.005, horizon=T_end)
+        scn = Scenario(initial_state=x_hat0, integrator_step=0.005,
+                       horizon=T_end)
         out = simulate_collect(bench_plant, ctrl, scn, *BENCH_WEIGHTS)
         model = bench_mode_system(gains_k1, dec_k1, 0)
         P = scipy.linalg.solve_continuous_lyapunov(model.sys.A1.T,
@@ -157,8 +179,7 @@ class TestSimulate:
         rng = np.random.default_rng(0)
         x0 = rng.normal(size=6) * 0.1
         scn = Scenario(initial_state=dec_k1.M_x_inv @ x0,
-                       schedule=ctrl.schedule, integrator_step=0.01,
-                       horizon=2.0)
+                       integrator_step=0.01, horizon=2.0)
         out = simulate_collect(bench_plant, ctrl, scn, *BENCH_WEIGHTS)
         # independent stage-form RK4 on d/dt x = A_bar x
         A = gains_k1.A_bar
@@ -184,8 +205,8 @@ class TestSimulate:
         ctrl, designs = build_controller(bench_plant, gains_k1, dec_k1, tau)
         md = designs[0]
         x_hat0 = np.array([0.7, 0.1, -0.2, 0, 0, 0])
-        scn = Scenario(initial_state=x_hat0, schedule=ctrl.schedule,
-                       integrator_step=0.00125, horizon=4.0)
+        scn = Scenario(initial_state=x_hat0, integrator_step=0.00125,
+                       horizon=4.0)
         out = simulate_collect(bench_plant, ctrl, scn, *BENCH_WEIGHTS)
         z = md.disc.lift_state(x_hat0[:3])
         A_cl = md.disc.A2 + md.disc.B2u @ md.F
@@ -215,8 +236,8 @@ class TestSimulate:
             w[0, 0] = 50.0
 
         def run(T):
-            scn = Scenario(initial_state=x_hat0, schedule=sched,
-                           disturbance=w, integrator_step=step, horizon=T)
+            scn = Scenario(initial_state=x_hat0, disturbance=w,
+                           integrator_step=step, horizon=T)
             return simulate_collect(bench_plant, ctrl, scn, *BENCH_WEIGHTS)
 
         out = run(horizon)
@@ -244,8 +265,8 @@ class TestSimulate:
         ctrl, designs = build_controller(bench_plant, gains_k1, dec_k1, tau)
         md = designs[0]
         x_hat0 = np.array([1.0, 0, 0, 0, 0, 0])
-        scn = Scenario(initial_state=x_hat0, schedule=ctrl.schedule,
-                       integrator_step=0.01, horizon=800.0)
+        scn = Scenario(initial_state=x_hat0, integrator_step=0.01,
+                       horizon=800.0)
         out = simulate_collect(bench_plant, ctrl, scn, *BENCH_WEIGHTS)
         J_cert = md.result.J_star(md.disc.lift_state(x_hat0[:3]))
         assert abs(out.J - J_cert) <= 5e-3 * J_cert
@@ -255,8 +276,8 @@ class TestSimulate:
         x_hat0 = np.array([1.0, 0, 0, 0, 0, 0])
         Js = []
         for dt in (0.01, 0.005):
-            scn = Scenario(initial_state=x_hat0, schedule=ctrl.schedule,
-                           integrator_step=dt, horizon=100.0)
+            scn = Scenario(initial_state=x_hat0, integrator_step=dt,
+                           horizon=100.0)
             out = simulate_collect(bench_plant, ctrl, scn, *BENCH_WEIGHTS)
             Js.append(out.J)
         assert abs(Js[0] - Js[1]) <= 1e-4 * abs(Js[1])
@@ -265,8 +286,8 @@ class TestSimulate:
         ctrl, _ = build_controller(bench_plant, gains_k1, dec_k1, 0.02)
         w = np.zeros((1, 4))
         w[0, 0] = 50.0  # one-sample pulse at load bus 1
-        scn = Scenario(initial_state=np.zeros(6), schedule=ctrl.schedule,
-                       disturbance=w, integrator_step=0.01, horizon=20.0)
+        scn = Scenario(initial_state=np.zeros(6), disturbance=w,
+                       integrator_step=0.01, horizon=20.0)
         out = simulate_collect(bench_plant, ctrl, scn, *BENCH_WEIGHTS)
         assert np.abs(out.x).max() > 0  # the pulse excites the grid
         assert out.y.shape == (len(out.t), 2)
@@ -290,8 +311,8 @@ class TestSimulate:
             weights = BENCH_WEIGHTS
 
         def run(horizon):
-            scn = Scenario(initial_state=np.eye(6)[0], schedule=ctrl.schedule,
-                           integrator_step=0.01, horizon=horizon)
+            scn = Scenario(initial_state=np.eye(6)[0], integrator_step=0.01,
+                           horizon=horizon)
             return simulate_closed_loop(plant, ctrl, scn, *weights[:2],
                                         lambda *rows: None, *weights[2:])
 
@@ -311,8 +332,8 @@ class TestSimulate:
         plant, ctrl = triangular_loop(1.0, sampled_rate=-0.1)
 
         def run(horizon, trace):
-            scn = Scenario(initial_state=np.eye(6)[0], schedule=ctrl.schedule,
-                           integrator_step=0.01, horizon=horizon)
+            scn = Scenario(initial_state=np.eye(6)[0], integrator_step=0.01,
+                           horizon=horizon)
             return simulate_closed_loop(plant, ctrl, scn,
                                         *TRIANGULAR_WEIGHTS[:2], trace,
                                         *TRIANGULAR_WEIGHTS[2:])
@@ -333,8 +354,8 @@ class TestSimulate:
         # horizon of 20 time constants is 2e6 s; both are refused before
         # any period is stepped
         plant, ctrl = triangular_loop(1e-5, sampled_rate=1e-5)
-        scn = Scenario(initial_state=np.eye(6)[0], schedule=ctrl.schedule,
-                       integrator_step=0.01, horizon=horizon)
+        scn = Scenario(initial_state=np.eye(6)[0], integrator_step=0.01,
+                       horizon=horizon)
         t0 = time.perf_counter()
         with pytest.raises(HorizonTooLong, match="horizon_s") as exc:
             simulate_closed_loop(plant, ctrl, scn, *TRIANGULAR_WEIGHTS[:2],
@@ -463,7 +484,7 @@ class TestSweep:
         model = bench_mode_system(gains_k1, dec_k1, 0)
         grid = [0.0, 0.1, 0.3, 0.5]
         res = sweep_delays(model, dec_k1, 0, "lqr", grid, 0.02)
-        assert res.all_ok()
+        assert all(r.status == "ok" for r in res.rows)
         # the zero-delay design is the lower bound itself
         assert res.rows[0].value == res.rows[0].lower
         vals = [r.value for r in res.rows]
@@ -475,12 +496,12 @@ class TestSweep:
     def test_common_mode_sweep(self, gains_k1, dec_k1):
         model = bench_mode_system(gains_k1, dec_k1, 1)
         res = sweep_delays(model, dec_k1, "common", "lqr", [0.0, 0.2], 0.02)
-        assert res.all_ok()
+        assert all(r.status == "ok" for r in res.rows)
 
     def test_hinf_sweep_rows(self, gains_k2, dec_k2):
         model = bench_mode_system(gains_k2, dec_k2, 0)
         res = sweep_delays(model, dec_k2, 0, "hinf", [0.0, 0.2, 0.4], 0.02)
-        assert res.all_ok()
+        assert all(r.status == "ok" for r in res.rows)
         assert res.rows[0].value == res.rows[0].lower
 
     def test_hinf_zero_wait_row_is_exact_zero(self, gains_k2, dec_k2):
@@ -488,7 +509,7 @@ class TestSweep:
         # Schur-stable loop: the row and the lower bound are exactly 0
         model = bench_mode_system(gains_k2, dec_k2, 0)
         res = sweep_delays(model, dec_k2, 0, "hinf", [0.0, 0.02], 0.02)
-        assert res.all_ok()
+        assert all(r.status == "ok" for r in res.rows)
         assert res.rows[0].value == 0.0 and res.rows[0].lower == 0.0
         assert res.rows[1].value > 0.0
         md = design_mode(model, 0.02, 0.0, method="hinf")
@@ -501,7 +522,7 @@ class TestSweep:
         model = bench_mode_system(gains_k1, dec_k1, 0)
         grid = [0.0, 0.024, 0.028, 0.032, 0.036, 0.04, 0.044]
         res = sweep_delays(model, dec_k1, 0, "lqr", grid, 0.02)
-        assert res.all_ok()
+        assert all(r.status == "ok" for r in res.rows)
         # (0.02, 0.04] is one stack of five; 0.044 is a stack of its own
         assert res.diagnostics == {"rows_designed": 6, "stacks": 2,
                                    "largest_stack": 5, "rows_redesigned": 0}
@@ -544,7 +565,7 @@ class TestSweep:
         model = bench_mode_system(gains_k1, dec_k1, 0)
         res = sweep_delays(model, dec_k1, 0, "lqr", [0.0, 0.1, 0.2, 0.3],
                            0.02)
-        assert res.all_ok()
+        assert all(r.status == "ok" for r in res.rows)
         values = [r.value for r in res.rows]
         assert values[0] < values[1] and values[1:] == sorted(values[1:])[::-1]
         assert res.warnings == (FALLING_WARNING,)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wadc import cli
-from wadc.cli import FMT, main, write_table
+from wadc.cli import FMT, TableWriter, main
 
 CONFIG = str(pathlib.Path(__file__).resolve().parents[1]
              / "configs/benchmark.cfg")
@@ -172,7 +172,9 @@ def test_streams_blocks(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "_BLOCK", 7)
     X = np.random.default_rng(3).standard_normal((50, 3))
     path = tmp_path / "t.csv"
-    digest, size = write_table(path, "a,b,c", X, ",")
+    with TableWriter(path, "a,b,c", ",") as table:
+        table.rows(X)
     data = path.read_bytes()
     assert data == b"a,b,c\n" + reference(X)
-    assert (digest, size) == (hashlib.sha256(data).hexdigest(), len(data))
+    assert (table.sha256, table.size) == (hashlib.sha256(data).hexdigest(),
+                                          len(data))
