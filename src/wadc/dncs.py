@@ -38,7 +38,7 @@ __all__ = [
 _STRUCTURAL_ZERO = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LocalGains:
     """Per-machine continuous gains u_i = K_i x_i; the assembled loop
     A + B_u K must be Hurwitz (checked at construction)."""
@@ -89,7 +89,7 @@ def _offsets(dims):
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ModalDecomposition:
     """Coordinate change block-diagonalizing the pre-stabilized plant.
 
@@ -246,7 +246,7 @@ def mode_system(gains: LocalGains, dec: ModalDecomposition, i,
     return CtsModel(sys, cost)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DelaySchedule:
     """Link delays with the derived per-mode and per-machine waiting times."""
 
@@ -292,7 +292,7 @@ def delay_map(dec: ModalDecomposition, d):
     return d_hat, d_rho
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ModeDesign:
     """Sampled feedback for one mode plus its certificate."""
 

@@ -72,7 +72,7 @@ class GeneratorParams:
                 + 1.5 * self.L_a2 * np.array([[c2, s2], [s2, -c2]]))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NetworkModel:
     """Reduced network seen from the generator ports at synchronous speed.
 
@@ -120,7 +120,7 @@ def build_two_area_network(Z_T, Z_L, Z_C, omega0=377.0) -> NetworkModel:
     return NetworkModel(Y=Y_red, H=H_red, omega0=omega0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AlgebraicSolution:
     """Stator/network variables for fixed rotor states (arrays over machines)."""
 
@@ -241,7 +241,7 @@ def rhs_scale(gens, net):
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OperatingPoint:
     """Equilibrium of the nonlinear model (omega_i = omega0 exactly)."""
 
@@ -310,15 +310,9 @@ def solve_equilibrium(gens, net, v_target=None, tol=1e-10, max_iters=100):
     for _ in range(max_iters):
         if norm <= tol:
             break
-        Jac = np.empty((2 * m, 2 * m))
-        for j in range(2 * m):
-            step = 1e-7 * unknown_scale[j]
-            tp, tm_ = theta.copy(), theta.copy()
-            tp[j] += step
-            tm_[j] -= step
-            rp, _ = _equilibrium_residual(gens, net, tp, v_target)
-            rm, _ = _equilibrium_residual(gens, net, tm_, v_target)
-            Jac[:, j] = (rp - rm) / (2 * step) * unknown_scale[j]
+        Jac = _fd_jacobian(
+            lambda t: _equilibrium_residual(gens, net, t, v_target)[0],
+            theta, 1e-7 * unknown_scale) * unknown_scale
         # minimum-norm step: the common-angle direction is a null direction
         dscaled, *_ = np.linalg.lstsq(Jac, -res, rcond=1e-6)
         dtheta = dscaled * unknown_scale
@@ -349,7 +343,7 @@ def solve_equilibrium(gens, net, v_target=None, tol=1e-10, max_iters=100):
                           residual_history=tuple(history))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinearPlant:
     """Small-signal model d/dt dx = A dx + B_u du + B_w dw.
 
@@ -386,15 +380,15 @@ def _pow2_step(s):
 
 
 def _fd_jacobian(f, x0, scale_steps):
-    n_out = f(x0).shape[0]
-    J = np.empty((n_out, x0.size))
+    """Central differences of f at x0, column j with step scale_steps[j]."""
+    cols = []
     for j in range(x0.size):
         step = scale_steps[j]
         xp, xm = x0.copy(), x0.copy()
         xp[j] += step
         xm[j] -= step
-        J[:, j] = (f(xp) - f(xm)) / (2 * step)
-    return J
+        cols.append((f(xp) - f(xm)) / (2 * step))
+    return np.column_stack(cols)
 
 
 def linearize(gens, net, op: OperatingPoint) -> LinearPlant:

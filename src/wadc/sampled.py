@@ -10,8 +10,10 @@ lifted discrete state stacks the plant state with the q+1 input samples
 still "in flight".
 
 None of these closed forms depends on q.  A ``CtsModel`` computes the cost
-factorization (P, M, U) once per mode and Phi, Gamma and Psi once per
-interval length (h, each remainder r, h - r); ``discretize`` lifts them.
+factorization (P, M, U) once per mode, Phi, Gamma and Psi once per
+interval length (h, each remainder r, h - r), and the two input maps and
+the one-interval cost of each remainder once; ``discretize`` only places
+them in the lifted matrices.
 """
 
 import functools
@@ -64,7 +66,7 @@ def _freeze(*arrays):
         a.setflags(write=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CtsSystem:
     """Continuous-time plant with a delayed held control input."""
 
@@ -107,7 +109,7 @@ class CtsSystem:
         return self.C1.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CtsCost:
     """Quadratic running cost on state and (delayed) input."""
 
@@ -132,7 +134,7 @@ class CtsCost:
         _freeze(Q1, N1, R1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PMU:
     """Factorization (P, M, U) of the running cost against the dynamics.
 
@@ -149,7 +151,7 @@ class PMU:
         _freeze(self.P, self.M, self.U)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiscretizedSystem:
     """Lifted discrete-time system, output map and summed quadratic cost.
 
@@ -277,6 +279,7 @@ class CtsModel:
         self.sys, self.cost = sys, cost
         self.pmu = solve_pmu(sys, cost)
         self._intervals = {}
+        self._remainders = {}
 
     def interval(self, b):
         """(Phi, Gamma, Psi) of a held-input interval of length b."""
@@ -286,6 +289,34 @@ class CtsModel:
                 Phi, Gamma, psi_blocks(self.pmu, self.sys, b, Phi, Gamma))
             _freeze(*self._intervals[b])
         return self._intervals[b]
+
+    def remainder(self, h, r):
+        """(Gamma1, Gamma0, W) of a sampling interval of length h whose
+        delayed input switches at r in (0, h]: x_{k+1} = Phi(h) x_k +
+        Gamma1 u_{k-q-1} + Gamma0 u_{k-q}, and the interval's cost is
+        v' W v with v = [x_k; u_{k-q-1}; u_{k-q}].  The held-input cost
+        identity applies on (kh, kh+r] with input u_{k-q-1} and on
+        (kh+r, kh+h] with input u_{k-q}.  None of it depends on q, so
+        every delay with remainder r shares one frozen triple."""
+        key = (h, r)
+        if key not in self._remainders:
+            sys = self.sys
+            n_x, n_u = sys.n_x, sys.n_u
+            Phi_r, Gamma_r, psi_r = self.interval(r)
+            Phi_hr, Gamma_hr, psi_hr = self.interval(h - r)
+            Gamma1 = Phi_hr @ Gamma_r @ sys.B1u
+            Gamma0 = Gamma_hr @ sys.B1u
+            phi1 = np.zeros((n_x + n_u, n_x + 2 * n_u))
+            phi1[:n_x, :n_x] = Phi_r
+            phi1[:n_x, n_x:n_x + n_u] = Gamma_r @ sys.B1u
+            phi1[n_x:, n_x + n_u:] = np.eye(n_u)
+            W = np.zeros((n_x + 2 * n_u, n_x + 2 * n_u))
+            W[:n_x + n_u, :n_x + n_u] = psi_r
+            W += phi1.T @ psi_hr @ phi1
+            W = 0.5 * (W + W.T)
+            self._remainders[key] = (Gamma1, Gamma0, W)
+            _freeze(Gamma1, Gamma0, W)
+        return self._remainders[key]
 
 
 @functools.lru_cache(maxsize=4096)
@@ -303,13 +334,15 @@ def _nice_fraction(x):
     return Fraction(x)
 
 
+@functools.lru_cache(maxsize=4096)
 def split_delay(d, h):
     """Split d = q*h + r with q = max{k integer: k*h < d} and r in (0, h].
 
     For d = 0 returns (0, 0.0).  Performed in exact rational arithmetic on
     the shortest-decimal reading of d and h so that grid multiples land on
     r = h exactly.  A delay with more than ``MAX_IN_FLIGHT`` input samples
-    in flight is refused.
+    in flight is refused.  Memoized: a sweep splits each delay once to
+    group its rows and again to discretize it.
     """
     if h <= 0:
         raise InvalidSampling(f"sampling period must be positive, got {h}")
@@ -339,12 +372,12 @@ def discretize(model: CtsModel, h, d=0.0) -> DiscretizedSystem:
     """Discretize a mode's plant, output and cost exactly under sampling
     period h and input delay d.
 
-    With d > 0 the lifted state carries the q+1 input samples in flight; the
-    per-interval cost is assembled by applying the held-input cost identity
-    on (kh, kh+r] with input u_{k-q-1} and on (kh+r, kh+h] with input
-    u_{k-q}.  The disturbance is held and undelayed, and the sampled output
-    uses the input sample active just after the sampling instant,
-    u_{k-q-1}, which for d > 0 sits inside z_k (so D2u = 0 there).
+    With d > 0 the lifted state carries the q+1 input samples in flight,
+    and the input maps and per-interval cost are those of the remainder r
+    (``CtsModel.remainder``), placed by q.  The disturbance is held and
+    undelayed, and the sampled output uses the input sample active just
+    after the sampling instant, u_{k-q-1}, which for d > 0 sits inside z_k
+    (so D2u = 0 there).
     """
     h = float(h)
     if h <= 0:
@@ -369,17 +402,14 @@ def discretize(model: CtsModel, h, d=0.0) -> DiscretizedSystem:
 
     n_mem = q + 1
     n_z = n_x + n_mem * n_u
-    Phi_r, Gamma_r, psi_r = model.interval(r)
-    Phi_hr, Gamma_hr, psi_hr = model.interval(h - r)
-    Gamma1 = Phi_hr @ Gamma_r @ sys.B1u   # multiplies u_{k-q-1}
-    Gamma0 = Gamma_hr @ sys.B1u           # multiplies u_{k-q}
+    Gamma1, Gamma0, W = model.remainder(h, r)
 
     A2 = np.zeros((n_z, n_z))
     A2[:n_x, :n_x] = Phi_h
-    A2[:n_x, n_x:n_x + n_u] = Gamma1
+    A2[:n_x, n_x:n_x + n_u] = Gamma1   # multiplies u_{k-q-1}
     B2u = np.zeros((n_z, n_u))
     if q == 0:
-        B2u[:n_x] = Gamma0
+        B2u[:n_x] = Gamma0             # multiplies u_{k-q}
         B2u[n_x:] = np.eye(n_u)
     else:
         A2[:n_x, n_x + n_u:n_x + 2 * n_u] = Gamma0
@@ -396,16 +426,8 @@ def discretize(model: CtsModel, h, d=0.0) -> DiscretizedSystem:
     D2u = np.zeros((n_y, n_u))
     D2w = sys.D1w.copy()
 
-    # cost over one interval touches x_k, u_{k-q-1} and u_{k-q} only
-    phi1 = np.zeros((n_x + n_u, n_x + 2 * n_u))
-    phi1[:n_x, :n_x] = Phi_r
-    phi1[:n_x, n_x:n_x + n_u] = Gamma_r @ sys.B1u
-    phi1[n_x:, n_x + n_u:] = np.eye(n_u)
-    W = np.zeros((n_x + 2 * n_u, n_x + 2 * n_u))
-    W[:n_x + n_u, :n_x + n_u] = psi_r
-    W += phi1.T @ psi_hr @ phi1
-    W = 0.5 * (W + W.T)
-
+    # cost over one interval touches x_k, u_{k-q-1} and u_{k-q} only; at
+    # q = 0 the last of them is the new input
     big = np.zeros((n_z + n_u, n_z + n_u))
     big[:n_x + 2 * n_u, :n_x + 2 * n_u] = W
     Q2 = big[:n_z, :n_z].copy()

@@ -42,7 +42,7 @@ MAX_PERIODS = 1_000_000   # sampling periods one simulation may step
 MAX_STEPS_PER_PERIOD = 2 ** 16   # RK4 steps in one sampling period
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Scenario:
     """One closed-loop run; the controller's schedule sets its timing."""
 
@@ -393,8 +393,10 @@ def sweep_delays(model, dec, mode, measure, delay_grid, h, z0=None,
                         value=value, lower=lower, upper=upper, status=status)
 
     value0 = row_value(md0)
-    waits = [float(delay_map(dec, np.where(links, tau, 0.0))[0][i])
-             for tau in delay_grid]
+    # every link carries the row's delay, so the mode waits tau times its
+    # wait under unit link delays: 1 if any link feeds it, else 0
+    unit = float(delay_map(dec, links.astype(float))[0][i])
+    waits = [tau * unit for tau in delay_grid]
 
     def stack(j):
         """Consecutive rows with one key are designed together: zero waits

@@ -109,7 +109,9 @@ def stein_solve(A, Q):
     """Solve P = A' P A + Q for Schur-stable A by Smith doubling.
 
     The doubling forms S = sum_{i < 2^j} (A^i)' Q A^i and T = A^(2^j); a
-    slice stops once max|T|^2 max|S| <= 1e-18 (1 + max|Q|).  The same
+    slice stops once max|T|^2 max|S| <= 1e-18 (1 + max|Q|), and max|S| is
+    reduced only on doublings where its lower bound |S[0, 0]| does not
+    already fail that test for every slice.  The same
     powers certify its stability: rho(A)^(2^j) = rho(T) <= n max|T|
     (Gelfand), so a slice that stops with n max|T| < 1/2 has rho(A) < 1,
     usually by nine orders of magnitude, and needs no eigenvalue solve.
@@ -144,8 +146,15 @@ def stein_solve(A, Q):
                 sure = [ok or b for ok, b in zip(sure, big)]
         S = S + T.mT @ S @ T
         T = T @ T
-        # each slice's stop test, in floats as for one matrix
+        # each slice's stop test, in floats as for one matrix.  Rounding is
+        # monotone, so a slice that fails it with |S[0, 0]| <= max|S| in
+        # place of max|S| fails it with max|S| too; max|S| is needed only
+        # when some slice does not fail with |S[0, 0]| (a NaN product
+        # does not)
         t = _max(T)
+        if all(x ** 2 * abs(s) > c for x, s, c in zip(t, S[:, 0, 0].tolist(),
+                                                      tol)):
+            continue
         done = [x ** 2 * s <= c for x, s, c in zip(t, _max(S), tol)]
         if any(done):
             unsure += [j for j, x, ok, d in zip(live.tolist(), t, sure, done)
@@ -321,7 +330,7 @@ def dare_solve(A, B, Q, N=None, R=None):
     return (P[0], F[0]) if single else (P, F)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LqrResult:
     """Optimal sampled state feedback u_k = F z_k with value z0' P z0."""
 
@@ -415,7 +424,7 @@ def hinf_norm(A, B, C, D):
     return lb
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HinfResult:
     """Certified attenuation design: u_k = F z_k keeps the closed-loop
     disturbance-to-output norm below gamma."""

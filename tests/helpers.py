@@ -7,8 +7,8 @@ import numpy as np
 from scipy.linalg import expm
 
 from wadc.dncs import design_mode
-from wadc.errors import GammaInfeasible
-from wadc.sampled import CtsCost, CtsSystem, split_delay
+from wadc.errors import GammaInfeasible, UnstableSystem
+from wadc.sampled import CtsCost, CtsSystem, DiscretizedSystem, split_delay
 from wadc.sim_eval import simulate_closed_loop
 from wadc.synthesis import hinf_design, hinf_norm
 
@@ -65,6 +65,107 @@ def random_psd_cost(rng, n_x, n_u, cross=True):
         S[:n_x, n_x:] = 0.0
         S[n_x:, :n_x] = 0.0
     return CtsCost(Q1=S[:n_x, :n_x], N1=S[:n_x, n_x:], R1=S[n_x:, n_x:])
+
+
+def discretize_per_row(model, h, d):
+    """The lifted system of one delay, with its remainder's input maps and
+    one-interval cost assembled for this row alone from the model's
+    (Phi, Gamma, Psi) intervals: an oracle for ``discretize``, which takes
+    them from the model's per-remainder cache."""
+    h = float(h)
+    q, r = split_delay(d, h)
+    sys = model.sys
+    n_x, n_u, n_w, n_y = sys.n_x, sys.n_u, sys.n_w, sys.n_y
+    Phi_h, Gamma_h, psi = model.interval(h)
+    if d == 0:
+        return DiscretizedSystem(
+            A2=Phi_h, B2u=Gamma_h @ sys.B1u, B2w=Gamma_h @ sys.B1w,
+            C2=sys.C1.copy(), D2u=sys.D1u.copy(), D2w=sys.D1w.copy(),
+            Q2=psi[:n_x, :n_x].copy(), N2=psi[:n_x, n_x:].copy(),
+            R2=psi[n_x:, n_x:].copy(),
+            h=h, d=0.0, q=0, r=0.0, n_x=n_x, n_u=n_u, n_w=n_w)
+    n_z = n_x + (q + 1) * n_u
+    Phi_r, Gamma_r, psi_r = model.interval(r)
+    Phi_hr, Gamma_hr, psi_hr = model.interval(h - r)
+    A2 = np.zeros((n_z, n_z))
+    A2[:n_x, :n_x] = Phi_h
+    A2[:n_x, n_x:n_x + n_u] = Phi_hr @ Gamma_r @ sys.B1u
+    B2u = np.zeros((n_z, n_u))
+    if q == 0:
+        B2u[:n_x] = Gamma_hr @ sys.B1u
+        B2u[n_x:] = np.eye(n_u)
+    else:
+        A2[:n_x, n_x + n_u:n_x + 2 * n_u] = Gamma_hr @ sys.B1u
+        A2[n_x:n_x + q * n_u, n_x + n_u:] = np.eye(q * n_u)
+        B2u[n_x + q * n_u:] = np.eye(n_u)
+    B2w = np.zeros((n_z, n_w))
+    B2w[:n_x] = Gamma_h @ sys.B1w
+    C2 = np.zeros((n_y, n_z))
+    C2[:, :n_x] = sys.C1
+    C2[:, n_x:n_x + n_u] = sys.D1u
+    # the cost of (kh, kh+r] with u_{k-q-1}, then of (kh+r, kh+h] with
+    # u_{k-q} from the state reached at kh+r
+    phi1 = np.zeros((n_x + n_u, n_x + 2 * n_u))
+    phi1[:n_x, :n_x] = Phi_r
+    phi1[:n_x, n_x:n_x + n_u] = Gamma_r @ sys.B1u
+    phi1[n_x:, n_x + n_u:] = np.eye(n_u)
+    W = np.zeros((n_x + 2 * n_u, n_x + 2 * n_u))
+    W[:n_x + n_u, :n_x + n_u] = psi_r
+    W += phi1.T @ psi_hr @ phi1
+    W = 0.5 * (W + W.T)
+    big = np.zeros((n_z + n_u, n_z + n_u))
+    big[:n_x + 2 * n_u, :n_x + 2 * n_u] = W
+    return DiscretizedSystem(
+        A2=A2, B2u=B2u, B2w=B2w, C2=C2, D2u=np.zeros((n_y, n_u)),
+        D2w=sys.D1w.copy(), Q2=big[:n_z, :n_z].copy(),
+        N2=big[:n_z, n_z:].copy(), R2=big[n_z:, n_z:].copy(),
+        h=h, d=float(d), q=q, r=r, n_x=n_x, n_u=n_u, n_w=n_w)
+
+
+def stein_every_doubling(A, Q):
+    """Smith doubling for P = A'PA + Q, one slice of a stack at a time,
+    reducing max|S| on every doubling: an oracle for ``stein_solve``'s
+    stop rule max|T|^2 max|S| <= 1e-18 (1 + max|Q|), which skips that
+    reduction on doublings that cannot stop.
+
+    Each slice is doubled as a stack of one, so every product is the BLAS
+    call the stack makes on it.  A slice whose max|T| passes 1e30 gets an
+    eigenvalue check at once, and one that stops without
+    n max|T| < 1/2 or runs out of doublings gets one after its loop; an
+    eigenvalue on or outside the unit circle raises ``UnstableSystem``.
+    Returns P and each slice's number of doublings.
+    """
+    A = np.asarray(A, dtype=float)
+    Q = np.asarray(Q, dtype=float)
+    single = A.ndim == 2
+    if single:
+        A, Q = A[None], Q[None]
+    n = A.shape[-1]
+
+    def unstable(a):
+        return np.abs(np.linalg.eigvals(a)).max() >= 1.0
+
+    P, counts = np.empty(A.shape), []
+    for a, q in zip(A, Q):
+        S, T = 0.5 * (q + q.T)[None], a[None].copy()
+        tol = 1e-18 * (1.0 + float(np.abs(S).max()))
+        checked, stopped, count = False, False, 0
+        while count < 120 and not stopped:
+            if not checked and float(np.abs(T).max()) > 1e30:
+                if unstable(a):
+                    raise UnstableSystem("oracle: unstable slice")
+                checked = True
+            S = S + T.mT @ S @ T
+            T = T @ T
+            count += 1
+            stopped = (float(np.abs(T).max()) ** 2 * float(np.abs(S).max())
+                       <= tol)
+        certified = stopped and float(np.abs(T).max()) < 0.5 / n
+        if not (checked or certified) and unstable(a):
+            raise UnstableSystem("oracle: unstable slice")
+        P[len(counts)] = 0.5 * (S[0] + S[0].T)
+        counts.append(count)
+    return (P[0] if single else P), counts
 
 
 def rk4_segment(A, Bu, u, x0, length, n_sub):

@@ -25,6 +25,8 @@ from wadc.sim_eval import MAX_PERIODS
 CONFIG = str(pathlib.Path(__file__).resolve().parents[1]
              / "configs/benchmark.cfg")
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+BENCH_REFERENCE = (pathlib.Path(__file__).resolve().parents[1]
+                   / "perfbench" / "reference.json")
 
 
 def run(tmp_path, *argv):
@@ -370,6 +372,20 @@ class TestSweepCommand:
             (tmp_path / "sweep.csv").read_bytes()).hexdigest()
         assert digest == ("06d0f2af853b3fa0e6fa72cc8894f631"
                           "b43434183f5aa039f2a08751b1d715f5")
+
+    def test_benchmark_fine_sweep_matches_its_reference(self, tmp_path,
+                                                        monkeypatch):
+        # the benchmark's sweep-lqr-fine workload at seed 0 must write the
+        # bytes whose sha256 the benchmark's reference pins (read, never
+        # written here)
+        grid = "0:0.002:0.5"
+        ref = json.loads(BENCH_REFERENCE.read_text())["sweep-lqr-fine"][grid]
+        monkeypatch.setenv("WADC_SAMPLING__DELAY_GRID_S", grid)
+        assert run(tmp_path, "sweep", "--measure", "lqr", "--mode",
+                   "all") == 0
+        data = (tmp_path / "sweep.csv").read_bytes()
+        assert data.count(b"\n") == ref["rows"] + 1   # with the header
+        assert hashlib.sha256(data).hexdigest() == ref["sha256"]
 
     def test_offset_fine_lqr_sweep_golden_digest(self, tmp_path,
                                                  monkeypatch):

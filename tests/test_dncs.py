@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,8 @@ from wadc.errors import (
     UnstableLocalLoop,
 )
 from wadc.grid_model import LinearPlant
+from wadc.sim_eval import Scenario
+from wadc.synthesis import HinfResult
 
 
 def synthetic_symmetric_plant(rng, stable=True):
@@ -406,3 +410,26 @@ class TestAssembleController:
             mem = z[3:].copy()
             z[3:-1] = mem[1:]
             z[-1] = v_hat_expected[0]
+
+
+def test_array_dataclasses_compare_by_identity(bench_net, bench_op,
+                                               bench_plant, gains_k1,
+                                               dec_k1):
+    # a generated __eq__ would compare ndarray fields, whose truth value is
+    # ambiguous, and a generated __hash__ would hash them; every dataclass
+    # holding an array compares and hashes as the object it is
+    model = bench_mode_system(gains_k1, dec_k1, 0)
+    md = design_mode(model, 0.02, 0.0)
+    objects = [
+        bench_net, bench_op.sol, bench_op, bench_plant, gains_k1, dec_k1,
+        DelaySchedule.from_links(dec_k1, np.zeros((2, 2)), 0.02), md,
+        model.sys, model.cost, model.pmu, md.disc, md.result,
+        HinfResult(F=np.zeros((1, 3)), gamma=1.0, norm=0.5),
+        Scenario(initial_state=np.ones(3)),
+    ]
+    assert len({type(x) for x in objects}) == 15
+    for x in objects:
+        twin = copy.copy(x)
+        assert x == x and not x != x
+        assert x != twin and twin not in [x]
+        assert hash(x) == hash(x) and len({x, twin}) == 2

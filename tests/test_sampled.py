@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from wadc.errors import IllPosedLyapunov, InvalidSampling
 from helpers import (
+    discretize_per_row,
     quadrature_cost_oracle,
     random_psd_cost,
     random_stable_system,
@@ -14,6 +15,7 @@ from helpers import (
     rk4_segment,
 )
 
+from test_dncs import bench_mode_system
 from wadc.sampled import (
     CtsCost,
     CtsModel,
@@ -350,6 +352,67 @@ class TestCtsModel:
         for a in (*blocks, model.pmu.P, model.pmu.M, model.pmu.U):
             assert not a.flags.writeable
         assert discretize(model, 0.02).A2 is discretize(model, 0.02).A2
+
+
+class TestRemainderBlocks:
+    def assert_bitwise(self, disc, ref):
+        for f in dataclasses.fields(disc):
+            a, b = getattr(disc, f.name), getattr(ref, f.name)
+            if isinstance(a, np.ndarray):
+                assert a.shape == b.shape and np.array_equal(a, b), f.name
+            else:
+                assert a == b, f.name
+
+    def test_rows_share_one_remainder(self, monkeypatch):
+        # 0.002, 0.022 and 0.042 s split into q = 0, 1, 2 and one r, so
+        # their rows place the same frozen blocks, built once
+        rng = np.random.default_rng(23)
+        model = CtsModel(random_stable_system(rng, 3, 2, n_w=2),
+                         random_psd_cost(rng, 3, 2))
+        h, n_x, n_u = 0.02, 3, 2
+        handed = []
+        real = model.remainder
+
+        def recorded(*args):
+            handed.append(real(*args))
+            return handed[-1]
+
+        monkeypatch.setattr(model, "remainder", recorded)
+        discs = [discretize(model, h, d) for d in (0.002, 0.022, 0.042)]
+        assert [disc.q for disc in discs] == [0, 1, 2]
+        assert len({id(b) for b in handed}) == 1
+        Gamma1, Gamma0, W = handed[0]
+        assert all(not a.flags.writeable for a in handed[0])
+        for disc in discs:
+            assert np.array_equal(disc.A2[:n_x, n_x:n_x + n_u], Gamma1)
+            assert np.array_equal(disc.Q2[:n_x + n_u, :n_x + n_u],
+                                  W[:n_x + n_u, :n_x + n_u])
+        assert np.array_equal(discs[0].B2u[:n_x], Gamma0)
+        assert np.array_equal(discs[1].A2[:n_x, n_x + n_u:n_x + 2 * n_u],
+                              Gamma0)
+
+    def test_random_models_match_per_row_assembly(self):
+        rng = np.random.default_rng(24)
+        delays = (0.0, 0.001, 0.02, 0.0206, 0.04, 0.05, 0.1, 0.133, 0.5)
+        for n_x, n_u in ((2, 1), (3, 2), (4, 1)):
+            model = CtsModel(random_stable_system(rng, n_x, n_u, n_w=2),
+                             random_psd_cost(rng, n_x, n_u))
+            # one model at two sampling periods, delays up and down
+            for h in (0.02, 0.05):
+                for d in delays + delays[::-1]:
+                    self.assert_bitwise(discretize(model, h, d),
+                                        discretize_per_row(model, h, d))
+
+    def test_benchmark_fine_grid_matches_per_row_assembly(self, gains_k1,
+                                                           dec_k1):
+        # every row of the benchmark's fine LQR grids, both modes
+        for i in range(dec_k1.n_modes):
+            model = bench_mode_system(gains_k1, dec_k1, i)
+            for off in (0.0, 0.0006):
+                for j in range(251):
+                    d = off + 0.002 * j
+                    self.assert_bitwise(discretize(model, 0.02, d),
+                                        discretize_per_row(model, 0.02, d))
 
 
 class TestQuadratureOracle:

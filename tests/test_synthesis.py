@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -33,6 +35,7 @@ from helpers import (
     grid_hinf_norm,
     random_psd_cost,
     random_stable_system,
+    stein_every_doubling,
 )
 from test_dncs import bench_mode_system
 
@@ -792,3 +795,87 @@ class TestStein:
         assert not P[2].any()
         for j in range(4):
             assert np.array_equal(P[j], stein_solve(A[j], Q[j]))
+
+
+def reductions(monkeypatch):
+    """Patch ``_max`` in the synthesis module to record, for each of
+    ``stein_solve``'s reductions, "T" or "S" by the local it reduces and
+    the stack's live size.  T is reduced once before the doubling loop and
+    once on each doubling."""
+    import wadc.synthesis as synthesis
+    seen = []
+    real = synthesis._max
+
+    def recorded(X):
+        caller = sys._getframe(1)
+        if caller.f_code.co_name == "stein_solve":
+            name = "T" if X is caller.f_locals.get("T") else "S"
+            seen.append((name, len(X)))
+        return real(X)
+
+    monkeypatch.setattr(synthesis, "_max", recorded)
+    return seen
+
+
+@pytest.mark.filterwarnings("error")
+class TestSteinSkip:
+    """``stein_solve`` reduces max|S| only on doublings where a slice can
+    stop; the oracle reduces it on every doubling.  P, each slice's
+    doubling count and every failure must be the same."""
+
+    def check(self, monkeypatch, A, Q):
+        seen = reductions(monkeypatch)
+        P = stein_solve(A, Q)
+        P_ref, counts = stein_every_doubling(A, Q)
+        assert np.array_equal(P, P_ref)
+        # the live stack size on each doubling pins every slice's count
+        live = [k for name, k in seen if name == "T"][1:]
+        assert live == [sum(c >= j for c in counts)
+                        for j in range(1, max(counts) + 1)]
+        return P, counts, sum(name == "S" for name, _ in seen)
+
+    def test_random_stable_stacks(self, monkeypatch):
+        rng = np.random.default_rng(21)
+        for k, n in ((1, 3), (4, 5), (7, 9), (10, 13)):
+            A = rng.normal(size=(k, n, n))
+            rho = rng.uniform(0.2, 0.97, size=k)
+            A *= (rho / np.abs(np.linalg.eigvals(A)).max(axis=-1))[:, None,
+                                                                  None]
+            L = rng.normal(size=(k, n, n))
+            Q = L @ L.mT
+            _, counts, s_reductions = self.check(monkeypatch, A, Q)
+            # the reduction of S is skipped on most doublings
+            assert s_reductions < max(counts)
+
+    def test_zero_corner_entry_falls_through(self, monkeypatch):
+        # A's first column and Q's first row and column are 0, so S[0, 0]
+        # stays 0, its lower bound fails no slice, and every doubling
+        # reduces max|S|
+        rng = np.random.default_rng(22)
+        A = rng.normal(size=(3, 4, 4))
+        A *= 0.8 / np.abs(np.linalg.eigvals(A)).max(axis=-1)[:, None, None]
+        A[:, :, 0] = 0.0
+        L = rng.normal(size=(3, 4, 4))
+        Q = L @ L.mT
+        Q[:, 0, :] = Q[:, :, 0] = 0.0
+        P, counts, s_reductions = self.check(monkeypatch, A, Q)
+        assert not P[:, 0, 0].any()
+        assert s_reductions == 1 + max(counts)
+
+    def test_zero_cost_stops_at_once(self, monkeypatch):
+        A = np.stack([np.diag([0.9, 0.8]), np.diag([0.5, 0.1])])
+        P, counts, _ = self.check(monkeypatch, A, np.zeros((2, 2, 2)))
+        assert counts == [1, 1] and not P.any()
+
+    def test_large_powers_still_raise(self):
+        A = np.stack([np.diag([0.5, 0.3]),
+                      np.array([[1.5, 1.0], [0.0, 0.5]])])
+        Q = np.stack([np.eye(2)] * 2)
+        with pytest.raises(UnstableSystem):
+            stein_every_doubling(A, Q)
+        with pytest.raises(UnstableSystem):
+            stein_solve(A, Q)
+
+    def test_large_stable_transient(self, monkeypatch):
+        A = np.array([[0.5, 1e35], [0.0, 0.5]])
+        self.check(monkeypatch, A, np.eye(2))
