@@ -44,9 +44,9 @@ from .config import (
     local_gain_row,
 )
 from .dncs import (
-    DelaySchedule,
     DistributedController,
     LocalGains,
+    delay_map,
     design_mode,
     mode_system,
     symmetric_modes,
@@ -400,9 +400,8 @@ def _mode_list(dec, mode_arg):
 def _search_diagnostics(md):
     """Levels an H-infinity search tried and certified; at level 0, also
     the witness's residual output gain ||C2 + D2u F|| (2-norm)."""
-    diag = {"levels_tried": md.result.levels,
-            "levels_accepted": md.result.accepted}
-    if md.result.gamma == 0.0:
+    diag = {"levels_tried": md.levels, "levels_accepted": md.accepted}
+    if md.gamma == 0.0:
         diag["residual_gain"] = float(
             np.linalg.norm(md.disc.C2 + md.disc.D2u @ md.F, 2))
     return diag
@@ -412,26 +411,25 @@ def cmd_design(cfg, args, report):
     pipe = Pipeline(cfg, report)
     _, dec = pipe.gains(args.measure)
     m = pipe.plant.m
-    d = args.delay * (np.ones((m, m)) - np.eye(m))
-    sched = DelaySchedule.from_links(dec, d, cfg["sampling"]["h_s"])
+    d_hat, _ = delay_map(dec, args.delay * (np.ones((m, m)) - np.eye(m)))
     gamma_tol = cfg["tolerances"]["gamma_rel"]
     summary = {}
     for i in _mode_list(dec, args.mode):
         md = design_mode(pipe.mode_model(args.measure, i),
-                         cfg["sampling"]["h_s"], float(sched.d_hat[i]),
+                         cfg["sampling"]["h_s"], float(d_hat[i]),
                          method=args.measure, gamma_tol=gamma_tol)
         report.stage("design")
         path = f"{args.out}/F_{dec.labels[i]}.txt"
         report.output(path, write_matrix(path, md.F))
         entry = {"lifted_dim": md.disc.n_z, "q": md.disc.q, "r": md.disc.r,
-                 "wait_s": float(sched.d_hat[i])}
+                 "wait_s": float(d_hat[i])}
         if args.measure == "lqr":
             z0 = md.disc.lift_state(
                 np.asarray(cfg["scenario"]["initial_state"], dtype=float))
-            entry["cost_certificate"] = md.result.J_star(z0)
+            entry["cost_certificate"] = md.J_star(z0)
         else:
-            entry["gamma"] = md.result.gamma
-            entry["certified_norm"] = md.result.norm
+            entry["gamma"] = md.gamma
+            entry["certified_norm"] = md.norm
             report.data.setdefault("diagnostics", {})[dec.labels[i]] = \
                 _search_diagnostics(md)
         summary[dec.labels[i]] = entry
@@ -482,13 +480,13 @@ def cmd_simulate(cfg, args, report):
     m = pipe.plant.m
     h = cfg["sampling"]["h_s"]
     d = args.delay * (np.ones((m, m)) - np.eye(m))
-    sched = DelaySchedule.from_links(dec, d, h)
+    d_hat, _ = delay_map(dec, d)
     gamma_tol = cfg["tolerances"]["gamma_rel"]
     designs = [design_mode(pipe.mode_model(args.measure, i), h,
-                           float(sched.d_hat[i]), method=args.measure,
+                           float(d_hat[i]), method=args.measure,
                            gamma_tol=gamma_tol)
                for i in range(dec.n_modes)]
-    ctrl = DistributedController(gains, dec, sched, designs)
+    ctrl = DistributedController(gains, dec, d, h, designs)
     report.stage("design")
 
     scn_cfg = cfg["scenario"]
@@ -533,11 +531,11 @@ def cmd_simulate(cfg, args, report):
     if args.measure == "lqr" and disturbance is None:
         md = designs[mode_i]
         z0 = md.disc.lift_state(init)
-        cert = md.result.J_star(z0)
+        cert = md.J_star(z0)
         summary["cost_certificate"] = cert
         summary["relative_gap"] = abs(out.J - cert) / max(cert, 1e-300)
     elif args.measure == "hinf":
-        summary["gamma"] = {label: md.result.gamma
+        summary["gamma"] = {label: md.gamma
                             for label, md in zip(dec.labels, designs)}
     report.data["summary"] = summary
     report.data["diagnostics"] = {

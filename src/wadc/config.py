@@ -197,7 +197,7 @@ SCHEMA = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BenchmarkConfig:
     """Resolved configuration (defaults filled, units converted to SI)."""
 

@@ -20,14 +20,12 @@ from .errors import (
     UnstableLocalLoop,
 )
 from .grid_model import LinearPlant, swap_symmetry_residuals
-from .sampled import CtsCost, CtsModel, CtsSystem, DiscretizedSystem, discretize
+from .sampled import CtsCost, CtsModel, CtsSystem, discretize
 from .synthesis import gamma_min, lqr_design
 
 __all__ = [
     "LocalGains",
     "ModalDecomposition",
-    "DelaySchedule",
-    "ModeDesign",
     "DistributedController",
     "symmetric_modes",
     "mode_system",
@@ -246,27 +244,6 @@ def mode_system(gains: LocalGains, dec: ModalDecomposition, i,
     return CtsModel(sys, cost)
 
 
-@dataclass(frozen=True, eq=False)
-class DelaySchedule:
-    """Link delays with the derived per-mode and per-machine waiting times."""
-
-    d: np.ndarray        # (m, m) link delays, symmetric, zero diagonal
-    d_hat: np.ndarray    # per-mode information-gathering delay
-    d_rho: np.ndarray    # per-machine command-application delay
-    h: float
-
-    def __post_init__(self):
-        self.d.setflags(write=False)
-        self.d_hat.setflags(write=False)
-        self.d_rho.setflags(write=False)
-
-    @classmethod
-    def from_links(cls, dec: ModalDecomposition, d, h):
-        d_hat, d_rho = delay_map(dec, d)
-        return cls(d=np.asarray(d, dtype=float).copy(), d_hat=d_hat,
-                   d_rho=d_rho, h=float(h))
-
-
 def delay_map(dec: ModalDecomposition, d):
     """Per-mode delays (slowest link a mode must wait for) and per-machine
     command delays (slowest mode a machine applies)."""
@@ -292,34 +269,24 @@ def delay_map(dec: ModalDecomposition, d):
     return d_hat, d_rho
 
 
-@dataclass(frozen=True, eq=False)
-class ModeDesign:
-    """Sampled feedback for one mode plus its certificate."""
-
-    disc: DiscretizedSystem
-    F: np.ndarray
-    result: object  # LqrResult (value z0' P z0) or HinfResult (gamma)
-
-
-def design_mode(model: CtsModel, h, d_hat_i, method="lqr",
-                gamma_tol=1e-3) -> ModeDesign:
+def design_mode(model: CtsModel, h, d_hat_i, method="lqr", gamma_tol=1e-3):
     """Discretize a mode's continuous model with its waiting time and
-    design the sampled gain by the requested method.
+    design the sampled gain by the requested method: an ``LqrResult``
+    (value z0' P z0) or a ``HinfResult`` (gamma), carrying the lifted
+    system ``disc`` it was designed on.
 
     ``d_hat_i`` may also be a sequence of waiting times whose lifted
     systems have one size; LQR then designs them as one stack, and one
-    ``ModeDesign`` is returned per waiting time, in order.
+    result is returned per waiting time, in order.
     """
     discs = [discretize(model, h, float(d)) for d in np.atleast_1d(d_hat_i)]
     if method == "lqr":
         results = lqr_design(discs)
     elif method == "hinf":
-        results = [gamma_min(disc, tol=gamma_tol)[1] for disc in discs]
+        results = [gamma_min(disc, tol=gamma_tol) for disc in discs]
     else:
         raise ValueError(f"unknown design method {method!r}")
-    designs = [ModeDesign(disc=disc, F=result.F, result=result)
-               for disc, result in zip(discs, results)]
-    return designs if np.ndim(d_hat_i) else designs[0]
+    return results if np.ndim(d_hat_i) else results[0]
 
 
 class DistributedController:
@@ -329,31 +296,30 @@ class DistributedController:
     sampled machine states, each mode applies its gain to its lifted state
     (the reconstructed modal state plus its past commands), and the
     per-mode commands are recombined into per-machine remote commands,
-    which the simulator applies after each machine's waiting time.
+    which the simulator applies after each machine's waiting time
+    ``d_rho``.  Each mode's design must be made for its wait in
+    ``delay_map`` of the link delays ``d`` and for the sampling period h.
     """
 
-    def __init__(self, gains: LocalGains, dec: ModalDecomposition,
-                 schedule: DelaySchedule, mode_designs):
+    def __init__(self, gains: LocalGains, dec: ModalDecomposition, d, h,
+                 mode_designs):
         mode_designs = list(mode_designs)
         if len(mode_designs) != dec.n_modes:
             raise ScheduleMismatch(
                 f"need {dec.n_modes} mode designs, got {len(mode_designs)}")
-        d_hat, d_rho = delay_map(dec, schedule.d)
-        if np.abs(d_hat - schedule.d_hat).max() > 1e-12:
-            raise ScheduleMismatch("schedule per-mode delays disagree with "
-                                   "the decomposition patterns")
+        d_hat, self.d_rho = delay_map(dec, d)
+        self.h = float(h)
         for i, md in enumerate(mode_designs):
-            if abs(md.disc.h - schedule.h) > 1e-12:
+            if abs(md.disc.h - self.h) > 1e-12:
                 raise ScheduleMismatch(
-                    f"mode {i} designed for h={md.disc.h}, schedule has "
-                    f"h={schedule.h}")
+                    f"mode {i} designed for h={md.disc.h}, controller has "
+                    f"h={self.h}")
             if abs(md.disc.d - d_hat[i]) > 1e-12:
                 raise ScheduleMismatch(
-                    f"mode {i} designed for delay {md.disc.d}, schedule "
-                    f"requires {d_hat[i]}")
+                    f"mode {i} designed for delay {md.disc.d}, the link "
+                    f"delays require {d_hat[i]}")
         self.gains = gains
         self.dec = dec
-        self.schedule = schedule
         self.mode_designs = mode_designs
         self.n_memory = max(md.disc.n_memory for md in mode_designs)
 

@@ -20,13 +20,13 @@ class SingularAlgebraicSystem(WadcError):
 class NoConvergence(WadcError):
     """Newton iteration failed to converge."""
 
-    def __init__(self, max_iters, final_residual, history=None):
+    def __init__(self, max_iters, final_residual, history=None, hint=""):
         self.max_iters = max_iters
         self.final_residual = final_residual
         self.history = list(history) if history is not None else []
         super().__init__(
             f"no convergence after {max_iters} iterations "
-            f"(final scaled residual {final_residual:.3e})"
+            f"(final scaled residual {final_residual:.3e}){hint}"
         )
 
 
@@ -97,7 +97,8 @@ class AsymmetricDelays(WadcError):
 
 
 class ScheduleMismatch(WadcError):
-    """Delay schedule disagrees with the modal designs it should drive."""
+    """Modal designs disagree with the controller they should drive: in
+    number, sampling period, or the wait its link delays give each mode."""
 
 
 class StepGridTooFine(WadcError):

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .dncs import DistributedController, ModeDesign, delay_map, design_mode
+from .dncs import DistributedController, delay_map, design_mode
 from .errors import HorizonTooLong, StepGridTooFine, UnstableSystem, WadcError
 from .grid_model import LinearPlant
 from .sampled import _nice_fraction, split_delay
@@ -44,7 +44,7 @@ MAX_STEPS_PER_PERIOD = 2 ** 16   # RK4 steps in one sampling period
 
 @dataclass(frozen=True, eq=False)
 class Scenario:
-    """One closed-loop run; the controller's schedule sets its timing."""
+    """One closed-loop run; the controller's h and d_rho set its timing."""
 
     initial_state: np.ndarray              # modal: x(0) = M_x x_hat(0)
     disturbance: np.ndarray = None         # (K, n_w) held samples, or None
@@ -151,12 +151,11 @@ def simulate_closed_loop(plant: LinearPlant, controller: DistributedController,
     any stepping.
     """
     dec = controller.dec
-    sched = controller.schedule
-    h = sched.h
+    h = controller.h
     A_bar = controller.gains.A_bar
     K = controller.gains.K
     step, (n_h, *n_rho) = _step_grid(
-        scn.integrator_step, h, [float(v) for v in sched.d_rho],
+        scn.integrator_step, h, [float(v) for v in controller.d_rho],
         np.abs(np.linalg.eigvals(A_bar)).max())
     dt = float(step)
     Rmap, Smap = _rk4_affine(A_bar, dt)
@@ -289,7 +288,7 @@ def simulate_closed_loop(plant: LinearPlant, controller: DistributedController,
         horizon=float(dt * (n_h * periods)))
 
 
-def compute_bounds(md0: ModeDesign, measure, z0=None):
+def compute_bounds(md0, measure, z0=None):
     """Reference levels for one mode and measure from its zero-delay design.
 
     Upper: remote commands disabled (local gains only).  Lower: the
@@ -302,10 +301,10 @@ def compute_bounds(md0: ModeDesign, measure, z0=None):
         if z0 is None:
             raise ValueError("lqr bounds need an initial modal state")
         z0 = disc0.lift_state(z0)
-        P_dec = stein_solve(disc0.A2, disc0.Q2)
-        return float(z0 @ P_dec @ z0), md0.result.J_star(z0)
+        P_dec = stein_solve(disc0.A2[None], disc0.Q2[None])[0]
+        return float(z0 @ P_dec @ z0), md0.J_star(z0)
     upper = hinf_norm(disc0.A2, disc0.B2w, disc0.C2, disc0.D2w)
-    return upper, md0.result.gamma
+    return upper, md0.gamma
 
 
 @dataclass(frozen=True)
@@ -319,7 +318,7 @@ class SweepRow:
     status: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SweepResult:
     rows: tuple
     warnings: tuple
@@ -362,10 +361,10 @@ def sweep_delays(model, dec, mode, measure, delay_grid, h, z0=None,
 
     def row_value(md):
         if measure == "lqr":
-            return md.result.J_star(md.disc.lift_state(z0))
-        diag["levels_tried"] += md.result.levels
-        diag["levels_accepted"] += md.result.accepted
-        return md.result.gamma
+            return md.J_star(md.disc.lift_state(z0))
+        diag["levels_tried"] += md.levels
+        diag["levels_accepted"] += md.accepted
+        return md.gamma
 
     def design(delays):
         """Values of the rows at these waiting times, or the WadcError of

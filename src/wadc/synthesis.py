@@ -6,9 +6,9 @@ R is singular, as whenever the delay reaches a full sampling period (the
 new input sample then carries no within-interval cost).  These are
 branches, not fallbacks: a failed doubling fails its stack.
 
-``stein_solve``, ``dare_solve`` and ``lqr_design`` take stacks of
-equal-size systems, (k, n, n) arrays as in ``np.linalg``; a 2-D call is
-the stack of one.  A sweep designs the delays of one sampling interval,
+``stein_solve``, ``dare_solve`` and ``lqr_design`` take only stacks of
+equal-size systems, (k, n, n) arrays as in ``np.linalg``; one system is
+a stack of one.  A sweep designs the delays of one sampling interval,
 whose lifted systems have one size, as one stack, and designs its rows
 again one at a time if the stack fails.  Each slice keeps its own branch
 and stop tests and leaves the iteration once they pass.
@@ -121,13 +121,10 @@ def stein_solve(A, Q):
     ``UnstableSystem`` before anything overflows, and a stable A with a
     large transient doubles on to its stop.
 
-    A and Q may be (k, n, n) stacks; each slice stops on its own test.
+    A and Q are (k, n, n) stacks; each slice stops on its own test.
     """
     A = np.asarray(A, dtype=float)
     Q = np.asarray(Q, dtype=float)
-    single = A.ndim == 2
-    if single:
-        A, Q = A[None], Q[None]
     bound = 0.5 / A.shape[-1]   # max|T| below this certifies the slice
     S = 0.5 * (Q + Q.mT)
     T = A.copy()
@@ -169,8 +166,7 @@ def stein_solve(A, Q):
     if unsure and spectral_radius(A[unsure]) >= 1.0:
         raise UnstableSystem("Stein equation needs a Schur-stable matrix")
     P = _gather(parts, live, S)
-    P = 0.5 * (P + P.mT)
-    return P[0] if single else P
+    return 0.5 * (P + P.mT)
 
 
 def _pinv_solve(H, rhs):
@@ -264,7 +260,7 @@ def _policy_iteration(A, B, Q, N, R):
                           f"{_MAX_NEWTON} steps; make R positive definite")
 
 
-def dare_solve(A, B, Q, N=None, R=None):
+def dare_solve(A, B, Q, N, R):
     """Stabilizing solution of
     A'PA - P - (A'PB + N)(B'PB + R)^{-1}(B'PA + N') + Q = 0.
 
@@ -277,23 +273,12 @@ def dare_solve(A, B, Q, N=None, R=None):
     which computes eigenvalues only when its power bound fails; the
     returned gain's loop gets an eigenvalue check here, independent of the
     solver.  Returns P and that gain F = -(R + B'PB)^{-1}(B'PA + N').
-    The arguments may be stacks of k equations of one size, (k, n, n) and
-    so on; a failure of any slice raises ``NotStabilizable`` for the
-    stack.
+    The arguments are stacks of k equations of one size, (k, n, n) and so
+    on; a failure of any slice raises ``NotStabilizable`` for the stack.
     """
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    single = A.ndim == 2
-    if single:
-        A = A[None]
+    A, B, Q, N, R = (np.asarray(X, dtype=float) for X in (A, B, Q, N, R))
     k, n = A.shape[:2]
-    B = np.asarray(B, dtype=float).reshape(k, n, -1)
-    m = B.shape[2]
-    Q = np.asarray(Q, dtype=float).reshape(k, n, n)
     Q = 0.5 * (Q + Q.mT)
-    N = (np.zeros((k, n, m)) if N is None
-         else np.asarray(N, dtype=float).reshape(k, n, m))
-    R = (np.zeros((k, m, m)) if R is None
-         else np.asarray(R, dtype=float).reshape(k, m, m))
     R = 0.5 * (R + R.mT)
 
     r_spread = _spread(np.linalg.eigvalsh(R))
@@ -327,29 +312,28 @@ def dare_solve(A, B, Q, N=None, R=None):
     F = _gain_from(A, B, N, P, H)
     if spectral_radius(A + B @ F) >= 1.0:
         raise NotStabilizable("closed loop is not Schur stable")
-    return (P[0], F[0]) if single else (P, F)
+    return P, F
 
 
 @dataclass(frozen=True, eq=False)
 class LqrResult:
-    """Optimal sampled state feedback u_k = F z_k with value z0' P z0."""
+    """Optimal sampled state feedback u_k = F z_k on the lifted system
+    ``disc``, with value z0' P z0."""
 
     F: np.ndarray
     P: np.ndarray
+    disc: DiscretizedSystem
 
     def J_star(self, z0):
         z0 = np.asarray(z0, dtype=float).reshape(-1)
         return float(z0 @ self.P @ z0)
 
 
-def lqr_design(disc):
-    """Design the cost-minimizing feedback for the lifted discrete system.
-
-    ``disc`` is one ``DiscretizedSystem`` or a sequence of them with one
-    lifted size, designed as one stack; the result is one ``LqrResult``
-    or a list of them, in order.
+def lqr_design(discs):
+    """Design the cost-minimizing feedback for each lifted discrete system
+    of the sequence ``discs``, all of one lifted size, as one stack; one
+    ``LqrResult`` per system, in order.
     """
-    discs = [disc] if isinstance(disc, DiscretizedSystem) else list(disc)
     A, B, Q, N, R = (np.array([getattr(d, name) for d in discs])
                      for name in ("A2", "B2u", "Q2", "N2", "R2"))
     stacked = np.concatenate([np.concatenate([Q, N], axis=-1),
@@ -358,8 +342,7 @@ def lqr_design(disc):
            _spread(np.linalg.eigvalsh(0.5 * (stacked + stacked.mT)))):
         raise IndefiniteCost("lifted cost matrix is not positive semidefinite")
     P, F = dare_solve(A, B, Q, N, R)
-    results = [LqrResult(F=f, P=p) for f, p in zip(F, P)]
-    return results[0] if isinstance(disc, DiscretizedSystem) else results
+    return [LqrResult(F=f, P=p, disc=d) for f, p, d in zip(F, P, discs)]
 
 
 def _sigma_max(A, B, C, D, thetas):
@@ -427,11 +410,13 @@ def hinf_norm(A, B, C, D):
 @dataclass(frozen=True, eq=False)
 class HinfResult:
     """Certified attenuation design: u_k = F z_k keeps the closed-loop
-    disturbance-to-output norm below gamma."""
+    disturbance-to-output norm of the lifted system ``disc`` below
+    gamma."""
 
     F: np.ndarray
     gamma: float
     norm: float
+    disc: DiscretizedSystem
     levels: int = 0     # levels tried by the search that found it
     accepted: int = 0   # of which certified
 
@@ -496,7 +481,8 @@ def hinf_design(disc: DiscretizedSystem, gamma) -> HinfResult:
         raise GammaInfeasible("closed_loop_unstable", str(exc)) from None
     if norm >= gamma:
         raise GammaInfeasible("norm_not_below_gamma")
-    return HinfResult(F=F, gamma=gamma, norm=norm, levels=1, accepted=1)
+    return HinfResult(F=F, gamma=gamma, norm=norm, disc=disc, levels=1,
+                      accepted=1)
 
 
 def gamma_min(disc: DiscretizedSystem, tol=1e-3):
@@ -530,8 +516,8 @@ def gamma_min(disc: DiscretizedSystem, tol=1e-3):
     secant step that lowered log(hi) by half or more of what the accepted
     secant step before it did: converging steps shrink faster, creeping
     ones do not.  Stops when hi / lo <= 1 + tol, which a certified norm
-    of exactly 0 meets at once, and returns hi, which is also the
-    result's ``gamma``.  Every level passes or fails ``hinf_design``'s
+    of exactly 0 meets at once, and returns the result whose ``gamma`` is
+    hi.  Every level passes or fails ``hinf_design``'s
     full certificate.
     """
     tol = float(tol)
@@ -543,9 +529,10 @@ def gamma_min(disc: DiscretizedSystem, tol=1e-3):
         if (np.linalg.norm(disc.C2 + disc.D2u @ F0)
                 <= 1e-12 * np.linalg.norm(disc.C2)
                 and spectral_radius(disc.A2 + disc.B2u @ F0) < 1.0):
-            return 0.0, HinfResult(F=F0, gamma=0.0, norm=0.0)
+            return HinfResult(F=F0, gamma=0.0, norm=0.0, disc=disc)
     best = HinfResult(F=np.zeros((disc.n_u, disc.n_z)), gamma=0.0,
-                      norm=hinf_norm(disc.A2, disc.B2w, disc.C2, disc.D2w))
+                      norm=hinf_norm(disc.A2, disc.B2w, disc.C2, disc.D2w),
+                      disc=disc)
     lo, hi = 0.0, best.norm * _NORM_ACCURACY
     pairs, levels, accepted = [], 0, 0
     # hi_after / hi_before of the last accepted secant step; halving the
@@ -575,5 +562,5 @@ def gamma_min(disc: DiscretizedSystem, tol=1e-3):
             last_ratio = hi / top
         pairs = [(g, n) for g, n in pairs[-1:] + [(level, best.norm)]
                  if 2.0 * n >= g]
-    return hi, HinfResult(F=best.F, gamma=hi, norm=best.norm, levels=levels,
-                          accepted=accepted)
+    return HinfResult(F=best.F, gamma=hi, norm=best.norm, disc=disc,
+                      levels=levels, accepted=accepted)

@@ -128,18 +128,16 @@ def stein_every_doubling(A, Q):
     stop rule max|T|^2 max|S| <= 1e-18 (1 + max|Q|), which skips that
     reduction on doublings that cannot stop.
 
-    Each slice is doubled as a stack of one, so every product is the BLAS
-    call the stack makes on it.  A slice whose max|T| passes 1e30 gets an
-    eigenvalue check at once, and one that stops without
-    n max|T| < 1/2 or runs out of doublings gets one after its loop; an
-    eigenvalue on or outside the unit circle raises ``UnstableSystem``.
+    A and Q are (k, n, n) stacks.  Each slice is doubled as a stack of
+    one, so every product is the BLAS call the stack makes on it.  A slice
+    whose max|T| passes 1e30 gets an eigenvalue check at once, and one
+    that stops without n max|T| < 1/2 or runs out of doublings gets one
+    after its loop; an eigenvalue on or outside the unit circle raises
+    ``UnstableSystem``.
     Returns P and each slice's number of doublings.
     """
     A = np.asarray(A, dtype=float)
     Q = np.asarray(Q, dtype=float)
-    single = A.ndim == 2
-    if single:
-        A, Q = A[None], Q[None]
     n = A.shape[-1]
 
     def unstable(a):
@@ -165,7 +163,7 @@ def stein_every_doubling(A, Q):
             raise UnstableSystem("oracle: unstable slice")
         P[len(counts)] = 0.5 * (S[0] + S[0].T)
         counts.append(count)
-    return (P[0] if single else P), counts
+    return P, counts
 
 
 def rk4_segment(A, Bu, u, x0, length, n_sub):
@@ -227,7 +225,7 @@ def rk4_delayed_zoh(sys, h, d, u_seq, x0, n_steps, subs=60, w_seq=None):
     return np.array(xs)
 
 
-def per_step_closed_loop(plant, gains, dec, sched, designs, x0, dt, periods,
+def per_step_closed_loop(plant, gains, dec, ctrl, designs, x0, dt, periods,
                          Q, R, C, D_u, D_w, w_seq=()):
     """Step-by-step oracle of the distributed closed loop.
 
@@ -244,8 +242,8 @@ def per_step_closed_loop(plant, gains, dec, sched, designs, x0, dt, periods,
     """
     dt = float(dt)
     A, K = gains.A_bar, gains.K
-    n_h = round(sched.h / dt)
-    n_rho = [round(float(d) / dt) for d in sched.d_rho]
+    n_h = round(ctrl.h / dt)
+    n_rho = [round(float(d) / dt) for d in ctrl.d_rho]
     rows = np.cumsum((0,) + dec.machine_u_dims)
     memories = [np.zeros(md.disc.n_memory * md.disc.n_u) for md in designs]
     x = np.asarray(x0, dtype=float).copy()
@@ -496,15 +494,15 @@ def attenuation_of_mode(model, h, d_hat_i, tol=1e-3):
     design by the grid oracle.  A level of exactly 0 (cancellable output)
     is checked as a closed-loop norm at most 1e-12 of the open-loop one."""
     md = design_mode(model, h, d_hat_i, method="hinf", gamma_tol=tol)
-    res, disc = md.result, md.disc
-    cl_norm = grid_hinf_norm(disc.A2 + disc.B2u @ res.F, disc.B2w,
-                             disc.C2 + disc.D2u @ res.F, disc.D2w)
-    if res.gamma == 0.0:
+    disc = md.disc
+    cl_norm = grid_hinf_norm(disc.A2 + disc.B2u @ md.F, disc.B2w,
+                             disc.C2 + disc.D2u @ md.F, disc.D2w)
+    if md.gamma == 0.0:
         open_norm = grid_hinf_norm(disc.A2, disc.B2w, disc.C2, disc.D2w)
         assert cl_norm <= 1e-12 * open_norm, "zero level not certified"
     else:
-        assert cl_norm < res.gamma, "certified norm regression"
-    return res.gamma, md
+        assert cl_norm < md.gamma, "certified norm regression"
+    return md.gamma, md
 
 
 def algebraic_residuals(gens, net, x, w, sol):

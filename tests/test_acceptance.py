@@ -98,15 +98,16 @@ def test_criterion_2_lqr_certificate(bench_plant, gains_k1, dec_k1):
         scn = Scenario(initial_state=x_hat0, integrator_step=0.0025,
                        horizon=1500.0)
         out = simulate_collect(bench_plant, ctrl, scn, *BENCH_WEIGHTS)
-        cert = md.result.J_star(md.disc.lift_state(x_hat0[:3]))
+        cert = md.J_star(md.disc.lift_state(x_hat0[:3]))
         worst_gap = max(worst_gap, abs(out.J - cert) / cert)
         # entrywise +1% perturbations of the oscillation-mode gain
         for j in range(md.F.shape[1]):
             F_pert = md.F.copy()
             F_pert[0, j] *= 1.01
             designs_p = [replace(md, F=F_pert), designs[1]]
-            ctrl_p = DistributedController(gains_k1, dec_k1, ctrl.schedule,
-                                           designs_p)
+            ctrl_p = DistributedController(
+                gains_k1, dec_k1, tau * (np.ones((2, 2)) - np.eye(2)), h,
+                designs_p)
             out_p = simulate_collect(bench_plant, ctrl_p, scn,
                                      *BENCH_WEIGHTS)
             if not out_p.J > out.J:
@@ -125,13 +126,12 @@ def test_criterion_3_hinf_certificate(bench_plant, gains_k2, dec_k2):
     certified, brackets = [], []
     for tau in (0.1, 0.3):
         md = design_mode(model2, 0.02, tau, method="hinf", gamma_tol=tol)
-        res = md.result
-        norm = grid_hinf_norm(md.disc.A2 + md.disc.B2u @ res.F, md.disc.B2w,
-                              md.disc.C2 + md.disc.D2u @ res.F, md.disc.D2w)
-        certified.append(norm < res.gamma)
-        hinf_design(md.disc, res.gamma * (1 + 2 * tol))  # must be feasible
+        norm = grid_hinf_norm(md.disc.A2 + md.disc.B2u @ md.F, md.disc.B2w,
+                              md.disc.C2 + md.disc.D2u @ md.F, md.disc.D2w)
+        certified.append(norm < md.gamma)
+        hinf_design(md.disc, md.gamma * (1 + 2 * tol))  # must be feasible
         try:
-            hinf_design(md.disc, res.gamma * (1 - 2 * tol))
+            hinf_design(md.disc, md.gamma * (1 - 2 * tol))
             brackets.append(False)  # below the bracket must be infeasible
         except GammaInfeasible:
             brackets.append(True)
@@ -141,10 +141,10 @@ def test_criterion_3_hinf_certificate(bench_plant, gains_k2, dec_k2):
         sys = random_stable_system(rng, 3, 1, n_w=1, n_y=2)
         cost = random_psd_cost(rng, 3, 1)
         disc = discretize(CtsModel(sys, cost), 0.1, 0.13)
-        gstar, res = gamma_min(disc, tol=tol)
+        res = gamma_min(disc, tol=tol)
         norm = grid_hinf_norm(disc.A2 + disc.B2u @ res.F, disc.B2w,
                               disc.C2 + disc.D2u @ res.F, disc.D2w)
-        certified.append(norm < gstar)
+        certified.append(norm < res.gamma)
     ok = all(certified) and all(brackets)
     _report(3, ok, f"attenuation certificate: {sum(certified)}/"
                    f"{len(certified)} designs certified below gamma; "

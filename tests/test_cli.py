@@ -295,6 +295,18 @@ class TestLinearizeCommand:
             assert len(reals) == 6
             assert all(r < 0 for r in reals)
 
+    def test_inconsistent_voltage_target_exit_3(self, tmp_path, monkeypatch,
+                                                capsys):
+        # 1 % above the terminal voltage that e_f0_V gives: with T_m_Nm
+        # fixed no equilibrium exists, and the error says what to change
+        monkeypatch.setenv("WADC_EQUILIBRIUM__V_TARGET_V", "9444")
+        monkeypatch.setenv("WADC_EQUILIBRIUM__MAX_ITERS", "3")
+        assert run(tmp_path, "linearize") == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: no convergence after 3 iterations")
+        assert "power-consistent" in err
+        assert "scripts/make_benchmark_config.py" in err
+
     def test_deterministic_bytes(self, tmp_path):
         run(tmp_path / "a", "linearize")
         run(tmp_path / "b", "linearize")

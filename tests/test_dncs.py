@@ -5,8 +5,8 @@ import pytest
 
 from conftest import C_OUT, DU_OUT, DW_OUT, K1, Q_COST, R_COST
 from helpers import closed_loop_cost
+from wadc.config import BenchmarkConfig
 from wadc.dncs import (
-    DelaySchedule,
     DistributedController,
     LocalGains,
     delay_map,
@@ -22,7 +22,7 @@ from wadc.errors import (
     UnstableLocalLoop,
 )
 from wadc.grid_model import LinearPlant
-from wadc.sim_eval import Scenario
+from wadc.sim_eval import Scenario, SweepResult
 from wadc.synthesis import HinfResult
 
 
@@ -310,26 +310,26 @@ class TestDesignMode:
                          method="lqr")
         z0 = md.disc.lift_state([1.0, 0.0, 0.0])
         J_sim = closed_loop_cost(md.disc, md.F, z0)
-        assert abs(J_sim - md.result.J_star(z0)) <= 1e-5 * md.result.J_star(z0)
+        assert abs(J_sim - md.J_star(z0)) <= 1e-5 * md.J_star(z0)
 
 
 class TestAssembleController:
     def _designs(self, plant, gains, dec, tau, method="lqr"):
         d = tau * (np.ones((2, 2)) - np.eye(2))
-        sched = DelaySchedule.from_links(dec, d, 0.02)
+        d_hat, _ = delay_map(dec, d)
         designs = []
         for i in range(2):
             designs.append(design_mode(bench_mode_system(gains, dec, i),
-                                       0.02, float(sched.d_hat[i]),
+                                       0.02, float(d_hat[i]),
                                        method=method))
-        return sched, designs
+        return d, designs
 
     def test_zero_gain_controller_emits_zero(self, bench_plant, gains_k1,
                                              dec_k1):
         from dataclasses import replace
-        sched, designs = self._designs(bench_plant, gains_k1, dec_k1, 0.04)
+        d, designs = self._designs(bench_plant, gains_k1, dec_k1, 0.04)
         designs = [replace(md, F=np.zeros_like(md.F)) for md in designs]
-        ctrl = DistributedController(gains_k1, dec_k1, sched, designs)
+        ctrl = DistributedController(gains_k1, dec_k1, d, 0.02, designs)
         rng = np.random.default_rng(11)
         memory = np.zeros(2 * ctrl.n_memory)
         for _ in range(5):
@@ -339,8 +339,8 @@ class TestAssembleController:
             memory = np.concatenate([v_hat, memory[:-2]])
 
     def test_reconstruction_round_trip(self, bench_plant, gains_k1, dec_k1):
-        sched, designs = self._designs(bench_plant, gains_k1, dec_k1, 0.04)
-        ctrl = DistributedController(gains_k1, dec_k1, sched, designs)
+        d, designs = self._designs(bench_plant, gains_k1, dec_k1, 0.04)
+        ctrl = DistributedController(gains_k1, dec_k1, d, 0.02, designs)
         rng = np.random.default_rng(12)
         memory = np.zeros(2 * ctrl.n_memory)
         for _ in range(10):
@@ -351,8 +351,8 @@ class TestAssembleController:
 
     def test_columns_are_independent_instants(self, bench_plant, gains_k1,
                                               dec_k1):
-        sched, designs = self._designs(bench_plant, gains_k1, dec_k1, 0.04)
-        ctrl = DistributedController(gains_k1, dec_k1, sched, designs)
+        d, designs = self._designs(bench_plant, gains_k1, dec_k1, 0.04)
+        ctrl = DistributedController(gains_k1, dec_k1, d, 0.02, designs)
         rng = np.random.default_rng(15)
         X = rng.normal(size=(6, 4))
         memory = rng.normal(size=(2 * ctrl.n_memory, 4))
@@ -369,30 +369,31 @@ class TestAssembleController:
                                                dec_k1):
         # dyadic-scaled states keep every transform product exact in
         # binary floating point
-        sched, designs = self._designs(bench_plant, gains_k1, dec_k1, 0.0)
+        d, designs = self._designs(bench_plant, gains_k1, dec_k1, 0.0)
         from dataclasses import replace
         F0 = np.array([[0.25, -0.5, 1.0]])
         designs = [replace(md, F=F0) for md in designs]
-        ctrl = DistributedController(gains_k1, dec_k1, sched, designs)
+        ctrl = DistributedController(gains_k1, dec_k1, d, 0.02, designs)
         x = np.array([0.5, 0.25, -0.125, 1.0, -0.5, 0.75])
         v, v_hat = ctrl.sample(x, np.zeros(0))
         np.testing.assert_array_equal(np.linalg.inv(dec_k1.M_u) @ v, v_hat)
 
     def test_schedule_mismatch(self, bench_plant, gains_k1, dec_k1):
-        sched, designs = self._designs(bench_plant, gains_k1, dec_k1, 0.04)
-        wrong = DelaySchedule.from_links(
-            dec_k1, 0.06 * (np.ones((2, 2)) - np.eye(2)), 0.02)
+        d, designs = self._designs(bench_plant, gains_k1, dec_k1, 0.04)
+        wrong = 0.06 * (np.ones((2, 2)) - np.eye(2))
+        with pytest.raises(ScheduleMismatch, match="the link delays require"):
+            DistributedController(gains_k1, dec_k1, wrong, 0.02, designs)
+        with pytest.raises(ScheduleMismatch, match="h=0.04"):
+            DistributedController(gains_k1, dec_k1, d, 0.04, designs)
         with pytest.raises(ScheduleMismatch):
-            DistributedController(gains_k1, dec_k1, wrong, designs)
-        with pytest.raises(ScheduleMismatch):
-            DistributedController(gains_k1, dec_k1, sched, designs[:1])
+            DistributedController(gains_k1, dec_k1, d, 0.02, designs[:1])
 
     def test_memory_evolution_matches_lifted_model(self, bench_plant,
                                                    gains_k1, dec_k1):
         # stepping the controller on a frozen state sequence reproduces the
         # lifted-state recursion of the designed mode
-        sched, designs = self._designs(bench_plant, gains_k1, dec_k1, 0.04)
-        ctrl = DistributedController(gains_k1, dec_k1, sched, designs)
+        d, designs = self._designs(bench_plant, gains_k1, dec_k1, 0.04)
+        ctrl = DistributedController(gains_k1, dec_k1, d, 0.02, designs)
         rng = np.random.default_rng(14)
         xs = rng.normal(size=(6, 6))
         md = designs[0]
@@ -417,15 +418,17 @@ def test_array_dataclasses_compare_by_identity(bench_net, bench_op,
                                                dec_k1):
     # a generated __eq__ would compare ndarray fields, whose truth value is
     # ambiguous, and a generated __hash__ would hash them; every dataclass
-    # holding an array compares and hashes as the object it is
+    # holding an array compares and hashes as the object it is; so do the
+    # frozen ones holding a dict, whose generated __hash__ would raise
     model = bench_mode_system(gains_k1, dec_k1, 0)
     md = design_mode(model, 0.02, 0.0)
     objects = [
         bench_net, bench_op.sol, bench_op, bench_plant, gains_k1, dec_k1,
-        DelaySchedule.from_links(dec_k1, np.zeros((2, 2)), 0.02), md,
-        model.sys, model.cost, model.pmu, md.disc, md.result,
-        HinfResult(F=np.zeros((1, 3)), gamma=1.0, norm=0.5),
+        md, model.sys, model.cost, model.pmu, md.disc,
+        HinfResult(F=np.zeros((1, 3)), gamma=1.0, norm=0.5, disc=md.disc),
         Scenario(initial_state=np.ones(3)),
+        SweepResult(rows=(), warnings=(), diagnostics={}),
+        BenchmarkConfig(values={}),
     ]
     assert len({type(x) for x in objects}) == 15
     for x in objects:

@@ -165,6 +165,21 @@ class TestEquilibrium:
         with pytest.raises(NoConvergence) as exc:
             solve_equilibrium(gens, bench_net, max_iters=30)
         assert exc.value.history  # residual history is reported
+        assert "v_target_V" not in str(exc.value)   # no target was set
+
+    def test_inconsistent_voltage_target_says_what_to_change(
+            self, bench_gens, bench_net, bench_op):
+        # the torque fixes the power, so a voltage target other than the
+        # one e_f0 gives has no equilibrium
+        v_star = float(np.hypot(bench_op.sol.e_d[0], bench_op.sol.e_q[0]))
+        with pytest.raises(NoConvergence) as exc:
+            solve_equilibrium(bench_gens, bench_net, v_target=1.01 * v_star,
+                              max_iters=3)
+        msg = str(exc.value)
+        assert f"final scaled residual {exc.value.final_residual:.3e}" in msg
+        assert "T_m_Nm" in msg and "power-consistent" in msg
+        assert "v_target_V" in msg
+        assert "scripts/make_benchmark_config.py" in msg
 
     def test_residual_history_decreases(self, bench_op):
         hist = bench_op.residual_history

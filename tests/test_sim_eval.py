@@ -16,9 +16,9 @@ from helpers import (
 )
 from test_dncs import bench_mode_system, synthetic_symmetric_plant
 from wadc.dncs import (
-    DelaySchedule,
     DistributedController,
     LocalGains,
+    delay_map,
     design_mode,
     mode_system,
     symmetric_modes,
@@ -47,15 +47,15 @@ from wadc.sim_eval import (
 def build_controller(plant, gains, dec, tau, h=0.02, method="lqr",
                      zero_gains=False):
     d = tau * (np.ones((2, 2)) - np.eye(2))
-    sched = DelaySchedule.from_links(dec, d, h)
+    d_hat, _ = delay_map(dec, d)
     designs = []
     for i in range(2):
         md = design_mode(bench_mode_system(gains, dec, i), h,
-                         float(sched.d_hat[i]), method=method)
+                         float(d_hat[i]), method=method)
         if zero_gains:
             md = replace(md, F=np.zeros_like(md.F))
         designs.append(md)
-    return DistributedController(gains, dec, sched, designs), designs
+    return DistributedController(gains, dec, d, h, designs), designs
 
 
 class TestRefineStep:
@@ -145,12 +145,11 @@ class TestSimulate:
         # a 20 ms request against 30 ms links: every sampling and
         # switching instant lands on an even index of the step taken
         ctrl, _ = build_controller(bench_plant, gains_k1, dec_k1, 0.03)
-        sched = ctrl.schedule
         scn = Scenario(initial_state=np.zeros(6), integrator_step=0.02,
                        horizon=1.0)
         out = simulate_collect(bench_plant, ctrl, scn, *BENCH_WEIGHTS)
         assert out.step == 0.005 and out.steps_per_period == 4
-        for event in (sched.h, *sched.d_rho):
+        for event in (ctrl.h, *ctrl.d_rho):
             k = event / out.step
             assert abs(k - round(k)) < 1e-9 and round(k) % 2 == 0
 
@@ -185,7 +184,7 @@ class TestSimulate:
         A = gains_k1.A_bar
         x = x0.copy()
         dt = 0.01
-        n_h = round(ctrl.schedule.h / dt)
+        n_h = round(ctrl.h / dt)
         for k in range(1, len(out.t)):
             for _ in range(n_h):
                 k1 = A @ x
@@ -229,7 +228,6 @@ class TestSimulate:
         dec = request.getfixturevalue(f"dec_{gain_set}")
         ctrl, designs = build_controller(bench_plant, gains, dec, tau,
                                          method=measure)
-        sched = ctrl.schedule
         x_hat0 = np.zeros(6) if impulse else np.array([1.0, 0, 0, 0, 0, 0])
         w = np.zeros((1, 4)) if impulse else None
         if impulse:
@@ -242,9 +240,9 @@ class TestSimulate:
 
         out = run(horizon)
         # the oracle steps at the step the simulator picked
-        periods = round(horizon / sched.h)
+        periods = round(horizon / ctrl.h)
         ref = per_step_closed_loop(
-            bench_plant, gains, dec, sched, designs, dec.M_x @ x_hat0,
+            bench_plant, gains, dec, ctrl, designs, dec.M_x @ x_hat0,
             out.step, periods, *BENCH_WEIGHTS, w_seq=() if w is None else w)
         np.testing.assert_array_equal(out.t, ref["t"])
         # u = K x + u_bar cancels under the large H-infinity local gains,
@@ -256,7 +254,7 @@ class TestSimulate:
             scale = scales.get(key, np.abs(want)).max(axis=1, keepdims=True)
             assert (np.abs(got - want) <= 1e-10 * scale).all(), key
         assert np.abs(ref["u_bar"]).max() > 0   # the commands do arrive
-        J = [run(k * sched.h).J for k in range(1, periods + 1)]
+        J = [run(k * ctrl.h).J for k in range(1, periods + 1)]
         np.testing.assert_allclose(J, ref["J"][1:], rtol=1e-10, atol=0)
 
     def test_certificate_against_simulation(self, bench_plant, gains_k1,
@@ -268,7 +266,7 @@ class TestSimulate:
         scn = Scenario(initial_state=x_hat0, integrator_step=0.01,
                        horizon=800.0)
         out = simulate_collect(bench_plant, ctrl, scn, *BENCH_WEIGHTS)
-        J_cert = md.result.J_star(md.disc.lift_state(x_hat0[:3]))
+        J_cert = md.J_star(md.disc.lift_state(x_hat0[:3]))
         assert abs(out.J - J_cert) <= 5e-3 * J_cert
 
     def test_integrator_step_halving(self, bench_plant, gains_k1, dec_k1):
@@ -378,7 +376,7 @@ def falling_designs(monkeypatch):
             value = 1.0 if wait == 0.0 else 5.0 - wait
             return SimpleNamespace(
                 disc=SimpleNamespace(lift_state=lambda z: z),
-                result=SimpleNamespace(J_star=lambda z: value))
+                J_star=lambda z: value)
         return one(waits) if np.isscalar(waits) else list(map(one, waits))
 
     monkeypatch.setattr(sim_eval, "design_mode", design)
@@ -407,7 +405,6 @@ def triangular_loop(rate, sampled_rate=0.1):
     gains = LocalGains.from_blocks(plant, [np.zeros((1, 3))] * 2)
     dec = symmetric_modes(plant, gains)
     h = 0.02
-    sched = DelaySchedule.from_links(dec, np.zeros((2, 2)), h)
     designs = []
     for i in range(2):
         md = design_mode(mode_system(gains, dec, i, *TRIANGULAR_WEIGHTS),
@@ -416,7 +413,8 @@ def triangular_loop(rate, sampled_rate=0.1):
         F[0, 0] = ((np.exp(-sampled_rate * h) - md.disc.A2[0, 0])
                    / md.disc.B2u[0, 0])
         designs.append(replace(md, F=F))
-    return plant, DistributedController(gains, dec, sched, designs)
+    return plant, DistributedController(gains, dec, np.zeros((2, 2)), h,
+                                        designs)
 
 
 class TestAttenuation:
@@ -447,7 +445,7 @@ class TestBounds:
         md = design_mode(model, 0.02, 0.0, method="lqr")
         upper, lower = compute_bounds(md, "lqr", z0=z0)
         assert lower <= upper
-        value = md.result.J_star(md.disc.lift_state(z0))
+        value = md.J_star(md.disc.lift_state(z0))
         assert lower - 1e-9 * abs(lower) <= value <= upper * (1 + 1e-9)
 
     def test_hinf_upper_is_open_loop_norm(self, gains_k2, dec_k2):
@@ -516,7 +514,7 @@ class TestSweep:
         F0 = -np.linalg.pinv(md.disc.D2u) @ md.disc.C2
         np.testing.assert_array_equal(md.F, F0)
         np.testing.assert_allclose(md.F, [[-100.0, 0.0, 0.0]], rtol=1e-14)
-        assert md.result.norm <= 1e-12 * res.rows[0].upper
+        assert md.norm <= 1e-12 * res.rows[0].upper
 
     def test_lqr_rows_of_one_interval_share_a_stack(self, gains_k1, dec_k1):
         model = bench_mode_system(gains_k1, dec_k1, 0)
@@ -528,7 +526,7 @@ class TestSweep:
                                    "largest_stack": 5, "rows_redesigned": 0}
         for r in res.rows[1:]:
             md = design_mode(model, 0.02, r.delay, method="lqr")
-            assert r.value == md.result.J_star(md.disc.lift_state(
+            assert r.value == md.J_star(md.disc.lift_state(
                 [1.0, 0.0, 0.0]))
 
     def test_failed_row_leaves_its_stack_intact(self, gains_k1, dec_k1,

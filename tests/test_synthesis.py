@@ -65,21 +65,23 @@ def random_disc(rng, n_x=3, n_u=1, n_w=1, d_over_h=0.0):
 
 class TestDare:
     def test_scalar_quadratic_root(self):
-        P, _ = dare_solve([[0.5]], [[1.0]], [[1.0]], [[0.0]], [[1.0]])
+        P, _ = dare_solve([[[0.5]]], [[[1.0]]], [[[1.0]]], [[[0.0]]],
+                          [[[1.0]]])
         expected = (0.25 + np.sqrt(4.0625)) / 2.0
-        assert abs(P[0, 0] - expected) < 1e-9
+        assert abs(P[0, 0, 0] - expected) < 1e-9
 
     def test_no_control_stein(self):
-        P, _ = dare_solve([[0.5]], [[0.0]], [[1.0]], [[0.0]], [[0.0]])
-        assert abs(P[0, 0] - 4.0 / 3.0) < 1e-10
+        P, _ = dare_solve([[[0.5]]], [[[0.0]]], [[[1.0]]], [[[0.0]]],
+                          [[[0.0]]])
+        assert abs(P[0, 0, 0] - 4.0 / 3.0) < 1e-10
 
     def test_zero_cost(self):
         rng = np.random.default_rng(0)
         A = 0.5 * rng.normal(size=(3, 3))
         A *= 0.9 / max(1.0, np.abs(np.linalg.eigvals(A)).max())
         B = rng.normal(size=(3, 1))
-        P, _ = dare_solve(A, B, np.zeros((3, 3)), np.zeros((3, 1)),
-                          np.eye(1))
+        P, _ = dare_solve(A[None], B[None], np.zeros((1, 3, 3)),
+                          np.zeros((1, 3, 1)), np.eye(1)[None])
         np.testing.assert_allclose(P, 0, atol=1e-12)
 
     def test_residual_and_stability_random(self):
@@ -88,7 +90,7 @@ class TestDare:
         for _ in range(15):
             disc = random_disc(rng, d_over_h=float(rng.choice([0.0, 0.4, 1.0, 2.3])))
             A, B, Q, N, R = disc.A2, disc.B2u, disc.Q2, disc.N2, disc.R2
-            P, _ = dare_solve(A, B, Q, N, R)
+            P = dare_solve(A[None], B[None], Q[None], N[None], R[None])[0][0]
             G = A.T @ P @ B + N
             res = (A.T @ P @ A - P + Q
                    - G @ np.linalg.pinv(R + B.T @ P @ B) @ G.T)
@@ -100,7 +102,7 @@ class TestDare:
         rng = np.random.default_rng(2)
         for _ in range(10):
             disc = random_disc(rng, d_over_h=0.0)  # d=0 keeps R2 PD
-            P, _ = dare_solve(disc.A2, disc.B2u, disc.Q2, disc.N2, disc.R2)
+            P = dare_solve(*stacked([disc]))[0][0]
             P_ref = scipy.linalg.solve_discrete_are(
                 disc.A2, disc.B2u, disc.Q2, disc.R2, s=disc.N2)
             np.testing.assert_allclose(P, P_ref, rtol=1e-7,
@@ -108,14 +110,15 @@ class TestDare:
 
     def test_indefinite_r_rejected(self):
         with pytest.raises(IndefiniteCost):
-            dare_solve([[0.5]], [[1.0]], [[1.0]], [[0.0]], [[-1.0]])
+            dare_solve([[[0.5]]], [[[1.0]]], [[[1.0]]], [[[0.0]]],
+                       [[[-1.0]]])
 
     def test_singular_r_needs_stable_a(self):
         # singular R rules out doubling and an unstable A rules out policy
         # iteration from the zero gain: no solver applies, so it raises
         with pytest.raises(NotStabilizable, match="policy iteration"):
-            dare_solve(np.diag([1.5, 0.5]), [[1.0], [0.0]], np.eye(2),
-                       None, [[0.0]])
+            dare_solve(np.diag([1.5, 0.5])[None], [[[1.0], [0.0]]],
+                       np.eye(2)[None], np.zeros((1, 2, 1)), [[[0.0]]])
 
     def test_unconverged_doubling_fails(self, monkeypatch):
         # a positive-definite R picks doubling, and a slice that has not
@@ -126,7 +129,7 @@ class TestDare:
         assert np.linalg.eigvalsh(disc.R2).min() > 0
         monkeypatch.setattr(synthesis, "_MAX_SDA_ITERS", 1)
         with pytest.raises(NotStabilizable, match="doubling"):
-            dare_solve(disc.A2, disc.B2u, disc.Q2, disc.N2, disc.R2)
+            dare_solve(*stacked([disc]))
 
     def test_singular_r_checks_each_loop_once(self, monkeypatch):
         # policy iteration's closed loops (the first iterate is A itself)
@@ -149,7 +152,7 @@ class TestDare:
 
         monkeypatch.setattr(np.linalg, "eigvals", counted_eigvals)
         monkeypatch.setattr(synthesis, "stein_solve", counted_stein)
-        dare_solve(disc.A2, disc.B2u, disc.Q2, disc.N2, disc.R2)
+        dare_solve(*stacked([disc]))
         assert calls["stein"] >= 2
         assert calls["eigvals"] == 1
 
@@ -190,7 +193,8 @@ class TestStacks:
         P = stein_solve(np.stack(As), np.stack(Qs))
         assert P.shape == (3, 5, 5)
         for j in range(3):
-            assert np.array_equal(P[j], stein_solve(As[j], Qs[j]))
+            assert np.array_equal(P[j],
+                                  stein_solve(As[j][None], Qs[j][None])[0])
 
     def test_stein_stack_with_unstable_slice_raises(self):
         A = np.stack([0.5 * np.eye(2), np.diag([1.5, 0.5])])
@@ -206,7 +210,7 @@ class TestStacks:
         singles, steps = [], []
         for d in discs:
             calls = counting(monkeypatch, synthesis, "stein_solve")
-            singles.append(dare_solve(d.A2, d.B2u, d.Q2, d.N2, d.R2)[0])
+            singles.append(dare_solve(*stacked([d]))[0][0])
             steps.append(calls[0])
             monkeypatch.undo()
         assert len(set(steps)) == 3
@@ -221,12 +225,12 @@ class TestStacks:
         discs = [random_disc(np.random.default_rng(seed), d_over_h=0.4)
                  for seed in (0, 1)]
         assert all(np.linalg.eigvalsh(d.R2).min() > 0 for d in discs)
-        singles = [dare_solve(d.A2, d.B2u, d.Q2, d.N2, d.R2) for d in discs]
+        singles = [dare_solve(*stacked([d])) for d in discs]
         calls = counting(monkeypatch, synthesis, "_set_aside")
         P, F = dare_solve(*stacked(discs))
         assert calls[0] == 1
         for j, (P1, F1) in enumerate(singles):
-            assert np.array_equal(P[j], P1) and np.array_equal(F[j], F1)
+            assert np.array_equal(P[j], P1[0]) and np.array_equal(F[j], F1[0])
 
     def test_dare_stack_mixes_doubling_and_policy_iteration(self):
         # one system at d = 0.4 h (R positive definite: doubling) and at
@@ -237,18 +241,18 @@ class TestStacks:
         assert not discs[1].R2.any()
         P, _ = dare_solve(*stacked(discs))
         for j, d in enumerate(discs):
-            assert np.array_equal(
-                P[j], dare_solve(d.A2, d.B2u, d.Q2, d.N2, d.R2)[0])
+            assert np.array_equal(P[j], dare_solve(*stacked([d]))[0][0])
 
     def test_lqr_design_returns_the_checked_gain(self, monkeypatch):
         # the gain is the one whose loop dare_solve checked, formed once
         import wadc.synthesis as synthesis
         disc = random_disc(np.random.default_rng(3), d_over_h=0.4)
-        P, F = dare_solve(disc.A2, disc.B2u, disc.Q2, disc.N2, disc.R2)
+        P, F = dare_solve(*stacked([disc]))
         calls = counting(monkeypatch, synthesis, "_gain_from")
-        res = lqr_design(disc)
+        res = lqr_design([disc])[0]
         assert calls[0] == 1
-        assert np.array_equal(res.F, F) and np.array_equal(res.P, P)
+        assert np.array_equal(res.F, F[0]) and np.array_equal(res.P, P[0])
+        assert res.disc is disc
 
     def test_lqr_design_stack_equals_singles(self):
         discs = [random_disc(np.random.default_rng(0), d_over_h=doh)
@@ -256,7 +260,7 @@ class TestStacks:
         results = lqr_design(discs)
         assert len(results) == 3
         for res, d in zip(results, discs):
-            alone = lqr_design(d)
+            alone = lqr_design([d])[0]
             assert np.array_equal(res.F, alone.F)
             assert np.array_equal(res.P, alone.P)
 
@@ -267,7 +271,8 @@ class TestStacks:
         B = np.array([[[0.0]], [[1.0]]])
         Q = np.ones((2, 1, 1))
         zero = np.zeros((2, 1, 1))
-        singles = [dare_solve(A[j], B[j], Q[j], zero[j], zero[j])[0]
+        singles = [dare_solve(A[j][None], B[j][None], Q[j][None],
+                              zero[j][None], zero[j][None])[0][0]
                    for j in range(2)]
         calls = counting(monkeypatch, np.linalg, "lstsq")
         P, _ = dare_solve(A, B, Q, zero, zero)
@@ -282,7 +287,7 @@ class TestStacks:
         A = np.stack([0.5 * np.eye(2), np.diag([1.5, 0.5])])
         B = np.stack([[[1.0], [1.0]], [[1.0], [0.0]]])
         with pytest.raises(NotStabilizable, match="policy iteration"):
-            dare_solve(A, B, np.stack([np.eye(2)] * 2), None,
+            dare_solve(A, B, np.stack([np.eye(2)] * 2), np.zeros((2, 2, 1)),
                        np.zeros((2, 1, 1)))
 
 
@@ -293,13 +298,13 @@ class TestLqr:
         zeroed = make_disc(disc.A2, disc.B2u, disc.B2w, disc.C2, disc.D2u,
                            disc.D2w, np.zeros_like(disc.Q2),
                            np.zeros_like(disc.N2), np.eye(disc.n_u))
-        res = lqr_design(zeroed)
+        res = lqr_design([zeroed])[0]
         np.testing.assert_allclose(res.F, 0, atol=1e-12)
 
     def test_certificate_matches_simulated_cost(self):
         rng = np.random.default_rng(4)
         disc = random_disc(rng, d_over_h=0.0)
-        res = lqr_design(disc)
+        res = lqr_design([disc])[0]
         z0 = rng.normal(size=disc.n_z)
         J = closed_loop_cost(disc, res.F, z0)
         assert abs(J - res.J_star(z0)) <= 1e-6 * max(1.0, res.J_star(z0))
@@ -307,7 +312,7 @@ class TestLqr:
     def test_certificate_with_delay(self):
         rng = np.random.default_rng(5)
         disc = random_disc(rng, d_over_h=2.3)
-        res = lqr_design(disc)
+        res = lqr_design([disc])[0]
         z0 = disc.lift_state(rng.normal(size=disc.n_x))
         J = closed_loop_cost(disc, res.F, z0)
         assert abs(J - res.J_star(z0)) <= 1e-6 * max(1.0, res.J_star(z0))
@@ -315,7 +320,7 @@ class TestLqr:
     def test_perturbed_gain_costs_more(self):
         rng = np.random.default_rng(6)
         disc = random_disc(rng)
-        res = lqr_design(disc)
+        res = lqr_design([disc])[0]
         z0 = rng.normal(size=disc.n_z)
         J_opt = closed_loop_cost(disc, res.F, z0)
         for i in range(res.F.shape[0]):
@@ -327,7 +332,7 @@ class TestLqr:
     def test_lqr_certificate_many_initial_states(self):
         rng = np.random.default_rng(7)
         disc = random_disc(rng, d_over_h=1.0)
-        res = lqr_design(disc)
+        res = lqr_design([disc])[0]
         for _ in range(20):
             z0 = rng.normal(size=disc.n_z)
             J = closed_loop_cost(disc, res.F, z0)
@@ -383,7 +388,7 @@ class TestHinfNorm:
         for i in range(2):
             disc = discretize(bench_mode_system(gains_k2, dec_k2, i), 0.02,
                               d)
-            _, res = gamma_min(disc, tol=1e-3)
+            res = gamma_min(disc, tol=1e-3)
             for F in (np.zeros_like(res.F), res.F):
                 args = (disc.A2 + disc.B2u @ F, disc.B2w,
                         disc.C2 + disc.D2u @ F, disc.D2w)
@@ -444,7 +449,8 @@ class TestHinfDesign:
         rng = np.random.default_rng(12)
         for d_over_h in (0.0, 1.0, 2.3):
             disc = random_disc(rng, n_x=2, n_w=1, d_over_h=d_over_h)
-            gstar, res = gamma_min(disc, tol=1e-2)
+            res = gamma_min(disc, tol=1e-2)
+            gstar = res.gamma
             res2 = hinf_design(disc, 1.2 * gstar)
             assert res2.norm < 1.2 * gstar
 
@@ -452,7 +458,7 @@ class TestHinfDesign:
         rng = np.random.default_rng(13)
         for _ in range(5):
             disc = random_disc(rng, n_x=2, n_w=1)
-            gstar, _ = gamma_min(disc, tol=1e-2)
+            gstar = gamma_min(disc, tol=1e-2).gamma
             for factor in (1.1, 2.0, 10.0):
                 res = hinf_design(disc, factor * gstar)
                 assert res.norm < factor * gstar
@@ -469,7 +475,7 @@ class TestHinfDesign:
 
         rng = np.random.default_rng(21)
         disc = random_disc(rng, n_x=3, n_w=2)
-        gstar, _ = gamma_min(disc, tol=1e-3)
+        gstar = gamma_min(disc, tol=1e-3).gamma
         monkeypatch.setattr(np.linalg, "eigvals", recorded)
         res = hinf_design(disc, 1.5 * gstar)
         assert len(seen) == 1
@@ -483,7 +489,7 @@ class TestHinfDesign:
         # gain of the block elimination through H3, from the same P, at
         # levels from just above gamma* to far above it
         disc = discretize(bench_mode_system(gains_k2, dec_k2, i), 0.02, d)
-        gstar, _ = gamma_min(disc, tol=1e-3)
+        gstar = gamma_min(disc, tol=1e-3).gamma
         solved = []
         real = scipy.linalg.solve_discrete_are
 
@@ -516,11 +522,13 @@ class TestHinfDesign:
         rng = np.random.default_rng(14)
         for d_over_h in (0.0, 1.4):
             disc = random_disc(rng, n_x=2, n_w=1, d_over_h=d_over_h)
-            gstar, _ = gamma_min(disc, tol=1e-2)
+            gstar = gamma_min(disc, tol=1e-2).gamma
             res = hinf_design(disc, 1e8 * gstar)
             # same cost structure: Q = C'C, N = C'Du, R = Du'Du
-            P, _ = dare_solve(disc.A2, disc.B2u, disc.C2.T @ disc.C2,
-                              disc.C2.T @ disc.D2u, disc.D2u.T @ disc.D2u)
+            P = dare_solve(disc.A2[None], disc.B2u[None],
+                           (disc.C2.T @ disc.C2)[None],
+                           (disc.C2.T @ disc.D2u)[None],
+                           (disc.D2u.T @ disc.D2u)[None])[0][0]
             H = disc.D2u.T @ disc.D2u + disc.B2u.T @ P @ disc.B2u
             F_lqr = -np.linalg.lstsq(
                 H, disc.B2u.T @ P @ disc.A2 + disc.D2u.T @ disc.C2,
@@ -533,7 +541,8 @@ class TestGammaMin:
         disc = make_disc(np.zeros((1, 1)), np.zeros((1, 1)), np.zeros((1, 2)),
                          np.zeros((2, 1)), np.zeros((2, 1)), 2.0 * np.eye(2),
                          np.zeros((1, 1)), np.zeros((1, 1)), np.zeros((1, 1)))
-        gstar, res = gamma_min(disc, tol=1e-3)
+        res = gamma_min(disc, tol=1e-3)
+        gstar = res.gamma
         assert abs(gstar - 2.0) <= 2.0 * 2e-3
         assert res.norm == pytest.approx(2.0)
 
@@ -543,7 +552,8 @@ class TestGammaMin:
         disc = make_disc([[0.5]], [[0.0]], [[1.0]], [[1.0]], [[0.0]],
                          [[0.0]], np.eye(1), np.zeros((1, 1)), np.eye(1))
         tol = 1e-3
-        gstar, res = gamma_min(disc, tol=tol)
+        res = gamma_min(disc, tol=tol)
+        gstar = res.gamma
         assert np.all(res.F == 0.0)
         assert res.norm == hinf_norm(disc.A2, disc.B2w, disc.C2, disc.D2w)
         assert 2.0 <= gstar <= 2.0 * (1 + tol)
@@ -557,7 +567,8 @@ class TestGammaMin:
                          np.eye(1), np.zeros((1, 1)), np.eye(1))
         import wadc.synthesis as synthesis
         calls = counting(monkeypatch, synthesis, "hinf_norm")
-        gstar, res = gamma_min(disc, tol=1e-3)
+        res = gamma_min(disc, tol=1e-3)
+        gstar = res.gamma
         assert gstar == 0.0 and res.gamma == 0.0
         np.testing.assert_array_equal(res.F, -np.linalg.pinv(D2u) @ C2)
         assert res.norm == 0.0 and res.levels == 0
@@ -582,7 +593,8 @@ class TestGammaMin:
         calls = counting(monkeypatch, synthesis, "hinf_design")
         disc = make_disc([[0.5]], [[1.0]], [[0.0]], [[1.0]], [[0.0]],
                          [[0.0]], np.eye(1), np.zeros((1, 1)), np.eye(1))
-        gstar, res = gamma_min(disc, tol=1e-3)
+        res = gamma_min(disc, tol=1e-3)
+        gstar = res.gamma
         assert gstar == 0.0 and res.gamma == 0.0 and res.norm == 0.0
         assert np.array_equal(res.F, np.zeros((1, 1)))
         assert calls[0] == 0
@@ -595,7 +607,8 @@ class TestGammaMin:
         disc = make_disc([[0.5, 0.0], [1.0, 0.8]], [[1.0], [1.0]],
                          [[1.0], [0.0]], [[0.0, 1.0]], [[0.0]], [[0.0]],
                          np.eye(2), np.zeros((2, 1)), np.eye(1))
-        gstar, res = gamma_min(disc, tol=1e-3)
+        res = gamma_min(disc, tol=1e-3)
+        gstar = res.gamma
         assert gstar == 0.0 and res.gamma == 0.0 and res.norm == 0.0
         assert res.levels == res.accepted == 1
         open_norm = grid_hinf_norm(disc.A2, disc.B2w, disc.C2, disc.D2w)
@@ -613,7 +626,7 @@ class TestGammaMin:
         rng = np.random.default_rng(15)
         disc = random_disc(rng, n_x=2, n_w=1)
         tol = 1e-2
-        gstar, _ = gamma_min(disc, tol=tol)
+        gstar = gamma_min(disc, tol=tol).gamma
         hinf_design(disc, gstar * (1 + 2 * tol))  # must not raise
         with pytest.raises(GammaInfeasible):
             hinf_design(disc, gstar * (1 - 2 * tol))
@@ -621,17 +634,18 @@ class TestGammaMin:
     def test_tolerance_self_consistency(self):
         rng = np.random.default_rng(16)
         disc = random_disc(rng, n_x=2, n_w=1)
-        g2, _ = gamma_min(disc, tol=1e-2)
-        g3, _ = gamma_min(disc, tol=1e-3)
+        g2 = gamma_min(disc, tol=1e-2).gamma
+        g3 = gamma_min(disc, tol=1e-3).gamma
         assert abs(g2 - g3) <= 1e-2 * g2
 
 
 def check_against_bisection(disc, tol=1e-3):
     """gamma_min against the plain bisection oracle: the same level to tol,
     a certified top, the bracket property and at most twice the levels."""
-    gstar, res = gamma_min(disc, tol=tol)
+    res = gamma_min(disc, tol=tol)
+    gstar = res.gamma
     g_ref, levels_ref = bisection_gamma(disc, tol)
-    assert res.gamma == gstar == res.norm * (1 + 2e-10)
+    assert gstar == res.norm * (1 + 2e-10)
     assert abs(gstar - g_ref) <= tol * g_ref
     assert 1 <= res.accepted <= res.levels <= 2 * levels_ref
     hinf_design(disc, gstar * (1 + 2 * tol))  # must not raise
@@ -658,7 +672,7 @@ class TestGammaSearch:
         for d in (0.1, 0.2, 0.3):
             disc = discretize(bench_mode_system(gains_k2, dec_k2, 0), 0.02,
                               d)
-            levels += gamma_min(disc, tol=1e-3)[1].levels
+            levels += gamma_min(disc, tol=1e-3).levels
         assert levels <= 30
 
     def test_safeguard_bounds_a_slow_secant(self, monkeypatch):
@@ -673,14 +687,16 @@ class TestGammaSearch:
             if level <= 1.0:
                 raise GammaInfeasible("H1")
             return HinfResult(F=np.zeros((1, 1)), gamma=level,
-                              norm=level - 0.3 * (level - 1.0) ** 6)
+                              norm=level - 0.3 * (level - 1.0) ** 6,
+                              disc=disc)
 
         for module in (synthesis, helpers):
             monkeypatch.setattr(module, "hinf_design", design)
             monkeypatch.setattr(module, "hinf_norm", lambda *args: 3.0)
         disc = make_disc([[0.5]], [[1.0]], [[1.0]], [[1.0]], [[0.0]],
                          [[0.0]], np.eye(1), np.zeros((1, 1)), np.eye(1))
-        gstar, res = gamma_min(disc, tol=1e-3)
+        res = gamma_min(disc, tol=1e-3)
+        gstar = res.gamma
         _, levels_ref = bisection_gamma(disc, 1e-3)
         assert 1.0 < gstar <= 1.001
         assert res.levels <= 2 * levels_ref
@@ -720,34 +736,34 @@ class TestStein:
         A *= 0.85 / np.abs(np.linalg.eigvals(A)).max()
         Qm = rng.normal(size=(4, 4))
         Qm = Qm @ Qm.T
-        P = stein_solve(A, Qm)
+        P = stein_solve(A[None], Qm[None])[0]
         P_ref = scipy.linalg.solve_discrete_lyapunov(A.T, Qm)
         np.testing.assert_allclose(P, P_ref, rtol=1e-9, atol=1e-12)
 
     def test_unstable_rejected(self):
         with pytest.raises(UnstableSystem):
-            stein_solve(np.eye(2), np.eye(2))
+            stein_solve(np.eye(2)[None], np.eye(2)[None])
 
     def test_power_bound_certifies_without_eigenvalues(self, monkeypatch):
         seen = recording(monkeypatch)
         rng = np.random.default_rng(18)
         A = rng.normal(size=(4, 4))
         A *= 0.9 / np.abs(np.linalg.eigvals(A)).max()
-        stein_solve(A, np.eye(4))
+        stein_solve(A[None], np.eye(4)[None])
         assert seen == []
 
     def test_zero_cost_stable_reaches_fallback(self, monkeypatch):
         # Q = 0 passes the stop test at once, where n max|A^2| = 1.62
         seen = recording(monkeypatch)
         A = np.diag([0.9, 0.8])
-        P = stein_solve(A, np.zeros((2, 2)))
+        P = stein_solve(A[None], np.zeros((1, 2, 2)))[0]
         assert np.array_equal(P, np.zeros((2, 2)))
         assert len(seen) == 1 and np.array_equal(seen[0], A[None])
 
     def test_zero_cost_unstable_raises(self, monkeypatch):
         seen = recording(monkeypatch)
         with pytest.raises(UnstableSystem):
-            stein_solve(np.diag([1.5, 0.5]), np.zeros((2, 2)))
+            stein_solve(np.diag([1.5, 0.5])[None], np.zeros((1, 2, 2)))
         assert len(seen) == 1
 
     def test_power_bound_counts_the_dimension(self):
@@ -755,7 +771,7 @@ class TestStein:
         # tells that A^2 does not prove stability
         A = np.full((4, 4), 0.3)
         with pytest.raises(UnstableSystem):
-            stein_solve(A, np.zeros((4, 4)))
+            stein_solve(A[None], np.zeros((1, 4, 4)))
 
     def test_unstable_slice_raises_before_overflow(self, monkeypatch):
         # the unstable slice's powers pass 1e30 after eight doublings; its
@@ -774,7 +790,8 @@ class TestStein:
         # its eigenvalues are checked once and the doubling goes on to the
         # same P as with an eigenvalue check of A up front
         seen = recording(monkeypatch)
-        P = stein_solve(np.array([[0.5, 1e35], [0.0, 0.5]]), np.eye(2))
+        P = stein_solve(np.array([[[0.5, 1e35], [0.0, 0.5]]]),
+                        np.eye(2)[None])[0]
         expected = [float.fromhex(x) for x in (
             "0x1.5555555555555p+0", "0x1.11e8f827844e6p+116",
             "0x1.11e8f827844e6p+116", "0x1.12c189f29055cp+234")]
@@ -794,7 +811,7 @@ class TestStein:
         assert len(seen) == 1 and np.array_equal(seen[0], A[2:3])
         assert not P[2].any()
         for j in range(4):
-            assert np.array_equal(P[j], stein_solve(A[j], Q[j]))
+            assert np.array_equal(P[j], stein_solve(A[j][None], Q[j][None])[0])
 
 
 def reductions(monkeypatch):
@@ -877,5 +894,5 @@ class TestSteinSkip:
             stein_solve(A, Q)
 
     def test_large_stable_transient(self, monkeypatch):
-        A = np.array([[0.5, 1e35], [0.0, 0.5]])
-        self.check(monkeypatch, A, np.eye(2))
+        A = np.array([[[0.5, 1e35], [0.0, 0.5]]])
+        self.check(monkeypatch, A, np.eye(2)[None])
