@@ -329,13 +329,17 @@ def solve_equilibrium(gens, net, v_target=None, tol=1e-10, max_iters=100):
         norm = np.abs(res_new).max()
         history.append(norm)
     if norm > tol:
-        raise NoConvergence(max_iters, norm, history, "" if v_target is None
-                            else ": with T_m_Nm fixed, an equilibrium exists "
-                            "only where the torque is power-consistent with "
-                            "the terminal-voltage target v_target_V; set "
-                            "v_target_V = none to hold e_f0_V, or set e_f0_V "
-                            "for the voltage wanted and recompute T_m_Nm "
-                            "with scripts/make_benchmark_config.py")
+        hint = (": with T_m_Nm fixed, an equilibrium exists only where the "
+                "torque is power-consistent with ")
+        if v_target is None:
+            hint += ("the field voltage e_f0_V; recompute T_m_Nm for e_f0_V "
+                     "with scripts/make_benchmark_config.py")
+        else:
+            hint += ("the terminal-voltage target v_target_V; set "
+                     "v_target_V = none to hold e_f0_V, or set e_f0_V for "
+                     "the voltage wanted and recompute T_m_Nm with "
+                     "scripts/make_benchmark_config.py")
+        raise NoConvergence(max_iters, norm, history, hint)
 
     x = np.empty(3 * m)
     x[0::3] = theta[:m]

@@ -704,20 +704,29 @@ class TestSimulateCommand:
 
 class TestProcessEntry:
     """``python -m wadc`` and the ``wadc`` script run ``wadc.__main__.run``,
-    which freezes the import heap before ``cli.main``."""
+    which freezes the import heap before ``cli.main``.  Importing
+    ``wadc.__main__`` first registers lazy stand-ins for the numpy
+    submodules in ``DEFERRED``, which ``import wadc`` alone does not load."""
+
+    # a module that each stand-in's code imports, or that it alone pulls in
+    UNRUN = ("numpy.f2py.crackfortran", "numpy.testing._private.utils",
+             "unittest", "charset_normalizer")
 
     @staticmethod
-    def spawn(out_dir, *argv):
+    def python(*args, **overrides):
         env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
-                   MKL_NUM_THREADS="1")
+                   MKL_NUM_THREADS="1", **overrides)
         src = str(README.parent / "src")
         env["PYTHONPATH"] = os.pathsep.join(
             filter(None, (src, env.get("PYTHONPATH"))))
         return subprocess.run(
-            [sys.executable, "-m", "wadc", "--config", CONFIG,
-             "--out", str(out_dir), *argv],
-            cwd=README.parent, env=env, capture_output=True, text=True,
-            timeout=60)
+            [sys.executable, *args], cwd=README.parent, env=env,
+            capture_output=True, text=True, timeout=60)
+
+    @classmethod
+    def spawn(cls, out_dir, *argv, flags=(), **overrides):
+        return cls.python(*flags, "-m", "wadc", "--config", CONFIG,
+                          "--out", str(out_dir), *argv, **overrides)
 
     @staticmethod
     def digests(out_dir):
@@ -752,6 +761,61 @@ class TestProcessEntry:
         frozen, enabled = gc.get_freeze_count(), gc.isenabled()
         assert run(tmp_path, "linearize") == 0
         assert (gc.get_freeze_count(), gc.isenabled()) == (frozen, enabled)
+
+    @pytest.mark.parametrize("argv, overrides", [
+        (("linearize",), {}),
+        (("simulate", "--measure", "lqr", "--delay", "0.1"),
+         {"WADC_SCENARIO__HORIZON_S": "2"}),
+    ], ids=["linearize", "simulate-lqr"])
+    def test_entry_leaves_deferred_modules_unrun(self, tmp_path, argv,
+                                                 overrides):
+        proc = self.spawn(tmp_path, *argv, flags=("-X", "importtime"),
+                          **overrides)
+        assert proc.returncode == 0, proc.stderr
+        imported = {line.rpartition("|")[2].strip()
+                    for line in proc.stderr.splitlines()
+                    if line.startswith("import time:")}
+        assert "scipy.linalg" in imported       # the timings were read
+        assert imported.isdisjoint(self.UNRUN)
+
+    def test_deferred_modules_run_when_touched(self):
+        proc = self.python("-c", """if True:
+            import sys, types
+            import numpy.polynomial
+            before = sys.modules["numpy.polynomial"]
+            from wadc.__main__ import DEFERRED
+            import numpy
+            assert sys.modules["numpy.polynomial"] is before
+            assert type(before) is types.ModuleType
+            lazy = [n for n in DEFERRED
+                    if type(sys.modules[n]) is not types.ModuleType]
+            assert set(lazy) == set(DEFERRED) - {"numpy.polynomial"}, lazy
+            assert not {"unittest", "numpy.testing._private.utils"} \
+                & set(sys.modules)
+            numpy.testing.assert_equal(1, 1)
+            assert numpy.ma.masked_array([1, 2], mask=[0, 1]).sum() == 1
+            assert numpy.f2py.__name__ == "numpy.f2py"
+            for name in ("numpy.testing", "numpy.ma", "numpy.f2py"):
+                module = sys.modules[name]
+                assert type(module) is types.ModuleType, name
+                assert getattr(numpy, name.rpartition(".")[2]) is module
+            """)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_import_wadc_is_light(self):
+        proc = self.python("-c", """if True:
+            import sys
+            import wadc
+            assert not {"numpy", "scipy"} & set(sys.modules)
+            assert wadc.grid_model is sys.modules["wadc.grid_model"]
+            names = {}
+            exec("from wadc import *", names)
+            modules = [n for n in wadc.__all__ if n[0].islower()]
+            assert len(modules) == 6
+            for name in modules:
+                assert names[name] is sys.modules["wadc." + name], name
+            """)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestScripts:

@@ -165,7 +165,9 @@ class TestEquilibrium:
         with pytest.raises(NoConvergence) as exc:
             solve_equilibrium(gens, bench_net, max_iters=30)
         assert exc.value.history  # residual history is reported
-        assert "v_target_V" not in str(exc.value)   # no target was set
+        msg = str(exc.value)
+        assert "v_target_V" not in msg   # no target was set
+        assert "e_f0_V" in msg and "scripts/make_benchmark_config.py" in msg
 
     def test_inconsistent_voltage_target_says_what_to_change(
             self, bench_gens, bench_net, bench_op):
