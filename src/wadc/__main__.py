@@ -4,12 +4,12 @@ script: one process, one command, then exit."""
 import gc
 import importlib.util
 import sys
+import types
 
 # numpy submodules that SciPy's array-API shim reads as attributes of
 # numpy (``clone_module``) and that no wadc command runs, with what
 # ``-X importtime`` timed importing each on a 2-core host (inclusive,
-# median of 5-7 runs, the others deferred).  ``numpy.ma`` still loads on
-# the H-infinity path: ``scipy.linalg.eigvals`` asks ``np.ma.isMaskedArray``.
+# median of 5-7 runs, the others deferred).
 DEFERRED = (
     "numpy.f2py",        # 97 ms, charset_normalizer 45 ms of it
     "numpy.testing",     # 44 ms, unittest 7 ms of it
@@ -18,22 +18,70 @@ DEFERRED = (
     "numpy.char",        # 1.2 ms
 )
 
+# The H-infinity path asks ``numpy.ma`` two questions and nothing else:
+# SciPy's input validator (``scipy._lib._util._asarray_validated``, behind
+# ``eigvals`` in ``hinf_norm`` and the QR, QZ and LU calls of
+# ``solve_discrete_are``) asks ``isMaskedArray``, and ``np.unique`` in
+# ``hinf_norm`` asks ``is_masked``.  Both are False for every object
+# until ``numpy.ma.core`` has run, since a masked array is an instance of
+# a class that module defines; ``is_masked`` also reads any ``_mask``
+# attribute, so an object that has one gets the real answer.
+# ``perfbench/setup_probe.py`` and ``traced.py`` import ``wadc.*`` without
+# this entry, so they still run ``numpy.ma`` and the modules above.
+MASKED_PREDICATES = ("isMaskedArray", "is_masked")
+
+
+class _Unrun(types.ModuleType):
+    """``numpy.ma`` before its code has run: reading an attribute it does
+    not have runs it.  (``importlib.util.LazyLoader``'s stand-in runs on
+    any attribute read, the predicates included.)"""
+
+    def __getattr__(self, name):
+        _run(self)
+        return getattr(self, name)
+
+
+def _run(module):
+    """Run a stand-in's code into it; it is a plain module from then on."""
+    module.__class__ = types.ModuleType
+    module.__spec__.loader.exec_module(module)
+
+
+def _masked_predicate(module, name):
+    """``numpy.ma``'s predicate ``name``: False without running ``numpy.ma``
+    while no masked array can exist, else the real predicate, so a
+    reference taken before the load answers as the real one after it."""
+    def predicate(x):
+        if "numpy.ma.core" not in sys.modules and not hasattr(x, "_mask"):
+            return False
+        if type(module) is _Unrun:
+            _run(module)
+        return vars(module)[name](x)
+    return predicate
+
 
 def _defer(names):
     """Register a lazy stand-in for each module in ``names`` that is not
     imported yet: it is in ``sys.modules`` and an attribute of its parent,
     and its code runs on the first attribute read, so every caller gets
-    the module it would have got."""
+    the module it would have got.  ``numpy.ma``'s stand-in answers its two
+    predicates without running (``MASKED_PREDICATES``)."""
     for name in names:
         if name in sys.modules:
             continue
         spec = importlib.util.find_spec(name)
         if spec is None:
             continue
-        spec.loader = importlib.util.LazyLoader(spec.loader)
-        module = importlib.util.module_from_spec(spec)
+        if name == "numpy.ma":
+            module = importlib.util.module_from_spec(spec)
+            module.__class__ = _Unrun
+            for pred in MASKED_PREDICATES:
+                setattr(module, pred, _masked_predicate(module, pred))
+        else:
+            spec.loader = importlib.util.LazyLoader(spec.loader)
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
         sys.modules[name] = module
-        spec.loader.exec_module(module)
         parent, _, child = name.rpartition(".")
         # without it, numpy's module __getattr__ would import the name again
         setattr(sys.modules[parent], child, module)

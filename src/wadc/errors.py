@@ -30,6 +30,11 @@ class NoConvergence(WadcError):
         )
 
 
+class OffEquilibrium(WadcError):
+    """The point given to linearize does not satisfy the dynamics to the
+    residual linearize needs."""
+
+
 class JacobianInconsistent(WadcError):
     """Finite-difference Jacobian failed the step-halving consistency check."""
 

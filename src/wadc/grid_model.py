@@ -16,6 +16,7 @@ import numpy as np
 from .errors import (
     JacobianInconsistent,
     NoConvergence,
+    OffEquilibrium,
     SingularAlgebraicSystem,
     SingularNetwork,
 )
@@ -67,9 +68,13 @@ class GeneratorParams:
             raise ValueError("p_f must be a positive integer")
 
     def stator_inductance(self, delta):
+        """Stator inductance matrix at rotor angle ``delta``: shape (2, 2),
+        or delta.shape + (2, 2) for an array of angles."""
         c2, s2 = np.cos(2 * delta), np.sin(2 * delta)
-        return (self.L_a0 * np.eye(2)
-                + 1.5 * self.L_a2 * np.array([[c2, s2], [s2, -c2]]))
+        rot = np.empty(np.shape(delta) + (2, 2))
+        rot[..., 0, 0], rot[..., 0, 1] = c2, s2
+        rot[..., 1, 0], rot[..., 1, 1] = s2, -c2
+        return self.L_a0 * np.eye(2) + 1.5 * self.L_a2 * rot
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,8 +144,8 @@ class AlgebraicSolution:
 
 
 def _split_state(x, m):
-    x = np.asarray(x, dtype=float).reshape(3 * m)
-    return x[0::3], x[1::3], x[2::3]  # delta, omega, psi_f
+    x = np.asarray(x, dtype=float)
+    return x[..., 0::3], x[..., 1::3], x[..., 2::3]  # delta, omega, psi_f
 
 
 def solve_algebraic(gens, net: NetworkModel, x, w=None) -> AlgebraicSolution:
@@ -150,35 +155,35 @@ def solve_algebraic(gens, net: NetworkModel, x, w=None) -> AlgebraicSolution:
     equations are linear in the currents, fluxes and voltages, so one
     direct solve gives everything; the electrical torque follows from the
     solved fluxes and currents.
+
+    ``x`` is one state, shape (3m,), or a stack of them, shape (k, 3m);
+    ``w`` is None (no disturbance), one disturbance (2m,) shared by the
+    stack, or a stack (k, 2m).  Each field of the solution then has shape
+    (m,) or (k, m).  A stack is one LAPACK call over k systems assembled by
+    the one-state expressions, so each of its rows is the one-state solve,
+    bit for bit.
     """
     m = len(gens)
-    delta, _, psi_f = _split_state(x, m)
-    w = np.zeros(2 * m) if w is None else np.asarray(w, dtype=float).reshape(2 * m)
+    x = np.asarray(x, dtype=float)
+    lead = x.shape[:-1]
+    delta, _, psi_f = _split_state(x.reshape(-1, 3 * m), m)
+    k = delta.shape[0]
+    w = (np.zeros((k, 2 * m)) if w is None else
+         np.broadcast_to(np.asarray(w, dtype=float).reshape(-1, 2 * m),
+                         (k, 2 * m)))
     om0 = net.omega0
     G, Bm = net.Y.real, net.Y.imag
     Hre, Him = net.H.real, net.H.imag
 
     n = _NVAR * m
-    M = np.zeros((n, n))
-    b = np.zeros(n)
+    M = np.zeros((n, n))      # the entries no rotor angle moves
     for i, g in enumerate(gens):
         o = _NVAR * i
-        c, s = np.cos(delta[i]), np.sin(delta[i])
-        Ls = g.stator_inductance(delta[i])
         # field flux: L_f i_f - 1.5 L_af [c s] [i_d; i_q] = psi_f
-        M[o + 0, o + _IDX_ID] = -1.5 * g.L_af * c
-        M[o + 0, o + _IDX_IQ] = -1.5 * g.L_af * s
         M[o + 0, o + _IDX_IF] = g.L_f
-        b[o + 0] = psi_f[i]
         # stator fluxes: psi + Ls i - L_af [c; s] i_f = 0
         M[o + 1, o + _IDX_PSID] = 1.0
-        M[o + 1, o + _IDX_ID] = Ls[0, 0]
-        M[o + 1, o + _IDX_IQ] = Ls[0, 1]
-        M[o + 1, o + _IDX_IF] = -g.L_af * c
         M[o + 2, o + _IDX_PSIQ] = 1.0
-        M[o + 2, o + _IDX_ID] = Ls[1, 0]
-        M[o + 2, o + _IDX_IQ] = Ls[1, 1]
-        M[o + 2, o + _IDX_IF] = -g.L_af * s
         # stator voltages: e_d = -om0 psi_q - R_a i_d ; e_q = om0 psi_d - R_a i_q
         M[o + 3, o + _IDX_ED] = 1.0
         M[o + 3, o + _IDX_PSIQ] = om0
@@ -189,26 +194,44 @@ def solve_algebraic(gens, net: NetworkModel, x, w=None) -> AlgebraicSolution:
         # network: i = Y e + H i_w (real and imaginary rows)
         M[o + 5, o + _IDX_ID] = 1.0
         M[o + 6, o + _IDX_IQ] = 1.0
-        for k in range(m):
-            ok = _NVAR * k
-            M[o + 5, ok + _IDX_ED] -= G[i, k]
-            M[o + 5, ok + _IDX_EQ] += Bm[i, k]
-            M[o + 6, ok + _IDX_ED] -= Bm[i, k]
-            M[o + 6, ok + _IDX_EQ] -= G[i, k]
-            b[o + 5] += Hre[i, k] * w[2 * k] - Him[i, k] * w[2 * k + 1]
-            b[o + 6] += Him[i, k] * w[2 * k] + Hre[i, k] * w[2 * k + 1]
+        for j in range(m):
+            oj = _NVAR * j
+            M[o + 5, oj + _IDX_ED] -= G[i, j]
+            M[o + 5, oj + _IDX_EQ] += Bm[i, j]
+            M[o + 6, oj + _IDX_ED] -= Bm[i, j]
+            M[o + 6, oj + _IDX_EQ] -= G[i, j]
+    M = np.repeat(M[None], k, axis=0)
+    b = np.zeros((k, n))
+    for i, g in enumerate(gens):
+        # the angle entries of the flux rows, and the right-hand sides
+        o = _NVAR * i
+        c, s = np.cos(delta[:, i]), np.sin(delta[:, i])
+        Ls = g.stator_inductance(delta[:, i])
+        M[:, o + 0, o + _IDX_ID] = -1.5 * g.L_af * c
+        M[:, o + 0, o + _IDX_IQ] = -1.5 * g.L_af * s
+        b[:, o + 0] = psi_f[:, i]
+        M[:, o + 1, o + _IDX_ID] = Ls[:, 0, 0]
+        M[:, o + 1, o + _IDX_IQ] = Ls[:, 0, 1]
+        M[:, o + 1, o + _IDX_IF] = -g.L_af * c
+        M[:, o + 2, o + _IDX_ID] = Ls[:, 1, 0]
+        M[:, o + 2, o + _IDX_IQ] = Ls[:, 1, 1]
+        M[:, o + 2, o + _IDX_IF] = -g.L_af * s
+        for j in range(m):
+            w_re, w_im = w[:, 2 * j], w[:, 2 * j + 1]
+            b[:, o + 5] += Hre[i, j] * w_re - Him[i, j] * w_im
+            b[:, o + 6] += Him[i, j] * w_re + Hre[i, j] * w_im
 
     try:
-        z = np.linalg.solve(M, b)
+        z = np.linalg.solve(M, b[:, :, None])
     except np.linalg.LinAlgError as exc:
         raise SingularAlgebraicSystem(str(exc)) from None
     if not np.isfinite(z).all():
         raise SingularAlgebraicSystem("non-finite algebraic solution")
 
-    zz = z.reshape(m, _NVAR)
-    i_d, i_q, i_f = zz[:, _IDX_ID], zz[:, _IDX_IQ], zz[:, _IDX_IF]
-    psi_d, psi_q = zz[:, _IDX_PSID], zz[:, _IDX_PSIQ]
-    e_d, e_q = zz[:, _IDX_ED], zz[:, _IDX_EQ]
+    zz = z.reshape(lead + (m, _NVAR))
+    i_d, i_q, i_f = zz[..., _IDX_ID], zz[..., _IDX_IQ], zz[..., _IDX_IF]
+    psi_d, psi_q = zz[..., _IDX_PSID], zz[..., _IDX_PSIQ]
+    e_d, e_q = zz[..., _IDX_ED], zz[..., _IDX_EQ]
     p_f = np.array([g.p_f for g in gens], dtype=float)
     T_e = 1.5 * p_f * (psi_d * i_q - psi_q * i_d)
     return AlgebraicSolution(i_d=i_d.copy(), i_q=i_q.copy(), i_f=i_f.copy(),
@@ -217,17 +240,20 @@ def solve_algebraic(gens, net: NetworkModel, x, w=None) -> AlgebraicSolution:
 
 
 def dynamics_rhs(gens, net, x, u, w=None):
-    """State derivative [d delta; d omega; d psi_f] per machine."""
+    """State derivative [d delta; d omega; d psi_f] per machine, for one
+    state or a stack of them (with ``u`` and ``w`` one or a stack each, as
+    in ``solve_algebraic``)."""
     m = len(gens)
-    x = np.asarray(x, dtype=float).reshape(3 * m)
-    u = np.asarray(u, dtype=float).reshape(m)
+    x = np.asarray(x, dtype=float)
+    u = np.asarray(u, dtype=float)
     sol = solve_algebraic(gens, net, x, w)
     delta, omega, _ = _split_state(x, m)
-    out = np.empty(3 * m)
+    out = np.empty(x.shape)
     for i, g in enumerate(gens):
-        out[3 * i] = omega[i] - net.omega0
-        out[3 * i + 1] = (g.T_m - sol.T_e[i] - g.B_fric * omega[i]) / g.J_rot
-        out[3 * i + 2] = u[i] - g.R_f * sol.i_f[i]
+        out[..., 3 * i] = omega[..., i] - net.omega0
+        out[..., 3 * i + 1] = (g.T_m - sol.T_e[..., i]
+                               - g.B_fric * omega[..., i]) / g.J_rot
+        out[..., 3 * i + 2] = u[..., i] - g.R_f * sol.i_f[..., i]
     return out
 
 
@@ -257,23 +283,29 @@ class OperatingPoint:
 
 def _equilibrium_residual(gens, net, theta, v_target):
     """Scaled residual of the equilibrium conditions at unknowns
-    theta = [delta_1..m, psi_f_1..m]."""
+    theta = [delta_1..m, psi_f_1..m], or at each row of a stack of them."""
     m = len(gens)
-    x = np.empty(3 * m)
-    x[0::3] = theta[:m]
-    x[1::3] = net.omega0
-    x[2::3] = theta[m:]
+    theta = np.asarray(theta, dtype=float)
+    x = np.empty(theta.shape[:-1] + (3 * m,))
+    x[..., 0::3] = theta[..., :m]
+    x[..., 1::3] = net.omega0
+    x[..., 2::3] = theta[..., m:]
     sol = solve_algebraic(gens, net, x, None)
-    res = np.empty(2 * m)
+    res = np.empty(theta.shape)
     for i, g in enumerate(gens):
         t_scale = max(1.0, abs(g.T_m), g.B_fric * net.omega0)
-        res[i] = (g.T_m - sol.T_e[i] - g.B_fric * net.omega0) / t_scale
+        res[..., i] = (g.T_m - sol.T_e[..., i]
+                       - g.B_fric * net.omega0) / t_scale
         if v_target is None:
             v_scale = max(1.0, abs(g.e_f0))
-            res[m + i] = (g.e_f0 - g.R_f * sol.i_f[i]) / v_scale
+            res[..., m + i] = (g.e_f0 - g.R_f * sol.i_f[..., i]) / v_scale
         else:
-            vmag2 = sol.e_d[i] ** 2 + sol.e_q[i] ** 2
-            res[m + i] = (vmag2 - v_target ** 2) / max(1.0, v_target ** 2)
+            # float_power rounds as a scalar's ** does; an array's ** 2
+            # squares, which differs in the last bit about once in 1,000
+            vmag2 = (np.float_power(sol.e_d[..., i], 2)
+                     + np.float_power(sol.e_q[..., i], 2))
+            res[..., m + i] = ((vmag2 - v_target ** 2)
+                               / max(1.0, v_target ** 2))
     return res, sol
 
 
@@ -310,9 +342,10 @@ def solve_equilibrium(gens, net, v_target=None, tol=1e-10, max_iters=100):
     for _ in range(max_iters):
         if norm <= tol:
             break
-        Jac = _fd_jacobian(
-            lambda t: _equilibrium_residual(gens, net, t, v_target)[0],
-            theta, 1e-7 * unknown_scale) * unknown_scale
+        steps = 1e-7 * unknown_scale
+        res_pm, _ = _equilibrium_residual(
+            gens, net, _central_points(theta, steps), v_target)
+        Jac = _central_columns(res_pm, steps) * unknown_scale
         # minimum-norm step: the common-angle direction is a null direction
         dscaled, *_ = np.linalg.lstsq(Jac, -res, rcond=1e-6)
         dtheta = dscaled * unknown_scale
@@ -385,20 +418,33 @@ class LinearPlant:
         return 2 * self.m
 
 
+# the largest scaled dynamics residual at which linearize takes a point
+# for an equilibrium
+_LINEARIZE_RESIDUAL = 1e-8
+
+
 def _pow2_step(s):
     return 2.0 ** round(np.log2(s))
 
 
-def _fd_jacobian(f, x0, scale_steps):
-    """Central differences of f at x0, column j with step scale_steps[j]."""
-    cols = []
-    for j in range(x0.size):
-        step = scale_steps[j]
-        xp, xm = x0.copy(), x0.copy()
-        xp[j] += step
-        xm[j] -= step
-        cols.append((f(xp) - f(xm)) / (2 * step))
-    return np.column_stack(cols)
+def _central_points(v0, steps):
+    """The 2n points of a central difference at v0 (size n): v0 + steps[j]
+    e_j for each j, then v0 - steps[j] e_j."""
+    n = v0.size
+    plus = np.tile(v0, (n, 1))
+    minus = plus.copy()
+    diag = np.arange(n)
+    plus[diag, diag] += steps
+    minus[diag, diag] -= steps
+    return np.concatenate([plus, minus])
+
+
+def _central_columns(f_pm, steps):
+    """The central-difference Jacobian from f at ``_central_points``'s
+    rows: column j is (f(v0 + steps[j] e_j) - f(v0 - steps[j] e_j)) /
+    (2 steps[j])."""
+    n = steps.size
+    return ((f_pm[:n] - f_pm[n:]) / (2 * steps)[:, None]).T
 
 
 def linearize(gens, net, op: OperatingPoint) -> LinearPlant:
@@ -408,37 +454,42 @@ def linearize(gens, net, op: OperatingPoint) -> LinearPlant:
     rounded to powers of two (so exactly linear entries difference without
     rounding).  Each Jacobian is validated by step doubling: the
     finite-difference error must shrink consistently with second-order
-    convergence, or the point is flagged as non-smooth/mis-scaled.
+    convergence, or the point is flagged as non-smooth/mis-scaled.  All
+    the perturbed points, three step sizes of the state, input and
+    disturbance columns, go through one stacked algebraic solve.
     """
     m = len(gens)
     scaled = rhs_scale(gens, net)
     rhs0 = dynamics_rhs(gens, net, op.x, op.u, None) / scaled
-    if np.abs(rhs0).max() > 1e-8:
-        raise ValueError("operating point does not satisfy the equilibrium "
-                         f"tolerance (scaled residual {np.abs(rhs0).max():.2e})")
+    residual = np.abs(rhs0).max()
+    if residual > _LINEARIZE_RESIDUAL:
+        raise OffEquilibrium(
+            f"the operating point's scaled dynamics residual {residual:.2e} "
+            f"exceeds the {_LINEARIZE_RESIDUAL:.0e} linearize accepts; "
+            "tighten [tolerances] equilibrium (default 1e-10)")
 
-    w0 = np.zeros(2 * m)
-
-    def f_x(x):
-        return dynamics_rhs(gens, net, x, op.u, w0)
-
-    def f_u(u):
-        return dynamics_rhs(gens, net, op.x, u, w0)
-
-    def f_w(w):
-        return dynamics_rhs(gens, net, op.x, op.u, w)
-
-    blocks = []
+    centers = (op.x, op.u, np.zeros(2 * m))
     # disturbance currents enter the dynamics at most quadratically, so the
     # central difference has no truncation error; an ampere-scale step
     # avoids the cancellation noise a 1e-6 A step would leave in B_w
     w_floor = 1.0
-    for f, v0, floor in ((f_x, op.x, 1e-6), (f_u, op.u, 1e-6),
-                         (f_w, w0, w_floor)):
-        steps = np.array([_pow2_step(max(floor, 1e-6 * abs(v))) for v in v0])
-        J1 = _fd_jacobian(f, v0.astype(float), steps)
-        J2 = _fd_jacobian(f, v0.astype(float), 2 * steps)
-        J4 = _fd_jacobian(f, v0.astype(float), 4 * steps)
+    plans = []     # (perturbed argument, steps) of J1, J2 and J4 of each
+    for arg, floor in enumerate((1e-6, 1e-6, w_floor)):
+        steps = np.array([_pow2_step(max(floor, 1e-6 * abs(v)))
+                          for v in centers[arg]])
+        plans += [(arg, mult * steps) for mult in (1, 2, 4)]
+    stacks = ([], [], [])     # x, u and w of every perturbed point
+    for arg, steps in plans:
+        for i, v0 in enumerate(centers):
+            stacks[i].append(_central_points(v0, steps) if i == arg else
+                             np.broadcast_to(v0, (2 * steps.size, v0.size)))
+    f_pm = dynamics_rhs(gens, net, *(np.concatenate(s) for s in stacks))
+    ends = np.cumsum([2 * steps.size for _, steps in plans])
+    J = [_central_columns(f, steps)
+         for f, (_, steps) in zip(np.split(f_pm, ends[:-1]), plans)]
+
+    blocks = []
+    for J1, J2, J4 in zip(J[0::3], J[1::3], J[2::3]):
         d12 = np.linalg.norm((J2 - J1) / scaled[:, None])
         d24 = np.linalg.norm((J4 - J2) / scaled[:, None])
         floor = 1e-5 * (1.0 + np.linalg.norm(J1 / scaled[:, None]))

@@ -8,6 +8,7 @@ from scipy.linalg import expm
 
 from wadc.dncs import design_mode
 from wadc.errors import GammaInfeasible, UnstableSystem
+from wadc.grid_model import _pow2_step, dynamics_rhs
 from wadc.sampled import CtsCost, CtsSystem, DiscretizedSystem, split_delay
 from wadc.sim_eval import simulate_closed_loop
 from wadc.synthesis import hinf_design, hinf_norm
@@ -543,3 +544,32 @@ def algebraic_residuals(gens, net, x, w, sol):
             "network": abs(net_res[i]) / s_net,
         })
     return out
+
+
+def fd_jacobian(f, x0, steps):
+    """Central differences of f at x0, one column at a time: column j is
+    (f(x0 + steps[j] e_j) - f(x0 - steps[j] e_j)) / (2 steps[j])."""
+    cols = []
+    for j in range(x0.size):
+        xp, xm = x0.copy(), x0.copy()
+        xp[j] += steps[j]
+        xm[j] -= steps[j]
+        cols.append((f(xp) - f(xm)) / (2 * steps[j]))
+    return np.column_stack(cols)
+
+
+def fd_plant(gens, net, op):
+    """A, B_u and B_w at ``op`` by ``fd_jacobian`` of the one-state
+    dynamics, at the steps ``linearize`` takes: 1e-6 of each coordinate,
+    at least 1e-6 (1 A for a disturbance), rounded to a power of two."""
+    w0 = np.zeros(2 * len(gens))
+
+    def steps(v0, floor):
+        return np.array([_pow2_step(max(floor, 1e-6 * abs(v))) for v in v0])
+
+    return (fd_jacobian(lambda x: dynamics_rhs(gens, net, x, op.u, w0),
+                        op.x, steps(op.x, 1e-6)),
+            fd_jacobian(lambda u: dynamics_rhs(gens, net, op.x, u, w0),
+                        op.u, steps(op.u, 1e-6)),
+            fd_jacobian(lambda w: dynamics_rhs(gens, net, op.x, op.u, w),
+                        w0, steps(w0, 1.0)))

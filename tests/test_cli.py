@@ -307,6 +307,18 @@ class TestLinearizeCommand:
         assert "power-consistent" in err
         assert "scripts/make_benchmark_config.py" in err
 
+    def test_loose_equilibrium_tolerance_exit_3(self, tmp_path, monkeypatch,
+                                                capsys):
+        # Newton stops at a residual the config accepts but linearize
+        # cannot take for an equilibrium: a typed error, not a traceback
+        monkeypatch.setenv("WADC_TOLERANCES__EQUILIBRIUM", "1e-4")
+        assert run(tmp_path, "linearize") == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: the operating point's scaled dynamics "
+                              "residual ")
+        assert "exceeds the 1e-08 linearize accepts" in err
+        assert "tighten [tolerances] equilibrium" in err
+
     def test_deterministic_bytes(self, tmp_path):
         run(tmp_path / "a", "linearize")
         run(tmp_path / "b", "linearize")
@@ -710,7 +722,7 @@ class TestProcessEntry:
 
     # a module that each stand-in's code imports, or that it alone pulls in
     UNRUN = ("numpy.f2py.crackfortran", "numpy.testing._private.utils",
-             "unittest", "charset_normalizer")
+             "unittest", "charset_normalizer", "numpy.ma.core")
 
     @staticmethod
     def python(*args, **overrides):
@@ -762,11 +774,17 @@ class TestProcessEntry:
         assert run(tmp_path, "linearize") == 0
         assert (gc.get_freeze_count(), gc.isenabled()) == (frozen, enabled)
 
+    # the H-infinity commands ask numpy.ma's two predicates (SciPy's input
+    # validator and np.unique), which its stand-in answers without running
     @pytest.mark.parametrize("argv, overrides", [
         (("linearize",), {}),
         (("simulate", "--measure", "lqr", "--delay", "0.1"),
          {"WADC_SCENARIO__HORIZON_S": "2"}),
-    ], ids=["linearize", "simulate-lqr"])
+        (("simulate", "--measure", "hinf", "--delay", "0.1"),
+         {"WADC_SCENARIO__HORIZON_S": "2"}),
+        (("sweep", "--measure", "hinf", "--mode", "oscillation"),
+         {"WADC_SAMPLING__DELAY_GRID_S": "0:0.1:0.1"}),
+    ], ids=["linearize", "simulate-lqr", "simulate-hinf", "sweep-hinf"])
     def test_entry_leaves_deferred_modules_unrun(self, tmp_path, argv,
                                                  overrides):
         proc = self.spawn(tmp_path, *argv, flags=("-X", "importtime"),
@@ -793,12 +811,38 @@ class TestProcessEntry:
             assert not {"unittest", "numpy.testing._private.utils"} \
                 & set(sys.modules)
             numpy.testing.assert_equal(1, 1)
-            assert numpy.ma.masked_array([1, 2], mask=[0, 1]).sum() == 1
+            # numpy.ma's predicates answer without running it ...
+            early = numpy.ma.isMaskedArray
+            assert numpy.ma.isMaskedArray(numpy.zeros(1)) is False
+            assert numpy.ma.is_masked(numpy.zeros(1)) is False
+            assert type(sys.modules["numpy.ma"]) is not types.ModuleType
+            assert "numpy.ma.core" not in sys.modules
+            masked = numpy.ma.masked_array([1, 2], mask=[0, 1])
+            assert masked.sum() == 1
+            # ... and the real ones answer after it ran, also through a
+            # reference taken before
+            assert numpy.ma.isMaskedArray is numpy.ma.core.isMaskedArray
+            assert numpy.ma.isMaskedArray(masked) and early(masked)
+            assert not early(numpy.zeros(1))
             assert numpy.f2py.__name__ == "numpy.f2py"
             for name in ("numpy.testing", "numpy.ma", "numpy.f2py"):
                 module = sys.modules[name]
                 assert type(module) is types.ModuleType, name
                 assert getattr(numpy, name.rpartition(".")[2]) is module
+            """)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_masked_predicate_reads_a_mask_attribute(self):
+        # is_masked reads any object's _mask; such an object runs numpy.ma
+        # and gets the real answer
+        proc = self.python("-c", """if True:
+            import sys
+            import wadc.__main__
+            import numpy
+            class Masked:
+                _mask = numpy.ones(1, dtype=bool)
+            assert numpy.ma.is_masked(Masked()) is True
+            assert "numpy.ma.core" in sys.modules
             """)
         assert proc.returncode == 0, proc.stderr
 
@@ -819,6 +863,19 @@ class TestProcessEntry:
 
 
 class TestScripts:
+    def test_benchmark_config_script(self, monkeypatch, capsys):
+        # a one-state caller of solve_algebraic: it prints the torque it
+        # printed before the solve took stacks, and finds the config's
+        path = README.parent / "scripts/make_benchmark_config.py"
+        spec = importlib.util.spec_from_file_location("config_script", path)
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+        monkeypatch.setattr(sys, "argv", [str(path), CONFIG])
+        assert script.main() == 0
+        out = capsys.readouterr().out
+        assert "T_m_Nm = 103294.12737649246\n" in out
+        assert "config torque is already consistent." in out
+
     def test_benchmark_sweep_script(self, tmp_path, monkeypatch, capsys):
         path = README.parent / "scripts/run_benchmark_sweep.py"
         spec = importlib.util.spec_from_file_location("sweep_script", path)

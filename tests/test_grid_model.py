@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from conftest import BENCH_GEN, BENCH_NET
-from helpers import algebraic_residuals
-from wadc.errors import NoConvergence, SingularNetwork
+from helpers import algebraic_residuals, fd_plant
+from wadc.errors import NoConvergence, OffEquilibrium, SingularNetwork
 from wadc.grid_model import (
     GeneratorParams,
+    _equilibrium_residual,
     build_two_area_network,
     dynamics_rhs,
     linearize,
@@ -53,11 +54,35 @@ class TestNetworkBuilder:
             build_two_area_network(0.0, 6.2 + 2.1j, 0.054 + 0.53j)
 
 
+SOLUTION_FIELDS = ("i_d", "i_q", "i_f", "psi_d", "psi_q", "e_d", "e_q",
+                   "T_e")
+
+
 class TestSolveAlgebraic:
+    def test_stack_is_one_state_solves(self, bench_gens, bench_net,
+                                       bench_op):
+        # states and disturbances near the benchmark's operating point, as
+        # linearize and the Newton step stack them
+        rng = np.random.default_rng(3)
+        scale = np.array([1e-3, 1e-2, 1.0] * 2)
+        x = bench_op.x + rng.normal(size=(40, 6)) * scale
+        w = rng.normal(size=(40, 4)) * 4.0
+        for w_stack in (None, w[0], w):
+            sol = solve_algebraic(bench_gens, bench_net, x, w_stack)
+            rows = [solve_algebraic(bench_gens, bench_net, x[r],
+                                    w_stack if w_stack is None
+                                    or w_stack.ndim == 1 else w_stack[r])
+                    for r in range(len(x))]
+            for name in SOLUTION_FIELDS:
+                assert getattr(sol, name).shape == (40, 2)
+                assert np.array_equal(
+                    getattr(sol, name),
+                    np.stack([getattr(one, name) for one in rows])), name
+
     def test_symmetry(self, bench_gens, bench_net):
         x = np.array([0.2, 377.0, 4000.0] * 2)
         sol = solve_algebraic(bench_gens, bench_net, x)
-        for name in ("i_d", "i_q", "i_f", "e_d", "e_q", "psi_d", "psi_q", "T_e"):
+        for name in SOLUTION_FIELDS:
             v = getattr(sol, name)
             assert abs(v[0] - v[1]) <= 1e-9 * (1 + abs(v[0]))
 
@@ -183,6 +208,28 @@ class TestEquilibrium:
         assert "v_target_V" in msg
         assert "scripts/make_benchmark_config.py" in msg
 
+    def test_stacked_residual_is_one_point_residuals(self, bench_gens,
+                                                     bench_net, bench_op):
+        # the Newton step differences a stack of points; each row must be
+        # the one-point residual the iteration accepts, in both modes
+        v_star = float(np.hypot(bench_op.sol.e_d[0], bench_op.sol.e_q[0]))
+        rng = np.random.default_rng(4)
+        theta = (np.concatenate([bench_op.x[0::3], bench_op.x[2::3]])
+                 + rng.normal(size=(4000, 4)) * [1e-2, 1e-2, 50.0, 50.0])
+        for v_target in (None, v_star):
+            stack, sol = _equilibrium_residual(bench_gens, bench_net, theta,
+                                               v_target)
+            for row, t in zip(stack[:12], theta):
+                one, _ = _equilibrium_residual(bench_gens, bench_net, t,
+                                               v_target)
+                assert np.array_equal(row, one)
+        # the voltage rows square as the scalar ** of the one-point form
+        # did (an array's ** 2 rounds differently about once in 1,000)
+        v2 = v_target ** 2
+        want = [[(sol.e_d[r, i] ** 2 + sol.e_q[r, i] ** 2 - v2) / v2
+                 for i in range(2)] for r in range(len(theta))]
+        assert np.array_equal(stack[:, 2:], want)
+
     def test_residual_history_decreases(self, bench_op):
         hist = bench_op.residual_history
         assert hist[-1] <= 1e-10
@@ -240,8 +287,15 @@ class TestLinearize:
         # a uniform angle shift would still be an equilibrium (gauge
         # direction); perturb one machine only
         bad = replace(bench_op, x=bench_op.x + np.array([0.1, 0, 0, 0, 0, 0]))
-        with pytest.raises(ValueError):
+        with pytest.raises(OffEquilibrium, match=r"tolerances\] equilibrium"):
             linearize(bench_gens, bench_net, bad)
+
+    def test_stacked_differences_are_per_column_differences(
+            self, bench_gens, bench_net, bench_op, bench_plant):
+        oracle = fd_plant(bench_gens, bench_net, bench_op)
+        for got, want in zip((bench_plant.A, bench_plant.B_u,
+                              bench_plant.B_w), oracle):
+            assert np.array_equal(got, want)
 
 
 class TestGeneratorParams:
