@@ -18,17 +18,15 @@ DEFERRED = (
     "numpy.char",        # 1.2 ms
 )
 
-# The H-infinity path asks ``numpy.ma`` two questions and nothing else:
+# The H-infinity path asks ``numpy.ma`` one question and nothing else:
 # SciPy's input validator (``scipy._lib._util._asarray_validated``, behind
 # ``eigvals`` in ``hinf_norm`` and the QR, QZ and LU calls of
-# ``solve_discrete_are``) asks ``isMaskedArray``, and ``np.unique`` in
-# ``hinf_norm`` asks ``is_masked``.  Both are False for every object
-# until ``numpy.ma.core`` has run, since a masked array is an instance of
-# a class that module defines; ``is_masked`` also reads any ``_mask``
-# attribute, so an object that has one gets the real answer.
-# ``perfbench/setup_probe.py`` and ``traced.py`` import ``wadc.*`` without
-# this entry, so they still run ``numpy.ma`` and the modules above.
-MASKED_PREDICATES = ("isMaskedArray", "is_masked")
+# ``solve_discrete_are``) asks ``isMaskedArray``.  It is False for every
+# object until ``numpy.ma.core`` has run, since a masked array is an
+# instance of a class that module defines.  ``perfbench/setup_probe.py``
+# and ``traced.py`` import ``wadc.*`` without this entry, so they still
+# run ``numpy.ma`` and the modules above.
+MASKED_PREDICATES = ("isMaskedArray",)
 
 
 class _Unrun(types.ModuleType):
@@ -52,7 +50,7 @@ def _masked_predicate(module, name):
     while no masked array can exist, else the real predicate, so a
     reference taken before the load answers as the real one after it."""
     def predicate(x):
-        if "numpy.ma.core" not in sys.modules and not hasattr(x, "_mask"):
+        if "numpy.ma.core" not in sys.modules:
             return False
         if type(module) is _Unrun:
             _run(module)
@@ -64,7 +62,7 @@ def _defer(names):
     """Register a lazy stand-in for each module in ``names`` that is not
     imported yet: it is in ``sys.modules`` and an attribute of its parent,
     and its code runs on the first attribute read, so every caller gets
-    the module it would have got.  ``numpy.ma``'s stand-in answers its two
+    the module it would have got.  ``numpy.ma``'s stand-in answers its
     predicates without running (``MASKED_PREDICATES``)."""
     for name in names:
         if name in sys.modules:

@@ -54,6 +54,7 @@ from .dncs import (
 from .errors import ConfigError, WadcError
 from .grid_model import linearize, solve_equilibrium
 from .sim_eval import Scenario, simulate_closed_loop, sweep_delays
+from .synthesis import finite_cost
 
 FMT = "%.17g"
 
@@ -221,22 +222,26 @@ def _format_block(X, sep):
 class TableWriter:
     """Writes the line ``header`` to ``path``, then one line per row of
     each 2-D float array given to ``rows``, its values as FMT joined by
-    ``sep``.  Rows go to the file and to an incremental sha256 in blocks
-    of ``_BLOCK`` values; ``fmt_values`` counts the values that FMT
-    itself formatted.  On leaving the ``with`` block, ``sha256`` holds the
-    file's hex digest and ``size`` its length in bytes."""
+    ``sep``, creating the file with the first rows.  Rows go to the file
+    and to an incremental sha256 in blocks of ``_BLOCK`` values;
+    ``fmt_values`` counts the values that FMT itself formatted.  On leaving
+    the ``with`` block, ``sha256`` holds the file's hex digest and ``size``
+    its length in bytes."""
 
     def __init__(self, path, header, sep):
-        self.sep = sep
+        self.path, self.sep = path, sep
         self.fmt_values = 0
-        self._fh = open(path, "wb")
+        self._fh = None
+        self._header = f"{header}\n".encode()
         self._digest = hashlib.sha256()
-        self._put(f"{header}\n".encode())
 
     def __enter__(self):
         return self
 
     def _put(self, chunk):
+        if self._fh is None:
+            self._fh = open(self.path, "wb")
+            chunk = self._header + chunk
         self._fh.write(chunk)
         self._digest.update(chunk)
 
@@ -249,8 +254,9 @@ class TableWriter:
             self.fmt_values += fmt_values
 
     def __exit__(self, *exc):
-        self.sha256, self.size = self._digest.hexdigest(), self._fh.tell()
-        self._fh.close()
+        if self._fh is not None:   # else left before the first rows
+            self.sha256, self.size = self._digest.hexdigest(), self._fh.tell()
+            self._fh.close()
 
 
 def _hold_freed_heap():
@@ -326,7 +332,8 @@ class RunReport:
         timings = dict(self._timings, total=time.perf_counter() - self._t0)
         self.data["timings_s"] = {k: round(v, 6) for k, v in timings.items()}
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(self.data, fh, indent=2, sort_keys=True)
+            json.dump(self.data, fh, indent=2, sort_keys=True,
+                      allow_nan=False)
             fh.write("\n")
 
 
@@ -353,8 +360,7 @@ class Pipeline:
         if measure not in self._gain_cache:
             row = local_gain_row(self.cfg, measure)
             gains = LocalGains.from_blocks(self.plant, [row, row])
-            dec = symmetric_modes(self.plant, gains,
-                                  tol=1e-7)
+            dec = symmetric_modes(self.plant, gains, tol=1e-7)
             self._gain_cache[measure] = (gains, dec)
         return self._gain_cache[measure]
 
@@ -374,12 +380,10 @@ def _eig_string(M):
 def cmd_linearize(cfg, args, report):
     pipe = Pipeline(cfg, report)
     out = args.out
-    paths = {}
     for name, M in (("A", pipe.plant.A), ("B_u", pipe.plant.B_u),
                     ("B_w", pipe.plant.B_w)):
         path = f"{out}/{name}.txt"
         report.output(path, write_matrix(path, M))
-        paths[name] = path
     op_vec = np.concatenate([pipe.op.x, pipe.op.u])
     path = f"{out}/operating_point.txt"
     report.output(path, write_matrix(path, op_vec.reshape(-1, 1)))
@@ -419,8 +423,6 @@ def cmd_design(cfg, args, report):
                          cfg["sampling"]["h_s"], float(d_hat[i]),
                          method=args.measure, gamma_tol=gamma_tol)
         report.stage("design")
-        path = f"{args.out}/F_{dec.labels[i]}.txt"
-        report.output(path, write_matrix(path, md.F))
         entry = {"lifted_dim": md.disc.n_z, "q": md.disc.q, "r": md.disc.r,
                  "wait_s": float(d_hat[i])}
         if args.measure == "lqr":
@@ -432,6 +434,8 @@ def cmd_design(cfg, args, report):
             entry["certified_norm"] = md.norm
             report.data.setdefault("diagnostics", {})[dec.labels[i]] = \
                 _search_diagnostics(md)
+        path = f"{args.out}/F_{dec.labels[i]}.txt"
+        report.output(path, write_matrix(path, md.F))
         summary[dec.labels[i]] = entry
         print(f"{dec.labels[i]}: {entry}")
         report.stage("write")
@@ -499,6 +503,10 @@ def cmd_simulate(cfg, args, report):
         disturbance = np.zeros((1, pipe.plant.n_w))
         disturbance[0, 0] = scn_cfg["impulse_amp_A"]
 
+    md = designs[mode_i]
+    cert = (md.J_star(md.disc.lift_state(init))
+            if args.measure == "lqr" and disturbance is None else None)
+
     step_req = scn_cfg["integrator_step_s"]
     scn = Scenario(initial_state=x_hat0, disturbance=disturbance,
                    integrator_step=step_req, horizon=scn_cfg["horizon_s"])
@@ -527,11 +535,8 @@ def cmd_simulate(cfg, args, report):
                     f"{out.step} to hit every sampling/switching instant "
                     "and stay inside the integrator's stability region")
 
-    summary = {"J_measured": out.J, "horizon_s": out.horizon}
-    if args.measure == "lqr" and disturbance is None:
-        md = designs[mode_i]
-        z0 = md.disc.lift_state(init)
-        cert = md.J_star(z0)
+    summary = {"J_measured": finite_cost(out.J), "horizon_s": out.horizon}
+    if cert is not None:
         summary["cost_certificate"] = cert
         summary["relative_gap"] = abs(out.J - cert) / max(cert, 1e-300)
     elif args.measure == "hinf":

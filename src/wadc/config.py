@@ -14,13 +14,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import ConfigError, HorizonTooLong, InvalidSampling
+from .errors import ConfigError
 from .grid_model import GeneratorParams, build_two_area_network
-from .sampled import MAX_SWEEP_IN_FLIGHT, split_delay
-from .sim_eval import MAX_PERIODS
 
 ENV_PREFIX = "WADC_"
-_MAX_GRID_POINTS = 10_001   # delays in one grid, bounding a sweep's work
+_MAX_GRID_POINTS = 10_001   # delays in one grid, counted before it is built
 
 
 def _parse_float(s):
@@ -127,16 +125,9 @@ def _parse_choice(*choices):
     return parse
 
 
-def _parse_horizon(s):
-    if s == "auto":
-        return None
-    return _parse_positive(s)
-
-
-def _parse_optional_float(s):
-    if s == "none":
-        return None
-    return _parse_positive(s)
+def _parse_positive_or(word):
+    """A positive number, or ``word`` for None."""
+    return lambda s: None if s == word else _parse_positive(s)
 
 
 # section -> key -> (parser, default or REQUIRED, "description [units]")
@@ -179,7 +170,7 @@ SCHEMA = {
         "delay_grid_s": (_parse_grid, tuple(float(Fraction(i, 50)) for i in range(26)), "link delays to sweep, start:step:stop or list [s]"),
     },
     "equilibrium": {
-        "v_target_V": (_parse_optional_float, None, "terminal voltage magnitude target, or 'none' to hold e_f0 [V]"),
+        "v_target_V": (_parse_positive_or("none"), None, "terminal voltage magnitude target, or 'none' to hold e_f0 [V]"),
         "max_iters": (_parse_positive_int, 100, "Newton iteration cap [-]"),
     },
     "tolerances": {
@@ -192,7 +183,7 @@ SCHEMA = {
         "disturbance": (_parse_choice("none", "impulse"), "none", "disturbance profile [-]"),
         "impulse_amp_A": (_parse_float, 50.0, "held one-sample pulse amplitude at load bus 1 [A]"),
         "integrator_step_s": (_parse_positive, 1e-3, "requested integrator step, refined to hit events [s]"),
-        "horizon_s": (_parse_horizon, None, "simulation horizon, or 'auto' for 20 time constants of the sampled closed loop [s]"),
+        "horizon_s": (_parse_positive_or("auto"), None, "simulation horizon, or 'auto' for 20 time constants of the sampled closed loop [s]"),
     },
 }
 
@@ -209,17 +200,11 @@ class BenchmarkConfig:
 
     def resolved(self):
         """JSON-friendly dump that reproduces this run."""
-        out = {}
-        for sec, keys in self.values.items():
-            out[sec] = {}
-            for k, v in keys.items():
-                if isinstance(v, complex):
-                    out[sec][k] = repr(v)
-                elif isinstance(v, tuple):
-                    out[sec][k] = list(v)
-                else:
-                    out[sec][k] = v
-        return out
+        def plain(v):
+            return (repr(v) if isinstance(v, complex)
+                    else list(v) if isinstance(v, tuple) else v)
+        return {sec: {k: plain(v) for k, v in keys.items()}
+                for sec, keys in self.values.items()}
 
 
 def _parse_lines(text, source):
@@ -315,25 +300,6 @@ def load_config(path=None, text=None, environ=None) -> BenchmarkConfig:
         if len(values[sec][name]) != 3:
             raise ConfigError(f"[{sec}] {name} must have 3 entries "
                               "(angle, speed, flux)")
-    horizon, h = values["scenario"]["horizon_s"], values["sampling"]["h_s"]
-    grid = values["sampling"]["delay_grid_s"]
-    try:
-        split_delay(grid[-1], h)
-    except InvalidSampling as exc:
-        raise ConfigError(f"{source}: [sampling] delay_grid_s: {exc}") \
-            from None
-    # floor(d/h) + 1 bounds the q + 1 samples in flight at each delay
-    in_flight = int(np.sum(np.floor(np.asarray(grid) / h) + 1))
-    if in_flight > MAX_SWEEP_IN_FLIGHT:
-        raise ConfigError(
-            f"{source}: [sampling] delay_grid_s: the grid's designs carry "
-            f"up to {in_flight} input samples in flight in all at h = "
-            f"{h:g} s, more than the {MAX_SWEEP_IN_FLIGHT} a sweep may "
-            "design; use fewer or shorter delays")
-    periods = 0 if horizon is None else round(horizon / h)
-    if periods > MAX_PERIODS:
-        raise HorizonTooLong(f"[scenario] horizon_s = {horizon:g} s",
-                             periods, h, MAX_PERIODS)
     return BenchmarkConfig(values=values, source=source)
 
 
@@ -362,24 +328,18 @@ def build_network(cfg: BenchmarkConfig):
 
 
 def build_cost(cfg: BenchmarkConfig, m=2):
-    qw = cfg["cost"]["delta_weight"]
-    rw = cfg["cost"]["input_weight"]
+    """Q weighs each rotor angle, R each field voltage."""
+    angles = range(0, 3 * m, 3)
     Q = np.zeros((3 * m, 3 * m))
-    for i in range(m):
-        Q[3 * i, 3 * i] = qw
-    R = rw * np.eye(m)
-    return Q, R
+    Q[angles, angles] = cfg["cost"]["delta_weight"]
+    return Q, cfg["cost"]["input_weight"] * np.eye(m)
 
 
 def build_output(cfg: BenchmarkConfig, m=2):
-    cw = cfg["output"]["delta_weight"]
-    dw = cfg["output"]["input_weight"]
+    """C takes each rotor angle, D_u each remote field command; D_w = 0."""
     C = np.zeros((m, 3 * m))
-    for i in range(m):
-        C[i, 3 * i] = cw
-    D_u = dw * np.eye(m)
-    D_w = np.zeros((m, 2 * m))
-    return C, D_u, D_w
+    C[range(m), range(0, 3 * m, 3)] = cfg["output"]["delta_weight"]
+    return C, cfg["output"]["input_weight"] * np.eye(m), np.zeros((m, 2 * m))
 
 
 def local_gain_row(cfg: BenchmarkConfig, measure):

@@ -54,7 +54,7 @@ class IllPosedLyapunov(WadcError):
 
 
 class InvalidSampling(WadcError):
-    """Sampling period must be strictly positive (and delay nonnegative)."""
+    """A sampling period, delay or count of samples in flight is refused."""
 
 
 class NotStabilizable(WadcError):
@@ -111,14 +111,18 @@ class StepGridTooFine(WadcError):
     more steps per sampling period than a run may."""
 
 
-class HorizonTooLong(ConfigError):
+class HorizonTooLong(WadcError):
     """Simulation horizon needs more sampling periods than a run may step."""
 
     def __init__(self, asked, periods, h, cap):
         self.periods = periods
         super().__init__(
-            f"{asked} asks for {periods} sampling periods of {h:g} s, more "
-            f"than the {cap} a simulation may step: each period writes one "
-            "trace row (0.28 kB on the benchmark), so the cap keeps a trace "
-            "under about 0.3 GB and a run under about 10 s; shorten "
+            f"{asked} asks for {periods:.0f} sampling periods of {h:g} s, "
+            f"more than the {cap} a simulation may step: each period writes "
+            "one trace row (0.28 kB on the benchmark), so the cap keeps a "
+            "trace under about 0.3 GB and a run under about 10 s; shorten "
             "horizon_s or lengthen h_s")
+
+
+class NonFiniteCost(WadcError):
+    """A cost to be reported overflowed to inf or nan."""

@@ -30,15 +30,9 @@ from .errors import IllPosedLyapunov, InvalidSampling
 # hinf` at d = 2.56 s, h = 0.02 s spends 8.9 s designing both modes (one
 # BLAS thread, 2-core host); the time grows faster than q squared
 MAX_IN_FLIGHT = 128
-# in-flight samples summed over a sweep's delay grid: twice the full-range
-# grid 0:0.02:2.56 (8,385), whose LQR sweep of both modes took 6.7 s; at
-# the cap an H-infinity sweep of both modes is at most 128 designs at
-# MAX_IN_FLIGHT, about 20 minutes
-MAX_SWEEP_IN_FLIGHT = 1 << 14
 
 __all__ = [
     "MAX_IN_FLIGHT",
-    "MAX_SWEEP_IN_FLIGHT",
     "CtsSystem",
     "CtsCost",
     "CtsModel",
@@ -380,8 +374,6 @@ def discretize(model: CtsModel, h, d=0.0) -> DiscretizedSystem:
     (so D2u = 0 there).
     """
     h = float(h)
-    if h <= 0:
-        raise InvalidSampling(f"sampling period must be positive, got {h}")
     q, r = split_delay(d, h)
     sys = model.sys
     n_x, n_u, n_w, n_y = sys.n_x, sys.n_u, sys.n_w, sys.n_y

@@ -18,14 +18,21 @@ from fractions import Fraction
 import numpy as np
 
 from .dncs import DistributedController, delay_map, design_mode
-from .errors import HorizonTooLong, StepGridTooFine, UnstableSystem, WadcError
+from .errors import (
+    HorizonTooLong,
+    InvalidSampling,
+    StepGridTooFine,
+    UnstableSystem,
+    WadcError,
+)
 from .grid_model import LinearPlant
 from .sampled import _nice_fraction, split_delay
-from .synthesis import hinf_norm, stein_solve
+from .synthesis import hinf_norm, quadratic_cost, stein_solve
 
 __all__ = [
     "MAX_PERIODS",
     "MAX_STEPS_PER_PERIOD",
+    "MAX_SWEEP_IN_FLIGHT",
     "Scenario",
     "SimulationOutput",
     "SweepRow",
@@ -40,6 +47,10 @@ _BLOCK = 256   # sampling periods advanced by one batched product
 _SEGMENT = 8 * _BLOCK   # trace rows handed on together, about 0.3 MB
 MAX_PERIODS = 1_000_000   # sampling periods one simulation may step
 MAX_STEPS_PER_PERIOD = 2 ** 16   # RK4 steps in one sampling period
+# input samples in flight over one sweep's waits: twice the 8,385 of the
+# grid 0:0.02:2.56, whose LQR sweep of both modes took 6.7 s; at the cap an
+# H-infinity sweep is 128 designs at MAX_IN_FLIGHT, about 10 min per mode
+MAX_SWEEP_IN_FLIGHT = 1 << 14
 
 
 @dataclass(frozen=True, eq=False)
@@ -214,8 +225,10 @@ def simulate_closed_loop(plant: LinearPlant, controller: DistributedController,
     else:
         horizon = float(scn.horizon)
         asked = f"horizon_s = {horizon:g} s"
-    periods = max(1, int(round(horizon / dt / n_h)))   # whole periods
-    if periods > MAX_PERIODS:
+    periods = horizon / dt / n_h
+    if math.isfinite(periods):
+        periods = max(1, round(periods))   # whole periods
+    if not periods <= MAX_PERIODS:   # inf and nan included
         raise HorizonTooLong(asked, periods, h, MAX_PERIODS)
     powers = np.empty((_BLOCK, n, n))
     powers[0] = M_xi
@@ -302,7 +315,7 @@ def compute_bounds(md0, measure, z0=None):
             raise ValueError("lqr bounds need an initial modal state")
         z0 = disc0.lift_state(z0)
         P_dec = stein_solve(disc0.A2[None], disc0.Q2[None])[0]
-        return float(z0 @ P_dec @ z0), md0.J_star(z0)
+        return quadratic_cost(z0, P_dec), md0.J_star(z0)
     upper = hinf_norm(disc0.A2, disc0.B2w, disc0.C2, disc0.D2w)
     return upper, md0.gamma
 
@@ -330,7 +343,9 @@ def sweep_delays(model, dec, mode, measure, delay_grid, h, z0=None,
     """Evaluate the distributed design of one mode, whose continuous model
     is ``model``, across link delays, with bounds.
 
-    The zero-delay design is made once: it gives the lower bound and the
+    Waits over ``MAX_IN_FLIGHT`` input samples in flight, or over
+    ``MAX_SWEEP_IN_FLIGHT`` in all, are refused before any design.  The
+    zero-delay design is made once: it gives the lower bound and the
     value of every row whose waiting time is zero.  LQR rows whose waiting
     times fall in one sampling interval (qh, (q+1)h] have lifted systems
     of one size; each run of them is designed as one stack, and again row
@@ -347,13 +362,27 @@ def sweep_delays(model, dec, mode, measure, delay_grid, h, z0=None,
     delay_grid = [float(t) for t in delay_grid]
     if any(t < 0 for t in delay_grid) or sorted(delay_grid) != delay_grid:
         raise ValueError("delay grid must be nonnegative and ascending")
+    # every link carries the row's delay, so the mode waits tau times its
+    # wait under unit link delays: 1 if any link feeds it, else 0
+    unit = float(delay_map(dec, 1 - np.eye(len(dec.machine_x_dims)))[0][i])
+    waits = [tau * unit for tau in delay_grid]
+    try:
+        split_delay(max(waits, default=0.0), h)
+    except InvalidSampling as exc:
+        raise InvalidSampling(f"[sampling] delay_grid_s: {exc}") from None
+    # floor(w/h) + 1 bounds the q + 1 samples in flight at each wait
+    in_flight = int(np.sum(np.floor(np.asarray(waits) / h) + 1))
+    if in_flight > MAX_SWEEP_IN_FLIGHT:
+        raise InvalidSampling(
+            f"[sampling] delay_grid_s: the waits put up to {in_flight} input "
+            f"samples in flight in all at h = {h:g} s, more than the "
+            f"{MAX_SWEEP_IN_FLIGHT} a sweep may design; use fewer or shorter "
+            "delays")
     if measure == "lqr" and z0 is None:
         z0 = np.zeros(model.sys.n_x)
         z0[0] = 1.0
     md0 = design_mode(model, h, 0.0, method=measure, gamma_tol=gamma_tol)
     upper, lower = compute_bounds(md0, measure, z0=z0)
-    m = len(dec.machine_x_dims)
-    links = ~np.eye(m, dtype=bool)
     diag = {"rows_designed": 0, "stacks": 0, "largest_stack": 0,
             "rows_redesigned": 0}
     if measure == "hinf":
@@ -392,10 +421,6 @@ def sweep_delays(model, dec, mode, measure, delay_grid, h, z0=None,
                         value=value, lower=lower, upper=upper, status=status)
 
     value0 = row_value(md0)
-    # every link carries the row's delay, so the mode waits tau times its
-    # wait under unit link delays: 1 if any link feeds it, else 0
-    unit = float(delay_map(dec, links.astype(float))[0][i])
-    waits = [tau * unit for tau in delay_grid]
 
     def stack(j):
         """Consecutive rows with one key are designed together: zero waits

@@ -41,6 +41,7 @@ import scipy.linalg
 from .errors import (
     GammaInfeasible,
     IndefiniteCost,
+    NonFiniteCost,
     NotStabilizable,
     UnstableSystem,
 )
@@ -65,6 +66,20 @@ _LARGE_POWER = 1e30    # max|A^(2^j)| that gets an eigenvalue check
 _NORM_ACCURACY = 1.0 + 2e-10  # hinf_norm's relative certificate
 _SDA_FAILED = ("doubling (SDA) ended with %s: (A, B) is not stabilizable "
                "or Q hides an unstable mode")
+
+
+def finite_cost(value):
+    """``value``, refused unless it is a finite number."""
+    if not np.isfinite(value):
+        raise NonFiniteCost(f"a cost came out {value!r}; scale down "
+                            "[scenario] initial_state or impulse_amp_A")
+    return value
+
+
+def quadratic_cost(z, P):
+    """z' P z, refused if it overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return finite_cost(float(z @ P @ z))
 
 
 def spectral_radius(A):
@@ -325,8 +340,7 @@ class LqrResult:
     disc: DiscretizedSystem
 
     def J_star(self, z0):
-        z0 = np.asarray(z0, dtype=float).reshape(-1)
-        return float(z0 @ self.P @ z0)
+        return quadratic_cost(np.asarray(z0, dtype=float).reshape(-1), self.P)
 
 
 def lqr_design(discs):
@@ -396,7 +410,8 @@ def hinf_norm(A, B, C, D):
                       [np.zeros((m, 2 * n + m))]])
         alpha, beta = scipy.linalg.eigvals(M, N, homogeneous_eigvals=True)
         circle = np.abs(np.abs(alpha) - np.abs(beta)) < 1e-8 * np.abs(beta)
-        cross = np.unique(np.abs(np.angle(alpha[circle] / beta[circle])))
+        cross = np.sort(np.abs(np.angle(alpha[circle] / beta[circle])))
+        cross = cross[np.diff(cross, prepend=-1.0) > 0]   # distinct angles
         if len(cross) < 2:
             break
         top = float(_sigma_max(A, B, C, D,

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import hashlib
 import importlib.util
@@ -19,8 +20,8 @@ from wadc import cli, sim_eval
 from wadc.cli import main, write_matrix
 from wadc.config import _REQUIRED, SCHEMA, load_config
 from wadc.errors import ConfigError
-from wadc.sampled import MAX_IN_FLIGHT, MAX_SWEEP_IN_FLIGHT
-from wadc.sim_eval import MAX_PERIODS
+from wadc.sampled import MAX_IN_FLIGHT
+from wadc.sim_eval import MAX_PERIODS, MAX_SWEEP_IN_FLIGHT
 
 CONFIG = str(pathlib.Path(__file__).resolve().parents[1]
              / "configs/benchmark.cfg")
@@ -130,11 +131,11 @@ class TestConfig:
 
     def test_horizon_beyond_period_cap_is_usage_error(self, tmp_path,
                                                       monkeypatch, capsys):
-        # 1e7 s is 5e8 periods of 0.02 s: refused when the config loads,
-        # before any design or stepping
+        # 1e7 s is 5e8 periods of 0.02 s: refused after the designs,
+        # before any stepping
         monkeypatch.setenv("WADC_SCENARIO__HORIZON_S", "1e7")
         t0 = time.perf_counter()
-        assert run(tmp_path, "simulate", "--measure", "lqr") == 2
+        assert run(tmp_path, "simulate", "--measure", "lqr") == 3
         assert time.perf_counter() - t0 < 1.0
         err = capsys.readouterr().err
         assert "horizon_s" in err and "500000000" in err
@@ -144,10 +145,10 @@ class TestConfig:
     def test_grid_beyond_in_flight_cap_is_usage_error(self, tmp_path,
                                                       monkeypatch, capsys):
         # a 1e6 s delay would lift each mode to 50 million samples in
-        # flight: refused when the config loads, before any design
+        # flight: refused before any design
         monkeypatch.setenv("WADC_SAMPLING__DELAY_GRID_S", "0,1e6")
         t0 = time.perf_counter()
-        assert run(tmp_path, "sweep", "--measure", "lqr") == 2
+        assert run(tmp_path, "sweep", "--measure", "lqr") == 3
         assert time.perf_counter() - t0 < 1.0
         err = capsys.readouterr().err
         assert "delay_grid_s" in err and "50000000" in err
@@ -158,15 +159,24 @@ class TestConfig:
             self, tmp_path, monkeypatch, capsys):
         # 10,001 delays up to 2.56 s: each within both caps above, but
         # 645,057 samples in flight over the sweep (645,073 by the bound),
-        # designed one by one
+        # designed one by one: refused before any design
         monkeypatch.setenv("WADC_SAMPLING__DELAY_GRID_S", "0:0.000256:2.56")
         t0 = time.perf_counter()
-        assert run(tmp_path, "sweep", "--measure", "hinf") == 2
+        assert run(tmp_path, "sweep", "--measure", "hinf") == 3
         assert time.perf_counter() - t0 < 1.0
         err = capsys.readouterr().err
         assert "delay_grid_s" in err and "645073" in err
         assert str(MAX_SWEEP_IN_FLIGHT) in err
         assert not (tmp_path / "sweep.csv").exists()
+
+    def test_limits_bind_only_the_commands_they_bound(self, tmp_path,
+                                                      monkeypatch):
+        # a grid and a horizon over their caps stop sweep and simulate
+        # only: linearize and design never use them
+        monkeypatch.setenv("WADC_SAMPLING__DELAY_GRID_S", "0,1e6")
+        monkeypatch.setenv("WADC_SCENARIO__HORIZON_S", "1e7")
+        assert run(tmp_path, "linearize") == 0
+        assert run(tmp_path, "design", "--measure", "lqr") == 0
 
     @pytest.mark.parametrize("key", ["Z_T_OHM", "Z_L_OHM", "Z_C_OHM"])
     def test_zero_impedance_is_usage_error(self, tmp_path, monkeypatch,
@@ -509,6 +519,28 @@ def test_unwritable_output_file_is_usage_error(tmp_path, monkeypatch, capsys,
     assert "Traceback" not in err
 
 
+def strict_report(out_dir):
+    """report.json, read as strict JSON: no NaN or Infinity."""
+    return json.loads((out_dir / "report.json").read_text(),
+                      parse_constant=pytest.fail)
+
+
+@pytest.mark.parametrize("command", [
+    ("design", "--measure", "lqr"),
+    ("sweep", "--measure", "lqr"),
+    ("simulate", "--measure", "lqr", "--delay", "0.1"),
+], ids=["design", "sweep", "simulate"])
+def test_non_finite_cost_refused(tmp_path, monkeypatch, capsys, command):
+    # an initial angle of 1e200 rad squares past float64: the cost is
+    # refused, typed, before any output file is written
+    monkeypatch.setenv("WADC_SCENARIO__INITIAL_STATE", "1e200,0,0")
+    assert run(tmp_path, *command) == 3
+    err = capsys.readouterr().err
+    assert "came out inf" in err and "[scenario] initial_state" in err
+    assert strict_report(tmp_path)["outputs"] == {}
+    assert sorted(os.listdir(tmp_path)) == ["report.json"]
+
+
 class TestDesignCommand:
     def test_delay_beyond_in_flight_cap_refused(self, tmp_path, capsys):
         # typed, and before the lifted system is built
@@ -599,6 +631,37 @@ class TestSimulateCommand:
         assert time.perf_counter() - t0 < 1.0
         err = capsys.readouterr().err
         assert "1999998 integrator steps" in err and "integrator_step_s" in err
+
+    @pytest.mark.parametrize("env, delay, gain, message", [
+        # no angle weight: 20 time constants of the slowest sampled mode
+        # are 1,623,822 periods
+        ({"WADC_COST__DELTA_WEIGHT": "0"}, "0.1", 1.0,
+         "asks for 1623822 sampling periods"),
+        # more periods than a float holds
+        ({"WADC_SCENARIO__HORIZON_S": "1e308"}, "0.1", 1.0,
+         "asks for inf sampling periods"),
+        ({"WADC_SCENARIO__HORIZON_S": "1.0"}, "0.1000001", 1.0,
+         "1999998 integrator steps"),
+        # tripled remote gains: the sampled loop has no auto horizon
+        ({}, "0.1", 3.0, "spectral radius 1.1156629"),
+    ], ids=["auto-horizon", "horizon-overflow", "step-grid", "unstable"])
+    def test_refused_run_writes_no_trace(self, tmp_path, monkeypatch, capsys,
+                                         env, delay, gain, message):
+        designed = cli.design_mode
+
+        def design(*args, **kwargs):
+            md = designed(*args, **kwargs)
+            return dataclasses.replace(md, F=gain * md.F)
+
+        monkeypatch.setattr(cli, "design_mode", design)
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        assert run(tmp_path, "simulate", "--measure", "lqr",
+                   "--delay", delay) == 3
+        assert message in capsys.readouterr().err
+        report = strict_report(tmp_path)
+        assert report["outputs"] == {} and message in report["warnings"][0]
+        assert not (tmp_path / "trace.csv").exists()
 
     def test_zero_state_zero_cost(self, tmp_path, monkeypatch):
         monkeypatch.setenv("WADC_SCENARIO__INITIAL_STATE", "0, 0, 0")
@@ -774,8 +837,8 @@ class TestProcessEntry:
         assert run(tmp_path, "linearize") == 0
         assert (gc.get_freeze_count(), gc.isenabled()) == (frozen, enabled)
 
-    # the H-infinity commands ask numpy.ma's two predicates (SciPy's input
-    # validator and np.unique), which its stand-in answers without running
+    # the H-infinity commands ask numpy.ma's isMaskedArray (SciPy's input
+    # validator), which its stand-in answers without running
     @pytest.mark.parametrize("argv, overrides", [
         (("linearize",), {}),
         (("simulate", "--measure", "lqr", "--delay", "0.1"),
@@ -811,10 +874,9 @@ class TestProcessEntry:
             assert not {"unittest", "numpy.testing._private.utils"} \
                 & set(sys.modules)
             numpy.testing.assert_equal(1, 1)
-            # numpy.ma's predicates answer without running it ...
+            # numpy.ma's predicate answers without running it ...
             early = numpy.ma.isMaskedArray
             assert numpy.ma.isMaskedArray(numpy.zeros(1)) is False
-            assert numpy.ma.is_masked(numpy.zeros(1)) is False
             assert type(sys.modules["numpy.ma"]) is not types.ModuleType
             assert "numpy.ma.core" not in sys.modules
             masked = numpy.ma.masked_array([1, 2], mask=[0, 1])
@@ -832,20 +894,6 @@ class TestProcessEntry:
             """)
         assert proc.returncode == 0, proc.stderr
 
-    def test_masked_predicate_reads_a_mask_attribute(self):
-        # is_masked reads any object's _mask; such an object runs numpy.ma
-        # and gets the real answer
-        proc = self.python("-c", """if True:
-            import sys
-            import wadc.__main__
-            import numpy
-            class Masked:
-                _mask = numpy.ones(1, dtype=bool)
-            assert numpy.ma.is_masked(Masked()) is True
-            assert "numpy.ma.core" in sys.modules
-            """)
-        assert proc.returncode == 0, proc.stderr
-
     def test_import_wadc_is_light(self):
         proc = self.python("-c", """if True:
             import sys
@@ -858,6 +906,16 @@ class TestProcessEntry:
             assert len(modules) == 6
             for name in modules:
                 assert names[name] is sys.modules["wadc." + name], name
+            """)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_import_wadc_config_is_light(self):
+        # the configuration parser loads neither SciPy nor the pipeline
+        proc = self.python("-c", """if True:
+            import sys
+            import wadc.config
+            assert not {"scipy", "wadc.sampled", "wadc.sim_eval"} \
+                & set(sys.modules)
             """)
         assert proc.returncode == 0, proc.stderr
 

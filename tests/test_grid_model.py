@@ -3,7 +3,14 @@ import pytest
 
 from conftest import BENCH_GEN, BENCH_NET
 from helpers import algebraic_residuals, fd_plant
-from wadc.errors import NoConvergence, OffEquilibrium, SingularNetwork
+import wadc.grid_model as grid_model
+from wadc.errors import (
+    JacobianInconsistent,
+    NoConvergence,
+    OffEquilibrium,
+    SingularAlgebraicSystem,
+    SingularNetwork,
+)
 from wadc.grid_model import (
     GeneratorParams,
     _equilibrium_residual,
@@ -118,6 +125,23 @@ class TestSolveAlgebraic:
         g = bench_gens[0]
         te = 1.5 * g.p_f * (sol.psi_d * sol.i_q - sol.psi_q * sol.i_d)
         np.testing.assert_array_equal(sol.T_e, te)
+
+
+    def test_singular_system_refused(self, bench_gens, bench_net, bench_op,
+                                     monkeypatch):
+        def singular(*args):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        with pytest.raises(SingularAlgebraicSystem, match="Singular matrix"):
+            solve_algebraic(bench_gens, bench_net, bench_op.x)
+
+    def test_non_finite_solution_refused(self, bench_gens, bench_net,
+                                         bench_op):
+        x = bench_op.x.copy()
+        x[2] = np.inf   # machine 1's field flux
+        with pytest.raises(SingularAlgebraicSystem, match="non-finite"):
+            solve_algebraic(bench_gens, bench_net, x)
 
 
 class TestDynamics:
@@ -289,6 +313,23 @@ class TestLinearize:
         bad = replace(bench_op, x=bench_op.x + np.array([0.1, 0, 0, 0, 0, 0]))
         with pytest.raises(OffEquilibrium, match=r"tolerances\] equilibrium"):
             linearize(bench_gens, bench_net, bad)
+
+    def test_non_smooth_dynamics_refused(self, bench_gens, bench_net,
+                                         bench_op, monkeypatch):
+        # a |d|^1.5 kink in machine 1's speed equation at its equilibrium
+        # angle: the central differences shrink like the square root of
+        # the step, a step-doubling ratio of sqrt(2), not 4
+        smooth, scale = dynamics_rhs, rhs_scale(bench_gens, bench_net)[1]
+
+        def kinked(gens, net, x, u, w=None):
+            f = smooth(gens, net, x, u, w)
+            d = np.asarray(x)[..., 0] - bench_op.x[0]
+            f[..., 1] += 1e3 * scale * np.sign(d) * np.abs(d) ** 1.5
+            return f
+
+        monkeypatch.setattr(grid_model, "dynamics_rhs", kinked)
+        with pytest.raises(JacobianInconsistent, match="ratio 1.4"):
+            linearize(bench_gens, bench_net, bench_op)
 
     def test_stacked_differences_are_per_column_differences(
             self, bench_gens, bench_net, bench_op, bench_plant):

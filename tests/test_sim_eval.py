@@ -25,6 +25,7 @@ from wadc.dncs import (
 )
 from wadc.errors import (
     HorizonTooLong,
+    InvalidSampling,
     NotStabilizable,
     StepGridTooFine,
     UnstableSystem,
@@ -35,6 +36,7 @@ import wadc.sim_eval as sim_eval
 from wadc.sim_eval import (
     MAX_PERIODS,
     MAX_STEPS_PER_PERIOD,
+    MAX_SWEEP_IN_FLIGHT,
     Scenario,
     _rk4_affine,
     _step_grid,
@@ -567,6 +569,22 @@ class TestSweep:
         values = [r.value for r in res.rows]
         assert values[0] < values[1] and values[1:] == sorted(values[1:])[::-1]
         assert res.warnings == (FALLING_WARNING,)
+
+    @pytest.mark.parametrize("grid, message", [
+        ([0.0, 1e6], "puts 50000000 input samples in flight"),
+        (0.000256 * np.arange(10_001), f"more than the {MAX_SWEEP_IN_FLIGHT}"),
+    ], ids=["one-wait", "all-waits"])
+    def test_over_cap_grid_refused_before_any_design(
+            self, gains_k1, dec_k1, monkeypatch, grid, message):
+        # the zero-delay design included
+        calls = []
+        monkeypatch.setattr(sim_eval, "design_mode",
+                            lambda *args, **kwargs: calls.append(args))
+        model = bench_mode_system(gains_k1, dec_k1, 0)
+        with pytest.raises(InvalidSampling, match="delay_grid_s") as exc:
+            sweep_delays(model, dec_k1, 0, "hinf", grid, 0.02)
+        assert message in str(exc.value)
+        assert calls == []
 
     def test_bad_grid_rejected(self, gains_k1, dec_k1):
         model = bench_mode_system(gains_k1, dec_k1, 0)
