@@ -224,13 +224,15 @@ def mode_system(gains: LocalGains, dec: ModalDecomposition, i,
     Q = np.asarray(Q, dtype=float).reshape(n_x, n_x)
     R = np.asarray(R, dtype=float).reshape(n_u, n_u)
     K = gains.K
-    big = np.block([[Q + K.T @ R @ K, K.T @ R],
-                    [R @ K, R]])
     Mblk = np.zeros((n_x + n_u, n_x + n_u))
     Mblk[:n_x, :n_x] = dec.M_x
     Mblk[n_x:, n_x:] = dec.M_u
-    U = Mblk.T @ big @ Mblk
-    U = 0.5 * (U + U.T)
+    # a cost that overflows here is refused, typed, by CtsCost
+    with np.errstate(over="ignore", invalid="ignore"):
+        big = np.block([[Q + K.T @ R @ K, K.T @ R],
+                        [R @ K, R]])
+        U = Mblk.T @ big @ Mblk
+        U = 0.5 * (U + U.T)
     xs, us, ws = dec.x_slice(i), dec.u_slice(i), dec.w_slice(i)
     u_off = _offsets(dec.mode_u_dims)
     ug = slice(n_x + u_off[i], n_x + u_off[i + 1])

@@ -126,3 +126,8 @@ class HorizonTooLong(WadcError):
 
 class NonFiniteCost(WadcError):
     """A cost to be reported overflowed to inf or nan."""
+
+
+class NonFiniteModel(WadcError):
+    """A model quantity built from the configuration overflowed to inf or
+    nan, or is too large for the products a design forms from it."""

@@ -16,6 +16,7 @@ import numpy as np
 from .errors import (
     JacobianInconsistent,
     NoConvergence,
+    NonFiniteModel,
     OffEquilibrium,
     SingularAlgebraicSystem,
     SingularNetwork,
@@ -336,7 +337,14 @@ def solve_equilibrium(gens, net, v_target=None, tol=1e-10, max_iters=100):
     unknown_scale[m:] = np.maximum(1.0, np.abs(theta[m:]))
 
     history = []
-    res, sol = _equilibrium_residual(gens, net, theta, v_target)
+    with np.errstate(over="ignore", invalid="ignore"):
+        res, sol = _equilibrium_residual(gens, net, theta, v_target)
+    if not np.isfinite(res).all():
+        keys = ("[generators] R_f_mOhm and e_f0_V" if v_target is None else
+                "[equilibrium] v_target_V and [generators] L_af_mH")
+        raise NonFiniteModel(
+            f"the equilibrium conditions overflow float64 at the starting "
+            f"field flux {theta[m:].max():.3g} Wb; check {keys}")
     norm = np.abs(res).max()
     history.append(norm)
     for _ in range(max_iters):

@@ -23,7 +23,7 @@ from fractions import Fraction
 import numpy as np
 from scipy.linalg import expm, solve_sylvester
 
-from .errors import IllPosedLyapunov, InvalidSampling
+from .errors import IllPosedLyapunov, InvalidSampling, NonFiniteModel
 
 # input samples in flight (q + 1) one lifted design may carry: at 128, the
 # lifted state of the benchmark's modes is 131 wide and `design --measure
@@ -116,6 +116,10 @@ class CtsCost:
         n = Q1.shape[0]
         N1 = _as_matrix(self.N1, rows=n, name="N1")
         R1 = _as_matrix(self.R1, rows=N1.shape[1], cols=N1.shape[1], name="R1")
+        if not all(np.isfinite(X).all() for X in (Q1, N1, R1)):
+            raise NonFiniteModel(
+                "the running cost is not finite (the local gains fold "
+                "into it); scale down [cost] input_weight or delta_weight")
         if not np.allclose(Q1, Q1.T, rtol=0, atol=1e-12 * (1 + np.abs(Q1).max())):
             raise ValueError("Q1 must be symmetric")
         if not np.allclose(R1, R1.T, rtol=0, atol=1e-12 * (1 + np.abs(R1).max())):
@@ -276,12 +280,19 @@ class CtsModel:
         self._remainders = {}
 
     def interval(self, b):
-        """(Phi, Gamma, Psi) of a held-input interval of length b."""
+        """(Phi, Gamma, Psi) of a held-input interval of length b, refused
+        unless all three are finite."""
         if b not in self._intervals:
             Phi, Gamma = phi_gamma(self.sys.A1, b)
-            self._intervals[b] = (
-                Phi, Gamma, psi_blocks(self.pmu, self.sys, b, Phi, Gamma))
-            _freeze(*self._intervals[b])
+            with np.errstate(over="ignore", invalid="ignore"):
+                blocks = (Phi, Gamma,
+                          psi_blocks(self.pmu, self.sys, b, Phi, Gamma))
+            if not all(np.isfinite(X).all() for X in blocks):
+                raise NonFiniteModel(
+                    f"the exact discretization of a {b:g} s held-input "
+                    "interval is not finite; shorten [sampling] h_s")
+            _freeze(*blocks)
+            self._intervals[b] = blocks
         return self._intervals[b]
 
     def remainder(self, h, r):

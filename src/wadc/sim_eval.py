@@ -158,7 +158,8 @@ def simulate_closed_loop(plant: LinearPlant, controller: DistributedController,
     The auto horizon is 20 time constants -h / ln rho(M_xi) of the period
     map itself, after which the cost left is below rounding; a loop with
     rho(M_xi) >= 1 has no such horizon and is refused.  A run longer than
-    ``MAX_PERIODS`` sampling periods is refused.  Both refusals come before
+    ``MAX_PERIODS`` sampling periods is refused, and so is a first period
+    whose cost overflows (``NonFiniteCost``).  These refusals come before
     any stepping.
     """
     dec = controller.dec
@@ -230,6 +231,15 @@ def simulate_closed_loop(plant: LinearPlant, controller: DistributedController,
         periods = max(1, round(periods))   # whole periods
     if not periods <= MAX_PERIODS:   # inf and nan included
         raise HorizonTooLong(asked, periods, h, MAX_PERIODS)
+    w_seq = scn.disturbance
+    n_dist = 0 if w_seq is None else len(w_seq)
+    xi0 = np.zeros(n)
+    xi0[:n_x] = (dec.M_x @ scn.initial_state).reshape(n_x)
+    # a first period whose cost overflows is refused before any stepping
+    if n_dist:
+        quadratic_cost(np.concatenate([xi0, w_seq[0]]), S)
+    else:
+        quadratic_cost(xi0, S_xi)
     powers = np.empty((_BLOCK, n, n))
     powers[0] = M_xi
     for i in range(1, _BLOCK):
@@ -237,10 +247,6 @@ def simulate_closed_loop(plant: LinearPlant, controller: DistributedController,
 
     C, D_u, D_w = (np.atleast_2d(np.asarray(X, dtype=float))
                    for X in (C, D_u, D_w))
-    w_seq = scn.disturbance
-    n_dist = 0 if w_seq is None else len(w_seq)
-    xi0 = np.zeros(n)
-    xi0[:n_x] = (dec.M_x @ scn.initial_state).reshape(n_x)
 
     # The trace rows are handed on in segments of about _SEGMENT rows.
     # Each row's numbers are products over the rows of its segment: numpy

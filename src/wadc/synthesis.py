@@ -42,6 +42,7 @@ from .errors import (
     GammaInfeasible,
     IndefiniteCost,
     NonFiniteCost,
+    NonFiniteModel,
     NotStabilizable,
     UnstableSystem,
 )
@@ -59,7 +60,7 @@ __all__ = [
 ]
 
 _RESIDUAL_TOL = 1e-9
-_MAX_DOUBLINGS = 120   # Stein doublings per slice
+_MAX_DOUBLINGS = 120   # Stein doublings or loop squarings per slice
 _MAX_SDA_ITERS = 120   # Riccati doublings per slice
 _MAX_NEWTON = 200      # policy-iteration steps per slice
 _LARGE_POWER = 1e30    # max|A^(2^j)| that gets an eigenvalue check
@@ -85,6 +86,37 @@ def quadratic_cost(z, P):
 def spectral_radius(A):
     """Largest eigenvalue magnitude of A, or over all slices of a stack."""
     return float(np.abs(np.linalg.eigvals(np.asarray(A, dtype=float))).max())
+
+
+def schur_stable(A):
+    """Whether every slice of the stack A is Schur stable, certified by its
+    own powers: rho(A)^(2^j) = rho(T) <= n max|T| for T = A^(2^j)
+    (Gelfand), so squaring T <- T @ T until n max|T| < 1/2 proves
+    rho(A) < 1, the rule and bound of ``stein_solve``.  A slice whose
+    max|T| passes 1e30 (an unstable one does, long before it overflows),
+    is not finite, or has not settled after ``_MAX_DOUBLINGS`` squarings
+    leaves the squaring for ``spectral_radius``, called once after the
+    loop on those slices alone; a slice of A that is not finite is not
+    stable."""
+    A = np.asarray(A, dtype=float)
+    bound = 0.5 / A.shape[-1]   # max|T| below this certifies the slice
+    T, live, unsure = A, list(range(len(A))), []
+    for j in range(_MAX_DOUBLINGS + 1):
+        t = _max(T)
+        keep = [bound <= x <= _LARGE_POWER and j < _MAX_DOUBLINGS
+                for x in t]
+        if not all(keep):
+            unsure += [i for i, x, k in zip(live, t, keep)
+                       if not (k or x < bound)]
+            live = [i for i, k in zip(live, keep) if k]
+            if not live:
+                break
+            T = T[np.array(keep)]
+        T = T @ T
+    if not unsure:
+        return True
+    U = A[sorted(unsure)]
+    return bool(np.isfinite(U).all()) and spectral_radius(U) < 1.0
 
 
 # Per-slice scalars are Python floats: on stacks of a few slices, float
@@ -285,9 +317,11 @@ def dare_solve(A, B, Q, N, R):
     policy iteration from the zero gain, which stops on that residual and
     needs a Schur-stable A (the lifted plant here is pre-stabilized).  Its
     closed loops are certified stable by their ``stein_solve`` doubling,
-    which computes eigenvalues only when its power bound fails; the
-    returned gain's loop gets an eigenvalue check here, independent of the
-    solver.  Returns P and that gain F = -(R + B'PB)^{-1}(B'PA + N').
+    which computes eigenvalues only when its power bound fails.  The
+    returned gain's loop A + B F is certified here by ``schur_stable``,
+    from its own squarings, which read only A, B and F and so stay
+    independent of the solver; eigenvalues are its fallback.  Returns P
+    and that gain F = -(R + B'PB)^{-1}(B'PA + N').
     The arguments are stacks of k equations of one size, (k, n, n) and so
     on; a failure of any slice raises ``NotStabilizable`` for the stack.
     """
@@ -325,7 +359,7 @@ def dare_solve(A, B, Q, N, R):
            for lo, top in _spread(np.linalg.eigvalsh(0.5 * (H + H.mT)))):
         raise IndefiniteCost("R + B'PB pivot is indefinite at the solution")
     F = _gain_from(A, B, N, P, H)
-    if spectral_radius(A + B @ F) >= 1.0:
+    if not schur_stable(A + B @ F):
         raise NotStabilizable("closed loop is not Schur stable")
     return P, F
 
@@ -502,7 +536,9 @@ def hinf_design(disc: DiscretizedSystem, gamma) -> HinfResult:
 
 def gamma_min(disc: DiscretizedSystem, tol=1e-3):
     """Smallest certifiable attenuation level, by a safeguarded secant
-    search on certified norms.
+    search on certified norms.  An output map C2 whose norm overflows is
+    refused (``NonFiniteModel``): every level squares it, and the
+    zero-level test below would compare inf with inf.
 
     When the output can be cancelled (D2w = 0 and F0 = -D2u^+ C2 leaves
     C2 + D2u F0 at 1e-12 of C2 with a Schur-stable loop, as at zero wait),
@@ -539,10 +575,16 @@ def gamma_min(disc: DiscretizedSystem, tol=1e-3):
     if not tol >= 1e-9:
         raise ValueError("tol must be at least 1e-9, above the accuracy "
                          "of the certified norms")
+    with np.errstate(over="ignore"):
+        c2 = np.linalg.norm(disc.C2)
+    if not np.isfinite(c2):
+        raise NonFiniteModel(
+            "the lifted output map's norm overflows float64, and every "
+            "level squares it; scale down [output] delta_weight or "
+            "input_weight")
     if not disc.D2w.any():
         F0 = -np.linalg.pinv(disc.D2u) @ disc.C2
-        if (np.linalg.norm(disc.C2 + disc.D2u @ F0)
-                <= 1e-12 * np.linalg.norm(disc.C2)
+        if (np.linalg.norm(disc.C2 + disc.D2u @ F0) <= 1e-12 * c2
                 and spectral_radius(disc.A2 + disc.B2u @ F0) < 1.0):
             return HinfResult(F=F0, gamma=0.0, norm=0.0, disc=disc)
     best = HinfResult(F=np.zeros((disc.n_u, disc.n_z)), gamma=0.0,

@@ -541,6 +541,39 @@ def test_non_finite_cost_refused(tmp_path, monkeypatch, capsys, command):
     assert sorted(os.listdir(tmp_path)) == ["report.json"]
 
 
+@pytest.mark.parametrize("env, command, key", [
+    # ||C2|| overflows, and inf <= 1e-12 inf would pass the zero-level test
+    ({"WADC_OUTPUT__DELTA_WEIGHT": "1e300"},
+     ("design", "--measure", "hinf", "--delay", "0.1"),
+     "[output] delta_weight"),
+    # K' R K overflows in the folded running cost
+    ({"WADC_COST__INPUT_WEIGHT": "1e300"},
+     ("design", "--measure", "hinf", "--delay", "0.1"), "[cost] input_weight"),
+    # exp(h A1) over 1e300 s comes out nan
+    ({"WADC_SAMPLING__H_S": "1e300"},
+     ("design", "--measure", "lqr", "--delay", "0"), "[sampling] h_s"),
+    ({"WADC_SAMPLING__H_S": "1e300"},
+     ("design", "--measure", "hinf", "--delay", "0"), "[sampling] h_s"),
+    # the no-load field flux L_f e_f0 / R_f is 2.9e305 Wb
+    ({"WADC_GENERATORS__R_F_MOHM": "1e-300"}, ("linearize",),
+     "[generators] R_f_mOhm"),
+], ids=["output-weight", "input-weight", "h-lqr", "h-hinf",
+        "field-resistance"])
+def test_overflowing_model_refused(tmp_path, monkeypatch, capsys, env,
+                                   command, key):
+    # typed, with one error line naming the key, before any output file
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    assert run(tmp_path, *command) == 3
+    out = capsys.readouterr()
+    assert out.out == ""
+    lines = out.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert key in lines[0]
+    assert strict_report(tmp_path)["outputs"] == {}
+    assert sorted(os.listdir(tmp_path)) == ["report.json"]
+
+
 class TestDesignCommand:
     def test_delay_beyond_in_flight_cap_refused(self, tmp_path, capsys):
         # typed, and before the lifted system is built
@@ -632,21 +665,27 @@ class TestSimulateCommand:
         err = capsys.readouterr().err
         assert "1999998 integrator steps" in err and "integrator_step_s" in err
 
-    @pytest.mark.parametrize("env, delay, gain, message", [
+    @pytest.mark.parametrize("measure, env, delay, gain, message", [
         # no angle weight: 20 time constants of the slowest sampled mode
         # are 1,623,822 periods
-        ({"WADC_COST__DELTA_WEIGHT": "0"}, "0.1", 1.0,
+        ("lqr", {"WADC_COST__DELTA_WEIGHT": "0"}, "0.1", 1.0,
          "asks for 1623822 sampling periods"),
         # more periods than a float holds
-        ({"WADC_SCENARIO__HORIZON_S": "1e308"}, "0.1", 1.0,
+        ("lqr", {"WADC_SCENARIO__HORIZON_S": "1e308"}, "0.1", 1.0,
          "asks for inf sampling periods"),
-        ({"WADC_SCENARIO__HORIZON_S": "1.0"}, "0.1000001", 1.0,
+        ("lqr", {"WADC_SCENARIO__HORIZON_S": "1.0"}, "0.1000001", 1.0,
          "1999998 integrator steps"),
         # tripled remote gains: the sampled loop has no auto horizon
-        ({}, "0.1", 3.0, "spectral radius 1.1156629"),
-    ], ids=["auto-horizon", "horizon-overflow", "step-grid", "unstable"])
+        ("lqr", {}, "0.1", 3.0, "spectral radius 1.1156629"),
+        # an H-infinity run has no certificate to refuse first: the cost of
+        # its first period overflows, before any stepping
+        ("hinf", {"WADC_SCENARIO__INITIAL_STATE": "1e308,0,0",
+                  "WADC_SCENARIO__HORIZON_S": "10"}, "0.1", 1.0,
+         "[scenario] initial_state"),
+    ], ids=["auto-horizon", "horizon-overflow", "step-grid", "unstable",
+            "hinf-cost-overflow"])
     def test_refused_run_writes_no_trace(self, tmp_path, monkeypatch, capsys,
-                                         env, delay, gain, message):
+                                         measure, env, delay, gain, message):
         designed = cli.design_mode
 
         def design(*args, **kwargs):
@@ -656,7 +695,7 @@ class TestSimulateCommand:
         monkeypatch.setattr(cli, "design_mode", design)
         for name, value in env.items():
             monkeypatch.setenv(name, value)
-        assert run(tmp_path, "simulate", "--measure", "lqr",
+        assert run(tmp_path, "simulate", "--measure", measure,
                    "--delay", delay) == 3
         assert message in capsys.readouterr().err
         report = strict_report(tmp_path)

@@ -312,6 +312,26 @@ class TestDesignMode:
         J_sim = closed_loop_cost(md.disc, md.F, z0)
         assert abs(J_sim - md.J_star(z0)) <= 1e-5 * md.J_star(z0)
 
+    def test_lqr_stack_solves_no_eigenvalues(self, monkeypatch, gains_k1,
+                                             dec_k1):
+        # one interval stack of the benchmark's 2 ms grid, the ten waits in
+        # (0.1, 0.12]: every closed loop, policy iteration's and the
+        # returned gain's, is certified by its own powers
+        models = [bench_mode_system(gains_k1, dec_k1, i) for i in range(2)]
+        waits = np.round(0.1 + 0.002 * np.arange(1, 11), 3)
+        calls = [0]
+        eigvals = np.linalg.eigvals
+
+        def counted(*args, **kwargs):
+            calls[0] += 1
+            return eigvals(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvals", counted)
+        for model in models:
+            results = design_mode(model, 0.02, waits, method="lqr")
+            assert [md.disc.q for md in results] == [5] * 10
+        assert calls[0] == 0
+
 
 class TestAssembleController:
     def _designs(self, plant, gains, dec, tau, method="lqr"):

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from wadc.errors import (
     GammaInfeasible,
     IndefiniteCost,
+    NonFiniteModel,
     NotStabilizable,
     UnstableSystem,
 )
@@ -25,6 +26,7 @@ from wadc.synthesis import (
     hinf_design,
     hinf_norm,
     lqr_design,
+    schur_stable,
     stein_solve,
 )
 
@@ -133,9 +135,9 @@ class TestDare:
 
     def test_singular_r_checks_each_loop_once(self, monkeypatch):
         # policy iteration's closed loops (the first iterate is A itself)
-        # are certified by their stein_solve's doubling powers, with no
-        # eigenvalue solve; the only eigvals is dare_solve's, for the
-        # returned gain's loop
+        # are certified by their stein_solve's doubling powers, and the
+        # returned gain's loop by schur_stable's squarings: no eigenvalue
+        # solve
         import wadc.synthesis as synthesis
         disc = random_disc(np.random.default_rng(7), d_over_h=2.3)
         assert not disc.R2.any()
@@ -154,7 +156,7 @@ class TestDare:
         monkeypatch.setattr(synthesis, "stein_solve", counted_stein)
         dare_solve(*stacked([disc]))
         assert calls["stein"] >= 2
-        assert calls["eigvals"] == 1
+        assert calls["eigvals"] == 0
 
 
 def stacked(discs):
@@ -574,6 +576,15 @@ class TestGammaMin:
         assert res.norm == 0.0 and res.levels == 0
         assert calls[0] == 0  # the exact level needs no evaluated norm
 
+    def test_overflowing_output_refused(self):
+        # ||C2|| overflows to inf, and inf <= 1e-12 inf would pass the
+        # zero-level test with F0 = 0, which leaves C2 + D2u F0 = C2
+        disc = make_disc([[0.5]], [[1.0]], [[1.0]], [[1e300], [1e300]],
+                         [[0.0], [0.0]], [[0.0], [0.0]], np.eye(1),
+                         np.zeros((1, 1)), np.eye(1))
+        with pytest.raises(NonFiniteModel, match=r"\[output\]"):
+            gamma_min(disc, tol=1e-3)
+
     def test_unstable_plant_rejected(self):
         disc = make_disc([[1.5]], [[1.0]], [[1.0]], [[1.0]], [[0.0]],
                          [[0.0]], np.eye(1), np.zeros((1, 1)), np.eye(1))
@@ -812,6 +823,67 @@ class TestStein:
         assert not P[2].any()
         for j in range(4):
             assert np.array_equal(P[j], stein_solve(A[j][None], Q[j][None])[0])
+
+
+@pytest.mark.filterwarnings("error")
+class TestSchurStable:
+    """Each slice is certified by its own squarings, n max|A^(2^j)| < 1/2,
+    or else by its eigenvalues, in one call on those slices alone."""
+
+    def test_agrees_with_eigenvalues(self, monkeypatch):
+        seen = recording(monkeypatch)
+        rng = np.random.default_rng(23)
+        A = rng.normal(size=(6, 5, 5))
+        rho = np.array([0.3, 0.9, 0.999, 0.99999, 1.001, 2.0])
+        A *= (rho / np.abs(np.linalg.eigvals(A)).max(axis=-1))[:, None, None]
+        assert schur_stable(A[:4])
+        assert seen == []
+        assert [schur_stable(A[j:j + 1]) for j in range(6)] == [True] * 4 \
+            + [False] * 2
+        assert not schur_stable(A)
+        # the unstable slices pass 1e30 and go to the eigenvalues, alone
+        assert [len(S) for S in seen] == [1, 1, 2]
+        assert np.array_equal(seen[-1], A[4:])
+
+    def test_large_transient_goes_to_eigenvalues(self, monkeypatch):
+        # the first slice is stable, but max|A^(2^j)| passes 1e30 on its
+        # first squarings; the second settles by squaring
+        seen = recording(monkeypatch)
+        A = np.array([[[0.5, 1e35], [0.0, 0.5]], [[0.6, 0.3], [0.0, 0.2]]])
+        assert schur_stable(A)
+        assert len(seen) == 1 and np.array_equal(seen[0], A[:1])
+        A[0, 0, 0] = 1.5
+        assert not schur_stable(A)
+
+    def test_unsettled_powers_go_to_eigenvalues(self, monkeypatch):
+        # a rotation's powers keep max|T| = 1: it never settles and never
+        # grows, so the squarings run out and its eigenvalues decide
+        seen = recording(monkeypatch)
+        A = np.array([[[0.0, -1.0], [1.0, 0.0]]])
+        assert not schur_stable(A)
+        assert len(seen) == 1 and np.array_equal(seen[0], A)
+
+    def test_non_finite_slice_is_not_stable(self, monkeypatch):
+        seen = recording(monkeypatch)
+        A = np.stack([0.5 * np.eye(2), np.full((2, 2), np.nan)])
+        assert not schur_stable(A)
+        assert seen == []
+
+    def test_destabilized_gain_raises_through_eigenvalues(self, monkeypatch):
+        # the returned gain, tripled, makes the first loop 1.5 + 3 F = -1.76
+        # unstable; its powers pass 1e30 after seven squarings and its
+        # eigenvalues refuse it, before anything overflows
+        import wadc.synthesis as synthesis
+        seen = recording(monkeypatch)
+        gain_from = synthesis._gain_from
+        monkeypatch.setattr(synthesis, "_gain_from",
+                            lambda *args: 3.0 * gain_from(*args))
+        A = np.array([[[1.5]], [[0.5]]])
+        with pytest.raises(NotStabilizable, match="not Schur stable"):
+            dare_solve(A, np.ones((2, 1, 1)), np.ones((2, 1, 1)),
+                       np.zeros((2, 1, 1)), np.ones((2, 1, 1)))
+        assert len(seen) == 1 and seen[0].shape == (1, 1, 1)
+        assert seen[0][0, 0, 0] < -1.7
 
 
 def reductions(monkeypatch):
