@@ -401,9 +401,14 @@ def _mode_list(dec, mode_arg):
     return [dec.mode_index(mode_arg)]
 
 
-def _search_diagnostics(md):
+def _search_diagnostics(report, label, md):
     """Levels an H-infinity search tried and certified; at level 0, also
-    the witness's residual output gain ||C2 + D2u F|| (2-norm)."""
+    the witness's residual output gain ||C2 + D2u F|| (2-norm).  A search
+    that certified none of its levels is also a warning."""
+    if md.uncertified:
+        report.warn(f"{label}: the H-infinity search certified none of its "
+                    f"{md.levels} levels; gamma is the decentralized level, "
+                    "the norm without remote feedback")
     diag = {"levels_tried": md.levels, "levels_accepted": md.accepted}
     if md.gamma == 0.0:
         diag["residual_gain"] = float(
@@ -433,7 +438,7 @@ def cmd_design(cfg, args, report):
             entry["gamma"] = md.gamma
             entry["certified_norm"] = md.norm
             report.data.setdefault("diagnostics", {})[dec.labels[i]] = \
-                _search_diagnostics(md)
+                _search_diagnostics(report, dec.labels[i], md)
         path = f"{args.out}/F_{dec.labels[i]}.txt"
         report.output(path, write_matrix(path, md.F))
         summary[dec.labels[i]] = entry
@@ -553,7 +558,7 @@ def cmd_simulate(cfg, args, report):
     }
     if args.measure == "hinf":
         report.data["diagnostics"]["designs"] = {
-            label: _search_diagnostics(md)
+            label: _search_diagnostics(report, label, md)
             for label, md in zip(dec.labels, designs)}
     print(json.dumps(summary, indent=2, sort_keys=True))
     report.stage("write")

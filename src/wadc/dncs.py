@@ -33,8 +33,6 @@ __all__ = [
     "design_mode",
 ]
 
-_STRUCTURAL_ZERO = 1e-12
-
 
 @dataclass(frozen=True, eq=False)
 class LocalGains:
@@ -72,10 +70,6 @@ class LocalGains:
         return cls(K_blocks=blocks, K=K, A_bar=A_bar)
 
     @property
-    def machine_x_dims(self):
-        return tuple(b.shape[1] for b in self.K_blocks)
-
-    @property
     def machine_u_dims(self):
         return tuple(b.shape[0] for b in self.K_blocks)
 
@@ -106,9 +100,7 @@ class ModalDecomposition:
     mode_x_dims: tuple
     mode_u_dims: tuple
     mode_w_dims: tuple
-    machine_x_dims: tuple
-    machine_u_dims: tuple
-    pattern_Mu: np.ndarray        # (machines, modes) structural nonzeros
+    pattern_Mu: np.ndarray        # (machines, modes)
     pattern_Mx_inv: np.ndarray    # (modes, machines)
     labels: tuple
 
@@ -141,22 +133,13 @@ class ModalDecomposition:
         return slice(off[i], off[i + 1])
 
 
-def _block_pattern(M, row_dims, col_dims):
-    thr = _STRUCTURAL_ZERO * max(1.0, np.abs(M).max())
-    ro, co = _offsets(row_dims), _offsets(col_dims)
-    pat = np.zeros((len(row_dims), len(col_dims)), dtype=bool)
-    for a in range(len(row_dims)):
-        for b in range(len(col_dims)):
-            blk = M[ro[a]:ro[a + 1], co[b]:co[b + 1]]
-            pat[a, b] = blk.size > 0 and np.abs(blk).max() > thr
-    return pat
-
-
 def symmetric_modes(plant: LinearPlant, gains: LocalGains,
                     tol=1e-7) -> ModalDecomposition:
     """Oscillation/common decomposition for two identical machines:
     x_hat_1 = x_1 - x_2 (oscillation), x_hat_2 = x_1 + x_2 (common), and
-    the same split for inputs and disturbances.
+    the same split for inputs and disturbances.  Every machine applies
+    both modes and every mode reads both machines, so both delay patterns
+    are dense.
 
     The plant must commute with the machine swap to ``tol`` (relative) and
     the two local gains must match; the transformed pre-stabilized plant
@@ -197,11 +180,8 @@ def symmetric_modes(plant: LinearPlant, gains: LocalGains,
         M_x=M_x, M_u=M_u, M_w=M_w, M_x_inv=M_x_inv,
         A_hat=A_hat, B_u_hat=B_u_hat, B_w_hat=B_w_hat,
         mode_x_dims=(nx, nx), mode_u_dims=(nu, nu), mode_w_dims=(nw, nw),
-        machine_x_dims=gains.machine_x_dims,
-        machine_u_dims=gains.machine_u_dims,
-        pattern_Mu=_block_pattern(M_u, gains.machine_u_dims, (nu, nu)),
-        pattern_Mx_inv=_block_pattern(M_x_inv, (nx, nx),
-                                      gains.machine_x_dims),
+        pattern_Mu=np.ones((2, 2), dtype=bool),
+        pattern_Mx_inv=np.ones((2, 2), dtype=bool),
         labels=("oscillation", "common"),
     )
 
@@ -249,7 +229,7 @@ def mode_system(gains: LocalGains, dec: ModalDecomposition, i,
 def delay_map(dec: ModalDecomposition, d):
     """Per-mode delays (slowest link a mode must wait for) and per-machine
     command delays (slowest mode a machine applies)."""
-    m = len(dec.machine_x_dims)
+    m = len(dec.pattern_Mu)
     d = np.asarray(d, dtype=float).reshape(m, m)
     if (d < 0).any():
         raise AsymmetricDelays("link delays must be nonnegative")

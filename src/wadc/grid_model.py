@@ -108,17 +108,27 @@ def build_two_area_network(Z_T, Z_L, Z_C, omega0=377.0) -> NetworkModel:
     """Two generators, each tied through Z_T to its own load bus (shunt
     load Z_L), load buses coupled by the tie impedance Z_C; disturbance
     currents inject at the load buses.  Every impedance is finite and
-    nonzero."""
+    nonzero, and none so small that the square of its admittance, which
+    the reduction forms, overflows (``NonFiniteModel``)."""
+    y = {}
     for name, z in (("Z_T", Z_T), ("Z_L", Z_L), ("Z_C", Z_C)):
         if complex(z) == 0:
             raise ValueError(f"{name} must be nonzero")
-    y_T, y_L, y_C = (1.0 / complex(z) for z in (Z_T, Z_L, Z_C))
+        y[name] = 1.0 / complex(z)
+    y_T, y_L, y_C = y.values()
     # nodes: [gen1, gen2 | load1, load2]
     Y_GG = np.diag([y_T, y_T]).astype(complex)
     Y_GL = np.diag([-y_T, -y_T]).astype(complex)
     Y_LL = np.array([[y_T + y_L + y_C, -y_C],
                      [-y_C, y_T + y_L + y_C]], dtype=complex)
-    if abs(np.linalg.det(Y_LL)) <= 1e-14 * max(1.0, np.abs(Y_LL).max() ** 2):
+    with np.errstate(over="ignore"):
+        size = np.abs(Y_LL).max() ** 2
+    if not np.isfinite(size):
+        name = max(y, key=lambda k: abs(y[k]))
+        raise NonFiniteModel(
+            f"the load-bus admittances square past float64; raise "
+            f"[network] {name}_Ohm")
+    if abs(np.linalg.det(Y_LL)) <= 1e-14 * max(1.0, size):
         raise SingularNetwork("load-bus admittance block is singular")
     Y_red = Y_GG - Y_GL @ np.linalg.solve(Y_LL, Y_GL.T.copy())
     H_red = Y_GL @ np.linalg.inv(Y_LL)
@@ -305,8 +315,8 @@ def _equilibrium_residual(gens, net, theta, v_target):
             # squares, which differs in the last bit about once in 1,000
             vmag2 = (np.float_power(sol.e_d[..., i], 2)
                      + np.float_power(sol.e_q[..., i], 2))
-            res[..., m + i] = ((vmag2 - v_target ** 2)
-                               / max(1.0, v_target ** 2))
+            v2 = np.float_power(v_target, 2)   # inf, not OverflowError
+            res[..., m + i] = (vmag2 - v2) / max(1.0, v2)
     return res, sol
 
 

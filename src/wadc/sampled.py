@@ -36,7 +36,6 @@ __all__ = [
     "CtsSystem",
     "CtsCost",
     "CtsModel",
-    "PMU",
     "DiscretizedSystem",
     "phi_gamma",
     "solve_pmu",
@@ -133,23 +132,6 @@ class CtsCost:
 
 
 @dataclass(frozen=True, eq=False)
-class PMU:
-    """Factorization (P, M, U) of the running cost against the dynamics.
-
-    P solves P A1 + A1' P = Q1, M = A1^{-T} (N1 - P B1u) and
-    U = R1 - B1u' M - M' B1u, which turns the cost integral over an interval
-    with held input into boundary terms plus b * u' U u.
-    """
-
-    P: np.ndarray
-    M: np.ndarray
-    U: np.ndarray
-
-    def __post_init__(self):
-        _freeze(self.P, self.M, self.U)
-
-
-@dataclass(frozen=True, eq=False)
 class DiscretizedSystem:
     """Lifted discrete-time system, output map and summed quadratic cost.
 
@@ -216,12 +198,17 @@ def phi_gamma(A1, alpha):
     return E[:n, :n], E[:n, n:]
 
 
-def solve_pmu(sys: CtsSystem, cost: CtsCost) -> PMU:
-    """Factor the running cost into (P, M, U) against the plant dynamics.
+def solve_pmu(sys: CtsSystem, cost: CtsCost):
+    """Factor the running cost into a frozen triple (P, M, U) against the
+    plant dynamics: P solves P A1 + A1' P = Q1, M = A1^{-T} (N1 - P B1u)
+    and U = R1 - B1u' M - M' B1u, which turns the cost integral over an
+    interval with held input into boundary terms plus b * u' U u.
 
     Requires A1 invertible with no eigenvalue pair summing to zero; in this
     package A1 is always a locally pre-stabilized (Hurwitz) matrix, which
-    satisfies both conditions automatically.
+    satisfies both conditions automatically.  A P whose Lyapunov residual
+    exceeds 1e-8 of 1 + max|Q1| + 2 max|A1| max|P| is refused
+    (``NonFiniteModel``).
     """
     A1, B1u = sys.A1, sys.B1u
     eig = np.linalg.eigvals(A1)
@@ -237,28 +224,40 @@ def solve_pmu(sys: CtsSystem, cost: CtsCost) -> PMU:
     P = 0.5 * (P + P.T)
     # iterative refinement; solve_sylvester alone can leave ~1e-9 residuals
     # on poorly separated spectra
-    for _ in range(3):
+    size = 1 + np.abs(cost.Q1).max()
+    for left in (3, 2, 1, 0):
         res = cost.Q1 - (P @ A1 + A1.T @ P)
-        if np.abs(res).max() <= 1e-14 * (1 + np.abs(cost.Q1).max()):
+        err = np.abs(res).max()
+        if err <= 1e-14 * size or not left:
             break
         dP = solve_sylvester(A1.T, A1, res)
         P = 0.5 * ((P + dP) + (P + dP).T)
+    # LAPACK's Sylvester solver scales its solution down rather than
+    # overflow, so a cost near the float64 limit comes back as a P that
+    # solves nothing; the residual is judged against the terms it balances
+    err /= size + 2 * np.abs(A1).max() * np.abs(P).max()
+    if not err <= 1e-8:
+        raise NonFiniteModel(
+            f"the running cost does not factor in float64: P A1 + A1' P = Q1 "
+            f"is left with a relative residual of {err:.3g}; scale down "
+            "[cost] input_weight or delta_weight")
     M = np.linalg.solve(A1.T, cost.N1 - P @ B1u)
     res = cost.N1 - (A1.T @ M + P @ B1u)
     M = M + np.linalg.solve(A1.T, res)
     U = cost.R1 - B1u.T @ M - M.T @ B1u
     U = 0.5 * (U + U.T)
-    return PMU(P=P, M=M, U=U)
+    _freeze(P, M, U)
+    return P, M, U
 
 
-def psi_blocks(pmu: PMU, sys: CtsSystem, b, Phi, Gamma) -> np.ndarray:
+def psi_blocks(pmu, sys: CtsSystem, b, Phi, Gamma) -> np.ndarray:
     """Quadratic form Psi(b) giving the cost integral over a length-b interval
     with held input: integral = [x(a); u]' Psi(b) [x(a); u].  Phi and Gamma
     are ``phi_gamma(sys.A1, b)``."""
     b = float(b)
     if b < 0:
         raise ValueError("interval length must be nonnegative")
-    P, M, U = pmu.P, pmu.M, pmu.U
+    P, M, U = pmu
     B1u = sys.B1u
     GB = Gamma @ B1u
     psi1 = Phi.T @ P @ Phi - P

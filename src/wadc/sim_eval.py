@@ -187,7 +187,7 @@ def simulate_closed_loop(plant: LinearPlant, controller: DistributedController,
     def past(a):
         return V if a == 0 else eye[n_x + (a - 1) * n_u:n_x + a * n_u]
 
-    rows = np.cumsum((0,) + dec.machine_u_dims)
+    rows = np.cumsum((0,) + controller.gains.machine_u_dims)
 
     def command(s):
         return np.vstack([dec.M_u[rows[i]:rows[i + 1]] @ past(c + (s < e))
@@ -370,7 +370,7 @@ def sweep_delays(model, dec, mode, measure, delay_grid, h, z0=None,
         raise ValueError("delay grid must be nonnegative and ascending")
     # every link carries the row's delay, so the mode waits tau times its
     # wait under unit link delays: 1 if any link feeds it, else 0
-    unit = float(delay_map(dec, 1 - np.eye(len(dec.machine_x_dims)))[0][i])
+    unit = float(delay_map(dec, 1 - np.eye(len(dec.pattern_Mu)))[0][i])
     waits = [tau * unit for tau in delay_grid]
     try:
         split_delay(max(waits, default=0.0), h)
@@ -393,12 +393,15 @@ def sweep_delays(model, dec, mode, measure, delay_grid, h, z0=None,
             "rows_redesigned": 0}
     if measure == "hinf":
         diag.update(levels_tried=0, levels_accepted=0)
+    uncertified = []    # waits whose search certified none of its levels
 
     def row_value(md):
         if measure == "lqr":
             return md.J_star(md.disc.lift_state(z0))
         diag["levels_tried"] += md.levels
         diag["levels_accepted"] += md.accepted
+        if md.uncertified:
+            uncertified.append(md.disc.d)
         return md.gamma
 
     def design(delays):
@@ -448,6 +451,12 @@ def sweep_delays(model, dec, mode, measure, delay_grid, h, z0=None,
     rows = [row(tau, value) for tau, value in zip(delay_grid, values)]
 
     warnings = []
+    if uncertified:
+        warnings.append(
+            f"the H-infinity search certified none of its levels at "
+            f"{len(uncertified)} of the waits (the first {uncertified[0]:g} "
+            "s); each of their values is its wait's decentralized level, the "
+            "norm without remote feedback")
     good = [r for r in rows if r.status == "ok"]
     if len(good) >= 2:
         pairs = sum(1 for a, b in zip(good, good[1:]) if b.value >= a.value

@@ -133,23 +133,12 @@ def _spread(w):
                     (1.0 + np.abs(w).max(axis=-1)).tolist()))
 
 
-def _set_aside(parts, done, live, X, *rest):
-    """Take the slices flagged ``done`` out of the stack X, keeping them
-    with their indices in ``parts``; return what stays of live, X and
-    rest."""
+def _retire(out, done, live, X, *rest):
+    """Write the slices flagged ``done`` of the stack X into ``out`` at
+    their indices ``live``; return what stays of live, X and rest."""
     done = np.array(done)
-    parts.append((live[done], X[done]))
+    out[live[done]] = X[done]
     return [Y[~done] for Y in (live, X, *rest)]
-
-
-def _gather(parts, live, X):
-    """The stack of the slices set aside in ``parts`` and the live X."""
-    if not parts:
-        return X
-    out = np.empty((len(live) + sum(len(i) for i, _ in parts),) + X.shape[1:])
-    for idx, Y in parts + [(live, X)]:
-        out[idx] = Y
-    return out
 
 
 def stein_solve(A, Q):
@@ -176,7 +165,7 @@ def stein_solve(A, Q):
     S = 0.5 * (Q + Q.mT)
     T = A.copy()
     tol = [1e-18 * (1.0 + s) for s in _max(S)]
-    parts, live = [], np.arange(len(S))
+    P, live = np.empty(S.shape), np.arange(len(S))
     t = _max(T)
     sure = [False] * len(S)     # eigenvalues checked after a large power
     unsure = []                 # slices that stopped without the bound
@@ -207,12 +196,12 @@ def stein_solve(A, Q):
                 break
             tol, t, sure = ([v for v, d in zip(L, done) if not d]
                             for L in (tol, t, sure))
-            live, S, T = _set_aside(parts, done, live, S, T)
+            live, S, T = _retire(P, done, live, S, T)
     else:
         unsure += [j for j, ok in zip(live.tolist(), sure) if not ok]
     if unsure and spectral_radius(A[unsure]) >= 1.0:
         raise UnstableSystem("Stein equation needs a Schur-stable matrix")
-    P = _gather(parts, live, S)
+    P[live] = S
     return 0.5 * (P + P.mT)
 
 
@@ -251,7 +240,7 @@ def _sda(A, G, H):
     a singular pivot, a diverged iterate or a slice still unconverged after
     ``_MAX_SDA_ITERS`` doublings raises ``NotStabilizable``."""
     n = A.shape[-1]
-    parts, live = [], np.arange(len(H))
+    out, live = np.empty(H.shape), np.arange(len(H))
     Ak, Gk, Hk = A.copy(), G.copy(), H.copy()
     for _ in range(_MAX_SDA_ITERS):
         W = np.eye(n) + Gk @ Hk
@@ -270,9 +259,10 @@ def _sda(A, G, H):
         done = [s <= 1e-16 * (1.0 + h) and a < 1e-8
                 for s, h, a in zip(step, _max(Hk), _max(Ak))]
         if all(done):
-            return _gather(parts, live, Hk)
+            out[live] = Hk
+            return out
         if any(done):
-            live, Hk, Ak, Gk = _set_aside(parts, done, live, Hk, Ak, Gk)
+            live, Hk, Ak, Gk = _retire(out, done, live, Hk, Ak, Gk)
     raise NotStabilizable(
         _SDA_FAILED % f"no convergence in {_MAX_SDA_ITERS} doublings")
 
@@ -284,8 +274,7 @@ def _policy_iteration(A, B, Q, N, R):
     eigenvalues only as the fallback.  A slice stops once its residual is
     small."""
     k, n, m = B.shape
-    F = np.zeros((k, m, n))
-    parts, live = [], np.arange(k)
+    F, out, live = np.zeros((k, m, n)), np.empty((k, n, n)), np.arange(k)
     for _ in range(_MAX_NEWTON):
         A_cl = A + B @ F
         Q_cl = Q + N @ F + F.mT @ N.mT + F.mT @ R @ F
@@ -298,10 +287,11 @@ def _policy_iteration(A, B, Q, N, R):
         H = R + B.mT @ P @ B
         done = [r <= _RESIDUAL_TOL for r in _residual(A, B, Q, N, P, H)]
         if all(done):
-            return _gather(parts, live, P)
+            out[live] = P
+            return out
         if any(done):
-            live, P, A, B, Q, N, R, H = _set_aside(
-                parts, done, live, P, A, B, Q, N, R, H)
+            live, P, A, B, Q, N, R, H = _retire(
+                out, done, live, P, A, B, Q, N, R, H)
         F = _gain_from(A, B, N, P, H)
     raise NotStabilizable(f"policy iteration did not converge in "
                           f"{_MAX_NEWTON} steps; make R positive definite")
@@ -413,8 +403,10 @@ def hinf_norm(A, B, C, D):
     sorted, they bracket every arc where sigma_max exceeds g, so the
     largest sigma_max at their midpoints raises the bound past g.  When no
     midpoint reaches g, the bound is the norm to that relative accuracy.
-    B and C are balanced by one scalar and the pencil is formed for T / g,
-    so loops whose norm is many orders below their data stay well scaled.
+    B and C are balanced by one scalar, from their Frobenius norms or, where
+    those under- or overflow, their largest entries, and the pencil is
+    formed for T / g, so loops whose norm is many orders below their data
+    stay well scaled.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     B = np.atleast_2d(np.asarray(B, dtype=float))
@@ -428,6 +420,8 @@ def hinf_norm(A, B, C, D):
         return float(np.linalg.svd(D, compute_uv=False).max()) if D.size else 0.0
     n, m = B.shape
     s = np.sqrt(np.linalg.norm(C) / np.linalg.norm(B))
+    if not 0.0 < s < np.inf:   # a norm's squares underflowed or overflowed
+        s = np.sqrt(np.abs(C).max() / np.abs(B).max())
     B, C = B * s, C / s
     thetas = np.concatenate([np.linspace(0.0, np.pi, n + 2),
                              np.abs(np.angle(lam))])
@@ -469,6 +463,12 @@ class HinfResult:
     levels: int = 0     # levels tried by the search that found it
     accepted: int = 0   # of which certified
 
+    @property
+    def uncertified(self):
+        """Whether the search tried levels and certified none, so that
+        gamma is the decentralized level (the zero remote gain's norm)."""
+        return self.levels > 0 and self.accepted == 0
+
 
 def hinf_design(disc: DiscretizedSystem, gamma) -> HinfResult:
     """State-feedback design guaranteeing closed-loop norm below gamma.
@@ -498,7 +498,10 @@ def hinf_design(disc: DiscretizedSystem, gamma) -> HinfResult:
     R[m:, m:] -= np.eye(disc.n_w)
     Q, N = disc.C2.T @ disc.C2, disc.C2.T @ D2
     try:
-        P = scipy.linalg.solve_discrete_are(disc.A2, B2, Q, R, s=N)
+        # a pencil whose balancing overflows breaks down in SciPy's cast
+        # of its scale factors; the checks below refuse what comes back
+        with np.errstate(over="ignore", invalid="ignore"):
+            P = scipy.linalg.solve_discrete_are(disc.A2, B2, Q, R, s=N)
         P = 0.5 * (P + P.T)
         if not np.isfinite(P).all():
             raise GammaInfeasible("riccati_nonfinite")

@@ -245,7 +245,7 @@ def per_step_closed_loop(plant, gains, dec, ctrl, designs, x0, dt, periods,
     A, K = gains.A_bar, gains.K
     n_h = round(ctrl.h / dt)
     n_rho = [round(float(d) / dt) for d in ctrl.d_rho]
-    rows = np.cumsum((0,) + dec.machine_u_dims)
+    rows = np.cumsum((0,) + gains.machine_u_dims)
     memories = [np.zeros(md.disc.n_memory * md.disc.n_u) for md in designs]
     x = np.asarray(x0, dtype=float).copy()
     u_bar = np.zeros(plant.n_u)

@@ -18,7 +18,7 @@ from test_sim_eval import FALLING_WARNING, falling_designs
 from wadc import __main__ as entry
 from wadc import cli, sim_eval
 from wadc.cli import main, write_matrix
-from wadc.config import _REQUIRED, SCHEMA, load_config
+from wadc.config import _REQUIRED, SCHEMA, _parse_positive_int, load_config
 from wadc.errors import ConfigError
 from wadc.sampled import MAX_IN_FLIGHT
 from wadc.sim_eval import MAX_PERIODS, MAX_SWEEP_IN_FLIGHT
@@ -557,8 +557,25 @@ def test_non_finite_cost_refused(tmp_path, monkeypatch, capsys, command):
     # the no-load field flux L_f e_f0 / R_f is 2.9e305 Wb
     ({"WADC_GENERATORS__R_F_MOHM": "1e-300"}, ("linearize",),
      "[generators] R_f_mOhm"),
+    # the running cost's Lyapunov factor fails: P comes back near 1e-304
+    ({"WADC_COST__INPUT_WEIGHT": "1e300"},
+     ("design", "--measure", "lqr", "--delay", "0.1"), "[cost] input_weight"),
+    ({"WADC_COST__DELTA_WEIGHT": "1e300"},
+     ("design", "--measure", "lqr", "--delay", "0.1"), "[cost] input_weight"),
+    # the squared voltage target overflows
+    ({"WADC_EQUILIBRIUM__V_TARGET_V": "1e300"}, ("linearize",),
+     "[equilibrium] v_target_V"),
+    # an admittance of 1e300 squares past float64 in the reduction
+    ({"WADC_NETWORK__Z_T_OHM": "1e-300"}, ("linearize",),
+     "[network] Z_T_Ohm"),
+    ({"WADC_NETWORK__Z_L_OHM": "1e-300"}, ("linearize",),
+     "[network] Z_L_Ohm"),
+    ({"WADC_NETWORK__Z_C_OHM": "1e-300"}, ("linearize",),
+     "[network] Z_C_Ohm"),
 ], ids=["output-weight", "input-weight", "h-lqr", "h-hinf",
-        "field-resistance"])
+        "field-resistance", "input-weight-lqr", "delta-weight-lqr",
+        "voltage-target", "line-impedance", "load-impedance",
+        "tie-impedance"])
 def test_overflowing_model_refused(tmp_path, monkeypatch, capsys, env,
                                    command, key):
     # typed, with one error line naming the key, before any output file
@@ -572,6 +589,66 @@ def test_overflowing_model_refused(tmp_path, monkeypatch, capsys, env,
     assert key in lines[0]
     assert strict_report(tmp_path)["outputs"] == {}
     assert sorted(os.listdir(tmp_path)) == ["report.json"]
+
+
+@pytest.mark.parametrize("weight", ["1e20", "1e40", "1e-300"])
+@pytest.mark.parametrize("command", [
+    ("design", "--measure", "hinf", "--delay", "0.1"),
+    ("sweep", "--measure", "hinf", "--mode", "all"),
+    ("simulate", "--measure", "hinf", "--delay", "0.1"),
+], ids=["design", "sweep", "simulate"])
+def test_uncertified_search_warned(tmp_path, monkeypatch, command, weight):
+    # every level of both modes' searches fails: from 1e20 the Riccati
+    # solve breaks down (from 1e40 inside SciPy's balancing, which must
+    # not warn), at 1e-300 gamma^2 underflows; the printed gamma is then
+    # the decentralized level, and the report must say so for each mode
+    monkeypatch.setenv("WADC_OUTPUT__DELTA_WEIGHT", weight)
+    monkeypatch.setenv("WADC_SAMPLING__DELAY_GRID_S", "0:0.1:0.1")
+    monkeypatch.setenv("WADC_SCENARIO__HORIZON_S", "1")
+    assert run(tmp_path, *command) == 0
+    warned = strict_report(tmp_path)["warnings"]
+    for label in ("oscillation", "common"):
+        assert sum(w.startswith(f"{label}: the H-infinity search certified "
+                                "none of its") for w in warned) == 1
+
+
+def test_extreme_value_table(tmp_path):
+    # every numeric key at 1e-300 and 1e300 ends in a result or a typed
+    # refusal, with no RuntimeWarning and only finite numbers printed
+    # (scripts/extreme_values.py runs the full table); the model's keys run
+    # on linearize with a short Newton budget, the design keys on both
+    # designs and the scenario keys on a short simulation: 72 runs, 2.1 s
+    # on a 2-core host
+    path = (pathlib.Path(__file__).resolve().parents[1]
+            / "scripts/extreme_values.py")
+    spec = importlib.util.spec_from_file_location("extreme_values", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    command = {
+        "design": [("design", "--measure", m, "--delay", "0.1")
+                   for m in ("lqr", "hinf")],
+        "simulate": [("simulate", "--measure", "lqr", "--delay", "0.1")],
+        "model": [("linearize",)],
+    }
+    kind = {"cost": "design", "output": "design", "gains": "design",
+            "sampling": "design", "scenario": "simulate"}
+    failures, runs = [], 0
+    for sec, key in script.KEYS:
+        if SCHEMA[sec][key][0] is _parse_positive_int:
+            continue     # an integer key refuses both values as config errors
+        which = "design" if key == "gamma_rel" else kind.get(sec, "model")
+        for value in ("1e-300", "1e300"):
+            env = script.override(sec, key, value)
+            env.setdefault("WADC_EQUILIBRIUM__MAX_ITERS", "4")
+            env.setdefault("WADC_SCENARIO__HORIZON_S", "1")
+            for argv in command[which]:
+                out = tmp_path / str(runs)
+                code, problems = script.run_case(env, argv, out)
+                runs += 1
+                if problems:
+                    failures.append((sec, key, value, argv, code, problems))
+    assert failures == []
+    assert runs == 72
 
 
 class TestDesignCommand:

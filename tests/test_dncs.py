@@ -235,7 +235,6 @@ class _PatternStub:
     def __init__(self, pattern_Mu, pattern_Mx_inv):
         self.pattern_Mu = pattern_Mu
         self.pattern_Mx_inv = pattern_Mx_inv
-        self.machine_x_dims = tuple([1] * pattern_Mu.shape[0])
         self.n_modes = pattern_Mu.shape[1]
 
 
@@ -444,13 +443,13 @@ def test_array_dataclasses_compare_by_identity(bench_net, bench_op,
     md = design_mode(model, 0.02, 0.0)
     objects = [
         bench_net, bench_op.sol, bench_op, bench_plant, gains_k1, dec_k1,
-        md, model.sys, model.cost, model.pmu, md.disc,
+        md, model.sys, model.cost, md.disc,
         HinfResult(F=np.zeros((1, 3)), gamma=1.0, norm=0.5, disc=md.disc),
         Scenario(initial_state=np.ones(3)),
         SweepResult(rows=(), warnings=(), diagnostics={}),
         BenchmarkConfig(values={}),
     ]
-    assert len({type(x) for x in objects}) == 15
+    assert len({type(x) for x in objects}) == 14
     for x in objects:
         twin = copy.copy(x)
         assert x == x and not x != x

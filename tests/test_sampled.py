@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wadc.errors import IllPosedLyapunov, InvalidSampling
+from wadc.errors import IllPosedLyapunov, InvalidSampling, NonFiniteModel
 from helpers import (
     discretize_per_row,
     quadrature_cost_oracle,
@@ -74,36 +74,52 @@ class TestSolvePmu:
         rng = np.random.default_rng(1)
         sys = random_stable_system(rng, 3, 2)
         cost = CtsCost(Q1=np.zeros((3, 3)), N1=np.zeros((3, 2)), R1=np.eye(2))
-        pmu = solve_pmu(sys, cost)
-        np.testing.assert_allclose(pmu.P, 0, atol=1e-14)
-        np.testing.assert_allclose(pmu.M, 0, atol=1e-14)
-        np.testing.assert_allclose(pmu.U, np.eye(2), atol=1e-14)
+        P, M, U = solve_pmu(sys, cost)
+        np.testing.assert_allclose(P, 0, atol=1e-14)
+        np.testing.assert_allclose(M, 0, atol=1e-14)
+        np.testing.assert_allclose(U, np.eye(2), atol=1e-14)
 
     def test_scalar(self):
         sys = CtsSystem(A1=[[-1.0]], B1u=[[1.0]], B1w=[[0.0]],
                         C1=[[1.0]], D1u=[[0.0]], D1w=[[0.0]])
         cost = CtsCost(Q1=[[2.0]], N1=[[0.0]], R1=[[1.0]])
-        pmu = solve_pmu(sys, cost)
-        assert abs(pmu.P[0, 0] - (-1.0)) < 1e-14
+        P, _, _ = solve_pmu(sys, cost)
+        assert abs(P[0, 0] - (-1.0)) < 1e-14
 
     def test_residuals_random(self):
         rng = np.random.default_rng(2)
         for _ in range(10):
             sys = random_stable_system(rng, 3, 2)
             cost = random_psd_cost(rng, 3, 2)
-            pmu = solve_pmu(sys, cost)
+            P, M, U = solve_pmu(sys, cost)
             A1, B1u = sys.A1, sys.B1u
             nA, nB = np.abs(A1).max(), np.abs(B1u).max()
-            nP, nM = np.abs(pmu.P).max(), np.abs(pmu.M).max()
-            r1 = pmu.P @ A1 + A1.T @ pmu.P - cost.Q1
-            r2 = A1.T @ pmu.M + pmu.P @ B1u - cost.N1
-            r3 = B1u.T @ pmu.M + pmu.M.T @ B1u + pmu.U - cost.R1
+            nP, nM = np.abs(P).max(), np.abs(M).max()
+            r1 = P @ A1 + A1.T @ P - cost.Q1
+            r2 = A1.T @ M + P @ B1u - cost.N1
+            r3 = B1u.T @ M + M.T @ B1u + U - cost.R1
             # relative against the magnitudes entering each equation
             s1 = 1 + np.abs(cost.Q1).max() + nA * nP
             s2 = 1 + np.abs(cost.N1).max() + nA * nM + nP * nB
             s3 = 1 + np.abs(cost.R1).max() + nB * nM
             for r, s in ((r1, s1), (r2, s2), (r3, s3)):
                 assert np.abs(r).max() <= 1e-10 * s
+
+    def test_failed_solve_refused(self):
+        # P = -1e300 I solves this, but LAPACK's Sylvester solver scales its
+        # solution down rather than overflow and returns P near -4e-303,
+        # a Lyapunov residual of all of Q1
+        A1 = np.array([[-0.5, 200.0], [-200.0, -0.5]])
+        sys = CtsSystem(A1=A1, B1u=np.ones((2, 1)), B1w=np.zeros((2, 1)),
+                        C1=np.eye(2), D1u=np.zeros((2, 1)),
+                        D1w=np.zeros((2, 1)))
+        cost = CtsCost(Q1=1e300 * np.eye(2), N1=np.zeros((2, 1)),
+                       R1=np.eye(1))
+        with pytest.raises(NonFiniteModel, match=r"\[cost\] input_weight"):
+            solve_pmu(sys, cost)
+        P, _, _ = solve_pmu(sys, CtsCost(Q1=1e250 * np.eye(2), N1=cost.N1,
+                                         R1=cost.R1))
+        assert abs(P[0, 0] + 1e250) <= 1e-14 * 1e250
 
     def test_mirrored_eigenvalues_rejected(self):
         sys = CtsSystem(A1=np.diag([1.0, -1.0]), B1u=np.zeros((2, 1)),
@@ -349,7 +365,7 @@ class TestCtsModel:
                          random_psd_cost(rng, 2, 1))
         blocks = model.interval(0.002)
         assert model.interval(0.002) is blocks
-        for a in (*blocks, model.pmu.P, model.pmu.M, model.pmu.U):
+        for a in (*blocks, *model.pmu):
             assert not a.flags.writeable
         assert discretize(model, 0.02).A2 is discretize(model, 0.02).A2
 

@@ -222,13 +222,13 @@ class TestStacks:
 
     def test_doubling_stack_equals_singles(self, monkeypatch):
         # two positive-definite R: the second slice's doubling converges
-        # first and is set aside while the first doubles on
+        # first and is retired while the first doubles on
         import wadc.synthesis as synthesis
         discs = [random_disc(np.random.default_rng(seed), d_over_h=0.4)
                  for seed in (0, 1)]
         assert all(np.linalg.eigvalsh(d.R2).min() > 0 for d in discs)
         singles = [dare_solve(*stacked([d])) for d in discs]
-        calls = counting(monkeypatch, synthesis, "_set_aside")
+        calls = counting(monkeypatch, synthesis, "_retire")
         P, F = dare_solve(*stacked(discs))
         assert calls[0] == 1
         for j, (P1, F1) in enumerate(singles):
