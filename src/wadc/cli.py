@@ -353,7 +353,7 @@ class Pipeline:
         self.plant = linearize(self.gens, self.net, self.op)
         report.stage("linearize")
         self.Q, self.R = build_cost(cfg)
-        self.C, self.D_u, self.D_w = build_output(cfg)
+        self.C, self.D_u = build_output(cfg)
         self._gain_cache = {}
 
     def gains(self, measure):
@@ -368,8 +368,7 @@ class Pipeline:
         """Continuous model (CtsModel) of mode i under the local gains of
         ``measure``; every design of the mode starts from it."""
         gains, dec = self.gains(measure)
-        return mode_system(gains, dec, i, self.Q, self.R, self.C, self.D_u,
-                           self.D_w)
+        return mode_system(gains, dec, i, self.Q, self.R, self.C, self.D_u)
 
 
 def _eig_string(M):
@@ -533,7 +532,7 @@ def cmd_simulate(cfg, args, report):
     _hold_freed_heap()
     with TableWriter(args.out_file, ",".join(header), ",") as table:
         out = simulate_closed_loop(pipe.plant, ctrl, scn, pipe.Q, pipe.R,
-                                   segment, pipe.C, pipe.D_u, pipe.D_w)
+                                   segment, pipe.C, pipe.D_u)
     report.output(args.out_file, table.sha256)
     if out.step != step_req:
         report.note(f"integrator step refined from {step_req} to "

@@ -102,7 +102,7 @@ def _parse_grid(s):
             raise ConfigError(f"grid range is empty or reversed: {s!r}")
         if max(abs(start), abs(stop)) > np.finfo(float).max:
             raise ConfigError(f"grid bounds must be finite numbers, got {s!r}")
-        count = (stop - start + Fraction(1, 10 ** 12)) // step + 1
+        count = (stop - start) // step + 1
     else:
         count = s.count(",") + 1
     if count > _MAX_GRID_POINTS:
@@ -336,10 +336,10 @@ def build_cost(cfg: BenchmarkConfig, m=2):
 
 
 def build_output(cfg: BenchmarkConfig, m=2):
-    """C takes each rotor angle, D_u each remote field command; D_w = 0."""
+    """C takes each rotor angle, D_u each remote field command."""
     C = np.zeros((m, 3 * m))
     C[range(m), range(0, 3 * m, 3)] = cfg["output"]["delta_weight"]
-    return C, cfg["output"]["input_weight"] * np.eye(m), np.zeros((m, 2 * m))
+    return C, cfg["output"]["input_weight"] * np.eye(m)
 
 
 def local_gain_row(cfg: BenchmarkConfig, measure):

@@ -187,7 +187,7 @@ def symmetric_modes(plant: LinearPlant, gains: LocalGains,
 
 
 def mode_system(gains: LocalGains, dec: ModalDecomposition, i,
-                Q, R, C, D_u, D_w):
+                Q, R, C, D_u):
     """Continuous model of mode i: a CtsModel of its plant and cost.
 
     The system is the mode's diagonal block of the transformed
@@ -218,10 +218,9 @@ def mode_system(gains: LocalGains, dec: ModalDecomposition, i,
     ug = slice(n_x + u_off[i], n_x + u_off[i + 1])
     C = np.atleast_2d(np.asarray(C, dtype=float))
     D_u = np.atleast_2d(np.asarray(D_u, dtype=float))
-    D_w = np.atleast_2d(np.asarray(D_w, dtype=float))
     sys = CtsSystem(A1=dec.A_hat[xs, xs], B1u=dec.B_u_hat[xs, us],
                     B1w=dec.B_w_hat[xs, ws], C1=(C @ dec.M_x)[:, xs],
-                    D1u=(D_u @ dec.M_u)[:, us], D1w=(D_w @ dec.M_w)[:, ws])
+                    D1u=(D_u @ dec.M_u)[:, us])
     cost = CtsCost(Q1=U[xs, xs], N1=U[xs, ug], R1=U[ug, ug])
     return CtsModel(sys, cost)
 

@@ -68,7 +68,6 @@ class CtsSystem:
     B1w: np.ndarray
     C1: np.ndarray
     D1u: np.ndarray
-    D1w: np.ndarray
 
     def __post_init__(self):
         A1 = _as_matrix(self.A1, name="A1")
@@ -79,11 +78,10 @@ class CtsSystem:
         B1w = _as_matrix(self.B1w, rows=n, name="B1w")
         C1 = _as_matrix(self.C1, cols=n, name="C1")
         D1u = _as_matrix(self.D1u, rows=C1.shape[0], cols=B1u.shape[1], name="D1u")
-        D1w = _as_matrix(self.D1w, rows=C1.shape[0], cols=B1w.shape[1], name="D1w")
         for nm, val in (("A1", A1), ("B1u", B1u), ("B1w", B1w),
-                        ("C1", C1), ("D1u", D1u), ("D1w", D1w)):
+                        ("C1", C1), ("D1u", D1u)):
             object.__setattr__(self, nm, val)
-        _freeze(A1, B1u, B1w, C1, D1u, D1w)
+        _freeze(A1, B1u, B1w, C1, D1u)
 
     @property
     def n_x(self):
@@ -145,7 +143,6 @@ class DiscretizedSystem:
     B2w: np.ndarray
     C2: np.ndarray
     D2u: np.ndarray
-    D2w: np.ndarray
     Q2: np.ndarray
     N2: np.ndarray
     R2: np.ndarray
@@ -158,7 +155,7 @@ class DiscretizedSystem:
     n_w: int
 
     def __post_init__(self):
-        _freeze(self.A2, self.B2u, self.B2w, self.C2, self.D2u, self.D2w,
+        _freeze(self.A2, self.B2u, self.B2w, self.C2, self.D2u,
                 self.Q2, self.N2, self.R2)
 
     @property
@@ -396,7 +393,6 @@ def discretize(model: CtsModel, h, d=0.0) -> DiscretizedSystem:
             B2w=Gamma_h @ sys.B1w,
             C2=sys.C1.copy(),
             D2u=sys.D1u.copy(),
-            D2w=sys.D1w.copy(),
             Q2=psi[:n_x, :n_x].copy(),
             N2=psi[:n_x, n_x:].copy(),
             R2=psi[n_x:, n_x:].copy(),
@@ -426,7 +422,6 @@ def discretize(model: CtsModel, h, d=0.0) -> DiscretizedSystem:
     C2[:, :n_x] = sys.C1
     C2[:, n_x:n_x + n_u] = sys.D1u  # sampled output sees u_{k-q-1}
     D2u = np.zeros((n_y, n_u))
-    D2w = sys.D1w.copy()
 
     # cost over one interval touches x_k, u_{k-q-1} and u_{k-q} only; at
     # q = 0 the last of them is the new input
@@ -437,6 +432,6 @@ def discretize(model: CtsModel, h, d=0.0) -> DiscretizedSystem:
     R2 = big[n_z:, n_z:].copy()
 
     return DiscretizedSystem(
-        A2=A2, B2u=B2u, B2w=B2w, C2=C2, D2u=D2u, D2w=D2w,
+        A2=A2, B2u=B2u, B2w=B2w, C2=C2, D2u=D2u,
         Q2=Q2, N2=N2, R2=R2,
         h=h, d=float(d), q=q, r=r, n_x=n_x, n_u=n_u, n_w=n_w)

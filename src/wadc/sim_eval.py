@@ -47,9 +47,10 @@ _BLOCK = 256   # sampling periods advanced by one batched product
 _SEGMENT = 8 * _BLOCK   # trace rows handed on together, about 0.3 MB
 MAX_PERIODS = 1_000_000   # sampling periods one simulation may step
 MAX_STEPS_PER_PERIOD = 2 ** 16   # RK4 steps in one sampling period
-# input samples in flight over one sweep's waits: twice the 8,385 of the
-# grid 0:0.02:2.56, whose LQR sweep of both modes took 6.7 s; at the cap an
-# H-infinity sweep is 128 designs at MAX_IN_FLIGHT, about 10 min per mode
+# input samples in flight over one sweep's waits: about twice the 8,372
+# that the sweep's bound counts on the grid 0:0.02:2.56, whose LQR sweep of
+# both modes took 6.7 s; at the cap an H-infinity sweep is 128 designs at
+# MAX_IN_FLIGHT, about 10 min per mode
 MAX_SWEEP_IN_FLIGHT = 1 << 14
 
 
@@ -132,7 +133,7 @@ def _rk4_affine(A, dt):
 
 
 def simulate_closed_loop(plant: LinearPlant, controller: DistributedController,
-                         scn: Scenario, Q, R, trace, C, D_u, D_w):
+                         scn: Scenario, Q, R, trace, C, D_u):
     """Simulate the closed loop at the sampling instants and accumulate the
     quadratic cost.
 
@@ -150,7 +151,7 @@ def simulate_closed_loop(plant: LinearPlant, controller: DistributedController,
 
     The trace has one row per sampling instant; u and u_bar are the
     commands held on the step that ends there, and the output is
-    y = C x + D_u u_bar + D_w w.  Its rows are handed to
+    y = C x + D_u u_bar.  Its rows are handed to
     ``trace(t, x, u, u_bar, y)`` in order, a segment of consecutive rows at
     a time, as the recursion produces them; of the trajectory only the
     segment being gathered is kept.
@@ -245,8 +246,7 @@ def simulate_closed_loop(plant: LinearPlant, controller: DistributedController,
     for i in range(1, _BLOCK):
         powers[i] = M_xi @ powers[i - 1]
 
-    C, D_u, D_w = (np.atleast_2d(np.asarray(X, dtype=float))
-                   for X in (C, D_u, D_w))
+    C, D_u = (np.atleast_2d(np.asarray(X, dtype=float)) for X in (C, D_u))
 
     # The trace rows are handed on in segments of about _SEGMENT rows.
     # Each row's numbers are products over the rows of its segment: numpy
@@ -271,12 +271,9 @@ def simulate_closed_loop(plant: LinearPlant, controller: DistributedController,
             Z = Z[1:]
         k = np.arange(handed, handed + len(Z))
         x = Z[:, :n_x]
-        w = np.zeros((len(k), n_w))
-        if handed < n_dist:
-            w[:n_dist - handed] = w_seq[handed:handed + len(k)]
         # output convention: the published output map takes the remote
         # command
-        y = x @ C.T + u_bar @ D_u.T + w @ D_w.T
+        y = x @ C.T + u_bar @ D_u.T
         trace(dt * (n_h * k), x, x @ K.T + u_bar, u_bar, y)
         handed += len(k)
 
@@ -322,7 +319,7 @@ def compute_bounds(md0, measure, z0=None):
         z0 = disc0.lift_state(z0)
         P_dec = stein_solve(disc0.A2[None], disc0.Q2[None])[0]
         return quadratic_cost(z0, P_dec), md0.J_star(z0)
-    upper = hinf_norm(disc0.A2, disc0.B2w, disc0.C2, disc0.D2w)
+    upper = hinf_norm(disc0.A2, disc0.B2w, disc0.C2)
     return upper, md0.gamma
 
 

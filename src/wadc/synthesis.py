@@ -383,16 +383,16 @@ def lqr_design(discs):
     return [LqrResult(F=f, P=p, disc=d) for f, p, d in zip(F, P, discs)]
 
 
-def _sigma_max(A, B, C, D, thetas):
-    """sigma_max(C (e^{j theta} I - A)^{-1} B + D) at each angle."""
+def _sigma_max(A, B, C, thetas):
+    """sigma_max(C (e^{j theta} I - A)^{-1} B) at each angle."""
     zs = np.exp(1j * np.asarray(thetas, dtype=float))
     M = zs[:, None, None] * np.eye(A.shape[0]) - A
     X = np.linalg.solve(M, np.broadcast_to(B, (len(zs), *B.shape)))
-    return np.linalg.svd(C @ X + D, compute_uv=False)[:, 0]
+    return np.linalg.svd(C @ X, compute_uv=False)[:, 0]
 
 
-def hinf_norm(A, B, C, D):
-    """Peak of sigma_max(C (e^{j theta} I - A)^{-1} B + D) on the unit circle.
+def hinf_norm(A, B, C):
+    """Peak of sigma_max(C (e^{j theta} I - A)^{-1} B) on the unit circle.
 
     Level-set iteration (Boyd, Balakrishnan & Kabamba 1989; Bruinsma &
     Steinbuch 1990) in discrete time.  The lower bound starts as the
@@ -406,18 +406,18 @@ def hinf_norm(A, B, C, D):
     B and C are balanced by one scalar, from their Frobenius norms or, where
     those under- or overflow, their largest entries, and the pencil is
     formed for T / g, so loops whose norm is many orders below their data
-    stay well scaled.
+    stay well scaled.  Only the pencil's M holds the level; its N is built
+    once.  A system with B = 0 or C = 0 has norm 0.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     B = np.atleast_2d(np.asarray(B, dtype=float))
     C = np.atleast_2d(np.asarray(C, dtype=float))
-    D = np.atleast_2d(np.asarray(D, dtype=float))
     lam = np.linalg.eigvals(A)
     rho = np.abs(lam).max()
     if rho >= 1.0:
         raise UnstableSystem(f"spectral radius {rho:.6f} >= 1")
     if not B.any() or not C.any():
-        return float(np.linalg.svd(D, compute_uv=False).max()) if D.size else 0.0
+        return 0.0
     n, m = B.shape
     s = np.sqrt(np.linalg.norm(C) / np.linalg.norm(B))
     if not 0.0 < s < np.inf:   # a norm's squares underflowed or overflowed
@@ -425,25 +425,24 @@ def hinf_norm(A, B, C, D):
     B, C = B * s, C / s
     thetas = np.concatenate([np.linspace(0.0, np.pi, n + 2),
                              np.abs(np.angle(lam))])
-    lb = float(_sigma_max(A, B, C, D, thetas).max())
+    lb = float(_sigma_max(A, B, C, thetas).max())
     I, O, Onm = np.eye(n), np.zeros((n, n)), np.zeros((n, m))
+    # pencil M - z N in (x, p, u) for T / g with y = C x:
+    # z x = A x + b u, p = z (A' p + C' y), 0 = b' p - u, where b = B / g
+    N = np.block([[I, O, Onm], [-C.T @ C, -A.T, Onm],
+                  [np.zeros((m, 2 * n + m))]])
     while lb > 0.0:
         g = _NORM_ACCURACY * lb
-        b, d = B / g, D / g
-        # pencil M - z N in (x, p, u) for T / g with y = C x + d u:
-        # z x = A x + b u, p = z (A' p + C' y), 0 = b' p + d' y - u
+        b = B / g
         M = np.block([[A, O, b], [O, -I, Onm],
-                      [d.T @ C, b.T, d.T @ d - np.eye(m)]])
-        N = np.block([[I, O, Onm], [-C.T @ C, -A.T, -C.T @ d],
-                      [np.zeros((m, 2 * n + m))]])
+                      [np.zeros((m, n)), b.T, -np.eye(m)]])
         alpha, beta = scipy.linalg.eigvals(M, N, homogeneous_eigvals=True)
         circle = np.abs(np.abs(alpha) - np.abs(beta)) < 1e-8 * np.abs(beta)
         cross = np.sort(np.abs(np.angle(alpha[circle] / beta[circle])))
         cross = cross[np.diff(cross, prepend=-1.0) > 0]   # distinct angles
         if len(cross) < 2:
             break
-        top = float(_sigma_max(A, B, C, D,
-                               0.5 * (cross[1:] + cross[:-1])).max())
+        top = float(_sigma_max(A, B, C, 0.5 * (cross[1:] + cross[:-1])).max())
         if top < g:
             break
         lb = top
@@ -476,8 +475,10 @@ def hinf_design(disc: DiscretizedSystem, gamma) -> HinfResult:
     Solves the game Riccati equation once, from SciPy's pencil with the
     disturbance scaled by 1/gamma, whose solution is the unscaled game's
     with both input blocks of one order.  The scaled game is an LQR problem
-    in (u, w / gamma), so the LQR code reads its residual and gain (the
-    first n_u rows) from its one pivot H = R + B'PB.  The checks, in order: the residual, P
+    in (u, w / gamma) with output y = C2 z + D2u u, so its weights R and N
+    come from D2u alone and the disturbance block of R is -I; the LQR code
+    reads its residual and gain (the first n_u rows) from its one pivot
+    H = R + B'PB.  The checks, in order: the residual, P
     positive semidefinite, the inertia of H (Stoorvogel & Weeren 1994):
     H3 = -gamma^2 H_ww and H1 = H_uu + H_uw (-H_ww)^{-1} H_wu positive
     definite, closed-loop Schur stability, and the certified unit-circle
@@ -486,17 +487,12 @@ def hinf_design(disc: DiscretizedSystem, gamma) -> HinfResult:
     gamma = float(gamma)
     if gamma <= 0.0:
         raise GammaInfeasible("gamma_nonpositive")
-    w0 = np.linalg.eigvalsh(
-        gamma ** 2 * np.eye(disc.n_w) - disc.D2w.T @ disc.D2w)
-    if w0.min() <= 0.0:
-        raise GammaInfeasible("H3", "gamma below the static gain of D2w")
 
     m = disc.n_u
     B2 = np.hstack([disc.B2u, disc.B2w / gamma])
-    D2 = np.hstack([disc.D2u, disc.D2w / gamma])
-    R = D2.T @ D2
-    R[m:, m:] -= np.eye(disc.n_w)
-    Q, N = disc.C2.T @ disc.C2, disc.C2.T @ D2
+    R = scipy.linalg.block_diag(disc.D2u.T @ disc.D2u, -np.eye(disc.n_w))
+    Q = disc.C2.T @ disc.C2
+    N = np.hstack([disc.C2.T @ disc.D2u, np.zeros((disc.n_z, disc.n_w))])
     try:
         # a pencil whose balancing overflows breaks down in SciPy's cast
         # of its scale factors; the checks below refuse what comes back
@@ -528,7 +524,7 @@ def hinf_design(disc: DiscretizedSystem, gamma) -> HinfResult:
     F = _gain_from(A, B, N, Ps, Hs)[0, :m]
     try:
         norm = hinf_norm(disc.A2 + disc.B2u @ F, disc.B2w,
-                         disc.C2 + disc.D2u @ F, disc.D2w)
+                         disc.C2 + disc.D2u @ F)
     except UnstableSystem as exc:
         raise GammaInfeasible("closed_loop_unstable", str(exc)) from None
     if norm >= gamma:
@@ -543,8 +539,8 @@ def gamma_min(disc: DiscretizedSystem, tol=1e-3):
     refused (``NonFiniteModel``): every level squares it, and the
     zero-level test below would compare inf with inf.
 
-    When the output can be cancelled (D2w = 0 and F0 = -D2u^+ C2 leaves
-    C2 + D2u F0 at 1e-12 of C2 with a Schur-stable loop, as at zero wait),
+    Every call first tries the zero level: when F0 = -D2u^+ C2 leaves
+    C2 + D2u F0 at 1e-12 of C2 with a Schur-stable loop (as at zero wait),
     the level is exactly 0 with F0 as its witness, and so is the norm
     reported: the rounding-level rest of C2 + D2u F0 is not evaluated.
     Otherwise the bracket (lo, hi] starts from lo = 0 and the
@@ -585,14 +581,12 @@ def gamma_min(disc: DiscretizedSystem, tol=1e-3):
             "the lifted output map's norm overflows float64, and every "
             "level squares it; scale down [output] delta_weight or "
             "input_weight")
-    if not disc.D2w.any():
-        F0 = -np.linalg.pinv(disc.D2u) @ disc.C2
-        if (np.linalg.norm(disc.C2 + disc.D2u @ F0) <= 1e-12 * c2
-                and spectral_radius(disc.A2 + disc.B2u @ F0) < 1.0):
-            return HinfResult(F=F0, gamma=0.0, norm=0.0, disc=disc)
+    F0 = -np.linalg.pinv(disc.D2u) @ disc.C2
+    if (np.linalg.norm(disc.C2 + disc.D2u @ F0) <= 1e-12 * c2
+            and spectral_radius(disc.A2 + disc.B2u @ F0) < 1.0):
+        return HinfResult(F=F0, gamma=0.0, norm=0.0, disc=disc)
     best = HinfResult(F=np.zeros((disc.n_u, disc.n_z)), gamma=0.0,
-                      norm=hinf_norm(disc.A2, disc.B2w, disc.C2, disc.D2w),
-                      disc=disc)
+                      norm=hinf_norm(disc.A2, disc.B2w, disc.C2), disc=disc)
     lo, hi = 0.0, best.norm * _NORM_ACCURACY
     pairs, levels, accepted = [], 0, 0
     # hi_after / hi_before of the last accepted secant step; halving the

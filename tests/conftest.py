@@ -39,9 +39,8 @@ C_OUT = np.zeros((2, 6))
 C_OUT[0, 0] = 1.0
 C_OUT[1, 3] = 1.0
 DU_OUT = 1e-2 * np.eye(2)
-DW_OUT = np.zeros((2, 4))
 # the cost and output weights in the order simulate_closed_loop takes them
-BENCH_WEIGHTS = (Q_COST, R_COST, C_OUT, DU_OUT, DW_OUT)
+BENCH_WEIGHTS = (Q_COST, R_COST, C_OUT, DU_OUT)
 
 
 @pytest.fixture(scope="session")

@@ -114,6 +114,13 @@ class TestConfig:
         np.testing.assert_allclose(cfg["sampling"]["delay_grid_s"],
                                    [0.0, 0.1, 0.2, 0.3])
 
+    def test_grid_stops_at_stop(self):
+        # the range is counted in exact rationals: a stop just below a
+        # multiple of the step adds no delay beyond it
+        cfg = load_config(CONFIG, environ={
+            "WADC_SAMPLING__DELAY_GRID_S": "0:0.1:0.2999999999999"})
+        assert cfg["sampling"]["delay_grid_s"] == (0.0, 0.1, 0.2)
+
     @pytest.mark.parametrize("grid", ["0:1e-6:1",
                                       ",".join(["0"] * 10_002)],
                              ids=["range", "list"])

@@ -3,7 +3,7 @@ import copy
 import numpy as np
 import pytest
 
-from conftest import C_OUT, DU_OUT, DW_OUT, K1, Q_COST, R_COST
+from conftest import C_OUT, DU_OUT, K1, Q_COST, R_COST
 from helpers import closed_loop_cost
 from wadc.config import BenchmarkConfig
 from wadc.dncs import (
@@ -45,7 +45,7 @@ def synthetic_symmetric_plant(rng, stable=True):
 
 def bench_mode_system(gains, dec, i):
     """Continuous model of mode i under the benchmark cost and output."""
-    return mode_system(gains, dec, i, Q_COST, R_COST, C_OUT, DU_OUT, DW_OUT)
+    return mode_system(gains, dec, i, Q_COST, R_COST, C_OUT, DU_OUT)
 
 
 class TestLocalGains:
@@ -191,7 +191,7 @@ class TestModalObjectives:
         dec = symmetric_modes(plant, gains)
         Q = np.diag(rng.uniform(0.5, 2.0, 6))
         R = np.diag(rng.uniform(0.5, 2.0, 2))
-        cost = mode_system(gains, dec, 0, Q, R, C_OUT, DU_OUT, DW_OUT).cost
+        cost = mode_system(gains, dec, 0, Q, R, C_OUT, DU_OUT).cost
         # with K = 0 the folded cost has no cross term
         np.testing.assert_allclose(cost.N1, 0, atol=1e-14)
 

@@ -81,7 +81,7 @@ class TestSolvePmu:
 
     def test_scalar(self):
         sys = CtsSystem(A1=[[-1.0]], B1u=[[1.0]], B1w=[[0.0]],
-                        C1=[[1.0]], D1u=[[0.0]], D1w=[[0.0]])
+                        C1=[[1.0]], D1u=[[0.0]])
         cost = CtsCost(Q1=[[2.0]], N1=[[0.0]], R1=[[1.0]])
         P, _, _ = solve_pmu(sys, cost)
         assert abs(P[0, 0] - (-1.0)) < 1e-14
@@ -111,8 +111,7 @@ class TestSolvePmu:
         # a Lyapunov residual of all of Q1
         A1 = np.array([[-0.5, 200.0], [-200.0, -0.5]])
         sys = CtsSystem(A1=A1, B1u=np.ones((2, 1)), B1w=np.zeros((2, 1)),
-                        C1=np.eye(2), D1u=np.zeros((2, 1)),
-                        D1w=np.zeros((2, 1)))
+                        C1=np.eye(2), D1u=np.zeros((2, 1)))
         cost = CtsCost(Q1=1e300 * np.eye(2), N1=np.zeros((2, 1)),
                        R1=np.eye(1))
         with pytest.raises(NonFiniteModel, match=r"\[cost\] input_weight"):
@@ -124,7 +123,7 @@ class TestSolvePmu:
     def test_mirrored_eigenvalues_rejected(self):
         sys = CtsSystem(A1=np.diag([1.0, -1.0]), B1u=np.zeros((2, 1)),
                         B1w=np.zeros((2, 1)), C1=np.eye(2),
-                        D1u=np.zeros((2, 1)), D1w=np.zeros((2, 1)))
+                        D1u=np.zeros((2, 1)))
         cost = CtsCost(Q1=np.eye(2), N1=np.zeros((2, 1)), R1=np.eye(1))
         with pytest.raises(IllPosedLyapunov):
             solve_pmu(sys, cost)
@@ -238,7 +237,6 @@ class TestDiscretize:
         np.testing.assert_allclose(disc.B2w, Gamma @ sys.B1w)
         np.testing.assert_array_equal(disc.C2, sys.C1)
         np.testing.assert_array_equal(disc.D2u, sys.D1u)
-        np.testing.assert_array_equal(disc.D2w, sys.D1w)
         assert disc.n_z == 3
 
     def test_delay_equal_h_boundary(self):
@@ -442,7 +440,7 @@ class TestQuadratureOracle:
 
     def test_single_step_matches_psi(self):
         sys = CtsSystem(A1=[[-0.7]], B1u=[[1.3]], B1w=[[0.0]],
-                        C1=[[1.0]], D1u=[[0.0]], D1w=[[0.0]])
+                        C1=[[1.0]], D1u=[[0.0]])
         cost = CtsCost(Q1=[[1.0]], N1=[[0.2]], R1=[[0.5]])
         h = 0.2
         psi = psi_of(solve_pmu(sys, cost), sys, h)

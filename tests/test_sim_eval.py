@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from conftest import BENCH_WEIGHTS, C_OUT, DU_OUT, DW_OUT
+from conftest import BENCH_WEIGHTS, C_OUT, DU_OUT
 from helpers import (
     attenuation_of_mode,
     grid_hinf_norm,
@@ -387,8 +387,7 @@ def falling_designs(monkeypatch):
 
 
 # cost and output weights of triangular_loop, in simulate_closed_loop's order
-TRIANGULAR_WEIGHTS = (np.eye(6), np.eye(2), np.eye(6), np.zeros((6, 2)),
-                      np.zeros((6, 4)))
+TRIANGULAR_WEIGHTS = (np.eye(6), np.eye(2), np.eye(6), np.zeros((6, 2)))
 
 
 def triangular_loop(rate, sampled_rate=0.1):
@@ -458,8 +457,7 @@ class TestBounds:
         # discretization of the same mode
         ref_disc = design_mode(CtsModel(model.sys, model.cost), 0.02, 0.0,
                                method="lqr").disc
-        ref = grid_hinf_norm(ref_disc.A2, ref_disc.B2w, ref_disc.C2,
-                             ref_disc.D2w)
+        ref = grid_hinf_norm(ref_disc.A2, ref_disc.B2w, ref_disc.C2)
         assert abs(upper - ref) <= 1e-9 * ref
         assert lower <= upper
 
@@ -472,7 +470,7 @@ class TestBounds:
         dec = symmetric_modes(plant, gains)
         Q = np.eye(6)
         R_huge = 1e8 * np.eye(2)
-        model = mode_system(gains, dec, 0, Q, R_huge, C_OUT, DU_OUT, DW_OUT)
+        model = mode_system(gains, dec, 0, Q, R_huge, C_OUT, DU_OUT)
         z0 = np.array([1.0, 0.5, -0.2])
         upper, lower = compute_bounds(
             design_mode(model, 0.02, 0.0, method="lqr"), "lqr", z0=z0)
