@@ -4,7 +4,10 @@ small-signal modeling, delay-aware sampled gain design, and evaluation.
 ``import wadc`` loads neither numpy nor SciPy.  Each submodule named in
 ``__all__`` is imported on first use, as ``wadc.synthesis``, ``from wadc
 import synthesis`` or ``from wadc import *``, so that ``python -m wadc``
-reaches its process entry (``wadc.__main__``) before any of them."""
+reaches its process entry (``wadc.__main__``) before any of them.  No
+submodule imports SciPy when it loads: building and linearizing the model
+takes numpy alone, and ``scipy.linalg`` is imported by the first call
+that needs it (``wadc.sampled.scipy_linalg``), from a design."""
 
 import importlib
 

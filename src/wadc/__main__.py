@@ -23,9 +23,10 @@ DEFERRED = (
 # ``eigvals`` in ``hinf_norm`` and the QR, QZ and LU calls of
 # ``solve_discrete_are``) asks ``isMaskedArray``.  It is False for every
 # object until ``numpy.ma.core`` has run, since a masked array is an
-# instance of a class that module defines.  ``perfbench/setup_probe.py``
-# and ``traced.py`` import ``wadc.*`` without this entry, so they still
-# run ``numpy.ma`` and the modules above.
+# instance of a class that module defines.  SciPy is imported only when a
+# command designs (``wadc.sampled.scipy_linalg``), after these stand-ins
+# are registered; a process that imports ``wadc.*`` without this entry
+# and then loads SciPy runs ``numpy.ma`` and the modules above.
 MASKED_PREDICATES = ("isMaskedArray",)
 
 
@@ -93,16 +94,19 @@ from .cli import main  # noqa: E402  (after the stand-ins are registered)
 def run():
     """Run the command on ``sys.argv`` and return its exit code.
 
-    The numpy and SciPy imports leave about 28,600 objects (40,200 with
-    the ``DEFERRED`` modules run) that live until exit in the collector's
+    The imports leave objects that live until exit in the collector's
     care, and the interpreter's finalization runs full collections over
     them whether or not the collector is enabled: most of the time a
-    process takes to exit.  Frozen here, once ``cli`` and its imports are
-    loaded, they are never scanned again; the run's own objects are
-    collected as before.  ``cli.main`` leaves the collector as it is, for
-    the callers that run it in a process of their own."""
+    process takes to exit.  So they are frozen, and never scanned again:
+    numpy's and ``cli``'s once ``cli`` is loaded, and SciPy's, which
+    ``design``, ``sweep`` and ``simulate`` import inside ``main``, after
+    it returns, with what is left of the run.  The run's own objects are
+    collected as before while it runs.  ``cli.main`` leaves the collector
+    as it is, for the callers that run it in a process of their own."""
     gc.freeze()
-    return main()
+    code = main()
+    gc.freeze()
+    return code
 
 
 if __name__ == "__main__":

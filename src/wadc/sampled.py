@@ -14,6 +14,11 @@ factorization (P, M, U) once per mode, Phi, Gamma and Psi once per
 interval length (h, each remainder r, h - r), and the two input maps and
 the one-interval cost of each remainder once; ``discretize`` only places
 them in the lifted matrices.
+
+SciPy, the source of the exponential and the Sylvester solver here and
+of the game Riccati solver and the pencil eigenvalues in ``synthesis``,
+is imported on first use (``scipy_linalg``), so that building a model
+and linearizing it load numpy alone.
 """
 
 import functools
@@ -21,7 +26,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.linalg import expm, solve_sylvester
 
 from .errors import IllPosedLyapunov, InvalidSampling, NonFiniteModel
 
@@ -33,6 +37,7 @@ MAX_IN_FLIGHT = 128
 
 __all__ = [
     "MAX_IN_FLIGHT",
+    "scipy_linalg",
     "CtsSystem",
     "CtsCost",
     "CtsModel",
@@ -43,6 +48,13 @@ __all__ = [
     "split_delay",
     "discretize",
 ]
+
+
+def scipy_linalg():
+    """``scipy.linalg``, imported on the first call: only a design needs
+    it, and its import is most of a process's start."""
+    import scipy.linalg
+    return scipy.linalg
 
 
 def _as_matrix(a, rows=None, cols=None, name="matrix"):
@@ -191,7 +203,7 @@ def phi_gamma(A1, alpha):
     aug = np.zeros((2 * n, 2 * n))
     aug[:n, :n] = A1
     aug[:n, n:] = np.eye(n)
-    E = expm(alpha * aug)
+    E = scipy_linalg().expm(alpha * aug)
     return E[:n, :n], E[:n, n:]
 
 
@@ -217,6 +229,7 @@ def solve_pmu(sys: CtsSystem, cost: CtsCost):
             "pre-stabilize with local gains before discretizing")
     if np.abs(eig).min() < 1e-12 * scale:
         raise IllPosedLyapunov("A1 is singular")
+    solve_sylvester = scipy_linalg().solve_sylvester
     P = solve_sylvester(A1.T, A1, cost.Q1)
     P = 0.5 * (P + P.T)
     # iterative refinement; solve_sylvester alone can leave ~1e-9 residuals

@@ -36,7 +36,6 @@ circle in ``hinf_norm``, which also certifies stability.
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     GammaInfeasible,
@@ -46,7 +45,7 @@ from .errors import (
     NotStabilizable,
     UnstableSystem,
 )
-from .sampled import DiscretizedSystem
+from .sampled import DiscretizedSystem, scipy_linalg
 
 __all__ = [
     "LqrResult",
@@ -235,10 +234,13 @@ def _gain_from(A, B, N, P, H):
     return -_pinv_solve(H, B.mT @ P @ A + N.mT)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _sda(A, G, H):
     """Doubling iteration for P = A' P (I + G P)^{-1} A + H on each slice;
     a singular pivot, a diverged iterate or a slice still unconverged after
-    ``_MAX_SDA_ITERS`` doublings raises ``NotStabilizable``."""
+    ``_MAX_SDA_ITERS`` doublings raises ``NotStabilizable``.  A diverging
+    iterate overflows on its way to that refusal, which is then the only
+    report: numpy's floating-point warnings are off here."""
     n = A.shape[-1]
     out, live = np.empty(H.shape), np.arange(len(H))
     Ak, Gk, Hk = A.copy(), G.copy(), H.copy()
@@ -436,7 +438,7 @@ def hinf_norm(A, B, C):
         b = B / g
         M = np.block([[A, O, b], [O, -I, Onm],
                       [np.zeros((m, n)), b.T, -np.eye(m)]])
-        alpha, beta = scipy.linalg.eigvals(M, N, homogeneous_eigvals=True)
+        alpha, beta = scipy_linalg().eigvals(M, N, homogeneous_eigvals=True)
         circle = np.abs(np.abs(alpha) - np.abs(beta)) < 1e-8 * np.abs(beta)
         cross = np.sort(np.abs(np.angle(alpha[circle] / beta[circle])))
         cross = cross[np.diff(cross, prepend=-1.0) > 0]   # distinct angles
@@ -490,14 +492,16 @@ def hinf_design(disc: DiscretizedSystem, gamma) -> HinfResult:
 
     m = disc.n_u
     B2 = np.hstack([disc.B2u, disc.B2w / gamma])
-    R = scipy.linalg.block_diag(disc.D2u.T @ disc.D2u, -np.eye(disc.n_w))
+    R = np.zeros((m + disc.n_w, m + disc.n_w))
+    R[:m, :m] = disc.D2u.T @ disc.D2u
+    R[m:, m:] = -np.eye(disc.n_w)
     Q = disc.C2.T @ disc.C2
     N = np.hstack([disc.C2.T @ disc.D2u, np.zeros((disc.n_z, disc.n_w))])
     try:
         # a pencil whose balancing overflows breaks down in SciPy's cast
         # of its scale factors; the checks below refuse what comes back
         with np.errstate(over="ignore", invalid="ignore"):
-            P = scipy.linalg.solve_discrete_are(disc.A2, B2, Q, R, s=N)
+            P = scipy_linalg().solve_discrete_are(disc.A2, B2, Q, R, s=N)
         P = 0.5 * (P + P.T)
         if not np.isfinite(P).all():
             raise GammaInfeasible("riccati_nonfinite")

@@ -214,6 +214,46 @@ class TestConfig:
         assert "delay_grid_s" in err and "nonnegative" in err
         assert not (tmp_path / "sweep.csv").exists()
 
+    @pytest.mark.parametrize("env, value, message", [
+        ("WADC_GENERATORS__COUNT", "two", "expected an integer"),
+        ("WADC_GENERATORS__COUNT", "0", "expected a positive integer"),
+        ("WADC_GENERATORS__L_F_MH", "0", "expected a positive number"),
+        ("WADC_NETWORK__Z_T_OHM", "0.011+abc", "complex impedance"),
+        ("WADC_SCENARIO__DISTURBANCE", "step", "expected one of"),
+        ("WADC_SAMPLING__DELAY_GRID_S", "0:0.1", "start:step:stop"),
+        ("WADC_SAMPLING__DELAY_GRID_S", "0:0.1:0.2:0.3", "start:step:stop"),
+        ("WADC_SAMPLING__DELAY_GRID_S", "0:x:0.2", "bad grid numbers"),
+        ("WADC_SAMPLING__DELAY_GRID_S", "0.2:0.1:0", "empty or reversed"),
+        ("WADC_SAMPLING__DELAY_GRID_S", "0:0:0.2", "empty or reversed"),
+        ("WADC_SAMPLING__DELAY_GRID_S", "0:-0.1:0.2", "empty or reversed"),
+    ], ids=["int", "positive-int", "positive", "complex", "choice",
+            "grid-two-parts", "grid-four-parts", "grid-number",
+            "grid-reversed", "grid-zero-step", "grid-negative-step"])
+    def test_malformed_value_refused_by_key(self, env, value, message):
+        with pytest.raises(ConfigError, match=message) as exc:
+            load_config(CONFIG, environ={env: value})
+        assert f"env:{env}" in str(exc.value)
+
+    def test_machine_count_other_than_two_refused(self):
+        with pytest.raises(ConfigError, match="two-machine"):
+            load_config(CONFIG, environ={"WADC_GENERATORS__COUNT": "3"})
+
+    @pytest.mark.parametrize("text, message", [
+        ("count = 2\n[generators]\n", ":1: key outside any section"),
+        ("[generators]\ncount\n", ":2: expected key = value"),
+    ], ids=["outside-section", "no-equals"])
+    def test_malformed_line_refused_with_line(self, text, message):
+        with pytest.raises(ConfigError, match=message):
+            load_config(text=text, environ={})
+
+    def test_env_override_without_section_refused(self):
+        with pytest.raises(ConfigError, match="SECTION__KEY"):
+            load_config(CONFIG, environ={"WADC_H_S": "0.04"})
+
+    def test_load_config_needs_a_source(self):
+        with pytest.raises(ValueError, match="need a path"):
+            load_config()
+
     def test_omitted_keys_take_schema_defaults(self):
         # the benchmark's required keys alone: every other key is filled
         # in from SCHEMA
@@ -902,8 +942,8 @@ class TestSimulateCommand:
 
 class TestProcessEntry:
     """``python -m wadc`` and the ``wadc`` script run ``wadc.__main__.run``,
-    which freezes the import heap before ``cli.main``.  Importing
-    ``wadc.__main__`` first registers lazy stand-ins for the numpy
+    which freezes the import heap before ``cli.main`` and after it.
+    Importing ``wadc.__main__`` first registers lazy stand-ins for the numpy
     submodules in ``DEFERRED``, which ``import wadc`` alone does not load."""
 
     # a module that each stand-in's code imports, or that it alone pulls in
@@ -949,11 +989,12 @@ class TestProcessEntry:
         assert "input samples in flight" in proc.stderr
 
     def test_run_freezes_before_main(self, monkeypatch):
+        # and again after it, for the objects of SciPy's import inside it
         calls = []
         monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
         monkeypatch.setattr(entry, "main", lambda: calls.append("main") or 5)
         assert entry.run() == 5
-        assert calls == ["freeze", "main"]
+        assert calls == ["freeze", "main", "freeze"]
 
     def test_main_leaves_collector_alone(self, tmp_path):
         frozen, enabled = gc.get_freeze_count(), gc.isenabled()
@@ -979,7 +1020,10 @@ class TestProcessEntry:
         imported = {line.rpartition("|")[2].strip()
                     for line in proc.stderr.splitlines()
                     if line.startswith("import time:")}
-        assert "scipy.linalg" in imported       # the timings were read
+        assert "numpy" in imported              # the timings were read
+        # the commands that design load SciPy, whose shim reads the
+        # deferred modules; linearize loads none of it
+        assert ("scipy.linalg" in imported) == (argv[0] != "linearize")
         assert imported.isdisjoint(self.UNRUN)
 
     def test_deferred_modules_run_when_touched(self):
@@ -1032,6 +1076,35 @@ class TestProcessEntry:
             """)
         assert proc.returncode == 0, proc.stderr
 
+    def test_linearize_loads_no_scipy(self, tmp_path):
+        proc = self.python("-c", f"""if True:
+            import sys
+            sys.argv = ["wadc", "--config", {CONFIG!r}, "--out",
+                        {str(tmp_path)!r}, "linearize"]
+            from wadc.__main__ import run
+            assert run() == 0
+            assert "scipy" not in sys.modules
+            """)
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert "scipy" not in report["tool"]
+        assert "import_scipy" not in report["timings_s"]
+
+    @pytest.mark.parametrize("measure", ["lqr", "hinf"])
+    def test_model_setup_loads_no_scipy(self, measure):
+        # the benchmark's set-up probe imports wadc.config, wadc.grid_model
+        # and wadc.dncs and builds both modes
+        probe = README.parent / "perfbench" / "setup_probe.py"
+        proc = self.python("-c", f"""if True:
+            import runpy, sys
+            sys.argv = ["setup_probe.py", {CONFIG!r}, {measure!r}]
+            assert runpy.run_path({str(probe)!r})["main"]() == 0
+            assert {{"wadc.config", "wadc.grid_model", "wadc.dncs"}} \
+                <= set(sys.modules)
+            assert "scipy" not in sys.modules
+            """)
+        assert proc.returncode == 0, proc.stderr
+
     def test_import_wadc_config_is_light(self):
         # the configuration parser loads neither SciPy nor the pipeline
         proc = self.python("-c", """if True:
@@ -1041,6 +1114,23 @@ class TestProcessEntry:
                 & set(sys.modules)
             """)
         assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("argv, loads", [
+    (("linearize",), False),
+    (("design", "--measure", "hinf", "--delay", "0.1"), True),
+    (("sweep", "--measure", "lqr"), True),
+    (("simulate", "--measure", "lqr", "--delay", "0.1"), True),
+], ids=["linearize", "design", "sweep", "simulate"])
+def test_report_times_scipy_import(tmp_path, monkeypatch, argv, loads):
+    # the commands that design load SciPy as a stage of their own and
+    # record its version; linearize does neither
+    monkeypatch.setenv("WADC_SAMPLING__DELAY_GRID_S", "0:0.1:0.1")
+    monkeypatch.setenv("WADC_SCENARIO__HORIZON_S", "1.0")
+    assert run(tmp_path, *argv) == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert ("import_scipy" in report["timings_s"]) == loads
+    assert ("scipy" in report["tool"]) == loads
 
 
 class TestScripts:

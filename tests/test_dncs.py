@@ -61,8 +61,18 @@ class TestLocalGains:
             LocalGains.from_blocks(bench_plant, [bad, bad])
 
     def test_dimension_check(self, bench_plant):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="expected 2 gain blocks, got 1"):
             LocalGains.from_blocks(bench_plant, [K1])
+
+    @pytest.mark.parametrize("blocks, message", [
+        ([K1, K1, K1], "expected 2 gain blocks, got 3"),
+        ([K1, K1[:, :2]], "gain block dimensions"),
+        ([K1, np.vstack([K1, K1])], "gain block dimensions"),
+    ], ids=["three", "narrow", "tall"])
+    def test_block_count_and_dimensions_refused(self, bench_plant, blocks,
+                                                message):
+        with pytest.raises(ValueError, match=message):
+            LocalGains.from_blocks(bench_plant, blocks)
 
 
 class TestSymmetricModes:
@@ -291,6 +301,11 @@ class TestDelayMap:
 
 
 class TestDesignMode:
+    def test_unknown_method_refused(self, gains_k1, dec_k1):
+        with pytest.raises(ValueError, match="unknown design method 'h2'"):
+            design_mode(bench_mode_system(gains_k1, dec_k1, 0), 0.02, 0.0,
+                        method="h2")
+
     def test_zero_delay_gain_shape(self, bench_plant, gains_k1, dec_k1):
         md = design_mode(bench_mode_system(gains_k1, dec_k1, 0), 0.02, 0.0,
                          method="lqr")

@@ -449,6 +449,12 @@ class TestBounds:
         value = md.J_star(md.disc.lift_state(z0))
         assert lower - 1e-9 * abs(lower) <= value <= upper * (1 + 1e-9)
 
+    def test_lqr_bounds_need_initial_state(self, gains_k1, dec_k1):
+        md = design_mode(bench_mode_system(gains_k1, dec_k1, 0), 0.02, 0.0,
+                         method="lqr")
+        with pytest.raises(ValueError, match="initial modal state"):
+            compute_bounds(md, "lqr")
+
     def test_hinf_upper_is_open_loop_norm(self, gains_k2, dec_k2):
         model = bench_mode_system(gains_k2, dec_k2, 0)
         md = design_mode(model, 0.02, 0.0, method="hinf")

@@ -164,13 +164,12 @@ class TestDare:
                        [[[1.0]]])
 
     def test_diverged_doubling_fails(self):
-        # B = 0 leaves A = 2 unstable: the doubled cost overflows (numpy
-        # warns of that on the way), and the first iterate that is not
-        # finite is refused
-        with np.errstate(over="ignore"):
-            with pytest.raises(NotStabilizable, match="a diverged iterate"):
-                dare_solve([[[2.0]]], [[[0.0]]], [[[1.0]]], [[[0.0]]],
-                           [[[1.0]]])
+        # B = 0 leaves A = 2 unstable: the doubled cost overflows, and the
+        # first iterate that is not finite is refused, with no numpy
+        # warning on the way (the suite makes RuntimeWarnings errors)
+        with pytest.raises(NotStabilizable, match="a diverged iterate"):
+            dare_solve([[[2.0]]], [[[0.0]]], [[[1.0]]], [[[0.0]]],
+                       [[[1.0]]])
 
     def test_policy_iteration_step_cap(self, monkeypatch):
         # a singular R takes policy iteration, which needs more Newton
