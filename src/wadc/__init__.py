@@ -6,8 +6,8 @@ small-signal modeling, delay-aware sampled gain design, and evaluation.
 import synthesis`` or ``from wadc import *``, so that ``python -m wadc``
 reaches its process entry (``wadc.__main__``) before any of them.  No
 submodule imports SciPy when it loads: building and linearizing the model
-takes numpy alone, and ``scipy.linalg`` is imported by the first call
-that needs it (``wadc.sampled.scipy_linalg``), from a design."""
+takes numpy alone, and the functions of a design that call
+``scipy.linalg`` import it themselves."""
 
 import importlib
 

@@ -24,9 +24,9 @@ DEFERRED = (
 # ``solve_discrete_are``) asks ``isMaskedArray``.  It is False for every
 # object until ``numpy.ma.core`` has run, since a masked array is an
 # instance of a class that module defines.  SciPy is imported only when a
-# command designs (``wadc.sampled.scipy_linalg``), after these stand-ins
-# are registered; a process that imports ``wadc.*`` without this entry
-# and then loads SciPy runs ``numpy.ma`` and the modules above.
+# command designs, after these stand-ins are registered; a process that
+# imports ``wadc.*`` without this entry and then loads SciPy runs
+# ``numpy.ma`` and the modules above.
 MASKED_PREDICATES = ("isMaskedArray",)
 
 

@@ -53,7 +53,6 @@ from .dncs import (
 )
 from .errors import ConfigError, WadcError
 from .grid_model import linearize, solve_equilibrium
-from .sampled import scipy_linalg
 from .sim_eval import Scenario, simulate_closed_loop, sweep_delays
 from .synthesis import finite_cost
 
@@ -318,14 +317,6 @@ class RunReport:
         self._timings[name] = self._timings.get(name, 0.0) + now - self._last
         self._last = now
 
-    def import_scipy(self):
-        """Load SciPy as a stage of its own, before the first design, so
-        that no design stage is charged its import, and record its
-        version; ``linearize`` never loads it."""
-        scipy_linalg()
-        self.data["tool"]["scipy"] = sys.modules["scipy"].__version__
-        self.stage("import_scipy")
-
     def warn(self, msg):
         self.data["warnings"].append(msg)
 
@@ -337,6 +328,9 @@ class RunReport:
         self.data["outputs"][str(path)] = {"sha256": sha256}
 
     def write(self, path):
+        # SciPy is imported by the first design, so ``linearize`` has none
+        if "scipy" in sys.modules:
+            self.data["tool"]["scipy"] = sys.modules["scipy"].__version__
         timings = dict(self._timings, total=time.perf_counter() - self._t0)
         self.data["timings_s"] = {k: round(v, 6) for k, v in timings.items()}
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -425,7 +419,6 @@ def _search_diagnostics(report, label, md):
 
 def cmd_design(cfg, args, report):
     pipe = Pipeline(cfg, report)
-    report.import_scipy()
     _, dec = pipe.gains(args.measure)
     m = pipe.plant.m
     d_hat, _ = delay_map(dec, args.delay * (np.ones((m, m)) - np.eye(m)))
@@ -458,7 +451,6 @@ def cmd_design(cfg, args, report):
 
 def cmd_sweep(cfg, args, report):
     pipe = Pipeline(cfg, report)
-    report.import_scipy()
     _, dec = pipe.gains(args.measure)
     grid = cfg["sampling"]["delay_grid_s"]
     h = cfg["sampling"]["h_s"]
@@ -494,7 +486,6 @@ def cmd_sweep(cfg, args, report):
 
 def cmd_simulate(cfg, args, report):
     pipe = Pipeline(cfg, report)
-    report.import_scipy()
     gains, dec = pipe.gains(args.measure)
     m = pipe.plant.m
     h = cfg["sampling"]["h_s"]

@@ -17,8 +17,8 @@ them in the lifted matrices.
 
 SciPy, the source of the exponential and the Sylvester solver here and
 of the game Riccati solver and the pencil eigenvalues in ``synthesis``,
-is imported on first use (``scipy_linalg``), so that building a model
-and linearizing it load numpy alone.
+is imported by the functions that call it, so that building a model and
+linearizing it load numpy alone.
 """
 
 import functools
@@ -37,7 +37,6 @@ MAX_IN_FLIGHT = 128
 
 __all__ = [
     "MAX_IN_FLIGHT",
-    "scipy_linalg",
     "CtsSystem",
     "CtsCost",
     "CtsModel",
@@ -48,13 +47,6 @@ __all__ = [
     "split_delay",
     "discretize",
 ]
-
-
-def scipy_linalg():
-    """``scipy.linalg``, imported on the first call: only a design needs
-    it, and its import is most of a process's start."""
-    import scipy.linalg
-    return scipy.linalg
 
 
 def _as_matrix(a, rows=None, cols=None, name="matrix"):
@@ -200,10 +192,11 @@ def phi_gamma(A1, alpha):
         raise ValueError("alpha must be finite")
     if alpha == 0.0:
         return np.eye(n), np.zeros((n, n))
+    from scipy.linalg import expm
     aug = np.zeros((2 * n, 2 * n))
     aug[:n, :n] = A1
     aug[:n, n:] = np.eye(n)
-    E = scipy_linalg().expm(alpha * aug)
+    E = expm(alpha * aug)
     return E[:n, :n], E[:n, n:]
 
 
@@ -229,7 +222,7 @@ def solve_pmu(sys: CtsSystem, cost: CtsCost):
             "pre-stabilize with local gains before discretizing")
     if np.abs(eig).min() < 1e-12 * scale:
         raise IllPosedLyapunov("A1 is singular")
-    solve_sylvester = scipy_linalg().solve_sylvester
+    from scipy.linalg import solve_sylvester
     P = solve_sylvester(A1.T, A1, cost.Q1)
     P = 0.5 * (P + P.T)
     # iterative refinement; solve_sylvester alone can leave ~1e-9 residuals

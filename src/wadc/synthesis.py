@@ -45,7 +45,7 @@ from .errors import (
     NotStabilizable,
     UnstableSystem,
 )
-from .sampled import DiscretizedSystem, scipy_linalg
+from .sampled import DiscretizedSystem
 
 __all__ = [
     "LqrResult",
@@ -411,6 +411,7 @@ def hinf_norm(A, B, C):
     stay well scaled.  Only the pencil's M holds the level; its N is built
     once.  A system with B = 0 or C = 0 has norm 0.
     """
+    import scipy.linalg
     A = np.atleast_2d(np.asarray(A, dtype=float))
     B = np.atleast_2d(np.asarray(B, dtype=float))
     C = np.atleast_2d(np.asarray(C, dtype=float))
@@ -438,7 +439,7 @@ def hinf_norm(A, B, C):
         b = B / g
         M = np.block([[A, O, b], [O, -I, Onm],
                       [np.zeros((m, n)), b.T, -np.eye(m)]])
-        alpha, beta = scipy_linalg().eigvals(M, N, homogeneous_eigvals=True)
+        alpha, beta = scipy.linalg.eigvals(M, N, homogeneous_eigvals=True)
         circle = np.abs(np.abs(alpha) - np.abs(beta)) < 1e-8 * np.abs(beta)
         cross = np.sort(np.abs(np.angle(alpha[circle] / beta[circle])))
         cross = cross[np.diff(cross, prepend=-1.0) > 0]   # distinct angles
@@ -486,6 +487,7 @@ def hinf_design(disc: DiscretizedSystem, gamma) -> HinfResult:
     definite, closed-loop Schur stability, and the certified unit-circle
     norm.  A level that fails any of these is infeasible.
     """
+    import scipy.linalg
     gamma = float(gamma)
     if gamma <= 0.0:
         raise GammaInfeasible("gamma_nonpositive")
@@ -501,7 +503,7 @@ def hinf_design(disc: DiscretizedSystem, gamma) -> HinfResult:
         # a pencil whose balancing overflows breaks down in SciPy's cast
         # of its scale factors; the checks below refuse what comes back
         with np.errstate(over="ignore", invalid="ignore"):
-            P = scipy_linalg().solve_discrete_are(disc.A2, B2, Q, R, s=N)
+            P = scipy.linalg.solve_discrete_are(disc.A2, B2, Q, R, s=N)
         P = 0.5 * (P + P.T)
         if not np.isfinite(P).all():
             raise GammaInfeasible("riccati_nonfinite")
