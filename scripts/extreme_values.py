@@ -6,15 +6,16 @@ Usage: python scripts/extreme_values.py [-h | --help] [KEY ...]
 
 Each numeric key of the benchmark configuration (the complex impedances
 and the vectors included) is set, through its WADC_<SECTION>__<KEY>
-override, to each of 0, 1e-300, 1e-12, 1e12, 1e300 and -1, and three
-commands run on it in process at a link delay of 0.1 s: ``design
---measure lqr``, ``design --measure hinf`` and ``simulate --measure lqr``
-over 2 s.  A vector key takes the value in every entry.  KEY arguments,
-given as SECTION.KEY, restrict the table to those keys.
+override, to each of 0, 1e-300, 1e-12, 1e12, 1e300 and -1, and four
+commands run on it in process at a link delay of 0.1 s: ``design`` and
+``simulate`` over 2 s, each with ``--measure lqr`` and ``--measure hinf``.
+A vector key takes the value in every entry.  KEY arguments, given as
+SECTION.KEY, restrict the table to those keys.
 
 A run passes when it exits 0, 2 or 3, raises no exception other than a
 WadcError, emits no RuntimeWarning, prints only finite numbers on stdout
-and in report.json, and, for an H-infinity design that exits 0, has either
+and in report.json, leaves no file but report.json and lists no output
+if it exits 3, and, for an H-infinity design that exits 0, has either
 certified a level in each mode's search or says in report.json's
 warnings that it has not.  Prints one line per failing run and a summary;
 exits 1 if any run failed.
@@ -40,6 +41,7 @@ COMMANDS = {
     "design-lqr": ("design", "--measure", "lqr", "--delay", "0.1"),
     "design-hinf": ("design", "--measure", "hinf", "--delay", "0.1"),
     "simulate-lqr": ("simulate", "--measure", "lqr", "--delay", "0.1"),
+    "simulate-hinf": ("simulate", "--measure", "hinf", "--delay", "0.1"),
 }
 # every key whose value is a number, a complex number or a numeric vector
 NON_NUMERIC = {("scenario", "initial_mode"), ("scenario", "disturbance"),
@@ -100,6 +102,9 @@ def run_case(env, argv, out_dir):
     if _NUMBER.search(stdout.getvalue()):
         problems.append("non-finite number on stdout")
     path = os.path.join(out_dir, "report.json")
+    if code == 3 and os.path.isdir(out_dir):
+        problems += [f"refused, but left {name}" for name in
+                     sorted(os.listdir(out_dir)) if name != "report.json"]
     if code in (0, 3) and os.path.exists(path):
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
@@ -110,6 +115,8 @@ def run_case(env, argv, out_dir):
         else:
             if code == 0 and "hinf" in argv:
                 problems += _search_problems(report)
+            if code == 3 and report.get("outputs"):
+                problems.append("refused, but lists an output")
     return code, problems
 
 

@@ -54,7 +54,6 @@ from .dncs import (
 from .errors import ConfigError, WadcError
 from .grid_model import linearize, solve_equilibrium
 from .sim_eval import Scenario, simulate_closed_loop, sweep_delays
-from .synthesis import finite_cost
 
 FMT = "%.17g"
 
@@ -380,6 +379,9 @@ def _eig_string(M):
 
 def cmd_linearize(cfg, args, report):
     pipe = Pipeline(cfg, report)
+    # both local loops are checked before a matrix is written
+    closed = {measure: pipe.gains(measure)[0].A_bar
+              for measure in ("lqr", "hinf")}
     out = args.out
     for name, M in (("A", pipe.plant.A), ("B_u", pipe.plant.B_u),
                     ("B_w", pipe.plant.B_w)):
@@ -389,9 +391,8 @@ def cmd_linearize(cfg, args, report):
     path = f"{out}/operating_point.txt"
     report.output(path, write_matrix(path, op_vec.reshape(-1, 1)))
     print(f"eig(A): {_eig_string(pipe.plant.A)}")
-    for measure in ("lqr", "hinf"):
-        gains, _ = pipe.gains(measure)
-        print(f"eig(A + B_u K[{measure}]): {_eig_string(gains.A_bar)}")
+    for measure, A_bar in closed.items():
+        print(f"eig(A + B_u K[{measure}]): {_eig_string(A_bar)}")
     report.stage("write")
     return 0
 
@@ -424,11 +425,13 @@ def cmd_design(cfg, args, report):
     d_hat, _ = delay_map(dec, args.delay * (np.ones((m, m)) - np.eye(m)))
     gamma_tol = cfg["tolerances"]["gamma_rel"]
     summary = {}
-    for i in _mode_list(dec, args.mode):
-        md = design_mode(pipe.mode_model(args.measure, i),
-                         cfg["sampling"]["h_s"], float(d_hat[i]),
-                         method=args.measure, gamma_tol=gamma_tol)
-        report.stage("design")
+    # every mode is designed before a gain is written: a refusal writes none
+    designs = {i: design_mode(pipe.mode_model(args.measure, i),
+                              cfg["sampling"]["h_s"], float(d_hat[i]),
+                              method=args.measure, gamma_tol=gamma_tol)
+               for i in _mode_list(dec, args.mode)}
+    report.stage("design")
+    for i, md in designs.items():
         entry = {"lifted_dim": md.disc.n_z, "q": md.disc.q, "r": md.disc.r,
                  "wait_s": float(d_hat[i])}
         if args.measure == "lqr":
@@ -444,7 +447,7 @@ def cmd_design(cfg, args, report):
         report.output(path, write_matrix(path, md.F))
         summary[dec.labels[i]] = entry
         print(f"{dec.labels[i]}: {entry}")
-        report.stage("write")
+    report.stage("write")
     report.data["designs"] = summary
     return 0
 
@@ -541,7 +544,7 @@ def cmd_simulate(cfg, args, report):
                     f"{out.step} to hit every sampling/switching instant "
                     "and stay inside the integrator's stability region")
 
-    summary = {"J_measured": finite_cost(out.J), "horizon_s": out.horizon}
+    summary = {"J_measured": out.J, "horizon_s": out.horizon}
     if cert is not None:
         summary["cost_certificate"] = cert
         summary["relative_gap"] = abs(out.J - cert) / max(cert, 1e-300)

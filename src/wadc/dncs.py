@@ -74,20 +74,14 @@ class LocalGains:
         return tuple(b.shape[0] for b in self.K_blocks)
 
 
-def _offsets(dims):
-    out = [0]
-    for d in dims:
-        out.append(out[-1] + d)
-    return out
-
-
 @dataclass(frozen=True, eq=False)
 class ModalDecomposition:
     """Coordinate change block-diagonalizing the pre-stabilized plant.
 
-    x = M_x x_hat, u_bar = M_u u_hat, w = M_w w_hat; the boolean block
-    patterns of M_u and M_x^{-1} drive the delay mapping.  A_hat, B_u_hat
-    and B_w_hat are the pre-stabilized plant in modal coordinates.
+    x = M_x x_hat, u_bar = M_u u_hat, w = M_w w_hat; mode i owns the i-th
+    half of each modal vector.  The boolean block patterns of M_u and
+    M_x^{-1} drive the delay mapping.  A_hat, B_u_hat and B_w_hat are the
+    pre-stabilized plant in modal coordinates.
     """
 
     M_x: np.ndarray
@@ -97,9 +91,6 @@ class ModalDecomposition:
     A_hat: np.ndarray
     B_u_hat: np.ndarray
     B_w_hat: np.ndarray
-    mode_x_dims: tuple
-    mode_u_dims: tuple
-    mode_w_dims: tuple
     pattern_Mu: np.ndarray        # (machines, modes)
     pattern_Mx_inv: np.ndarray    # (modes, machines)
     labels: tuple
@@ -111,7 +102,7 @@ class ModalDecomposition:
 
     @property
     def n_modes(self):
-        return len(self.mode_x_dims)
+        return len(self.labels)
 
     def mode_index(self, mode):
         if isinstance(mode, str):
@@ -121,16 +112,19 @@ class ModalDecomposition:
         return int(mode)
 
     def x_slice(self, i):
-        off = _offsets(self.mode_x_dims)
-        return slice(off[i], off[i + 1])
+        return _half(self.M_x, i)
 
     def u_slice(self, i):
-        off = _offsets(self.mode_u_dims)
-        return slice(off[i], off[i + 1])
+        return _half(self.M_u, i)
 
     def w_slice(self, i):
-        off = _offsets(self.mode_w_dims)
-        return slice(off[i], off[i + 1])
+        return _half(self.M_w, i)
+
+
+def _half(M, i):
+    """The i-th half of the coordinates that M splits."""
+    n = len(M) // 2
+    return slice(i * n, (i + 1) * n)
 
 
 def symmetric_modes(plant: LinearPlant, gains: LocalGains,
@@ -179,7 +173,6 @@ def symmetric_modes(plant: LinearPlant, gains: LocalGains,
     return ModalDecomposition(
         M_x=M_x, M_u=M_u, M_w=M_w, M_x_inv=M_x_inv,
         A_hat=A_hat, B_u_hat=B_u_hat, B_w_hat=B_w_hat,
-        mode_x_dims=(nx, nx), mode_u_dims=(nu, nu), mode_w_dims=(nw, nw),
         pattern_Mu=np.ones((2, 2), dtype=bool),
         pattern_Mx_inv=np.ones((2, 2), dtype=bool),
         labels=("oscillation", "common"),
@@ -214,8 +207,7 @@ def mode_system(gains: LocalGains, dec: ModalDecomposition, i,
         U = Mblk.T @ big @ Mblk
         U = 0.5 * (U + U.T)
     xs, us, ws = dec.x_slice(i), dec.u_slice(i), dec.w_slice(i)
-    u_off = _offsets(dec.mode_u_dims)
-    ug = slice(n_x + u_off[i], n_x + u_off[i + 1])
+    ug = slice(n_x + us.start, n_x + us.stop)
     C = np.atleast_2d(np.asarray(C, dtype=float))
     D_u = np.atleast_2d(np.asarray(D_u, dtype=float))
     sys = CtsSystem(A1=dec.A_hat[xs, xs], B1u=dec.B_u_hat[xs, us],

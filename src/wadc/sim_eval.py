@@ -27,7 +27,7 @@ from .errors import (
 )
 from .grid_model import LinearPlant
 from .sampled import _nice_fraction, split_delay
-from .synthesis import hinf_norm, quadratic_cost, stein_solve
+from .synthesis import finite_cost, hinf_norm, quadratic_cost, stein_solve
 
 __all__ = [
     "MAX_PERIODS",
@@ -134,7 +134,7 @@ def _rk4_affine(A, dt):
 
 def simulate_closed_loop(plant: LinearPlant, controller: DistributedController,
                          scn: Scenario, Q, R, trace, C, D_u):
-    """Simulate the closed loop at the sampling instants and accumulate the
+    """Simulate the closed loop at the sampling instants and price its
     quadratic cost.
 
     Remote commands computed from the states sampled at kh switch exactly
@@ -147,7 +147,11 @@ def simulate_closed_loop(plant: LinearPlant, controller: DistributedController,
     line), and the running cost, which prices the state and the total
     input u = K x + u_bar by composite Simpson on the same steps, is one
     quadratic form S of xi_k per period.  Held disturbance samples add an
-    affine term to the first periods.
+    affine term to the first periods.  The cost is priced before the
+    first row: the held periods are summed, and the free periods from xi
+    on cost xi' P xi - xi_N' P xi_N, with P = M' P M + S (``stein_solve``)
+    and xi_N the last state; on a short fixed horizon the two cancel in
+    part.
 
     The trace has one row per sampling instant; u and u_bar are the
     commands held on the step that ends there, and the output is
@@ -156,12 +160,10 @@ def simulate_closed_loop(plant: LinearPlant, controller: DistributedController,
     a time, as the recursion produces them; of the trajectory only the
     segment being gathered is kept.
 
-    The auto horizon is 20 time constants -h / ln rho(M_xi) of the period
-    map itself, after which the cost left is below rounding; a loop with
-    rho(M_xi) >= 1 has no such horizon and is refused.  A run longer than
-    ``MAX_PERIODS`` sampling periods is refused, and so is a first period
-    whose cost overflows (``NonFiniteCost``).  These refusals come before
-    any stepping.
+    A loop with rho(M_xi) >= 1 is refused for every horizon; the auto
+    horizon is 20 time constants -h / ln rho(M_xi) of the period map.  A
+    run longer than ``MAX_PERIODS`` periods or whose cost overflows
+    (``NonFiniteCost``) is refused too, all before any row is handed on.
     """
     dec = controller.dec
     h = controller.h
@@ -213,13 +215,12 @@ def simulate_closed_loop(plant: LinearPlant, controller: DistributedController,
     U_end = U[:, :n]
     M = np.vstack([X, V, eye[n_x:n - n_u]]) if L else X
     M_xi, S_xi = M[:, :n], S[:n, :n]
+    rho = np.abs(np.linalg.eigvals(M_xi)).max()
+    if not rho < 1.0:
+        raise UnstableSystem(
+            "simulate needs a Schur-stable sampled closed loop, but its "
+            f"period map has spectral radius {rho:.8g}")
     if scn.horizon is None:
-        rho = np.abs(np.linalg.eigvals(M_xi)).max()
-        if not rho < 1.0:
-            raise UnstableSystem(
-                f"horizon_s = auto needs a Schur-stable sampled closed loop, "
-                f"but its period map has spectral radius {rho:.8g}; set a "
-                "fixed horizon_s")
         tau = -h / math.log(rho)
         horizon = 20.0 * tau
         asked = (f"horizon_s = auto, 20 times the slowest time constant "
@@ -236,11 +237,10 @@ def simulate_closed_loop(plant: LinearPlant, controller: DistributedController,
     n_dist = 0 if w_seq is None else len(w_seq)
     xi0 = np.zeros(n)
     xi0[:n_x] = (dec.M_x @ scn.initial_state).reshape(n_x)
-    # a first period whose cost overflows is refused before any stepping
-    if n_dist:
-        quadratic_cost(np.concatenate([xi0, w_seq[0]]), S)
-    else:
-        quadratic_cost(xi0, S_xi)
+    # stein_solve stops at 1e-18 (1 + max|S|): S scaled exactly, by a
+    # power of two, to max|S| in [0.5, 1) makes the stop relative
+    _, e = math.frexp(np.abs(S_xi).max())
+    P = np.ldexp(stein_solve(M_xi[None], np.ldexp(S_xi, -e)[None])[0], e)
     powers = np.empty((_BLOCK, n, n))
     powers[0] = M_xi
     for i in range(1, _BLOCK):
@@ -284,21 +284,23 @@ def simulate_closed_loop(plant: LinearPlant, controller: DistributedController,
         held.append(states)
 
     xi, J = xi0, 0.0
-    for j in range(min(periods, n_dist)):
-        zeta = np.concatenate([xi, w_seq[j]])
-        J += float(zeta @ S @ zeta)
-        xi = M @ zeta
-        hold(xi[None])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(min(periods, n_dist)):
+            zeta = np.concatenate([xi, w_seq[j]])
+            J += float(zeta @ S @ zeta)
+            xi = M @ zeta
+            hold(xi[None])
+        # the free periods cost xi' P xi less the last state's xi_N' P xi_N
+        J = finite_cost(J + float(xi @ P @ xi))
     left = periods - min(periods, n_dist)
     while left:
         b = min(_BLOCK, left)
         nxt = powers[:b] @ xi
-        starts = np.vstack([xi[None], nxt[:-1]])
-        J += float(np.sum((starts @ S_xi) * starts))
         hold(nxt)
         xi = nxt[-1]
         left -= b
     hand_on()
+    J -= float(xi @ P @ xi)
     return SimulationOutput(
         periods=periods, J=J, step=dt, steps_per_period=n_h,
         horizon=float(dt * (n_h * periods)))

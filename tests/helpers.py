@@ -10,7 +10,7 @@ from wadc.dncs import design_mode
 from wadc.errors import GammaInfeasible, UnstableSystem
 from wadc.grid_model import _pow2_step, dynamics_rhs
 from wadc.sampled import CtsCost, CtsSystem, DiscretizedSystem, split_delay
-from wadc.sim_eval import simulate_closed_loop
+from wadc.sim_eval import _rk4_affine, _step_grid, simulate_closed_loop
 from wadc.synthesis import hinf_design, hinf_norm
 
 
@@ -300,6 +300,68 @@ def per_step_closed_loop(plant, gains, dec, ctrl, designs, x0, dt, periods,
             if s % 2 == 1:
                 J += dt / 3.0 * (pair + running(x, u_bar))
     return {key: np.array(val) for key, val in out.items()}
+
+
+def summed_cost(plant, ctrl, scn, Q, R, periods):
+    """The cost of ``periods`` sampling periods of a ``simulate_closed_loop``
+    run, summed period by period: the running-sum oracle of the
+    simulator's closed-form (Stein) cost.
+
+    Builds the simulator's one-period RK4 map M and Simpson cost S of
+    zeta_k = [x(kh); past modal commands, newest first; w_k] on the step
+    it picks, then sums zeta_k' S zeta_k, the held disturbance samples
+    first and the free periods 256 at a time from the powers of M.
+    """
+    dec, h, K = ctrl.dec, ctrl.h, ctrl.gains.K
+    step, (n_h, *n_rho) = _step_grid(
+        scn.integrator_step, h, [float(v) for v in ctrl.d_rho],
+        np.abs(np.linalg.eigvals(ctrl.gains.A_bar)).max())
+    dt = float(step)
+    Rmap, Smap = _rk4_affine(ctrl.gains.A_bar, dt)
+    n_x, n_u, n_w = plant.n_x, plant.n_u, plant.n_w
+    lags = [divmod(nd, n_h) for nd in n_rho]
+    L = max([ctrl.n_memory] + [c + (e > 0) for c, e in lags])
+    n = n_x + L * n_u
+    eye = np.eye(n + n_w)
+    _, V = ctrl.sample(eye[:n_x], eye[n_x:n])
+    past = [V] + [eye[n_x + a * n_u:n_x + (a + 1) * n_u] for a in range(L)]
+    rows = np.cumsum((0,) + ctrl.gains.machine_u_dims)
+    drive_u, drive_w = Smap @ plant.B_u, Smap @ plant.B_w @ eye[n:]
+
+    def node_cost(X, U):
+        Y = K @ X + U
+        return X.T @ Q @ X + Y.T @ R @ Y
+
+    X, S = eye[:n_x], np.zeros((n + n_w, n + n_w))
+    for s in range(0, n_h, 2):
+        U = np.vstack([dec.M_u[rows[i]:rows[i + 1]] @ past[c + (s < e)]
+                       for i, (c, e) in enumerate(lags)])
+        X1 = Rmap @ X + drive_u @ U + drive_w
+        X2 = Rmap @ X1 + drive_u @ U + drive_w
+        S += node_cost(X, U) + 4.0 * node_cost(X1, U) + node_cost(X2, U)
+        X = X2
+    S *= dt / 3.0
+    M = np.vstack([X, V, eye[n_x:n - n_u]]) if L else X
+    w_seq = () if scn.disturbance is None else scn.disturbance
+    xi = np.zeros(n)
+    xi[:n_x] = dec.M_x @ scn.initial_state
+    J = 0.0
+    for w in w_seq[:periods]:
+        zeta = np.concatenate([xi, w])
+        J += zeta @ S @ zeta
+        xi = M @ zeta
+    M_xi, S_xi = M[:, :n], S[:n, :n]
+    powers = [np.eye(n)]
+    for _ in range(255):
+        powers.append(M_xi @ powers[-1])
+    powers = np.array(powers)
+    left = periods - min(periods, len(w_seq))
+    while left:
+        starts = powers[:min(256, left)] @ xi
+        J += np.sum((starts @ S_xi) * starts)
+        xi = M_xi @ starts[-1]
+        left -= len(starts)
+    return float(J)
 
 
 def closed_loop_cost(disc, F, z0, tol=1e-12, max_steps=2_000_000):

@@ -665,8 +665,8 @@ def test_extreme_value_table(tmp_path):
     # refusal, with no RuntimeWarning and only finite numbers printed
     # (scripts/extreme_values.py runs the full table); the model's keys run
     # on linearize with a short Newton budget, the design keys on both
-    # designs and the scenario keys on a short simulation: 72 runs, 2.1 s
-    # on a 2-core host
+    # designs and the scenario keys on a short simulation of each measure:
+    # 80 runs, about 3 s on a 2-core host
     path = (pathlib.Path(__file__).resolve().parents[1]
             / "scripts/extreme_values.py")
     spec = importlib.util.spec_from_file_location("extreme_values", path)
@@ -675,7 +675,8 @@ def test_extreme_value_table(tmp_path):
     command = {
         "design": [("design", "--measure", m, "--delay", "0.1")
                    for m in ("lqr", "hinf")],
-        "simulate": [("simulate", "--measure", "lqr", "--delay", "0.1")],
+        "simulate": [("simulate", "--measure", m, "--delay", "0.1")
+                     for m in ("lqr", "hinf")],
         "model": [("linearize",)],
     }
     kind = {"cost": "design", "output": "design", "gains": "design",
@@ -696,7 +697,7 @@ def test_extreme_value_table(tmp_path):
                 if problems:
                     failures.append((sec, key, value, argv, code, problems))
     assert failures == []
-    assert runs == 72
+    assert runs == 80
 
 
 class TestDesignCommand:
@@ -800,15 +801,20 @@ class TestSimulateCommand:
          "asks for inf sampling periods"),
         ("lqr", {"WADC_SCENARIO__HORIZON_S": "1.0"}, "0.1000001", 1.0,
          "1999998 integrator steps"),
-        # tripled remote gains: the sampled loop has no auto horizon
+        # tripled remote gains: the sampled loop has no horizon or cost
         ("lqr", {}, "0.1", 3.0, "spectral radius 1.1156629"),
-        # an H-infinity run has no certificate to refuse first: the cost of
-        # its first period overflows, before any stepping
+        # an H-infinity run has no certificate to refuse first: its cost
+        # overflows, and is refused before any stepping
         ("hinf", {"WADC_SCENARIO__INITIAL_STATE": "1e308,0,0",
                   "WADC_SCENARIO__HORIZON_S": "10"}, "0.1", 1.0,
          "[scenario] initial_state"),
+        # a first period that stays finite and a run whose cost overflows:
+        # the run is priced whole before its first row
+        ("hinf", {"WADC_SCENARIO__INITIAL_STATE": "8e152,0,0",
+                  "WADC_SCENARIO__HORIZON_S": "60"}, "0.1", 1.0,
+         "[scenario] initial_state"),
     ], ids=["auto-horizon", "horizon-overflow", "step-grid", "unstable",
-            "hinf-cost-overflow"])
+            "hinf-cost-overflow", "hinf-run-overflow"])
     def test_refused_run_writes_no_trace(self, tmp_path, monkeypatch, capsys,
                                          measure, env, delay, gain, message):
         designed = cli.design_mode

@@ -129,6 +129,17 @@ class TestSymmetricModes:
         assert "B_w residual" in msg
         assert "parameters and local gains must match" in msg
 
+    def test_three_machines_refused(self):
+        plant = LinearPlant(A=-np.eye(9), B_u=np.zeros((9, 3)),
+                            B_w=np.zeros((9, 6)), m=3)
+        with pytest.raises(NotSymmetric, match="exactly 2 machines"):
+            symmetric_modes(plant, None)
+
+    def test_unknown_mode_label_refused(self, dec_k1):
+        assert dec_k1.mode_index("common") == 1
+        with pytest.raises(ValueError, match="unknown mode 'swing'"):
+            dec_k1.mode_index("swing")
+
     def test_unequal_local_gains_rejected(self, bench_plant):
         gains = LocalGains.from_blocks(
             bench_plant, [K1, [[170.0, 201.0, -3.04]]])
@@ -151,7 +162,9 @@ class TestSymmetricModes:
                              m=2)
         gains = LocalGains.from_blocks(nudged, [np.zeros((1, 3))] * 2)
         if not coupled:
-            assert symmetric_modes(nudged, gains).mode_x_dims == (3, 3)
+            dec = symmetric_modes(nudged, gains)
+            assert [dec.x_slice(i) for i in (0, 1)] == [slice(0, 3),
+                                                        slice(3, 6)]
             return
         with pytest.raises(NotBlockDiagonalizable) as exc:
             symmetric_modes(nudged, gains)
@@ -298,6 +311,11 @@ class TestDelayMap:
             delay_map(dec_k1, d)
         with pytest.raises(AsymmetricDelays):
             delay_map(dec_k1, np.array([[0.1, 0.0], [0.0, 0.0]]))
+
+    def test_negative_delay_rejected(self, dec_k1):
+        # symmetric with a zero diagonal: only the sign is wrong
+        with pytest.raises(AsymmetricDelays, match="nonnegative"):
+            delay_map(dec_k1, np.array([[0.0, -0.1], [-0.1, 0.0]]))
 
 
 class TestDesignMode:

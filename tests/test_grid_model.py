@@ -13,6 +13,8 @@ from wadc.errors import (
 )
 from wadc.grid_model import (
     GeneratorParams,
+    LinearPlant,
+    NetworkModel,
     _equilibrium_residual,
     build_two_area_network,
     dynamics_rhs,
@@ -55,6 +57,15 @@ class TestNetworkBuilder:
         # y_T + y_L = 0 makes the load-bus block singular whatever the tie
         with pytest.raises(SingularNetwork):
             build_two_area_network(1j, -1j, 1.0)
+
+    @pytest.mark.parametrize("Y, H, message", [
+        (np.eye(2), np.ones((2, 3)), "square with matching shapes"),
+        (np.ones((2, 3)), np.ones((2, 3)), "square with matching shapes"),
+        ([[1.0, 2.0], [3.0, 1.0]], np.eye(2), "symmetric"),
+    ], ids=["H-shape", "Y-not-square", "Y-asymmetric"])
+    def test_network_model_checks(self, Y, H, message):
+        with pytest.raises(ValueError, match=message):
+            NetworkModel(Y=Y, H=H, omega0=1.0)
 
     def test_zero_impedance_rejected(self):
         with pytest.raises(ValueError):
@@ -261,6 +272,12 @@ class TestEquilibrium:
 
 
 class TestLinearize:
+    def test_swap_symmetry_needs_two_machines(self):
+        plant = LinearPlant(A=-np.eye(9), B_u=np.zeros((9, 3)),
+                            B_w=np.zeros((9, 6)), m=3)
+        with pytest.raises(ValueError, match="two machines"):
+            swap_symmetry_residuals(plant)
+
     def test_swap_symmetry(self, bench_plant):
         res = swap_symmetry_residuals(bench_plant)
         assert max(res.values()) <= 1e-7

@@ -33,6 +33,47 @@ def psi_of(pmu, sys, b):
     return psi_blocks(pmu, sys, b, *phi_gamma(sys.A1, b))
 
 
+def small_system(**blocks):
+    """A two-state, one-input CtsSystem with ``blocks`` replacing its own."""
+    kw = dict(A1=-np.eye(2), B1u=np.ones((2, 1)), B1w=np.zeros((2, 1)),
+              C1=np.eye(2), D1u=np.zeros((2, 1)))
+    return CtsSystem(**{**kw, **blocks})
+
+
+class TestModelChecks:
+    @pytest.mark.parametrize("blocks, message", [
+        ({"A1": np.ones((2, 3))}, "A1 must be square"),
+        ({"B1u": np.ones((3, 1))}, "B1u: expected 2 rows, got 3"),
+        ({"C1": np.ones((2, 3))}, "C1: expected 2 cols, got 3"),
+    ], ids=["A1-not-square", "rows", "cols"])
+    def test_system_shapes_refused(self, blocks, message):
+        with pytest.raises(ValueError, match=message):
+            small_system(**blocks)
+
+    @pytest.mark.parametrize("which", ["Q1", "R1"])
+    def test_asymmetric_cost_refused(self, which):
+        weights = {"Q1": np.eye(2), "N1": np.zeros((2, 2)), "R1": np.eye(2)}
+        weights[which] = np.array([[1.0, 0.5], [0.0, 1.0]])
+        with pytest.raises(ValueError, match=f"{which} must be symmetric"):
+            CtsCost(**weights)
+
+    @pytest.mark.parametrize("A1, alpha, message", [
+        (np.ones((2, 3)), 0.1, "A1 must be square"),
+        (-np.eye(2), math.inf, "alpha must be finite"),
+        (-np.eye(2), math.nan, "alpha must be finite"),
+    ], ids=["A1-not-square", "inf", "nan"])
+    def test_phi_gamma_arguments_refused(self, A1, alpha, message):
+        with pytest.raises(ValueError, match=message):
+            phi_gamma(A1, alpha)
+
+    def test_negative_interval_refused(self):
+        sys = small_system()
+        cost = CtsCost(Q1=np.eye(2), N1=np.zeros((2, 1)), R1=np.eye(1))
+        with pytest.raises(ValueError, match="nonnegative"):
+            psi_blocks(solve_pmu(sys, cost), sys, -0.1,
+                       *phi_gamma(sys.A1, 0.1))
+
+
 class TestPhiGamma:
     def test_zero_matrix(self):
         Phi, Gamma = phi_gamma(np.zeros((3, 3)), 0.7)
@@ -119,6 +160,14 @@ class TestSolvePmu:
         P, _, _ = solve_pmu(sys, CtsCost(Q1=1e250 * np.eye(2), N1=cost.N1,
                                          R1=cost.R1))
         assert abs(P[0, 0] + 1e250) <= 1e-14 * 1e250
+
+    def test_singular_a1_rejected(self):
+        # an eigenvalue of 0.7e-12 against a scale of 1: its pair sums are
+        # at least 1.4e-12, so the singularity test is the one that refuses
+        sys = small_system(A1=np.diag([-1.0, -0.7e-12]))
+        cost = CtsCost(Q1=np.eye(2), N1=np.zeros((2, 1)), R1=np.eye(1))
+        with pytest.raises(IllPosedLyapunov, match="singular"):
+            solve_pmu(sys, cost)
 
     def test_mirrored_eigenvalues_rejected(self):
         sys = CtsSystem(A1=np.diag([1.0, -1.0]), B1u=np.zeros((2, 1)),

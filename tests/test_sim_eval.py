@@ -13,6 +13,7 @@ from helpers import (
     grid_hinf_norm,
     per_step_closed_loop,
     simulate_collect,
+    summed_cost,
 )
 from test_dncs import bench_mode_system, synthetic_symmetric_plant
 from wadc.dncs import (
@@ -299,16 +300,7 @@ class TestSimulate:
         # rounding: a fixed horizon twice as long adds nothing.  The
         # triangular loop's local time constant is 1 s and its sampled one
         # 10 s, so a horizon sized from the local loop would miss 1.8 % of J
-        if loop == "triangular":
-            plant, ctrl = triangular_loop(1.0)
-            weights = TRIANGULAR_WEIGHTS
-        else:
-            plant = request.getfixturevalue("bench_plant")
-            k = "k1" if loop == "lqr" else "k2"
-            ctrl, _ = build_controller(
-                plant, request.getfixturevalue(f"gains_{k}"),
-                request.getfixturevalue(f"dec_{k}"), 0.1, method=loop)
-            weights = BENCH_WEIGHTS
+        plant, ctrl, weights = loop_of(request, loop)
 
         def run(horizon):
             scn = Scenario(initial_state=np.eye(6)[0], integrator_step=0.01,
@@ -325,26 +317,52 @@ class TestSimulate:
             assert auto.horizon == pytest.approx(200.0, rel=1e-9)
             assert run(20.0).J < (1 - 0.018) * auto.J
 
+    @pytest.mark.parametrize("loop, horizon, impulse, scale, rtol", [
+        ("lqr", None, False, 1.0, 1e-12),
+        ("hinf", None, False, 1.0, 1e-12),
+        ("triangular", None, False, 1.0, 1e-12),
+        ("triangular", None, False, 1e-20, 1e-12),
+        ("lqr", 160.0, False, 1.0, 1e-11),
+        ("hinf", 60.0, False, 1.0, 1e-11),
+        ("lqr", 0.02, False, 1.0, 1e-11),
+        ("hinf", 5.0, True, 1.0, 1e-11),
+    ], ids=["lqr-auto", "hinf-auto", "triangular-auto", "tiny-weights",
+            "lqr-160s", "hinf-60s", "one-period", "impulse"])
+    def test_cost_matches_running_sum(self, request, loop, horizon, impulse,
+                                      scale, rtol):
+        # the closed-form cost xi0' P xi0 - xiN' P xiN against the sum of
+        # the per-period costs over the same run, at any scale of the
+        # weights; on a fixed horizon the two forms cancel in part, which
+        # costs a digit
+        plant, ctrl, weights = loop_of(request, loop,
+                                       tau=0.04 if impulse else 0.1)
+        weights = (scale * weights[0], scale * weights[1], *weights[2:])
+        w = np.zeros((1, 4)) if impulse else None
+        if impulse:
+            w[0, 0] = 50.0
+        scn = Scenario(initial_state=np.eye(6)[0] * (not impulse),
+                       disturbance=w, integrator_step=0.01, horizon=horizon)
+        out = simulate_closed_loop(plant, ctrl, scn, *weights[:2],
+                                   lambda *rows: None, *weights[2:])
+        assert out.periods == (1 if horizon == 0.02 else out.periods)
+        ref = summed_cost(plant, ctrl, scn, *weights[:2], out.periods)
+        assert abs(out.J - ref) <= rtol * ref
+
     def test_unstable_sampled_loop_has_no_auto_horizon(self):
         # the remote gain pushes each sampled first state out by
-        # exp(0.1 h) a period: an auto run is refused before any row is
-        # handed on, and a fixed horizon still simulates the growth
+        # exp(0.1 h) a period: the loop has neither an auto horizon nor a
+        # cost, so a run of any horizon is refused before any row is
+        # handed on
         plant, ctrl = triangular_loop(1.0, sampled_rate=-0.1)
-
-        def run(horizon, trace):
+        for horizon in (None, 10.0):
             scn = Scenario(initial_state=np.eye(6)[0], integrator_step=0.01,
                            horizon=horizon)
-            return simulate_closed_loop(plant, ctrl, scn,
-                                        *TRIANGULAR_WEIGHTS[:2], trace,
-                                        *TRIANGULAR_WEIGHTS[2:])
-
-        with pytest.raises(UnstableSystem, match="horizon_s = auto"):
-            run(None, lambda *rows: pytest.fail("handed on a row"))
-        rows = []
-        out = run(10.0, lambda t, x, *rest: rows.append(x))
-        x = np.concatenate(rows)
-        assert out.periods == 500 and len(x) == 501
-        assert abs(x[-1, 0]) > np.exp(0.9) * abs(x[0, 0])
+            with pytest.raises(UnstableSystem,
+                               match="spectral radius 1.002002"):
+                simulate_closed_loop(
+                    plant, ctrl, scn, *TRIANGULAR_WEIGHTS[:2],
+                    lambda *rows: pytest.fail("handed on a row"),
+                    *TRIANGULAR_WEIGHTS[2:])
 
     @pytest.mark.parametrize("horizon, periods", [(None, 100_000_000),
                                                   (1e7, 500_000_000)],
@@ -384,6 +402,20 @@ def falling_designs(monkeypatch):
     monkeypatch.setattr(sim_eval, "design_mode", design)
     monkeypatch.setattr(sim_eval, "compute_bounds",
                         lambda md0, measure, z0=None: (10.0, 0.0))
+
+
+def loop_of(request, loop, tau=0.1):
+    """The plant, controller and weights of a named test loop: the
+    triangular loop, or the benchmark's LQR or H-infinity loop at link
+    delay ``tau``."""
+    if loop == "triangular":
+        return (*triangular_loop(1.0), TRIANGULAR_WEIGHTS)
+    plant = request.getfixturevalue("bench_plant")
+    k = "k1" if loop == "lqr" else "k2"
+    ctrl, _ = build_controller(
+        plant, request.getfixturevalue(f"gains_{k}"),
+        request.getfixturevalue(f"dec_{k}"), tau, method=loop)
+    return plant, ctrl, BENCH_WEIGHTS
 
 
 # cost and output weights of triangular_loop, in simulate_closed_loop's order
