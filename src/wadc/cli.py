@@ -371,6 +371,19 @@ class Pipeline:
         gains, dec = self.gains(measure)
         return mode_system(gains, dec, i, self.Q, self.R, self.C, self.D_u)
 
+    def delayed_designs(self, measure, delay, mode="all"):
+        """The link delays when every link carries ``delay`` s, and the
+        designs of the modes ``mode`` names, by mode label."""
+        _, dec = self.gains(measure)
+        d = delay * (1.0 - np.eye(self.plant.m))
+        d_hat, _ = delay_map(dec, d)
+        h = self.cfg["sampling"]["h_s"]
+        tol = self.cfg["tolerances"]["gamma_rel"]
+        return d, {dec.labels[i]: design_mode(
+                       self.mode_model(measure, i), h, float(d_hat[i]),
+                       method=measure, gamma_tol=tol)
+                   for i in _mode_list(dec, mode)}
+
 
 def _eig_string(M):
     eigs = sorted(np.linalg.eigvals(M), key=lambda z: (z.real, z.imag))
@@ -420,20 +433,13 @@ def _search_diagnostics(report, label, md):
 
 def cmd_design(cfg, args, report):
     pipe = Pipeline(cfg, report)
-    _, dec = pipe.gains(args.measure)
-    m = pipe.plant.m
-    d_hat, _ = delay_map(dec, args.delay * (np.ones((m, m)) - np.eye(m)))
-    gamma_tol = cfg["tolerances"]["gamma_rel"]
-    summary = {}
     # every mode is designed before a gain is written: a refusal writes none
-    designs = {i: design_mode(pipe.mode_model(args.measure, i),
-                              cfg["sampling"]["h_s"], float(d_hat[i]),
-                              method=args.measure, gamma_tol=gamma_tol)
-               for i in _mode_list(dec, args.mode)}
+    _, designs = pipe.delayed_designs(args.measure, args.delay, args.mode)
     report.stage("design")
-    for i, md in designs.items():
+    summary = {}
+    for label, md in designs.items():
         entry = {"lifted_dim": md.disc.n_z, "q": md.disc.q, "r": md.disc.r,
-                 "wait_s": float(d_hat[i])}
+                 "wait_s": md.disc.d}
         if args.measure == "lqr":
             z0 = md.disc.lift_state(
                 np.asarray(cfg["scenario"]["initial_state"], dtype=float))
@@ -441,12 +447,12 @@ def cmd_design(cfg, args, report):
         else:
             entry["gamma"] = md.gamma
             entry["certified_norm"] = md.norm
-            report.data.setdefault("diagnostics", {})[dec.labels[i]] = \
-                _search_diagnostics(report, dec.labels[i], md)
-        path = f"{args.out}/F_{dec.labels[i]}.txt"
+            report.data.setdefault("diagnostics", {})[label] = \
+                _search_diagnostics(report, label, md)
+        path = f"{args.out}/F_{label}.txt"
         report.output(path, write_matrix(path, md.F))
-        summary[dec.labels[i]] = entry
-        print(f"{dec.labels[i]}: {entry}")
+        summary[label] = entry
+        print(f"{label}: {entry}")
     report.stage("write")
     report.data["designs"] = summary
     return 0
@@ -492,14 +498,8 @@ def cmd_simulate(cfg, args, report):
     gains, dec = pipe.gains(args.measure)
     m = pipe.plant.m
     h = cfg["sampling"]["h_s"]
-    d = args.delay * (np.ones((m, m)) - np.eye(m))
-    d_hat, _ = delay_map(dec, d)
-    gamma_tol = cfg["tolerances"]["gamma_rel"]
-    designs = [design_mode(pipe.mode_model(args.measure, i), h,
-                           float(d_hat[i]), method=args.measure,
-                           gamma_tol=gamma_tol)
-               for i in range(dec.n_modes)]
-    ctrl = DistributedController(gains, dec, d, h, designs)
+    d, designs = pipe.delayed_designs(args.measure, args.delay)
+    ctrl = DistributedController(gains, dec, d, h, designs.values())
     report.stage("design")
 
     scn_cfg = cfg["scenario"]
@@ -512,7 +512,7 @@ def cmd_simulate(cfg, args, report):
         disturbance = np.zeros((1, pipe.plant.n_w))
         disturbance[0, 0] = scn_cfg["impulse_amp_A"]
 
-    md = designs[mode_i]
+    md = designs[dec.labels[mode_i]]
     cert = (md.J_star(md.disc.lift_state(init))
             if args.measure == "lqr" and disturbance is None else None)
 
@@ -549,8 +549,7 @@ def cmd_simulate(cfg, args, report):
         summary["cost_certificate"] = cert
         summary["relative_gap"] = abs(out.J - cert) / max(cert, 1e-300)
     elif args.measure == "hinf":
-        summary["gamma"] = {label: md.gamma
-                            for label, md in zip(dec.labels, designs)}
+        summary["gamma"] = {label: md.gamma for label, md in designs.items()}
     report.data["summary"] = summary
     report.data["diagnostics"] = {
         "integrator_step_s": out.step,
@@ -563,7 +562,7 @@ def cmd_simulate(cfg, args, report):
     if args.measure == "hinf":
         report.data["diagnostics"]["designs"] = {
             label: _search_diagnostics(report, label, md)
-            for label, md in zip(dec.labels, designs)}
+            for label, md in designs.items()}
     print(json.dumps(summary, indent=2, sort_keys=True))
     report.stage("write")
     return 0

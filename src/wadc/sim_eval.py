@@ -237,10 +237,7 @@ def simulate_closed_loop(plant: LinearPlant, controller: DistributedController,
     n_dist = 0 if w_seq is None else len(w_seq)
     xi0 = np.zeros(n)
     xi0[:n_x] = (dec.M_x @ scn.initial_state).reshape(n_x)
-    # stein_solve stops at 1e-18 (1 + max|S|): S scaled exactly, by a
-    # power of two, to max|S| in [0.5, 1) makes the stop relative
-    _, e = math.frexp(np.abs(S_xi).max())
-    P = np.ldexp(stein_solve(M_xi[None], np.ldexp(S_xi, -e)[None])[0], e)
+    P = stein_solve(M_xi[None], S_xi[None])[0]
     powers = np.empty((_BLOCK, n, n))
     powers[0] = M_xi
     for i in range(1, _BLOCK):

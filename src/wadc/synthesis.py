@@ -143,10 +143,12 @@ def _retire(out, done, live, X, *rest):
 def stein_solve(A, Q):
     """Solve P = A' P A + Q for Schur-stable A by Smith doubling.
 
-    The doubling forms S = sum_{i < 2^j} (A^i)' Q A^i and T = A^(2^j); a
-    slice stops once max|T|^2 max|S| <= 1e-18 (1 + max|Q|), and max|S| is
-    reduced only on doublings where its lower bound |S[0, 0]| does not
-    already fail that test for every slice.  The same
+    Each slice of Q is scaled by 2^-e to max|Q| in [0.5, 1) and its P back
+    by 2^e, both exactly; Q below is the scaled one, so the stop is relative
+    to Q's scale.  The doubling forms S = sum_{i < 2^j} (A^i)' Q A^i and
+    T = A^(2^j); a slice stops once max|T|^2 max|S| <= 1e-18 (1 + max|Q|),
+    and max|S| is reduced only on doublings where its lower bound |S[0, 0]|
+    does not already fail that test for every slice.  The same
     powers certify its stability: rho(A)^(2^j) = rho(T) <= n max|T|
     (Gelfand), so a slice that stops with n max|T| < 1/2 has rho(A) < 1,
     usually by nine orders of magnitude, and needs no eigenvalue solve.
@@ -160,6 +162,8 @@ def stein_solve(A, Q):
     """
     A = np.asarray(A, dtype=float)
     Q = np.asarray(Q, dtype=float)
+    e = np.frexp(np.abs(Q).max(axis=(-2, -1)))[1][:, None, None]
+    Q = np.ldexp(Q, -e)
     bound = 0.5 / A.shape[-1]   # max|T| below this certifies the slice
     S = 0.5 * (Q + Q.mT)
     T = A.copy()
@@ -201,7 +205,7 @@ def stein_solve(A, Q):
     if unsure and spectral_radius(A[unsure]) >= 1.0:
         raise UnstableSystem("Stein equation needs a Schur-stable matrix")
     P[live] = S
-    return 0.5 * (P + P.mT)
+    return np.ldexp(0.5 * (P + P.mT), e)
 
 
 def _pinv_solve(H, rhs):

@@ -1,5 +1,6 @@
 """Shared generators and independent oracles for the test suite."""
 
+import math
 from dataclasses import asdict
 from types import SimpleNamespace
 
@@ -130,7 +131,8 @@ def stein_every_doubling(A, Q):
     """Smith doubling for P = A'PA + Q, one slice of a stack at a time,
     reducing max|S| on every doubling: an oracle for ``stein_solve``'s
     stop rule max|T|^2 max|S| <= 1e-18 (1 + max|Q|), which skips that
-    reduction on doublings that cannot stop.
+    reduction on doublings that cannot stop.  As there, each slice of Q
+    is scaled by 2^-e to max|Q| in [0.5, 1) and its P by 2^e.
 
     A and Q are (k, n, n) stacks.  Each slice is doubled as a stack of
     one, so every product is the BLAS call the stack makes on it.  A slice
@@ -149,6 +151,8 @@ def stein_every_doubling(A, Q):
 
     P, counts = np.empty(A.shape), []
     for a, q in zip(A, Q):
+        _, e = math.frexp(float(np.abs(q).max()))
+        q = np.ldexp(q, -e)
         S, T = 0.5 * (q + q.T)[None], a[None].copy()
         tol = 1e-18 * (1.0 + float(np.abs(S).max()))
         checked, stopped, count = False, False, 0
@@ -165,7 +169,7 @@ def stein_every_doubling(A, Q):
         certified = stopped and float(np.abs(T).max()) < 0.5 / n
         if not (checked or certified) and unstable(a):
             raise UnstableSystem("oracle: unstable slice")
-        P[len(counts)] = 0.5 * (S[0] + S[0].T)
+        P[len(counts)] = np.ldexp(0.5 * (S[0] + S[0].T), e)
         counts.append(count)
     return P, counts
 

@@ -803,6 +803,21 @@ def recording(monkeypatch):
     return seen
 
 
+# 2^k for k in [-950, 1000] keeps every nonzero entry of the benchmark's
+# lifted Q2 and of its P normal: no power-of-two scale rounds there
+STEIN_SCALES = np.arange(-950, 1001)
+
+
+def assert_stein_scales(A, Q):
+    """stein_solve(A, 2^k Q) == 2^k stein_solve(A, Q) bit for bit, for
+    every k of STEIN_SCALES, each on its own slice of one stack."""
+    P = stein_solve(A[None], Q[None])[0]
+    scaled = stein_solve(np.broadcast_to(A, (len(STEIN_SCALES), *A.shape)),
+                         np.ldexp(Q, STEIN_SCALES[:, None, None]))
+    assert [int(k) for k, Pk in zip(STEIN_SCALES, scaled)
+            if not np.array_equal(Pk, np.ldexp(P, k))] == []
+
+
 @pytest.mark.filterwarnings("error")
 class TestStein:
     """Each slice's stability is certified by its own doubling powers,
@@ -821,6 +836,28 @@ class TestStein:
     def test_unstable_rejected(self):
         with pytest.raises(UnstableSystem):
             stein_solve(np.eye(2)[None], np.eye(2)[None])
+
+    @pytest.mark.parametrize("gains", ["k1", "k2"], ids=["lqr", "hinf"])
+    def test_scale_table(self, request, gains):
+        # the lifted loop without remote feedback, as compute_bounds
+        # solves it, for both modes at waits 0, 5 h and 5.25 h; both gain
+        # sets take 0.4 s on a 2-core host
+        g = request.getfixturevalue(f"gains_{gains}")
+        dec = request.getfixturevalue(f"dec_{gains}")
+        for i in (0, 1):
+            for d in (0.0, 0.1, 0.105):
+                disc = discretize(bench_mode_system(g, dec, i), 0.02, d)
+                assert_stein_scales(disc.A2, disc.Q2)
+
+    def test_slow_loop_tiny_cost(self):
+        # an absolute stop at 1e-18 (1 + max|Q|) left P 99.6 % short here
+        A = np.array([[0.999, 0.01], [0.0, 0.99]])
+        assert_stein_scales(A, np.eye(2))
+        Q = 1e-20 * np.eye(2)
+        P = stein_solve(A[None], Q[None])[0]
+        P_ref = np.linalg.solve(np.eye(4) - np.kron(A.T, A.T), Q.ravel())
+        np.testing.assert_allclose(P, P_ref.reshape(2, 2), rtol=1e-14,
+                                   atol=0.0)
 
     def test_power_bound_certifies_without_eigenvalues(self, monkeypatch):
         seen = recording(monkeypatch)
