@@ -367,9 +367,11 @@ class Pipeline:
 
     def mode_model(self, measure, i):
         """Continuous model (CtsModel) of mode i under the local gains of
-        ``measure``; every design of the mode starts from it."""
+        ``measure``, with the running cost only for an LQR design, which
+        alone reads it; every design of the mode starts from it."""
         gains, dec = self.gains(measure)
-        return mode_system(gains, dec, i, self.Q, self.R, self.C, self.D_u)
+        Q, R = (self.Q, self.R) if measure == "lqr" else (None, None)
+        return mode_system(gains, dec, i, Q, R, self.C, self.D_u)
 
     def delayed_designs(self, measure, delay, mode="all"):
         """The link delays when every link carries ``delay`` s, and the

@@ -20,7 +20,7 @@ from .errors import (
     UnstableLocalLoop,
 )
 from .grid_model import LinearPlant, swap_symmetry_residuals
-from .sampled import CtsCost, CtsModel, CtsSystem, discretize
+from .sampled import CtsCost, CtsModel, discretize
 from .synthesis import gamma_min, lqr_design
 
 __all__ = [
@@ -181,7 +181,8 @@ def symmetric_modes(plant: LinearPlant, gains: LocalGains,
 
 def mode_system(gains: LocalGains, dec: ModalDecomposition, i,
                 Q, R, C, D_u):
-    """Continuous model of mode i: a CtsModel of its plant and cost.
+    """Continuous model of mode i: a CtsModel of its plant, its output
+    map and, unless Q and R are None, its quadratic cost.
 
     The system is the mode's diagonal block of the transformed
     pre-stabilized plant with its slice of the output map; the output map
@@ -192,29 +193,30 @@ def mode_system(gains: LocalGains, dec: ModalDecomposition, i,
     design of the mode.
     """
     i = dec.mode_index(i)
-    n_x = dec.M_x.shape[0]
-    n_u = dec.M_u.shape[0]
-    Q = np.asarray(Q, dtype=float).reshape(n_x, n_x)
-    R = np.asarray(R, dtype=float).reshape(n_u, n_u)
-    K = gains.K
-    Mblk = np.zeros((n_x + n_u, n_x + n_u))
-    Mblk[:n_x, :n_x] = dec.M_x
-    Mblk[n_x:, n_x:] = dec.M_u
-    # a cost that overflows here is refused, typed, by CtsCost
-    with np.errstate(over="ignore", invalid="ignore"):
-        big = np.block([[Q + K.T @ R @ K, K.T @ R],
-                        [R @ K, R]])
-        U = Mblk.T @ big @ Mblk
-        U = 0.5 * (U + U.T)
     xs, us, ws = dec.x_slice(i), dec.u_slice(i), dec.w_slice(i)
-    ug = slice(n_x + us.start, n_x + us.stop)
+    cost = None
+    if Q is not None:
+        n_x = dec.M_x.shape[0]
+        n_u = dec.M_u.shape[0]
+        Q = np.asarray(Q, dtype=float).reshape(n_x, n_x)
+        R = np.asarray(R, dtype=float).reshape(n_u, n_u)
+        K = gains.K
+        Mblk = np.zeros((n_x + n_u, n_x + n_u))
+        Mblk[:n_x, :n_x] = dec.M_x
+        Mblk[n_x:, n_x:] = dec.M_u
+        # a cost that overflows here is refused, typed, by CtsCost
+        with np.errstate(over="ignore", invalid="ignore"):
+            big = np.block([[Q + K.T @ R @ K, K.T @ R],
+                            [R @ K, R]])
+            U = Mblk.T @ big @ Mblk
+            U = 0.5 * (U + U.T)
+        ug = slice(n_x + us.start, n_x + us.stop)
+        cost = CtsCost(Q1=U[xs, xs], N1=U[xs, ug], R1=U[ug, ug])
     C = np.atleast_2d(np.asarray(C, dtype=float))
     D_u = np.atleast_2d(np.asarray(D_u, dtype=float))
-    sys = CtsSystem(A1=dec.A_hat[xs, xs], B1u=dec.B_u_hat[xs, us],
+    return CtsModel(A1=dec.A_hat[xs, xs], B1u=dec.B_u_hat[xs, us],
                     B1w=dec.B_w_hat[xs, ws], C1=(C @ dec.M_x)[:, xs],
-                    D1u=(D_u @ dec.M_u)[:, us])
-    cost = CtsCost(Q1=U[xs, xs], N1=U[xs, ug], R1=U[ug, ug])
-    return CtsModel(sys, cost)
+                    D1u=(D_u @ dec.M_u)[:, us], cost=cost)
 
 
 def delay_map(dec: ModalDecomposition, d):
@@ -245,13 +247,15 @@ def delay_map(dec: ModalDecomposition, d):
 def design_mode(model: CtsModel, h, d_hat_i, method="lqr", gamma_tol=1e-3):
     """Discretize a mode's continuous model with its waiting time and
     design the sampled gain by the requested method: an ``LqrResult``
-    (value z0' P z0) or a ``HinfResult`` (gamma), carrying the lifted
-    system ``disc`` it was designed on.
+    (value z0' P z0), which needs the model's cost, or a ``HinfResult``
+    (gamma), carrying the lifted system ``disc`` it was designed on.
 
     ``d_hat_i`` may also be a sequence of waiting times whose lifted
     systems have one size; LQR then designs them as one stack, and one
     result is returned per waiting time, in order.
     """
+    if method == "lqr" and model.cost is None:
+        raise ValueError("an LQR design needs a model with a cost")
     discs = [discretize(model, h, float(d)) for d in np.atleast_1d(d_hat_i)]
     if method == "lqr":
         results = lqr_design(discs)

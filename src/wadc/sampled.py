@@ -13,12 +13,15 @@ None of these closed forms depends on q.  A ``CtsModel`` computes the cost
 factorization (P, M, U) once per mode, Phi, Gamma and Psi once per
 interval length (h, each remainder r, h - r), and the two input maps and
 the one-interval cost of each remainder once; ``discretize`` only places
-them in the lifted matrices.
+them in the lifted matrices.  A model without a cost, as an H-infinity
+design takes it, skips the factorization, Psi and the interval costs.
 
 SciPy, the source of the exponential and the Sylvester solver here and
 of the game Riccati solver and the pencil eigenvalues in ``synthesis``,
 is imported by the functions that call it, so that building a model and
-linearizing it load numpy alone.
+linearizing it load numpy alone.  An H-infinity design never factors a
+cost, so it calls SciPy only for ``expm``, the pencil in ``hinf_norm``
+and ``solve_discrete_are``.
 """
 
 import functools
@@ -37,7 +40,6 @@ MAX_IN_FLIGHT = 128
 
 __all__ = [
     "MAX_IN_FLIGHT",
-    "CtsSystem",
     "CtsCost",
     "CtsModel",
     "DiscretizedSystem",
@@ -60,48 +62,8 @@ def _as_matrix(a, rows=None, cols=None, name="matrix"):
 
 def _freeze(*arrays):
     for a in arrays:
-        a.setflags(write=False)
-
-
-@dataclass(frozen=True, eq=False)
-class CtsSystem:
-    """Continuous-time plant with a delayed held control input."""
-
-    A1: np.ndarray
-    B1u: np.ndarray
-    B1w: np.ndarray
-    C1: np.ndarray
-    D1u: np.ndarray
-
-    def __post_init__(self):
-        A1 = _as_matrix(self.A1, name="A1")
-        n = A1.shape[0]
-        if A1.shape[1] != n:
-            raise ValueError("A1 must be square")
-        B1u = _as_matrix(self.B1u, rows=n, name="B1u")
-        B1w = _as_matrix(self.B1w, rows=n, name="B1w")
-        C1 = _as_matrix(self.C1, cols=n, name="C1")
-        D1u = _as_matrix(self.D1u, rows=C1.shape[0], cols=B1u.shape[1], name="D1u")
-        for nm, val in (("A1", A1), ("B1u", B1u), ("B1w", B1w),
-                        ("C1", C1), ("D1u", D1u)):
-            object.__setattr__(self, nm, val)
-        _freeze(A1, B1u, B1w, C1, D1u)
-
-    @property
-    def n_x(self):
-        return self.A1.shape[0]
-
-    @property
-    def n_u(self):
-        return self.B1u.shape[1]
-
-    @property
-    def n_w(self):
-        return self.B1w.shape[1]
-
-    @property
-    def n_y(self):
-        return self.C1.shape[0]
+        if a is not None:
+            a.setflags(write=False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,7 +97,8 @@ class CtsCost:
 
 @dataclass(frozen=True, eq=False)
 class DiscretizedSystem:
-    """Lifted discrete-time system, output map and summed quadratic cost.
+    """Lifted discrete-time system, output map and summed quadratic cost
+    (None for a model without a cost).
 
     The lifted state is ``z_k = [x_k; u_{k-q-1}; u_{k-q}; ...; u_{k-1}]``
     (just ``x_k`` when d = 0).  One step advances the plant state with the
@@ -147,9 +110,6 @@ class DiscretizedSystem:
     B2w: np.ndarray
     C2: np.ndarray
     D2u: np.ndarray
-    Q2: np.ndarray
-    N2: np.ndarray
-    R2: np.ndarray
     h: float
     d: float
     q: int
@@ -157,6 +117,9 @@ class DiscretizedSystem:
     n_x: int
     n_u: int
     n_w: int
+    Q2: np.ndarray = None
+    N2: np.ndarray = None
+    R2: np.ndarray = None
 
     def __post_init__(self):
         _freeze(self.A2, self.B2u, self.B2w, self.C2, self.D2u,
@@ -200,7 +163,7 @@ def phi_gamma(A1, alpha):
     return E[:n, :n], E[:n, n:]
 
 
-def solve_pmu(sys: CtsSystem, cost: CtsCost):
+def solve_pmu(model, cost: CtsCost):
     """Factor the running cost into a frozen triple (P, M, U) against the
     plant dynamics: P solves P A1 + A1' P = Q1, M = A1^{-T} (N1 - P B1u)
     and U = R1 - B1u' M - M' B1u, which turns the cost integral over an
@@ -212,7 +175,7 @@ def solve_pmu(sys: CtsSystem, cost: CtsCost):
     exceeds 1e-8 of 1 + max|Q1| + 2 max|A1| max|P| is refused
     (``NonFiniteModel``).
     """
-    A1, B1u = sys.A1, sys.B1u
+    A1, B1u = model.A1, model.B1u
     eig = np.linalg.eigvals(A1)
     scale = max(1.0, np.abs(eig).max())
     pair_sums = np.abs(eig[:, None] + eig[None, :])
@@ -253,16 +216,15 @@ def solve_pmu(sys: CtsSystem, cost: CtsCost):
     return P, M, U
 
 
-def psi_blocks(pmu, sys: CtsSystem, b, Phi, Gamma) -> np.ndarray:
+def psi_blocks(pmu, model, b, Phi, Gamma) -> np.ndarray:
     """Quadratic form Psi(b) giving the cost integral over a length-b interval
     with held input: integral = [x(a); u]' Psi(b) [x(a); u].  Phi and Gamma
-    are ``phi_gamma(sys.A1, b)``."""
+    are ``phi_gamma(model.A1, b)``."""
     b = float(b)
     if b < 0:
         raise ValueError("interval length must be nonnegative")
     P, M, U = pmu
-    B1u = sys.B1u
-    GB = Gamma @ B1u
+    GB = Gamma @ model.B1u
     psi1 = Phi.T @ P @ Phi - P
     psi3 = Phi.T @ P @ GB + Phi.T @ M - M
     psi2 = GB.T @ P @ GB + M.T @ GB + GB.T @ M + b * U
@@ -270,26 +232,54 @@ def psi_blocks(pmu, sys: CtsSystem, b, Phi, Gamma) -> np.ndarray:
     return 0.5 * (psi + psi.T)
 
 
+@dataclass(frozen=True, eq=False)
 class CtsModel:
-    """One mode's plant and cost, and the delay-free pieces of its exact
-    discretization, each computed once and frozen; one model serves every
-    design of its mode."""
+    """One mode's continuous plant with a delayed held control input, its
+    output map and, for a cost-based design, its quadratic running cost;
+    and the delay-free pieces of its exact discretization, each computed
+    once and frozen.  One model serves every design of its mode."""
 
-    def __init__(self, sys: CtsSystem, cost: CtsCost):
-        self.sys, self.cost = sys, cost
-        self.pmu = solve_pmu(sys, cost)
-        self._intervals = {}
-        self._remainders = {}
+    A1: np.ndarray
+    B1u: np.ndarray
+    B1w: np.ndarray
+    C1: np.ndarray
+    D1u: np.ndarray
+    cost: CtsCost = None
+
+    def __post_init__(self):
+        A1 = _as_matrix(self.A1, name="A1")
+        n = A1.shape[0]
+        if A1.shape[1] != n:
+            raise ValueError("A1 must be square")
+        B1u = _as_matrix(self.B1u, rows=n, name="B1u")
+        B1w = _as_matrix(self.B1w, rows=n, name="B1w")
+        C1 = _as_matrix(self.C1, cols=n, name="C1")
+        D1u = _as_matrix(self.D1u, rows=C1.shape[0], cols=B1u.shape[1], name="D1u")
+        for nm, val in (("A1", A1), ("B1u", B1u), ("B1w", B1w),
+                        ("C1", C1), ("D1u", D1u)):
+            object.__setattr__(self, nm, val)
+        _freeze(A1, B1u, B1w, C1, D1u)
+        object.__setattr__(self, "pmu", None if self.cost is None
+                           else solve_pmu(self, self.cost))
+        object.__setattr__(self, "_intervals", {})
+        object.__setattr__(self, "_remainders", {})
+
+    n_x = property(lambda self: self.A1.shape[0])
+    n_u = property(lambda self: self.B1u.shape[1])
+    n_w = property(lambda self: self.B1w.shape[1])
+    n_y = property(lambda self: self.C1.shape[0])
 
     def interval(self, b):
         """(Phi, Gamma, Psi) of a held-input interval of length b, refused
-        unless all three are finite."""
+        unless each is finite; Psi is None without a cost."""
         if b not in self._intervals:
-            Phi, Gamma = phi_gamma(self.sys.A1, b)
-            with np.errstate(over="ignore", invalid="ignore"):
-                blocks = (Phi, Gamma,
-                          psi_blocks(self.pmu, self.sys, b, Phi, Gamma))
-            if not all(np.isfinite(X).all() for X in blocks):
+            Phi, Gamma = phi_gamma(self.A1, b)
+            psi = None
+            if self.pmu is not None:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    psi = psi_blocks(self.pmu, self, b, Phi, Gamma)
+            blocks = (Phi, Gamma, psi)
+            if not all(np.isfinite(X).all() for X in blocks if X is not None):
                 raise NonFiniteModel(
                     f"the exact discretization of a {b:g} s held-input "
                     "interval is not finite; shorten [sampling] h_s")
@@ -301,26 +291,28 @@ class CtsModel:
         """(Gamma1, Gamma0, W) of a sampling interval of length h whose
         delayed input switches at r in (0, h]: x_{k+1} = Phi(h) x_k +
         Gamma1 u_{k-q-1} + Gamma0 u_{k-q}, and the interval's cost is
-        v' W v with v = [x_k; u_{k-q-1}; u_{k-q}].  The held-input cost
-        identity applies on (kh, kh+r] with input u_{k-q-1} and on
-        (kh+r, kh+h] with input u_{k-q}.  None of it depends on q, so
-        every delay with remainder r shares one frozen triple."""
+        v' W v with v = [x_k; u_{k-q-1}; u_{k-q}] (W is None without a
+        cost).  The held-input cost identity applies on (kh, kh+r] with
+        input u_{k-q-1} and on (kh+r, kh+h] with input u_{k-q}.  None of it
+        depends on q, so every delay with remainder r shares one frozen
+        triple."""
         key = (h, r)
         if key not in self._remainders:
-            sys = self.sys
-            n_x, n_u = sys.n_x, sys.n_u
+            n_x, n_u = self.n_x, self.n_u
             Phi_r, Gamma_r, psi_r = self.interval(r)
             Phi_hr, Gamma_hr, psi_hr = self.interval(h - r)
-            Gamma1 = Phi_hr @ Gamma_r @ sys.B1u
-            Gamma0 = Gamma_hr @ sys.B1u
-            phi1 = np.zeros((n_x + n_u, n_x + 2 * n_u))
-            phi1[:n_x, :n_x] = Phi_r
-            phi1[:n_x, n_x:n_x + n_u] = Gamma_r @ sys.B1u
-            phi1[n_x:, n_x + n_u:] = np.eye(n_u)
-            W = np.zeros((n_x + 2 * n_u, n_x + 2 * n_u))
-            W[:n_x + n_u, :n_x + n_u] = psi_r
-            W += phi1.T @ psi_hr @ phi1
-            W = 0.5 * (W + W.T)
+            Gamma1 = Phi_hr @ Gamma_r @ self.B1u
+            Gamma0 = Gamma_hr @ self.B1u
+            W = None
+            if psi_r is not None:
+                phi1 = np.zeros((n_x + n_u, n_x + 2 * n_u))
+                phi1[:n_x, :n_x] = Phi_r
+                phi1[:n_x, n_x:n_x + n_u] = Gamma_r @ self.B1u
+                phi1[n_x:, n_x + n_u:] = np.eye(n_u)
+                W = np.zeros((n_x + 2 * n_u, n_x + 2 * n_u))
+                W[:n_x + n_u, :n_x + n_u] = psi_r
+                W += phi1.T @ psi_hr @ phi1
+                W = 0.5 * (W + W.T)
             self._remainders[key] = (Gamma1, Gamma0, W)
             _freeze(Gamma1, Gamma0, W)
         return self._remainders[key]
@@ -388,56 +380,42 @@ def discretize(model: CtsModel, h, d=0.0) -> DiscretizedSystem:
     """
     h = float(h)
     q, r = split_delay(d, h)
-    sys = model.sys
-    n_x, n_u, n_w, n_y = sys.n_x, sys.n_u, sys.n_w, sys.n_y
-    Phi_h, Gamma_h, psi = model.interval(h)
-
+    n_x, n_u, n_w, n_y = model.n_x, model.n_u, model.n_w, model.n_y
+    Phi_h, Gamma_h, W = model.interval(h)   # W = Psi(h) at d = 0
     if d == 0:
-        return DiscretizedSystem(
-            A2=Phi_h,
-            B2u=Gamma_h @ sys.B1u,
-            B2w=Gamma_h @ sys.B1w,
-            C2=sys.C1.copy(),
-            D2u=sys.D1u.copy(),
-            Q2=psi[:n_x, :n_x].copy(),
-            N2=psi[:n_x, n_x:].copy(),
-            R2=psi[n_x:, n_x:].copy(),
-            h=h, d=0.0, q=0, r=0.0, n_x=n_x, n_u=n_u, n_w=n_w)
-
-    n_mem = q + 1
-    n_z = n_x + n_mem * n_u
-    Gamma1, Gamma0, W = model.remainder(h, r)
-
-    A2 = np.zeros((n_z, n_z))
-    A2[:n_x, :n_x] = Phi_h
-    A2[:n_x, n_x:n_x + n_u] = Gamma1   # multiplies u_{k-q-1}
-    B2u = np.zeros((n_z, n_u))
-    if q == 0:
-        B2u[:n_x] = Gamma0             # multiplies u_{k-q}
-        B2u[n_x:] = np.eye(n_u)
+        n_z, A2, B2u = n_x, Phi_h, Gamma_h @ model.B1u
+        C2, D2u = model.C1.copy(), model.D1u.copy()
     else:
-        A2[:n_x, n_x + n_u:n_x + 2 * n_u] = Gamma0
-        # shift the memory registers one slot toward the plant
-        A2[n_x:n_x + q * n_u, n_x + n_u:] = np.eye(q * n_u)
-        B2u[n_x + q * n_u:] = np.eye(n_u)
+        n_z = n_x + (q + 1) * n_u
+        Gamma1, Gamma0, W = model.remainder(h, r)
+        A2 = np.zeros((n_z, n_z))
+        A2[:n_x, :n_x] = Phi_h
+        A2[:n_x, n_x:n_x + n_u] = Gamma1   # multiplies u_{k-q-1}
+        B2u = np.zeros((n_z, n_u))
+        if q == 0:
+            B2u[:n_x] = Gamma0             # multiplies u_{k-q}
+            B2u[n_x:] = np.eye(n_u)
+        else:
+            A2[:n_x, n_x + n_u:n_x + 2 * n_u] = Gamma0
+            # shift the memory registers one slot toward the plant
+            A2[n_x:n_x + q * n_u, n_x + n_u:] = np.eye(q * n_u)
+            B2u[n_x + q * n_u:] = np.eye(n_u)
+        C2 = np.zeros((n_y, n_z))
+        C2[:, :n_x] = model.C1
+        C2[:, n_x:n_x + n_u] = model.D1u  # sampled output sees u_{k-q-1}
+        D2u = np.zeros((n_y, n_u))
 
     B2w = np.zeros((n_z, n_w))
-    B2w[:n_x] = Gamma_h @ sys.B1w
-
-    C2 = np.zeros((n_y, n_z))
-    C2[:, :n_x] = sys.C1
-    C2[:, n_x:n_x + n_u] = sys.D1u  # sampled output sees u_{k-q-1}
-    D2u = np.zeros((n_y, n_u))
-
-    # cost over one interval touches x_k, u_{k-q-1} and u_{k-q} only; at
-    # q = 0 the last of them is the new input
-    big = np.zeros((n_z + n_u, n_z + n_u))
-    big[:n_x + 2 * n_u, :n_x + 2 * n_u] = W
-    Q2 = big[:n_z, :n_z].copy()
-    N2 = big[:n_z, n_z:].copy()
-    R2 = big[n_z:, n_z:].copy()
-
+    B2w[:n_x] = Gamma_h @ model.B1w
+    cost = {}
+    if W is not None:
+        # the cost over one interval touches x_k and the inputs that W
+        # prices only: u_k at d = 0, else u_{k-q-1} and u_{k-q}, of which
+        # at q = 0 the last is the new input
+        big = np.zeros((n_z + n_u, n_z + n_u))
+        big[:len(W), :len(W)] = W
+        cost = dict(Q2=big[:n_z, :n_z].copy(), N2=big[:n_z, n_z:].copy(),
+                    R2=big[n_z:, n_z:].copy())
     return DiscretizedSystem(
         A2=A2, B2u=B2u, B2w=B2w, C2=C2, D2u=D2u,
-        Q2=Q2, N2=N2, R2=R2,
-        h=h, d=float(d), q=q, r=r, n_x=n_x, n_u=n_u, n_w=n_w)
+        h=h, d=float(d), q=q, r=r, n_x=n_x, n_u=n_u, n_w=n_w, **cost)

@@ -21,6 +21,7 @@ from .dncs import DistributedController, delay_map, design_mode
 from .errors import (
     HorizonTooLong,
     InvalidSampling,
+    NonFiniteModel,
     StepGridTooFine,
     UnstableSystem,
     WadcError,
@@ -160,9 +161,10 @@ def simulate_closed_loop(plant: LinearPlant, controller: DistributedController,
     a time, as the recursion produces them; of the trajectory only the
     segment being gathered is kept.
 
-    A loop with rho(M_xi) >= 1 is refused for every horizon; the auto
-    horizon is 20 time constants -h / ln rho(M_xi) of the period map.  A
-    run longer than ``MAX_PERIODS`` periods or whose cost overflows
+    A period cost form S that overflows is refused (``NonFiniteModel``),
+    and a loop with rho(M_xi) >= 1 for every horizon; the auto horizon is
+    20 time constants -h / ln rho(M_xi) of the period map.  A run longer
+    than ``MAX_PERIODS`` periods or whose cost overflows
     (``NonFiniteCost``) is refused too, all before any row is handed on.
     """
     dec = controller.dec
@@ -209,9 +211,15 @@ def simulate_closed_loop(plant: LinearPlant, controller: DistributedController,
         U = command(s)
         X1 = Rmap @ X + drive_u @ U + drive_w
         X2 = Rmap @ X1 + drive_u @ U + drive_w
-        S += node_cost(X, U) + 4.0 * node_cost(X1, U) + node_cost(X2, U)
+        with np.errstate(over="ignore", invalid="ignore"):   # checked below
+            S += node_cost(X, U) + 4.0 * node_cost(X1, U) + node_cost(X2, U)
         X = X2
     S *= dt / 3.0
+    if not np.isfinite(S).all():
+        raise NonFiniteModel(
+            "the running cost of a sampling period is not finite (the local "
+            "gains fold into it); scale down [cost] input_weight or "
+            "delta_weight")
     U_end = U[:, :n]
     M = np.vstack([X, V, eye[n_x:n - n_u]]) if L else X
     M_xi, S_xi = M[:, :n], S[:n, :n]
@@ -381,7 +389,7 @@ def sweep_delays(model, dec, mode, measure, delay_grid, h, z0=None,
             f"{MAX_SWEEP_IN_FLIGHT} a sweep may design; use fewer or shorter "
             "delays")
     if measure == "lqr" and z0 is None:
-        z0 = np.zeros(model.sys.n_x)
+        z0 = np.zeros(model.n_x)
         z0[0] = 1.0
     md0 = design_mode(model, h, 0.0, method=measure, gamma_tol=gamma_tol)
     upper, lower = compute_bounds(md0, measure, z0=z0)

@@ -10,7 +10,7 @@ from scipy.linalg import expm
 from wadc.dncs import design_mode
 from wadc.errors import GammaInfeasible, UnstableSystem
 from wadc.grid_model import _pow2_step, dynamics_rhs
-from wadc.sampled import CtsCost, CtsSystem, DiscretizedSystem, split_delay
+from wadc.sampled import CtsCost, CtsModel, DiscretizedSystem, split_delay
 from wadc.sim_eval import _rk4_affine, _step_grid, simulate_closed_loop
 from wadc.synthesis import hinf_design, hinf_norm
 
@@ -41,7 +41,8 @@ def read_matrix(path):
 
 
 def random_stable_system(rng, n_x, n_u, n_w=1, n_y=None):
-    """Random Hurwitz system with eigenvalues in [-2, -0.1]."""
+    """Random Hurwitz system with eigenvalues in [-2, -0.1], a CtsModel
+    without a cost."""
     if n_y is None:
         n_y = n_x
     lam = -rng.uniform(0.1, 2.0, n_x)
@@ -49,7 +50,7 @@ def random_stable_system(rng, n_x, n_u, n_w=1, n_y=None):
     while abs(np.linalg.det(V)) < 1e-3:
         V = rng.normal(size=(n_x, n_x))
     A = V @ np.diag(lam) @ np.linalg.inv(V)
-    sys = CtsSystem(
+    sys = CtsModel(
         A1=A,
         B1u=rng.normal(size=(n_x, n_u)),
         B1w=rng.normal(size=(n_x, n_w)),
@@ -79,13 +80,12 @@ def discretize_per_row(model, h, d):
     them from the model's per-remainder cache."""
     h = float(h)
     q, r = split_delay(d, h)
-    sys = model.sys
-    n_x, n_u, n_w, n_y = sys.n_x, sys.n_u, sys.n_w, sys.n_y
+    n_x, n_u, n_w, n_y = model.n_x, model.n_u, model.n_w, model.n_y
     Phi_h, Gamma_h, psi = model.interval(h)
     if d == 0:
         return DiscretizedSystem(
-            A2=Phi_h, B2u=Gamma_h @ sys.B1u, B2w=Gamma_h @ sys.B1w,
-            C2=sys.C1.copy(), D2u=sys.D1u.copy(),
+            A2=Phi_h, B2u=Gamma_h @ model.B1u, B2w=Gamma_h @ model.B1w,
+            C2=model.C1.copy(), D2u=model.D1u.copy(),
             Q2=psi[:n_x, :n_x].copy(), N2=psi[:n_x, n_x:].copy(),
             R2=psi[n_x:, n_x:].copy(),
             h=h, d=0.0, q=0, r=0.0, n_x=n_x, n_u=n_u, n_w=n_w)
@@ -94,25 +94,25 @@ def discretize_per_row(model, h, d):
     Phi_hr, Gamma_hr, psi_hr = model.interval(h - r)
     A2 = np.zeros((n_z, n_z))
     A2[:n_x, :n_x] = Phi_h
-    A2[:n_x, n_x:n_x + n_u] = Phi_hr @ Gamma_r @ sys.B1u
+    A2[:n_x, n_x:n_x + n_u] = Phi_hr @ Gamma_r @ model.B1u
     B2u = np.zeros((n_z, n_u))
     if q == 0:
-        B2u[:n_x] = Gamma_hr @ sys.B1u
+        B2u[:n_x] = Gamma_hr @ model.B1u
         B2u[n_x:] = np.eye(n_u)
     else:
-        A2[:n_x, n_x + n_u:n_x + 2 * n_u] = Gamma_hr @ sys.B1u
+        A2[:n_x, n_x + n_u:n_x + 2 * n_u] = Gamma_hr @ model.B1u
         A2[n_x:n_x + q * n_u, n_x + n_u:] = np.eye(q * n_u)
         B2u[n_x + q * n_u:] = np.eye(n_u)
     B2w = np.zeros((n_z, n_w))
-    B2w[:n_x] = Gamma_h @ sys.B1w
+    B2w[:n_x] = Gamma_h @ model.B1w
     C2 = np.zeros((n_y, n_z))
-    C2[:, :n_x] = sys.C1
-    C2[:, n_x:n_x + n_u] = sys.D1u
+    C2[:, :n_x] = model.C1
+    C2[:, n_x:n_x + n_u] = model.D1u
     # the cost of (kh, kh+r] with u_{k-q-1}, then of (kh+r, kh+h] with
     # u_{k-q} from the state reached at kh+r
     phi1 = np.zeros((n_x + n_u, n_x + 2 * n_u))
     phi1[:n_x, :n_x] = Phi_r
-    phi1[:n_x, n_x:n_x + n_u] = Gamma_r @ sys.B1u
+    phi1[:n_x, n_x:n_x + n_u] = Gamma_r @ model.B1u
     phi1[n_x:, n_x + n_u:] = np.eye(n_u)
     W = np.zeros((n_x + 2 * n_u, n_x + 2 * n_u))
     W[:n_x + n_u, :n_x + n_u] = psi_r

@@ -27,7 +27,7 @@ from wadc.dncs import (
 )
 from wadc.errors import GammaInfeasible, UnstableLocalLoop
 from wadc.grid_model import swap_symmetry_residuals
-from wadc.sampled import CtsModel, discretize
+from wadc.sampled import discretize
 from wadc.sim_eval import Scenario, sweep_delays
 from wadc.synthesis import gamma_min, hinf_design
 
@@ -57,7 +57,7 @@ def test_criterion_1_discretization_exactness():
         u_seq = rng.normal(size=(12, n_u))
         for ratio in ratios:
             d = ratio * h
-            disc = discretize(CtsModel(sys, cost), h, d)
+            disc = discretize(replace(sys, cost=cost), h, d)
             z = disc.lift_state(x0)
             total, traj = 0.0, [x0.copy()]
             for k in range(12):
@@ -140,7 +140,7 @@ def test_criterion_3_hinf_certificate(bench_plant, gains_k2, dec_k2):
     for _ in range(5):
         sys = random_stable_system(rng, 3, 1, n_w=1, n_y=2)
         cost = random_psd_cost(rng, 3, 1)
-        disc = discretize(CtsModel(sys, cost), 0.1, 0.13)
+        disc = discretize(replace(sys, cost=cost), 0.1, 0.13)
         res = gamma_min(disc, tol=tol)
         norm = grid_hinf_norm(disc.A2 + disc.B2u @ res.F, disc.B2w,
                               disc.C2 + disc.D2u @ res.F)
@@ -211,7 +211,7 @@ def test_criterion_6_modal_decomposition(bench_plant, gains_k1, gains_k2,
         ok = ok and off <= 1e-8 * norm
         eig_all = np.sort_complex(np.linalg.eigvals(gains.A_bar))
         eig_modes = np.sort_complex(np.concatenate(
-            [np.linalg.eigvals(bench_mode_system(gains, dec, i).sys.A1)
+            [np.linalg.eigvals(bench_mode_system(gains, dec, i).A1)
              for i in range(2)]))
         part = np.abs(eig_all - eig_modes).max() / np.abs(eig_all).max()
         ok = ok and part <= 1e-7

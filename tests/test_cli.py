@@ -17,7 +17,7 @@ import scipy
 from helpers import read_matrix
 from test_sim_eval import FALLING_WARNING, falling_designs
 from wadc import __main__ as entry
-from wadc import cli, sim_eval
+from wadc import cli, sampled, sim_eval
 from wadc.cli import main, write_matrix
 from wadc.config import _REQUIRED, SCHEMA, _parse_positive_int, load_config
 from wadc.errors import ConfigError
@@ -594,9 +594,10 @@ def test_non_finite_cost_refused(tmp_path, monkeypatch, capsys, command):
     ({"WADC_OUTPUT__DELTA_WEIGHT": "1e300"},
      ("design", "--measure", "hinf", "--delay", "0.1"),
      "[output] delta_weight"),
-    # K' R K overflows in the folded running cost
-    ({"WADC_COST__INPUT_WEIGHT": "1e300"},
-     ("design", "--measure", "hinf", "--delay", "0.1"), "[cost] input_weight"),
+    # K' R K overflows in the folded running cost, which only an LQR
+    # design reads; at 1e300 the smaller LQR local gains keep it finite
+    ({"WADC_COST__INPUT_WEIGHT": "1e305"},
+     ("design", "--measure", "lqr", "--delay", "0.1"), "[cost] input_weight"),
     # exp(h A1) over 1e300 s comes out nan
     ({"WADC_SAMPLING__H_S": "1e300"},
      ("design", "--measure", "lqr", "--delay", "0"), "[sampling] h_s"),
@@ -637,6 +638,34 @@ def test_overflowing_model_refused(tmp_path, monkeypatch, capsys, env,
     assert key in lines[0]
     assert strict_report(tmp_path)["outputs"] == {}
     assert sorted(os.listdir(tmp_path)) == ["report.json"]
+
+
+def test_hinf_design_reads_no_cost(tmp_path, monkeypatch):
+    # K' R K overflows in the folded running cost, which only an LQR design
+    # reads: the H-infinity gains are those of the default weight
+    assert run(tmp_path / "default", "design", "--measure", "hinf",
+               "--delay", "0.1") == 0
+    monkeypatch.setenv("WADC_COST__INPUT_WEIGHT", "1e300")
+    assert run(tmp_path / "heavy", "design", "--measure", "hinf",
+               "--delay", "0.1") == 0
+    for label in ("oscillation", "common"):
+        name = f"F_{label}.txt"
+        assert ((tmp_path / "heavy" / name).read_bytes()
+                == (tmp_path / "default" / name).read_bytes())
+
+
+@pytest.mark.parametrize("command", [
+    ("design", "--measure", "hinf", "--mode", "all", "--delay", "0.1"),
+    ("sweep", "--measure", "hinf", "--mode", "all"),
+    ("simulate", "--measure", "hinf", "--delay", "0.1"),
+], ids=["design", "sweep", "simulate"])
+def test_hinf_factors_no_cost(tmp_path, monkeypatch, command):
+    # the running cost's factorization feeds LQR designs alone
+    monkeypatch.setattr(sampled, "solve_pmu",
+                        lambda *a: pytest.fail("factored a running cost"))
+    monkeypatch.setenv("WADC_SAMPLING__DELAY_GRID_S", "0:0.1:0.1")
+    monkeypatch.setenv("WADC_SCENARIO__HORIZON_S", "1")
+    assert run(tmp_path, *command) == 0
 
 
 @pytest.mark.parametrize("weight", ["1e20", "1e40", "1e-300"])
@@ -813,8 +842,14 @@ class TestSimulateCommand:
         ("hinf", {"WADC_SCENARIO__INITIAL_STATE": "8e152,0,0",
                   "WADC_SCENARIO__HORIZON_S": "60"}, "0.1", 1.0,
          "[scenario] initial_state"),
+        # the H-infinity design reads no running cost, but the run prices
+        # one: K' R K overflows in its period cost form, refused before any
+        # stepping and with no RuntimeWarning
+        ("hinf", {"WADC_COST__INPUT_WEIGHT": "1e300",
+                  "WADC_SCENARIO__HORIZON_S": "10"}, "0.1", 1.0,
+         "[cost] input_weight"),
     ], ids=["auto-horizon", "horizon-overflow", "step-grid", "unstable",
-            "hinf-cost-overflow", "hinf-run-overflow"])
+            "hinf-cost-overflow", "hinf-run-overflow", "hinf-cost-weight"])
     def test_refused_run_writes_no_trace(self, tmp_path, monkeypatch, capsys,
                                          measure, env, delay, gain, message):
         designed = cli.design_mode

@@ -190,14 +190,14 @@ class TestModalSubsystem:
     def test_spectrum_partition(self, bench_plant, gains_k1, dec_k1):
         eig_all = np.sort_complex(np.linalg.eigvals(gains_k1.A_bar))
         eig_modes = np.concatenate([
-            np.linalg.eigvals(bench_mode_system(gains_k1, dec_k1, i).sys.A1)
+            np.linalg.eigvals(bench_mode_system(gains_k1, dec_k1, i).A1)
             for i in range(2)])
         eig_modes = np.sort_complex(eig_modes)
         scale = np.abs(eig_all).max()
         assert np.abs(eig_all - eig_modes).max() <= 1e-7 * scale
 
     def test_oscillation_mode_shape(self, bench_plant, gains_k1, dec_k1):
-        sys = bench_mode_system(gains_k1, dec_k1, "oscillation").sys
+        sys = bench_mode_system(gains_k1, dec_k1, "oscillation")
         assert sys.A1.shape == (3, 3)
         assert sys.B1u.shape == (3, 1)
         assert sys.B1w.shape == (3, 2)
@@ -323,6 +323,22 @@ class TestDesignMode:
         with pytest.raises(ValueError, match="unknown design method 'h2'"):
             design_mode(bench_mode_system(gains_k1, dec_k1, 0), 0.02, 0.0,
                         method="h2")
+
+    def test_model_without_cost(self, gains_k2, dec_k2):
+        # an H-infinity design reads no cost: without one it is the same
+        # design, bit for bit; an LQR design is refused
+        bare = mode_system(gains_k2, dec_k2, 0, None, None, C_OUT, DU_OUT)
+        costed = bench_mode_system(gains_k2, dec_k2, 0)
+        assert bare.cost is None and bare.pmu is None
+        for name in ("A1", "B1u", "B1w", "C1", "D1u"):
+            assert np.array_equal(getattr(bare, name), getattr(costed, name))
+        md = design_mode(bare, 0.02, 0.1, method="hinf")
+        ref = design_mode(costed, 0.02, 0.1, method="hinf")
+        assert md.disc.Q2 is None and md.gamma == ref.gamma
+        assert np.array_equal(md.F, ref.F)
+        with pytest.raises(ValueError, match="LQR design needs a model "
+                                             "with a cost"):
+            design_mode(bare, 0.02, 0.1, method="lqr")
 
     def test_zero_delay_gain_shape(self, bench_plant, gains_k1, dec_k1):
         md = design_mode(bench_mode_system(gains_k1, dec_k1, 0), 0.02, 0.0,
@@ -476,7 +492,7 @@ def test_array_dataclasses_compare_by_identity(bench_net, bench_op,
     md = design_mode(model, 0.02, 0.0)
     objects = [
         bench_net, bench_op.sol, bench_op, bench_plant, gains_k1, dec_k1,
-        md, model.sys, model.cost, md.disc,
+        md, model, model.cost, md.disc,
         HinfResult(F=np.zeros((1, 3)), gamma=1.0, norm=0.5, disc=md.disc),
         Scenario(initial_state=np.ones(3)),
         SweepResult(rows=(), warnings=(), diagnostics={}),

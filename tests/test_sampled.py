@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,10 +17,10 @@ from helpers import (
 )
 
 from test_dncs import bench_mode_system
+from wadc import sampled
 from wadc.sampled import (
     CtsCost,
     CtsModel,
-    CtsSystem,
     discretize,
     phi_gamma,
     psi_blocks,
@@ -34,10 +35,11 @@ def psi_of(pmu, sys, b):
 
 
 def small_system(**blocks):
-    """A two-state, one-input CtsSystem with ``blocks`` replacing its own."""
+    """A two-state, one-input CtsModel without a cost, with ``blocks``
+    replacing its own."""
     kw = dict(A1=-np.eye(2), B1u=np.ones((2, 1)), B1w=np.zeros((2, 1)),
               C1=np.eye(2), D1u=np.zeros((2, 1)))
-    return CtsSystem(**{**kw, **blocks})
+    return CtsModel(**{**kw, **blocks})
 
 
 class TestModelChecks:
@@ -121,8 +123,8 @@ class TestSolvePmu:
         np.testing.assert_allclose(U, np.eye(2), atol=1e-14)
 
     def test_scalar(self):
-        sys = CtsSystem(A1=[[-1.0]], B1u=[[1.0]], B1w=[[0.0]],
-                        C1=[[1.0]], D1u=[[0.0]])
+        sys = CtsModel(A1=[[-1.0]], B1u=[[1.0]], B1w=[[0.0]],
+                       C1=[[1.0]], D1u=[[0.0]])
         cost = CtsCost(Q1=[[2.0]], N1=[[0.0]], R1=[[1.0]])
         P, _, _ = solve_pmu(sys, cost)
         assert abs(P[0, 0] - (-1.0)) < 1e-14
@@ -151,8 +153,8 @@ class TestSolvePmu:
         # solution down rather than overflow and returns P near -4e-303,
         # a Lyapunov residual of all of Q1
         A1 = np.array([[-0.5, 200.0], [-200.0, -0.5]])
-        sys = CtsSystem(A1=A1, B1u=np.ones((2, 1)), B1w=np.zeros((2, 1)),
-                        C1=np.eye(2), D1u=np.zeros((2, 1)))
+        sys = CtsModel(A1=A1, B1u=np.ones((2, 1)), B1w=np.zeros((2, 1)),
+                       C1=np.eye(2), D1u=np.zeros((2, 1)))
         cost = CtsCost(Q1=1e300 * np.eye(2), N1=np.zeros((2, 1)),
                        R1=np.eye(1))
         with pytest.raises(NonFiniteModel, match=r"\[cost\] input_weight"):
@@ -170,9 +172,9 @@ class TestSolvePmu:
             solve_pmu(sys, cost)
 
     def test_mirrored_eigenvalues_rejected(self):
-        sys = CtsSystem(A1=np.diag([1.0, -1.0]), B1u=np.zeros((2, 1)),
-                        B1w=np.zeros((2, 1)), C1=np.eye(2),
-                        D1u=np.zeros((2, 1)))
+        sys = CtsModel(A1=np.diag([1.0, -1.0]), B1u=np.zeros((2, 1)),
+                       B1w=np.zeros((2, 1)), C1=np.eye(2),
+                       D1u=np.zeros((2, 1)))
         cost = CtsCost(Q1=np.eye(2), N1=np.zeros((2, 1)), R1=np.eye(1))
         with pytest.raises(IllPosedLyapunov):
             solve_pmu(sys, cost)
@@ -279,7 +281,7 @@ class TestDiscretize:
         sys = random_stable_system(rng, 3, 2)
         cost = random_psd_cost(rng, 3, 2)
         h = 0.1
-        disc = discretize(CtsModel(sys, cost), h, 0.0)
+        disc = discretize(replace(sys, cost=cost), h, 0.0)
         Phi, Gamma = phi_gamma(sys.A1, h)
         np.testing.assert_allclose(disc.A2, Phi)
         np.testing.assert_allclose(disc.B2u, Gamma @ sys.B1u)
@@ -293,7 +295,7 @@ class TestDiscretize:
         sys = random_stable_system(rng, 3, 1)
         cost = random_psd_cost(rng, 3, 1)
         h = 0.1
-        disc = discretize(CtsModel(sys, cost), h, h)
+        disc = discretize(replace(sys, cost=cost), h, h)
         assert disc.q == 0 and abs(disc.r - h) < 1e-12
         # input acts with exactly one step of lag
         Phi, Gamma = phi_gamma(sys.A1, h)
@@ -304,7 +306,7 @@ class TestDiscretize:
         rng = np.random.default_rng(8)
         sys = random_stable_system(rng, 3, 1)
         cost = random_psd_cost(rng, 3, 1)
-        disc = discretize(CtsModel(sys, cost), 0.02, 0.1)
+        disc = discretize(replace(sys, cost=cost), 0.02, 0.1)
         assert disc.q == 4
         assert disc.n_z == 3 + 5 * 1
 
@@ -314,7 +316,7 @@ class TestDiscretize:
         sys = random_stable_system(rng, 2, 1)
         cost = random_psd_cost(rng, 2, 1)
         # q = 3, slots u_{k-4..k-1}
-        disc = discretize(CtsModel(sys, cost), 0.1, 0.35)
+        disc = discretize(replace(sys, cost=cost), 0.1, 0.35)
         n_x, n_u, q = disc.n_x, disc.n_u, disc.q
         for slot in range(1, q + 1):
             z = np.zeros(disc.n_z)
@@ -330,7 +332,7 @@ class TestDiscretize:
         sys = random_stable_system(rng, 3, 1)
         cost = random_psd_cost(rng, 3, 1)
         h, d, n_steps = 0.1, 0.25, 50
-        disc = discretize(CtsModel(sys, cost), h, d)
+        disc = discretize(replace(sys, cost=cost), h, d)
         assert (disc.q, round(disc.r, 12)) == (2, 0.05)
         x0 = rng.normal(size=3)
         u_seq = rng.normal(size=(n_steps, 1))
@@ -355,7 +357,7 @@ class TestDiscretize:
             sys = random_stable_system(rng, 3, 2)
             cost = random_psd_cost(rng, 3, 2, cross=False)
             h = 0.1
-            disc = discretize(CtsModel(sys, cost), h, d_over_h * h)
+            disc = discretize(replace(sys, cost=cost), h, d_over_h * h)
             stack = np.block([[disc.Q2, disc.N2], [disc.N2.T, disc.R2]])
             w = np.linalg.eigvalsh(stack)
             assert w.min() >= -1e-10 * max(1.0, np.abs(stack).max())
@@ -367,8 +369,8 @@ class TestDiscretize:
         sys = random_stable_system(rng, 3, 1)
         cost = random_psd_cost(rng, 3, 1)
         h = 0.1
-        d0 = discretize(CtsModel(sys, cost), h, 0.0)
-        dd = discretize(CtsModel(sys, cost), h, 1e-9 * h)
+        d0 = discretize(replace(sys, cost=cost), h, 0.0)
+        dd = discretize(replace(sys, cost=cost), h, 1e-9 * h)
         assert dd.q == 0
         np.testing.assert_allclose(dd.A2[:3, :3], d0.A2, rtol=1e-6, atol=1e-9)
         np.testing.assert_allclose(dd.A2[:3, 3:], 0, atol=1e-6)  # Gamma1 -> 0
@@ -385,7 +387,7 @@ class TestDiscretize:
         sys = random_stable_system(rng, 2, 1)
         cost = random_psd_cost(rng, 2, 1)
         with pytest.raises(InvalidSampling):
-            discretize(CtsModel(sys, cost), 0.0, 0.0)
+            discretize(replace(sys, cost=cost), 0.0, 0.0)
 
 
 class TestCtsModel:
@@ -395,10 +397,10 @@ class TestCtsModel:
         rng = np.random.default_rng(18)
         sys = random_stable_system(rng, 3, 1, n_w=2)
         cost = random_psd_cost(rng, 3, 1)
-        model, h = CtsModel(sys, cost), 0.02
+        model, h = replace(sys, cost=cost), 0.02
         for d in (0.002, 0.022, 0.042, 0.0, 0.02, 0.04, 0.022):
             cached = discretize(model, h, d)
-            fresh = discretize(CtsModel(sys, cost), h, d)
+            fresh = discretize(replace(sys, cost=cost), h, d)
             for f in dataclasses.fields(cached):
                 a, b = getattr(cached, f.name), getattr(fresh, f.name)
                 if isinstance(a, np.ndarray):
@@ -408,13 +410,37 @@ class TestCtsModel:
 
     def test_interval_computed_once_and_frozen(self):
         rng = np.random.default_rng(19)
-        model = CtsModel(random_stable_system(rng, 2, 1),
-                         random_psd_cost(rng, 2, 1))
+        model = replace(random_stable_system(rng, 2, 1),
+                        cost=random_psd_cost(rng, 2, 1))
         blocks = model.interval(0.002)
         assert model.interval(0.002) is blocks
         for a in (*blocks, *model.pmu):
             assert not a.flags.writeable
         assert discretize(model, 0.02).A2 is discretize(model, 0.02).A2
+
+
+    def test_model_without_cost(self, monkeypatch):
+        # no factorization, Psi or W: the lifted systems carry no cost and
+        # every other block is the costed model's, bit for bit
+        rng = np.random.default_rng(25)
+        bare = random_stable_system(rng, 3, 2, n_w=2)
+        costed = replace(bare, cost=random_psd_cost(rng, 3, 2))
+        monkeypatch.setattr(sampled, "solve_pmu",
+                            lambda *a: pytest.fail("factored a cost"))
+        bare, h = replace(bare), 0.02
+        assert bare.pmu is None
+        assert bare.interval(h)[2] is None
+        assert bare.remainder(h, 0.002)[2] is None
+        for d in (0.0, 0.002, 0.02, 0.042):
+            disc, ref = discretize(bare, h, d), discretize(costed, h, d)
+            for f in dataclasses.fields(disc):
+                a, b = getattr(disc, f.name), getattr(ref, f.name)
+                if f.name in ("Q2", "N2", "R2"):
+                    assert a is None and b is not None
+                elif isinstance(a, np.ndarray):
+                    assert np.array_equal(a, b) and not a.flags.writeable
+                else:
+                    assert a == b
 
 
 class TestRemainderBlocks:
@@ -430,17 +456,17 @@ class TestRemainderBlocks:
         # 0.002, 0.022 and 0.042 s split into q = 0, 1, 2 and one r, so
         # their rows place the same frozen blocks, built once
         rng = np.random.default_rng(23)
-        model = CtsModel(random_stable_system(rng, 3, 2, n_w=2),
-                         random_psd_cost(rng, 3, 2))
+        model = replace(random_stable_system(rng, 3, 2, n_w=2),
+                        cost=random_psd_cost(rng, 3, 2))
         h, n_x, n_u = 0.02, 3, 2
         handed = []
-        real = model.remainder
+        real = CtsModel.remainder
 
-        def recorded(*args):
-            handed.append(real(*args))
+        def recorded(self, *args):
+            handed.append(real(self, *args))
             return handed[-1]
 
-        monkeypatch.setattr(model, "remainder", recorded)
+        monkeypatch.setattr(CtsModel, "remainder", recorded)
         discs = [discretize(model, h, d) for d in (0.002, 0.022, 0.042)]
         assert [disc.q for disc in discs] == [0, 1, 2]
         assert len({id(b) for b in handed}) == 1
@@ -458,8 +484,8 @@ class TestRemainderBlocks:
         rng = np.random.default_rng(24)
         delays = (0.0, 0.001, 0.02, 0.0206, 0.04, 0.05, 0.1, 0.133, 0.5)
         for n_x, n_u in ((2, 1), (3, 2), (4, 1)):
-            model = CtsModel(random_stable_system(rng, n_x, n_u, n_w=2),
-                             random_psd_cost(rng, n_x, n_u))
+            model = replace(random_stable_system(rng, n_x, n_u, n_w=2),
+                            cost=random_psd_cost(rng, n_x, n_u))
             # one model at two sampling periods, delays up and down
             for h in (0.02, 0.05):
                 for d in delays + delays[::-1]:
@@ -488,8 +514,8 @@ class TestQuadratureOracle:
         assert val == 0.0
 
     def test_single_step_matches_psi(self):
-        sys = CtsSystem(A1=[[-0.7]], B1u=[[1.3]], B1w=[[0.0]],
-                        C1=[[1.0]], D1u=[[0.0]])
+        sys = CtsModel(A1=[[-0.7]], B1u=[[1.3]], B1w=[[0.0]],
+                       C1=[[1.0]], D1u=[[0.0]])
         cost = CtsCost(Q1=[[1.0]], N1=[[0.2]], R1=[[0.5]])
         h = 0.2
         psi = psi_of(solve_pmu(sys, cost), sys, h)
@@ -527,7 +553,7 @@ class TestExactnessSweep:
             u_seq = rng.normal(size=(15, n_u))
             for ratio in ratios:
                 d = ratio * h
-                disc = discretize(CtsModel(sys, cost), h, d)
+                disc = discretize(replace(sys, cost=cost), h, d)
                 z = disc.lift_state(x0)
                 total, traj = 0.0, [x0.copy()]
                 for k in range(15):
@@ -549,7 +575,7 @@ class TestExactnessSweep:
         sys = random_stable_system(rng, 3, 1, n_w=2)
         cost = random_psd_cost(rng, 3, 1)
         h, d = 0.1, 0.17
-        disc = discretize(CtsModel(sys, cost), h, d)
+        disc = discretize(replace(sys, cost=cost), h, d)
         w_seq = rng.normal(size=(12, 2))
         x0 = rng.normal(size=3)
         z = disc.lift_state(x0)

@@ -32,7 +32,6 @@ from wadc.errors import (
     UnstableSystem,
 )
 from wadc.grid_model import LinearPlant
-from wadc.sampled import CtsModel
 import wadc.sim_eval as sim_eval
 from wadc.sim_eval import (
     MAX_PERIODS,
@@ -168,7 +167,7 @@ class TestSimulate:
                        horizon=T_end)
         out = simulate_collect(bench_plant, ctrl, scn, *BENCH_WEIGHTS)
         model = bench_mode_system(gains_k1, dec_k1, 0)
-        P = scipy.linalg.solve_continuous_lyapunov(model.sys.A1.T,
+        P = scipy.linalg.solve_continuous_lyapunov(model.A1.T,
                                                    -model.cost.Q1)
         x_hat_T = (dec_k1.M_x_inv @ out.x[-1])[:3]
         expected = x_hat0[:3] @ P @ x_hat0[:3] - x_hat_T @ P @ x_hat_T
@@ -465,8 +464,7 @@ class TestAttenuation:
         tol = 1e-3
         g1, _ = attenuation_of_mode(model, 0.02, 0.06, tol=tol)
         for factor in (2.0, 100.0):
-            heavy = CtsModel(replace(model.sys, D1u=factor * model.sys.D1u),
-                             model.cost)
+            heavy = replace(model, D1u=factor * model.D1u)
             g2, _ = attenuation_of_mode(heavy, 0.02, 0.06, tol=tol)
             assert abs(g2 - g1) <= 2 * tol * g1
 
@@ -493,7 +491,7 @@ class TestBounds:
         upper, lower = compute_bounds(md, "hinf")
         # the reference norm comes from a second, separately made
         # discretization of the same mode
-        ref_disc = design_mode(CtsModel(model.sys, model.cost), 0.02, 0.0,
+        ref_disc = design_mode(replace(model), 0.02, 0.0,
                                method="lqr").disc
         ref = grid_hinf_norm(ref_disc.A2, ref_disc.B2w, ref_disc.C2)
         assert abs(upper - ref) <= 1e-9 * ref

@@ -1,4 +1,5 @@
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,8 +15,6 @@ from wadc.errors import (
 )
 from wadc.sampled import (
     CtsCost,
-    CtsModel,
-    CtsSystem,
     DiscretizedSystem,
     discretize,
 )
@@ -61,7 +60,7 @@ def random_disc(rng, n_x=3, n_u=1, n_w=1, d_over_h=0.0):
     sys = random_stable_system(rng, n_x, n_u, n_w=n_w, n_y=2)
     cost = random_psd_cost(rng, n_x, n_u)
     h = 0.1
-    return discretize(CtsModel(sys, cost), h, d_over_h * h)
+    return discretize(replace(sys, cost=cost), h, d_over_h * h)
 
 
 class TestDare:
