@@ -419,14 +419,17 @@ def _mode_list(dec, mode_arg):
 
 
 def _search_diagnostics(report, label, md):
-    """Levels an H-infinity search tried and certified; at level 0, also
-    the witness's residual output gain ||C2 + D2u F|| (2-norm).  A search
-    that certified none of its levels is also a warning."""
+    """Levels an H-infinity search tried and certified, and the delay
+    window's gain below them; at level 0, also the witness's residual
+    output gain ||C2 + D2u F|| (2-norm).  A search that certified none of
+    its levels is also a warning, naming the bracket its value tops."""
     if md.uncertified:
         report.warn(f"{label}: the H-infinity search certified none of its "
                     f"{md.levels} levels; gamma is the decentralized level, "
-                    "the norm without remote feedback")
-    diag = {"levels_tried": md.levels, "levels_accepted": md.accepted}
+                    "the norm without remote feedback, and the optimum lies "
+                    f"in [{md.bound:.6g}, {md.gamma:.6g}]")
+    diag = {"levels_tried": md.levels, "levels_accepted": md.accepted,
+            "window_bound": md.bound}
     if md.gamma == 0.0:
         diag["residual_gain"] = float(
             np.linalg.norm(md.disc.C2 + md.disc.D2u @ md.F, 2))

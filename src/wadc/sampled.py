@@ -34,8 +34,9 @@ from .errors import IllPosedLyapunov, InvalidSampling, NonFiniteModel
 
 # input samples in flight (q + 1) one lifted design may carry: at 128, the
 # lifted state of the benchmark's modes is 131 wide and `design --measure
-# hinf` at d = 2.56 s, h = 0.02 s spends 8.9 s designing both modes (one
-# BLAS thread, 2-core host); the time grows faster than q squared
+# hinf` at d = 2.56 s, h = 0.02 s spends 0.9 s designing both modes, one
+# level each (one BLAS thread, 2-core host); the time grows faster than q
+# squared
 MAX_IN_FLIGHT = 128
 
 __all__ = [
@@ -362,7 +363,7 @@ def split_delay(d, h):
             f"delay {float(d):g} s puts {q + 1} input samples in flight "
             f"at h = {float(h):g} s, more than the {MAX_IN_FLIGHT} a lifted "
             "design may carry (the H-infinity designs of both benchmark "
-            "modes take about 9 s at the cap); shorten the delay or "
+            "modes take about 1 s at the cap); shorten the delay or "
             "lengthen h_s")
     return q, r
 

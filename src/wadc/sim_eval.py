@@ -397,7 +397,7 @@ def sweep_delays(model, dec, mode, measure, delay_grid, h, z0=None,
             "rows_redesigned": 0}
     if measure == "hinf":
         diag.update(levels_tried=0, levels_accepted=0)
-    uncertified = []    # waits whose search certified none of its levels
+    uncertified = []    # designs whose search certified none of its levels
 
     def row_value(md):
         if measure == "lqr":
@@ -405,7 +405,7 @@ def sweep_delays(model, dec, mode, measure, delay_grid, h, z0=None,
         diag["levels_tried"] += md.levels
         diag["levels_accepted"] += md.accepted
         if md.uncertified:
-            uncertified.append(md.disc.d)
+            uncertified.append(md)
         return md.gamma
 
     def design(delays):
@@ -456,11 +456,13 @@ def sweep_delays(model, dec, mode, measure, delay_grid, h, z0=None,
 
     warnings = []
     if uncertified:
+        first = uncertified[0]
         warnings.append(
             f"the H-infinity search certified none of its levels at "
-            f"{len(uncertified)} of the waits (the first {uncertified[0]:g} "
+            f"{len(uncertified)} of the waits (the first {first.disc.d:g} "
             "s); each of their values is its wait's decentralized level, the "
-            "norm without remote feedback")
+            "norm without remote feedback; at the first, the optimum lies in "
+            f"[{first.bound:.6g}, {first.gamma:.6g}]")
     good = [r for r in rows if r.status == "ok"]
     if len(good) >= 2:
         pairs = sum(1 for a, b in zip(good, good[1:]) if b.value >= a.value

@@ -20,10 +20,13 @@ the per-call interpreter cost, which dominates on matrices this small.
 Stacks are never padded, as other shapes would change the BLAS calls.
 
 The smallest H-infinity level is exactly 0 when a static gain cancels the
-output (zero wait); otherwise it is bracketed below the decentralized
-level, the open-loop norm that the zero remote gain certifies, and the
-top of the bracket is always a certified closed-loop norm, which secant
-steps on the norms of the accepted designs drive down.  Each level solves
+output (zero wait); otherwise it is bracketed between the gain of the
+delay window, the outputs no command reaches yet, which no feedback can
+lower, and the decentralized level, the open-loop norm that the zero
+remote gain certifies.  The top of the bracket is always a certified
+closed-loop norm; the first level tried is the one that closes the
+bracket if it is certified, and secant steps on the norms of the accepted
+designs drive the top down when it is not.  Each level solves
 the indefinite game Riccati equation once, from SciPy's pencil with the
 disturbance scaled by 1/gamma, whose residual and gain the LQR code
 reads from its one pivot R + B'PB; every accepted design is certified by
@@ -468,6 +471,7 @@ class HinfResult:
     disc: DiscretizedSystem
     levels: int = 0     # levels tried by the search that found it
     accepted: int = 0   # of which certified
+    bound: float = 0.0  # the delay window's gain, below every level
 
     @property
     def uncertified(self):
@@ -543,6 +547,40 @@ def hinf_design(disc: DiscretizedSystem, gamma) -> HinfResult:
                       accepted=1)
 
 
+def _window_bound(disc: DiscretizedSystem):
+    """Lower bound on the closed-loop norm of every state feedback: the
+    gain of the delay window, the outputs no command reaches yet.
+
+    From z_0 = 0 the first command u_0 = F z_0 is 0, and a later u_i
+    reaches y_k only through C2 A2^(k-1-i) B2u; so while C2 A2^j B2u is
+    zero for j < J - 1, the outputs y_1 ... y_J answer w_0 ... w_(J-1)
+    alone, through the Markov parameters C2 A2^j B2w, whatever F is.  J is
+    one more than the first j at which C2 A2^j B2u is structurally nonzero
+    (a boolean product of the sparsity patterns, so an underflow cannot
+    lengthen the window), capped at n_z, and the bound is sigma_max of the
+    block lower-triangular Toeplitz matrix of those parameters for j < J
+    (the finite-impulse-response part of a delayed loop, Mirkin 2003).  It
+    is 0 when D2u != 0, as y_1 then sees u_1, or when B2w = 0.
+    """
+    if disc.D2u.any() or not disc.B2w.any():
+        return 0.0
+    A, C = disc.A2 != 0, disc.C2 != 0
+    reach = disc.B2u != 0   # the pattern of A2^(J-1) B2u
+    for J in range(1, disc.n_z + 1):
+        if (C @ reach).any():
+            break
+        reach = A @ reach
+    markov, X = [], disc.B2w
+    for _ in range(J):
+        markov.append(disc.C2 @ X)
+        X = disc.A2 @ X
+    k = np.arange(J)
+    lag = k[:, None] - k   # block (k, i) is the parameter k - i, if k >= i
+    T = np.where((lag >= 0)[..., None, None], np.array(markov)[lag], 0.0)
+    return float(np.linalg.norm(T.swapaxes(1, 2).reshape(
+        J * disc.C2.shape[0], J * disc.n_w), 2))
+
+
 def gamma_min(disc: DiscretizedSystem, tol=1e-3):
     """Smallest certifiable attenuation level, by a safeguarded secant
     search on certified norms.  An output map C2 whose norm overflows is
@@ -553,7 +591,8 @@ def gamma_min(disc: DiscretizedSystem, tol=1e-3):
     C2 + D2u F0 at 1e-12 of C2 with a Schur-stable loop (as at zero wait),
     the level is exactly 0 with F0 as its witness, and so is the norm
     reported: the rounding-level rest of C2 + D2u F0 is not evaluated.
-    Otherwise the bracket (lo, hi] starts from lo = 0 and the
+    Otherwise the bracket (lo, hi] starts from the delay window's gain
+    (``_window_bound``), below the norm of every state feedback, and the
     decentralized level: the open-loop norm of the lifted mode, which the
     zero remote gain certifies, so that no-control design is the first
     witness.  This needs a Schur-stable A2 (``hinf_norm`` raises
@@ -564,7 +603,12 @@ def gamma_min(disc: DiscretizedSystem, tol=1e-3):
     The top is always the best certified norm times (1 + 2e-10), the
     accuracy of ``hinf_norm``: an accepted level moves it to its design's
     norm, not to the level tried, and a failed level becomes the bottom.
-    The next level is a secant step toward the fixed point
+    The first level is lo (1 + tol) / (1 + 2e-10), the largest whose
+    certified design closes the bracket at once; it is lo / 2 + hi / 2
+    when lo is 0.  On the benchmark the window's gain is within tol of
+    the optimum at every wait, so that one level settles each search and
+    gamma is within tol of the optimum over all state feedbacks.  Each
+    later level is a secant step toward the fixed point
     norm(gamma) = gamma through the last two accepted (level, norm)
     pairs, aimed tol / 2 above the estimate, or at hi / (1 + tol), which
     closes the bracket, when the estimate is above that (gamma-iteration,
@@ -597,14 +641,18 @@ def gamma_min(disc: DiscretizedSystem, tol=1e-3):
         return HinfResult(F=F0, gamma=0.0, norm=0.0, disc=disc)
     best = HinfResult(F=np.zeros((disc.n_u, disc.n_z)), gamma=0.0,
                       norm=hinf_norm(disc.A2, disc.B2w, disc.C2), disc=disc)
-    lo, hi = 0.0, best.norm * _NORM_ACCURACY
+    bound = _window_bound(disc)
+    lo, hi = bound, best.norm * _NORM_ACCURACY
     pairs, levels, accepted = [], 0, 0
     # hi_after / hi_before of the last accepted secant step; halving the
     # fall of log(hi) means squaring this ratio
     last_ratio, secant = 0.0, True
     while hi / (1.0 + tol) > lo:
         level = None
-        if secant and len(pairs) == 2:
+        if not levels:
+            # the largest level whose design closes the bracket at once
+            level = lo * (1.0 + tol) / _NORM_ACCURACY
+        elif secant and len(pairs) == 2:
             (g1, n1), (g2, n2) = pairs
             slope = (n2 - n1) / (g2 - g1)
             if slope < 1.0:
@@ -627,4 +675,4 @@ def gamma_min(disc: DiscretizedSystem, tol=1e-3):
         pairs = [(g, n) for g, n in pairs[-1:] + [(level, best.norm)]
                  if 2.0 * n >= g]
     return HinfResult(F=best.F, gamma=hi, norm=best.norm, disc=disc,
-                      levels=levels, accepted=accepted)
+                      levels=levels, accepted=accepted, bound=bound)

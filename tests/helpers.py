@@ -538,6 +538,38 @@ def bisection_gamma(disc, tol):
     return hi, levels
 
 
+def numeric_window(disc):
+    """One more than the first j at which C2 A2^j B2u has a nonzero entry
+    in floating point, capped at n_z: the delay window as the numbers, not
+    the sparsity patterns, see it."""
+    X = disc.B2u
+    for j in range(disc.n_z):
+        if (disc.C2 @ X).any():
+            return j + 1
+        X = disc.A2 @ X
+    return disc.n_z
+
+
+def window_gain(disc, J):
+    """Largest singular value of the map from w_0 ... w_(J-1) to
+    y_1 ... y_J of the open loop from rest, built column by column by
+    stepping z+ = A2 z + B2w w from one unit disturbance at a time, an
+    oracle for the Toeplitz matrix of ``synthesis._window_bound``."""
+    n_w = disc.n_w
+    cols = []
+    for i in range(J * n_w):
+        z = np.zeros(disc.n_z)
+        ys = []
+        for k in range(J):
+            w = np.zeros(n_w)
+            if k == i // n_w:
+                w[i % n_w] = 1.0
+            z = disc.A2 @ z + disc.B2w @ w
+            ys.append(disc.C2 @ z)
+        cols.append(np.concatenate(ys))
+    return float(np.linalg.svd(np.column_stack(cols), compute_uv=False)[0])
+
+
 def block_elimination_gain(disc, P, gamma):
     """Gain of the H-infinity game at its Riccati solution P by the
     published block elimination through the disturbance pivot

@@ -20,6 +20,7 @@ from wadc.sampled import (
 )
 from wadc.synthesis import (
     HinfResult,
+    _window_bound,
     dare_solve,
     gamma_min,
     hinf_design,
@@ -34,9 +35,11 @@ from helpers import (
     block_elimination_gain,
     closed_loop_cost,
     grid_hinf_norm,
+    numeric_window,
     random_psd_cost,
     random_stable_system,
     stein_every_doubling,
+    window_gain,
 )
 from test_dncs import bench_mode_system
 
@@ -737,32 +740,67 @@ class TestGammaSearch:
     @pytest.mark.parametrize("d", [0.1, 0.2, 0.3])
     @pytest.mark.parametrize("i", [0, 1], ids=["oscillation", "common"])
     def test_benchmark_modes(self, gains_k2, dec_k2, i, d):
+        # the delay window's gain is within tol of the optimum here, so the
+        # first level closes the bracket
         disc = discretize(bench_mode_system(gains_k2, dec_k2, i), 0.02, d)
         res = check_against_bisection(disc)
-        if d == 0.1:
-            assert res.levels <= 10
+        assert res.levels == res.accepted == 1
+        assert res.bound < res.gamma <= res.bound * (1 + 1e-3)
 
     def test_oscillation_sweep_rows(self, gains_k2, dec_k2):
-        # the nonzero rows of the 0:0.1:0.3 oscillation-mode sweep took
-        # 58 levels by bisection
+        # the nonzero rows of the 0:0.1:0.3 oscillation-mode sweep take
+        # 58 levels by bisection; the window bound settles each in one
         levels = 0
         for d in (0.1, 0.2, 0.3):
             disc = discretize(bench_mode_system(gains_k2, dec_k2, 0), 0.02,
                               d)
             levels += gamma_min(disc, tol=1e-3).levels
-        assert levels <= 30
+        assert levels == 3
+
+    def test_loose_window_bound_falls_back(self, monkeypatch):
+        # on this delayed random model the window's gain is far below the
+        # optimum: the first level, aimed to close the bracket at once,
+        # fails and becomes the bottom, and the search goes on from there
+        import wadc.synthesis as synthesis
+        tried = []
+        real = synthesis.hinf_design
+
+        def design(disc, level):
+            try:
+                res = real(disc, level)
+            except GammaInfeasible:
+                tried.append((level, False))
+                raise
+            tried.append((level, True))
+            return res
+
+        monkeypatch.setattr(synthesis, "hinf_design", design)
+        disc = random_disc(np.random.default_rng(23), n_x=3, n_w=2,
+                           d_over_h=1.5)
+        bound = _window_bound(disc)
+        assert bound > 0.0
+        res = check_against_bisection(disc)
+        assert res.bound == bound
+        assert tried[0] == (pytest.approx(bound * (1 + 1e-3)), False)
+        assert res.gamma > 2.0 * bound
+        assert res.levels == len(tried) > 1
 
     def test_safeguard_bounds_a_slow_secant(self, monkeypatch):
         # norm(gamma) = gamma - 0.3 (gamma - 1)^6 above gamma* = 1 meets
         # the diagonal to sixth order, so secant steps from above converge
         # only linearly; the midpoints keep the search within twice the
-        # bisection's levels (secant steps alone take 43)
+        # bisection's levels (secant steps alone take 43).  The window
+        # bound is set to 0 so that the bracket starts far below gamma*
+        # and the search has to take secant steps
         import helpers
         import wadc.synthesis as synthesis
+        tried = []
 
         def design(disc, level):
             if level <= 1.0:
+                tried.append((level, False))
                 raise GammaInfeasible("H1")
+            tried.append((level, True))
             return HinfResult(F=np.zeros((1, 1)), gamma=level,
                               norm=level - 0.3 * (level - 1.0) ** 6,
                               disc=disc)
@@ -770,13 +808,31 @@ class TestGammaSearch:
         for module in (synthesis, helpers):
             monkeypatch.setattr(module, "hinf_design", design)
             monkeypatch.setattr(module, "hinf_norm", lambda *args: 3.0)
+        monkeypatch.setattr(synthesis, "_window_bound", lambda disc: 0.0)
         disc = make_disc([[0.5]], [[1.0]], [[1.0]], [[1.0]], [[0.0]],
                          np.eye(1), np.zeros((1, 1)), np.eye(1))
         res = gamma_min(disc, tol=1e-3)
+        search = list(tried)
         gstar = res.gamma
         _, levels_ref = bisection_gamma(disc, 1e-3)
+        assert res.bound == 0.0
         assert 1.0 < gstar <= 1.001
-        assert res.levels <= 2 * levels_ref
+        assert 3 <= res.levels == len(search) <= 2 * levels_ref
+        # replay the bracket to tell each level's kind: a midpoint is
+        # lo / 2 + hi / 2 of the bracket it was tried in
+        lo, hi = 0.0, 3.0 * (1 + 2e-10)
+        kinds = []
+        for level, ok in search:
+            kinds.append(("mid" if level == 0.5 * (lo + hi) else "secant",
+                          ok))
+            if ok:
+                hi = (level - 0.3 * (level - 1.0) ** 6) * (1 + 2e-10)
+            else:
+                lo = level
+        assert ("secant", True) in kinds
+        # the safeguard: a midpoint right after an accepted secant step
+        assert any(a == ("secant", True) and b[0] == "mid"
+                   for a, b in zip(kinds, kinds[1:]))
 
     def test_random_systems(self):
         rng = np.random.default_rng(22)
@@ -785,6 +841,98 @@ class TestGammaSearch:
                                n_w=int(rng.integers(1, 3)),
                                d_over_h=float(rng.uniform(0.0, 2.5)))
             check_against_bisection(disc)
+
+
+# waits across the benchmark's h = 0.02 s: inside the first period, at a
+# period, past one, and up to 25 samples in flight
+WINDOW_WAITS = (0.005, 0.02, 0.03, 0.1, 0.21, 0.5)
+
+
+def window_models(gains, dec):
+    """The benchmark's two modes and two random delayed models."""
+    rng = np.random.default_rng(33)
+    return ([bench_mode_system(gains, dec, i) for i in (0, 1)]
+            + [random_stable_system(rng, 3, 1, n_w=n_w, n_y=2)
+               for n_w in (1, 2)])
+
+
+def stabilizing_perturbations(rng, disc, F, count=10):
+    """``count`` random gains near F, each with a Schur-stable loop: a
+    draw whose loop is not stable is redrawn at half the size."""
+    out, size = [], 0.2 * max(np.abs(F).max(), 1e-3)
+    while len(out) < count:
+        G = F + size * rng.normal(size=F.shape)
+        if np.abs(np.linalg.eigvals(disc.A2 + disc.B2u @ G)).max() < 1.0:
+            out.append(G)
+        else:
+            size *= 0.5
+    return out
+
+
+class TestWindowBound:
+    """The delay window's gain bounds every state feedback's closed-loop
+    norm from below, checked with the grid oracle on designed and perturbed
+    gains, and is built from the window the sparsity patterns give."""
+
+    def test_below_every_closed_loop_norm(self, gains_k2, dec_k2):
+        # 4 models x 6 waits x 11 gains, each norm by the grid oracle on a
+        # coarse grid: its value is the largest sigma_max it samples, which
+        # is below the norm, so the check only gets stricter (it gave the
+        # 4,096-point values here to 1e-15, in a fifth of the time); about
+        # 3 s on a 2-core host, a third of it the bisections
+        rng = np.random.default_rng(34)
+        for model in window_models(gains_k2, dec_k2):
+            for wait in WINDOW_WAITS:
+                disc = discretize(model, 0.02, wait)
+                bound = _window_bound(disc)
+                assert bound > 0.0
+                F = gamma_min(disc, tol=1e-3).F
+                for G in [F] + stabilizing_perturbations(rng, disc, F):
+                    norm = grid_hinf_norm(disc.A2 + disc.B2u @ G, disc.B2w,
+                                          disc.C2 + disc.D2u @ G, n_grid=256)
+                    assert bound <= norm, (wait, bound, norm)
+                assert bound <= bisection_gamma(disc, 1e-3)[0]
+
+    @pytest.mark.parametrize("wait, window", [(0.1, 5), (0.5, 25)])
+    @pytest.mark.parametrize("i", [0, 1], ids=["oscillation", "common"])
+    def test_structural_window_is_the_numeric_one(self, gains_k2, dec_k2,
+                                                  i, wait, window):
+        # the command sent at k reaches the output q + 1 samples later,
+        # through the in-flight register the output map reads; one sample
+        # more or less would change the bound
+        disc = discretize(bench_mode_system(gains_k2, dec_k2, i), 0.02, wait)
+        assert numeric_window(disc) == window
+        bound = _window_bound(disc)
+        assert bound == pytest.approx(window_gain(disc, window), rel=1e-12)
+        assert window_gain(disc, window - 1) < bound < window_gain(
+            disc, window + 1)
+
+    def test_zero_at_zero_wait(self, gains_k2, dec_k2):
+        # D2u != 0: y_1 already sees the command u_1 = F z_1
+        disc = discretize(bench_mode_system(gains_k2, dec_k2, 0), 0.02, 0.0)
+        assert disc.D2u.any()
+        assert _window_bound(disc) == 0.0
+
+    def test_zero_without_disturbance_path(self, gains_k2, dec_k2):
+        disc = discretize(bench_mode_system(gains_k2, dec_k2, 0), 0.02, 0.1)
+        disc = replace(disc, B2w=np.zeros_like(disc.B2w))
+        assert _window_bound(disc) == 0.0
+
+    def test_underflow_does_not_lengthen_the_window(self):
+        # u reaches the output z3 through two links of 1e-200, whose
+        # product underflows to 0, so by the numbers no command ever
+        # reaches it; w reaches it through four unit links.  The structural
+        # window is 3 samples, in which w has not arrived: the bound is 0,
+        # where the numeric window (capped at n_z = 7) would claim 1
+        A2 = np.zeros((7, 7))
+        A2[1, 0] = A2[2, 1] = 1e-200                  # u: z1 -> z2 -> z3
+        A2[4, 3] = A2[5, 4] = A2[6, 5] = A2[2, 6] = 1.0   # w: z4 -> ... -> z3
+        disc = make_disc(A2, np.eye(7)[:, :1], np.eye(7)[:, 3:4],
+                         np.eye(7)[2:3], [[0.0]], np.eye(7),
+                         np.zeros((7, 1)), np.eye(1), d=0.1, q=4, r=0.1)
+        assert numeric_window(disc) == 7
+        assert window_gain(disc, 7) == 1.0
+        assert _window_bound(disc) == 0.0
 
 
 def recording(monkeypatch):
