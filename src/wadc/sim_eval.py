@@ -50,8 +50,8 @@ MAX_PERIODS = 1_000_000   # sampling periods one simulation may step
 MAX_STEPS_PER_PERIOD = 2 ** 16   # RK4 steps in one sampling period
 # input samples in flight over one sweep's waits: about twice the 8,372
 # that the sweep's bound counts on the grid 0:0.02:2.56, whose LQR sweep of
-# both modes took 6.7 s; at the cap an H-infinity sweep is 128 designs at
-# MAX_IN_FLIGHT, about 10 min per mode
+# both modes took 6.7 s and whose H-infinity sweep of both modes, 128
+# designs per mode at one gamma level each, took 31-34 s (2-core host)
 MAX_SWEEP_IN_FLIGHT = 1 << 14
 
 

@@ -25,15 +25,15 @@ delay window, the outputs no command reaches yet, which no feedback can
 lower, and the decentralized level, the open-loop norm that the zero
 remote gain certifies.  The top of the bracket is always a certified
 closed-loop norm; the first level tried is the one that closes the
-bracket if it is certified, and secant steps on the norms of the accepted
-designs drive the top down when it is not.  Each level solves
-the indefinite game Riccati equation once, from SciPy's pencil with the
-disturbance scaled by 1/gamma, whose residual and gain the LQR code
-reads from its one pivot R + B'PB; every accepted design is certified by
-the inertia of that pivot, closed-loop stability and the closed-loop
-norm, so the Riccati backend cannot silently return a wrong answer.
-Norms come from one evaluator, the level-set iteration on the unit
-circle in ``hinf_norm``, which also certifies stability.
+bracket if it is certified, and midpoints of the bracket follow when it
+is not.  Each level solves the indefinite game Riccati equation once,
+from SciPy's pencil with the disturbance scaled by 1/gamma, whose
+residual and gain the LQR code reads from its one pivot R + B'PB; every
+accepted design is certified by the inertia of that pivot, closed-loop
+stability and the closed-loop norm, so the Riccati backend cannot
+silently return a wrong answer.  Norms come from one evaluator, the
+level-set iteration on the unit circle in ``hinf_norm``, which also
+certifies stability.
 """
 
 from dataclasses import dataclass
@@ -582,10 +582,10 @@ def _window_bound(disc: DiscretizedSystem):
 
 
 def gamma_min(disc: DiscretizedSystem, tol=1e-3):
-    """Smallest certifiable attenuation level, by a safeguarded secant
-    search on certified norms.  An output map C2 whose norm overflows is
-    refused (``NonFiniteModel``): every level squares it, and the
-    zero-level test below would compare inf with inf.
+    """Smallest certifiable attenuation level, by bisection on certified
+    norms.  An output map C2 whose norm overflows is refused
+    (``NonFiniteModel``): every level squares it, and the zero-level test
+    below would compare inf with inf.
 
     Every call first tries the zero level: when F0 = -D2u^+ C2 leaves
     C2 + D2u F0 at 1e-12 of C2 with a Schur-stable loop (as at zero wait),
@@ -600,29 +600,17 @@ def gamma_min(disc: DiscretizedSystem, tol=1e-3):
     every lifted mode has one, since its local loop is Hurwitz and its
     input memory a nilpotent shift.
 
-    The top is always the best certified norm times (1 + 2e-10), the
-    accuracy of ``hinf_norm``: an accepted level moves it to its design's
-    norm, not to the level tried, and a failed level becomes the bottom.
     The first level is lo (1 + tol) / (1 + 2e-10), the largest whose
-    certified design closes the bracket at once; it is lo / 2 + hi / 2
-    when lo is 0.  On the benchmark the window's gain is within tol of
-    the optimum at every wait, so that one level settles each search and
-    gamma is within tol of the optimum over all state feedbacks.  Each
-    later level is a secant step toward the fixed point
-    norm(gamma) = gamma through the last two accepted (level, norm)
-    pairs, aimed tol / 2 above the estimate, or at hi / (1 + tol), which
-    closes the bracket, when the estimate is above that (gamma-iteration,
-    Doyle, Glover, Khargonekar & Francis 1989, with the safeguard of
-    Brent 1973).  A pair whose norm is below half its level lies on the
-    flat far end of the norm curve, where a chord says nothing of the
-    slope near the fixed point, so it is not used.  The midpoint is taken
-    when there is no estimate inside the bracket, or after an accepted
-    secant step that lowered log(hi) by half or more of what the accepted
-    secant step before it did: converging steps shrink faster, creeping
-    ones do not.  Stops when hi / lo <= 1 + tol, which a certified norm
-    of exactly 0 meets at once, and returns the result whose ``gamma`` is
-    hi.  Every level passes or fails ``hinf_design``'s
-    full certificate.
+    certified design closes the bracket at once, or the midpoint when lo
+    is 0; every later level is the midpoint lo / 2 + hi / 2.  A failed
+    level becomes lo.  An accepted level moves hi to its design's certified
+    norm times (1 + 2e-10), the accuracy of ``hinf_norm``, not to the level
+    tried.  On the benchmark the window's gain is within tol of the optimum
+    at every wait, so the first level settles each search and gamma is
+    within tol of the optimum over all state feedbacks.  Stops when
+    hi / lo <= 1 + tol, which a certified norm of exactly 0 meets at once,
+    and returns the result whose ``gamma`` is hi.  Every level passes or
+    fails ``hinf_design``'s full certificate.
     """
     tol = float(tol)
     if not tol >= 1e-9:
@@ -643,36 +631,19 @@ def gamma_min(disc: DiscretizedSystem, tol=1e-3):
                       norm=hinf_norm(disc.A2, disc.B2w, disc.C2), disc=disc)
     bound = _window_bound(disc)
     lo, hi = bound, best.norm * _NORM_ACCURACY
-    pairs, levels, accepted = [], 0, 0
-    # hi_after / hi_before of the last accepted secant step; halving the
-    # fall of log(hi) means squaring this ratio
-    last_ratio, secant = 0.0, True
+    levels = accepted = 0
     while hi / (1.0 + tol) > lo:
-        level = None
-        if not levels:
+        level = 0.5 * (lo + hi)
+        if not levels and lo > 0.0:
             # the largest level whose design closes the bracket at once
             level = lo * (1.0 + tol) / _NORM_ACCURACY
-        elif secant and len(pairs) == 2:
-            (g1, n1), (g2, n2) = pairs
-            slope = (n2 - n1) / (g2 - g1)
-            if slope < 1.0:
-                level = min((n2 - slope * g2) / (1.0 - slope)
-                            * (1.0 + 0.5 * tol), hi / (1.0 + tol))
-        stepped = level is not None and level > lo
-        if not stepped:
-            level = 0.5 * (lo + hi)
         levels += 1
         try:
             best = hinf_design(disc, level)
         except GammaInfeasible:
-            lo, secant = level, True
+            lo = level
             continue
         accepted += 1
-        top, hi = hi, best.norm * _NORM_ACCURACY
-        secant = not stepped or (hi / top) ** 2 > last_ratio
-        if stepped:
-            last_ratio = hi / top
-        pairs = [(g, n) for g, n in pairs[-1:] + [(level, best.norm)]
-                 if 2.0 * n >= g]
+        hi = best.norm * _NORM_ACCURACY
     return HinfResult(F=best.F, gamma=hi, norm=best.norm, disc=disc,
                       levels=levels, accepted=accepted, bound=bound)

@@ -306,6 +306,47 @@ def per_step_closed_loop(plant, gains, dec, ctrl, designs, x0, dt, periods,
     return {key: np.array(val) for key, val in out.items()}
 
 
+def physical_period_map(plant, ctrl, C, D_u):
+    """One sampling period of the distributed closed loop in physical
+    coordinates, an oracle for what the modes' H-infinity levels bound.
+
+    The state is xi_k = [x(kh); v_hat_(k-1); ...; v_hat_(k-q-1)], the
+    plant state and the last q + 1 modal commands, newest first, as
+    ``ctrl.sample`` takes them; the disturbance w_k is held over
+    (kh, kh + h].  Every machine waits d = q h + r, r in (0, h], so it
+    applies the command v_(k-q-1) on (kh, kh + r] and v_(k-q) on
+    (kh + r, kh + h], each piece stepped by the exact zero-order-hold map
+    of d/dt x = A_bar x + B_u v + B_w w from ``expm``.  The sampled output
+    y_k = C x(kh) + D_u v_(k-q-1) reads the command active just after kh.
+    Returns (A, B, C) of xi_(k+1) = A xi_k + B w_k, y_k = C xi_k, built
+    without the library's lifting.
+    """
+    h, d = ctrl.h, float(ctrl.d_rho[0])
+    assert d > 0.0 and np.all(ctrl.d_rho == d), "one positive wait"
+    q = math.ceil(d / h - 1e-9) - 1
+    r = d - q * h
+    n_x, n_u, n_w = plant.n_x, plant.n_u, plant.n_w
+    n = n_x + (q + 1) * n_u
+    eye = np.eye(n + n_w)   # maps below act on [xi_k; w_k]
+    X, memory = eye[:n_x], eye[n_x:n]
+    v, v_hat = ctrl.sample(X, memory)
+
+    def command(j):
+        """v_(k-j), the per-machine command sampled j periods ago."""
+        return v if j == 0 else ctrl.dec.M_u @ memory[(j - 1) * n_u:j * n_u]
+
+    G = np.zeros((n_x + n_u + n_w, n_x + n_u + n_w))
+    G[:n_x] = np.hstack([ctrl.gains.A_bar, plant.B_u, plant.B_w])
+    x = X
+    for length, j in ((r, q + 1), (h - r, q)):
+        E = expm(length * G)[:n_x]
+        x = (E[:, :n_x] @ x + E[:, n_x:n_x + n_u] @ command(j)
+             + E[:, n_x + n_u:] @ eye[n:])
+    M = np.vstack([x, v_hat, memory[:-n_u]])
+    y = C @ X + D_u @ command(q + 1)
+    return M[:, :n], M[:, n:], y[:, :n]
+
+
 def summed_cost(plant, ctrl, scn, Q, R, periods):
     """The cost of ``periods`` sampling periods of a ``simulate_closed_loop``
     run, summed period by period: the running-sum oracle of the

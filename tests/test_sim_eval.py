@@ -12,6 +12,7 @@ from helpers import (
     attenuation_of_mode,
     grid_hinf_norm,
     per_step_closed_loop,
+    physical_period_map,
     simulate_collect,
     summed_cost,
 )
@@ -44,6 +45,7 @@ from wadc.sim_eval import (
     simulate_closed_loop,
     sweep_delays,
 )
+from wadc.synthesis import hinf_norm
 
 
 def build_controller(plant, gains, dec, tau, h=0.02, method="lqr",
@@ -467,6 +469,21 @@ class TestAttenuation:
             heavy = replace(model, D1u=factor * model.D1u)
             g2, _ = attenuation_of_mode(heavy, 0.02, 0.06, tol=tol)
             assert abs(g2 - g1) <= 2 * tol * g1
+
+    @pytest.mark.parametrize("tau", [0.02, 0.05, 0.1, 0.13])
+    def test_gamma_is_the_physical_sampled_gain(self, bench_plant, gains_k2,
+                                                dec_k2, tau):
+        # the modal transforms are 1/2 [[I, I], [-I, I]], whose singular
+        # values are 1/sqrt(2), and the two modes' outputs are orthogonal;
+        # so the physical loop's gain from the held disturbance to the
+        # sampled output is sqrt(2) times the larger mode's certified norm.
+        # At 0.02 and 0.1 s the switch falls on the instant (r = h)
+        ctrl, designs = build_controller(bench_plant, gains_k2, dec_k2, tau,
+                                         method="hinf")
+        gain = hinf_norm(*physical_period_map(bench_plant, ctrl, C_OUT,
+                                              DU_OUT))
+        assert gain == pytest.approx(
+            np.sqrt(2.0) * max(md.norm for md in designs), rel=1e-9)
 
 
 class TestBounds:

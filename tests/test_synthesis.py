@@ -715,7 +715,7 @@ class TestGammaMin:
 
 def check_against_bisection(disc, tol=1e-3):
     """gamma_min against the plain bisection oracle: the same level to tol,
-    a certified top, the bracket property and at most twice the levels.
+    a certified top, the bracket property and at most one level more.
     The top is a level the search certified or, when the optimum lies
     within tol of the open-loop norm, that norm with the zero gain as its
     witness."""
@@ -727,7 +727,7 @@ def check_against_bisection(disc, tol=1e-3):
     if res.uncertified:
         assert not res.F.any()
         assert res.norm == hinf_norm(disc.A2, disc.B2w, disc.C2)
-    assert 1 <= res.levels <= 2 * levels_ref
+    assert 1 <= res.levels <= levels_ref + 1
     hinf_design(disc, gstar * (1 + 2 * tol))  # must not raise
     with pytest.raises(GammaInfeasible):
         hinf_design(disc, gstar * (1 - 2 * tol))
@@ -735,7 +735,9 @@ def check_against_bisection(disc, tol=1e-3):
 
 
 class TestGammaSearch:
-    """The secant search finds the bisection's level in fewer solves."""
+    """The search finds the bisection's level: in one level where the delay
+    window's gain is within tol of the optimum, and otherwise by midpoints
+    in at most one level more than the bisection oracle."""
 
     @pytest.mark.parametrize("d", [0.1, 0.2, 0.3])
     @pytest.mark.parametrize("i", [0, 1], ids=["oscillation", "common"])
@@ -785,22 +787,20 @@ class TestGammaSearch:
         assert res.gamma > 2.0 * bound
         assert res.levels == len(tried) > 1
 
-    def test_safeguard_bounds_a_slow_secant(self, monkeypatch):
+    def test_slow_norm_curve_within_bisection_levels(self, monkeypatch):
         # norm(gamma) = gamma - 0.3 (gamma - 1)^6 above gamma* = 1 meets
-        # the diagonal to sixth order, so secant steps from above converge
-        # only linearly; the midpoints keep the search within twice the
-        # bisection's levels (secant steps alone take 43).  The window
-        # bound is set to 0 so that the bracket starts far below gamma*
-        # and the search has to take secant steps
+        # the diagonal to sixth order, so no accepted design's norm lands
+        # near gamma* early; the midpoints still find it within tol in no
+        # more levels than the bisection oracle.  The window bound is set
+        # to 0 so that the bracket starts far below gamma*
         import helpers
         import wadc.synthesis as synthesis
         tried = []
 
         def design(disc, level):
+            tried.append(level)
             if level <= 1.0:
-                tried.append((level, False))
                 raise GammaInfeasible("H1")
-            tried.append((level, True))
             return HinfResult(F=np.zeros((1, 1)), gamma=level,
                               norm=level - 0.3 * (level - 1.0) ** 6,
                               disc=disc)
@@ -812,27 +812,11 @@ class TestGammaSearch:
         disc = make_disc([[0.5]], [[1.0]], [[1.0]], [[1.0]], [[0.0]],
                          np.eye(1), np.zeros((1, 1)), np.eye(1))
         res = gamma_min(disc, tol=1e-3)
-        search = list(tried)
-        gstar = res.gamma
+        levels = len(tried)   # the oracle below runs the same stub
         _, levels_ref = bisection_gamma(disc, 1e-3)
         assert res.bound == 0.0
-        assert 1.0 < gstar <= 1.001
-        assert 3 <= res.levels == len(search) <= 2 * levels_ref
-        # replay the bracket to tell each level's kind: a midpoint is
-        # lo / 2 + hi / 2 of the bracket it was tried in
-        lo, hi = 0.0, 3.0 * (1 + 2e-10)
-        kinds = []
-        for level, ok in search:
-            kinds.append(("mid" if level == 0.5 * (lo + hi) else "secant",
-                          ok))
-            if ok:
-                hi = (level - 0.3 * (level - 1.0) ** 6) * (1 + 2e-10)
-            else:
-                lo = level
-        assert ("secant", True) in kinds
-        # the safeguard: a midpoint right after an accepted secant step
-        assert any(a == ("secant", True) and b[0] == "mid"
-                   for a, b in zip(kinds, kinds[1:]))
+        assert 1.0 < res.gamma <= 1.001
+        assert 1 <= res.levels == levels <= levels_ref
 
     def test_random_systems(self):
         rng = np.random.default_rng(22)
