@@ -53,7 +53,12 @@ from .dncs import (
 )
 from .errors import ConfigError, WadcError
 from .grid_model import linearize, solve_equilibrium
-from .sim_eval import Scenario, simulate_closed_loop, sweep_delays
+from .sim_eval import (
+    Scenario,
+    simulate_closed_loop,
+    sweep_delays,
+    uncertified_warning,
+)
 
 FMT = "%.17g"
 
@@ -422,12 +427,9 @@ def _search_diagnostics(report, label, md):
     """Levels an H-infinity search tried and certified, and the delay
     window's gain below them; at level 0, also the witness's residual
     output gain ||C2 + D2u F|| (2-norm).  A search that certified none of
-    its levels is also a warning, naming the bracket its value tops."""
+    its levels is also a warning."""
     if md.uncertified:
-        report.warn(f"{label}: the H-infinity search certified none of its "
-                    f"{md.levels} levels; gamma is the decentralized level, "
-                    "the norm without remote feedback, and the optimum lies "
-                    f"in [{md.bound:.6g}, {md.gamma:.6g}]")
+        report.warn(f"{label}: {uncertified_warning(md)}")
     diag = {"levels_tried": md.levels, "levels_accepted": md.accepted,
             "window_bound": md.bound}
     if md.gamma == 0.0:

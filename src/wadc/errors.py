@@ -66,7 +66,7 @@ class IndefiniteCost(WadcError):
 
 
 class GammaInfeasible(WadcError):
-    """A disturbance-attenuation level failed one of the solvability checks."""
+    """A disturbance-attenuation level yields no certified finite gain."""
 
     def __init__(self, which_condition, detail=""):
         self.which_condition = which_condition

@@ -41,6 +41,7 @@ __all__ = [
     "simulate_closed_loop",
     "compute_bounds",
     "sweep_delays",
+    "uncertified_warning",
 ]
 
 _BOUND_SLACK = 1e-9
@@ -330,6 +331,20 @@ def compute_bounds(md0, measure, z0=None):
     return upper, md0.gamma
 
 
+def uncertified_warning(md, waits=None):
+    """The warning for an H-infinity design whose search certified none of
+    its levels, or for the first of ``waits`` such designs of a sweep."""
+    head = (f"certified none of its {md.levels} levels; gamma is the "
+            "decentralized level, the norm without remote feedback, and"
+            if waits is None else
+            f"certified none of its levels at {waits} of the waits (the "
+            f"first {md.disc.d:g} s); each of their values is its wait's "
+            "decentralized level, the norm without remote feedback; at the "
+            "first,")
+    return (f"the H-infinity search {head} the optimum lies in "
+            f"[{md.bound:.6g}, {md.gamma:.6g}]")
+
+
 @dataclass(frozen=True)
 class SweepRow:
     delay: float
@@ -454,15 +469,8 @@ def sweep_delays(model, dec, mode, measure, delay_grid, h, z0=None,
             values += design(delays)
     rows = [row(tau, value) for tau, value in zip(delay_grid, values)]
 
-    warnings = []
-    if uncertified:
-        first = uncertified[0]
-        warnings.append(
-            f"the H-infinity search certified none of its levels at "
-            f"{len(uncertified)} of the waits (the first {first.disc.d:g} "
-            "s); each of their values is its wait's decentralized level, the "
-            "norm without remote feedback; at the first, the optimum lies in "
-            f"[{first.bound:.6g}, {first.gamma:.6g}]")
+    warnings = ([uncertified_warning(uncertified[0], len(uncertified))]
+                if uncertified else [])
     good = [r for r in rows if r.status == "ok"]
     if len(good) >= 2:
         pairs = sum(1 for a, b in zip(good, good[1:]) if b.value >= a.value

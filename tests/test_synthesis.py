@@ -497,21 +497,38 @@ class TestHinfDesign:
             hinf_design(disc, 1e6)
         assert exc.value.which_condition == "riccati_nonfinite"
 
-    def test_singular_control_pivot_infeasible(self, monkeypatch):
-        # with C2 = 0 and D2u = 0, P = 0 passes the residual, P >= 0 and
-        # H3 checks but leaves H1 = D2u'D2u = 0; SciPy's solver is
-        # replaced to supply that P
+    def test_singular_control_pivot_accepted(self, monkeypatch):
+        # with C2 = 0 and D2u = 0, P = 0 solves the game and leaves the
+        # control pivot H_uu = D2u'D2u = 0 singular; SciPy's solver is
+        # replaced to supply that P.  The pivot does not decide the level:
+        # its least-squares gain F = 0 leaves the stable loop 0.5 with
+        # output 0, whose certified norm 0 is below the level
         disc = make_disc([[0.5]], [[1.0]], [[1.0]], [[0.0]], [[0.0]],
                          np.eye(1), np.zeros((1, 1)), np.eye(1))
         monkeypatch.setattr(scipy.linalg, "solve_discrete_are",
                             lambda A, B, Q, R, s: np.zeros_like(A))
+        res = hinf_design(disc, 1.0)
+        assert np.array_equal(res.F, np.zeros((1, 1)))
+        assert res.norm == 0.0 and res.gamma == 1.0
+
+    @pytest.mark.parametrize("gain, B2u", [(np.nan, 1.0), (1e300, 1e10)],
+                             ids=["gain", "closed-loop"])
+    def test_nonfinite_gain_infeasible(self, monkeypatch, gain, B2u):
+        # a gain that is not finite, or whose closed loop overflows, is
+        # refused before the norm reads it: no LinAlgError from the
+        # eigenvalue solve and no RuntimeWarning (they are errors here)
+        import wadc.synthesis as synthesis
+        disc = make_disc([[0.5]], [[B2u]], [[1.0]], [[1.0]], [[0.0]],
+                         np.eye(1), np.zeros((1, 1)), np.eye(1))
+        monkeypatch.setattr(synthesis, "_gain_from",
+                            lambda A, B, N, P, H: np.full((1, 2, 1), gain))
         with pytest.raises(GammaInfeasible) as exc:
-            hinf_design(disc, 1.0)
-        assert exc.value.which_condition == "H1"
+            hinf_design(disc, 10.0)
+        assert exc.value.which_condition == "gain_nonfinite"
 
     def test_norm_at_gamma_infeasible(self, monkeypatch):
-        # a design that passes every pivot check is still refused when its
-        # certified norm does not come out below the level
+        # a finite, stable design is still refused when its certified norm
+        # does not come out below the level
         import wadc.synthesis as synthesis
         disc = random_disc(np.random.default_rng(10), n_w=2)
         gamma = 2.0 * gamma_min(disc, tol=1e-3).gamma
@@ -580,10 +597,10 @@ class TestHinfDesign:
             assert np.abs(F - F_ref).max() <= 1e-12 * np.abs(F_ref).max()
 
     def test_unstable_loop_is_infeasible(self, monkeypatch):
-        # with C2 = 0, P = 0 solves this game Riccati equation too and
-        # passes the residual, P >= 0 and pivot checks, but its gain F = 0
-        # leaves the unstable open loop; SciPy returns the stabilizing
-        # solution, so P = 0 is supplied to reach the stability check
+        # with C2 = 0, P = 0 solves this game Riccati equation too, but
+        # its gain F = 0 leaves the unstable open loop; SciPy returns the
+        # stabilizing solution, so P = 0 is supplied to reach the
+        # stability check
         disc = make_disc([[2.0]], [[1.0]], [[1.0]], [[0.0]], [[1.0]],
                          np.eye(1), np.zeros((1, 1)), np.eye(1))
         monkeypatch.setattr(scipy.linalg, "solve_discrete_are",
@@ -649,11 +666,19 @@ class TestGammaMin:
         with pytest.raises(NonFiniteModel, match=r"\[output\]"):
             gamma_min(disc, tol=1e-3)
 
-    def test_unstable_plant_rejected(self):
+    def test_unstable_plant_stabilized(self):
+        # the window bound 1 tops the first level's design: F = -1.5
+        # cancels the unstable pole, and the certified loop is returned
+        # without the open-loop level, which does not exist here
         disc = make_disc([[1.5]], [[1.0]], [[1.0]], [[1.0]], [[0.0]],
                          np.eye(1), np.zeros((1, 1)), np.eye(1))
-        with pytest.raises(UnstableSystem):
-            gamma_min(disc, tol=1e-3)
+        res = gamma_min(disc, tol=1e-3)
+        assert res.bound == 1.0 and res.levels == res.accepted == 1
+        assert res.gamma == 1.0 * (1 + 2e-10)
+        A_cl = disc.A2 + disc.B2u @ res.F
+        assert np.abs(np.linalg.eigvals(A_cl)).max() < 1.0
+        ref = grid_hinf_norm(A_cl, disc.B2w, disc.C2 + disc.D2u @ res.F)
+        assert abs(ref - res.norm) <= 1e-9 * res.norm
 
     def test_unstable_plant_without_disturbance_path_rejected(self):
         disc = make_disc([[1.5]], [[1.0]], [[0.0]], [[1.0]], [[0.0]],
@@ -749,6 +774,21 @@ class TestGammaSearch:
         assert res.levels == res.accepted == 1
         assert res.bound < res.gamma <= res.bound * (1 + 1e-3)
 
+    @pytest.mark.parametrize("i", [0, 1], ids=["oscillation", "common"])
+    def test_one_norm_per_benchmark_search(self, gains_k2, dec_k2, i,
+                                           monkeypatch):
+        # the first level is certified at every wait of 0.02-0.5 s, so its
+        # design's norm is the only one evaluated: the open-loop level,
+        # the top the bracket never needs, is not computed
+        import wadc.synthesis as synthesis
+        calls = counting(monkeypatch, synthesis, "hinf_norm")
+        model = bench_mode_system(gains_k2, dec_k2, i)
+        for k in range(1, 26):
+            before = calls[0]
+            res = gamma_min(discretize(model, 0.02, 0.02 * k), tol=1e-3)
+            assert res.levels == res.accepted == 1
+            assert calls[0] - before == 1, f"wait {0.02 * k:g} s"
+
     def test_oscillation_sweep_rows(self, gains_k2, dec_k2):
         # the nonzero rows of the 0:0.1:0.3 oscillation-mode sweep take
         # 58 levels by bisection; the window bound settles each in one
@@ -800,7 +840,7 @@ class TestGammaSearch:
         def design(disc, level):
             tried.append(level)
             if level <= 1.0:
-                raise GammaInfeasible("H1")
+                raise GammaInfeasible("norm_not_below_gamma")
             return HinfResult(F=np.zeros((1, 1)), gamma=level,
                               norm=level - 0.3 * (level - 1.0) ** 6,
                               disc=disc)
